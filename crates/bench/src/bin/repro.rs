@@ -22,7 +22,7 @@
 //!               fail node N and replace it with an empty device
 //!               (repeatable; combine with --repair / --scrub)
 //!   --scrub     run the collective integrity scrub and print its report
-//!   --repair    run the collective repair, then verify that every chunk
+//!   --repair    run the collective heal, then verify that every chunk
 //!               referenced by the dump is back to K copies and the
 //!               restore is byte-exact
 //!   --bench     run the zero-copy perf harness (strategies × K ∈ {2,3} ×
@@ -541,7 +541,7 @@ fn run_fault_demo(spec: &str) {
 }
 
 /// The self-healing demo: a clean coll-dedup dump, node failures replaced
-/// by empty devices, optional scrub, collective repair, and a final
+/// by empty devices, optional scrub, collective heal, and a final
 /// verification that every chunk the dump references is back to `K`
 /// copies and every rank restores byte-exactly.
 fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
@@ -561,7 +561,7 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
         .expect("valid config");
     let buf_of = |rank: u32| vec![rank as u8 + 1; 64 * 1024];
     let out = WorldConfig::default()
-        .launch(N, |comm| repl.dump(comm, 1, &buf_of(comm.rank())))
+        .launch(N, |comm| repl.dump(comm, 1, buf_of(comm.rank())))
         .expect_all();
     for (rank, r) in out.results.iter().enumerate() {
         if let Err(e) = r {
@@ -602,17 +602,18 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
 
     if do_repair {
         let out = WorldConfig::default()
-            .launch(N, |comm| repl.repair(comm, 1))
+            .launch(N, |comm| repl.heal(comm, 1))
             .expect_all();
         let stats = out.results[0]
             .as_ref()
             .unwrap_or_else(|e| die(&format!("repair failed: {e}")));
         println!(
-            "repair: {} chunk copies healed ({} bytes), {} manifests re-materialized, {} corrupt quarantined",
+            "repair: {} chunk copies healed ({} bytes), {} manifests re-materialized, {} corrupt quarantined, {} heal steps",
             stats.chunks_healed,
             stats.bytes_re_replicated,
             stats.manifests_rematerialized,
-            stats.corrupt_quarantined
+            stats.corrupt_quarantined,
+            stats.steps
         );
         if !stats.is_fully_healed() {
             println!(

@@ -1,6 +1,6 @@
 //! `DUMP_OUTPUT(buffer, K)` — the paper's collective I/O write primitive.
 //!
-//! All ranks of a [`replidedup_mpi::World`] enter the dump simultaneously
+//! All ranks of a [`replidedup_mpi::WorldConfig::launch`] world enter the dump simultaneously
 //! (it is a synchronization point) via `Replicator::dump`. Depending on [`Strategy`] the call runs:
 //!
 //! * `no-dedup` — raw buffer to local storage, all chunks to `K-1`
@@ -986,7 +986,7 @@ mod tests {
                     hasher: &Sha1ChunkHasher,
                     dump_id: 1,
                 };
-                let buf = vec![comm.rank() as u8; 128];
+                let buf = [comm.rank() as u8; 128];
                 dump_impl(comm, &ctx, &Chunk::from(&buf[..]), &cfg)
             })
             .expect_all();

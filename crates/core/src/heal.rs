@@ -1,12 +1,11 @@
-//! Continuous background healing: the repair collective, cut into
-//! bounded, resumable steps that interleave with live traffic.
+//! The healing engine: scrub → plan → rebuild stripes → transfer, cut
+//! into bounded, resumable steps that interleave with live traffic.
 //!
-//! [`crate::repair`] heals a whole dump in one monolithic collective —
-//! correct, but it monopolizes the network for as long as the damage
-//! takes to mend, and a healer crash throws away everything the run had
-//! re-replicated *planned* so far (the data survives — repair is
-//! idempotent — but the next run re-scans from scratch). This module
-//! converts that collective into an incremental state machine:
+//! Healing a whole dump in one monolithic collective would monopolize the
+//! network for as long as the damage takes to mend, and a healer crash
+//! would throw away all planning progress. So the one engine is an
+//! incremental state machine ([`crate::Replicator::heal`] simply drives
+//! it from a fresh cursor to the end):
 //!
 //! * A [`HealCursor`] names a position inside the heal of one dump
 //!   generation: the current [`HealStage`] plus high-water marks
@@ -17,17 +16,17 @@
 //! * [`heal_step_impl`] advances the cursor by one **bounded step**: a
 //!   small collective over at most [`HealOptions::chunk_batch`] (or
 //!   `owner_batch` / `stripe_batch`) items. Each step re-plans its
-//!   window against the *current* cluster state with the same pure
-//!   [`crate::repair::build_plan`] the monolithic repair uses, then
-//!   post-filters the plan to the window — so healing under live
-//!   `dump`/`restore` traffic never acts on stale inventory for longer
-//!   than one window.
+//!   window against the *current* cluster state with the pure
+//!   [`crate::repair::build_plan`], then post-filters the plan to the
+//!   window — so healing under live `dump`/`restore` traffic never acts
+//!   on stale inventory for longer than one window.
 //! * Between steps the world is free: a foreground dump of a *newer*
 //!   generation can run its own collectives, and the healer's next step
 //!   simply sees (and skips) whatever the dump committed. In-flight
 //!   generations are invisible to the healer by construction — chunk
 //!   healing only considers fingerprints referenced by *committed*
-//!   manifests of the cursor's generation, and an `Auto`/`Rs` stripe is
+//!   manifests of the cursor's generation, blob stripes of other
+//!   generations are never offered, and an `Auto`/`Rs` chunk stripe is
 //!   content-addressed, so touching it concurrently is idempotent.
 //! * The optional [`HealOptions::gc_before`] bound runs
 //!   [`replidedup_storage::Cluster::gc_superseded`] as the first step,
@@ -43,15 +42,19 @@
 //! a high-water mark past a non-empty window or advances the stage past
 //! an empty one — so a heal always terminates, and resuming from any
 //! persisted cursor position converges to the same healed state
-//! (re-running a window is idempotent: puts are content-addressed).
+//! (re-running a window is idempotent: puts are content-addressed). A
+//! crash mid-step surfaces as [`RepairError::Comm`]; unrecoverable data
+//! is reported in the [`HealReport`] instead of failing the collective.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use bytes::Bytes;
+use replidedup_buf::Chunk;
 use replidedup_hash::{Fingerprint, FpHashSet};
 use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, Tag};
-use replidedup_storage::{DumpId, GcStats, Manifest, SessionId, StripeKey};
+use replidedup_storage::{DumpId, GcStats, Manifest, NodeId, SessionId, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
@@ -63,7 +66,7 @@ const TAG_HEAL_MANIFEST: Tag = 0x5250_000A;
 const TAG_HEAL_BLOB: Tag = 0x5250_000B;
 
 /// Phases a healing step may enter (trace span names). Unlike
-/// [`crate::REPAIR_PHASES`] these repeat: every windowed step re-enters
+/// [`crate::DUMP_PHASES`] these repeat: every windowed step re-enters
 /// `heal.plan` / `heal.transfer`, which is what lets a fault plan target
 /// e.g. the *second* transfer window (`start:heal.transfer#2`).
 pub const HEAL_PHASES: [&str; 5] = [
@@ -343,15 +346,6 @@ fn allreduce_counts(comm: &mut Comm, counts: Vec<u64>) -> Result<Vec<u64>, Repai
     .map_err(RepairError::from)
 }
 
-/// The next stage after the scrub, by strategy.
-fn first_data_stage(strategy: Strategy) -> HealStage {
-    if strategy == Strategy::NoDedup {
-        HealStage::Blobs
-    } else {
-        HealStage::Chunks
-    }
-}
-
 /// Advance `cursor` by one bounded collective step, folding what the
 /// step did into `report`. Collective: every rank of the world must call
 /// this with an identical cursor and identical options, and all ranks
@@ -443,7 +437,11 @@ pub(crate) fn heal_step_impl(
             let sums = step?;
             report.corrupt_quarantined += sums[0];
             report.shards_quarantined += sums[1];
-            cursor.stage = first_data_stage(strategy);
+            cursor.stage = if strategy == Strategy::NoDedup {
+                HealStage::Blobs
+            } else {
+                HealStage::Chunks
+            };
         }
         HealStage::Chunks => {
             comm.enter_phase("heal.plan");
@@ -451,12 +449,16 @@ pub(crate) fn heal_step_impl(
             // referenced fingerprints past the high-water mark; the
             // sorted union (re-truncated) is the window every rank
             // plans. Committed manifests only — an in-flight dump of a
-            // newer generation has nothing here to offer yet.
-            let mine = if i_lead {
-                referenced_after(ctx, node, cursor.after_fp, opts.chunk_batch)?
+            // newer generation has nothing here to offer yet. The node's
+            // manifests are read once per step: `referenced` answers
+            // both "what do I offer" and "which window entries are mine".
+            let referenced = if i_lead {
+                referenced_after(ctx, node, cursor.after_fp)?
             } else {
                 Vec::new()
             };
+            let mine: Vec<Fingerprint> =
+                referenced.iter().take(opts.chunk_batch).copied().collect();
             let offered = comm.try_allgather(mine);
             comm.exit_phase("heal.plan");
             let mut window: Vec<Fingerprint> = offered?.into_iter().flatten().collect();
@@ -485,7 +487,7 @@ pub(crate) fn heal_step_impl(
                     inv.referenced = window
                         .iter()
                         .copied()
-                        .filter(|fp| mine_references(ctx, node, fp))
+                        .filter(|fp| referenced.binary_search(fp).is_ok())
                         .collect();
                     inv.shards = cluster.shard_inventory(node)?;
                     inv.shards.retain(|(key, _)| match key {
@@ -502,8 +504,15 @@ pub(crate) fn heal_step_impl(
             let plan = windowed_plan(ctx, strategy, k, n, &global, &world_inv);
 
             comm.enter_phase("heal.transfer");
-            let moved = transfer_chunks(comm, ctx, &plan.chunk_moves, bucket)
-                .and_then(|(healed, bytes)| allreduce_counts(comm, vec![healed, bytes]));
+            let moved = transfer(
+                comm,
+                TAG_HEAL_CHUNKS,
+                &plan.chunk_moves,
+                bucket,
+                |fp| cluster.get_chunk(node, fp),
+                |_, fp, data| Ok(cluster.put_chunk(node, fp, data.into_bytes())?),
+            )
+            .and_then(|(healed, bytes)| allreduce_counts(comm, vec![healed, bytes]));
             comm.exit_phase("heal.transfer");
             let sums = moved?;
             report.chunks_healed += sums[0];
@@ -513,10 +522,13 @@ pub(crate) fn heal_step_impl(
             // The window's unrepairables are final facts (zero copies
             // and no viable stripe cluster-wide); the rest of the plan
             // (manifests, stripes) is out of scope for this stage.
-            merge_fps(&mut report.unrepairable_chunks, plan.unrepairable_chunks);
+            merge_sorted(&mut report.unrepairable_chunks, plan.unrepairable_chunks);
             cursor.after_fp = Some(last);
         }
-        HealStage::Manifests => {
+        HealStage::Manifests | HealStage::Blobs => {
+            // One owner-window body for both recipe formats: manifests
+            // (dedup strategies) and raw blobs (`no-dedup`).
+            let blobs = cursor.stage == HealStage::Blobs;
             let window = owner_window(cursor.after_owner, n, opts.owner_batch);
             let Some(&last) = window.last() else {
                 cursor.stage = HealStage::Stripes;
@@ -524,92 +536,95 @@ pub(crate) fn heal_step_impl(
                 report.steps += 1;
                 return Ok(());
             };
+            let in_window = |r: &u32| window.binary_search(r).is_ok();
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
                 let mut inv = NodeInventory::default();
                 if i_lead {
                     inv.leads_live_node = true;
-                    inv.manifest_owners = cluster.manifest_owners(node, ctx.dump_id)?;
-                    inv.manifest_owners
-                        .retain(|r| window.binary_search(r).is_ok());
                     inv.absent = cluster.absent_ranks(node, ctx.dump_id)?;
-                    inv.absent.retain(|r| window.binary_search(r).is_ok());
+                    inv.absent.retain(in_window);
+                    if blobs {
+                        inv.blob_owners = cluster.blob_owners(node, ctx.dump_id)?;
+                        inv.blob_owners.retain(in_window);
+                        // A blob with no replica is healthy if its stripe
+                        // survives — the plan needs the window's Blob
+                        // stripes to judge that.
+                        inv.shards = cluster.shard_inventory(node)?;
+                        inv.shards.retain(|(key, _)| match key {
+                            StripeKey::Blob { owner, dump_id } => {
+                                *dump_id == ctx.dump_id && in_window(owner)
+                            }
+                            StripeKey::Chunk(_) => false,
+                        });
+                    } else {
+                        inv.manifest_owners = cluster.manifest_owners(node, ctx.dump_id)?;
+                        inv.manifest_owners.retain(in_window);
+                    }
                 }
                 comm.try_allgather(inv).map_err(RepairError::from)
             })();
             comm.exit_phase("heal.plan");
             let world_inv = step?;
-            let mut plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
+            let plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
             // The windowed inventory legitimately knows nothing about
             // owners outside the window, so the plan flags them all as
             // lost; only in-window verdicts are real.
-            plan.unrepairable_manifests
-                .retain(|r| window.binary_search(r).is_ok());
-            plan.manifest_moves
-                .retain(|(_, _, owner)| window.binary_search(owner).is_ok());
-
-            comm.enter_phase("heal.transfer");
-            let moved = transfer_manifests(comm, ctx, &plan.manifest_moves)
-                .and_then(|remat| allreduce_counts(comm, vec![remat]));
-            comm.exit_phase("heal.transfer");
-            let sums = moved?;
-            report.manifests_rematerialized += sums[0];
-            comm.tracer()
-                .counter("heal_manifests_rematerialized", sums[0]);
-            merge_owners(
-                &mut report.unrepairable_manifests,
-                plan.unrepairable_manifests,
-            );
-            cursor.after_owner = Some(last);
-        }
-        HealStage::Blobs => {
-            let window = owner_window(cursor.after_owner, n, opts.owner_batch);
-            let Some(&last) = window.last() else {
-                cursor.stage = HealStage::Stripes;
-                cursor.steps_taken += 1;
-                report.steps += 1;
-                return Ok(());
+            let (mut moves, mut lost) = if blobs {
+                (plan.blob_moves, plan.unrepairable_blobs)
+            } else {
+                (plan.manifest_moves, plan.unrepairable_manifests)
             };
-            comm.enter_phase("heal.plan");
-            let step = (|| -> Result<_, RepairError> {
-                let mut inv = NodeInventory::default();
-                if i_lead {
-                    inv.leads_live_node = true;
-                    inv.blob_owners = cluster.blob_owners(node, ctx.dump_id)?;
-                    inv.blob_owners.retain(|r| window.binary_search(r).is_ok());
-                    inv.absent = cluster.absent_ranks(node, ctx.dump_id)?;
-                    inv.absent.retain(|r| window.binary_search(r).is_ok());
-                    // A blob with no replica is healthy if its stripe
-                    // survives — the plan needs the window's Blob
-                    // stripes to judge that.
-                    inv.shards = cluster.shard_inventory(node)?;
-                    inv.shards.retain(|(key, _)| match key {
-                        StripeKey::Blob { owner, dump_id } => {
-                            *dump_id == ctx.dump_id && window.binary_search(owner).is_ok()
-                        }
-                        StripeKey::Chunk(_) => false,
-                    });
-                }
-                comm.try_allgather(inv).map_err(RepairError::from)
-            })();
-            comm.exit_phase("heal.plan");
-            let world_inv = step?;
-            let mut plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
-            plan.unrepairable_blobs
-                .retain(|r| window.binary_search(r).is_ok());
-            plan.blob_moves
-                .retain(|(_, _, owner)| window.binary_search(owner).is_ok());
+            moves.retain(|(_, _, owner)| in_window(owner));
+            lost.retain(in_window);
 
             comm.enter_phase("heal.transfer");
-            let moved = transfer_blobs(comm, ctx, &plan.blob_moves, bucket)
-                .and_then(|(remat, bytes)| allreduce_counts(comm, vec![remat, bytes]));
+            let moved = if blobs {
+                transfer(
+                    comm,
+                    TAG_HEAL_BLOB,
+                    &moves,
+                    bucket,
+                    |owner| cluster.get_blob(node, *owner, ctx.dump_id),
+                    |_, owner, data| {
+                        cluster.put_blob(node, owner, ctx.dump_id, data.into_bytes())?;
+                        Ok(true)
+                    },
+                )
+            } else {
+                // Manifests are metadata-sized, so they ride unmetered.
+                transfer(
+                    comm,
+                    TAG_HEAL_MANIFEST,
+                    &moves,
+                    &mut None,
+                    |owner| {
+                        let m = cluster.get_manifest(node, *owner, ctx.dump_id)?;
+                        Ok(m.to_bytes())
+                    },
+                    |from, _, data| {
+                        let m = Manifest::from_bytes(&data)
+                            .map_err(|_| RepairError::CorruptFrame { from })?;
+                        cluster.put_manifest(node, m)?;
+                        Ok(true)
+                    },
+                )
+            }
+            .and_then(|(remat, bytes)| allreduce_counts(comm, vec![remat, bytes]));
             comm.exit_phase("heal.transfer");
             let sums = moved?;
-            report.blobs_rematerialized += sums[0];
-            report.bytes_re_replicated += sums[1];
-            comm.tracer().counter("heal_blobs_rematerialized", sums[0]);
-            comm.tracer().counter("heal_bytes", sums[1]);
-            merge_owners(&mut report.unrepairable_blobs, plan.unrepairable_blobs);
+            if blobs {
+                report.blobs_rematerialized += sums[0];
+                report.bytes_re_replicated += sums[1];
+                comm.tracer().counter("heal_blobs_rematerialized", sums[0]);
+                comm.tracer().counter("heal_bytes", sums[1]);
+                merge_sorted(&mut report.unrepairable_blobs, lost);
+            } else {
+                report.manifests_rematerialized += sums[0];
+                comm.tracer()
+                    .counter("heal_manifests_rematerialized", sums[0]);
+                merge_sorted(&mut report.unrepairable_manifests, lost);
+            }
             cursor.after_owner = Some(last);
         }
         HealStage::Stripes => {
@@ -674,9 +689,7 @@ pub(crate) fn heal_step_impl(
             comm.tracer().counter("heal_bytes", sums[1]);
             let mut lost = plan.unrepairable_stripes;
             lost.retain(|key| window.binary_search(key).is_ok());
-            report.unrepairable_stripes.extend(lost);
-            report.unrepairable_stripes.sort_unstable();
-            report.unrepairable_stripes.dedup();
+            merge_sorted(&mut report.unrepairable_stripes, lost);
             cursor.after_stripe = Some(last);
         }
     }
@@ -714,43 +727,31 @@ pub(crate) fn heal_impl(
 }
 
 /// This node's sorted referenced fingerprints for the cursor's dump,
-/// strictly past `after`, capped at `batch`.
+/// strictly past `after` (committed manifests only).
 fn referenced_after(
     ctx: &DumpContext<'_>,
-    node: replidedup_storage::NodeId,
+    node: NodeId,
     after: Option<Fingerprint>,
-    batch: usize,
 ) -> Result<Vec<Fingerprint>, RepairError> {
     let mut refs = FpHashSet::default();
     for m in ctx.cluster.manifests_for(node, ctx.dump_id)? {
-        refs.extend(m.chunks.iter().copied());
+        refs.extend(
+            m.chunks
+                .iter()
+                .filter(|fp| after.is_none_or(|hw| **fp > hw)),
+        );
     }
-    let mut out: Vec<Fingerprint> = refs
-        .into_iter()
-        .filter(|fp| after.is_none_or(|hw| *fp > hw))
-        .collect();
+    let mut out: Vec<Fingerprint> = refs.into_iter().collect();
     out.sort_unstable();
-    out.truncate(batch);
     Ok(out)
 }
 
-/// Does any committed manifest on `node` for the cursor's dump reference
-/// `fp`? (Window-sized lookups only — the window is small by design.)
-fn mine_references(
-    ctx: &DumpContext<'_>,
-    node: replidedup_storage::NodeId,
-    fp: &Fingerprint,
-) -> bool {
-    ctx.cluster
-        .manifests_for(node, ctx.dump_id)
-        .map(|ms| ms.iter().any(|m| m.chunks.contains(fp)))
-        .unwrap_or(false)
-}
-
-/// This node's sorted stripe keys strictly past `after`, capped.
+/// This node's sorted stripe keys strictly past `after`, capped. Blob
+/// stripes of other generations are not this heal's business — one of a
+/// dump still in flight is legitimately below `k` shards mid-commit.
 fn stripes_after(
     ctx: &DumpContext<'_>,
-    node: replidedup_storage::NodeId,
+    node: NodeId,
     after: Option<StripeKey>,
     batch: usize,
 ) -> Result<Vec<StripeKey>, RepairError> {
@@ -760,6 +761,7 @@ fn stripes_after(
         .into_iter()
         .map(|(key, _)| key)
         .filter(|key| after.is_none_or(|hw| *key > hw))
+        .filter(|key| !matches!(key, StripeKey::Blob { dump_id, .. } if *dump_id != ctx.dump_id))
         .collect();
     keys.sort_unstable();
     keys.dedup();
@@ -802,49 +804,52 @@ fn windowed_plan(
     )
 }
 
-fn merge_fps(into: &mut Vec<Fingerprint>, add: Vec<Fingerprint>) {
+/// Fold a step's unrepairable verdicts into the report's sorted set.
+fn merge_sorted<T: Ord>(into: &mut Vec<T>, add: Vec<T>) {
     into.extend(add);
     into.sort_unstable();
     into.dedup();
 }
 
-fn merge_owners(into: &mut Vec<u32>, add: Vec<u32>) {
-    into.extend(add);
-    into.sort_unstable();
-    into.dedup();
-}
-
-/// Execute the window's chunk moves: sends first (buffered), then the
-/// receives the plan says are owed to me. Returns local
-/// `(chunks_healed, bytes_received)`. Source-side rate limiting: the
-/// debit happens before the frame leaves, so a throttled healer slows
-/// its own sends instead of stalling receivers mid-recv.
-fn transfer_chunks(
+/// Execute one window's `(src_leader, dst_leader, key)` moves — the one
+/// place healing payloads cross the wire, whatever they are (chunks keyed
+/// by fingerprint, blobs and encoded manifests keyed by owner rank).
+/// Sends first (buffered, one frame per destination so receive counts are
+/// derivable), then the receives the plan says are owed to me: `fetch`
+/// reads a payload off my node, `store(from, key, payload)` lands one and
+/// says whether it counts as healed. Returns local
+/// `(payloads_stored, bytes_received)`. Source-side rate limiting: the
+/// debit happens before the frame leaves, so a throttled healer slows its
+/// own sends instead of stalling receivers mid-recv. A frame that fails
+/// to decode is [`RepairError::CorruptFrame`], never a panic.
+fn transfer<K: Wire + Copy>(
     comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    moves: &[(u32, u32, Fingerprint)],
+    tag: Tag,
+    moves: &[(u32, u32, K)],
     bucket: &mut Option<TokenBucket>,
+    fetch: impl Fn(&K) -> Result<Bytes, StorageError>,
+    mut store: impl FnMut(u32, K, Chunk) -> Result<bool, RepairError>,
 ) -> Result<(u64, u64), RepairError> {
     let me = comm.rank();
-    let cluster = ctx.cluster;
-    let node = cluster.node_of(me);
-    let mut out: BTreeMap<u32, Vec<Fingerprint>> = BTreeMap::new();
-    for (src, dst, fp) in moves {
+    let mut out: BTreeMap<u32, Vec<K>> = BTreeMap::new();
+    for (src, dst, key) in moves {
         if *src == me {
-            out.entry(*dst).or_default().push(*fp);
+            out.entry(*dst).or_default().push(*key);
         }
     }
-    for (dst, fps) in &out {
+    for (dst, keys) in &out {
+        // Key headers interleaved with the stored payloads, which ride
+        // along by reference — never copied into a staging buffer.
         let mut batch = FrameWriter::new();
         let mut batch_bytes = 0u64;
-        for fp in fps {
-            let data = cluster.get_chunk(node, fp)?;
+        for key in keys {
+            let data = fetch(key)?;
             batch_bytes += data.len() as u64;
-            batch.put(fp);
+            batch.put(key);
             batch.attach(data);
         }
         throttle(bucket, batch_bytes);
-        comm.try_send_frame(*dst, TAG_HEAL_CHUNKS, batch.finish())?;
+        comm.try_send_frame(*dst, tag, batch.finish())?;
     }
     let mut srcs: Vec<u32> = moves
         .iter()
@@ -853,120 +858,21 @@ fn transfer_chunks(
         .collect();
     srcs.sort_unstable();
     srcs.dedup();
-    let mut healed = 0u64;
+    let mut stored = 0u64;
     let mut bytes = 0u64;
     for src in srcs {
-        let mut batch = FrameReader::new(comm.try_recv_frame(src, TAG_HEAL_CHUNKS)?);
+        let corrupt = |_| RepairError::CorruptFrame { from: src };
+        let mut batch = FrameReader::new(comm.try_recv_frame(src, tag)?);
         while batch.remaining() > 0 {
-            let fp: Fingerprint = batch
-                .get()
-                .map_err(|_| RepairError::CorruptFrame { from: src })?;
-            let data = batch
-                .take_payload()
-                .map_err(|_| RepairError::CorruptFrame { from: src })?;
+            let key: K = batch.get().map_err(corrupt)?;
+            let data = batch.take_payload().map_err(corrupt)?;
             bytes += data.len() as u64;
-            if cluster.put_chunk(node, fp, data.into_bytes())? {
-                healed += 1;
+            if store(src, key, data)? {
+                stored += 1;
             }
         }
     }
-    Ok((healed, bytes))
-}
-
-/// Execute the window's manifest moves. Returns local re-materialization
-/// count. Manifests are metadata-sized, so they ride unmetered.
-fn transfer_manifests(
-    comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    moves: &[(u32, u32, u32)],
-) -> Result<u64, RepairError> {
-    let me = comm.rank();
-    let cluster = ctx.cluster;
-    let node = cluster.node_of(me);
-    let mut out: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for (src, dst, owner) in moves {
-        if *src == me {
-            out.entry(*dst).or_default().push(*owner);
-        }
-    }
-    for (dst, owners) in &out {
-        let mut batch: Vec<Manifest> = Vec::with_capacity(owners.len());
-        for owner in owners {
-            batch.push(cluster.get_manifest(node, *owner, ctx.dump_id)?);
-        }
-        comm.try_send_val(*dst, TAG_HEAL_MANIFEST, &batch)?;
-    }
-    let mut srcs: Vec<u32> = moves
-        .iter()
-        .filter(|(_, dst, _)| *dst == me)
-        .map(|(src, _, _)| *src)
-        .collect();
-    srcs.sort_unstable();
-    srcs.dedup();
-    let mut remat = 0u64;
-    for src in srcs {
-        let batch: Vec<Manifest> = comm.try_recv_val(src, TAG_HEAL_MANIFEST)?;
-        for m in batch {
-            cluster.put_manifest(node, m)?;
-            remat += 1;
-        }
-    }
-    Ok(remat)
-}
-
-/// Execute the window's blob moves. Returns local
-/// `(blobs_rematerialized, bytes_received)`.
-fn transfer_blobs(
-    comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    moves: &[(u32, u32, u32)],
-    bucket: &mut Option<TokenBucket>,
-) -> Result<(u64, u64), RepairError> {
-    let me = comm.rank();
-    let cluster = ctx.cluster;
-    let node = cluster.node_of(me);
-    let mut out: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for (src, dst, owner) in moves {
-        if *src == me {
-            out.entry(*dst).or_default().push(*owner);
-        }
-    }
-    for (dst, owners) in &out {
-        let mut batch = FrameWriter::new();
-        let mut batch_bytes = 0u64;
-        for owner in owners {
-            let data = cluster.get_blob(node, *owner, ctx.dump_id)?;
-            batch_bytes += data.len() as u64;
-            batch.put(owner);
-            batch.attach(data);
-        }
-        throttle(bucket, batch_bytes);
-        comm.try_send_frame(*dst, TAG_HEAL_BLOB, batch.finish())?;
-    }
-    let mut srcs: Vec<u32> = moves
-        .iter()
-        .filter(|(_, dst, _)| *dst == me)
-        .map(|(src, _, _)| *src)
-        .collect();
-    srcs.sort_unstable();
-    srcs.dedup();
-    let mut remat = 0u64;
-    let mut bytes = 0u64;
-    for src in srcs {
-        let mut batch = FrameReader::new(comm.try_recv_frame(src, TAG_HEAL_BLOB)?);
-        while batch.remaining() > 0 {
-            let owner: u32 = batch
-                .get()
-                .map_err(|_| RepairError::CorruptFrame { from: src })?;
-            let data = batch
-                .take_payload()
-                .map_err(|_| RepairError::CorruptFrame { from: src })?;
-            bytes += data.len() as u64;
-            cluster.put_blob(node, owner, ctx.dump_id, data.into_bytes())?;
-            remat += 1;
-        }
-    }
-    Ok((remat, bytes))
+    Ok((stored, bytes))
 }
 
 #[cfg(test)]
@@ -1073,9 +979,9 @@ mod tests {
     }
 
     /// Losing a node and healing step-by-step re-replicates everything;
-    /// a follow-up monolithic repair finds zero remaining work.
+    /// a second heal finds zero remaining work.
     #[test]
-    fn stepwise_heal_converges_and_leaves_repair_nothing() {
+    fn stepwise_heal_converges_and_leaves_a_second_heal_nothing() {
         let cluster = Cluster::new(Placement::one_per_node(4));
         let repl = Replicator::builder(Strategy::CollDedup)
             .cluster(&cluster)
@@ -1100,7 +1006,7 @@ mod tests {
                     steps += 1;
                     assert!(steps < 1_000, "the cursor must be monotonic");
                 }
-                let after = repl.repair(comm, 1).unwrap();
+                let after = repl.heal(comm, 1).unwrap();
                 (report, after, repl.restore(comm, 1).unwrap(), buf)
             })
             .expect_all();
@@ -1108,7 +1014,7 @@ mod tests {
             assert!(report.is_fully_healed());
             assert!(report.chunks_healed > 0, "the lost node's copies return");
             assert!(after.is_fully_healed());
-            assert_eq!(after.chunks_healed, 0, "heal left repair no work");
+            assert_eq!(after.chunks_healed, 0, "the first heal left no work");
             assert_eq!(after.manifests_rematerialized, 0);
             assert_eq!(restored, buf);
         }
@@ -1142,7 +1048,6 @@ mod tests {
                     repl.heal_step(comm, &mut cursor, &mut report).unwrap();
                 }
                 let persisted = cursor.to_bytes();
-                drop(cursor);
                 // A fresh healer resumes from the decoded bytes.
                 let mut resumed = HealCursor::from_bytes(&persisted).unwrap();
                 assert!(!resumed.is_done(), "mid-heal snapshot");
@@ -1154,6 +1059,38 @@ mod tests {
             assert!(tail.is_fully_healed());
             assert_eq!(restored, buf);
         }
+    }
+
+    /// A truncated frame on a healing tag fails the one transfer routine
+    /// with a typed error naming the sender — whatever the key type, so
+    /// this covers the chunk, blob and manifest stages alike.
+    #[test]
+    fn truncated_transfer_frame_is_a_typed_error_not_a_panic() {
+        let fp = Fingerprint::synthetic(1);
+        let out = WorldConfig::default()
+            .launch(2, |comm| {
+                if comm.rank() == 0 {
+                    // A key header whose payload length promises 64 bytes
+                    // that never follow.
+                    let mut cut = FrameWriter::new();
+                    cut.put(&fp);
+                    cut.put(&64u64);
+                    comm.try_send_frame(1, TAG_HEAL_CHUNKS, cut.finish())
+                        .unwrap();
+                    return Ok((0, 0));
+                }
+                transfer(
+                    comm,
+                    TAG_HEAL_CHUNKS,
+                    &[(0, 1, fp)],
+                    &mut None,
+                    |_| Ok(Bytes::new()),
+                    |_, _, _| Ok(true),
+                )
+            })
+            .expect_all();
+        assert_eq!(out.results[0], Ok((0, 0)));
+        assert_eq!(out.results[1], Err(RepairError::CorruptFrame { from: 0 }));
     }
 
     /// The no-dedup strategy walks the blob stage instead of

@@ -69,7 +69,7 @@ pub use heal::{
 pub use local::LocalIndex;
 pub use offsets::{window_plan, WindowPlan};
 pub use plan::{plan_chunks, ChunkPlan};
-pub use repair::{RepairError, RepairStats, REPAIR_PHASES};
+pub use repair::RepairError;
 pub use replidedup_hash::{ChunkerKind, GearParams, RabinParams};
 pub use replidedup_storage::SessionId;
 pub use restore::RestoreError;

@@ -1,141 +1,57 @@
-//! Collective replication repair: heal a degraded cluster back to `K`
-//! copies of everything a dump still needs.
+//! What the healing collectives share: the error type, the per-node
+//! inventory, the pure transfer planner and the read-only scrub.
 //!
 //! The paper replicates at dump time; a node that fails afterwards leaves
 //! every chunk it held one copy short. Restore tolerates that (up to
 //! `K-1` losses), but tolerance is not healing: a second failure eats into
-//! margin that was never rebuilt. This collective closes the loop — run it
-//! after reviving (or replacing) a failed node and the cluster converges
-//! back to full replication:
+//! margin that was never rebuilt. [`crate::heal`] is the one engine that
+//! closes the loop — run it after reviving (or replacing) a failed node
+//! and the cluster converges back to full replication. This module holds
+//! the pieces that engine and [`crate::Replicator::scrub`] both need:
 //!
-//! 1. **Scrub** (`repair.scrub`) — every node leader re-hashes its node's
-//!    chunks ([`replidedup_storage::Cluster::scrub`]) and quarantines
-//!    corrupt copies, so the planning phase only ever counts intact
-//!    replicas.
-//! 2. **Plan** (`repair.plan`) — leaders contribute their chunk inventory
-//!    to the same `HMERGE` reduction the dump uses
-//!    ([`crate::try_reduce_global_view`] with the full inventory,
-//!    `F = ∞`). Run with `k = K`, the reduced view gives each
-//!    fingerprint's live-copy count, and — the key observation — any entry
-//!    with `freq < K` carries its *complete, untruncated* holder list
-//!    (truncation only triggers past `K`), which is exactly the set of
-//!    fingerprints repair cares about. An allgathered per-node inventory
-//!    (manifest owners, blob owners, referenced fingerprints, tombstones)
-//!    completes the picture, and every rank derives the identical transfer
-//!    plan from the identical inputs: under-replicated chunks go to the
-//!    least-loaded live non-holders, lost manifests/blobs are
-//!    re-materialized from any surviving copy (the owner's own node
-//!    first).
-//! 3. **Transfer** (`repair.transfer`) — leaders execute the plan over the
-//!    fallible point-to-point layer, then allreduce the healing counts so
-//!    every rank returns the same [`RepairStats`].
-//!
-//! Dumps taken under an erasure-coding redundancy policy add a fourth
-//! concern: coded payloads live as Reed-Solomon stripes, not replicas, so
-//! the plan treats a referenced chunk (or blob) with no replica as healthy
-//! as long as its stripe keeps at least `k` shards, and a dedicated
-//! **stripe phase** (`repair.stripes`) rebuilds every missing shard on its
-//! home node from any `k` survivors
-//! ([`replidedup_storage::Cluster::rebuild_shard`]). Stripe parity
-//! verification is inherently cluster-wide — a stripe's shards span nodes
-//! — so the lowest live node leader runs it once and quarantines flagged
-//! shard copies before planning.
-//!
-//! The collective is **idempotent**: the plan is derived from the current
-//! cluster state and chunk/shard puts are content-addressed, so re-running
-//! a repair that crashed half-way (every crash surfaces as
-//! [`RepairError::Comm`]) simply finds less work and converges. Data with
-//! zero surviving copies — or a stripe with fewer than `k` shards — is
-//! beyond repair by construction; it is reported in [`RepairStats`]
-//! instead of failing the collective, so one unrecoverable buffer does not
-//! block healing everything else.
+//! * [`NodeInventory`] — what one node's leader contributes to a planning
+//!   allgather (manifest owners, blob owners, referenced fingerprints,
+//!   tombstones, erasure-coded shards).
+//! * [`build_plan`] — the deterministic planner. Fed the `HMERGE`-reduced
+//!   live-copy census ([`crate::try_reduce_global_view`] with `k = K` and
+//!   `F = ∞`: any entry with `freq < K` carries its *complete,
+//!   untruncated* holder list, which is exactly the set healing cares
+//!   about) and the allgathered inventories, every rank derives the
+//!   identical plan: under-replicated chunks go to the least-loaded live
+//!   non-holders, lost manifests/blobs are re-materialized from any
+//!   surviving copy (the owner's own node first), and every viable
+//!   Reed-Solomon stripe is healed back to `k+m` shards on their home
+//!   nodes. A coded payload with no replica counts as healthy while its
+//!   stripe keeps at least `k` shards. Data with zero surviving copies —
+//!   or a stripe below `k` shards — is beyond repair by construction; the
+//!   plan reports it instead of failing, so one unrecoverable buffer does
+//!   not block healing everything else.
+//! * [`scrub_impl`] — the read-only collective integrity scrub.
+//! * [`RepairError`] — every way a scrub or heal step can fail.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use replidedup_ec::shard_nodes;
 use replidedup_hash::{Fingerprint, FpHashSet};
-use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire, WireResult};
-use replidedup_mpi::{Comm, CommError, Tag};
+use replidedup_mpi::wire::{Wire, WireResult};
+use replidedup_mpi::{Comm, CommError};
 use replidedup_storage::{
-    Cluster, DumpId, Manifest, NodeId, ScrubReport, ShardMeta, StorageError, StripeKey,
+    Cluster, DumpId, NodeId, ScrubReport, ShardMeta, StorageError, StripeKey,
 };
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::global::{try_reduce_global_view, GlobalView};
+use crate::global::GlobalView;
 
-const TAG_REPAIR_MANIFEST: Tag = 0x5250_0005;
-const TAG_REPAIR_CHUNKS: Tag = 0x5250_0006;
-const TAG_REPAIR_BLOB: Tag = 0x5250_0007;
-
-/// Phases of the repair collective, in execution order (trace span names).
-pub const REPAIR_PHASES: [&str; 4] = [
-    "repair.scrub",
-    "repair.plan",
-    "repair.stripes",
-    "repair.transfer",
-];
-
-/// What a repair collective did. Identical on every rank (healing counts
-/// are allreduced; the unrepairable lists fall out of the deterministic
-/// plan every rank computes).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct RepairStats {
-    /// Chunk copies written to bring fingerprints back to `K` live copies.
-    pub chunks_healed: u64,
-    /// Bytes moved for those chunk copies.
-    pub bytes_re_replicated: u64,
-    /// Manifest copies re-materialized on nodes that lost them.
-    pub manifests_rematerialized: u64,
-    /// Raw blob copies re-materialized (`no-dedup` dumps).
-    pub blobs_rematerialized: u64,
-    /// Corrupt chunks the scrub phase quarantined before planning.
-    pub corrupt_quarantined: u64,
-    /// Erasure-coded shards reconstructed from `k` survivors and re-homed
-    /// (the coded policies' analogue of `chunks_healed`).
-    pub shards_rebuilt: u64,
-    /// Bytes of reconstructed shard payloads written back.
-    pub bytes_reconstructed: u64,
-    /// Parity-inconsistent shard copies the stripe scrub quarantined
-    /// before rebuilding (the coded analogue of `corrupt_quarantined`).
-    pub shards_quarantined: u64,
-    /// Referenced fingerprints with zero intact live copies (and, for
-    /// coded chunks, no viable stripe): beyond repair.
-    pub unrepairable_chunks: Vec<Fingerprint>,
-    /// Ranks whose manifest for this dump has no surviving copy.
-    pub unrepairable_manifests: Vec<u32>,
-    /// Ranks whose raw blob for this dump has no surviving copy (and no
-    /// viable stripe).
-    pub unrepairable_blobs: Vec<u32>,
-    /// Stripes with fewer than `k` surviving shards: beyond
-    /// reconstruction. Disjoint per policy from the replica lists — a
-    /// payload appears here exactly when it was *coded*, there when it was
-    /// *replicated* — so [`RepairStats::is_fully_healed`] stays meaningful
-    /// under mixed `Auto` policies.
-    pub unrepairable_stripes: Vec<StripeKey>,
-}
-
-impl RepairStats {
-    /// Did this repair leave the dump fully healed — nothing lost for
-    /// good, whether it was replicated or erasure-coded?
-    pub fn is_fully_healed(&self) -> bool {
-        self.unrepairable_chunks.is_empty()
-            && self.unrepairable_manifests.is_empty()
-            && self.unrepairable_blobs.is_empty()
-            && self.unrepairable_stripes.is_empty()
-    }
-}
-
-/// Failures of a collective repair or scrub.
+/// Failures of a collective heal or scrub.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RepairError {
     /// A node refused I/O while scrubbing or moving data.
     Storage(StorageError),
     /// A rank died (or a deadlock was suspected) during one of the
-    /// collective steps. Re-running the repair after reviving converges:
-    /// the plan is recomputed from whatever state the crashed run left.
+    /// collective steps. Re-running the heal after reviving converges:
+    /// every window is re-planned from whatever state the crashed run left.
     Comm(CommError),
     /// A healing transfer frame from `from` failed to decode — the batch
     /// was truncated or malformed in flight. The step fails cleanly
@@ -181,7 +97,7 @@ impl From<CommError> for RepairError {
     }
 }
 
-/// One node's allgathered repair inventory, contributed by its leader rank
+/// One node's allgathered healing inventory, contributed by its leader rank
 /// (every other rank, and leaders of dead nodes, contribute the default).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct NodeInventory {
@@ -414,7 +330,7 @@ pub(crate) fn build_plan(
         let homes = shard_nodes(key.seed(), shards, node_count);
         for index in 0..shards {
             // Dead (or unpopulated) home nodes have nowhere to re-home the
-            // shard; a later repair after reviving picks them up.
+            // shard; a later heal after reviving picks them up.
             let Some(leader) = leader_of_node[homes[index as usize] as usize] else {
                 continue;
             };
@@ -449,7 +365,7 @@ pub(crate) fn lowest_live_leader(cluster: &Cluster, world: u32) -> Option<u32> {
 /// Collective scrub: every live node is scrubbed by its leader rank and
 /// the per-node reports are merged, so all ranks return the identical
 /// cluster-wide [`ScrubReport`]. Read-only — corrupt chunks are reported,
-/// not quarantined (that is the repair collective's first phase).
+/// not quarantined (that is the heal's [`crate::HealStage::Scrub`] step).
 ///
 /// Node-local findings are resolved against cluster-wide knowledge before
 /// the report is returned: a manifest on one node legitimately references
@@ -500,258 +416,6 @@ pub(crate) fn scrub_impl(
     comm.tracer()
         .counter("scrub_corrupt_chunks", merged.corrupt.len() as u64);
     Ok(merged)
-}
-
-pub(crate) fn repair_impl(
-    comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    strategy: Strategy,
-    k: u32,
-) -> Result<RepairStats, RepairError> {
-    let me = comm.rank();
-    let n = comm.size();
-    let cluster = ctx.cluster;
-    let node = cluster.node_of(me);
-    let i_lead = leader_of(cluster, node, n) == Some(me);
-
-    // ---- Phase 1: scrub + quarantine ------------------------------------
-    comm.enter_phase("repair.scrub");
-    let mut corrupt_quarantined = 0u64;
-    let mut shards_quarantined = 0u64;
-    if i_lead && cluster.is_alive(node) {
-        let report = cluster.scrub(node, ctx.hasher)?;
-        for (nd, fp) in &report.corrupt {
-            if cluster.quarantine_chunk(*nd, fp)? {
-                corrupt_quarantined += 1;
-            }
-        }
-    }
-    if lowest_live_leader(cluster, n) == Some(me) {
-        // Cluster-wide stripe verification, run once: quarantine every
-        // parity-inconsistent shard copy so the stripe phase below rebuilds
-        // it from intact survivors instead of propagating rot.
-        let report = cluster.scrub_stripes(ctx.hasher);
-        for (nd, key, index) in &report.stripe_mismatches {
-            if cluster.quarantine_shard(*nd, *key, *index)? {
-                shards_quarantined += 1;
-            }
-        }
-    }
-    comm.exit_phase("repair.scrub");
-
-    // ---- Phase 2: inventory + plan --------------------------------------
-    comm.enter_phase("repair.plan");
-    let view = if i_lead && cluster.is_alive(node) {
-        GlobalView::from_local(me, cluster.chunk_fps(node)?, usize::MAX)
-    } else {
-        GlobalView::default()
-    };
-    let mut inv = NodeInventory::default();
-    if i_lead && cluster.is_alive(node) {
-        inv.leads_live_node = true;
-        inv.manifest_owners = cluster.manifest_owners(node, ctx.dump_id)?;
-        inv.blob_owners = cluster.blob_owners(node, ctx.dump_id)?;
-        inv.absent = cluster.absent_ranks(node, ctx.dump_id)?;
-        inv.shards = cluster.shard_inventory(node)?;
-        let mut refs = FpHashSet::default();
-        for m in cluster.manifests_for(node, ctx.dump_id)? {
-            refs.extend(m.chunks.iter().copied());
-        }
-        let mut referenced: Vec<Fingerprint> = refs.into_iter().collect();
-        referenced.sort_unstable();
-        inv.referenced = referenced;
-    }
-    let global = try_reduce_global_view(comm, view, k, usize::MAX);
-    let world_inv = comm.try_allgather(inv);
-    comm.exit_phase("repair.plan");
-    let (global, world_inv) = (global?, world_inv?);
-    let home_leader: Vec<u32> = (0..n)
-        .map(|r| leader_of(cluster, cluster.node_of(r), n).unwrap_or(r))
-        .collect();
-    let leader_of_node: Vec<Option<u32>> = (0..cluster.node_count())
-        .map(|nd| leader_of(cluster, nd, n).filter(|_| cluster.is_alive(nd)))
-        .collect();
-    let plan = build_plan(
-        k,
-        strategy,
-        ctx.dump_id,
-        &global,
-        &world_inv,
-        &home_leader,
-        &leader_of_node,
-    );
-
-    // ---- Phase 3: rebuild erasure-coded shards ---------------------------
-    comm.enter_phase("repair.stripes");
-    let mut shards_rebuilt = 0u64;
-    let mut bytes_reconstructed = 0u64;
-    for (leader, key, index) in &plan.shard_rebuilds {
-        if *leader != me {
-            continue;
-        }
-        // Reconstruction reads any `k` survivors through the storage
-        // repair index — the same escape hatch restore's last-resort path
-        // uses — and the content-addressed put keeps re-runs idempotent.
-        if let Some(shard) = cluster.rebuild_shard(*key, *index) {
-            let len = shard.data.len() as u64;
-            if cluster.put_shard(node, *key, shard.meta, shard.data)? {
-                shards_rebuilt += 1;
-                bytes_reconstructed += len;
-            }
-        }
-    }
-    comm.exit_phase("repair.stripes");
-
-    // ---- Phase 4: execute the transfer plan ------------------------------
-    comm.enter_phase("repair.transfer");
-    let mut healed = 0u64;
-    let mut bytes = 0u64;
-    let mut manifests_remat = 0u64;
-    let mut blobs_remat = 0u64;
-    let result = (|| -> Result<(), RepairError> {
-        // Sends first (point-to-point sends are buffered, never blocking),
-        // one batch per (src, dst) pair so recv counts are derivable.
-        let mut chunk_out: BTreeMap<u32, Vec<Fingerprint>> = BTreeMap::new();
-        let mut manifest_out: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        let mut blob_out: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (src, dst, fp) in &plan.chunk_moves {
-            if *src == me {
-                chunk_out.entry(*dst).or_default().push(*fp);
-            }
-        }
-        for (src, dst, owner) in &plan.manifest_moves {
-            if *src == me {
-                manifest_out.entry(*dst).or_default().push(*owner);
-            }
-        }
-        for (src, dst, owner) in &plan.blob_moves {
-            if *src == me {
-                blob_out.entry(*dst).or_default().push(*owner);
-            }
-        }
-        for (dst, fps) in &chunk_out {
-            // Frame the batch: fingerprint headers interleaved with the
-            // stored payloads, which ride along by reference — the stored
-            // chunk is never copied into a staging buffer.
-            let mut batch = FrameWriter::new();
-            for fp in fps {
-                batch.put(fp);
-                batch.attach(cluster.get_chunk(node, fp)?);
-            }
-            comm.try_send_frame(*dst, TAG_REPAIR_CHUNKS, batch.finish())?;
-        }
-        for (dst, owners) in &manifest_out {
-            let mut batch: Vec<Manifest> = Vec::with_capacity(owners.len());
-            for owner in owners {
-                batch.push(cluster.get_manifest(node, *owner, ctx.dump_id)?);
-            }
-            comm.try_send_val(*dst, TAG_REPAIR_MANIFEST, &batch)?;
-        }
-        for (dst, owners) in &blob_out {
-            let mut batch = FrameWriter::new();
-            for owner in owners {
-                batch.put(owner);
-                batch.attach(cluster.get_blob(node, *owner, ctx.dump_id)?);
-            }
-            comm.try_send_frame(*dst, TAG_REPAIR_BLOB, batch.finish())?;
-        }
-
-        // Receives: the plan tells me exactly which sources owe me what.
-        let srcs_for = |moves: &[(u32, u32, Fingerprint)]| -> Vec<u32> {
-            let mut srcs: Vec<u32> = moves
-                .iter()
-                .filter(|(_, dst, _)| *dst == me)
-                .map(|(src, _, _)| *src)
-                .collect();
-            srcs.sort_unstable();
-            srcs.dedup();
-            srcs
-        };
-        for src in srcs_for(&plan.chunk_moves) {
-            let mut batch = FrameReader::new(comm.try_recv_frame(src, TAG_REPAIR_CHUNKS)?);
-            while batch.remaining() > 0 {
-                let fp: Fingerprint = batch
-                    .get()
-                    .unwrap_or_else(|e| panic!("rank {me}: corrupt repair batch from {src}: {e}"));
-                let data = batch
-                    .take_payload()
-                    .unwrap_or_else(|e| panic!("rank {me}: corrupt repair batch from {src}: {e}"));
-                bytes += data.len() as u64;
-                if cluster.put_chunk(node, fp, data.into_bytes())? {
-                    healed += 1;
-                }
-            }
-        }
-        let owner_srcs = |moves: &[(u32, u32, u32)]| -> Vec<u32> {
-            let mut srcs: Vec<u32> = moves
-                .iter()
-                .filter(|(_, dst, _)| *dst == me)
-                .map(|(src, _, _)| *src)
-                .collect();
-            srcs.sort_unstable();
-            srcs.dedup();
-            srcs
-        };
-        for src in owner_srcs(&plan.manifest_moves) {
-            let batch: Vec<Manifest> = comm.try_recv_val(src, TAG_REPAIR_MANIFEST)?;
-            for m in batch {
-                cluster.put_manifest(node, m)?;
-                manifests_remat += 1;
-            }
-        }
-        for src in owner_srcs(&plan.blob_moves) {
-            let mut batch = FrameReader::new(comm.try_recv_frame(src, TAG_REPAIR_BLOB)?);
-            while batch.remaining() > 0 {
-                let owner: u32 = batch
-                    .get()
-                    .unwrap_or_else(|e| panic!("rank {me}: corrupt blob batch from {src}: {e}"));
-                let data = batch
-                    .take_payload()
-                    .unwrap_or_else(|e| panic!("rank {me}: corrupt blob batch from {src}: {e}"));
-                bytes += data.len() as u64;
-                cluster.put_blob(node, owner, ctx.dump_id, data.into_bytes())?;
-                blobs_remat += 1;
-            }
-        }
-        Ok(())
-    })();
-    comm.exit_phase("repair.transfer");
-    result?;
-
-    // All ranks agree on what the repair did before anyone returns.
-    let sums = comm.try_allreduce(
-        vec![
-            healed,
-            bytes,
-            manifests_remat,
-            blobs_remat,
-            corrupt_quarantined,
-            shards_rebuilt,
-            bytes_reconstructed,
-            shards_quarantined,
-        ],
-        |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
-    )?;
-    comm.tracer().counter("repair_chunks_healed", sums[0]);
-    comm.tracer().counter("repair_bytes_re_replicated", sums[1]);
-    comm.tracer()
-        .counter("repair_manifests_rematerialized", sums[2]);
-    comm.tracer().counter("scrub_corrupt_chunks", sums[4]);
-    comm.tracer().counter("repair_shards_rebuilt", sums[5]);
-    Ok(RepairStats {
-        chunks_healed: sums[0],
-        bytes_re_replicated: sums[1],
-        manifests_rematerialized: sums[2],
-        blobs_rematerialized: sums[3],
-        corrupt_quarantined: sums[4],
-        shards_rebuilt: sums[5],
-        bytes_reconstructed: sums[6],
-        shards_quarantined: sums[7],
-        unrepairable_chunks: plan.unrepairable_chunks,
-        unrepairable_manifests: plan.unrepairable_manifests,
-        unrepairable_blobs: plan.unrepairable_blobs,
-        unrepairable_stripes: plan.unrepairable_stripes,
-    })
 }
 
 #[cfg(test)]

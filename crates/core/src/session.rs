@@ -18,7 +18,7 @@ use replidedup_storage::{Cluster, DumpId, ScrubReport, SessionId};
 use crate::config::{ConfigError, DumpConfig, RedundancyPolicy, Strategy};
 use crate::dump::{dump_impl, DumpContext, DumpError};
 use crate::heal::{heal_impl, heal_step_impl, HealCursor, HealOptions, HealReport, TokenBucket};
-use crate::repair::{repair_impl, scrub_impl, RepairError, RepairStats};
+use crate::repair::{scrub_impl, RepairError};
 use crate::restore::{restore_impl, RestoreError};
 use crate::retry::RetryPolicy;
 use crate::stats::DumpStats;
@@ -36,7 +36,7 @@ pub enum ReplError {
     Dump(DumpError),
     /// A collective restore failed.
     Restore(RestoreError),
-    /// A collective repair or scrub failed.
+    /// A collective heal or scrub failed.
     Repair(RepairError),
     /// A rank died (or a deadlock was suspected) inside a collective this
     /// session drove. Dump-side rank deaths normally degrade instead of
@@ -362,11 +362,18 @@ impl<'a> Replicator<'a> {
         self.session_id().scope(dump_id)
     }
 
-    fn apply_session(&self, comm: &mut Comm) {
+    /// Put `comm` under this session (tracing preference, tag namespace)
+    /// and build the collective's context for the already-scoped `dump_id`.
+    fn enter(&self, comm: &mut Comm, dump_id: DumpId) -> DumpContext<'_> {
         if let Some(on) = self.tracing {
             comm.set_tracing(on);
         }
         comm.set_tag_namespace(self.session_id().as_u16());
+        DumpContext {
+            cluster: self.cluster,
+            hasher: self.hasher,
+            dump_id,
+        }
     }
 
     /// Collective `DUMP_OUTPUT(buffer, K)`: dump `data` as generation
@@ -383,12 +390,7 @@ impl<'a> Replicator<'a> {
         dump_id: DumpId,
         data: impl Into<Chunk>,
     ) -> Result<DumpStats, ReplError> {
-        self.apply_session(comm);
-        let ctx = DumpContext {
-            cluster: self.cluster,
-            hasher: self.hasher,
-            dump_id: self.scoped_id(dump_id),
-        };
+        let ctx = self.enter(comm, self.scoped_id(dump_id));
         dump_impl(comm, &ctx, &data.into(), &self.cfg)
             .map(|mut stats| {
                 stats.session = self.session_id();
@@ -403,41 +405,23 @@ impl<'a> Replicator<'a> {
     /// Returns the reassembled buffer as a [`Chunk`]; callers that need a
     /// `Vec<u8>` can use `Vec::from(chunk)` (one recorded copy).
     pub fn restore(&self, comm: &mut Comm, dump_id: DumpId) -> Result<Chunk, ReplError> {
-        self.apply_session(comm);
-        let ctx = DumpContext {
-            cluster: self.cluster,
-            hasher: self.hasher,
-            dump_id: self.scoped_id(dump_id),
-        };
+        let ctx = self.enter(comm, self.scoped_id(dump_id));
         restore_impl(comm, &ctx, self.cfg.strategy, &self.retry).map_err(ReplError::from)
     }
 
-    /// Collective repair of generation `dump_id`: scrub + quarantine, plan
-    /// against the live-copy census, re-replicate every under-replicated
-    /// chunk, rebuild every missing erasure-coded shard on its home node,
-    /// and re-materialize lost manifests/blobs until everything the dump
+    /// Collective heal of generation `dump_id`, from the beginning: scrub
+    /// and quarantine, then re-replicate every under-replicated chunk,
+    /// re-materialize lost manifests/blobs and rebuild every missing
+    /// erasure-coded shard on its home node, until everything the dump
     /// still references has `min(K, live_nodes)` intact copies (or a full
-    /// `k+m` stripe). Under an `Rs`/`Auto` policy the replica target is the
-    /// same `m+1` floor the dump's pipeline used, so repair converges to
-    /// exactly the dump's redundancy, not past it. Idempotent — re-running
-    /// after a crash converges. Must be called by every rank of the world
-    /// (a revived node's ranks included).
-    pub fn repair(&self, comm: &mut Comm, dump_id: DumpId) -> Result<RepairStats, ReplError> {
-        self.apply_session(comm);
-        let ctx = DumpContext {
-            cluster: self.cluster,
-            hasher: self.hasher,
-            dump_id: self.scoped_id(dump_id),
-        };
-        let k = self.cfg.policy.hmerge_k(self.cfg.replication);
-        repair_impl(comm, &ctx, self.cfg.strategy, k).map_err(ReplError::from)
-    }
-
-    /// Collective incremental heal of generation `dump_id`, from the
-    /// beginning: equivalent to [`Replicator::repair`] in outcome, but
-    /// executed as a sequence of bounded, rate-limited steps (see
+    /// `k+m` stripe). Under an `Rs`/`Auto` policy the replica target is
+    /// the same `m+1` floor the dump's pipeline used, so healing converges
+    /// to exactly the dump's redundancy, not past it. Executed as a
+    /// sequence of bounded, rate-limited steps (see
     /// [`ReplicatorBuilder::heal_options`]) that other collectives can
-    /// interleave with. Must be called by every rank of the world.
+    /// interleave with. Idempotent — re-running after a crash converges.
+    /// Must be called by every rank of the world (a revived node's ranks
+    /// included).
     pub fn heal(&self, comm: &mut Comm, dump_id: DumpId) -> Result<HealReport, ReplError> {
         let mut cursor = HealCursor::new(self.scoped_id(dump_id));
         self.heal_from(comm, &mut cursor)
@@ -453,12 +437,7 @@ impl<'a> Replicator<'a> {
         comm: &mut Comm,
         cursor: &mut HealCursor,
     ) -> Result<HealReport, ReplError> {
-        self.apply_session(comm);
-        let ctx = DumpContext {
-            cluster: self.cluster,
-            hasher: self.hasher,
-            dump_id: cursor.dump_id,
-        };
+        let ctx = self.enter(comm, cursor.dump_id);
         let k = self.cfg.policy.hmerge_k(self.cfg.replication);
         heal_impl(comm, &ctx, self.cfg.strategy, k, &self.heal, cursor)
             .map(|mut report| {
@@ -480,12 +459,7 @@ impl<'a> Replicator<'a> {
         cursor: &mut HealCursor,
         report: &mut HealReport,
     ) -> Result<bool, ReplError> {
-        self.apply_session(comm);
-        let ctx = DumpContext {
-            cluster: self.cluster,
-            hasher: self.hasher,
-            dump_id: cursor.dump_id,
-        };
+        let ctx = self.enter(comm, cursor.dump_id);
         let k = self.cfg.policy.hmerge_k(self.cfg.replication);
         let mut bucket = self.heal.rate.map(TokenBucket::new);
         report.session = self.session_id();
@@ -506,14 +480,9 @@ impl<'a> Replicator<'a> {
     /// cross-checked by its leader rank, stripe parity is verified
     /// cluster-wide, and all ranks return the identical merged
     /// cluster-wide [`ScrubReport`]. Read-only — use
-    /// [`Replicator::repair`] to act on what it finds.
+    /// [`Replicator::heal`] to act on what it finds.
     pub fn scrub(&self, comm: &mut Comm) -> Result<ScrubReport, ReplError> {
-        self.apply_session(comm);
-        let ctx = DumpContext {
-            cluster: self.cluster,
-            hasher: self.hasher,
-            dump_id: 0,
-        };
+        let ctx = self.enter(comm, 0);
         scrub_impl(comm, &ctx).map_err(ReplError::from)
     }
 }

@@ -365,8 +365,8 @@ mod tests {
             let mut out = Vec::new();
             let mut hasher = RabinHasher::new(p.window);
             let mut start = 0usize;
-            for i in 0..buf.len() {
-                let h = hasher.roll(buf[i]);
+            for (i, &byte) in buf.iter().enumerate() {
+                let h = hasher.roll(byte);
                 let size = i + 1 - start;
                 if (size >= p.min_size && (h & p.mask) == p.mask_value) || size >= p.max_size {
                     out.push(ChunkRange { start, end: i + 1 });

@@ -11,7 +11,7 @@
 //! same seed replays the identical fault schedule.
 //!
 //! A crashed rank stops participating: its thread unwinds with a private
-//! payload the [`crate::World`] runner catches, a shared per-world
+//! payload [`crate::WorldConfig::launch`] catches, a shared per-world
 //! [`FaultRuntime`] marks it dead, and every peer is woken with a death
 //! notice so blocked receives fail fast with a typed [`CommError`] instead
 //! of waiting out the deadlock timeout.
@@ -437,7 +437,7 @@ impl FaultRuntime {
     }
 }
 
-/// Panic payload of an injected crash; `World` catches it and turns the
+/// Panic payload of an injected crash; the launcher catches it and turns the
 /// rank's outcome into [`crate::RankOutcome::Crashed`] instead of
 /// propagating the unwind.
 pub(crate) struct InjectedCrash {

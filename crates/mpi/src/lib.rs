@@ -36,9 +36,7 @@ pub mod stats;
 pub mod window;
 pub mod wire;
 
-pub use comm::{
-    Comm, FaultRunOutput, Launch, Rank, RankOutcome, RunOutput, Tag, World, WorldConfig,
-};
+pub use comm::{Comm, Launch, Rank, RankOutcome, RunOutput, Tag, WorldConfig};
 pub use fault::{
     CommError, CrashHook, Fault, FaultAction, FaultPlan, FaultSpecError, FaultTrigger,
     TransientHook,

@@ -1,6 +1,6 @@
 //! Bounded worker-pool scheduler for rank execution.
 //!
-//! [`World`](crate::World) historically ran one OS thread per rank, so a
+//! [`WorldConfig::launch`](crate::WorldConfig::launch) historically ran one OS thread per rank, so a
 //! 408-rank world (the paper's scale) needed 408 simultaneously runnable
 //! threads. This module multiplexes rank execution onto a bounded number of
 //! *worker slots* instead: every rank still owns a thread (its stack is the

@@ -9,13 +9,13 @@
 //! 1. Losing any `m = 2` nodes after a dump leaves every rank restorable
 //!    byte-exactly — for every strategy and for fixed-size and
 //!    content-defined chunking.
-//! 2. `repair` after the same losses rebuilds the missing shards onto
+//! 2. `heal` after the same losses rebuilds the missing shards onto
 //!    their home nodes, reports fully healed, and is idempotent: a second
-//!    repair heals zero. A scrub afterwards is clean, and the *rebuilt*
+//!    heal mends zero. A scrub afterwards is clean, and the *rebuilt*
 //!    shards are real — a subsequent loss of two different nodes still
 //!    restores byte-exactly.
 //! 3. Losing more than `m` nodes degrades to typed data loss — never a
-//!    panic, never a hang — and repair reports the dump unrepairable
+//!    panic, never a hang — and heal reports the dump unrepairable
 //!    (stripes below `k` survivors) without inventing data.
 //! 4. The dedup credit is visible end to end: under `coll-dedup` the
 //!    cross-rank duplicate chunks stay replicated (no parity), while the
@@ -149,12 +149,12 @@ fn m_node_wipe_restores_across_strategies_and_chunkers() {
     }
 }
 
-/// Promise 2: repair rebuilds the wiped shards, reports fully healed, and
+/// Promise 2: heal rebuilds the wiped shards, reports fully healed, and
 /// converges — the second run heals nothing. The rebuilt shards are then
 /// load-bearing: wiping two *different* nodes afterwards still restores,
 /// which only works if the reconstructed shards hold real data.
 #[test]
-fn repair_rebuilds_wiped_shards_and_is_idempotent() {
+fn heal_rebuilds_wiped_shards_and_is_idempotent() {
     let bufs = buffers(N);
     let cluster = Cluster::new(Placement::one_per_node(N));
     let repl = replicator(Strategy::CollDedup, &cluster, ChunkerKind::Fixed);
@@ -171,7 +171,7 @@ fn repair_rebuilds_wiped_shards_and_is_idempotent() {
     }
 
     let out = WorldConfig::default()
-        .launch(N, |comm| repl.repair(comm, 1).expect("repair runs"))
+        .launch(N, |comm| repl.heal(comm, 1).expect("heal runs"))
         .expect_all();
     let first = &out.results[0];
     assert!(first.shards_rebuilt > 0, "wiped shards must be rebuilt");
@@ -183,14 +183,14 @@ fn repair_rebuilds_wiped_shards_and_is_idempotent() {
     assert_eq!(
         cluster.total_parity_bytes(),
         parity_before,
-        "repair must restore the exact parity footprint"
+        "heal must restore the exact parity footprint"
     );
 
     let out = WorldConfig::default()
-        .launch(N, |comm| repl.repair(comm, 1).expect("repair runs"))
+        .launch(N, |comm| repl.heal(comm, 1).expect("heal runs"))
         .expect_all();
     let second = &out.results[0];
-    assert_eq!(second.shards_rebuilt, 0, "second repair must be a no-op");
+    assert_eq!(second.shards_rebuilt, 0, "second heal must be a no-op");
     assert_eq!(second.chunks_healed, 0);
     assert_eq!(second.blobs_rematerialized, 0);
     assert!(second.is_fully_healed());
@@ -201,7 +201,7 @@ fn repair_rebuilds_wiped_shards_and_is_idempotent() {
     let report = &out.results[0];
     assert!(
         report.is_clean(),
-        "post-repair scrub must be clean: {report:?}"
+        "post-heal scrub must be clean: {report:?}"
     );
     assert!(report.shards_checked > 0, "stripe pass must have run");
 
@@ -216,7 +216,7 @@ fn repair_rebuilds_wiped_shards_and_is_idempotent() {
         .expect_all();
     for (rank, r) in out.results.iter().enumerate() {
         assert_eq!(
-            r.as_ref().expect("restore after repair"),
+            r.as_ref().expect("restore after heal"),
             &bufs[rank],
             "rank {rank}: rebuilt shards did not round-trip"
         );
@@ -225,7 +225,7 @@ fn repair_rebuilds_wiped_shards_and_is_idempotent() {
 
 /// Promise 3: more than `m` losses is typed loss, not a panic or a hang.
 /// Every rank's private chunks drop below `k` surviving shards, so every
-/// restore errors; repair flags the stripes as unrepairable and stays
+/// restore errors; heal flags the stripes as unrepairable and stays
 /// stable across reruns instead of fabricating shards.
 #[test]
 fn losing_more_than_m_nodes_is_typed_loss_and_unrepairable() {
@@ -254,7 +254,7 @@ fn losing_more_than_m_nodes_is_typed_loss_and_unrepairable() {
     }
 
     let out = WorldConfig::default()
-        .launch(N, |comm| repl.repair(comm, 1).expect("repair returns"))
+        .launch(N, |comm| repl.heal(comm, 1).expect("heal returns"))
         .expect_all();
     let first = out.results[0].clone();
     assert!(!first.is_fully_healed(), "3 losses must not report healed");
@@ -263,7 +263,7 @@ fn losing_more_than_m_nodes_is_typed_loss_and_unrepairable() {
         "stripes below k survivors must be flagged"
     );
     let out = WorldConfig::default()
-        .launch(N, |comm| repl.repair(comm, 1).expect("repair returns"))
+        .launch(N, |comm| repl.heal(comm, 1).expect("heal returns"))
         .expect_all();
     assert_eq!(
         out.results[0].unrepairable_stripes, first.unrepairable_stripes,

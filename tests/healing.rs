@@ -1,16 +1,15 @@
 //! Chaos suite for the continuous background healer (DESIGN.md §16):
-//! incremental, resumable scrub/repair under live traffic.
+//! incremental, resumable scrub/heal under live traffic.
 //!
 //! Promises under test:
 //! 1. A heal resumed from an *arbitrary* persisted [`HealCursor`]
 //!    position is idempotent and converges: for every strategy × policy
 //!    and ≤ tolerance seed-chosen node losses, stopping the healer after
 //!    a seed-chosen number of steps, round-tripping the cursor through
-//!    its wire form and resuming heals everything — the follow-up
-//!    monolithic repair finds zero work and every rank restores
-//!    byte-exactly.
+//!    its wire form and resuming heals everything — a follow-up heal
+//!    from scratch finds zero work and every rank restores byte-exactly.
 //! 2. The ISSUE's acceptance drill: a node crashes mid-dump (taking its
-//!    storage), then the healer itself is killed mid-repair (second
+//!    storage), then the healer itself is killed mid-heal (second
 //!    transfer window, via `start:heal.transfer#2`) — and a fresh healer
 //!    resumed from the last persisted cursor still converges.
 //! 3. Healing runs *under* live traffic: a foreground dump of a newer
@@ -30,7 +29,7 @@ use replidedup::core::{
 };
 use replidedup::mpi::wire::Wire;
 use replidedup::mpi::{FaultPlan, FaultTrigger, WorldConfig};
-use replidedup::storage::{Cluster, Placement};
+use replidedup::storage::{Cluster, Placement, StripeKey};
 
 const N: u32 = 6;
 const DUMP: u64 = 1;
@@ -118,8 +117,8 @@ proptest! {
 
     /// Promise 1: stop the healer after an arbitrary number of steps,
     /// persist the cursor through its wire bytes, resume — converged,
-    /// byte-exact, and the monolithic repair agrees there is nothing
-    /// left. Mixed policies, both storage formats, ≤ tolerance losses.
+    /// byte-exact, and a second heal from scratch agrees there is
+    /// nothing left. Mixed policies, both storage formats, ≤ tolerance losses.
     #[test]
     fn heal_resumed_from_arbitrary_cursor_position_converges(seed in any::<u64>()) {
         let stop_after = 1 + (seed % 7);
@@ -152,7 +151,7 @@ proptest! {
                     let mut resumed = HealCursor::from_bytes(&cursor.to_bytes())
                         .expect("cursor wire round-trip");
                     let tail = repl.heal_from(comm, &mut resumed)?;
-                    let after = repl.repair(comm, DUMP)?;
+                    let after = repl.heal(comm, DUMP)?;
                     Ok::<_, replidedup::core::ReplError>((resumed, tail, after))
                 }).expect_all();
                 for r in &out.results {
@@ -165,10 +164,10 @@ proptest! {
                         "{strategy:?} {label} seed={seed} victims={victims:?}: {tail:?}"
                     );
                     prop_assert!(after.is_fully_healed());
-                    prop_assert_eq!(after.chunks_healed, 0, "heal left repair no chunk work");
+                    prop_assert_eq!(after.chunks_healed, 0, "the heal left a second heal no chunk work");
                     prop_assert_eq!(after.manifests_rematerialized, 0);
                     prop_assert_eq!(after.blobs_rematerialized, 0);
-                    prop_assert_eq!(after.shards_rebuilt, 0, "heal left repair no shard work");
+                    prop_assert_eq!(after.shards_rebuilt, 0, "the heal left a second heal no shard work");
                 }
 
                 let out = WorldConfig::default().launch(N, |comm| repl.restore(comm, DUMP)).expect_all();
@@ -419,4 +418,40 @@ fn heal_gc_step_reclaims_superseded_generations_safely() {
         assert_eq!(restored, expected, "rank {rank}: gen 2 intact after gc");
     }
     assert_eq!(cluster.generations(), vec![2], "only gen 2 remains at rest");
+}
+
+/// Blob stripes of *other* generations are none of a heal's business: a
+/// `no-dedup` dump commits its stripe shard by shard, so a background
+/// heal of gen 1 that judged gen 2's half-written stripe would report it
+/// unrepairable (the recovery-drill flake). Gen 2's own heal still does.
+#[test]
+fn heal_ignores_blob_stripes_of_other_generations() {
+    let bufs = buffers(N);
+    let cluster = Cluster::new(Placement::one_per_node(N));
+    let rs = RedundancyPolicy::Rs { k: 4, m: 2 };
+    let repl = replicator(Strategy::NoDedup, &cluster, rs, small_windows());
+    let key = StripeKey::Blob {
+        owner: 0,
+        dump_id: 2,
+    };
+    let out = WorldConfig::default()
+        .launch(N, |comm| {
+            for gen in [DUMP, 2] {
+                repl.dump(comm, gen, &bufs[comm.rank() as usize]).unwrap();
+            }
+            comm.barrier();
+            if comm.rank() == 0 {
+                // As mid-commit: three of six shards landed, k = 4.
+                for (node, index) in (0..3).flat_map(|n| (0..6).map(move |i| (n, i))) {
+                    cluster.quarantine_shard(node, key, index).unwrap();
+                }
+            }
+            comm.barrier();
+            (repl.heal(comm, DUMP).unwrap(), repl.heal(comm, 2).unwrap())
+        })
+        .expect_all();
+    for (gen1, gen2) in out.results {
+        assert!(gen1.is_fully_healed(), "gen 1 is intact: {gen1:?}");
+        assert_eq!(gen2.unrepairable_stripes, vec![key]);
+    }
 }

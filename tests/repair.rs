@@ -1,19 +1,19 @@
 //! Seeded chaos suite for the self-healing layer (DESIGN.md §11):
-//! integrity scrubbing, collective replication repair, retrying restore.
+//! integrity scrubbing, the collective heal, retrying restore.
 //!
 //! Promises under test:
 //! 1. After failing at most K−1 nodes of a healthy dump and reviving them
-//!    empty, one repair collective brings every chunk referenced by the
+//!    empty, one heal collective brings every chunk referenced by the
 //!    dump back to `min(K, live_nodes)` intact copies, re-materializes
 //!    every rank's manifest (or blob, for `no-dedup`) on its own node, and
 //!    the subsequent restore is byte-exact — for every strategy and
 //!    K ∈ {2, 3}, with the failed-node set drawn from the seed.
-//! 2. Repair is idempotent and crash-safe: a rank crash in the middle of
-//!    the transfer phase (taking its node's storage with it) surfaces as a
-//!    typed error, and re-running the repair after reviving converges to
+//! 2. Healing is idempotent and crash-safe: a rank crash in the middle of
+//!    a transfer phase (taking its node's storage with it) surfaces as a
+//!    typed error, and re-running the heal after reviving converges to
 //!    the same healed invariants.
-//! 3. Scrub reports exactly the injected corruptions; repair quarantines
-//!    and re-replicates them; the post-repair scrub is clean.
+//! 3. Scrub reports exactly the injected corruptions; heal quarantines
+//!    and re-replicates them; the post-heal scrub is clean.
 //! 4. Injected transient device hiccups are absorbed by the restore retry
 //!    policy (visible in the `restore_retries` counter), not surfaced as
 //!    errors.
@@ -24,7 +24,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
-use replidedup::core::{Replicator, Strategy};
+use replidedup::core::{ReplError, Replicator, Strategy};
 use replidedup::mpi::{EventKind, FaultPlan, FaultTrigger, WorldConfig};
 use replidedup::storage::{Cluster, Placement};
 
@@ -111,10 +111,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Promise 1: fail ≤ K−1 seed-chosen nodes after a healthy dump,
-    /// revive them empty, repair once — full replication is back and every
+    /// revive them empty, heal once — full replication is back and every
     /// rank restores byte-exactly with zero degraded paths.
     #[test]
-    fn repair_heals_k_minus_1_node_failures_back_to_full_replication(seed in any::<u64>()) {
+    fn heal_mends_k_minus_1_node_failures_back_to_full_replication(seed in any::<u64>()) {
         for strategy in [Strategy::NoDedup, Strategy::LocalDedup, Strategy::CollDedup] {
             for k in [2u32, 3] {
                 let bufs = buffers(N);
@@ -131,29 +131,29 @@ proptest! {
                     cluster.revive_node(node); // replacement comes up empty
                 }
 
-                let out = WorldConfig::default().launch(N, |comm| repl.repair(comm, DUMP)).expect_all();
+                let out = WorldConfig::default().launch(N, |comm| repl.heal(comm, DUMP)).expect_all();
                 for (rank, r) in out.results.iter().enumerate() {
                     let stats = r.as_ref().unwrap_or_else(|e| {
-                        panic!("{strategy:?} K={k} seed={seed}: rank {rank} repair failed: {e}")
+                        panic!("{strategy:?} K={k} seed={seed}: rank {rank} heal failed: {e}")
                     });
                     prop_assert!(
                         stats.is_fully_healed(),
                         "{strategy:?} K={k} seed={seed} victims={victims:?}: \
-                         losses within K-1 must be repairable: {stats:?}"
+                         losses within K-1 must be healable: {stats:?}"
                     );
                     prop_assert_eq!(
                         r.as_ref().unwrap(),
                         out.results[0].as_ref().unwrap(),
-                        "all ranks must agree on the repair stats"
+                        "all ranks must agree on the heal report"
                     );
                 }
-                assert_healed(&cluster, strategy, k, "after repair");
+                assert_healed(&cluster, strategy, k, "after heal");
 
-                // Second repair finds nothing to do (idempotency).
-                let out = WorldConfig::default().launch(N, |comm| repl.repair(comm, DUMP)).expect_all();
+                // A second heal finds nothing to do (idempotency).
+                let out = WorldConfig::default().launch(N, |comm| repl.heal(comm, DUMP)).expect_all();
                 for r in &out.results {
-                    let stats = r.as_ref().expect("idempotent repair");
-                    prop_assert_eq!(stats.chunks_healed, 0, "re-repair must be a no-op");
+                    let stats = r.as_ref().expect("idempotent heal");
+                    prop_assert_eq!(stats.chunks_healed, 0, "re-heal must be a no-op");
                     prop_assert_eq!(stats.manifests_rematerialized, 0);
                     prop_assert_eq!(stats.blobs_rematerialized, 0);
                 }
@@ -171,10 +171,10 @@ proptest! {
 }
 
 /// Promise 2: a rank crash mid-transfer (its node's storage dies with it)
-/// leaves a typed error, and re-running the repair after reviving
+/// leaves a typed error, and re-running the heal after reviving
 /// converges to the healed invariants.
 #[test]
-fn crash_during_repair_transfer_then_rerun_converges() {
+fn crash_during_heal_transfer_then_rerun_converges() {
     let k = 3;
     let bufs = buffers(N);
     let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
@@ -188,33 +188,39 @@ fn crash_during_repair_transfer_then_rerun_converges() {
         .expect_all();
     assert!(out.results.iter().all(Result::is_ok));
 
-    // One node lost and revived empty: the repair has real work to do.
+    // One node lost and revived empty: the heal has real work to do.
     cluster.fail_node(2);
     cluster.revive_node(2);
 
-    // Crash rank 4 the moment the transfer phase opens; its node's
-    // storage goes down with it.
+    // Crash rank 4 the moment the first transfer window opens; its
+    // node's storage goes down with it.
     let hook = Arc::clone(&cluster);
     let plan = FaultPlan::new(99)
-        .crash(4, FaultTrigger::PhaseStart("repair.transfer".into()))
+        .crash(4, FaultTrigger::PhaseStart("heal.transfer".into()))
         .on_crash(move |rank| hook.fail_node(hook.node_of(rank)));
     let config = WorldConfig::default()
         .with_recv_timeout(Duration::from_secs(2))
         .with_faults(plan);
-    let out = config.launch(N, |comm| repl.repair(comm, DUMP));
+    let out = config.launch(N, |comm| repl.heal(comm, DUMP));
     assert_eq!(out.crashed_ranks(), vec![4], "the planned crash must fire");
+    assert!(
+        out.outcomes
+            .iter()
+            .any(|o| matches!(o.as_completed(), Some(Err(ReplError::RankFailure(_))))),
+        "survivors must see the crash as a typed error, not a hang"
+    );
 
-    // Restart: the crashed node is replaced, the repair is re-run.
+    // Restart: the crashed node is replaced, the heal is re-run.
     for node in 0..N {
         if !cluster.is_alive(node) {
             cluster.revive_node(node);
         }
     }
     let out = WorldConfig::default()
-        .launch(N, |comm| repl.repair(comm, DUMP))
+        .launch(N, |comm| repl.heal(comm, DUMP))
         .expect_all();
     for r in &out.results {
-        let stats = r.as_ref().expect("rerun repair succeeds");
+        let stats = r.as_ref().expect("rerun heal succeeds");
         assert!(stats.is_fully_healed(), "rerun must converge: {stats:?}");
     }
     assert_healed(&cluster, Strategy::CollDedup, k, "after crash + rerun");
@@ -231,11 +237,11 @@ fn crash_during_repair_transfer_then_rerun_converges() {
     }
 }
 
-/// Promise 3: scrub finds exactly the injected corruptions; repair heals
-/// them (quarantine + re-replicate); the post-repair scrub is clean and
+/// Promise 3: scrub finds exactly the injected corruptions; heal mends
+/// them (quarantine + re-replicate); the post-heal scrub is clean and
 /// the restore byte-exact.
 #[test]
-fn scrub_detects_exactly_injected_corruptions_and_repair_heals_them() {
+fn scrub_detects_exactly_injected_corruptions_and_heal_mends_them() {
     let k = 2;
     let bufs = buffers(N);
     let cluster = Cluster::new(Placement::one_per_node(N));
@@ -277,21 +283,21 @@ fn scrub_detects_exactly_injected_corruptions_and_repair_heals_them() {
     }
 
     let out = WorldConfig::default()
-        .launch(N, |comm| repl.repair(comm, DUMP))
+        .launch(N, |comm| repl.heal(comm, DUMP))
         .expect_all();
     for r in &out.results {
-        let stats = r.as_ref().expect("repair succeeds");
+        let stats = r.as_ref().expect("heal succeeds");
         assert_eq!(
             stats.corrupt_quarantined,
             injected.len() as u64,
-            "repair must quarantine what scrub found"
+            "heal must quarantine what scrub found"
         );
         assert!(
             stats.is_fully_healed(),
             "corruption within K-1 copies heals"
         );
     }
-    assert_healed(&cluster, Strategy::CollDedup, k, "after corruption repair");
+    assert_healed(&cluster, Strategy::CollDedup, k, "after corruption heal");
 
     let out = WorldConfig::default()
         .launch(N, |comm| repl.scrub(comm))
@@ -299,7 +305,7 @@ fn scrub_detects_exactly_injected_corruptions_and_repair_heals_them() {
     for r in &out.results {
         assert!(
             r.as_ref().expect("scrub succeeds").is_clean(),
-            "post-repair scrub must be clean"
+            "post-heal scrub must be clean"
         );
     }
 
@@ -308,7 +314,7 @@ fn scrub_detects_exactly_injected_corruptions_and_repair_heals_them() {
         .expect_all();
     for (rank, r) in out.results.iter().enumerate() {
         assert_eq!(
-            r.as_ref().expect("restore after corruption repair"),
+            r.as_ref().expect("restore after corruption heal"),
             &bufs[rank],
             "rank {rank} restored wrong bytes"
         );
