@@ -25,11 +25,6 @@
 //!   --repair    run the collective heal, then verify that every chunk
 //!               referenced by the dump is back to K copies and the
 //!               restore is byte-exact
-//!   --bench     run the zero-copy perf harness (strategies × K ∈ {2,3} ×
-//!               {staged, zero-copy}) and write BENCH_<date>.json; includes
-//!               the full pooled-scheduler ranks sweep through 512
-//!   --bench-smoke  tiny CI tier of --bench (4 ranks, 1 iteration)
-//!   --bench-out PATH  override the bench report path
 //!   --ranks N   pooled-scheduler scale-out sweep: run every sweep point up
 //!               to N ranks (plus N itself) × the four paper strategies,
 //!               cross-check measured replication + parity traffic against
@@ -49,6 +44,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use replidedup_bench::drill::DrillScenario;
 use replidedup_bench::experiments as exp;
 use replidedup_bench::report;
 use replidedup_bench::workloads::AppKind;
@@ -62,9 +58,6 @@ struct Args {
     fail_nodes: Vec<u32>,
     repair: bool,
     scrub: bool,
-    bench: bool,
-    bench_smoke: bool,
-    bench_out: Option<PathBuf>,
     drills: Vec<String>,
     ranks: Option<u32>,
 }
@@ -78,9 +71,6 @@ fn parse_args() -> Args {
     let mut fail_nodes = Vec::new();
     let mut repair = false;
     let mut scrub = false;
-    let mut bench = false;
-    let mut bench_smoke = false;
-    let mut bench_out = None;
     let mut drills = Vec::new();
     let mut ranks = None;
     let mut it = std::env::args().skip(1);
@@ -115,13 +105,6 @@ fn parse_args() -> Args {
             }
             "--repair" => repair = true,
             "--scrub" => scrub = true,
-            "--bench" => bench = true,
-            "--bench-smoke" => bench_smoke = true,
-            "--bench-out" => {
-                bench_out = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| die("--bench-out needs a path")),
-                ));
-            }
             "--drill" => {
                 drills.push(
                     it.next()
@@ -141,7 +124,7 @@ fn parse_args() -> Args {
                     "usage: repro [fig2|fig3a|fig3b|fig3c|tab1|fig4|fig5|all]... \
                      [--scale S] [--out DIR] [--trace-out PATH] [--fault-plan SEED[:SPEC]] \
                      [--fail-node N]... [--scrub] [--repair] \
-                     [--bench | --bench-smoke] [--bench-out PATH] [--drill SCENARIO]... \
+                     [--drill SCENARIO]... \
                      [--ranks N]"
                 );
                 std::process::exit(0);
@@ -155,8 +138,6 @@ fn parse_args() -> Args {
         && trace_out.is_none()
         && fault_plan.is_none()
         && !healing
-        && !bench
-        && !bench_smoke
         && drills.is_empty()
         && ranks.is_none()
     {
@@ -174,174 +155,13 @@ fn parse_args() -> Args {
         fail_nodes,
         repair,
         scrub,
-        bench,
-        bench_smoke,
-        bench_out,
         drills,
         ranks,
     }
 }
 
-/// Run the zero-copy perf harness and write (validated) `BENCH_<date>.json`.
-fn run_bench(smoke: bool, out_override: Option<&PathBuf>) {
-    use replidedup_bench::perf::{run_zerocopy_bench, BenchOptions};
-    use replidedup_bench::report::validate_bench_json;
-
-    let opts = if smoke {
-        BenchOptions::smoke()
-    } else {
-        BenchOptions::full()
-    };
-    println!(
-        "== zero-copy perf harness: {} ranks, best of {} ==",
-        opts.ranks, opts.iterations
-    );
-    let report = run_zerocopy_bench(&opts);
-    let mut t = report::Table::new(&[
-        "strategy",
-        "K",
-        "mode",
-        "dump (s)",
-        "restore (s)",
-        "MiB/s",
-        "bytes copied",
-        "rma put",
-    ]);
-    for s in &report.scenarios {
-        t.row(vec![
-            s.strategy.clone(),
-            s.k.to_string(),
-            s.copy_mode.clone(),
-            format!("{:.4}", s.dump_seconds),
-            format!("{:.4}", s.restore_seconds),
-            format!("{:.0}", s.dump_throughput_mib_s),
-            report::human_bytes(s.dump_bytes_copied as f64),
-            report::human_bytes(s.bytes_sent_replication as f64),
-        ]);
-    }
-    println!("{}", t.render());
-    for c in &report.comparisons {
-        println!(
-            "{} K={}: copies {} -> {} ({:.1} % less), dump {:.4}s -> {:.4}s ({})",
-            c.strategy,
-            c.k,
-            report::human_bytes(c.staged_bytes_copied as f64),
-            report::human_bytes(c.zero_copy_bytes_copied as f64),
-            c.copy_reduction_percent,
-            c.staged_dump_seconds,
-            c.zero_copy_dump_seconds,
-            if c.dump_time_no_worse {
-                "no worse"
-            } else {
-                "SLOWER"
-            },
-        );
-    }
-    println!("\n== chunker x strategy x workload dedup matrix ==");
-    let mut t = report::Table::new(&[
-        "workload",
-        "strategy",
-        "chunker",
-        "K",
-        "dedup ratio",
-        "chunk MiB/s",
-        "dump (s)",
-        "written",
-    ]);
-    for s in &report.chunker_matrix {
-        t.row(vec![
-            s.workload.clone(),
-            s.strategy.clone(),
-            s.chunker.clone(),
-            s.k.to_string(),
-            format!("{:.2}", s.dedup_ratio),
-            format!("{:.0}", s.chunking_mib_s),
-            format!("{:.4}", s.dump_seconds),
-            report::human_bytes(s.bytes_written_devices as f64),
-        ]);
-    }
-    println!("{}", t.render());
-    for c in &report.chunker_comparisons {
-        println!(
-            "{} K={} {}: dedup ratio {:.2} vs fixed {:.2} ({})",
-            c.workload,
-            c.k,
-            c.chunker,
-            c.cdc_dedup_ratio,
-            c.fixed_dedup_ratio,
-            if c.cdc_beats_fixed {
-                "CDC wins"
-            } else {
-                "CDC DOES NOT WIN"
-            },
-        );
-    }
-    println!("\n== redundancy policy x strategy x workload matrix ==");
-    let mut t = report::Table::new(&[
-        "workload",
-        "strategy",
-        "policy",
-        "tolerates",
-        "written",
-        "parity",
-        "coded chunks",
-        "dump (s)",
-        "restore after loss",
-    ]);
-    for s in &report.policy_matrix {
-        t.row(vec![
-            s.workload.clone(),
-            s.strategy.clone(),
-            s.policy.clone(),
-            format!("{} losses", s.loss_tolerance),
-            report::human_bytes(s.bytes_written_devices as f64),
-            report::human_bytes(s.parity_bytes as f64),
-            s.chunks_coded.to_string(),
-            format!("{:.4}", s.dump_seconds),
-            if s.restore_after_loss_verified {
-                "byte-exact".into()
-            } else {
-                "FAILED".into()
-            },
-        ]);
-    }
-    println!("{}", t.render());
-    for c in &report.policy_comparisons {
-        println!(
-            "{}: rs4+2 {} vs rep{} {} ({}); parity {} coll-dedup vs {} no-dedup ({})",
-            c.workload,
-            report::human_bytes(c.rs_bytes_devices as f64),
-            c.replicate_k,
-            report::human_bytes(c.replicate_bytes_devices as f64),
-            if c.rs_beats_replication {
-                "EC wins"
-            } else {
-                "EC DOES NOT WIN"
-            },
-            report::human_bytes(c.coll_dedup_parity_bytes as f64),
-            report::human_bytes(c.no_dedup_parity_bytes as f64),
-            if c.dedup_credit_cuts_parity {
-                "credit cuts parity"
-            } else {
-                "NO CREDIT"
-            },
-        );
-    }
-    println!("\n== recovery drills: fail -> heal under live dump -> verify ==");
-    print_drill_table(&report.drill_matrix);
-    println!("\n== pooled-scheduler ranks sweep: measured vs sim-predicted traffic ==");
-    println!("{}", report::ranks_table(&report.ranks_matrix).render());
-    let json = report.to_json();
-    validate_bench_json(&json).unwrap_or_else(|e| die(&format!("emitted report invalid: {e}")));
-    let path = out_override
-        .cloned()
-        .unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", report.date)));
-    std::fs::write(&path, &json).unwrap_or_else(|e| die(&format!("write {}: {e}", path.display())));
-    println!("schema OK -> {}", path.display());
-}
-
-/// Render the drill rows as the shared recovery table.
-fn print_drill_table(rows: &[report::DrillScenario]) {
+/// Render the drill rows as the recovery table.
+fn print_drill_table(rows: &[DrillScenario]) {
     let mut t = report::Table::new(&[
         "scenario",
         "strategy",
@@ -379,19 +199,15 @@ fn print_drill_table(rows: &[report::DrillScenario]) {
 /// or verify. `--drill all` sweeps the full matrix.
 fn run_drills(specs: &[String]) {
     use replidedup_bench::drill::{run_drill, run_drill_matrix, DRILL_NOISE_BAND, DRILL_SCENARIOS};
-    use replidedup_bench::perf::BenchOptions;
 
-    let opts = BenchOptions::full();
-    println!(
-        "== recovery drills: fail -> heal under live dump -> verify ({} ranks) ==",
-        opts.ranks.max(6)
-    );
+    const RANKS: u32 = 8;
+    println!("== recovery drills: fail -> heal under live dump -> verify ({RANKS} ranks) ==");
     let rows = if specs.iter().any(|s| s == "all") {
-        run_drill_matrix(&opts, true)
+        run_drill_matrix(RANKS)
     } else {
         let mut rows = Vec::new();
         for spec in specs {
-            rows.extend(run_drill(&opts, spec).unwrap_or_else(|| {
+            rows.extend(run_drill(RANKS, spec).unwrap_or_else(|| {
                 die(&format!(
                     "--drill {spec}: unknown scenario (valid: {}, all)",
                     DRILL_SCENARIOS.join(", ")
@@ -673,9 +489,6 @@ fn main() {
     }
     if !args.fail_nodes.is_empty() || args.repair || args.scrub {
         run_heal_demo(&args.fail_nodes, args.scrub, args.repair);
-    }
-    if args.bench || args.bench_smoke {
-        run_bench(args.bench_smoke && !args.bench, args.bench_out.as_ref());
     }
     if !args.drills.is_empty() {
         run_drills(&args.drills);

@@ -41,9 +41,39 @@ use replidedup_mpi::wire::Wire;
 use replidedup_mpi::{FaultPlan, FaultTrigger, WorldConfig};
 use replidedup_storage::{Cluster, Placement};
 
-use crate::perf::BenchOptions;
-use crate::report::DrillScenario;
-use crate::workloads::make_buffers;
+use crate::workloads::{make_buffers, AppKind};
+
+/// Every drill dumps HPCCG content in the paper's 4 KiB pages.
+const APP: AppKind = AppKind::hpccg();
+const CHUNK_SIZE: usize = 4096;
+
+/// One scripted recovery drill: fail → heal under live traffic →
+/// verify, for one (scenario, strategy, policy) cell of the drill
+/// matrix.
+#[derive(Debug, Clone)]
+pub struct DrillScenario {
+    /// Drill scenario label (one of [`DRILL_SCENARIOS`]).
+    pub scenario: String,
+    /// Strategy label (`no-dedup` / `coll-dedup`).
+    pub strategy: String,
+    /// Redundancy-policy label (`rep3` / `rs4+2` / `auto4+2`).
+    pub policy: String,
+    /// Bounded healer steps driven to convergence, counted across
+    /// resumes by the persisted cursor.
+    pub heal_steps: u64,
+    /// Payload bytes the healer re-replicated or reconstructed.
+    pub heal_bytes: u64,
+    /// Wall time of the (resumed) background heal, milliseconds.
+    pub recovery_ms: f64,
+    /// Foreground dump wall time while the healer ran, over the same
+    /// dump alone on the healthy cluster.
+    pub foreground_slowdown: f64,
+    /// The healer reached `Done` with nothing unrepairable (and, for gc
+    /// drills, every superseded generation collected).
+    pub converged: bool,
+    /// Healed and foreground generations both restored byte-exactly.
+    pub restore_verified: bool,
+}
 
 /// Every scripted recovery scenario, in report order.
 pub const DRILL_SCENARIOS: [&str; 5] = [
@@ -77,41 +107,26 @@ pub fn drill_policies() -> [(RedundancyPolicy, u32); 3] {
     ]
 }
 
-/// Run the drill matrix. `full` sweeps every scenario × strategy ×
-/// policy; the smoke tier keeps the two resumability scenarios under
-/// coll-dedup with replicated and coded redundancy — small enough for
-/// CI, still covering cursor persistence and the kill-and-resume path.
-pub fn run_drill_matrix(opts: &BenchOptions, full: bool) -> Vec<DrillScenario> {
-    let mut rows = Vec::new();
-    if full {
-        for scenario in DRILL_SCENARIOS {
-            for strategy in [Strategy::CollDedup, Strategy::NoDedup] {
-                for policy in drill_policies() {
-                    rows.push(run_drill_row(opts, scenario, strategy, policy));
-                }
-            }
-        }
-    } else {
-        let [rep3, rs42, _] = drill_policies();
-        for scenario in ["node-loss", "healer-crash"] {
-            for policy in [rep3, rs42] {
-                rows.push(run_drill_row(opts, scenario, Strategy::CollDedup, policy));
-            }
-        }
-    }
-    rows
+/// Run the drill matrix: every scenario × strategy × policy on a world
+/// of `ranks` ranks (at least 6).
+pub fn run_drill_matrix(ranks: u32) -> Vec<DrillScenario> {
+    DRILL_SCENARIOS
+        .iter()
+        .filter_map(|scenario| run_drill(ranks, scenario))
+        .flatten()
+        .collect()
 }
 
 /// Run one named scenario across every strategy × policy. `None` for an
 /// unknown scenario name (see [`DRILL_SCENARIOS`]).
-pub fn run_drill(opts: &BenchOptions, scenario: &str) -> Option<Vec<DrillScenario>> {
+pub fn run_drill(ranks: u32, scenario: &str) -> Option<Vec<DrillScenario>> {
     if !DRILL_SCENARIOS.contains(&scenario) {
         return None;
     }
     let mut rows = Vec::new();
     for strategy in [Strategy::CollDedup, Strategy::NoDedup] {
         for policy in drill_policies() {
-            rows.push(run_drill_row(opts, scenario, strategy, policy));
+            rows.push(run_drill_row(ranks, scenario, strategy, policy));
         }
     }
     Some(rows)
@@ -138,13 +153,12 @@ fn build_replicator<'a>(
     strategy: Strategy,
     cluster: &'a Cluster,
     policy: RedundancyPolicy,
-    chunk_size: usize,
     heal: HealOptions,
 ) -> Replicator<'a> {
     Replicator::builder(strategy)
         .cluster(cluster)
         .replication(3)
-        .chunk_size(chunk_size)
+        .chunk_size(CHUNK_SIZE)
         .with_policy(policy)
         .heal_options(heal)
         .build()
@@ -168,14 +182,14 @@ fn gen_bufs(base: &[Vec<u8>], generation: u64) -> Vec<Vec<u8>> {
 
 /// One drill row: dump, baseline, damage, heal-while-dumping, verify.
 fn run_drill_row(
-    opts: &BenchOptions,
+    ranks: u32,
     scenario: &str,
     strategy: Strategy,
     (policy, tolerance): (RedundancyPolicy, u32),
 ) -> DrillScenario {
     // One rank per node; rs4+2 stripes need six distinct devices.
-    let n = opts.ranks.max(6);
-    let base = make_buffers(opts.app, n);
+    let n = ranks.max(6);
+    let base = make_buffers(APP, n);
 
     // Generation script: gc-pressure heals gen 3 on top of two buried
     // superseded generations; every other scenario heals gen 1.
@@ -191,7 +205,7 @@ fn run_drill_row(
     let heal = drill_heal_options((scenario == "gc-pressure").then_some(target));
 
     let cluster = Arc::new(Cluster::new(Placement::one_per_node(n)));
-    let repl = build_replicator(strategy, &cluster, policy, opts.chunk_size, heal);
+    let repl = build_replicator(strategy, &cluster, policy, heal);
 
     for &gen in stale {
         let bufs = gen_bufs(&base, gen);
@@ -225,17 +239,7 @@ fn run_drill_row(
     assert!(out.results.iter().all(Result::is_ok), "baseline dump");
 
     let start_cursor = inject_damage(
-        scenario,
-        &cluster,
-        strategy,
-        policy,
-        opts.chunk_size,
-        heal,
-        target,
-        crash_gen,
-        &base,
-        tolerance,
-        n,
+        scenario, &cluster, strategy, policy, heal, target, crash_gen, &base, tolerance, n,
     );
 
     // The timed recovery: a rate-limited background healer mends the
@@ -243,9 +247,8 @@ fn run_drill_row(
     let healer = {
         let cluster = Arc::clone(&cluster);
         let start = start_cursor.clone();
-        let chunk_size = opts.chunk_size;
         replidedup_mpi::sched::spawn("drill-healer", move || {
-            let repl = build_replicator(strategy, &cluster, policy, chunk_size, heal);
+            let repl = build_replicator(strategy, &cluster, policy, heal);
             let t0 = Instant::now();
             let out = WorldConfig::default()
                 .launch(n, |comm| {
@@ -294,19 +297,14 @@ fn run_drill_row(
         }
     }
 
-    let baseline_ms = baseline.as_secs_f64() * 1e3;
-    let contended_ms = contended.as_secs_f64() * 1e3;
     DrillScenario {
         scenario: scenario.to_string(),
         strategy: strategy.label().to_string(),
         policy: policy.label(),
-        ranks: n,
         heal_steps,
         heal_bytes,
         recovery_ms: recovery.as_secs_f64() * 1e3,
-        baseline_dump_ms: baseline_ms,
-        contended_dump_ms: contended_ms,
-        foreground_slowdown: contended_ms / baseline_ms.max(1e-9),
+        foreground_slowdown: contended.as_secs_f64() / baseline.as_secs_f64().max(1e-12),
         converged,
         restore_verified: verified,
     }
@@ -322,7 +320,6 @@ fn inject_damage(
     cluster: &Arc<Cluster>,
     strategy: Strategy,
     policy: RedundancyPolicy,
-    chunk_size: usize,
     heal: HealOptions,
     target: u64,
     crash_gen: u64,
@@ -358,7 +355,7 @@ fn inject_damage(
             let store = Arc::clone(&persisted);
             let hc = Arc::clone(cluster);
             config.launch(n, move |comm| {
-                let repl = build_replicator(strategy, &hc, policy, chunk_size, heal);
+                let repl = build_replicator(strategy, &hc, policy, heal);
                 let mut cursor = HealCursor::new(target);
                 let mut report = HealReport::default();
                 while let Ok(true) = repl.heal_step(comm, &mut cursor, &mut report) {
@@ -384,7 +381,7 @@ fn inject_damage(
                 .with_faults(plan);
             let hc = Arc::clone(cluster);
             config.launch(n, move |comm| {
-                let repl = build_replicator(strategy, &hc, policy, chunk_size, heal);
+                let repl = build_replicator(strategy, &hc, policy, heal);
                 let _ = repl.dump(comm, crash_gen, &bufs[comm.rank() as usize]);
             });
             for node in 0..n {
@@ -434,5 +431,27 @@ fn inject_damage(
             HealCursor::new(target)
         }
         other => panic!("unknown drill scenario {other}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The two resumability scenarios under coll-dedup with replicated and
+    /// coded redundancy: cursor persistence, the kill-and-resume path and
+    /// RS reconstruction, small enough for every test run.
+    #[test]
+    fn smoke_drills_converge_and_restore_byte_exact() {
+        let [rep3, rs42, _] = drill_policies();
+        for scenario in ["node-loss", "healer-crash"] {
+            for policy in [rep3, rs42] {
+                let d = run_drill_row(6, scenario, Strategy::CollDedup, policy);
+                let cell = format!("{} {} {}", d.scenario, d.strategy, d.policy);
+                assert!(d.converged, "{cell}: drill must converge");
+                assert!(d.restore_verified, "{cell}: restores must verify");
+                assert!(d.heal_steps > 0, "{cell}: healer must take steps");
+            }
+        }
     }
 }

@@ -1,10 +1,8 @@
-//! Text-table, CSV, and bench-report rendering of experiment results.
+//! Text-table and CSV rendering of experiment results.
 //!
 //! The `repro` binary prints paper-style tables to stdout and mirrors each
 //! experiment into `results/<exp>.csv` so plots can be regenerated with
-//! any tool. `repro --bench` additionally emits a machine-readable
-//! [`BenchReport`] as `BENCH_<date>.json` (schema
-//! [`BENCH_SCHEMA`], checked by [`validate_bench_json`]).
+//! any tool.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -275,1037 +273,6 @@ pub fn ranks_table(rows: &[RanksRow]) -> Table {
     t
 }
 
-// ------------------------------------------------------------------
-// Zero-copy perf harness report (`repro --bench` → BENCH_<date>.json)
-// ------------------------------------------------------------------
-
-/// Schema identifier stamped into every bench report. `v2` added the
-/// chunker-matrix arrays (`chunker_matrix`, `chunker_comparisons`); `v3`
-/// added the redundancy-policy arrays (`policy_matrix`,
-/// `policy_comparisons`); `v4` added the recovery-drill array
-/// (`drill_matrix`); `v5` added the pooled-scheduler scale-out array
-/// (`ranks_matrix`) with its measured-vs-predicted traffic cross-check.
-pub const BENCH_SCHEMA: &str = "replidedup-bench/v5";
-
-/// One scripted recovery drill: fail → heal under live traffic →
-/// verify, for one (scenario, strategy, policy) cell of the drill
-/// matrix.
-#[derive(Debug, Clone)]
-pub struct DrillScenario {
-    /// Drill scenario label (`node-loss`, `healer-crash`, `dump-crash`,
-    /// `corruption`, `gc-pressure`).
-    pub scenario: String,
-    /// Strategy label (`no-dedup` / `coll-dedup`).
-    pub strategy: String,
-    /// Redundancy-policy label (`rep3` / `rs4+2` / `auto4+2`).
-    pub policy: String,
-    /// World size (one rank per node).
-    pub ranks: u32,
-    /// Bounded healer steps driven to convergence, counted across
-    /// resumes by the persisted cursor.
-    pub heal_steps: u64,
-    /// Payload bytes the healer re-replicated or reconstructed.
-    pub heal_bytes: u64,
-    /// Wall time of the (resumed) background heal, milliseconds.
-    pub recovery_ms: f64,
-    /// Foreground dump wall time alone on the healthy cluster, ms.
-    pub baseline_dump_ms: f64,
-    /// Foreground dump wall time while the healer ran, ms.
-    pub contended_dump_ms: f64,
-    /// `contended_dump_ms / baseline_dump_ms`.
-    pub foreground_slowdown: f64,
-    /// The healer reached `Done` with nothing unrepairable (and, for gc
-    /// drills, every superseded generation collected).
-    pub converged: bool,
-    /// Healed and foreground generations both restored byte-exactly.
-    pub restore_verified: bool,
-}
-
-/// One measured dump+restore scenario of the perf harness.
-#[derive(Debug, Clone)]
-pub struct BenchScenario {
-    /// Workload label (e.g. `HPCCG`).
-    pub app: String,
-    /// Strategy label (`no-dedup` / `local-dedup` / `coll-dedup`).
-    pub strategy: String,
-    /// Replication degree.
-    pub k: u32,
-    /// Copy-mode label (`zero-copy` / `staged`).
-    pub copy_mode: String,
-    /// World size.
-    pub ranks: u32,
-    /// Chunk size in bytes.
-    pub chunk_size: u64,
-    /// Total application bytes dumped across all ranks.
-    pub input_bytes: u64,
-    /// Best dump wall time across iterations, seconds.
-    pub dump_seconds: f64,
-    /// Best restore wall time across iterations, seconds.
-    pub restore_seconds: f64,
-    /// Aggregate dump throughput at the best wall time, MiB/s.
-    pub dump_throughput_mib_s: f64,
-    /// Payload bytes memcpy'd between buffers during the dump, summed
-    /// over ranks (the `alloc_bytes_copied` accounting).
-    pub dump_bytes_copied: u64,
-    /// Payload bytes memcpy'd during the restore (process-wide delta).
-    pub restore_bytes_copied: u64,
-    /// Replication bytes pushed over RMA windows, summed over ranks.
-    pub bytes_sent_replication: u64,
-    /// Replication bytes landed in windows, summed over ranks.
-    pub bytes_received_replication: u64,
-    /// Bytes physically written across all node devices.
-    pub bytes_written_devices: u64,
-    /// Buffer-pool takes served from the shelf during the scenario.
-    pub pool_hits: u64,
-    /// Buffer-pool takes that had to allocate fresh.
-    pub pool_misses: u64,
-    /// Pool capacity served from the shelf instead of the allocator.
-    pub pool_bytes_reused: u64,
-    /// Process peak RSS (KiB) after the scenario. Monotonic across the
-    /// process, so only the growth between scenarios is attributable.
-    pub peak_rss_kib: u64,
-}
-
-/// Staged-vs-zero-copy comparison for one (strategy, K) pair — the
-/// acceptance evidence: copies reduced, wall time no worse.
-#[derive(Debug, Clone)]
-pub struct BenchComparison {
-    /// Strategy label.
-    pub strategy: String,
-    /// Replication degree.
-    pub k: u32,
-    /// Dump bytes copied under the staged (pre-change) path.
-    pub staged_bytes_copied: u64,
-    /// Dump bytes copied under the zero-copy path.
-    pub zero_copy_bytes_copied: u64,
-    /// Copy reduction, percent of the staged figure.
-    pub copy_reduction_percent: f64,
-    /// Staged dump wall time, seconds.
-    pub staged_dump_seconds: f64,
-    /// Zero-copy dump wall time, seconds.
-    pub zero_copy_dump_seconds: f64,
-    /// Whether the zero-copy dump was no slower than staged.
-    pub dump_time_no_worse: bool,
-}
-
-/// One row of the chunker × strategy × workload dedup-quality matrix.
-#[derive(Debug, Clone)]
-pub struct ChunkerScenario {
-    /// Workload label (`shifted-dup` / `insert-heavy`).
-    pub workload: String,
-    /// Strategy label (`no-dedup` / `local-dedup` / `coll-dedup`).
-    pub strategy: String,
-    /// Chunker label (`fixed` / `rabin` / `gear`).
-    pub chunker: String,
-    /// Replication degree.
-    pub k: u32,
-    /// World size.
-    pub ranks: u32,
-    /// Total application bytes dumped across all ranks.
-    pub input_bytes: u64,
-    /// Bytes physically written across all node devices.
-    pub bytes_written_devices: u64,
-    /// Dedup ratio: `input_bytes * k / bytes_written_devices`. 1.0 means
-    /// no redundancy found; higher is better.
-    pub dedup_ratio: f64,
-    /// Pure chunking throughput of this chunker over this workload's
-    /// buffers, MiB/s (cut-point scan only, no hashing).
-    pub chunking_mib_s: f64,
-    /// Best end-to-end dump wall time across iterations, seconds.
-    pub dump_seconds: f64,
-}
-
-/// Fixed-vs-CDC dedup-quality comparison for one (workload, K, chunker) —
-/// the acceptance evidence that content-defined chunking recovers the
-/// shifted redundancy fixed-stride chunking misses.
-#[derive(Debug, Clone)]
-pub struct ChunkerComparison {
-    /// Workload label.
-    pub workload: String,
-    /// Replication degree.
-    pub k: u32,
-    /// The CDC chunker being compared against fixed (`rabin` / `gear`).
-    pub chunker: String,
-    /// coll-dedup dedup ratio under fixed chunking.
-    pub fixed_dedup_ratio: f64,
-    /// coll-dedup dedup ratio under this CDC chunker.
-    pub cdc_dedup_ratio: f64,
-    /// Whether the CDC ratio strictly beats the fixed ratio.
-    pub cdc_beats_fixed: bool,
-}
-
-/// One row of the redundancy-policy × strategy × workload matrix: the
-/// storage cost of one [`replidedup_core::RedundancyPolicy`] on one
-/// workload, with the restore re-verified byte-exact after wiping as many
-/// nodes as the policy claims to tolerate.
-#[derive(Debug, Clone)]
-pub struct PolicyScenario {
-    /// Workload label (`HPCCG` / `insert-heavy`).
-    pub workload: String,
-    /// Strategy label (`no-dedup` / `coll-dedup`).
-    pub strategy: String,
-    /// Policy label (`rep2` / `rep3` / `rs4+2` / `auto4+2`).
-    pub policy: String,
-    /// Node losses the policy tolerates (`K - 1` replicated, `m` coded).
-    pub loss_tolerance: u32,
-    /// World size (one rank per node: stripes need distinct devices).
-    pub ranks: u32,
-    /// Total application bytes dumped across all ranks.
-    pub input_bytes: u64,
-    /// Bytes physically written across all node devices (data + parity).
-    pub bytes_written_devices: u64,
-    /// Parity shard bytes within `bytes_written_devices`.
-    pub parity_bytes: u64,
-    /// Chunks whose redundancy came from a stripe, summed over ranks.
-    pub chunks_coded: u64,
-    /// Best end-to-end dump wall time across iterations, seconds.
-    pub dump_seconds: f64,
-    /// Whether every rank restored byte-exactly after `loss_tolerance`
-    /// nodes were wiped (failed and revived empty).
-    pub restore_after_loss_verified: bool,
-}
-
-/// Erasure-coding vs replication storage verdict for one (workload,
-/// replicate-K) cell, plus the dedup-credit evidence — the two headline
-/// claims of the redundancy-policy subsystem.
-#[derive(Debug, Clone)]
-pub struct PolicyComparison {
-    /// Workload label.
-    pub workload: String,
-    /// The replication degree being compared against.
-    pub replicate_k: u32,
-    /// Device bytes under `Replicate(replicate_k)`, coll-dedup.
-    pub replicate_bytes_devices: u64,
-    /// Device bytes under `Rs(4+2)`, coll-dedup.
-    pub rs_bytes_devices: u64,
-    /// Whether Rs(4+2) stored strictly less than the replication row. At
-    /// `replicate_k = 3` both tolerate two losses, so this is the
-    /// like-for-like storage win.
-    pub rs_beats_replication: bool,
-    /// Parity bytes under `Rs(4+2)` with `no-dedup` (blind striping).
-    pub no_dedup_parity_bytes: u64,
-    /// Parity bytes under `Rs(4+2)` with `coll-dedup` (dedup credit).
-    pub coll_dedup_parity_bytes: u64,
-    /// Whether the dedup credit cut parity strictly below blind striping.
-    pub dedup_credit_cuts_parity: bool,
-}
-
-/// A full perf-harness run: every scenario plus the per-(strategy, K)
-/// staged-vs-zero-copy comparisons derived from them, the
-/// chunker × strategy × workload dedup-quality matrix, and the
-/// redundancy-policy matrix.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    /// ISO date of the run (file is named `BENCH_<date>.json`).
-    pub date: String,
-    /// World size shared by all scenarios.
-    pub ranks: u32,
-    /// Timed iterations per scenario (best-of is reported).
-    pub iterations: u32,
-    /// All measured scenarios.
-    pub scenarios: Vec<BenchScenario>,
-    /// Derived staged-vs-zero-copy comparisons.
-    pub comparisons: Vec<BenchComparison>,
-    /// Chunker × strategy × workload dedup-quality rows.
-    pub chunker_matrix: Vec<ChunkerScenario>,
-    /// Derived fixed-vs-CDC dedup comparisons.
-    pub chunker_comparisons: Vec<ChunkerComparison>,
-    /// Redundancy-policy × strategy × workload rows.
-    pub policy_matrix: Vec<PolicyScenario>,
-    /// Derived EC-vs-replication and dedup-credit comparisons.
-    pub policy_comparisons: Vec<PolicyComparison>,
-    /// Scripted recovery drills (fail → heal under live traffic →
-    /// verify).
-    pub drill_matrix: Vec<DrillScenario>,
-    /// Pooled-scheduler scale-out sweep: `(ranks, strategy)` cells with
-    /// the measured-vs-predicted traffic cross-check.
-    pub ranks_matrix: Vec<RanksRow>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-impl BenchReport {
-    /// Serialize as pretty-printed JSON (no external dependencies; the
-    /// output round-trips through [`validate_bench_json`]).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": \"{}\",", json_escape(BENCH_SCHEMA));
-        let _ = writeln!(s, "  \"date\": \"{}\",", json_escape(&self.date));
-        let _ = writeln!(s, "  \"ranks\": {},", self.ranks);
-        let _ = writeln!(s, "  \"iterations\": {},", self.iterations);
-        let _ = writeln!(s, "  \"scenarios\": [");
-        for (i, sc) in self.scenarios.iter().enumerate() {
-            let comma = if i + 1 < self.scenarios.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"app\": \"{}\",", json_escape(&sc.app));
-            let _ = writeln!(s, "      \"strategy\": \"{}\",", json_escape(&sc.strategy));
-            let _ = writeln!(s, "      \"k\": {},", sc.k);
-            let _ = writeln!(
-                s,
-                "      \"copy_mode\": \"{}\",",
-                json_escape(&sc.copy_mode)
-            );
-            let _ = writeln!(s, "      \"ranks\": {},", sc.ranks);
-            let _ = writeln!(s, "      \"chunk_size\": {},", sc.chunk_size);
-            let _ = writeln!(s, "      \"input_bytes\": {},", sc.input_bytes);
-            let _ = writeln!(s, "      \"dump_seconds\": {},", json_f64(sc.dump_seconds));
-            let _ = writeln!(
-                s,
-                "      \"restore_seconds\": {},",
-                json_f64(sc.restore_seconds)
-            );
-            let _ = writeln!(
-                s,
-                "      \"dump_throughput_mib_s\": {},",
-                json_f64(sc.dump_throughput_mib_s)
-            );
-            let _ = writeln!(s, "      \"dump_bytes_copied\": {},", sc.dump_bytes_copied);
-            let _ = writeln!(
-                s,
-                "      \"restore_bytes_copied\": {},",
-                sc.restore_bytes_copied
-            );
-            let _ = writeln!(
-                s,
-                "      \"bytes_sent_replication\": {},",
-                sc.bytes_sent_replication
-            );
-            let _ = writeln!(
-                s,
-                "      \"bytes_received_replication\": {},",
-                sc.bytes_received_replication
-            );
-            let _ = writeln!(
-                s,
-                "      \"bytes_written_devices\": {},",
-                sc.bytes_written_devices
-            );
-            let _ = writeln!(s, "      \"pool_hits\": {},", sc.pool_hits);
-            let _ = writeln!(s, "      \"pool_misses\": {},", sc.pool_misses);
-            let _ = writeln!(s, "      \"pool_bytes_reused\": {},", sc.pool_bytes_reused);
-            let _ = writeln!(s, "      \"peak_rss_kib\": {}", sc.peak_rss_kib);
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"comparisons\": [");
-        for (i, c) in self.comparisons.iter().enumerate() {
-            let comma = if i + 1 < self.comparisons.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"strategy\": \"{}\",", json_escape(&c.strategy));
-            let _ = writeln!(s, "      \"k\": {},", c.k);
-            let _ = writeln!(
-                s,
-                "      \"staged_bytes_copied\": {},",
-                c.staged_bytes_copied
-            );
-            let _ = writeln!(
-                s,
-                "      \"zero_copy_bytes_copied\": {},",
-                c.zero_copy_bytes_copied
-            );
-            let _ = writeln!(
-                s,
-                "      \"copy_reduction_percent\": {},",
-                json_f64(c.copy_reduction_percent)
-            );
-            let _ = writeln!(
-                s,
-                "      \"staged_dump_seconds\": {},",
-                json_f64(c.staged_dump_seconds)
-            );
-            let _ = writeln!(
-                s,
-                "      \"zero_copy_dump_seconds\": {},",
-                json_f64(c.zero_copy_dump_seconds)
-            );
-            let _ = writeln!(s, "      \"dump_time_no_worse\": {}", c.dump_time_no_worse);
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"chunker_matrix\": [");
-        for (i, sc) in self.chunker_matrix.iter().enumerate() {
-            let comma = if i + 1 < self.chunker_matrix.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"workload\": \"{}\",", json_escape(&sc.workload));
-            let _ = writeln!(s, "      \"strategy\": \"{}\",", json_escape(&sc.strategy));
-            let _ = writeln!(s, "      \"chunker\": \"{}\",", json_escape(&sc.chunker));
-            let _ = writeln!(s, "      \"k\": {},", sc.k);
-            let _ = writeln!(s, "      \"ranks\": {},", sc.ranks);
-            let _ = writeln!(s, "      \"input_bytes\": {},", sc.input_bytes);
-            let _ = writeln!(
-                s,
-                "      \"bytes_written_devices\": {},",
-                sc.bytes_written_devices
-            );
-            let _ = writeln!(s, "      \"dedup_ratio\": {},", json_f64(sc.dedup_ratio));
-            let _ = writeln!(
-                s,
-                "      \"chunking_mib_s\": {},",
-                json_f64(sc.chunking_mib_s)
-            );
-            let _ = writeln!(s, "      \"dump_seconds\": {}", json_f64(sc.dump_seconds));
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"chunker_comparisons\": [");
-        for (i, c) in self.chunker_comparisons.iter().enumerate() {
-            let comma = if i + 1 < self.chunker_comparisons.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"workload\": \"{}\",", json_escape(&c.workload));
-            let _ = writeln!(s, "      \"k\": {},", c.k);
-            let _ = writeln!(s, "      \"chunker\": \"{}\",", json_escape(&c.chunker));
-            let _ = writeln!(
-                s,
-                "      \"fixed_dedup_ratio\": {},",
-                json_f64(c.fixed_dedup_ratio)
-            );
-            let _ = writeln!(
-                s,
-                "      \"cdc_dedup_ratio\": {},",
-                json_f64(c.cdc_dedup_ratio)
-            );
-            let _ = writeln!(s, "      \"cdc_beats_fixed\": {}", c.cdc_beats_fixed);
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"policy_matrix\": [");
-        for (i, sc) in self.policy_matrix.iter().enumerate() {
-            let comma = if i + 1 < self.policy_matrix.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"workload\": \"{}\",", json_escape(&sc.workload));
-            let _ = writeln!(s, "      \"strategy\": \"{}\",", json_escape(&sc.strategy));
-            let _ = writeln!(s, "      \"policy\": \"{}\",", json_escape(&sc.policy));
-            let _ = writeln!(s, "      \"loss_tolerance\": {},", sc.loss_tolerance);
-            let _ = writeln!(s, "      \"ranks\": {},", sc.ranks);
-            let _ = writeln!(s, "      \"input_bytes\": {},", sc.input_bytes);
-            let _ = writeln!(
-                s,
-                "      \"bytes_written_devices\": {},",
-                sc.bytes_written_devices
-            );
-            let _ = writeln!(s, "      \"parity_bytes\": {},", sc.parity_bytes);
-            let _ = writeln!(s, "      \"chunks_coded\": {},", sc.chunks_coded);
-            let _ = writeln!(s, "      \"dump_seconds\": {},", json_f64(sc.dump_seconds));
-            let _ = writeln!(
-                s,
-                "      \"restore_after_loss_verified\": {}",
-                sc.restore_after_loss_verified
-            );
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"policy_comparisons\": [");
-        for (i, c) in self.policy_comparisons.iter().enumerate() {
-            let comma = if i + 1 < self.policy_comparisons.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"workload\": \"{}\",", json_escape(&c.workload));
-            let _ = writeln!(s, "      \"replicate_k\": {},", c.replicate_k);
-            let _ = writeln!(
-                s,
-                "      \"replicate_bytes_devices\": {},",
-                c.replicate_bytes_devices
-            );
-            let _ = writeln!(s, "      \"rs_bytes_devices\": {},", c.rs_bytes_devices);
-            let _ = writeln!(
-                s,
-                "      \"rs_beats_replication\": {},",
-                c.rs_beats_replication
-            );
-            let _ = writeln!(
-                s,
-                "      \"no_dedup_parity_bytes\": {},",
-                c.no_dedup_parity_bytes
-            );
-            let _ = writeln!(
-                s,
-                "      \"coll_dedup_parity_bytes\": {},",
-                c.coll_dedup_parity_bytes
-            );
-            let _ = writeln!(
-                s,
-                "      \"dedup_credit_cuts_parity\": {}",
-                c.dedup_credit_cuts_parity
-            );
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"drill_matrix\": [");
-        for (i, d) in self.drill_matrix.iter().enumerate() {
-            let comma = if i + 1 < self.drill_matrix.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"scenario\": \"{}\",", json_escape(&d.scenario));
-            let _ = writeln!(s, "      \"strategy\": \"{}\",", json_escape(&d.strategy));
-            let _ = writeln!(s, "      \"policy\": \"{}\",", json_escape(&d.policy));
-            let _ = writeln!(s, "      \"ranks\": {},", d.ranks);
-            let _ = writeln!(s, "      \"heal_steps\": {},", d.heal_steps);
-            let _ = writeln!(s, "      \"heal_bytes\": {},", d.heal_bytes);
-            let _ = writeln!(s, "      \"recovery_ms\": {},", json_f64(d.recovery_ms));
-            let _ = writeln!(
-                s,
-                "      \"baseline_dump_ms\": {},",
-                json_f64(d.baseline_dump_ms)
-            );
-            let _ = writeln!(
-                s,
-                "      \"contended_dump_ms\": {},",
-                json_f64(d.contended_dump_ms)
-            );
-            let _ = writeln!(
-                s,
-                "      \"foreground_slowdown\": {},",
-                json_f64(d.foreground_slowdown)
-            );
-            let _ = writeln!(s, "      \"converged\": {},", d.converged);
-            let _ = writeln!(s, "      \"restore_verified\": {}", d.restore_verified);
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(s, "  \"ranks_matrix\": [");
-        for (i, r) in self.ranks_matrix.iter().enumerate() {
-            let comma = if i + 1 < self.ranks_matrix.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"ranks\": {},", r.ranks);
-            let _ = writeln!(s, "      \"strategy\": \"{}\",", json_escape(&r.strategy));
-            let _ = writeln!(s, "      \"workers\": {},", r.workers);
-            let _ = writeln!(s, "      \"wall_seconds\": {},", json_f64(r.wall_seconds));
-            let _ = writeln!(
-                s,
-                "      \"measured_wire_bytes\": {},",
-                r.measured_wire_bytes
-            );
-            let _ = writeln!(
-                s,
-                "      \"measured_parity_bytes\": {},",
-                r.measured_parity_bytes
-            );
-            let _ = writeln!(
-                s,
-                "      \"predicted_wire_bytes\": {},",
-                r.predicted_wire_bytes
-            );
-            let _ = writeln!(
-                s,
-                "      \"predicted_parity_bytes\": {},",
-                r.predicted_parity_bytes
-            );
-            let _ = writeln!(s, "      \"deviation_pct\": {},", json_f64(r.deviation_pct));
-            let _ = writeln!(s, "      \"sim_within_band\": {},", r.sim_within_band);
-            let _ = writeln!(
-                s,
-                "      \"modeled_seconds\": {}",
-                json_f64(r.modeled_seconds)
-            );
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ]");
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// A parsed JSON value — the minimal model the schema check needs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Look up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document (strict enough for the bench report; rejects
-/// trailing garbage).
-pub fn parse_json(input: &str) -> Result<Json, String> {
-    let b = input.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut kv = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(kv));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                kv.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(kv));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'u') => {
-                                let hex =
-                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 sequences pass through verbatim.
-                        let ch_len = match c {
-                            0x00..=0x7F => 1,
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let chunk = b
-                            .get(*pos..*pos + ch_len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                        *pos += ch_len;
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-    }
-}
-
-/// Required numeric fields of a scenario object.
-const SCENARIO_NUM_FIELDS: [&str; 14] = [
-    "k",
-    "ranks",
-    "chunk_size",
-    "input_bytes",
-    "dump_seconds",
-    "restore_seconds",
-    "dump_throughput_mib_s",
-    "dump_bytes_copied",
-    "restore_bytes_copied",
-    "bytes_sent_replication",
-    "bytes_received_replication",
-    "bytes_written_devices",
-    "pool_hits",
-    "pool_misses",
-];
-
-/// Validate a bench-report JSON document against the
-/// [`BENCH_SCHEMA`] shape. Returns the parsed document on success so
-/// callers can make further assertions.
-pub fn validate_bench_json(input: &str) -> Result<Json, String> {
-    let doc = parse_json(input)?;
-    let schema = doc.get("schema").ok_or("missing \"schema\"")?;
-    if *schema != Json::Str(BENCH_SCHEMA.to_string()) {
-        return Err(format!("schema is {schema:?}, want {BENCH_SCHEMA:?}"));
-    }
-    match doc.get("date") {
-        Some(Json::Str(d)) if d.len() == 10 => {}
-        other => return Err(format!("bad \"date\": {other:?}")),
-    }
-    let Some(Json::Arr(scenarios)) = doc.get("scenarios") else {
-        return Err("missing \"scenarios\" array".into());
-    };
-    if scenarios.is_empty() {
-        return Err("\"scenarios\" must not be empty".into());
-    }
-    for (i, sc) in scenarios.iter().enumerate() {
-        for key in ["app", "strategy", "copy_mode"] {
-            match sc.get(key) {
-                Some(Json::Str(_)) => {}
-                other => return Err(format!("scenario {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        for key in SCENARIO_NUM_FIELDS {
-            match sc.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("scenario {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-    }
-    let Some(Json::Arr(comparisons)) = doc.get("comparisons") else {
-        return Err("missing \"comparisons\" array".into());
-    };
-    for (i, c) in comparisons.iter().enumerate() {
-        for key in [
-            "staged_bytes_copied",
-            "zero_copy_bytes_copied",
-            "copy_reduction_percent",
-            "staged_dump_seconds",
-            "zero_copy_dump_seconds",
-        ] {
-            match c.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("comparison {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        match c.get("dump_time_no_worse") {
-            Some(Json::Bool(_)) => {}
-            other => {
-                return Err(format!(
-                    "comparison {i}: bad \"dump_time_no_worse\": {other:?}"
-                ))
-            }
-        }
-    }
-    let Some(Json::Arr(matrix)) = doc.get("chunker_matrix") else {
-        return Err("missing \"chunker_matrix\" array".into());
-    };
-    if matrix.is_empty() {
-        return Err("\"chunker_matrix\" must not be empty".into());
-    }
-    for (i, sc) in matrix.iter().enumerate() {
-        for key in ["workload", "strategy", "chunker"] {
-            match sc.get(key) {
-                Some(Json::Str(_)) => {}
-                other => return Err(format!("chunker row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        for key in [
-            "k",
-            "ranks",
-            "input_bytes",
-            "bytes_written_devices",
-            "dedup_ratio",
-            "chunking_mib_s",
-            "dump_seconds",
-        ] {
-            match sc.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("chunker row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-    }
-    let Some(Json::Arr(ccs)) = doc.get("chunker_comparisons") else {
-        return Err("missing \"chunker_comparisons\" array".into());
-    };
-    for (i, c) in ccs.iter().enumerate() {
-        for key in ["workload", "chunker"] {
-            match c.get(key) {
-                Some(Json::Str(_)) => {}
-                other => return Err(format!("chunker comparison {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        for key in ["k", "fixed_dedup_ratio", "cdc_dedup_ratio"] {
-            match c.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("chunker comparison {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        match c.get("cdc_beats_fixed") {
-            Some(Json::Bool(_)) => {}
-            other => {
-                return Err(format!(
-                    "chunker comparison {i}: bad \"cdc_beats_fixed\": {other:?}"
-                ))
-            }
-        }
-    }
-    let Some(Json::Arr(policies)) = doc.get("policy_matrix") else {
-        return Err("missing \"policy_matrix\" array".into());
-    };
-    if policies.is_empty() {
-        return Err("\"policy_matrix\" must not be empty".into());
-    }
-    for (i, sc) in policies.iter().enumerate() {
-        for key in ["workload", "strategy", "policy"] {
-            match sc.get(key) {
-                Some(Json::Str(_)) => {}
-                other => return Err(format!("policy row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        for key in [
-            "loss_tolerance",
-            "ranks",
-            "input_bytes",
-            "bytes_written_devices",
-            "parity_bytes",
-            "chunks_coded",
-            "dump_seconds",
-        ] {
-            match sc.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("policy row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        match sc.get("restore_after_loss_verified") {
-            Some(Json::Bool(_)) => {}
-            other => {
-                return Err(format!(
-                    "policy row {i}: bad \"restore_after_loss_verified\": {other:?}"
-                ))
-            }
-        }
-    }
-    let Some(Json::Arr(pcs)) = doc.get("policy_comparisons") else {
-        return Err("missing \"policy_comparisons\" array".into());
-    };
-    for (i, c) in pcs.iter().enumerate() {
-        match c.get("workload") {
-            Some(Json::Str(_)) => {}
-            other => {
-                return Err(format!(
-                    "policy comparison {i}: bad \"workload\": {other:?}"
-                ))
-            }
-        }
-        for key in [
-            "replicate_k",
-            "replicate_bytes_devices",
-            "rs_bytes_devices",
-            "no_dedup_parity_bytes",
-            "coll_dedup_parity_bytes",
-        ] {
-            match c.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("policy comparison {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        for key in ["rs_beats_replication", "dedup_credit_cuts_parity"] {
-            match c.get(key) {
-                Some(Json::Bool(_)) => {}
-                other => return Err(format!("policy comparison {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-    }
-    let Some(Json::Arr(drills)) = doc.get("drill_matrix") else {
-        return Err("missing \"drill_matrix\" array".into());
-    };
-    if drills.is_empty() {
-        return Err("\"drill_matrix\" must not be empty".into());
-    }
-    for (i, d) in drills.iter().enumerate() {
-        for key in ["scenario", "strategy", "policy"] {
-            match d.get(key) {
-                Some(Json::Str(_)) => {}
-                other => return Err(format!("drill row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        for key in [
-            "ranks",
-            "heal_steps",
-            "heal_bytes",
-            "recovery_ms",
-            "baseline_dump_ms",
-            "contended_dump_ms",
-            "foreground_slowdown",
-        ] {
-            match d.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("drill row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        for key in ["converged", "restore_verified"] {
-            match d.get(key) {
-                Some(Json::Bool(_)) => {}
-                other => return Err(format!("drill row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-    }
-    let Some(Json::Arr(ranks_rows)) = doc.get("ranks_matrix") else {
-        return Err("missing \"ranks_matrix\" array".into());
-    };
-    if ranks_rows.is_empty() {
-        return Err("\"ranks_matrix\" must not be empty".into());
-    }
-    for (i, r) in ranks_rows.iter().enumerate() {
-        match r.get("strategy") {
-            Some(Json::Str(_)) => {}
-            other => return Err(format!("ranks row {i}: bad \"strategy\": {other:?}")),
-        }
-        for key in [
-            "ranks",
-            "workers",
-            "wall_seconds",
-            "measured_wire_bytes",
-            "measured_parity_bytes",
-            "predicted_wire_bytes",
-            "predicted_parity_bytes",
-            "deviation_pct",
-            "modeled_seconds",
-        ] {
-            match r.get(key) {
-                Some(Json::Num(_)) => {}
-                other => return Err(format!("ranks row {i}: bad \"{key}\": {other:?}")),
-            }
-        }
-        match r.get("sim_within_band") {
-            Some(Json::Bool(_)) => {}
-            other => return Err(format!("ranks row {i}: bad \"sim_within_band\": {other:?}")),
-        }
-    }
-    Ok(doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1356,192 +323,5 @@ mod tests {
         let s = t.render();
         assert!(s.contains("200"));
         assert!(s.contains("110"));
-    }
-
-    fn sample_report() -> BenchReport {
-        let sc = |mode: &str, copied: u64, secs: f64| BenchScenario {
-            app: "HPCCG".into(),
-            strategy: "coll-dedup".into(),
-            k: 2,
-            copy_mode: mode.into(),
-            ranks: 8,
-            chunk_size: 4096,
-            input_bytes: 1 << 20,
-            dump_seconds: secs,
-            restore_seconds: 0.01,
-            dump_throughput_mib_s: 1.0 / secs,
-            dump_bytes_copied: copied,
-            restore_bytes_copied: 1 << 20,
-            bytes_sent_replication: 1 << 19,
-            bytes_received_replication: 1 << 19,
-            bytes_written_devices: 1 << 20,
-            pool_hits: 7,
-            pool_misses: 9,
-            pool_bytes_reused: 4096,
-            peak_rss_kib: 10_000,
-        };
-        BenchReport {
-            date: "2026-08-06".into(),
-            ranks: 8,
-            iterations: 3,
-            scenarios: vec![sc("staged", 2 << 20, 0.02), sc("zero-copy", 0, 0.01)],
-            comparisons: vec![BenchComparison {
-                strategy: "coll-dedup".into(),
-                k: 2,
-                staged_bytes_copied: 2 << 20,
-                zero_copy_bytes_copied: 0,
-                copy_reduction_percent: 100.0,
-                staged_dump_seconds: 0.02,
-                zero_copy_dump_seconds: 0.01,
-                dump_time_no_worse: true,
-            }],
-            chunker_matrix: vec![ChunkerScenario {
-                workload: "shifted-dup".into(),
-                strategy: "coll-dedup".into(),
-                chunker: "gear".into(),
-                k: 2,
-                ranks: 8,
-                input_bytes: 1 << 20,
-                bytes_written_devices: 1 << 19,
-                dedup_ratio: 4.0,
-                chunking_mib_s: 900.0,
-                dump_seconds: 0.01,
-            }],
-            chunker_comparisons: vec![ChunkerComparison {
-                workload: "shifted-dup".into(),
-                k: 2,
-                chunker: "gear".into(),
-                fixed_dedup_ratio: 1.0,
-                cdc_dedup_ratio: 4.0,
-                cdc_beats_fixed: true,
-            }],
-            policy_matrix: vec![PolicyScenario {
-                workload: "HPCCG".into(),
-                strategy: "coll-dedup".into(),
-                policy: "rs4+2".into(),
-                loss_tolerance: 2,
-                ranks: 8,
-                input_bytes: 1 << 20,
-                bytes_written_devices: 3 << 19,
-                parity_bytes: 1 << 19,
-                chunks_coded: 200,
-                dump_seconds: 0.01,
-                restore_after_loss_verified: true,
-            }],
-            policy_comparisons: vec![PolicyComparison {
-                workload: "HPCCG".into(),
-                replicate_k: 3,
-                replicate_bytes_devices: 3 << 20,
-                rs_bytes_devices: 3 << 19,
-                rs_beats_replication: true,
-                no_dedup_parity_bytes: 1 << 20,
-                coll_dedup_parity_bytes: 1 << 19,
-                dedup_credit_cuts_parity: true,
-            }],
-            drill_matrix: vec![DrillScenario {
-                scenario: "healer-crash".into(),
-                strategy: "coll-dedup".into(),
-                policy: "rs4+2".into(),
-                ranks: 6,
-                heal_steps: 17,
-                heal_bytes: 1 << 20,
-                recovery_ms: 42.0,
-                baseline_dump_ms: 10.0,
-                contended_dump_ms: 12.0,
-                foreground_slowdown: 1.2,
-                converged: true,
-                restore_verified: true,
-            }],
-            ranks_matrix: vec![RanksRow {
-                ranks: 408,
-                strategy: "coll-dedup".into(),
-                workers: 8,
-                wall_seconds: 3.5,
-                measured_wire_bytes: 1 << 24,
-                measured_parity_bytes: 1 << 21,
-                predicted_wire_bytes: (1 << 24) + (1 << 16),
-                predicted_parity_bytes: 1 << 21,
-                deviation_pct: 0.4,
-                sim_within_band: true,
-                modeled_seconds: 2.9,
-            }],
-        }
-    }
-
-    #[test]
-    fn bench_report_json_round_trips_through_the_validator() {
-        let doc = validate_bench_json(&sample_report().to_json()).expect("valid report");
-        assert_eq!(
-            doc.get("schema"),
-            Some(&Json::Str(BENCH_SCHEMA.to_string()))
-        );
-        let Some(Json::Arr(scs)) = doc.get("scenarios") else {
-            panic!("scenarios missing");
-        };
-        assert_eq!(scs.len(), 2);
-        assert_eq!(scs[1].get("dump_bytes_copied"), Some(&Json::Num(0.0)));
-    }
-
-    #[test]
-    fn validator_rejects_malformed_reports() {
-        assert!(validate_bench_json("{}").is_err());
-        assert!(validate_bench_json("not json").is_err());
-        assert!(validate_bench_json("{\"schema\": \"other/v0\"}").is_err());
-        // A report whose scenario list is empty is also rejected.
-        let mut r = sample_report();
-        r.scenarios.clear();
-        assert!(validate_bench_json(&r.to_json()).is_err());
-        // Dropping a required field must fail, not pass silently.
-        let json = sample_report().to_json().replace("dump_bytes_copied", "x");
-        assert!(validate_bench_json(&json).is_err());
-        // An empty chunker matrix is rejected: v2 reports must carry the
-        // dedup-quality evidence.
-        let mut r = sample_report();
-        r.chunker_matrix.clear();
-        assert!(validate_bench_json(&r.to_json()).is_err());
-        let json = sample_report().to_json().replace("dedup_ratio", "x");
-        assert!(validate_bench_json(&json).is_err());
-        // Likewise the v3 policy matrix and its headline booleans.
-        let mut r = sample_report();
-        r.policy_matrix.clear();
-        assert!(validate_bench_json(&r.to_json()).is_err());
-        let json = sample_report()
-            .to_json()
-            .replace("rs_beats_replication", "x");
-        assert!(validate_bench_json(&json).is_err());
-        let json = sample_report().to_json().replace("parity_bytes", "x");
-        assert!(validate_bench_json(&json).is_err());
-        // And the v4 drill matrix with its recovery evidence.
-        let mut r = sample_report();
-        r.drill_matrix.clear();
-        assert!(validate_bench_json(&r.to_json()).is_err());
-        let json = sample_report().to_json().replace("recovery_ms", "x");
-        assert!(validate_bench_json(&json).is_err());
-        let json = sample_report().to_json().replace("restore_verified", "x");
-        assert!(validate_bench_json(&json).is_err());
-        let json = sample_report().to_json().replace("\"converged\"", "\"x\"");
-        assert!(validate_bench_json(&json).is_err());
-        // And the v5 ranks matrix with its sim cross-check evidence.
-        let mut r = sample_report();
-        r.ranks_matrix.clear();
-        assert!(validate_bench_json(&r.to_json()).is_err());
-        let json = sample_report().to_json().replace("sim_within_band", "x");
-        assert!(validate_bench_json(&json).is_err());
-        let json = sample_report()
-            .to_json()
-            .replace("predicted_wire_bytes", "x");
-        assert!(validate_bench_json(&json).is_err());
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a": ["A\n", {"b": -1.5e2}], "c": [true, false, null]}"#).unwrap();
-        let Some(Json::Arr(a)) = v.get("a") else {
-            panic!()
-        };
-        assert_eq!(a[0], Json::Str("A\n".into()));
-        assert_eq!(a[1].get("b"), Some(&Json::Num(-150.0)));
-        assert!(parse_json("{\"a\": 1} trailing").is_err());
-        assert!(parse_json("[1, 2").is_err());
     }
 }

@@ -48,7 +48,7 @@ pub enum AppKind {
 impl AppKind {
     /// Paper-matched warm-up defaults: HPCCG checkpoints at iteration 100
     /// of 127 (we scale to 10), CM1 every 30 time steps.
-    pub fn hpccg() -> Self {
+    pub const fn hpccg() -> Self {
         AppKind::Hpccg { warmup: 10 }
     }
 

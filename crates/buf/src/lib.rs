@@ -15,10 +15,10 @@
 //!   instead of round-tripping the system allocator.
 //! * copy accounting ([`record_copy`], [`thread_bytes_copied`],
 //!   [`process_bytes_copied`]) — every *deliberate* memcpy on the hot path
-//!   is recorded, which is what `repro --bench` reports as
-//!   `bytes_copied` and the tracer exports as the `alloc_bytes_copied`
-//!   counter. If a refactor reintroduces a staging copy, the benchmark
-//!   sees it.
+//!   is recorded, which is what `DumpStats::bytes_copied` and the
+//!   benchmark's `buf.bytes_copied` report and the tracer exports as the
+//!   `alloc_bytes_copied` counter. If a refactor reintroduces a staging
+//!   copy, `tests/zerocopy.rs` fails on the exact count.
 
 mod chunk;
 mod pool;
@@ -56,15 +56,9 @@ pub fn thread_bytes_copied() -> u64 {
 }
 
 /// Total bytes recorded by [`record_copy`] process-wide (all ranks).
+/// Monotonic: callers measure deltas.
 pub fn process_bytes_copied() -> u64 {
     PROCESS_COPIED.load(Ordering::Relaxed)
-}
-
-/// Reset the process-wide counter (the per-thread counters are monotonic;
-/// callers measure deltas). The benchmark harness resets between scenario
-/// runs so each run reports its own copies.
-pub fn reset_process_bytes_copied() {
-    PROCESS_COPIED.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

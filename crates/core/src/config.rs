@@ -235,35 +235,6 @@ impl RedundancyPolicy {
     }
 }
 
-/// How the dump pipeline moves payload bytes between the application
-/// buffer, the exchange and storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum CopyMode {
-    /// The zero-copy hot path (default): chunks are reference-counted
-    /// slices of the application buffer from chunking through RMA to
-    /// storage puts, and the exchange window is stolen (not copied) at
-    /// commit.
-    #[default]
-    ZeroCopy,
-    /// The pre-zero-copy behaviour: records are staged into per-target
-    /// `Vec<u8>` buffers before the RMA put and every stored payload is a
-    /// fresh copy. Every staging memcpy is recorded against the copy
-    /// accounting, which is how `repro --bench` measures the baseline this
-    /// refactor removes.
-    Staged,
-}
-
-impl CopyMode {
-    /// Short label used in benchmark output.
-    pub fn label(self) -> &'static str {
-        match self {
-            CopyMode::ZeroCopy => "zero-copy",
-            CopyMode::Staged => "staged",
-        }
-    }
-}
-
 /// Parameters of one `DUMP_OUTPUT` collective.
 ///
 /// Construct via [`DumpConfig::paper_defaults`] and the `with_*` builders
@@ -293,9 +264,6 @@ pub struct DumpConfig {
     pub shuffle: bool,
     /// Hash chunks across all cores inside each rank.
     pub parallel_hash: bool,
-    /// Payload movement discipline (zero-copy hot path vs the staged
-    /// baseline the benchmark compares against).
-    pub copy_mode: CopyMode,
     /// Per-chunk redundancy scheme (replication, Reed-Solomon stripes, or
     /// the automatic per-chunk choice). Defaults to the paper's `K`×
     /// replication.
@@ -314,7 +282,6 @@ impl DumpConfig {
             f_threshold: 1 << 17,
             shuffle: matches!(strategy, Strategy::CollDedup),
             parallel_hash: false,
-            copy_mode: CopyMode::ZeroCopy,
             policy: RedundancyPolicy::Replicate(3),
         }
     }
@@ -369,12 +336,6 @@ impl DumpConfig {
     /// Builder-style: enable or disable intra-rank parallel hashing.
     pub fn with_parallel_hash(mut self, parallel: bool) -> Self {
         self.parallel_hash = parallel;
-        self
-    }
-
-    /// Builder-style: select the payload movement discipline.
-    pub fn with_copy_mode(mut self, mode: CopyMode) -> Self {
-        self.copy_mode = mode;
         self
     }
 

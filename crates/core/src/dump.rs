@@ -23,10 +23,8 @@ use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire};
 use replidedup_mpi::{Comm, CommError, Tag};
 use replidedup_storage::{Cluster, DumpId, Manifest, ShardMeta, StorageError, StripeKey};
 
-use crate::config::{CopyMode, DumpConfig, Strategy};
-use crate::exchange::{
-    encode_record, parse_records, parse_records_zc, record_header, record_size, RECORD_HEADER,
-};
+use crate::config::{DumpConfig, Strategy};
+use crate::exchange::{parse_records_zc, record_header, record_size, RECORD_HEADER};
 use crate::global::{try_reduce_global_view, GlobalView};
 use crate::local::LocalIndex;
 use crate::offsets::window_plan;
@@ -384,31 +382,16 @@ fn dump_pipeline(
         }
         let target = wplan.partners[me as usize][jm1];
         let base = wplan.send_offsets[me as usize][jm1] as usize * cell;
-        match cfg.copy_mode {
-            CopyMode::ZeroCopy => {
-                // Scatter-gather: one vectored put per record, header from
-                // the stack, payload straight out of the application
-                // buffer. The cell's padding gap is never written (windows
-                // are zero-initialised), so each put moves exactly
-                // header + payload bytes.
-                for (r, &i) in list.iter().enumerate() {
-                    let body = chunk_bytes(i);
-                    let header = record_header(&fp_of(i), body.len(), payload_cap);
-                    stats.bytes_sent_replication += (RECORD_HEADER + body.len()) as u64;
-                    win.try_put_vectored(target, base + r * cell, &[&header, body])?;
-                }
-            }
-            CopyMode::Staged => {
-                // Baseline: stage full padded cells into a per-target
-                // buffer, then put the whole region. `encode_record`
-                // charges the staging memcpy to the copy accounting.
-                let mut payload = Vec::with_capacity(list.len() * cell);
-                for &i in list {
-                    encode_record(&mut payload, &fp_of(i), chunk_bytes(i), payload_cap);
-                }
-                stats.bytes_sent_replication += payload.len() as u64;
-                win.try_put(target, base, &payload)?;
-            }
+        // Scatter-gather: one vectored put per record, header from the
+        // stack, payload straight out of the application buffer. The
+        // cell's padding gap is never written (windows are
+        // zero-initialised), so each put moves exactly header + payload
+        // bytes.
+        for (r, &i) in list.iter().enumerate() {
+            let body = chunk_bytes(i);
+            let header = record_header(&fp_of(i), body.len(), payload_cap);
+            stats.bytes_sent_replication += (RECORD_HEADER + body.len()) as u64;
+            win.try_put_vectored(target, base + r * cell, &[&header, body])?;
         }
     }
     win.try_fence(comm)?;
@@ -421,11 +404,8 @@ fn dump_pipeline(
     match cfg.strategy {
         Strategy::NoDedup => {
             if !blob_coded {
-                let blob = match cfg.copy_mode {
-                    // Refcount bump: the stored blob IS the app buffer.
-                    CopyMode::ZeroCopy => data.as_bytes().clone(),
-                    CopyMode::Staged => Chunk::copy_from_slice(buf).into_bytes(),
-                };
+                // Refcount bump: the stored blob IS the app buffer.
+                let blob = data.as_bytes().clone();
                 let len = blob.len() as u64;
                 record_storage(
                     ctx.cluster
@@ -443,11 +423,8 @@ fn dump_pipeline(
                 .expect("dedup strategies build a local index");
             for &i in &keep_indices {
                 let fp = idx.in_order[i as usize];
-                let payload = match cfg.copy_mode {
-                    // Zero-copy slice of the application buffer.
-                    CopyMode::ZeroCopy => data.slice(chunk_range(i)).into_bytes(),
-                    CopyMode::Staged => Chunk::copy_from_slice(chunk_bytes(i)).into_bytes(),
-                };
+                // Zero-copy slice of the application buffer.
+                let payload = data.slice(chunk_range(i)).into_bytes();
                 let len = payload.len() as u64;
                 record_storage(
                     ctx.cluster
@@ -494,14 +471,9 @@ fn dump_pipeline(
 
     // ---- Commit: received replicas --------------------------------------
     let p = positions[me as usize] as usize;
-    // Zero-copy mode steals the window's backing allocation after the
-    // closing fence: every record parsed below is a sub-slice of it all the
-    // way into storage. Staged mode borrows and lets `parse_records` copy
-    // each payload out (charged to the copy accounting).
-    let stolen: Option<Bytes> = match cfg.copy_mode {
-        CopyMode::ZeroCopy => Some(win.take_local()),
-        CopyMode::Staged => None,
-    };
+    // Steal the window's backing allocation after the closing fence: every
+    // record parsed below is a sub-slice of it all the way into storage.
+    let window = win.take_local();
     let mut offset_records = 0u64;
     for d in 1..k as usize {
         let sender = shuffle[(p + n as usize - d) % n as usize];
@@ -510,27 +482,15 @@ fn dump_pipeline(
             continue;
         }
         let start = offset_records as usize * cell;
-        let records: Vec<(Fingerprint, Chunk)> = match &stolen {
-            Some(window) => {
-                let region = window.slice(start..start + count * cell);
-                parse_records_zc(&region, payload_cap, count)
-            }
-            None => win.with_local(|window| {
-                parse_records(&window[start..start + count * cell], payload_cap, count)
-                    .map(|rs| rs.into_iter().map(|(fp, d)| (fp, Chunk::from(d))).collect())
-            }),
-        }
-        .unwrap_or_else(|e| panic!("rank {me}: corrupt exchange region from {sender}: {e}"));
+        let region = window.slice(start..start + count * cell);
+        let records = parse_records_zc(&region, payload_cap, count)
+            .unwrap_or_else(|e| panic!("rank {me}: corrupt exchange region from {sender}: {e}"));
         stats.records_received += count as u64;
-        stats.bytes_received_replication += match cfg.copy_mode {
-            // Scatter-gather puts moved exactly header + payload per record.
-            CopyMode::ZeroCopy => records
-                .iter()
-                .map(|(_, c)| (RECORD_HEADER + c.len()) as u64)
-                .sum::<u64>(),
-            // Staged puts moved whole padded cells.
-            CopyMode::Staged => (count * cell) as u64,
-        };
+        // Scatter-gather puts moved exactly header + payload per record.
+        stats.bytes_received_replication += records
+            .iter()
+            .map(|(_, c)| (RECORD_HEADER + c.len()) as u64)
+            .sum::<u64>();
         match cfg.strategy {
             Strategy::NoDedup => {
                 // Region payloads concatenate to the sender's raw buffer;

@@ -25,25 +25,6 @@ pub const fn record_size(payload_cap: usize) -> usize {
     RECORD_HEADER + payload_cap
 }
 
-/// Append one record to `out`. `data` must fit in `payload_cap`.
-///
-/// This stages a full copy of the payload, charged to the copy accounting;
-/// the zero-copy exchange uses [`record_header`] plus a vectored put
-/// instead.
-pub fn encode_record(out: &mut Vec<u8>, fp: &Fingerprint, data: &[u8], payload_cap: usize) {
-    assert!(
-        data.len() <= payload_cap,
-        "chunk of {} exceeds payload cap {payload_cap}",
-        data.len()
-    );
-    out.extend_from_slice(fp.as_bytes());
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(data);
-    replidedup_buf::record_copy(data.len());
-    // Pad to the fixed cell size.
-    out.resize(out.len() + (payload_cap - data.len()), 0);
-}
-
 /// The [`RECORD_HEADER`]-byte header of a record whose payload is `len`
 /// bytes, as a stack array. The zero-copy exchange sends `[header, chunk]`
 /// as one vectored RMA put — the chunk's bytes never leave the application
@@ -90,38 +71,6 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// Parse exactly `count` records from the front of `buf`, copying every
-/// payload into a fresh allocation (charged to the copy accounting). The
-/// zero-copy commit path uses [`parse_records_zc`] instead.
-pub fn parse_records(
-    buf: &[u8],
-    payload_cap: usize,
-    count: usize,
-) -> Result<Vec<(Fingerprint, Bytes)>, RecordError> {
-    let cell = record_size(payload_cap);
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let start = i * cell;
-        let Some(record) = buf.get(start..start + cell) else {
-            return Err(RecordError::Truncated { at: i });
-        };
-        let fp =
-            Fingerprint::from_bytes(record[..Fingerprint::SIZE].try_into().expect("fixed slice"));
-        let len = u32::from_le_bytes(
-            record[Fingerprint::SIZE..RECORD_HEADER]
-                .try_into()
-                .expect("fixed slice"),
-        );
-        if len as usize > payload_cap {
-            return Err(RecordError::BadLength { at: i, len });
-        }
-        let payload = Bytes::copy_from_slice(&record[RECORD_HEADER..RECORD_HEADER + len as usize]);
-        replidedup_buf::record_copy(payload.len());
-        out.push((fp, payload));
-    }
-    Ok(out)
-}
-
 /// Parse exactly `count` records from the front of `buf` *without copying
 /// any payload bytes*: each returned [`Chunk`] is a zero-copy sub-slice of
 /// `buf`'s allocation. This is how the commit phase lifts received records
@@ -163,22 +112,32 @@ mod tests {
         Fingerprint::synthetic(n)
     }
 
+    /// Append one padded cell to `out`, as a vectored put of
+    /// `[record_header, data]` leaves it in a zero-initialised window.
+    fn encode_record(out: &mut Vec<u8>, fp: &Fingerprint, data: &[u8], payload_cap: usize) {
+        out.extend_from_slice(&record_header(fp, data.len(), payload_cap));
+        out.extend_from_slice(data);
+        out.resize(out.len() + (payload_cap - data.len()), 0);
+    }
+
     #[test]
     fn roundtrip_full_and_tail_chunks() {
         let mut buf = Vec::new();
         encode_record(&mut buf, &fp(1), &[0xAA; 8], 8);
         encode_record(&mut buf, &fp(2), &[0xBB; 3], 8); // short tail
         assert_eq!(buf.len(), 2 * record_size(8));
-        let records = parse_records(&buf, 8, 2).unwrap();
-        assert_eq!(records[0], (fp(1), Bytes::from(vec![0xAA; 8])));
-        assert_eq!(records[1], (fp(2), Bytes::from(vec![0xBB; 3])));
+        let records = parse_records_zc(&Bytes::from(buf), 8, 2).unwrap();
+        assert_eq!(records[0].0, fp(1));
+        assert_eq!(*records[0].1, [0xAA; 8]);
+        assert_eq!(records[1].0, fp(2));
+        assert_eq!(*records[1].1, [0xBB; 3]);
     }
 
     #[test]
     fn empty_payload_is_legal() {
         let mut buf = Vec::new();
         encode_record(&mut buf, &fp(1), &[], 8);
-        let records = parse_records(&buf, 8, 1).unwrap();
+        let records = parse_records_zc(&Bytes::from(buf), 8, 1).unwrap();
         assert_eq!(records[0].1.len(), 0);
     }
 
@@ -187,7 +146,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_record(&mut buf, &fp(1), &[1; 8], 8);
         assert_eq!(
-            parse_records(&buf, 8, 2),
+            parse_records_zc(&Bytes::from(buf), 8, 2),
             Err(RecordError::Truncated { at: 1 })
         );
     }
@@ -198,21 +157,20 @@ mod tests {
         encode_record(&mut buf, &fp(1), &[1; 8], 8);
         buf[Fingerprint::SIZE] = 0xFF; // corrupt the length field
         assert!(matches!(
-            parse_records(&buf, 8, 1),
+            parse_records_zc(&Bytes::from(buf), 8, 1),
             Err(RecordError::BadLength { at: 0, .. })
         ));
     }
 
     #[test]
     fn zero_count_parses_empty() {
-        assert_eq!(parse_records(&[], 8, 0).unwrap(), Vec::new());
+        assert_eq!(parse_records_zc(&Bytes::new(), 8, 0).unwrap(), Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "exceeds payload cap")]
     fn oversized_chunk_panics() {
-        let mut buf = Vec::new();
-        encode_record(&mut buf, &fp(1), &[1; 9], 8);
+        record_header(&fp(1), 9, 8);
     }
 
     #[test]
@@ -222,9 +180,6 @@ mod tests {
         encode_record(&mut buf, &fp(2), &[0xBB; 3], 8);
         let region = Bytes::from(buf);
         let records = parse_records_zc(&region, 8, 2).unwrap();
-        assert_eq!(records[0].0, fp(1));
-        assert_eq!(*records[0].1, [0xAA; 8]);
-        assert_eq!(*records[1].1, [0xBB; 3]);
         for (_, payload) in &records {
             assert!(
                 payload.as_bytes().shares_allocation_with(&region),
@@ -234,33 +189,21 @@ mod tests {
     }
 
     #[test]
-    fn zc_parse_matches_copying_parse() {
-        let mut buf = Vec::new();
-        for i in 0..5u64 {
-            encode_record(&mut buf, &fp(i), &vec![i as u8; (i as usize) % 9], 8);
-        }
-        let copied = parse_records(&buf, 8, 5).unwrap();
-        let zc = parse_records_zc(&Bytes::from(buf), 8, 5).unwrap();
-        assert_eq!(copied.len(), zc.len());
-        for ((fa, da), (fb, db)) in copied.iter().zip(&zc) {
-            assert_eq!(fa, fb);
-            assert_eq!(&da[..], &db[..]);
-        }
-    }
-
-    #[test]
     fn zc_parse_errors_match() {
+        // Errors name the failing record, not only the first one: a region
+        // cut mid-cell, and a bad length behind a good record.
         let mut buf = Vec::new();
         encode_record(&mut buf, &fp(1), &[1; 8], 8);
-        let short = Bytes::from(buf.clone());
+        encode_record(&mut buf, &fp(2), &[2; 8], 8);
+        let cut = Bytes::from(buf[..buf.len() - 1].to_vec());
         assert_eq!(
-            parse_records_zc(&short, 8, 2),
+            parse_records_zc(&cut, 8, 2),
             Err(RecordError::Truncated { at: 1 })
         );
-        buf[Fingerprint::SIZE] = 0xFF;
+        buf[record_size(8) + Fingerprint::SIZE] = 0xFF;
         assert!(matches!(
-            parse_records_zc(&Bytes::from(buf), 8, 1),
-            Err(RecordError::BadLength { at: 0, .. })
+            parse_records_zc(&Bytes::from(buf), 8, 2),
+            Err(RecordError::BadLength { at: 1, .. })
         ));
     }
 
@@ -268,7 +211,10 @@ mod tests {
     fn record_header_matches_encoded_record_prefix() {
         let mut buf = Vec::new();
         encode_record(&mut buf, &fp(7), &[9; 5], 8);
-        assert_eq!(record_header(&fp(7), 5, 8), buf[..RECORD_HEADER]);
+        let header = record_header(&fp(7), 5, 8);
+        assert_eq!(header[..Fingerprint::SIZE], *fp(7).as_bytes());
+        assert_eq!(header[Fingerprint::SIZE..], 5u32.to_le_bytes());
+        assert_eq!(buf[..RECORD_HEADER], header);
     }
 
     #[test]

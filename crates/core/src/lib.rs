@@ -60,7 +60,7 @@ pub mod session;
 pub mod shuffle;
 pub mod stats;
 
-pub use config::{ConfigError, CopyMode, DumpConfig, RedundancyPolicy, Strategy};
+pub use config::{ConfigError, DumpConfig, RedundancyPolicy, Strategy};
 pub use dump::{DumpContext, DumpError, DUMP_PHASES};
 pub use global::{reduce_global_view, try_reduce_global_view, GlobalEntry, GlobalView};
 pub use heal::{

@@ -208,11 +208,6 @@ impl WorldDumpStats {
     pub fn max_hashed_bytes(&self) -> u64 {
         self.ranks.iter().map(|r| r.bytes_hashed).max().unwrap_or(0)
     }
-
-    /// Total payload bytes memcpy'd across all ranks (copy accounting).
-    pub fn total_copied_bytes(&self) -> u64 {
-        self.ranks.iter().map(|r| r.bytes_copied).sum()
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,10 @@ use replidedup::bench::experiments::{
     dump_world, fig2, fig_k_sweep, fig_shuffle, tab1, STRATEGIES,
 };
 use replidedup::bench::workloads::{make_buffers, AppKind};
-use replidedup::core::{DumpConfig, Strategy};
+use replidedup::core::{DumpConfig, RedundancyPolicy, Replicator, Strategy};
+use replidedup::hash::Sha1ChunkHasher;
+use replidedup::mpi::WorldConfig;
+use replidedup::storage::{Cluster, Placement};
 
 /// Scale factor used throughout: paper's 408 procs → ~33, runs in seconds.
 const SCALE: f64 = 0.08;
@@ -225,4 +228,89 @@ fn reduction_overhead_grows_slowly_with_k() {
         totals[2] < totals[0] * 2.0,
         "K=6 reduction must stay within 2x of K=2: {totals:?}"
     );
+}
+
+#[test]
+fn ec_claim_rs_beats_replication_and_dedup_credit_cuts_parity() {
+    // The erasure-coding extension's claims, as exact device-byte counts:
+    // at equal two-loss tolerance, coll-dedup under RS 4+2 stores less
+    // than coll-dedup under 3x replication, and the HMERGE dedup credit
+    // cuts the parity RS 4+2 writes under no-dedup. Every cell survives
+    // the loss of as many nodes as its policy claims to tolerate. One rank
+    // per node: a stripe needs k + m = 6 distinct devices.
+    const N: u32 = 6;
+    let rep3 = RedundancyPolicy::Replicate(3);
+    let rs42 = RedundancyPolicy::Rs { k: 4, m: 2 };
+    let policies = [
+        RedundancyPolicy::Replicate(2),
+        rep3,
+        rs42,
+        RedundancyPolicy::Auto {
+            k: 4,
+            m: 2,
+            replicate_below: 1 << 10,
+        },
+    ];
+    for app in [AppKind::hpccg(), AppKind::insert_heavy()] {
+        let buffers = make_buffers(app, N);
+        // (strategy, policy) -> (device bytes, parity bytes)
+        let mut stored = Vec::new();
+        for policy in policies {
+            for strategy in [Strategy::NoDedup, Strategy::CollDedup] {
+                let cell = format!("{} {} {}", app.label(), strategy.label(), policy.label());
+                let cluster = Cluster::new(Placement::one_per_node(N));
+                let repl = Replicator::builder(strategy)
+                    .with_config(DumpConfig::paper_defaults(strategy).with_policy(policy))
+                    .cluster(&cluster)
+                    .hasher(&Sha1ChunkHasher)
+                    .build()
+                    .expect("valid config");
+                WorldConfig::default()
+                    .launch(N, |comm| {
+                        repl.dump(comm, 1, &buffers[comm.rank() as usize])
+                            .expect("dump succeeds")
+                    })
+                    .expect_all();
+                stored.push((
+                    (strategy, policy),
+                    (cluster.total_device_bytes(), cluster.total_parity_bytes()),
+                ));
+
+                for node in 0..policy.fault_tolerance() {
+                    cluster.fail_node(node);
+                    cluster.revive_node(node);
+                }
+                let out = WorldConfig::default()
+                    .launch(N, |comm| repl.restore(comm, 1))
+                    .expect_all();
+                for (rank, restored) in out.results.iter().enumerate() {
+                    assert!(
+                        restored.as_ref().is_ok_and(|b| *b == buffers[rank]),
+                        "{cell}: rank {rank} must restore byte-exact after {} losses",
+                        policy.fault_tolerance()
+                    );
+                }
+            }
+        }
+        let at = |strategy, policy| {
+            stored
+                .iter()
+                .find(|(key, _)| *key == (strategy, policy))
+                .expect("cell ran")
+                .1
+        };
+        let (coll_rs_bytes, coll_rs_parity) = at(Strategy::CollDedup, rs42);
+        let (coll_rep_bytes, _) = at(Strategy::CollDedup, rep3);
+        let (_, no_dedup_rs_parity) = at(Strategy::NoDedup, rs42);
+        assert!(
+            coll_rs_bytes < coll_rep_bytes,
+            "{}: rs4+2 stores {coll_rs_bytes} B, rep3 {coll_rep_bytes} B",
+            app.label()
+        );
+        assert!(
+            coll_rs_parity < no_dedup_rs_parity,
+            "{}: coll-dedup parity {coll_rs_parity} B, no-dedup {no_dedup_rs_parity} B",
+            app.label()
+        );
+    }
 }

@@ -7,11 +7,13 @@
 //!    a view of the *same allocation* (pointer equality via
 //!    [`Chunk::shares_allocation_with`]), both locally and across ranks.
 //! 2. **Dump → restore is byte-exact** for every strategy × K ∈ {2, 3},
-//!    under both copy modes, through the `Chunk`-based session API.
+//!    through the `Chunk`-based session API, and the dump copies exactly
+//!    the payload bytes it must: none for the dedup strategies, the
+//!    receive-side blob gather for no-dedup.
 
 use proptest::prelude::*;
 use replidedup::buf::Chunk;
-use replidedup::core::{CopyMode, DumpConfig, Replicator, Strategy};
+use replidedup::core::{DumpConfig, Replicator, Strategy};
 use replidedup::hash::Sha1ChunkHasher;
 use replidedup::mpi::{FrameReader, FrameWriter, WorldConfig};
 use replidedup::storage::{Cluster, Placement};
@@ -96,41 +98,57 @@ fn comm_frame_round_trip_is_zero_copy_across_ranks() {
 }
 
 /// Promise 2: dump → restore is byte-exact for every strategy × K ∈ {2, 3}
-/// under both copy modes, via the `Chunk`-based session API.
+/// via the `Chunk`-based session API, with exact per-rank copy counts.
+/// `DumpStats::bytes_copied` is read from the rank's own thread-local
+/// counter, so tests running in parallel cannot pollute it.
 #[test]
 fn dump_restore_byte_exact_all_strategies_and_k() {
     const N: u32 = 6;
     let bufs = buffers(N);
+    let len = bufs[0].len() as u64;
+    assert!(bufs.iter().all(|b| b.len() as u64 == len));
     for strategy in STRATEGIES {
         for k in [2u32, 3] {
-            for mode in [CopyMode::ZeroCopy, CopyMode::Staged] {
-                let cluster = Cluster::new(Placement::one_per_node(N));
-                let cfg = DumpConfig::paper_defaults(strategy)
-                    .with_replication(k)
-                    .with_chunk_size(CHUNK)
-                    .with_copy_mode(mode);
-                let repl = Replicator::builder(strategy)
-                    .with_config(cfg)
-                    .cluster(&cluster)
-                    .hasher(&Sha1ChunkHasher)
-                    .build()
-                    .expect("valid config");
-                let chunks: Vec<Chunk> = bufs.iter().map(|b| Chunk::from(b.clone())).collect();
-                let out = WorldConfig::default()
-                    .launch(N, |comm| {
-                        repl.dump(comm, 1, chunks[comm.rank() as usize].clone())
-                            .expect("dump succeeds");
-                        repl.restore(comm, 1).expect("restore succeeds")
-                    })
-                    .expect_all();
-                for (rank, got) in out.results.iter().enumerate() {
-                    assert!(
-                        *got == bufs[rank],
-                        "{} K={k} {}: rank {rank} restored wrong bytes",
-                        strategy.label(),
-                        mode.label()
-                    );
-                }
+            let cluster = Cluster::new(Placement::one_per_node(N));
+            let cfg = DumpConfig::paper_defaults(strategy)
+                .with_replication(k)
+                .with_chunk_size(CHUNK);
+            let repl = Replicator::builder(strategy)
+                .with_config(cfg)
+                .cluster(&cluster)
+                .hasher(&Sha1ChunkHasher)
+                .build()
+                .expect("valid config");
+            let chunks: Vec<Chunk> = bufs.iter().map(|b| Chunk::from(b.clone())).collect();
+            let out = WorldConfig::default()
+                .launch(N, |comm| {
+                    let stats = repl
+                        .dump(comm, 1, chunks[comm.rank() as usize].clone())
+                        .expect("dump succeeds");
+                    let restored = repl.restore(comm, 1).expect("restore succeeds");
+                    (stats.bytes_copied, restored)
+                })
+                .expect_all();
+            // No-dedup receivers gather each of their K-1 senders' records
+            // into one contiguous blob: one unavoidable copy of every
+            // replicated input byte. The dedup strategies store slices of
+            // the application buffer and of the stolen exchange window.
+            let want = match strategy {
+                Strategy::NoDedup => u64::from(k - 1) * len,
+                _ => 0,
+            };
+            for (rank, (copied, got)) in out.results.iter().enumerate() {
+                assert!(
+                    *got == bufs[rank],
+                    "{} K={k}: rank {rank} restored wrong bytes",
+                    strategy.label()
+                );
+                assert_eq!(
+                    *copied,
+                    want,
+                    "{} K={k}: rank {rank} dump copied {copied} payload bytes",
+                    strategy.label()
+                );
             }
         }
     }
