@@ -19,6 +19,9 @@ echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
+# Includes the thread-spawn gate: clippy.toml disallows raw std::thread
+# spawns, so every thread goes through crates/mpi/src/sched.rs unless a
+# site carries an #[allow(clippy::disallowed_methods, reason = "...")].
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --release =="
@@ -113,19 +116,6 @@ if grep -nE '\* *(cfg\.|self\.|idx\.)?chunk_size|chunk_size *\*|\* *4096|4096 *\
     crates/storage/src/manifest.rs \
     crates/storage/src/scrub.rs; then
   echo "ci: FAIL — fixed-stride chunk math outside the fixed chunker" >&2
-  exit 1
-fi
-
-echo "== thread-spawn gate (all threads go through the scheduler) =="
-# Every thread in the tree must be named and accounted for: rank bodies
-# run under sched::run_tasks, background work under sched::spawn. A raw
-# std::thread::spawn / spawn_scoped / thread::Builder outside sched.rs
-# bypasses the worker pool and the crash accounting.
-if grep -rnE 'std::thread::spawn|spawn_scoped|thread::Builder' \
-    crates tests examples \
-    --include='*.rs' \
-    | grep -v 'crates/mpi/src/sched.rs'; then
-  echo "ci: FAIL — raw thread spawn outside crates/mpi/src/sched.rs" >&2
   exit 1
 fi
 

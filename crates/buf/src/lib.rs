@@ -66,6 +66,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "needs a second OS thread to observe per-thread counters"
+    )]
     fn copy_accounting_is_per_thread_and_process_wide() {
         let t0 = thread_bytes_copied();
         let p0 = process_bytes_copied();

@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn chunker_selection_validates_and_sizes_the_cell() {
-        use replidedup_hash::{GearParams, RabinParams};
+        use replidedup_hash::GearParams;
         let base = DumpConfig::paper_defaults(Strategy::CollDedup);
         assert_eq!(base.chunker, ChunkerKind::Fixed);
         assert_eq!(base.record_payload_cap(), 4096);
@@ -451,9 +451,6 @@ mod tests {
         let gear = base.with_chunker(ChunkerKind::Gear(GearParams::default()));
         assert!(gear.validate().is_ok());
         assert_eq!(gear.record_payload_cap(), GearParams::default().max_size);
-
-        let rabin = base.with_chunker(ChunkerKind::Rabin(RabinParams::default()));
-        assert_eq!(rabin.record_payload_cap(), RabinParams::default().max_size);
 
         // no-dedup never chunks by content: the cap is transport framing.
         let nd = DumpConfig::paper_defaults(Strategy::NoDedup)

@@ -70,7 +70,7 @@ pub use local::LocalIndex;
 pub use offsets::{window_plan, WindowPlan};
 pub use plan::{plan_chunks, ChunkPlan};
 pub use repair::RepairError;
-pub use replidedup_hash::{ChunkerKind, GearParams, RabinParams};
+pub use replidedup_hash::{ChunkerKind, GearParams};
 pub use replidedup_storage::SessionId;
 pub use restore::RestoreError;
 pub use retry::{Backoff, RetryPolicy};

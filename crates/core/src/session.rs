@@ -153,10 +153,9 @@ impl<'a> ReplicatorBuilder<'a> {
     }
 
     /// Chunking algorithm (default: fixed-size, the paper's scheme).
-    /// Content-defined kinds ([`ChunkerKind::Rabin`],
-    /// [`ChunkerKind::Gear`]) carry their own min/avg/max parameters and
-    /// realign chunk boundaries under byte shifts, trading hashing
-    /// throughput for dedup on shifted duplicates.
+    /// Content-defined [`ChunkerKind::Gear`] carries its own min/avg/max
+    /// parameters and realigns chunk boundaries under byte shifts,
+    /// trading a cut-point scan for dedup on shifted duplicates.
     pub fn with_chunker(mut self, chunker: ChunkerKind) -> Self {
         self.cfg = self.cfg.with_chunker(chunker);
         self
@@ -490,13 +489,30 @@ impl<'a> Replicator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use replidedup_hash::FnvChunkHasher;
+    use replidedup_hash::{Fingerprint, Sha1};
     use replidedup_mpi::WorldConfig;
     use replidedup_storage::Placement;
     use std::error::Error as _;
 
     fn cluster(n: u32) -> Cluster {
         Cluster::new(Placement::one_per_node(n))
+    }
+
+    /// SHA-1 with the first digest byte inverted: every fingerprint differs
+    /// from plain SHA-1's, so any path that ignores the session's hasher
+    /// disagrees with the paths that use it.
+    struct FlippedSha1;
+
+    impl ChunkHasher for FlippedSha1 {
+        fn name(&self) -> &'static str {
+            "sha1-flipped"
+        }
+
+        fn fingerprint(&self, chunk: &[u8]) -> Fingerprint {
+            let mut digest = Sha1::digest(chunk);
+            digest[0] = !digest[0];
+            Fingerprint::from_bytes(digest)
+        }
     }
 
     #[test]
@@ -532,7 +548,7 @@ mod tests {
         let c = cluster(2);
         let repl = Replicator::builder(Strategy::LocalDedup)
             .cluster(&c)
-            .hasher(&FnvChunkHasher)
+            .hasher(&FlippedSha1)
             .replication(2)
             .chunk_size(128)
             .f_threshold(64)
@@ -570,6 +586,49 @@ mod tests {
                 assert_eq!(restored, original, "{}", strategy.label());
             }
         }
+    }
+
+    #[test]
+    fn session_hasher_drives_dump_restore_and_scrub() {
+        let c = cluster(3);
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&c)
+            .hasher(&FlippedSha1)
+            .with_policy(RedundancyPolicy::Replicate(2))
+            .chunk_size(64)
+            .tracing(true)
+            .build()
+            .unwrap();
+        let shared = [0x5Au8; 64];
+        let out = WorldConfig::default()
+            .launch(3, |comm| {
+                let mut buf = shared.repeat(4);
+                buf.extend(vec![comm.rank() as u8 + 1; 200]);
+                repl.dump(comm, 1, &buf).unwrap();
+                comm.take_trace_events();
+                let restored = repl.restore(comm, 1).unwrap() == buf;
+                let fallbacks = comm
+                    .take_trace_events()
+                    .iter()
+                    .filter(|e| e.name == "restore_replica_fallback")
+                    .count();
+                (restored, fallbacks, repl.scrub(comm).unwrap())
+            })
+            .expect_all();
+        for (restored, fallbacks, report) in out.results {
+            assert!(restored);
+            assert_eq!(fallbacks, 0, "restore must verify with the session hasher");
+            assert!(report.chunks_checked > 0);
+            assert!(
+                report.corrupt.is_empty(),
+                "scrub must re-hash with the session hasher"
+            );
+            assert!(report.is_clean(), "{report:?}");
+        }
+        // The stores are keyed by the session hasher's fingerprints.
+        let held = |fp: Fingerprint| (0..3).any(|node| c.has_chunk(node, &fp));
+        assert!(held(FlippedSha1.fingerprint(&shared)));
+        assert!(!held(Sha1ChunkHasher.fingerprint(&shared)));
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! captures memory pages. The library is explicitly meant to "be easily
 //! adapted to work with arbitrarily large chunk sizes", so the chunker is a
 //! trait with a fixed-size implementation here and a content-defined one in
-//! [`crate::rabin`].
+//! [`crate::gear`].
 
 use super::gear::{GearChunker, GearParams};
-use super::rabin::{CdcChunker, RabinParams};
 
 /// Default chunk size: one 4 KiB memory page, as in the paper.
 pub const DEFAULT_CHUNK_SIZE: usize = 4096;
@@ -95,8 +94,6 @@ pub enum ChunkerKind {
     /// Fixed-size chunking at the config's `chunk_size` (paper default).
     #[default]
     Fixed,
-    /// Rabin rolling-hash CDC ([`crate::rabin`]).
-    Rabin(RabinParams),
     /// Gear-hash CDC with SeqCDC-style skipping ([`crate::gear`]).
     Gear(GearParams),
 }
@@ -106,7 +103,6 @@ impl ChunkerKind {
     pub fn label(&self) -> &'static str {
         match self {
             ChunkerKind::Fixed => "fixed",
-            ChunkerKind::Rabin(_) => "rabin",
             ChunkerKind::Gear(_) => "gear",
         }
     }
@@ -117,17 +113,6 @@ impl ChunkerKind {
     pub fn validate(&self) -> Result<(), &'static str> {
         match self {
             ChunkerKind::Fixed => Ok(()),
-            ChunkerKind::Rabin(p) => {
-                if p.window == 0 {
-                    Err("rabin window must be positive")
-                } else if p.min_size == 0 {
-                    Err("rabin min_size must be positive")
-                } else if p.min_size > p.max_size {
-                    Err("rabin min_size must be <= max_size")
-                } else {
-                    Ok(())
-                }
-            }
             ChunkerKind::Gear(p) => p.validate(),
         }
     }
@@ -138,7 +123,6 @@ impl ChunkerKind {
     pub fn max_chunk_len(&self, fixed_size: usize) -> usize {
         match self {
             ChunkerKind::Fixed => fixed_size,
-            ChunkerKind::Rabin(p) => p.max_size,
             ChunkerKind::Gear(p) => p.max_size,
         }
     }
@@ -152,7 +136,6 @@ impl ChunkerKind {
     pub fn resolve(&self, fixed_size: usize) -> ResolvedChunker {
         match self {
             ChunkerKind::Fixed => ResolvedChunker::Fixed(FixedChunker::new(fixed_size)),
-            ChunkerKind::Rabin(p) => ResolvedChunker::Rabin(CdcChunker::new(*p)),
             ChunkerKind::Gear(p) => ResolvedChunker::Gear(GearChunker::new(*p)),
         }
     }
@@ -164,8 +147,6 @@ impl ChunkerKind {
 pub enum ResolvedChunker {
     /// Fixed-size chunking.
     Fixed(FixedChunker),
-    /// Rabin CDC.
-    Rabin(CdcChunker),
     /// Gear CDC.
     Gear(GearChunker),
 }
@@ -174,7 +155,6 @@ impl Chunker for ResolvedChunker {
     fn chunks(&self, buf: &[u8]) -> Vec<ChunkRange> {
         match self {
             ResolvedChunker::Fixed(c) => c.chunks(buf),
-            ResolvedChunker::Rabin(c) => c.chunks(buf),
             ResolvedChunker::Gear(c) => c.chunks(buf),
         }
     }
@@ -273,23 +253,13 @@ mod tests {
     fn kind_labels_and_default() {
         assert_eq!(ChunkerKind::default(), ChunkerKind::Fixed);
         assert_eq!(ChunkerKind::Fixed.label(), "fixed");
-        assert_eq!(ChunkerKind::Rabin(RabinParams::default()).label(), "rabin");
         assert_eq!(ChunkerKind::Gear(GearParams::default()).label(), "gear");
     }
 
     #[test]
     fn kind_validate_catches_bad_params() {
         assert!(ChunkerKind::Fixed.validate().is_ok());
-        assert!(ChunkerKind::Rabin(RabinParams::default())
-            .validate()
-            .is_ok());
         assert!(ChunkerKind::Gear(GearParams::default()).validate().is_ok());
-        let bad_rabin = RabinParams {
-            min_size: 10,
-            max_size: 5,
-            ..RabinParams::default()
-        };
-        assert!(ChunkerKind::Rabin(bad_rabin).validate().is_err());
         let bad_gear = GearParams {
             min_size: 0,
             avg_size: 64,
@@ -301,8 +271,6 @@ mod tests {
     #[test]
     fn kind_max_chunk_len_sizes_the_record_cell() {
         assert_eq!(ChunkerKind::Fixed.max_chunk_len(4096), 4096);
-        let r = RabinParams::default();
-        assert_eq!(ChunkerKind::Rabin(r).max_chunk_len(4096), r.max_size);
         let g = GearParams::default();
         assert_eq!(ChunkerKind::Gear(g).max_chunk_len(4096), g.max_size);
     }
@@ -315,12 +283,6 @@ mod tests {
         assert_eq!(
             ChunkerKind::Fixed.resolve(4096).chunks(&buf),
             FixedChunker::new(4096).chunks(&buf)
-        );
-        assert_eq!(
-            ChunkerKind::Rabin(RabinParams::default())
-                .resolve(4096)
-                .chunks(&buf),
-            CdcChunker::default().chunks(&buf)
         );
         assert_eq!(
             ChunkerKind::Gear(GearParams::default())

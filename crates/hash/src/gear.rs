@@ -1,8 +1,7 @@
 //! Gear-based content-defined chunking (the fast CDC family).
 //!
-//! Rabin CDC ([`crate::rabin`]) pays table lookups *and* a ring-buffer
-//! pop per byte. The gear construction (Ddelta/FastCDC lineage, and the
-//! skip-and-scan structure of SeqCDC, arXiv 2505.21194) drops the explicit
+//! The gear construction (Ddelta/FastCDC lineage, and the skip-and-scan
+//! structure of SeqCDC, arXiv 2505.21194) rolls a hash without an explicit
 //! window: the hash is
 //!
 //! ```text
@@ -45,7 +44,7 @@ pub struct GearParams {
 impl Default for GearParams {
     fn default() -> Self {
         // Expected chunk ~1 KiB + 4 KiB mask target, same scale as the
-        // paper's 4 KiB page and the Rabin defaults.
+        // paper's 4 KiB page.
         Self {
             min_size: 1 << 10,
             avg_size: 1 << 12,

@@ -134,6 +134,10 @@ impl SchedSlot {
 /// closure receives the [`SchedSlot`] it must park through at blocking
 /// edges. Returns per-task join results in task order; panics are carried
 /// as `Err` payloads exactly as `JoinHandle::join` reports them.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the scheduler is the one owner of rank threads"
+)]
 pub fn run_tasks<T, F>(
     name_prefix: &str,
     workers: Option<NonZeroUsize>,
@@ -169,6 +173,10 @@ where
 /// Spawn a named detached background thread (e.g. a concurrent healer
 /// session racing a dump). The one sanctioned escape hatch from the
 /// worker-pool world for `'static` work; join it via the returned handle.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the scheduler is the one owner of background threads"
+)]
 pub fn spawn<T, F>(name: &str, f: F) -> std::thread::JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,

@@ -178,11 +178,6 @@ impl Manifest {
         }
     }
 
-    /// Is chunk `i` stored as an erasure-coded stripe?
-    pub fn is_coded(&self, i: usize) -> bool {
-        self.coded.binary_search(&(i as u64)).is_ok()
-    }
-
     /// Byte length of chunk `i`.
     pub fn chunk_len(&self, i: usize) -> usize {
         self.chunk_lens[i] as usize

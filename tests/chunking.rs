@@ -2,9 +2,8 @@
 //! chunker, committed golden cut-point vectors, and the end-to-end
 //! dedup-quality claim (CDC recovers shifted redundancy, fixed does not).
 //!
-//! The golden fixtures under `tests/golden/` pin the exact cut points of
-//! the default-parameter Rabin and gear chunkers on a seeded 1 MiB
-//! buffer. Cut points are on-disk format: chunk boundaries determine
+//! The golden fixture under `tests/golden/` pins the exact cut points of
+//! the default-parameter gear chunker on a seeded 1 MiB buffer. Cut points are on-disk format: chunk boundaries determine
 //! fingerprints, so a silent change would orphan every stored chunk.
 //! Regenerate (after a *deliberate* format change) with:
 //!
@@ -16,7 +15,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use replidedup::bench::workloads::{make_buffers, AppKind};
-use replidedup::core::{ChunkerKind, GearParams, RabinParams, Replicator, Strategy};
+use replidedup::core::{ChunkerKind, GearParams, Replicator, Strategy};
 use replidedup::hash::{ChunkRange, Chunker, Sha1ChunkHasher};
 use replidedup::mpi::WorldConfig;
 use replidedup::storage::{Cluster, Placement};
@@ -46,16 +45,9 @@ fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
 
 /// Small-parameter chunkers so proptest cases stay fast while still
 /// exercising min/avg/max interplay. The fixed stride is 64 bytes.
-fn small_kinds() -> [ChunkerKind; 3] {
+fn small_kinds() -> [ChunkerKind; 2] {
     [
         ChunkerKind::Fixed,
-        ChunkerKind::Rabin(RabinParams {
-            window: 16,
-            mask: 63,
-            mask_value: 0,
-            min_size: 32,
-            max_size: 512,
-        }),
         ChunkerKind::Gear(GearParams {
             min_size: 32,
             avg_size: 64,
@@ -97,7 +89,6 @@ fn assert_tiling(ranges: &[ChunkRange], len: usize, what: &str) {
 fn assert_bounds(kind: ChunkerKind, ranges: &[ChunkRange], what: &str) {
     let (min, max) = match kind {
         ChunkerKind::Fixed => (SMALL_FIXED, SMALL_FIXED),
-        ChunkerKind::Rabin(p) => (p.min_size, p.max_size),
         ChunkerKind::Gear(p) => (p.min_size, p.max_size),
         _ => unreachable!(),
     };
@@ -165,10 +156,10 @@ proptest! {
         }
     }
 
-    /// Shift resilience: prepend a misaligning prefix and the CDC chunkers
-    /// re-synchronize, reproducing most of the original chunks verbatim —
+    /// Shift resilience: prepend a misaligning prefix and the CDC chunker
+    /// re-synchronizes, reproducing most of the original chunks verbatim —
     /// while fixed chunking is demonstrably *not* shift-resilient: it
-    /// recovers strictly fewer chunks than either CDC chunker (and almost
+    /// recovers strictly fewer chunks than the CDC chunker (and almost
     /// none in absolute terms).
     #[test]
     fn prop_cdc_is_shift_resilient_and_fixed_is_not(
@@ -179,8 +170,8 @@ proptest! {
         let mut shifted = seeded_bytes(!seed, prefix_len);
         shifted.extend_from_slice(&base);
 
-        let mut shared = [0usize; 3];
-        let mut total = [0usize; 3];
+        let mut shared = [0usize; 2];
+        let mut total = [0usize; 2];
         for (i, kind) in small_kinds().into_iter().enumerate() {
             let chunker = kind.resolve(SMALL_FIXED);
             let ra = chunker.chunks(&base);
@@ -188,15 +179,13 @@ proptest! {
             shared[i] = shared_chunk_contents(&base, &ra, &shifted, &rb);
             total[i] = ra.len();
         }
-        let [fixed, rabin, gear] = shared;
+        let [fixed, gear] = shared;
         // CDC re-finds at least half the original chunks…
-        prop_assert!(rabin * 2 >= total[1], "rabin shared only {rabin}/{}", total[1]);
-        prop_assert!(gear * 2 >= total[2], "gear shared only {gear}/{}", total[2]);
+        prop_assert!(gear * 2 >= total[1], "gear shared only {gear}/{}", total[1]);
         // …while fixed chunking finds (next to) nothing: the prefix is
         // never stride-aligned, so every 64-byte cell shifts.
         prop_assert!(fixed * 20 <= total[0], "fixed shared {fixed}/{} — too shift-resilient", total[0]);
-        prop_assert!(fixed < rabin && fixed < gear,
-            "fixed ({fixed}) must lose to rabin ({rabin}) and gear ({gear})");
+        prop_assert!(fixed < gear, "fixed ({fixed}) must lose to gear ({gear})");
     }
 }
 
@@ -210,11 +199,8 @@ fn golden_buffer() -> Vec<u8> {
 }
 
 /// Default-parameter chunkers whose cut points are frozen on disk.
-fn golden_kinds() -> [(&'static str, ChunkerKind); 2] {
-    [
-        ("rabin", ChunkerKind::Rabin(RabinParams::default())),
-        ("gear", ChunkerKind::Gear(GearParams::default())),
-    ]
+fn golden_kinds() -> [(&'static str, ChunkerKind); 1] {
+    [("gear", ChunkerKind::Gear(GearParams::default()))]
 }
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -325,11 +311,7 @@ fn dump_written(
 #[test]
 fn shifted_dup_restores_exactly_under_every_config_and_cdc_beats_fixed() {
     let buffers = make_buffers(AppKind::shifted_dup(), 4);
-    let chunkers = [
-        ChunkerKind::Fixed,
-        ChunkerKind::Rabin(RabinParams::default()),
-        ChunkerKind::Gear(GearParams::default()),
-    ];
+    let chunkers = [ChunkerKind::Fixed, ChunkerKind::Gear(GearParams::default())];
     // The four strategy configurations of the evaluation: the three
     // paper settings plus the coll-no-shuffle ablation.
     let configs = [
@@ -355,14 +337,12 @@ fn shifted_dup_restores_exactly_under_every_config_and_cdc_beats_fixed() {
         // footprint shrinks once chunks align across ranks).
         for strategy in ["local-dedup", "coll-dedup"] {
             let fixed = written[&(strategy, true, "fixed")];
-            for cdc in ["rabin", "gear"] {
-                let w = written[&(strategy, true, cdc)];
-                assert!(
-                    w < fixed,
-                    "K={k} {strategy}: {cdc} wrote {w} bytes, fixed wrote {fixed} — \
-                     CDC must strictly beat fixed on shifted duplicates"
-                );
-            }
+            let gear = written[&(strategy, true, "gear")];
+            assert!(
+                gear < fixed,
+                "K={k} {strategy}: gear wrote {gear} bytes, fixed wrote {fixed} — \
+                 CDC must strictly beat fixed on shifted duplicates"
+            );
         }
         // coll-dedup additionally beats local-dedup under CDC where the
         // paper says it must: replication *traffic*. Local-dedup still
