@@ -141,8 +141,11 @@ pub(crate) fn dump_impl(
     comm.tracer()
         .gauge_bytes("dump_buffer_bytes", buf.len() as u64);
 
+    // Every path reaches the dump's survivor fence exactly once: degraded
+    // ranks wait there (inside `degraded_commit`) to learn which ranks died
+    // before finishing, the rest just arrive.
     match dump_pipeline(comm, ctx, data, cfg, k, &mut stats, &mut storage_err) {
-        Ok(()) => {}
+        Ok(()) => comm.fence_arrive(),
         Err(CommError::RankFailed { .. }) => {
             // A peer died mid-collective. The error may have unwound from
             // inside a traced phase; rebalance the span stack, then finish
@@ -164,6 +167,7 @@ pub(crate) fn dump_impl(
             // Deadlock suspicion with every rank alive / torn-down world:
             // nothing sane to degrade to — surface the runtime failure.
             comm.tracer().close_open_spans();
+            comm.fence_arrive();
             return Err(DumpError::Comm(e));
         }
     }
@@ -649,8 +653,8 @@ fn dump_pipeline(
 
 /// Communication-free fallback after a mid-dump rank death: re-commit
 /// *everything* this rank holds to its own node (an effective `K = 1` for
-/// this generation), record the dead ranks as absent-at-dump-time, and mark
-/// the statistics degraded.
+/// this generation), record the ranks that died before finishing the dump
+/// as absent-at-dump-time, and mark the statistics degraded.
 ///
 /// The re-commit is idempotent — chunk stores are content-addressed and
 /// manifest/blob puts overwrite — so it is safe regardless of how far the
@@ -668,7 +672,6 @@ fn degraded_commit(
     let node = ctx.cluster.node_of(me);
     let chunk_size = cfg.chunk_size;
     stats.degraded = true;
-    stats.failed_ranks = comm.failed_ranks();
     comm.enter_phase("degraded_commit");
     let mut record_storage = |r: Result<u64, StorageError>, written: &mut u64| match r {
         Ok(bytes) => *written += bytes,
@@ -725,12 +728,15 @@ fn degraded_commit(
             );
         }
     }
-    // Tombstone the dead ranks so restore can tell "absent at dump time"
-    // from "replica holders later failed". Best effort: a down local node
+    // Tombstone the ranks that died before finishing this dump so restore
+    // can tell "absent at dump time" from "replica holders later failed".
+    // The fence waits out lagging ranks: one that dies after this rank
+    // committed is still named here. Best effort: a down local node
     // already surfaced through the commit above.
-    for &r in &stats.failed_ranks {
+    for r in comm.fence_wait() {
         ctx.cluster.mark_absent(node, r, ctx.dump_id).ok();
     }
+    stats.failed_ranks = comm.failed_ranks();
     comm.exit_phase("degraded_commit");
     comm.tracer()
         .gauge_bytes("bytes_written_local", stats.bytes_written_local);

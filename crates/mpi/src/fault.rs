@@ -18,8 +18,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::comm::{Rank, Tag};
 
@@ -384,6 +384,12 @@ pub(crate) struct FaultRuntime {
     /// Ranks in death order; `death_log[e..]` are the deaths newer than
     /// epoch snapshot `e`.
     death_log: Mutex<Vec<Rank>>,
+    /// Survivor fences each rank has reached (see [`FaultRuntime::arrive`]).
+    arrivals: Vec<AtomicU64>,
+    /// Fence waiters sleep on `fence_cv` under `fence_lock`; every arrival
+    /// and every death wakes them.
+    fence_lock: Mutex<()>,
+    fence_cv: Condvar,
     pub(crate) on_crash: Option<CrashHook>,
     pub(crate) on_transient: Option<TransientHook>,
 }
@@ -398,9 +404,46 @@ impl FaultRuntime {
             dead: (0..world).map(|_| AtomicBool::new(false)).collect(),
             epoch: AtomicU64::new(0),
             death_log: Mutex::new(Vec::new()),
+            arrivals: (0..world).map(|_| AtomicU64::new(0)).collect(),
+            fence_lock: Mutex::new(()),
+            fence_cv: Condvar::new(),
             on_crash,
             on_transient,
         }
+    }
+
+    /// `rank` reaches its next survivor fence; returns that fence's
+    /// generation (1 for the first).
+    pub(crate) fn arrive(&self, rank: Rank) -> u64 {
+        let generation = self.arrivals[rank as usize].fetch_add(1, Ordering::AcqRel) + 1;
+        self.wake_fence();
+        generation
+    }
+
+    /// Block until every rank has reached fence `generation` or died, or
+    /// until `timeout` passes; return the ranks that died without reaching
+    /// it, ascending. On timeout the answer covers the deaths seen so far.
+    pub(crate) fn await_fence(&self, generation: u64, timeout: Duration) -> Vec<Rank> {
+        let ranks = 0..self.dead.len() as u32;
+        let reached = |r: Rank| self.arrivals[r as usize].load(Ordering::Acquire) >= generation;
+        let deadline = Instant::now() + timeout;
+        let mut guard = self.fence_lock.lock().unwrap();
+        while !ranks.clone().all(|r| reached(r) || self.is_dead(r)) {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            guard = self.fence_cv.wait_timeout(guard, deadline - now).unwrap().0;
+        }
+        drop(guard);
+        ranks.filter(|&r| self.is_dead(r) && !reached(r)).collect()
+    }
+
+    /// Wake fence waiters. Taking the lock orders this after any waiter's
+    /// check, so a state change made before the call is never missed.
+    fn wake_fence(&self) {
+        drop(self.fence_lock.lock().unwrap());
+        self.fence_cv.notify_all();
     }
 
     pub(crate) fn is_dead(&self, rank: Rank) -> bool {
@@ -413,6 +456,7 @@ impl FaultRuntime {
         self.dead[rank as usize].store(true, Ordering::Release);
         self.death_log.lock().unwrap().push(rank);
         self.epoch.fetch_add(1, Ordering::Release);
+        self.wake_fence();
     }
 
     pub(crate) fn epoch(&self) -> u64 {
@@ -607,5 +651,19 @@ mod tests {
         assert_eq!(rt.newly_dead(snap + 2), None);
         assert_eq!(rt.dead_ranks(), vec![0, 2]);
         assert_eq!(rt.first_dead(), Some(0));
+    }
+
+    #[test]
+    fn fence_reports_only_ranks_that_died_before_arriving() {
+        let rt = FaultRuntime::new(4, None, None);
+        assert_eq!(rt.arrive(0), 1);
+        assert_eq!(rt.arrive(1), 1);
+        rt.mark_dead(1); // arrived first: not absent from fence 1
+        rt.mark_dead(3); // never arrived
+        assert_eq!(rt.arrive(2), 1);
+        assert_eq!(rt.await_fence(1, Duration::from_secs(5)), vec![3]);
+        // Fence 2: only rank 0 arrives; the dead never do.
+        assert_eq!(rt.arrive(0), 2);
+        assert_eq!(rt.await_fence(2, Duration::from_millis(20)), vec![1, 3]);
     }
 }
