@@ -22,6 +22,11 @@ echo "== cargo clippy (deny warnings) =="
 # Includes the thread-spawn gate: clippy.toml disallows raw std::thread
 # spawns, so every thread goes through crates/mpi/src/sched.rs unless a
 # site carries an #[allow(clippy::disallowed_methods, reason = "...")].
+# Also the panic-free / unsafe gate, crate by crate: crates/hash denies
+# unsafe_code, unsafe_op_in_unsafe_fn, clippy::unwrap_used,
+# clippy::expect_used and clippy::undocumented_unsafe_blocks outside
+# tests (clippy.toml allow-*-in-tests); its one unsafe site, the SHA-NI
+# kernel, is allowed per module and carries SAFETY comments.
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --release =="

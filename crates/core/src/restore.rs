@@ -30,12 +30,14 @@
 //! restore already failed (e.g. manifest unrecoverable), so one lost rank
 //! can never deadlock the others.
 
+use std::collections::hash_map::Entry;
+
 use bytes::Bytes;
 use replidedup_buf::{global_pool, record_copy, Chunk};
-use replidedup_hash::{Fingerprint, FpHashSet};
-use replidedup_mpi::wire::{FrameReader, FrameWriter};
+use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
+use replidedup_mpi::wire::{Frame, FrameReader, FrameWriter};
 use replidedup_mpi::{Comm, CommError, Tag};
-use replidedup_storage::{DumpId, StorageError, StripeKey};
+use replidedup_storage::{DumpId, Manifest, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
@@ -77,6 +79,13 @@ pub enum RestoreError {
     /// A rank died (or a deadlock was suspected) during one of the restore
     /// protocol's collective steps.
     Comm(CommError),
+    /// A chunk batch served by `from` failed to decode — it was truncated
+    /// or malformed in flight. The rank still finishes the collective, so
+    /// the others never wait on it.
+    CorruptFrame {
+        /// Rank whose batch failed to decode.
+        from: u32,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -91,6 +100,9 @@ impl std::fmt::Display for RestoreError {
                 "rank {rank}'s data was absent when dump {dump_id} committed (degraded dump)"
             ),
             RestoreError::Comm(e) => write!(f, "communication failure during restore: {e}"),
+            RestoreError::CorruptFrame { from } => {
+                write!(f, "corrupt restore chunk batch from rank {from}")
+            }
         }
     }
 }
@@ -329,12 +341,11 @@ fn restore_chunks(
     }
     if manifest.is_none() {
         if let Some(s) = server_of[me as usize] {
-            let m: replidedup_storage::Manifest = comm.try_recv_val(s, TAG_RESTORE_MANIFEST)?;
+            let m: Manifest = comm.try_recv_val(s, TAG_RESTORE_MANIFEST)?;
             ctx.cluster.put_manifest(node, m.clone()).ok();
             manifest = Some(m);
         }
     }
-    let manifest_lost = manifest.is_none();
     comm.tracer().exit("manifest_recovery");
 
     // ---- Step 2: chunk recovery ------------------------------------------
@@ -364,10 +375,11 @@ fn restore_chunks(
         .collect();
     let all_have: Vec<Vec<bool>> = comm.try_allgather(my_have)?;
 
-    let index_of = |fp: &Fingerprint| union.binary_search(fp).expect("fp from union");
+    // Lowest-ranked holder of `fp`; `None` when no one holds it (or it is
+    // not in the union at all).
     let server_of_fp = |fp: &Fingerprint| -> Option<u32> {
-        let i = index_of(fp);
-        (0..n).find(|&s| all_have[s as usize][i])
+        let i = union.binary_search(fp).ok()?;
+        (0..n).find(|&s| all_have[s as usize].get(i) == Some(&true))
     };
 
     // Serve: group my outgoing chunks per requester into one scatter-gather
@@ -392,8 +404,10 @@ fn restore_chunks(
         }
     }
 
-    // Receive: I know exactly which servers owe me a batch.
-    let mut lost: Option<Fingerprint> = None;
+    // Receive: I know exactly which servers owe me a batch. The first
+    // failure (a lost chunk, a corrupt batch) becomes this rank's result,
+    // but the rank keeps going through every collective step.
+    let mut failure: Option<RestoreError> = None;
     let mut expected_servers: Vec<u32> = Vec::new();
     for fp in &missing {
         match server_of_fp(fp) {
@@ -413,7 +427,9 @@ fn restore_chunks(
                         comm.tracer().counter("restore_rs_reconstructed", 1);
                         ctx.cluster.put_chunk(node, *fp, data).ok();
                     }
-                    None => lost = lost.or(Some(*fp)),
+                    None => {
+                        failure.get_or_insert(RestoreError::ChunkLost(*fp));
+                    }
                 }
             }
         }
@@ -421,17 +437,18 @@ fn restore_chunks(
     expected_servers.sort_unstable();
     expected_servers.dedup();
     for s in expected_servers {
-        let mut batch = FrameReader::new(comm.try_recv_frame(s, TAG_RESTORE_CHUNKS)?);
-        while batch.remaining() > 0 {
-            let fp: Fingerprint = batch
-                .get()
-                .unwrap_or_else(|e| panic!("rank {me}: corrupt chunk batch from {s}: {e}"));
-            let data = batch
-                .take_payload()
-                .unwrap_or_else(|e| panic!("rank {me}: corrupt chunk batch from {s}: {e}"));
-            // Write back: restores the failed node's share of the data
-            // (zero-copy — the stored chunk is a slice of the frame).
-            ctx.cluster.put_chunk(node, fp, data.into_bytes()).ok();
+        match decode_chunk_batch(comm.try_recv_frame(s, TAG_RESTORE_CHUNKS)?, s) {
+            Ok(chunks) => {
+                for (fp, data) in chunks {
+                    // Write back: restores the failed node's share of the
+                    // data (zero-copy — the stored chunk is a slice of the
+                    // frame).
+                    ctx.cluster.put_chunk(node, fp, data.into_bytes()).ok();
+                }
+            }
+            Err(e) => {
+                failure.get_or_insert(e);
+            }
         }
     }
 
@@ -441,47 +458,64 @@ fn restore_chunks(
 
     // ---- Step 3: reassemble ----------------------------------------------
     comm.tracer().enter("reassemble");
-    let result = if manifest_lost && absent {
-        Err(RestoreError::AbsentAtDump {
+    let result = match (manifest, failure) {
+        (None, _) if absent => Err(RestoreError::AbsentAtDump {
             rank: me,
             dump_id: ctx.dump_id,
-        })
-    } else if manifest_lost {
-        Err(RestoreError::ManifestLost { rank: me })
-    } else if let Some(fp) = lost {
-        Err(RestoreError::ChunkLost(fp))
-    } else {
-        let m = manifest.expect("checked above");
-        // Pool-recycled reassembly buffer; the gather below is the one
-        // unavoidable copy of a chunked restore (scattered chunks into a
-        // contiguous buffer), so it is charged to the copy accounting. The
-        // filled buffer freezes into the returned `Chunk` without another
-        // copy.
-        let mut buf = global_pool().take(m.total_len as usize);
-        let mut err = None;
-        for (i, fp) in m.chunks.iter().enumerate() {
-            // Verified reassemble: every chunk is re-hashed before use, so
-            // silent bit rot can never leak into a restored buffer.
-            match fetch_verified(comm, ctx, policy, node, fp) {
-                Ok(data) => {
-                    debug_assert_eq!(data.len(), m.chunk_len(i), "chunk {i} length mismatch");
-                    buf.extend_from_slice(&data);
-                    record_copy(data.len());
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(Chunk::from(buf)),
-        }
+        }),
+        (None, _) => Err(RestoreError::ManifestLost { rank: me }),
+        (Some(_), Some(e)) => Err(e),
+        (Some(m), None) => reassemble(comm, ctx, policy, node, &m),
     };
     comm.try_barrier()?;
     comm.tracer().exit("reassemble");
     result
+}
+
+/// Decode one chunk batch served by rank `from` into `(fingerprint,
+/// payload)` pairs. A frame that fails to decode is
+/// [`RestoreError::CorruptFrame`], never a panic.
+fn decode_chunk_batch(frame: Frame, from: u32) -> Result<Vec<(Fingerprint, Chunk)>, RestoreError> {
+    let corrupt = |_| RestoreError::CorruptFrame { from };
+    let mut batch = FrameReader::new(frame);
+    let mut chunks = Vec::new();
+    while batch.remaining() > 0 {
+        let fp: Fingerprint = batch.get().map_err(corrupt)?;
+        chunks.push((fp, batch.take_payload().map_err(corrupt)?));
+    }
+    Ok(chunks)
+}
+
+/// Gather `m`'s chunks into this rank's buffer. Verified reassemble: each
+/// distinct fingerprint is fetched through [`fetch_verified`] (re-hashed,
+/// with quarantine and fallback) exactly once, so silent bit rot can never
+/// leak into a restored buffer; repeat references reuse the same
+/// refcounted bytes.
+fn reassemble(
+    comm: &mut Comm,
+    ctx: &DumpContext<'_>,
+    policy: &RetryPolicy,
+    node: replidedup_storage::NodeId,
+    m: &Manifest,
+) -> Result<Chunk, RestoreError> {
+    // Pool-recycled reassembly buffer; the gather below is the one
+    // unavoidable copy of a chunked restore (scattered chunks into a
+    // contiguous buffer), so it is charged to the copy accounting. The
+    // filled buffer freezes into the returned `Chunk` without another copy.
+    let mut buf = global_pool().take(m.total_len as usize);
+    let mut verified: FpHashMap<Bytes> = FpHashMap::default();
+    for (i, fp) in m.chunks.iter().enumerate() {
+        let data = match verified.entry(*fp) {
+            Entry::Occupied(e) => e.get().clone(),
+            Entry::Vacant(e) => e
+                .insert(fetch_verified(comm, ctx, policy, node, fp)?)
+                .clone(),
+        };
+        debug_assert_eq!(data.len(), m.chunk_len(i), "chunk {i} length mismatch");
+        buf.extend_from_slice(&data);
+        record_copy(data.len());
+    }
+    Ok(Chunk::from(buf))
 }
 
 #[cfg(test)]
@@ -678,6 +712,21 @@ mod tests {
         assert_eq!(served[1], vec![0]);
         assert_eq!(served[0], vec![2]);
         assert!(served[2].is_empty() && served[3].is_empty());
+    }
+
+    /// A truncated chunk batch is a typed error naming the server, not a
+    /// panic.
+    #[test]
+    fn truncated_chunk_batch_is_a_typed_error_not_a_panic() {
+        // A fingerprint whose payload length promises 64 bytes that never
+        // follow.
+        let mut cut = FrameWriter::new();
+        cut.put(&Fingerprint::synthetic(1));
+        cut.put(&64u64);
+        assert_eq!(
+            decode_chunk_batch(cut.finish(), 3).map(|c| c.len()),
+            Err(RestoreError::CorruptFrame { from: 3 })
+        );
     }
 
     #[test]

@@ -493,6 +493,7 @@ mod tests {
     use replidedup_mpi::WorldConfig;
     use replidedup_storage::Placement;
     use std::error::Error as _;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cluster(n: u32) -> Cluster {
         Cluster::new(Placement::one_per_node(n))
@@ -512,6 +513,21 @@ mod tests {
             let mut digest = Sha1::digest(chunk);
             digest[0] = !digest[0];
             Fingerprint::from_bytes(digest)
+        }
+    }
+
+    /// SHA-1 that counts its calls, to pin how often a path hashes.
+    #[derive(Default)]
+    struct CountingSha1(AtomicUsize);
+
+    impl ChunkHasher for CountingSha1 {
+        fn name(&self) -> &'static str {
+            "sha1-counting"
+        }
+
+        fn fingerprint(&self, chunk: &[u8]) -> Fingerprint {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Sha1ChunkHasher.fingerprint(chunk)
         }
     }
 
@@ -629,6 +645,40 @@ mod tests {
         let held = |fp: Fingerprint| (0..3).any(|node| c.has_chunk(node, &fp));
         assert!(held(FlippedSha1.fingerprint(&shared)));
         assert!(!held(Sha1ChunkHasher.fingerprint(&shared)));
+    }
+
+    /// A healthy restore verifies each distinct chunk once, however many
+    /// times the manifest references it.
+    #[test]
+    fn healthy_restore_hashes_each_distinct_chunk_once() {
+        let c = cluster(3);
+        let hasher = CountingSha1::default();
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&c)
+            .hasher(&hasher)
+            .replication(2)
+            .chunk_size(64)
+            .build()
+            .unwrap();
+        // Per rank: R = 4 + 2 + 1 = 7 chunk references to D = 3 distinct
+        // chunks (one shared by every rank, one private, one tail).
+        let buffer = |rank: u32| {
+            let mut buf = [0x5Au8; 64].repeat(4);
+            buf.extend([rank as u8 + 1; 128]);
+            buf.extend([0xC3; 20]);
+            buf
+        };
+        WorldConfig::default()
+            .launch(3, |comm| repl.dump(comm, 1, buffer(comm.rank())).unwrap())
+            .expect_all();
+        hasher.0.store(0, Ordering::Relaxed);
+        let out = WorldConfig::default()
+            .launch(3, |comm| {
+                repl.restore(comm, 1).unwrap() == buffer(comm.rank())
+            })
+            .expect_all();
+        assert!(out.results.into_iter().all(|ok| ok));
+        assert_eq!(hasher.0.load(Ordering::Relaxed), 3 * 3, "3 ranks × D");
     }
 
     #[test]

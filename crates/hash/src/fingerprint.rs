@@ -34,7 +34,8 @@ impl Fingerprint {
     /// First eight digest bytes as a little-endian integer; used as the
     /// table hash and for cheap deterministic tie-breaking.
     pub fn prefix64(&self) -> u64 {
-        u64::from_le_bytes(self.0[..8].try_into().unwrap())
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.0;
+        u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
     }
 
     /// A fingerprint that is all zeros — handy sentinel for tests.
