@@ -20,8 +20,10 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
 # Includes the thread-spawn gate: clippy.toml disallows raw std::thread
-# spawns, so every thread goes through crates/mpi/src/sched.rs unless a
-# site carries an #[allow(clippy::disallowed_methods, reason = "...")].
+# spawns, so every thread goes through crates/mpi/src/sched.rs, and raw
+# std::thread::sleep, so every rank sleeps through Comm::sleep (which
+# parks its worker slot), unless a site carries an
+# #[allow(clippy::disallowed_methods, reason = "...")].
 # Also the panic-free / unsafe gate, crate by crate: crates/hash denies
 # unsafe_code, unsafe_op_in_unsafe_fn, clippy::unwrap_used,
 # clippy::expect_used and clippy::undocumented_unsafe_blocks outside

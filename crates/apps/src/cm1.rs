@@ -228,18 +228,24 @@ impl Cm1 {
         let below = self.rank.checked_sub(1);
         let above = (self.rank + 1 < self.size).then(|| self.rank + 1);
         if let Some(nb) = below {
-            comm.send_val(nb, TAG_ROW_DOWN, &self.theta[..nx].to_vec());
+            comm.try_send_val(nb, TAG_ROW_DOWN, &self.theta[..nx].to_vec())
+                .unwrap_or_else(|e| panic!("CM1 halo exchange with rank {nb}: {e}"));
         }
         if let Some(na) = above {
-            comm.send_val(na, TAG_ROW_UP, &self.theta[(self.ny - 1) * nx..].to_vec());
+            comm.try_send_val(na, TAG_ROW_UP, &self.theta[(self.ny - 1) * nx..].to_vec())
+                .unwrap_or_else(|e| panic!("CM1 halo exchange with rank {na}: {e}"));
         }
         let ambient = vec![self.cfg.theta0; nx];
         let below_row = match below {
-            Some(nb) => comm.recv_val(nb, TAG_ROW_UP),
+            Some(nb) => comm
+                .try_recv_val(nb, TAG_ROW_UP)
+                .unwrap_or_else(|e| panic!("CM1 halo exchange with rank {nb}: {e}")),
             None => ambient.clone(),
         };
         let above_row = match above {
-            Some(na) => comm.recv_val(na, TAG_ROW_DOWN),
+            Some(na) => comm
+                .try_recv_val(na, TAG_ROW_DOWN)
+                .unwrap_or_else(|e| panic!("CM1 halo exchange with rank {na}: {e}")),
             None => ambient,
         };
         (below_row, above_row)

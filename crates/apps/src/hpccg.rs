@@ -214,18 +214,24 @@ impl Hpccg {
         let above = (self.rank + 1 < self.size).then(|| self.rank + 1);
         // Send my boundary planes outward.
         if let Some(nb) = below {
-            comm.send_val(nb, TAG_HALO_DOWN, &v[..self.plane].to_vec());
+            comm.try_send_val(nb, TAG_HALO_DOWN, &v[..self.plane].to_vec())
+                .unwrap_or_else(|e| panic!("HPCCG halo exchange with rank {nb}: {e}"));
         }
         if let Some(na) = above {
-            comm.send_val(na, TAG_HALO_UP, &v[self.nrows - self.plane..].to_vec());
+            comm.try_send_val(na, TAG_HALO_UP, &v[self.nrows - self.plane..].to_vec())
+                .unwrap_or_else(|e| panic!("HPCCG halo exchange with rank {na}: {e}"));
         }
         // Receive neighbor planes inward.
         if let Some(nb) = below {
-            let plane: Vec<f64> = comm.recv_val(nb, TAG_HALO_UP);
+            let plane: Vec<f64> = comm
+                .try_recv_val(nb, TAG_HALO_UP)
+                .unwrap_or_else(|e| panic!("HPCCG halo exchange with rank {nb}: {e}"));
             ext[self.nrows..self.nrows + self.plane].copy_from_slice(&plane);
         }
         if let Some(na) = above {
-            let plane: Vec<f64> = comm.recv_val(na, TAG_HALO_DOWN);
+            let plane: Vec<f64> = comm
+                .try_recv_val(na, TAG_HALO_DOWN)
+                .unwrap_or_else(|e| panic!("HPCCG halo exchange with rank {na}: {e}"));
             ext[self.nrows + self.plane..].copy_from_slice(&plane);
         }
         ext

@@ -328,12 +328,13 @@ impl HealReport {
     }
 }
 
-/// Pause for a debit if a limiter is active.
-fn throttle(bucket: &mut Option<TokenBucket>, bytes: u64) {
+/// Pause for a debit if a limiter is active. The pause parks the rank's
+/// worker slot, so a throttled healer never starves a pooled peer.
+fn throttle(comm: &Comm, bucket: &mut Option<TokenBucket>, bytes: u64) {
     if let Some(b) = bucket.as_mut() {
         let wait = b.debit(bytes);
         if wait > Duration::ZERO {
-            std::thread::sleep(wait);
+            comm.sleep(wait);
         }
     }
 }
@@ -672,7 +673,7 @@ pub(crate) fn heal_step_impl(
                     }
                     if let Some(shard) = cluster.rebuild_shard(*key, *index) {
                         let len = shard.data.len() as u64;
-                        throttle(bucket, len);
+                        throttle(comm, bucket, len);
                         if cluster.put_shard(node, *key, shard.meta, shard.data)? {
                             shards_rebuilt += 1;
                             bytes_reconstructed += len;
@@ -848,7 +849,7 @@ fn transfer<K: Wire + Copy>(
             batch.put(key);
             batch.attach(data);
         }
-        throttle(bucket, batch_bytes);
+        throttle(comm, bucket, batch_bytes);
         comm.try_send_frame(*dst, tag, batch.finish())?;
     }
     let mut srcs: Vec<u32> = moves

@@ -144,13 +144,14 @@ pub(crate) fn restore_impl(
 /// Run one storage read under the restore retry policy. Retries are only
 /// taken on [`StorageError::is_transient`] failures; when any happen, a
 /// zero-length `restore.retry` span marks the spot in the phase trace and
-/// the `restore_retries` counter records how many attempts it cost.
+/// the `restore_retries` counter records how many attempts it cost. The
+/// backoff parks the rank's worker slot ([`Comm::sleep`]).
 fn fetch_with_retry<T>(
     comm: &mut Comm,
     policy: &RetryPolicy,
     op: impl FnMut() -> Result<T, StorageError>,
 ) -> Result<T, StorageError> {
-    let (out, retries) = policy.run(op);
+    let (out, retries) = policy.run_with_sleep(|d| comm.sleep(d), op);
     if retries > 0 {
         comm.tracer().enter("restore.retry");
         comm.tracer().exit("restore.retry");
@@ -162,12 +163,12 @@ fn fetch_with_retry<T>(
 /// Verified chunk fetch for the reassemble step: read the local copy,
 /// re-hash it against its fingerprint, and on corruption (or a local copy
 /// that is missing / past its retry budget) fall back to any intact live
-/// replica through [`replidedup_storage::Cluster::find_chunk`]'s repair
-/// index — a deliberate storage-layer escape hatch outside the restore
-/// message protocol, taken only when the protocol's own recovery already
-/// ran and the local device still cannot produce intact bytes. Corrupt
-/// copies are quarantined wherever they are found; a rescued chunk is
-/// re-seeded locally so the next read is clean.
+/// replica by probing every other node's store directly — a deliberate
+/// storage-layer escape hatch outside the restore message protocol, taken
+/// only when the protocol's own recovery already ran and the local device
+/// still cannot produce intact bytes. Corrupt copies are quarantined
+/// wherever they are found; a rescued chunk is re-seeded locally so the
+/// next read is clean.
 fn fetch_verified(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,

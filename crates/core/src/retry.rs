@@ -114,14 +114,6 @@ impl RetryPolicy {
             }
         }
     }
-
-    /// [`RetryPolicy::run_with_sleep`] with a real thread sleep.
-    pub fn run<T>(
-        &self,
-        op: impl FnMut() -> Result<T, StorageError>,
-    ) -> (Result<T, StorageError>, u32) {
-        self.run_with_sleep(std::thread::sleep, op)
-    }
 }
 
 impl Default for RetryPolicy {

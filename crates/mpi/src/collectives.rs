@@ -4,39 +4,38 @@
 //! merge operator (the fingerprint reduction, "efficient — logarithmic in
 //! the number of processes"), an `ALLGATHER` (load dissemination for the
 //! rank shuffle), and an implicit barrier/fence around the RMA exchange.
-//! These are implemented with the textbook algorithms an MPI library would
-//! pick at these message sizes:
+//! These are exactly the collectives this module provides, implemented with
+//! the textbook algorithms an MPI library would pick at these message sizes:
 //!
 //! * barrier — dissemination (⌈log₂ N⌉ rounds),
-//! * broadcast — binomial tree,
-//! * reduce/allreduce — recursive doubling with pre/post folding for
+//! * allreduce — recursive doubling with pre/post folding for
 //!   non-power-of-two worlds,
-//! * gather — flat tree (root-bound by construction),
-//! * allgather — ring (exact N-1 steps, bandwidth-optimal),
-//! * alltoallv — direct pairwise exchange.
+//! * allgather — ring (exact N-1 steps, bandwidth-optimal).
 //!
 //! All internal messages are tagged under the reserved tag space and
 //! namespaced by the per-rank collective sequence number, so a collective
 //! can never consume a message belonging to an earlier or later operation.
 //!
-//! Every collective has a fallible `try_*` twin that surfaces rank deaths
+//! Every collective has a fallible `try_*` form that surfaces rank deaths
 //! as [`CommError`] instead of panicking. Failure semantics: at entry each
-//! rank snapshots the death epoch and refuses to start if any relevant
-//! rank is already dead; a death *during* the collective fails every
-//! blocked receive. Survivors of an interrupted collective may diverge
-//! (some completed it, some got an error — exactly like real MPI), but all
-//! of them fail deterministically at the *next* collective's entry guard,
-//! so divergence never propagates further than one operation.
+//! rank snapshots the death epoch and refuses to start if any rank is
+//! already dead; a death *during* the collective fails every blocked
+//! receive. Survivors of an interrupted collective may diverge (some
+//! completed it, some got an error — exactly like real MPI), but all of
+//! them fail deterministically at the *next* collective's entry guard, so
+//! divergence never propagates further than one operation.
 
 use bytes::Bytes;
 
-use crate::comm::{Comm, Rank};
+use crate::comm::Comm;
 use crate::fault::CommError;
 use crate::stats::Transport;
 use crate::wire::Wire;
 
 impl Comm {
-    /// Block until every rank has entered the barrier.
+    /// Block until every rank has entered the barrier. Kept for the
+    /// benchmark seam (`benchmark/src/sut.rs`); library code uses
+    /// [`Comm::try_barrier`].
     pub fn barrier(&mut self) {
         self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
     }
@@ -53,29 +52,10 @@ impl Comm {
         out
     }
 
-    /// Broadcast `value` from `root` to every rank; `value` is only read at
-    /// the root (other ranks pass `None`).
-    ///
-    /// # Panics
-    /// If the root passes `None` or `root` is out of range.
-    pub fn bcast<T: Wire>(&mut self, root: Rank, value: Option<T>) -> T {
-        self.try_bcast(root, value)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Comm::bcast`].
-    pub fn try_bcast<T: Wire>(&mut self, root: Rank, value: Option<T>) -> Result<T, CommError> {
-        self.enter_phase("coll_bcast");
-        let op = self.next_op();
-        let out = self
-            .coll_entry_guard()
-            .and_then(|epoch| self.bcast_impl(root, value, op, epoch));
-        self.exit_phase("coll_bcast");
-        out
-    }
-
     /// All-reduce with a user operator; see the `allreduce_impl` internals
-    /// in this module for algorithm and determinism guarantees.
+    /// in this module for algorithm and determinism guarantees. Kept for
+    /// the benchmark seam (`benchmark/src/sut.rs`); the mini-apps' dot
+    /// products and `reduce_global_view` call it too.
     pub fn allreduce<T, F>(&mut self, value: T, op: F) -> T
     where
         T: Wire,
@@ -100,29 +80,9 @@ impl Comm {
         out
     }
 
-    /// Gather one value per rank at `root` (rank order). Non-roots get `None`.
-    pub fn gather<T: Wire>(&mut self, root: Rank, value: T) -> Option<Vec<T>> {
-        self.try_gather(root, value)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Comm::gather`].
-    pub fn try_gather<T: Wire>(
-        &mut self,
-        root: Rank,
-        value: T,
-    ) -> Result<Option<Vec<T>>, CommError> {
-        self.enter_phase("coll_gather");
-        let op = self.next_op();
-        let out = self
-            .coll_entry_guard()
-            .and_then(|epoch| self.gather_impl(root, value, op, epoch));
-        self.exit_phase("coll_gather");
-        out
-    }
-
     /// All-gather: every rank contributes one value and receives the full
-    /// rank-ordered vector.
+    /// rank-ordered vector. Kept for the benchmark seam
+    /// (`benchmark/src/sut.rs`).
     pub fn allgather<T: Wire>(&mut self, value: T) -> Vec<T> {
         self.try_allgather(value).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -134,54 +94,6 @@ impl Comm {
         let out = self
             .coll_entry_guard()
             .and_then(|epoch| self.allgather_impl(value, op, epoch));
-        self.exit_phase("coll_allgather");
-        out
-    }
-
-    /// Personalized all-to-all of raw buffers: `sends[d]` goes to rank `d`;
-    /// returns the buffer received from each rank.
-    pub fn alltoallv(&mut self, sends: Vec<Bytes>) -> Vec<Bytes> {
-        self.try_alltoallv(sends).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Comm::alltoallv`].
-    pub fn try_alltoallv(&mut self, sends: Vec<Bytes>) -> Result<Vec<Bytes>, CommError> {
-        self.enter_phase("coll_alltoallv");
-        let op = self.next_op();
-        let out = self
-            .coll_entry_guard()
-            .and_then(|epoch| self.alltoallv_impl(sends, op, epoch));
-        self.exit_phase("coll_alltoallv");
-        out
-    }
-
-    /// Barrier over an explicit rank group (e.g. the survivors of a
-    /// faulted dump). Every group member must call this with the same
-    /// group, ascending and containing the caller; only deaths of group
-    /// members fail it.
-    pub fn try_barrier_group(&mut self, group: &[Rank]) -> Result<(), CommError> {
-        self.enter_phase("coll_barrier");
-        let op = self.next_op();
-        let out = self
-            .group_entry_guard(group)
-            .and_then(|epoch| self.barrier_group_impl(group, op, epoch));
-        self.exit_phase("coll_barrier");
-        out
-    }
-
-    /// All-gather over an explicit rank group: returns one value per group
-    /// member, in group order. Same calling convention as
-    /// [`Comm::try_barrier_group`].
-    pub fn try_allgather_group<T: Wire>(
-        &mut self,
-        group: &[Rank],
-        value: T,
-    ) -> Result<Vec<T>, CommError> {
-        self.enter_phase("coll_allgather");
-        let op = self.next_op();
-        let out = self
-            .group_entry_guard(group)
-            .and_then(|epoch| self.allgather_group_impl(group, value, op, epoch));
         self.exit_phase("coll_allgather");
         out
     }
@@ -207,87 +119,6 @@ impl Comm {
             dist <<= 1;
         }
         Ok(())
-    }
-
-    /// Dissemination barrier over the positions of `group`.
-    fn barrier_group_impl(
-        &mut self,
-        group: &[Rank],
-        op: u64,
-        epoch: Option<u64>,
-    ) -> Result<(), CommError> {
-        let n = group.len() as u32;
-        if n <= 1 {
-            return Ok(());
-        }
-        let me = self.rank();
-        let pos = group
-            .iter()
-            .position(|&r| r == me)
-            .unwrap_or_else(|| panic!("rank {me} called a group collective it is not part of"))
-            as u32;
-        let mut round = 0u32;
-        let mut dist = 1u32;
-        while dist < n {
-            let dst = group[((pos + dist) % n) as usize];
-            let src = group[((pos + n - dist) % n) as usize];
-            let tag = Self::coll_tag(op, round);
-            self.try_send_raw(dst, tag, Bytes::new(), Transport::Collective)?;
-            self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?;
-            round += 1;
-            dist <<= 1;
-        }
-        Ok(())
-    }
-
-    /// Broadcast `value` from `root` to every rank; `value` is only read at
-    /// the root (other ranks pass `None`).
-    ///
-    /// # Panics
-    /// If the root passes `None` or `root` is out of range.
-    fn bcast_impl<T: Wire>(
-        &mut self,
-        root: Rank,
-        value: Option<T>,
-        op: u64,
-        epoch: Option<u64>,
-    ) -> Result<T, CommError> {
-        let n = self.size();
-        let me = self.rank();
-        assert!(root < n, "bcast root {root} out of range for world of {n}");
-        // Rotate so the root is virtual rank 0 in a binomial tree.
-        let vrank = (me + n - root) % n;
-        let tag = Self::coll_tag(op, 0);
-        let mut payload: Option<Bytes> = if me == root {
-            Some(value.expect("bcast root must supply a value").to_bytes())
-        } else {
-            None
-        };
-        if payload.is_none() {
-            // Receive from parent: clear the lowest set bit of vrank.
-            let parent_v = vrank & (vrank - 1);
-            let parent = (parent_v + root) % n;
-            payload = Some(self.try_recv_raw_guarded(parent, tag, Transport::Collective, epoch)?);
-        }
-        let payload = payload.expect("payload present after receive");
-        // Forward to children: set each bit above the lowest set bit of
-        // vrank, as long as the resulting virtual rank is in range.
-        let lowest = if vrank == 0 {
-            n.next_power_of_two()
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut bit = 1u32;
-        while bit < lowest && bit < n {
-            let child_v = vrank | bit;
-            if child_v != vrank && child_v < n {
-                let child = (child_v + root) % n;
-                self.try_send_raw(child, tag, payload.clone(), Transport::Collective)?;
-            }
-            bit <<= 1;
-        }
-        Ok(T::from_bytes(&payload)
-            .unwrap_or_else(|e| panic!("rank {me} failed to decode bcast payload: {e}")))
     }
 
     /// All-reduce with a user operator. `op(a, b)` must be associative and
@@ -364,70 +195,6 @@ impl Comm {
         Ok(acc)
     }
 
-    /// Reduce to `root`; non-root ranks get `None`.
-    pub fn reduce<T, F>(&mut self, root: Rank, value: T, op: F) -> Option<T>
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        self.try_reduce(root, value, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Comm::reduce`].
-    pub fn try_reduce<T, F>(&mut self, root: Rank, value: T, op: F) -> Result<Option<T>, CommError>
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        // Implemented over allreduce: at the message sizes this library
-        // moves (fingerprint sets), allreduce ≈ reduce + bcast anyway, and
-        // the paper itself reasons in terms of an optimized ALLREDUCE.
-        self.enter_phase("coll_reduce");
-        let seq = self.next_op();
-        let out = self
-            .coll_entry_guard()
-            .and_then(|epoch| self.allreduce_impl(value, op, seq, epoch));
-        self.exit_phase("coll_reduce");
-        let result = out?;
-        Ok((self.rank() == root).then_some(result))
-    }
-
-    /// Gather one value per rank at `root` (rank order). Non-roots get `None`.
-    fn gather_impl<T: Wire>(
-        &mut self,
-        root: Rank,
-        value: T,
-        seq: u64,
-        epoch: Option<u64>,
-    ) -> Result<Option<Vec<T>>, CommError> {
-        let n = self.size();
-        let me = self.rank();
-        assert!(root < n, "gather root {root} out of range for world of {n}");
-        let tag = Self::coll_tag(seq, 0);
-        if me == root {
-            let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            out[me as usize] = Some(value);
-            for src in 0..n {
-                if src == me {
-                    continue;
-                }
-                let payload = self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?;
-                out[src as usize] = Some(T::from_bytes(&payload).unwrap_or_else(|e| {
-                    panic!("rank {me} failed to decode gather item from {src}: {e}")
-                }));
-            }
-            Ok(Some(
-                out.into_iter()
-                    .map(|v| v.expect("all slots filled"))
-                    .collect(),
-            ))
-        } else {
-            self.try_send_raw(root, tag, value.to_bytes(), Transport::Collective)?;
-            Ok(None)
-        }
-    }
-
     /// All-gather: every rank contributes one value and receives the full
     /// rank-ordered vector. Ring algorithm: N-1 steps, each rank forwards
     /// the block it received in the previous step.
@@ -439,112 +206,32 @@ impl Comm {
     ) -> Result<Vec<T>, CommError> {
         let n = self.size();
         let me = self.rank();
-        let group: Vec<Rank> = (0..n).collect();
-        self.ring_allgather(&group, me, seq, value.to_bytes(), epoch)
-            .map(|blocks| Self::decode_blocks(me, blocks))
-    }
-
-    /// All-gather over the positions of `group`, group-ordered result.
-    fn allgather_group_impl<T: Wire>(
-        &mut self,
-        group: &[Rank],
-        value: T,
-        seq: u64,
-        epoch: Option<u64>,
-    ) -> Result<Vec<T>, CommError> {
-        let me = self.rank();
-        assert!(
-            group.contains(&me),
-            "rank {me} called a group collective it is not part of"
-        );
-        self.ring_allgather(group, me, seq, value.to_bytes(), epoch)
-            .map(|blocks| Self::decode_blocks(me, blocks))
-    }
-
-    /// Ring all-gather over `group` positions; returns one raw block per
-    /// group member, in group order.
-    fn ring_allgather(
-        &mut self,
-        group: &[Rank],
-        me: Rank,
-        seq: u64,
-        mine: Bytes,
-        epoch: Option<u64>,
-    ) -> Result<Vec<Bytes>, CommError> {
-        let n = group.len() as u32;
-        let pos = group
-            .iter()
-            .position(|&r| r == me)
-            .expect("caller checked membership") as u32;
         let mut blocks: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
-        blocks[pos as usize] = Some(mine);
-        let right = group[((pos + 1) % n) as usize];
-        let left = group[((pos + n.max(1) - 1) % n) as usize];
-        for step in 0..n.saturating_sub(1) {
+        blocks[me as usize] = Some(value.to_bytes());
+        let right = (me + 1) % n;
+        let left = (me + n - 1) % n;
+        for step in 0..n - 1 {
             let tag = Self::coll_tag(seq, step);
-            // Forward the block that originated at position (pos - step).
-            let origin_out = ((pos + n - step) % n) as usize;
+            // Forward the block that originated at rank (me - step).
+            let origin_out = ((me + n - step) % n) as usize;
             let payload = blocks[origin_out]
                 .clone()
                 .expect("block to forward is present by induction");
             self.try_send_raw(right, tag, payload, Transport::Collective)?;
-            let origin_in = ((pos + n - step - 1) % n) as usize;
+            let origin_in = ((me + n - step - 1) % n) as usize;
             let incoming = self.try_recv_raw_guarded(left, tag, Transport::Collective, epoch)?;
             blocks[origin_in] = Some(incoming);
         }
         Ok(blocks
             .into_iter()
-            .map(|b| b.expect("ring completed: every block present"))
-            .collect())
-    }
-
-    fn decode_blocks<T: Wire>(me: Rank, blocks: Vec<Bytes>) -> Vec<T> {
-        blocks
-            .into_iter()
             .enumerate()
-            .map(|(i, bytes)| {
+            .map(|(i, block)| {
+                let bytes = block.expect("ring completed: every block present");
                 T::from_bytes(&bytes).unwrap_or_else(|e| {
                     panic!("rank {me} failed to decode allgather block {i}: {e}")
                 })
             })
-            .collect()
-    }
-
-    /// Personalized all-to-all of raw buffers: `sends[d]` goes to rank `d`;
-    /// returns the buffer received from each rank. `sends.len()` must equal
-    /// the world size; `sends[me]` is returned as-is (self copy, no traffic).
-    fn alltoallv_impl(
-        &mut self,
-        mut sends: Vec<Bytes>,
-        seq: u64,
-        epoch: Option<u64>,
-    ) -> Result<Vec<Bytes>, CommError> {
-        let n = self.size();
-        let me = self.rank();
-        assert_eq!(
-            sends.len(),
-            n as usize,
-            "alltoallv needs one buffer per rank"
-        );
-        let mut recvs: Vec<Bytes> = (0..n).map(|_| Bytes::new()).collect();
-        recvs[me as usize] = std::mem::take(&mut sends[me as usize]);
-        // Rotation schedule: at step s every rank sends to (r + s) mod N and
-        // receives from (r - s) mod N, so no destination is hit by two
-        // senders in the same step (no head-of-line blocking).
-        for step in 1..n {
-            let dst = (me + step) % n;
-            let src = (me + n - step) % n;
-            let tag = Self::coll_tag(seq, step);
-            self.try_send_raw(
-                dst,
-                tag,
-                std::mem::take(&mut sends[dst as usize]),
-                Transport::Collective,
-            )?;
-            recvs[src as usize] =
-                self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?;
-        }
-        Ok(recvs)
+            .collect())
     }
 }
 
@@ -566,23 +253,6 @@ mod tests {
                 })
                 .expect_all();
             assert_eq!(out.results.len(), n as usize);
-        }
-    }
-
-    #[test]
-    fn bcast_from_every_root() {
-        for n in [1u32, 2, 3, 5, 8] {
-            for root in 0..n {
-                let out = WorldConfig::default()
-                    .launch(n, move |comm| {
-                        let v = (comm.rank() == root).then(|| vec![root, 42u32]);
-                        comm.bcast(root, v)
-                    })
-                    .expect_all();
-                for r in out.results {
-                    assert_eq!(r, vec![root, 42]);
-                }
-            }
         }
     }
 
@@ -641,29 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_only_root_gets_result() {
-        let out = WorldConfig::default()
-            .launch(5, |comm| comm.reduce(2, 1u64, |a, b| a + b))
-            .expect_all();
-        for (rank, r) in out.results.iter().enumerate() {
-            if rank == 2 {
-                assert_eq!(*r, Some(5));
-            } else {
-                assert_eq!(*r, None);
-            }
-        }
-    }
-
-    #[test]
-    fn gather_is_rank_ordered() {
-        let out = WorldConfig::default()
-            .launch(6, |comm| comm.gather(0, comm.rank() * comm.rank()))
-            .expect_all();
-        assert_eq!(out.results[0], Some(vec![0, 1, 4, 9, 16, 25]));
-        assert!(out.results[1..].iter().all(Option::is_none));
-    }
-
-    #[test]
     fn allgather_all_sizes() {
         for n in [1u32, 2, 3, 4, 7, 9, 16] {
             let out = WorldConfig::default()
@@ -694,28 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_exchanges_personalized_buffers() {
-        let out = WorldConfig::default()
-            .launch(4, |comm| {
-                let me = comm.rank() as u8;
-                let sends: Vec<bytes::Bytes> = (0..4u8)
-                    .map(|d| bytes::Bytes::from(vec![me * 16 + d; usize::from(d) + 1]))
-                    .collect();
-                comm.alltoallv(sends)
-                    .iter()
-                    .map(|b| b.to_vec())
-                    .collect::<Vec<_>>()
-            })
-            .expect_all();
-        for (me, recvs) in out.results.iter().enumerate() {
-            for (src, buf) in recvs.iter().enumerate() {
-                assert_eq!(buf.len(), me + 1, "rank {me} from {src}");
-                assert!(buf.iter().all(|&b| b == (src * 16 + me) as u8));
-            }
-        }
-    }
-
-    #[test]
     fn collectives_compose_in_sequence() {
         // Back-to-back collectives must not steal each other's messages.
         let out = WorldConfig::default()
@@ -723,12 +348,11 @@ mod tests {
                 let sum = comm.allreduce(1u64, |a, b| a + b);
                 comm.barrier();
                 let all = comm.allgather(comm.rank());
-                let b = comm.bcast(3, (comm.rank() == 3).then_some(sum));
-                (sum, all.len() as u64, b)
+                (sum, all.len() as u64)
             })
             .expect_all();
         for r in out.results {
-            assert_eq!(r, (5, 5, 5));
+            assert_eq!(r, (5, 5));
         }
     }
 
@@ -796,28 +420,6 @@ mod tests {
             assert_eq!(
                 *second,
                 Err(CommError::RankFailed { rank: 1 }),
-                "rank {rank}"
-            );
-        }
-    }
-
-    #[test]
-    fn group_collectives_run_among_survivors() {
-        let plan = FaultPlan::new(13).crash(2, FaultTrigger::PhaseStart("coll_barrier".into()));
-        let out = fault_config(plan).launch(5, |comm| {
-            let _ = comm.try_barrier();
-            let group = comm.live_ranks();
-            comm.try_barrier_group(&group)?;
-            comm.try_allgather_group(&group, comm.rank() * 10)
-        });
-        assert_eq!(out.crashed_ranks(), vec![2]);
-        for (rank, o) in out.outcomes.iter().enumerate() {
-            if rank == 2 {
-                continue;
-            }
-            assert_eq!(
-                o.as_completed().unwrap(),
-                &Ok(vec![0, 10, 30, 40]),
                 "rank {rank}"
             );
         }

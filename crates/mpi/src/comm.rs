@@ -516,11 +516,6 @@ impl Comm {
         self.tag_ns = wire::session_tag(ns, 0);
     }
 
-    /// The session namespace user tags are currently scoped to.
-    pub fn tag_namespace(&self) -> u16 {
-        wire::tag_session(self.tag_ns)
-    }
-
     /// Fold the active session namespace into a user tag.
     fn ns_tag(&self, tag: Tag) -> Tag {
         debug_assert_eq!(
@@ -552,19 +547,17 @@ impl Comm {
             .unwrap_or_default()
     }
 
-    /// Ranks still alive, ascending (all ranks without a fault plan).
-    pub fn live_ranks(&self) -> Vec<Rank> {
-        match &self.fault_rt {
-            Some(rt) => (0..self.size).filter(|&r| !rt.is_dead(r)).collect(),
-            None => (0..self.size).collect(),
-        }
-    }
-
-    /// Whether any rank has died so far.
-    pub fn any_failed(&self) -> bool {
-        self.fault_rt
-            .as_ref()
-            .is_some_and(|rt| rt.first_dead().is_some())
+    /// Sleep for `dur` with the worker slot released, so a pooled world
+    /// keeps running peers underneath a rank that is only waiting (a rate
+    /// limiter's debt, a retry backoff, an injected delay). Every non-test
+    /// sleep goes through here: the root `clippy.toml` disallows
+    /// `std::thread::sleep` elsewhere.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one sleep that parks its worker slot"
+    )]
+    pub fn sleep(&self, dur: Duration) {
+        self.sched.park_while(|| std::thread::sleep(dur));
     }
 
     // ---- survivor fence ----
@@ -660,9 +653,7 @@ impl Comm {
 
     fn fire(&mut self, action: FaultAction) {
         match action {
-            // A delayed rank is parked, not runnable: release the worker
-            // slot so a pooled world keeps making progress underneath it.
-            FaultAction::Delay(dur) => self.sched.park_while(|| std::thread::sleep(dur)),
+            FaultAction::Delay(dur) => self.sleep(dur),
             FaultAction::Crash => self.crash_now(),
             FaultAction::Transient(ops) => {
                 // Storage degradation is the harness's job: hand the budget
@@ -722,21 +713,6 @@ impl Comm {
                 let snap = rt.epoch();
                 match rt.first_dead() {
                     Some(rank) => Err(CommError::RankFailed { rank }),
-                    None => Ok(Some(snap)),
-                }
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Entry guard for group collectives (e.g. restore over survivors):
-    /// only deaths of `group` members block entry.
-    pub(crate) fn group_entry_guard(&self, group: &[Rank]) -> Result<Option<u64>, CommError> {
-        match &self.fault_rt {
-            Some(rt) => {
-                let snap = rt.epoch();
-                match group.iter().find(|&&r| rt.is_dead(r)) {
-                    Some(&rank) => Err(CommError::RankFailed { rank }),
                     None => Ok(Some(snap)),
                 }
             }
@@ -851,38 +827,20 @@ impl Comm {
     }
 
     // ---- point-to-point ----
+    //
+    // Sends never block; a receive blocks until its `(src, tag)` match
+    // arrives. Both fail with `CommError::RankFailed` when the peer is (or
+    // dies while we wait) a crashed rank, and a receive fails with
+    // `CommError::DeadlockSuspected` once the receive timeout expires.
 
-    /// Send an owned buffer without copying.
-    pub fn send_bytes(&mut self, dst: Rank, tag: Tag, payload: Bytes) {
-        self.try_send_bytes(dst, tag, payload)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`Comm::send_bytes`].
+    /// Send an owned buffer without copying: a receiver's
+    /// [`Comm::try_recv_chunk`] observes the very same allocation.
     pub fn try_send_bytes(&mut self, dst: Rank, tag: Tag, payload: Bytes) -> Result<(), CommError> {
         self.try_send_frame(dst, tag, Frame::single(payload))
     }
 
-    /// Send a [`Chunk`] without copying: the receiver's
-    /// [`Comm::recv_chunk`] observes the very same allocation.
-    pub fn send_chunk(&mut self, dst: Rank, tag: Tag, payload: Chunk) {
-        self.try_send_chunk(dst, tag, payload)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`Comm::send_chunk`].
-    pub fn try_send_chunk(&mut self, dst: Rank, tag: Tag, payload: Chunk) -> Result<(), CommError> {
-        self.try_send_bytes(dst, tag, payload.into_bytes())
-    }
-
     /// Send a scatter-gather [`Frame`]: header segments and attached
     /// payloads travel as-is, with no coalescing memcpy on either side.
-    pub fn send_frame(&mut self, dst: Rank, tag: Tag, frame: Frame) {
-        self.try_send_frame(dst, tag, frame)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`Comm::send_frame`].
     pub fn try_send_frame(&mut self, dst: Rank, tag: Tag, frame: Frame) -> Result<(), CommError> {
         assert_eq!(
             tag & INTERNAL_TAG,
@@ -894,11 +852,6 @@ impl Comm {
     }
 
     /// Encode and send a typed value.
-    pub fn send_val<T: Wire>(&mut self, dst: Rank, tag: Tag, value: &T) {
-        self.send_bytes(dst, tag, value.to_bytes());
-    }
-
-    /// Fallible [`Comm::send_val`].
     pub fn try_send_val<T: Wire>(
         &mut self,
         dst: Rank,
@@ -942,46 +895,16 @@ impl Comm {
             .map_err(|_| CommError::WorldTornDown { rank: self.rank })
     }
 
-    /// Blocking matched receive from `(src, tag)`, flattened to contiguous
-    /// [`Bytes`]. Zero-copy when the sender's frame had a single segment
-    /// (every `send_bytes`/`send_chunk`); a multi-segment frame is
-    /// coalesced here (recorded) — use [`Comm::recv_frame`] to avoid that.
-    ///
-    /// # Panics
-    /// On reserved tags and on any [`CommError`] (dead source, deadlock
-    /// timeout, torn-down world).
-    pub fn recv(&mut self, src: Rank, tag: Tag) -> Bytes {
-        self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Comm::recv`]: returns [`CommError::RankFailed`] if `src`
-    /// is (or dies while we wait) a crashed rank, and
-    /// [`CommError::DeadlockSuspected`] instead of panicking on timeout.
-    pub fn try_recv(&mut self, src: Rank, tag: Tag) -> Result<Bytes, CommError> {
-        Ok(self.try_recv_frame(src, tag)?.gather())
-    }
-
-    /// Blocking matched receive as a zero-copy [`Chunk`]: the chunk shares
-    /// the sender's allocation when it was sent via [`Comm::send_chunk`] /
-    /// [`Comm::send_bytes`].
-    pub fn recv_chunk(&mut self, src: Rank, tag: Tag) -> Chunk {
-        self.try_recv_chunk(src, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Comm::recv_chunk`].
+    /// Matched receive as a [`Chunk`]: zero-copy when the sender's frame
+    /// had a single segment (every [`Comm::try_send_bytes`]); a
+    /// multi-segment frame is coalesced here (recorded) — use
+    /// [`Comm::try_recv_frame`] to avoid that.
     pub fn try_recv_chunk(&mut self, src: Rank, tag: Tag) -> Result<Chunk, CommError> {
         Ok(Chunk::from(self.try_recv_frame(src, tag)?.gather()))
     }
 
-    /// Blocking matched receive of a scatter-gather [`Frame`] exactly as
-    /// the sender shaped it.
-    pub fn recv_frame(&mut self, src: Rank, tag: Tag) -> Frame {
-        self.try_recv_frame(src, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Comm::recv_frame`].
+    /// Matched receive of a scatter-gather [`Frame`] exactly as the sender
+    /// shaped it.
     pub fn try_recv_frame(&mut self, src: Rank, tag: Tag) -> Result<Frame, CommError> {
         assert_eq!(
             tag & INTERNAL_TAG,
@@ -992,27 +915,20 @@ impl Comm {
         self.try_recv_frame_guarded(src, tag, Transport::PointToPoint, None)
     }
 
-    /// Receive and decode a typed value.
+    /// Receive and decode a typed value. Only communication errors are
+    /// values.
     ///
     /// # Panics
     /// If the payload does not decode as `T` — a type mismatch is a
     /// programming error in an SPMD program, not a recoverable condition.
-    pub fn recv_val<T: Wire>(&mut self, src: Rank, tag: Tag) -> T {
-        let bytes = self.recv(src, tag);
-        Self::decode_or_panic(self.rank, src, tag, &bytes)
-    }
-
-    /// Fallible [`Comm::recv_val`] (decode failures still panic; only
-    /// communication errors are values).
     pub fn try_recv_val<T: Wire>(&mut self, src: Rank, tag: Tag) -> Result<T, CommError> {
-        let bytes = self.try_recv(src, tag)?;
-        Ok(Self::decode_or_panic(self.rank, src, tag, &bytes))
-    }
-
-    fn decode_or_panic<T: Wire>(rank: Rank, src: Rank, tag: Tag, bytes: &Bytes) -> T {
-        T::from_bytes(bytes).unwrap_or_else(|e| {
-            panic!("rank {rank} failed to decode message from {src} tag {tag}: {e}")
-        })
+        let bytes = self.try_recv_frame(src, tag)?.gather();
+        Ok(T::from_bytes(&bytes).unwrap_or_else(|e| {
+            panic!(
+                "rank {} failed to decode message from {src} tag {tag}: {e}",
+                self.rank
+            )
+        }))
     }
 
     /// Guarded matched receive. `coll_epoch` is the death-epoch snapshot a
@@ -1177,12 +1093,14 @@ mod tests {
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 if comm.rank() == 0 {
-                    comm.send_bytes(1, 7, Bytes::from_static(b"ping"));
-                    comm.recv(1, 8).to_vec()
+                    comm.try_send_bytes(1, 7, Bytes::from_static(b"ping"))
+                        .unwrap();
+                    comm.try_recv_chunk(1, 8).unwrap().to_vec()
                 } else {
-                    let m = comm.recv(0, 7);
+                    let m = comm.try_recv_chunk(0, 7).unwrap();
                     assert_eq!(&m[..], b"ping");
-                    comm.send_bytes(0, 8, Bytes::from_static(b"pong"));
+                    comm.try_send_bytes(0, 8, Bytes::from_static(b"pong"))
+                        .unwrap();
                     m.to_vec()
                 }
             })
@@ -1198,13 +1116,15 @@ mod tests {
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 if comm.rank() == 0 {
-                    comm.send_bytes(1, 1, Bytes::from_static(b"first"));
-                    comm.send_bytes(1, 2, Bytes::from_static(b"second"));
+                    comm.try_send_bytes(1, 1, Bytes::from_static(b"first"))
+                        .unwrap();
+                    comm.try_send_bytes(1, 2, Bytes::from_static(b"second"))
+                        .unwrap();
                     0
                 } else {
                     // Receive in the opposite order of sending.
-                    let b = comm.recv(0, 2);
-                    let a = comm.recv(0, 1);
+                    let b = comm.try_recv_chunk(0, 2).unwrap();
+                    let a = comm.try_recv_chunk(0, 1).unwrap();
                     assert_eq!(&a[..], b"first");
                     assert_eq!(&b[..], b"second");
                     1
@@ -1220,11 +1140,13 @@ mod tests {
             .launch(2, |comm| {
                 if comm.rank() == 0 {
                     for i in 0..10u8 {
-                        comm.send_bytes(1, 5, Bytes::from(vec![i]));
+                        comm.try_send_bytes(1, 5, Bytes::from(vec![i])).unwrap();
                     }
                     Vec::new()
                 } else {
-                    (0..10).map(|_| comm.recv(0, 5)[0]).collect::<Vec<u8>>()
+                    (0..10)
+                        .map(|_| comm.try_recv_chunk(0, 5).unwrap()[0])
+                        .collect::<Vec<u8>>()
                 }
             })
             .expect_all();
@@ -1236,10 +1158,11 @@ mod tests {
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 if comm.rank() == 0 {
-                    comm.send_val(1, 3, &vec![(1u32, 2u64), (3, 4)]);
+                    comm.try_send_val(1, 3, &vec![(1u32, 2u64), (3, 4)])
+                        .unwrap();
                     Vec::new()
                 } else {
-                    comm.recv_val::<Vec<(u32, u64)>>(0, 3)
+                    comm.try_recv_val::<Vec<(u32, u64)>>(0, 3).unwrap()
                 }
             })
             .expect_all();
@@ -1252,8 +1175,9 @@ mod tests {
             .launch(4, |comm| {
                 let dst = (comm.rank() + 1) % comm.size();
                 let src = (comm.rank() + comm.size() - 1) % comm.size();
-                comm.send_bytes(dst, 1, Bytes::from_static(&[0u8; 100]));
-                comm.recv(src, 1);
+                comm.try_send_bytes(dst, 1, Bytes::from_static(&[0u8; 100]))
+                    .unwrap();
+                comm.try_recv_chunk(src, 1).unwrap();
             })
             .expect_all();
         assert_eq!(out.traffic.total_sent(), out.traffic.total_recv());
@@ -1266,7 +1190,8 @@ mod tests {
         WorldConfig::default()
             .launch(2, |comm| {
                 if comm.rank() == 0 {
-                    comm.send_bytes(1, INTERNAL_TAG | 1, Bytes::from_static(b"nope"));
+                    comm.try_send_bytes(1, INTERNAL_TAG | 1, Bytes::from_static(b"nope"))
+                        .unwrap();
                 } else {
                     // Rank 1 must not block forever while rank 0 panics.
                 }
@@ -1284,7 +1209,7 @@ mod tests {
         config
             .launch(1, |comm| {
                 // Receive that can never be matched.
-                comm.recv(0, 1);
+                comm.try_recv_chunk(0, 1).unwrap_or_else(|e| panic!("{e}"));
             })
             .expect_all();
     }
@@ -1304,8 +1229,8 @@ mod tests {
             let sum = comm.allreduce(u64::from(comm.rank()), |a, b| a + b);
             let dst = (comm.rank() + 1) % comm.size();
             let src = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send_val(dst, 4, &comm.rank());
-            let from = comm.recv_val::<Rank>(src, 4);
+            comm.try_send_val(dst, 4, &comm.rank()).unwrap();
+            let from = comm.try_recv_val::<Rank>(src, 4).unwrap();
             (sum, from)
         };
         let unpooled = WorldConfig::default().launch(32, body).expect_all();
@@ -1318,6 +1243,22 @@ mod tests {
             unpooled.traffic.total_sent(),
             pooled.traffic.total_sent(),
             "scheduling must not change traffic"
+        );
+    }
+
+    #[test]
+    fn sleeping_ranks_release_their_worker_slot() {
+        // 4 ranks on 1 worker: parked sleeps overlap, so the world takes
+        // about one sleep, not four back to back.
+        let started = Instant::now();
+        WorldConfig::default()
+            .with_workers(1)
+            .launch(4, |comm| comm.sleep(Duration::from_millis(200)))
+            .expect_all();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(600),
+            "sleeps serialized: {took:?}"
         );
     }
 
@@ -1361,20 +1302,20 @@ mod tests {
         let out = config.launch(2, |comm| {
             if comm.rank() == 0 {
                 comm.set_tag_namespace(1);
-                comm.send_bytes(1, 5, Bytes::from_static(b"session-one"));
+                comm.try_send_bytes(1, 5, Bytes::from_static(b"session-one"))
+                    .unwrap();
                 true
             } else {
                 // A receive scoped to session 2 must never match session
                 // 1's message, even though (src, user tag) agree.
                 comm.set_tag_namespace(2);
                 assert!(matches!(
-                    comm.try_recv(0, 5),
+                    comm.try_recv_chunk(0, 5),
                     Err(CommError::DeadlockSuspected { .. })
                 ));
                 // Rescoped to session 1, the stashed message matches.
                 comm.set_tag_namespace(1);
-                assert_eq!(&comm.recv(0, 5)[..], b"session-one");
-                assert_eq!(comm.tag_namespace(), 1);
+                assert_eq!(&comm.try_recv_chunk(0, 5).unwrap()[..], b"session-one");
                 true
             }
         });
@@ -1390,7 +1331,9 @@ mod tests {
     #[test]
     fn try_recv_reports_deadlock_with_context() {
         let config = WorldConfig::default().with_recv_timeout(Duration::from_millis(50));
-        let out = config.launch(1, |comm| comm.try_recv(0, 9)).expect_all();
+        let out = config
+            .launch(1, |comm| comm.try_recv_chunk(0, 9))
+            .expect_all();
         match &out.results[0] {
             Err(CommError::DeadlockSuspected { rank, src, tag, .. }) => {
                 assert_eq!((*rank, *src, *tag), (0, 0, 9));
@@ -1426,8 +1369,8 @@ mod tests {
                 return Ok(());
             }
             // Wait for the death, then observe the typed failure.
-            while !comm.any_failed() {
-                std::thread::sleep(Duration::from_millis(1));
+            while comm.failed_ranks().is_empty() {
+                comm.sleep(Duration::from_millis(1));
             }
             comm.try_send_bytes(1, 3, Bytes::from_static(b"too late"))
         });
@@ -1472,12 +1415,12 @@ mod tests {
         let started = Instant::now();
         let out = fault_config(plan).launch(2, |comm| {
             if comm.rank() == 1 {
-                std::thread::sleep(Duration::from_millis(50));
+                comm.sleep(Duration::from_millis(50));
                 comm.enter_phase("prep");
                 comm.exit_phase("prep");
-                return Ok(Bytes::new());
+                return Ok(Chunk::new());
             }
-            comm.try_recv(1, 4)
+            comm.try_recv_chunk(1, 4)
         });
         assert_eq!(
             out.outcomes[0].as_completed(),
@@ -1493,16 +1436,17 @@ mod tests {
         let out = fault_config(plan).launch(2, |comm| {
             if comm.rank() == 1 {
                 comm.enter_phase("send");
-                comm.send_bytes(0, 5, Bytes::from_static(b"last words"));
+                comm.try_send_bytes(0, 5, Bytes::from_static(b"last words"))
+                    .unwrap();
                 comm.exit_phase("send");
                 return Vec::new();
             }
             // Give the crash time to land first: the queued message must
             // still win over the death flag.
-            while !comm.any_failed() {
-                std::thread::sleep(Duration::from_millis(1));
+            while comm.failed_ranks().is_empty() {
+                comm.sleep(Duration::from_millis(1));
             }
-            comm.try_recv(1, 5).unwrap().to_vec()
+            comm.try_recv_chunk(1, 5).unwrap().to_vec()
         });
         assert_eq!(out.outcomes[0].as_completed().unwrap(), b"last words");
     }
@@ -1514,9 +1458,10 @@ mod tests {
         let started = Instant::now();
         let out = fault_config(plan).launch(2, |comm| {
             if comm.rank() == 0 {
-                comm.send_bytes(1, 6, Bytes::from_static(b"slow"));
+                comm.try_send_bytes(1, 6, Bytes::from_static(b"slow"))
+                    .unwrap();
             } else {
-                assert_eq!(&comm.recv(0, 6)[..], b"slow");
+                assert_eq!(&comm.try_recv_chunk(0, 6).unwrap()[..], b"slow");
             }
             comm.rank()
         });
@@ -1570,14 +1515,14 @@ mod tests {
                 comm.enter_phase("go");
                 comm.exit_phase("go");
             }
-            while !comm.any_failed() {
-                std::thread::sleep(Duration::from_millis(1));
+            while comm.failed_ranks().is_empty() {
+                comm.sleep(Duration::from_millis(1));
             }
-            (comm.live_ranks(), comm.failed_ranks())
+            comm.failed_ranks()
         });
-        let (live, failed) = out.outcomes[1].as_completed().unwrap();
-        assert_eq!(live, &vec![1, 2]);
-        assert_eq!(failed, &vec![0]);
+        for rank in [1, 2] {
+            assert_eq!(out.outcomes[rank].as_completed().unwrap(), &vec![0]);
+        }
     }
 
     #[test]
@@ -1588,7 +1533,7 @@ mod tests {
         let plan = FaultPlan::new(9).crash(3, FaultTrigger::PhaseStart("late".into()));
         let out = fault_config(plan).launch(4, |comm| {
             if comm.rank() >= 2 {
-                std::thread::sleep(Duration::from_millis(100));
+                comm.sleep(Duration::from_millis(100));
             }
             comm.enter_phase("late");
             comm.exit_phase("late");

@@ -625,7 +625,7 @@ mod tests {
 
     #[test]
     fn comm_error_display_keeps_timeout_wording() {
-        // The infallible recv path panics with this Display; the runtime's
+        // The panicking collectives panic with this Display; the runtime's
         // long-standing "timed out" deadlock wording must survive.
         let e = CommError::DeadlockSuspected {
             rank: 2,

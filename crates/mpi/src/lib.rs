@@ -3,12 +3,16 @@
 //! `replidedup` reproduces the IPDPS'15 collective-replication paper on a
 //! single machine: each MPI rank becomes an OS thread, point-to-point
 //! messaging uses matched `(source, tag)` channels with an
-//! unexpected-message queue, and the collectives (`barrier`, `bcast`,
-//! `reduce`, `allreduce` with a user operator, `gather`, `allgather`,
-//! `alltoallv`) use the textbook algorithms a real MPI library would pick.
+//! unexpected-message queue, and the three collectives the paper's
+//! Algorithm 1 needs (`barrier`, `allreduce` with a user operator,
+//! `allgather`) use the textbook algorithms a real MPI library would pick.
 //! One-sided communication is provided through [`Window`]s mirroring
 //! `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence`, which is what the
 //! paper's single-sided exchange phase uses.
+//!
+//! Library code uses the fallible `try_*` operations, which surface a dead
+//! peer as a [`CommError`]; ranks sleep through [`Comm::sleep`], which
+//! releases their worker slot in a pooled world.
 //!
 //! Every transfer is byte-accounted per rank ([`stats`]); the evaluation
 //! harness feeds these exact counts to `replidedup-sim` to recover

@@ -19,8 +19,9 @@
 //! oversubscription proptests in `tests/` pin this down).
 //!
 //! This module is the only place in the workspace allowed to spawn OS
-//! threads (`ci.sh` enforces that with a grep gate); one-off background
-//! workers (e.g. a concurrent healer session) go through [`spawn`].
+//! threads (the root `clippy.toml` disallows raw `std::thread` spawns
+//! elsewhere); one-off background workers (e.g. a concurrent healer
+//! session) go through [`spawn`].
 
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex};
@@ -105,16 +106,6 @@ pub struct SchedSlot {
 }
 
 impl SchedSlot {
-    /// A slot with no pooling: parking is free and never blocks.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// Whether this slot belongs to a bounded pool.
-    pub fn is_pooled(&self) -> bool {
-        self.gate.is_some()
-    }
-
     /// Run a blocking wait with the worker slot released: the rank parks,
     /// peers get to run, and the slot is reacquired before this returns
     /// (or before a panic from `wait` propagates).
@@ -189,6 +180,10 @@ where
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tasks sleep to hold or park a slot for a measurable time"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -255,8 +250,8 @@ mod tests {
 
     #[test]
     fn unlimited_slot_is_noop() {
-        let slot = SchedSlot::unlimited();
-        assert!(!slot.is_pooled());
+        let slot = SchedSlot::default();
+        assert!(slot.gate.is_none());
         assert_eq!(slot.park_while(|| 7), 7);
     }
 

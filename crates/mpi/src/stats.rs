@@ -16,7 +16,7 @@ pub enum Transport {
     PointToPoint,
     /// Traffic generated inside a collective implementation.
     Collective,
-    /// One-sided RMA `put`/`get`.
+    /// One-sided RMA `put`.
     Rma,
 }
 
@@ -28,7 +28,6 @@ pub struct RankCounters {
     coll_sent: AtomicU64,
     coll_recv: AtomicU64,
     rma_put: AtomicU64,
-    rma_got: AtomicU64,
     /// Bytes written into this rank's RMA windows by peers.
     rma_recv: AtomicU64,
     msgs_sent: AtomicU64,
@@ -52,10 +51,6 @@ impl RankCounters {
         };
     }
 
-    pub(crate) fn count_rma_get(&self, bytes: u64) {
-        self.rma_got.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Snapshot into a plain struct.
     pub fn snapshot(&self) -> RankTraffic {
         RankTraffic {
@@ -64,22 +59,9 @@ impl RankCounters {
             coll_sent: self.coll_sent.load(Ordering::Relaxed),
             coll_recv: self.coll_recv.load(Ordering::Relaxed),
             rma_put: self.rma_put.load(Ordering::Relaxed),
-            rma_got: self.rma_got.load(Ordering::Relaxed),
             rma_recv: self.rma_recv.load(Ordering::Relaxed),
             msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zero every counter (used between measured phases).
-    pub fn reset(&self) {
-        self.p2p_sent.store(0, Ordering::Relaxed);
-        self.p2p_recv.store(0, Ordering::Relaxed);
-        self.coll_sent.store(0, Ordering::Relaxed);
-        self.coll_recv.store(0, Ordering::Relaxed);
-        self.rma_put.store(0, Ordering::Relaxed);
-        self.rma_got.store(0, Ordering::Relaxed);
-        self.rma_recv.store(0, Ordering::Relaxed);
-        self.msgs_sent.store(0, Ordering::Relaxed);
     }
 }
 
@@ -96,8 +78,6 @@ pub struct RankTraffic {
     pub coll_recv: u64,
     /// Bytes this rank `put` into remote windows.
     pub rma_put: u64,
-    /// Bytes this rank `get` from remote windows.
-    pub rma_got: u64,
     /// Bytes peers `put` into this rank's windows.
     pub rma_recv: u64,
     /// Message count (sends + puts).
@@ -112,7 +92,7 @@ impl RankTraffic {
 
     /// Total bytes arriving at this rank.
     pub fn total_recv(&self) -> u64 {
-        self.p2p_recv + self.coll_recv + self.rma_recv + self.rma_got
+        self.p2p_recv + self.coll_recv + self.rma_recv
     }
 }
 
@@ -133,34 +113,6 @@ impl TrafficReport {
     pub fn total_recv(&self) -> u64 {
         self.ranks.iter().map(RankTraffic::total_recv).sum()
     }
-
-    /// Largest per-rank sent volume (the "maximum send size" series).
-    pub fn max_sent(&self) -> u64 {
-        self.ranks
-            .iter()
-            .map(RankTraffic::total_sent)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Largest per-rank received volume (the "maximal receive size" series
-    /// of Figs. 4(c)/5(c)).
-    pub fn max_recv(&self) -> u64 {
-        self.ranks
-            .iter()
-            .map(RankTraffic::total_recv)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean per-rank sent volume.
-    pub fn avg_sent(&self) -> f64 {
-        if self.ranks.is_empty() {
-            0.0
-        } else {
-            self.total_sent() as f64 / self.ranks.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,25 +127,15 @@ mod tests {
         c.count_send(Transport::Rma, 30);
         c.count_recv(Transport::PointToPoint, 1);
         c.count_recv(Transport::Rma, 3);
-        c.count_rma_get(5);
         let s = c.snapshot();
         assert_eq!(s.p2p_sent, 10);
         assert_eq!(s.coll_sent, 20);
         assert_eq!(s.rma_put, 30);
         assert_eq!(s.p2p_recv, 1);
         assert_eq!(s.rma_recv, 3);
-        assert_eq!(s.rma_got, 5);
         assert_eq!(s.msgs_sent, 3);
         assert_eq!(s.total_sent(), 60);
-        assert_eq!(s.total_recv(), 9);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let c = RankCounters::default();
-        c.count_send(Transport::PointToPoint, 10);
-        c.reset();
-        assert_eq!(c.snapshot(), RankTraffic::default());
+        assert_eq!(s.total_recv(), 4);
     }
 
     #[test]
@@ -214,16 +156,12 @@ mod tests {
         };
         assert_eq!(report.total_sent(), 12);
         assert_eq!(report.total_recv(), 12);
-        assert_eq!(report.max_sent(), 7);
-        assert_eq!(report.max_recv(), 10);
-        assert!((report.avg_sent() - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_is_zero() {
         let r = TrafficReport::default();
-        assert_eq!(r.max_sent(), 0);
-        assert_eq!(r.max_recv(), 0);
-        assert_eq!(r.avg_sent(), 0.0);
+        assert_eq!(r.total_sent(), 0);
+        assert_eq!(r.total_recv(), 0);
     }
 }

@@ -46,7 +46,7 @@ impl std::fmt::Debug for WinBuf {
 }
 
 /// A collectively created RMA window: every rank exposes `local_size` bytes
-/// and can `put` into (or `get` from) any peer's exposure.
+/// and can `put` into any peer's exposure.
 pub struct Window {
     rank: Rank,
     handles: Vec<Arc<WinBuf>>,
@@ -66,6 +66,7 @@ impl std::fmt::Debug for Window {
 impl Comm {
     /// Collectively create a window exposing `local_size` bytes on this
     /// rank (sizes may differ per rank). Must be called by every rank.
+    /// Kept for the benchmark seam (`benchmark/src/sut.rs`).
     pub fn win_create(&mut self, local_size: usize) -> Window {
         self.try_win_create(local_size)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -149,50 +150,17 @@ impl Comm {
 }
 
 impl Window {
-    /// Size of `rank`'s exposure in bytes.
-    pub fn size_of(&self, rank: Rank) -> usize {
-        self.handles[rank as usize].size
-    }
-
-    /// Size of the local exposure.
-    pub fn local_size(&self) -> usize {
-        self.size_of(self.rank)
-    }
-
-    /// One-sided write of `data` into `target`'s window at `offset`.
-    ///
-    /// # Panics
-    /// If the write would overrun the target's exposure — an out-of-bounds
-    /// RMA access corrupts unrelated memory on real hardware, so the
-    /// simulated runtime fails fast instead.
-    pub fn put(&self, target: Rank, offset: usize, data: &[u8]) {
-        self.try_put(target, offset, data)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`Window::put`]: a put to a crashed rank's exposure fails
-    /// fast with [`CommError::RankFailed`] (the memory behind a dead
-    /// node's window is gone).
-    pub fn try_put(&self, target: Rank, offset: usize, data: &[u8]) -> Result<(), CommError> {
-        self.try_put_vectored(target, offset, &[data])
-    }
-
     /// One-sided write of a [`Chunk`] into `target`'s window at `offset`.
     /// The local side performs no staging copy: the chunk's bytes are the
-    /// RMA transfer's source buffer.
+    /// RMA transfer's source buffer. Kept for the benchmark seam
+    /// (`benchmark/src/sut.rs`); library code uses
+    /// [`Window::try_put_vectored`].
+    ///
+    /// # Panics
+    /// If the target is dead or the write would overrun its exposure.
     pub fn put_chunk(&self, target: Rank, offset: usize, chunk: &Chunk) {
-        self.try_put_chunk(target, offset, chunk)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`Window::put_chunk`].
-    pub fn try_put_chunk(
-        &self,
-        target: Rank,
-        offset: usize,
-        chunk: &Chunk,
-    ) -> Result<(), CommError> {
         self.try_put_vectored(target, offset, &[chunk])
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Scatter-gather one-sided write: `parts` land back-to-back at
@@ -200,12 +168,15 @@ impl Window {
     /// how a record header on the stack and a payload still inside the
     /// application buffer travel as *one* RMA transfer with no local
     /// coalescing copy.
-    pub fn put_vectored(&self, target: Rank, offset: usize, parts: &[&[u8]]) {
-        self.try_put_vectored(target, offset, parts)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`Window::put_vectored`].
+    ///
+    /// A put to a crashed rank's exposure fails fast with
+    /// [`CommError::RankFailed`] (the memory behind a dead node's window is
+    /// gone).
+    ///
+    /// # Panics
+    /// If the write would overrun the target's exposure — an out-of-bounds
+    /// RMA access corrupts unrelated memory on real hardware, so the
+    /// simulated runtime fails fast instead.
     pub fn try_put_vectored(
         &self,
         target: Rank,
@@ -240,47 +211,10 @@ impl Window {
         Ok(())
     }
 
-    /// One-sided read of `len` bytes from `target`'s window at `offset` as
-    /// an owned [`Chunk`]. The one memcpy out of the exposure *is* the
-    /// modelled RMA transfer; no second local copy happens.
-    pub fn get_chunk(&self, target: Rank, offset: usize, len: usize) -> Chunk {
-        self.try_get_chunk(target, offset, len)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Window::get_chunk`].
-    pub fn try_get_chunk(
-        &self,
-        target: Rank,
-        offset: usize,
-        len: usize,
-    ) -> Result<Chunk, CommError> {
-        self.get_vec(target, offset, len).map(Chunk::from)
-    }
-
-    fn get_vec(&self, target: Rank, offset: usize, len: usize) -> Result<Vec<u8>, CommError> {
-        if let Some(rt) = &self.fault_rt {
-            if rt.is_dead(target) {
-                return Err(CommError::RankFailed { rank: target });
-            }
-        }
-        let buf = &self.handles[target as usize];
-        assert!(
-            offset + len <= buf.size,
-            "rank {}: get of {len} bytes at offset {offset} overruns window of {} on rank {target}",
-            self.rank,
-            buf.size
-        );
-        let out = buf.data.lock().unwrap()[offset..offset + len].to_vec();
-        if target != self.rank {
-            self.counters[self.rank as usize].count_rma_get(len as u64);
-        }
-        Ok(out)
-    }
-
     /// Synchronization fence: completes all outstanding one-sided accesses
     /// in this epoch. Local reads of data put by peers are valid only after
-    /// a fence. Must be called by every rank.
+    /// a fence. Must be called by every rank. Kept for the benchmark seam
+    /// (`benchmark/src/sut.rs`); library code uses [`Window::try_fence`].
     pub fn fence(&self, comm: &mut Comm) {
         self.try_fence(comm).unwrap_or_else(|e| panic!("{e}"));
     }
@@ -304,16 +238,16 @@ impl Window {
             &mut *self.handles[self.rank as usize].data.lock().unwrap(),
         ))
     }
-
-    /// Run `f` over the local exposure without copying (valid after fence).
-    pub fn with_local<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.handles[self.rank as usize].data.lock().unwrap())
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use replidedup_buf::Chunk;
+
     use crate::comm::WorldConfig;
+    use crate::fault::{CommError, FaultPlan, FaultTrigger};
 
     #[test]
     fn put_lands_at_offset() {
@@ -321,10 +255,10 @@ mod tests {
             .launch(2, |comm| {
                 let win = comm.win_create(8);
                 if comm.rank() == 0 {
-                    win.put(1, 2, &[1, 2, 3]);
+                    win.try_put_vectored(1, 2, &[&[1, 2, 3]]).unwrap();
                 }
                 win.fence(comm);
-                win.with_local(|d| d.to_vec())
+                win.take_local().to_vec()
             })
             .expect_all();
         assert_eq!(out.results[1], vec![0, 0, 1, 2, 3, 0, 0, 0]);
@@ -337,16 +271,16 @@ mod tests {
             .launch(3, |comm| {
                 let me = comm.rank() as usize;
                 let win = comm.win_create(me * 4);
-                assert_eq!(win.local_size(), me * 4);
-                assert_eq!(win.size_of(2), 8);
                 // Everyone writes one byte into rank 2's window, disjointly.
                 if me < 2 {
-                    win.put(2, me, &[me as u8 + 10]);
+                    win.put_chunk(2, me, &Chunk::from(vec![me as u8 + 10]));
                 }
                 win.fence(comm);
-                win.with_local(|d| d.to_vec())
+                win.take_local().to_vec()
             })
             .expect_all();
+        let sizes: Vec<usize> = out.results.iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![0, 4, 8]);
         assert_eq!(out.results[2][..2], [10, 11]);
     }
 
@@ -356,33 +290,13 @@ mod tests {
             .launch(8, |comm| {
                 let n = comm.size() as usize;
                 let win = comm.win_create(if comm.rank() == 0 { n } else { 0 });
-                win.put(0, comm.rank() as usize, &[comm.rank() as u8 + 1]);
+                let mine = Chunk::from(vec![comm.rank() as u8 + 1]);
+                win.put_chunk(0, comm.rank() as usize, &mine);
                 win.fence(comm);
-                win.with_local(|d| d.to_vec())
+                win.take_local().to_vec()
             })
             .expect_all();
         assert_eq!(out.results[0], (1..=8u8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn get_reads_remote_exposure() {
-        let out = WorldConfig::default()
-            .launch(2, |comm| {
-                let win = comm.win_create(4);
-                if comm.rank() == 1 {
-                    win.put(1, 0, &[9, 8, 7, 6]); // local put
-                }
-                win.fence(comm);
-                let data = if comm.rank() == 0 {
-                    Vec::from(win.get_chunk(1, 1, 2))
-                } else {
-                    Vec::new()
-                };
-                win.fence(comm);
-                data
-            })
-            .expect_all();
-        assert_eq!(out.results[0], vec![8, 7]);
     }
 
     #[test]
@@ -390,9 +304,9 @@ mod tests {
         let out = WorldConfig::default()
             .launch(1, |comm| {
                 let win = comm.win_create(4);
-                win.put(0, 0, &[1, 2, 3, 4]);
+                win.try_put_vectored(0, 0, &[&[1, 2, 3, 4]]).unwrap();
                 win.fence(comm);
-                win.with_local(|d| d.to_vec())
+                win.take_local().to_vec()
             })
             .expect_all();
         assert_eq!(out.results[0], vec![1, 2, 3, 4]);
@@ -406,7 +320,7 @@ mod tests {
             .launch(2, |comm| {
                 let win = comm.win_create(100);
                 if comm.rank() == 0 {
-                    win.put(1, 0, &[0xAA; 64]);
+                    win.put_chunk(1, 0, &Chunk::from(vec![0xAA; 64]));
                 }
                 win.fence(comm);
             })
@@ -423,29 +337,16 @@ mod tests {
                 let w1 = comm.win_create(2);
                 let w2 = comm.win_create(2);
                 if comm.rank() == 0 {
-                    w1.put(1, 0, &[1, 1]);
-                    w2.put(1, 0, &[2, 2]);
+                    w1.try_put_vectored(1, 0, &[&[1, 1]]).unwrap();
+                    w2.try_put_vectored(1, 0, &[&[2, 2]]).unwrap();
                 }
                 w1.fence(comm);
                 w2.fence(comm);
-                (w1.with_local(|d| d.to_vec()), w2.with_local(|d| d.to_vec()))
+                (w1.take_local().to_vec(), w2.take_local().to_vec())
             })
             .expect_all();
         assert_eq!(out.results[1].0, vec![1, 1]);
         assert_eq!(out.results[1].1, vec![2, 2]);
-    }
-
-    #[test]
-    fn with_local_avoids_copy() {
-        let out = WorldConfig::default()
-            .launch(1, |comm| {
-                let win = comm.win_create(3);
-                win.put(0, 0, &[5, 6, 7]);
-                win.fence(comm);
-                win.with_local(|d| d.iter().map(|&b| u32::from(b)).sum::<u32>())
-            })
-            .expect_all();
-        assert_eq!(out.results[0], 18);
     }
 
     #[test]
@@ -454,7 +355,7 @@ mod tests {
         WorldConfig::default()
             .launch(1, |comm| {
                 let win = comm.win_create(4);
-                win.put(0, 2, &[0; 4]);
+                win.put_chunk(0, 2, &Chunk::from(vec![0; 4]));
             })
             .expect_all();
     }
@@ -465,10 +366,11 @@ mod tests {
             .launch(2, |comm| {
                 let win = comm.win_create(8);
                 if comm.rank() == 0 {
-                    win.put_vectored(1, 1, &[&[1, 2], &[3], &[4, 5]]);
+                    win.try_put_vectored(1, 1, &[&[1, 2], &[3], &[4, 5]])
+                        .unwrap();
                 }
                 win.fence(comm);
-                win.with_local(|d| d.to_vec())
+                win.take_local().to_vec()
             })
             .expect_all();
         assert_eq!(out.results[1], vec![0, 1, 2, 3, 4, 5, 0, 0]);
@@ -479,7 +381,6 @@ mod tests {
 
     #[test]
     fn chunk_put_and_get_roundtrip() {
-        use replidedup_buf::Chunk;
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 let win = comm.win_create(4);
@@ -488,16 +389,10 @@ mod tests {
                     win.put_chunk(1, 0, &app_buffer.slice(1..3));
                 }
                 win.fence(comm);
-                let got = if comm.rank() == 1 {
-                    win.get_chunk(1, 0, 2)
-                } else {
-                    Chunk::new()
-                };
-                win.fence(comm);
-                got.to_vec()
+                win.take_local().to_vec()
             })
             .expect_all();
-        assert_eq!(out.results[1], vec![8, 9]);
+        assert_eq!(out.results[1], vec![8, 9, 0, 0]);
     }
 
     #[test]
@@ -505,12 +400,12 @@ mod tests {
         let out = WorldConfig::default()
             .launch(1, |comm| {
                 let win = comm.win_create(4);
-                win.put(0, 0, &[1, 2, 3, 4]);
+                win.try_put_vectored(0, 0, &[&[1, 2, 3, 4]]).unwrap();
                 win.fence(comm);
                 let copied_before = replidedup_buf::thread_bytes_copied();
                 let frozen = win.take_local();
                 let copied = replidedup_buf::thread_bytes_copied() - copied_before;
-                (frozen.to_vec(), win.with_local(|d| d.len()), copied)
+                (frozen.to_vec(), win.take_local().len(), copied)
             })
             .expect_all();
         let (frozen, left, copied_by_steal) = &out.results[0];
@@ -551,7 +446,7 @@ mod tests {
             .launch(2, |comm| {
                 let win = comm.win_create(0);
                 win.fence(comm);
-                win.local_size()
+                win.take_local().len()
             })
             .expect_all();
         assert_eq!(out.results, vec![0, 0]);
@@ -559,10 +454,6 @@ mod tests {
 
     #[test]
     fn rma_to_dead_rank_fails_fast() {
-        use crate::comm::WorldConfig;
-        use crate::fault::{CommError, FaultPlan, FaultTrigger};
-        use std::time::Duration;
-
         let plan = FaultPlan::new(21).crash(1, FaultTrigger::PhaseStart("doomed".into()));
         let config = WorldConfig::default()
             .with_recv_timeout(Duration::from_secs(2))
@@ -573,17 +464,18 @@ mod tests {
                 // Wait for explicit acks so the crash strictly follows every
                 // rank finishing win_create (otherwise a survivor still in
                 // the opening fence would see the death and fail creation).
-                comm.recv(0, 99);
-                comm.recv(2, 99);
+                comm.try_recv_chunk(0, 99).unwrap();
+                comm.try_recv_chunk(2, 99).unwrap();
                 comm.enter_phase("doomed");
                 comm.exit_phase("doomed");
                 return (Ok(()), Ok(()));
             }
-            comm.send_bytes(1, 99, bytes::Bytes::from_static(b"ok"));
-            while !comm.any_failed() {
-                std::thread::sleep(Duration::from_millis(1));
+            comm.try_send_bytes(1, 99, bytes::Bytes::from_static(b"ok"))
+                .unwrap();
+            while comm.failed_ranks().is_empty() {
+                comm.sleep(Duration::from_millis(1));
             }
-            let put = win.try_put(1, 0, &[1, 2]);
+            let put = win.try_put_vectored(1, 0, &[&[1, 2]]);
             let fence = win.try_fence(comm);
             (put, fence)
         });

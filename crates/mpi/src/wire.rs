@@ -42,16 +42,6 @@ pub fn session_tag(session: u16, tag: u64) -> u64 {
     (u64::from(session) << SESSION_TAG_SHIFT) | tag
 }
 
-/// The session namespace a tag is scoped to (0 = default session).
-pub fn tag_session(tag: u64) -> u16 {
-    ((tag & SESSION_TAG_MASK) >> SESSION_TAG_SHIFT) as u16
-}
-
-/// Strip the session namespace, recovering the caller's original tag.
-pub fn user_tag(tag: u64) -> u64 {
-    tag & !SESSION_TAG_MASK
-}
-
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -347,11 +337,6 @@ impl Frame {
         self.segments.iter().all(Bytes::is_empty)
     }
 
-    /// The underlying segments.
-    pub fn segments(&self) -> &[Bytes] {
-        &self.segments
-    }
-
     /// Flatten into one contiguous [`Bytes`]. Zero-copy when the frame has
     /// at most one segment; otherwise the segments are coalesced into a
     /// fresh buffer and the memcpy is recorded against the copy accounting
@@ -569,16 +554,16 @@ mod tests {
         let a = session_tag(1, 7);
         let b = session_tag(2, 7);
         assert_ne!(a, b);
-        assert_eq!(tag_session(a), 1);
-        assert_eq!(tag_session(b), 2);
-        assert_eq!(user_tag(a), 7);
-        assert_eq!(user_tag(b), 7);
+        // Only the namespace bits differ; the caller's tag is untouched.
+        assert_eq!(a & !SESSION_TAG_MASK, 7);
+        assert_eq!(b & !SESSION_TAG_MASK, 7);
+        assert_eq!(a ^ b, session_tag(3, 0));
         // The namespace stays clear of the runtime-internal bits 62/63.
         let top = session_tag(u16::MAX, (1 << SESSION_TAG_SHIFT) - 1);
         assert_eq!(top & (1 << 63), 0);
         assert_eq!(top & (1 << 62), 0);
-        assert_eq!(tag_session(top), u16::MAX);
-        assert_eq!(user_tag(top), (1 << SESSION_TAG_SHIFT) - 1);
+        assert_eq!(top & SESSION_TAG_MASK, SESSION_TAG_MASK);
+        assert_eq!(top & !SESSION_TAG_MASK, (1 << SESSION_TAG_SHIFT) - 1);
     }
 
     #[test]
@@ -679,7 +664,7 @@ mod tests {
         let frame = w.finish();
         // The payload segment IS the chunk's allocation, not a copy.
         assert!(frame
-            .segments()
+            .segments
             .iter()
             .any(|s| s.shares_allocation_with(big.as_bytes())));
 

@@ -707,10 +707,9 @@ impl Cluster {
     /// All live copies of the stripe's shards across the cluster, one per
     /// shard index (lowest node wins on duplicates), sorted by index.
     ///
-    /// Like [`Cluster::find_chunk`], this is the shared-storage escape
-    /// hatch: the distributed protocols locate shards via messages first,
-    /// and reconstruction consults the cluster directly only as the
-    /// last-resort repair index.
+    /// This is the shared-storage escape hatch: the distributed protocols
+    /// locate shards via messages first, and reconstruction consults the
+    /// cluster directly only as the last-resort repair index.
     pub fn gather_shards(&self, key: StripeKey) -> Vec<StoredShard> {
         let mut found: HashMap<u8, StoredShard> = HashMap::new();
         for node in 0..self.node_count() {
@@ -876,21 +875,6 @@ impl Cluster {
             .sum()
     }
 
-    /// Unique bytes stored per node (index = node id; 0 for dead nodes).
-    pub fn bytes_per_node(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let s = n.lock().unwrap();
-                if s.alive {
-                    s.store.bytes_stored()
-                } else {
-                    0
-                }
-            })
-            .collect()
-    }
-
     /// Cluster-wide physical copy count of a chunk across live nodes.
     pub fn copies_of(&self, fp: &Fingerprint) -> u32 {
         self.nodes
@@ -900,18 +884,6 @@ impl Cluster {
                 u32::from(s.alive && s.store.contains(fp))
             })
             .sum()
-    }
-
-    /// First live node holding `fp`, if any. This is the cluster's repair
-    /// index: retrying restore falls back to it when the local copy turns
-    /// out corrupt, and tests use it as a diagnostic. Dead nodes are never
-    /// returned — per the [`Cluster::has_chunk`] contract they hold
-    /// nothing reachable, so a dead node with the (former) only copy
-    /// yields `None`, same as true loss. The distributed restore protocol
-    /// in `replidedup-core` locates chunks via messages first and only
-    /// consults this index as a last resort before declaring loss.
-    pub fn find_chunk(&self, fp: &Fingerprint) -> Option<NodeId> {
-        (0..self.node_count()).find(|&n| self.has_chunk(n, fp))
     }
 
     /// Every dump generation with any footprint on a live node (manifests,
@@ -1155,10 +1127,10 @@ mod tests {
         c.put_chunk(0, fp(1), Bytes::from_static(b"zz")).unwrap();
         c.put_chunk(2, fp(1), Bytes::from_static(b"zz")).unwrap();
         assert_eq!(c.copies_of(&fp(1)), 2);
-        assert_eq!(c.find_chunk(&fp(1)), Some(0));
+        assert!(c.has_chunk(0, &fp(1)) && !c.has_chunk(1, &fp(1)));
         c.fail_node(0);
         assert_eq!(c.copies_of(&fp(1)), 1);
-        assert_eq!(c.find_chunk(&fp(1)), Some(2));
+        assert!(!c.has_chunk(0, &fp(1)) && c.has_chunk(2, &fp(1)));
     }
 
     #[test]
@@ -1168,7 +1140,7 @@ mod tests {
         c.put_chunk(0, fp(1), Bytes::from_static(b"aaaa")).unwrap(); // dedup hit
         c.put_chunk(1, fp(2), Bytes::from_static(b"bb")).unwrap();
         assert_eq!(c.total_unique_bytes(), 6);
-        assert_eq!(c.bytes_per_node(), vec![4, 2]);
+        assert_eq!((c.device_bytes(0), c.device_bytes(1)), (4, 2));
     }
 
     #[test]
@@ -1261,7 +1233,7 @@ mod tests {
             .is_some());
     }
 
-    /// Regression test for the `find_chunk` / `has_chunk` contract: a dead
+    /// Regression test for the `has_chunk` / `copies_of` contract: a dead
     /// node holding the only copy reads as "not held" from the probes,
     /// while `get_chunk` keeps the NodeDown / MissingChunk distinction.
     #[test]
@@ -1270,8 +1242,7 @@ mod tests {
         c.put_chunk(1, fp(7), Bytes::from_static(b"only")).unwrap();
         c.fail_node(1);
         assert!(!c.has_chunk(1, &fp(7)), "dead node holds nothing reachable");
-        assert_eq!(c.find_chunk(&fp(7)), None, "no live holder exists");
-        assert_eq!(c.copies_of(&fp(7)), 0);
+        assert_eq!(c.copies_of(&fp(7)), 0, "no live holder exists");
         // The typed read API still tells the caller *why*.
         assert_eq!(c.get_chunk(1, &fp(7)), Err(StorageError::NodeDown(1)));
         assert_eq!(
@@ -1570,6 +1541,6 @@ mod tests {
         // Quarantine drops the bad copy; the good replica survives.
         assert!(c.quarantine_chunk(0, &fp(3)).unwrap());
         assert_eq!(c.copies_of(&fp(3)), 1);
-        assert_eq!(c.find_chunk(&fp(3)), Some(1));
+        assert!(!c.has_chunk(0, &fp(3)) && c.has_chunk(1, &fp(3)));
     }
 }

@@ -241,7 +241,7 @@ fn nonparticipating_rank_surfaces_as_deadlock_suspected_with_context() {
                 // only resolve by timeout. The sleep keeps rank 1's channels
                 // alive well past it, so rank 0 sees a suspected deadlock and
                 // not a world teardown.
-                std::thread::sleep(Duration::from_millis(1500));
+                comm.sleep(Duration::from_millis(1500));
                 return None;
             }
             Some(repl.dump(comm, 1, &[7u8; 256]))

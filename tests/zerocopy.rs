@@ -171,8 +171,8 @@ fn send_bytes_delivers_identical_bytes() {
                     .unwrap();
                 (Vec::new(), Vec::new())
             } else {
-                let from_static = comm.try_recv(0, TAG_STATIC).unwrap().to_vec();
-                let owned = comm.try_recv(0, TAG_OWNED).unwrap().to_vec();
+                let from_static = comm.try_recv_chunk(0, TAG_STATIC).unwrap().to_vec();
+                let owned = comm.try_recv_chunk(0, TAG_OWNED).unwrap().to_vec();
                 (from_static, owned)
             }
         })
