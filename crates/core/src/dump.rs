@@ -19,7 +19,7 @@ use bytes::Bytes;
 use replidedup_buf::{record_copy, thread_bytes_copied, Chunk};
 use replidedup_ec::{shard_nodes, RsCode};
 use replidedup_hash::{chunk_ranges, ChunkHasher, ChunkRange, Fingerprint, FpHashSet};
-use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire};
+use replidedup_mpi::wire::{Frame, FrameReader, FrameWriter, Wire};
 use replidedup_mpi::{Comm, CommError, Tag};
 use replidedup_storage::{Cluster, DumpId, Manifest, ShardMeta, StorageError, StripeKey};
 
@@ -79,6 +79,14 @@ pub enum DumpError {
     /// cannot absorb (a suspected deadlock or a torn-down world — *not* a
     /// plain rank death, which degrades the dump instead of failing it).
     Comm(CommError),
+    /// Replicas or stripe shards sent by `from` failed to decode — they
+    /// were truncated or malformed in flight — so this rank committed none
+    /// of that frame. The rank still finishes the collective, so the
+    /// others never wait on it.
+    CorruptFrame {
+        /// Rank whose exchange region or stripe frame failed to decode.
+        from: u32,
+    },
 }
 
 impl std::fmt::Display for DumpError {
@@ -87,6 +95,9 @@ impl std::fmt::Display for DumpError {
             DumpError::Config(e) => write!(f, "invalid dump config: {e}"),
             DumpError::Storage(e) => write!(f, "storage failure during dump: {e}"),
             DumpError::Comm(e) => write!(f, "communication failure during dump: {e}"),
+            DumpError::CorruptFrame { from } => {
+                write!(f, "corrupt dump frame from rank {from}")
+            }
         }
     }
 }
@@ -97,6 +108,7 @@ impl std::error::Error for DumpError {
             DumpError::Config(e) => Some(e),
             DumpError::Storage(e) => Some(e),
             DumpError::Comm(e) => Some(e),
+            DumpError::CorruptFrame { .. } => None,
         }
     }
 }
@@ -135,8 +147,9 @@ pub(crate) fn dump_impl(
         buffer_bytes: buf.len() as u64,
         ..Default::default()
     };
-    // Defer storage errors so the collective completes on every rank.
-    let mut storage_err: Option<StorageError> = None;
+    // Defer storage and decode errors so the collective completes on
+    // every rank.
+    let mut failure: Option<DumpError> = None;
 
     comm.tracer()
         .gauge_bytes("dump_buffer_bytes", buf.len() as u64);
@@ -144,7 +157,7 @@ pub(crate) fn dump_impl(
     // Every path reaches the dump's survivor fence exactly once: degraded
     // ranks wait there (inside `degraded_commit`) to learn which ranks died
     // before finishing, the rest just arrive.
-    match dump_pipeline(comm, ctx, data, cfg, k, &mut stats, &mut storage_err) {
+    match dump_pipeline(comm, ctx, data, cfg, k, &mut stats, &mut failure) {
         Ok(()) => comm.fence_arrive(),
         Err(CommError::RankFailed { .. }) => {
             // A peer died mid-collective. The error may have unwound from
@@ -152,7 +165,7 @@ pub(crate) fn dump_impl(
             // through the communication-free degraded commit so this
             // rank's data still reaches stable storage.
             comm.tracer().close_open_spans();
-            degraded_commit(comm, ctx, data, cfg, &mut stats, &mut storage_err);
+            degraded_commit(comm, ctx, data, cfg, &mut stats, &mut failure);
         }
         Err(CommError::DeadlockSuspected { .. }) if !comm.failed_ranks().is_empty() => {
             // A point-to-point step timed out while some rank is known
@@ -161,7 +174,7 @@ pub(crate) fn dump_impl(
             // will never come. Collateral of the failure, not a protocol
             // bug — degrade like a direct RankFailed.
             comm.tracer().close_open_spans();
-            degraded_commit(comm, ctx, data, cfg, &mut stats, &mut storage_err);
+            degraded_commit(comm, ctx, data, cfg, &mut stats, &mut failure);
         }
         Err(e) => {
             // Deadlock suspicion with every rank alive / torn-down world:
@@ -174,10 +187,24 @@ pub(crate) fn dump_impl(
     stats.bytes_copied = thread_bytes_copied() - copied_before;
     comm.tracer()
         .counter("alloc_bytes_copied", stats.bytes_copied);
-    match storage_err {
-        Some(e) => Err(e.into()),
+    match failure {
+        Some(e) => Err(e),
         None => Ok(stats),
     }
+}
+
+/// Count a committed write's bytes into `written`, or defer its failure.
+fn tally(failure: &mut Option<DumpError>, written: &mut u64, r: Result<u64, StorageError>) {
+    match r {
+        Ok(bytes) => *written += bytes,
+        Err(e) => defer(failure, e),
+    }
+}
+
+/// Keep a rank's first failure; later ones are dropped. The rank still
+/// runs the rest of the collective, so no peer waits on it.
+fn defer(failure: &mut Option<DumpError>, e: impl Into<DumpError>) {
+    failure.get_or_insert(e.into());
 }
 
 /// The fault-aware body of Algorithm 1: every phase boundary is a
@@ -191,17 +218,13 @@ fn dump_pipeline(
     cfg: &DumpConfig,
     k: u32,
     stats: &mut DumpStats,
-    storage_err: &mut Option<StorageError>,
+    failure: &mut Option<DumpError>,
 ) -> Result<(), CommError> {
     let buf: &[u8] = data;
     let me = comm.rank();
     let n = comm.size();
     let node = ctx.cluster.node_of(me);
     let chunk_size = cfg.chunk_size;
-    let mut record_storage = |r: Result<u64, StorageError>, written: &mut u64| match r {
-        Ok(bytes) => *written += bytes,
-        Err(e) => *storage_err = storage_err.take().or(Some(e)),
-    };
 
     // ---- Phase 1+2: dedup (strategy dependent) -------------------------
     // `keep_indices` / `send_indices` are chunk indices into `buf`;
@@ -411,11 +434,12 @@ fn dump_pipeline(
                 // Refcount bump: the stored blob IS the app buffer.
                 let blob = data.as_bytes().clone();
                 let len = blob.len() as u64;
-                record_storage(
+                tally(
+                    failure,
+                    &mut stats.bytes_written_local,
                     ctx.cluster
                         .put_blob(node, me, ctx.dump_id, blob)
                         .map(|()| len),
-                    &mut stats.bytes_written_local,
                 );
             }
             // A coded blob stores no full copy anywhere: its data shards
@@ -430,11 +454,12 @@ fn dump_pipeline(
                 // Zero-copy slice of the application buffer.
                 let payload = data.slice(chunk_range(i)).into_bytes();
                 let len = payload.len() as u64;
-                record_storage(
+                tally(
+                    failure,
+                    &mut stats.bytes_written_local,
                     ctx.cluster
                         .put_chunk(node, fp, payload)
                         .map(|new| if new { len } else { 0 }),
-                    &mut stats.bytes_written_local,
                 );
             }
             // Stripe membership rides in the manifest: `coded` lists the
@@ -457,9 +482,10 @@ fn dump_pipeline(
                 rs: rs.filter(|_| !coded.is_empty()),
                 coded,
             };
-            record_storage(
-                ctx.cluster.put_manifest(node, manifest.clone()).map(|()| 0),
+            tally(
+                failure,
                 &mut stats.bytes_written_local,
+                ctx.cluster.put_manifest(node, manifest.clone()).map(|()| 0),
             );
             // Replicate the manifest to the same partners as the data so a
             // failed node's recipe survives (restore-path extension; the
@@ -487,8 +513,11 @@ fn dump_pipeline(
         }
         let start = offset_records as usize * cell;
         let region = window.slice(start..start + count * cell);
-        let records = parse_records_zc(&region, payload_cap, count)
-            .unwrap_or_else(|e| panic!("rank {me}: corrupt exchange region from {sender}: {e}"));
+        offset_records += count as u64;
+        let Ok(records) = parse_records_zc(&region, payload_cap, count) else {
+            defer(failure, DumpError::CorruptFrame { from: sender });
+            continue;
+        };
         stats.records_received += count as u64;
         // Scatter-gather puts moved exactly header + payload per record.
         stats.bytes_received_replication += records
@@ -507,26 +536,27 @@ fn dump_pipeline(
                 }
                 record_copy(blob.len());
                 let len = blob.len() as u64;
-                record_storage(
+                tally(
+                    failure,
+                    &mut stats.bytes_written_local,
                     ctx.cluster
                         .put_blob(node, sender, ctx.dump_id, Bytes::from(blob))
                         .map(|()| len),
-                    &mut stats.bytes_written_local,
                 );
             }
             Strategy::LocalDedup | Strategy::CollDedup => {
                 for (fp, data) in records {
                     let len = data.len() as u64;
-                    record_storage(
+                    tally(
+                        failure,
+                        &mut stats.bytes_written_local,
                         ctx.cluster
                             .put_chunk(node, fp, data.into_bytes())
                             .map(|new| if new { len } else { 0 }),
-                        &mut stats.bytes_written_local,
                     );
                 }
             }
         }
-        offset_records += count as u64;
     }
     debug_assert_eq!(offset_records, wplan.recv_counts[me as usize]);
 
@@ -535,9 +565,10 @@ fn dump_pipeline(
         for d in 1..k as usize {
             let sender = shuffle[(p + n as usize - d) % n as usize];
             let m: Manifest = comm.try_recv_val(sender, TAG_MANIFEST)?;
-            record_storage(
-                ctx.cluster.put_manifest(node, m).map(|()| 0),
+            tally(
+                failure,
                 &mut stats.bytes_written_local,
+                ctx.cluster.put_manifest(node, m).map(|()| 0),
             );
         }
     }
@@ -619,24 +650,21 @@ fn dump_pipeline(
         }
         if ctx.cluster.placement().ranks_on(node, n).start == me {
             for r in 0..n {
-                let mut reader = FrameReader::new(comm.try_recv_frame(r, TAG_STRIPE)?);
-                let count: u64 = reader
-                    .get()
-                    .unwrap_or_else(|e| panic!("rank {me}: corrupt stripe frame from {r}: {e}"));
-                for _ in 0..count {
-                    let (key, meta, shard) = (|| -> replidedup_mpi::wire::WireResult<_> {
-                        let key: StripeKey = reader.get()?;
-                        let meta: ShardMeta = reader.get()?;
-                        let shard = reader.take_payload()?;
-                        Ok((key, meta, shard))
-                    })()
-                    .unwrap_or_else(|e| panic!("rank {me}: corrupt stripe frame from {r}: {e}"));
+                let shards = match decode_stripe_frame(comm.try_recv_frame(r, TAG_STRIPE)?, r) {
+                    Ok(shards) => shards,
+                    Err(e) => {
+                        defer(failure, e);
+                        continue;
+                    }
+                };
+                for (key, meta, shard) in shards {
                     let len = shard.len() as u64;
-                    record_storage(
+                    tally(
+                        failure,
+                        &mut stats.bytes_written_local,
                         ctx.cluster
                             .put_shard(node, key, meta, shard.into_bytes())
                             .map(|new| if new { len } else { 0 }),
-                        &mut stats.bytes_written_local,
                     );
                 }
             }
@@ -649,6 +677,25 @@ fn dump_pipeline(
         .gauge_bytes("bytes_written_local", stats.bytes_written_local);
     drop(view);
     Ok(())
+}
+
+/// Decode one stripe-assembly frame sent by rank `from` into its `(stripe,
+/// meta, shard)` entries. A frame that fails to decode is
+/// [`DumpError::CorruptFrame`], never a panic.
+fn decode_stripe_frame(
+    frame: Frame,
+    from: u32,
+) -> Result<Vec<(StripeKey, ShardMeta, Chunk)>, DumpError> {
+    let corrupt = |_| DumpError::CorruptFrame { from };
+    let mut reader = FrameReader::new(frame);
+    let count: u64 = reader.get().map_err(corrupt)?;
+    (0..count)
+        .map(|_| {
+            let key: StripeKey = reader.get().map_err(corrupt)?;
+            let meta: ShardMeta = reader.get().map_err(corrupt)?;
+            Ok((key, meta, reader.take_payload().map_err(corrupt)?))
+        })
+        .collect()
 }
 
 /// Communication-free fallback after a mid-dump rank death: re-commit
@@ -665,7 +712,7 @@ fn degraded_commit(
     data: &Chunk,
     cfg: &DumpConfig,
     stats: &mut DumpStats,
-    storage_err: &mut Option<StorageError>,
+    failure: &mut Option<DumpError>,
 ) {
     let buf: &[u8] = data;
     let me = comm.rank();
@@ -673,21 +720,18 @@ fn degraded_commit(
     let chunk_size = cfg.chunk_size;
     stats.degraded = true;
     comm.enter_phase("degraded_commit");
-    let mut record_storage = |r: Result<u64, StorageError>, written: &mut u64| match r {
-        Ok(bytes) => *written += bytes,
-        Err(e) => *storage_err = storage_err.take().or(Some(e)),
-    };
     match cfg.strategy {
         Strategy::NoDedup => {
             // Refcount bump: the degraded blob is still the app buffer.
             stats.chunks_total = buf.len().div_ceil(chunk_size) as u64;
             let blob = data.as_bytes().clone();
             let len = blob.len() as u64;
-            record_storage(
+            tally(
+                failure,
+                &mut stats.bytes_written_local,
                 ctx.cluster
                     .put_blob(node, me, ctx.dump_id, blob)
                     .map(|()| len),
-                &mut stats.bytes_written_local,
             );
         }
         Strategy::LocalDedup | Strategy::CollDedup => {
@@ -704,11 +748,12 @@ fn degraded_commit(
             for (fp, c) in &idx.unique {
                 let payload = data.slice(idx.chunk_range(c.first_index)).into_bytes();
                 let len = payload.len() as u64;
-                record_storage(
+                tally(
+                    failure,
+                    &mut stats.bytes_written_local,
                     ctx.cluster
                         .put_chunk(node, *fp, payload)
                         .map(|new| if new { len } else { 0 }),
-                    &mut stats.bytes_written_local,
                 );
             }
             // Degraded dumps skip striping: the manifest claims full local
@@ -722,9 +767,10 @@ fn degraded_commit(
                 rs: None,
                 coded: vec![],
             };
-            record_storage(
-                ctx.cluster.put_manifest(node, manifest).map(|()| 0),
+            tally(
+                failure,
                 &mut stats.bytes_written_local,
+                ctx.cluster.put_manifest(node, manifest).map(|()| 0),
             );
         }
     }
@@ -964,6 +1010,44 @@ mod tests {
             Err(DumpError::Storage(StorageError::NodeDown(1)))
         ));
         assert!(out.results[2].is_ok());
+    }
+
+    /// A stripe frame decodes into its entries; one cut short is a typed
+    /// error naming the sender, not a panic.
+    #[test]
+    fn truncated_stripe_frame_is_a_typed_error_not_a_panic() {
+        let key = StripeKey::Blob {
+            owner: 2,
+            dump_id: 1,
+        };
+        let meta = ShardMeta {
+            k: 4,
+            m: 2,
+            index: 5,
+            total_len: 10,
+        };
+        let mut w = FrameWriter::new();
+        w.put(&1u64);
+        w.put(&key);
+        w.put(&meta);
+        w.attach(Bytes::from_static(b"abc"));
+        let shards = decode_stripe_frame(w.finish(), 2).unwrap();
+        assert_eq!(shards.len(), 1);
+        assert_eq!((shards[0].0, shards[0].1), (key, meta));
+        assert_eq!(&shards[0].2[..], b"abc");
+
+        // The count promises two entries; the meta of the first is missing.
+        let mut cut = FrameWriter::new();
+        cut.put(&2u64);
+        cut.put(&key);
+        assert_eq!(
+            decode_stripe_frame(cut.finish(), 3).map(|s| s.len()),
+            Err(DumpError::CorruptFrame { from: 3 })
+        );
+        assert_eq!(
+            decode_stripe_frame(FrameWriter::new().finish(), 4).map(|s| s.len()),
+            Err(DumpError::CorruptFrame { from: 4 })
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! arithmetic is purely logical — it is never stored or sent. Data shards
 //! returned by [`RsCode::encode`] are zero-copy slices of the payload.
 //!
-//! Decode paths are panic-free by contract (enforced by a CI grep): every
-//! failure mode is a typed [`EcError`].
+//! Decode paths are panic-free by contract (the crate denies clippy's
+//! panic lints outside tests): every failure mode is a typed [`EcError`].
 
 use bytes::Bytes;
 
@@ -184,14 +184,19 @@ impl RsCode {
         for j in 0..self.k {
             shards.push(payload.slice(self.data_range(j, total)));
         }
-        for p in 0..self.m {
-            let mut buf = vec![0u8; l];
-            for j in 0..self.k {
-                let coef = self.parity[p as usize * self.k as usize + j as usize];
-                gf::mul_acc(&mut buf, &payload[self.data_range(j, total)], coef);
-            }
-            shards.push(Bytes::from(buf));
-        }
+        let parity: Vec<Bytes> = self
+            .parity
+            .chunks_exact(self.k as usize)
+            .map(|row| {
+                let mut buf = vec![0u8; l];
+                dot_acc(
+                    &mut buf,
+                    shards.iter().map(Bytes::as_ref).zip(row.iter().copied()),
+                );
+                Bytes::from(buf)
+            })
+            .collect();
+        shards.extend(parity);
         shards
     }
 
@@ -287,50 +292,50 @@ impl RsCode {
         Ok((order, inv))
     }
 
-    /// Recover all `k` data shards (full `shard_len` bytes each, zero
-    /// padding included) from any `k` survivors.
-    fn data_shards(
+    /// Append data shard `j` (its true length) to `out` from the survivors
+    /// chosen by [`RsCode::decode_matrix`]: a surviving data shard is
+    /// copied once; a missing one is zero-filled and accumulated in place
+    /// from row `j` of the inverse. Only the true length is written: the
+    /// logical zero padding of a short shard is never read back.
+    fn push_data_shard(
         &self,
+        out: &mut Vec<u8>,
+        j: u8,
+        (order, inv): (&[usize], &[u8]),
         shards: &[(u8, &[u8])],
         total_len: usize,
-    ) -> Result<Vec<Vec<u8>>, EcError> {
-        let (order, inv) = self.decode_matrix(shards, total_len)?;
-        let kk = self.k as usize;
-        let l = self.shard_len(total_len);
-        let mut out = Vec::with_capacity(kk);
-        for j in 0..kk {
-            // Fast path: the survivor set contains data shard j itself.
-            if let Some(&pos) = order.iter().find(|&&p| shards[p].0 as usize == j) {
-                let mut buf = vec![0u8; l];
-                let src = shards[pos].1;
-                buf[..src.len()].copy_from_slice(src);
-                out.push(buf);
-                continue;
-            }
-            let mut buf = vec![0u8; l];
-            for (i, &pos) in order.iter().enumerate() {
-                gf::mul_acc(&mut buf, shards[pos].1, inv[j * kk + i]);
-            }
-            out.push(buf);
+    ) {
+        // A surviving data shard is always chosen: data indices are below
+        // every parity index.
+        if let Some(&pos) = order.iter().find(|&&p| shards[p].0 == j) {
+            out.extend_from_slice(shards[pos].1);
+            return;
         }
-        Ok(out)
+        let start = out.len();
+        out.resize(start + self.data_range(j, total_len).len(), 0);
+        let row = &inv[j as usize * order.len()..];
+        let terms = order.iter().map(|&pos| shards[pos].1);
+        dot_acc(&mut out[start..], terms.zip(row.iter().copied()));
     }
 
     /// Decode the original payload from any `k` of the `k + m` shards.
     /// `shards` are `(index, bytes)` pairs with true lengths; `total_len`
-    /// is the payload length recorded at encode time.
+    /// is the payload length recorded at encode time. The payload is built
+    /// in one allocation: each surviving data shard is copied into it once,
+    /// each missing one is accumulated in place.
     pub fn decode(&self, shards: &[(u8, &[u8])], total_len: usize) -> Result<Vec<u8>, EcError> {
-        let data = self.data_shards(shards, total_len)?;
+        let (order, inv) = self.decode_matrix(shards, total_len)?;
         let mut out = Vec::with_capacity(total_len);
-        for (j, shard) in data.iter().enumerate() {
-            let take = self.data_range(j as u8, total_len).len();
-            out.extend_from_slice(&shard[..take]);
+        for j in 0..self.k {
+            self.push_data_shard(&mut out, j, (&order, &inv), shards, total_len);
         }
         Ok(out)
     }
 
     /// Rebuild one lost shard (data or parity, true length) from any `k`
-    /// survivors — the repair collective's primitive.
+    /// survivors — the repair collective's primitive. A data shard decodes
+    /// only its own row; a parity shard re-encodes its row over the decoded
+    /// payload.
     pub fn reconstruct_shard(
         &self,
         shards: &[(u8, &[u8])],
@@ -343,18 +348,33 @@ impl RsCode {
                 shards: self.shards(),
             });
         }
-        let data = self.data_shards(shards, total_len)?;
         if index < self.k {
-            let mut shard = data.into_iter().nth(index as usize).unwrap_or_default();
-            shard.truncate(self.true_len(index, total_len));
-            Ok(shard)
-        } else {
-            let p = (index - self.k) as usize;
-            let mut buf = vec![0u8; self.shard_len(total_len)];
-            for (j, shard) in data.iter().enumerate() {
-                gf::mul_acc(&mut buf, shard, self.parity[p * self.k as usize + j]);
-            }
-            Ok(buf)
+            let (order, inv) = self.decode_matrix(shards, total_len)?;
+            let mut shard = Vec::with_capacity(self.true_len(index, total_len));
+            self.push_data_shard(&mut shard, index, (&order, &inv), shards, total_len);
+            return Ok(shard);
+        }
+        let payload = self.decode(shards, total_len)?;
+        let row = &self.parity[(index - self.k) as usize * self.k as usize..];
+        let data = (0..self.k).map(|j| &payload[self.data_range(j, total_len)]);
+        let mut buf = vec![0u8; self.shard_len(total_len)];
+        dot_acc(&mut buf, data.zip(row.iter().copied()));
+        Ok(buf)
+    }
+}
+
+/// Column width of [`dot_acc`]: one destination block plus its `k` source
+/// blocks stay in L1 while they accumulate.
+const BLOCK: usize = 4096;
+
+/// `dst[i] ^= Σ coef * src[i]` over the `(src, coef)` terms, one column
+/// block at a time, so each destination byte is loaded and stored from
+/// cache instead of once per term from memory. Sources shorter than `dst`
+/// are logically zero-padded, as in [`gf::mul_acc`].
+fn dot_acc<'a>(dst: &mut [u8], terms: impl Iterator<Item = (&'a [u8], u8)> + Clone) {
+    for (b, block) in dst.chunks_mut(BLOCK).enumerate() {
+        for (src, coef) in terms.clone() {
+            gf::mul_acc(block, src.get(b * BLOCK..).unwrap_or_default(), coef);
         }
     }
 }

@@ -64,6 +64,68 @@ fn every_tolerated_loss_pattern_round_trips() {
     }
 }
 
+/// FNV-1a 64 of `bytes`: a dependency-free digest for pinning shard bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the stored format: the two parity shards of a seeded 1 MiB 4+2
+/// stripe, digests recorded from the scalar-only implementation. Any
+/// kernel that changes a parity byte fails here.
+#[test]
+fn parity_of_a_seeded_mib_is_pinned() {
+    let code = RsCode::new(4, 2).unwrap();
+    let data = payload(1 << 20, 2026);
+    let shards = code.encode(&data);
+    let digests: Vec<(usize, u64)> = shards[4..].iter().map(|p| (p.len(), fnv1a(p))).collect();
+    assert_eq!(
+        digests,
+        vec![
+            (1 << 18, 0x233c_50cf_999c_31f6),
+            (1 << 18, 0xae46_cf6c_5543_5c5c)
+        ]
+    );
+}
+
+/// A payload whose length is not a multiple of `k` has a short last data
+/// shard (here 249 of 250 bytes, and an empty one for 9 bytes over 4).
+/// Decode returns it from exactly the data shards, from a data + parity
+/// mix, and from a set holding both parities; each lost data shard is
+/// rebuilt at its true length.
+#[test]
+fn decode_with_a_short_last_shard() {
+    let code = RsCode::new(4, 2).unwrap();
+    for len in [999usize, 9] {
+        let data = payload(len, len as u64);
+        let shards = code.encode(&data);
+        assert!(
+            shards[3].len() < shards[0].len(),
+            "len {len}: last shard short"
+        );
+        for lost in [
+            0b11_0000u32,
+            0b10_1000,
+            0b00_1001,
+            0b01_0100,
+            0b00_0011,
+            0b00_1100,
+        ] {
+            let have = survivors(&shards, lost);
+            assert_eq!(
+                code.decode(&have, len).unwrap(),
+                data,
+                "len {len} lost={lost:#b}"
+            );
+            for i in (0..4u8).filter(|i| lost & (1 << i) != 0) {
+                let rebuilt = code.reconstruct_shard(&have, i, len).unwrap();
+                assert_eq!(rebuilt, shards[i as usize], "len {len} shard {i}");
+            }
+        }
+    }
+}
+
 #[test]
 fn more_than_m_losses_is_a_typed_failure() {
     let code = RsCode::new(4, 2).unwrap();

@@ -12,7 +12,7 @@
 //! keep access races out while still letting different nodes proceed in
 //! parallel, mirroring per-device independence.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use bytes::Bytes;
@@ -238,7 +238,8 @@ pub struct NodeState {
     /// Erasure-coded shards keyed by `(stripe, shard index)`: each entry is
     /// self-describing (geometry + role in [`ShardMeta`]), so any `k`
     /// survivors of a stripe reconstruct the payload without a manifest.
-    pub(crate) shards: HashMap<(StripeKey, u8), StoredShard>,
+    /// Ordered, so one stripe's shards are one contiguous range.
+    pub(crate) shards: BTreeMap<(StripeKey, u8), StoredShard>,
     shard_bytes: u64,
     /// Remaining injected transient read failures: while positive, each
     /// read (chunk/manifest/blob fetch) consumes one and fails with
@@ -681,13 +682,10 @@ impl Cluster {
     /// analogous to [`Cluster::chunk_fps`].
     pub fn shard_inventory(&self, node: NodeId) -> StorageResult<Vec<(StripeKey, ShardMeta)>> {
         self.with_node(node, |n| {
-            let mut inv: Vec<(StripeKey, ShardMeta)> = n
-                .shards
+            n.shards
                 .iter()
                 .map(|((key, _), s)| (*key, s.meta))
-                .collect();
-            inv.sort_unstable_by_key(|(key, meta)| (*key, meta.index));
-            inv
+                .collect()
         })
     }
 
@@ -711,24 +709,17 @@ impl Cluster {
     /// locate shards via messages first, and reconstruction consults the
     /// cluster directly only as the last-resort repair index.
     pub fn gather_shards(&self, key: StripeKey) -> Vec<StoredShard> {
-        let mut found: HashMap<u8, StoredShard> = HashMap::new();
+        let mut found: BTreeMap<u8, StoredShard> = BTreeMap::new();
         for node in 0..self.node_count() {
-            let shards = self
-                .with_node(node, |n| {
-                    n.shards
-                        .iter()
-                        .filter(|((k, _), _)| *k == key)
-                        .map(|(_, s)| s.clone())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-            for s in shards {
-                found.entry(s.meta.index).or_insert(s);
-            }
+            // A down node contributes nothing.
+            self.with_node(node, |n| {
+                for ((_, index), s) in n.shards.range((key, 0)..=(key, u8::MAX)) {
+                    found.entry(*index).or_insert_with(|| s.clone());
+                }
+            })
+            .ok();
         }
-        let mut out: Vec<StoredShard> = found.into_values().collect();
-        out.sort_unstable_by_key(|s| s.meta.index);
-        out
+        found.into_values().collect()
     }
 
     /// Reconstruct a stripe's payload from any `k` surviving shards across
@@ -1349,6 +1340,45 @@ mod tests {
         assert_eq!(c.reconstruct_payload(key), None);
         // An unknown stripe is simply absent.
         assert_eq!(c.reconstruct_payload(StripeKey::Chunk(fp(999))), None);
+    }
+
+    /// Stripes whose keys sort next to each other on one node: two chunk
+    /// fingerprints that differ only in their last byte, and a blob.
+    /// Gathering one stripe returns exactly its own shards.
+    #[test]
+    fn gather_returns_only_the_requested_stripe_among_neighbours() {
+        let c = Cluster::new(Placement::one_per_node(1));
+        let mut low = [0x5au8; 20];
+        low[19] = 0x10;
+        let mut high = low;
+        high[19] = 0x11;
+        let keys = [
+            StripeKey::Chunk(Fingerprint::from_bytes(low)),
+            StripeKey::Chunk(Fingerprint::from_bytes(high)),
+            StripeKey::Blob {
+                owner: 0,
+                dump_id: 1,
+            },
+        ];
+        let payloads: Vec<Bytes> = (0..3u8)
+            .map(|i| Bytes::from(vec![i + 1; 90 + i as usize]))
+            .collect();
+        for (key, payload) in keys.iter().zip(&payloads) {
+            encode_stripe(&c, *key, 2, 1, payload);
+        }
+        for (key, payload) in keys.iter().zip(&payloads) {
+            let shards = c.gather_shards(*key);
+            let indices: Vec<u8> = shards.iter().map(|s| s.meta.index).collect();
+            assert_eq!(indices, vec![0, 1, 2], "{key:?}");
+            assert!(shards
+                .iter()
+                .all(|s| s.meta.total_len == payload.len() as u64));
+            assert_eq!(
+                c.reconstruct_payload(*key).as_ref(),
+                Some(payload),
+                "{key:?}"
+            );
+        }
     }
 
     #[test]
