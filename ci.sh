@@ -32,6 +32,9 @@ echo "== cargo clippy (deny warnings) =="
 # denies the same plus clippy::panic and clippy::unreachable, so RS
 # decode/reconstruct surface every failure as a typed EcError against
 # corrupt or incomplete shards; its one unsafe site is the AVX2 kernel.
+# In crates/core, the heal and repair modules deny clippy::unwrap_used,
+# clippy::expect_used, clippy::panic and clippy::unreachable outside
+# tests, so the unattended healer fails with typed errors, never panics.
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --release =="
@@ -72,19 +75,6 @@ if grep -rn '#\[deprecated' crates/*/src tests; then
   echo "ci: FAIL — deprecated shim reintroduced; extend the API instead" >&2
   exit 1
 fi
-
-echo "== panic-free gate (heal engine) =="
-# The healer runs unattended against degraded, possibly corrupt
-# clusters; every failure must surface as a typed error the operator's
-# loop can retry, never a panic that kills the healer. Covers the engine
-# (heal.rs) and the planner/scrub/error types it shares (repair.rs).
-for f in crates/core/src/heal.rs crates/core/src/repair.rs; do
-  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^\s*//' \
-      | grep -nE 'panic!|\.unwrap\(\)|\.expect\(|unreachable!'; then
-    echo "ci: FAIL — panic path in heal-engine non-test code ($f)" >&2
-    exit 1
-  fi
-done
 
 echo "== stray-copy gate (hot-path modules) =="
 # The dump/restore/heal hot paths moved to refcounted Chunk payloads;

@@ -308,8 +308,17 @@ fn run_fault_demo(spec: &str) {
         println!("   fault: {f:?}");
     }
     let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
-    let hook_cluster = Arc::clone(&cluster);
-    let plan = plan.on_crash(move |rank| hook_cluster.fail_node(hook_cluster.node_of(rank)));
+    let crash_cluster = Arc::clone(&cluster);
+    let transient_cluster = Arc::clone(&cluster);
+    let plan = plan
+        .on_crash(move |rank| crash_cluster.fail_node(crash_cluster.node_of(rank)))
+        .on_transient(move |rank, ops| {
+            let node = transient_cluster.node_of(rank);
+            // A node already down has no reads left to fail.
+            if transient_cluster.inject_transient(node, ops).is_ok() {
+                println!("rank {rank}: armed {ops} transient read failures on node {node}");
+            }
+        });
     let config = WorldConfig::default()
         .with_recv_timeout(Duration::from_secs(10))
         .with_faults(plan);

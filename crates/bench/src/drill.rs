@@ -354,7 +354,7 @@ fn inject_damage(
                 .with_faults(plan);
             let store = Arc::clone(&persisted);
             let hc = Arc::clone(cluster);
-            config.launch(n, move |comm| {
+            let out = config.launch(n, move |comm| {
                 let repl = build_replicator(strategy, &hc, policy, heal);
                 let mut cursor = HealCursor::new(target);
                 let mut report = HealReport::default();
@@ -364,6 +364,13 @@ fn inject_damage(
                     }
                 }
             });
+            // The drill only means something if the heal reached a
+            // second transfer window for the kill to land in.
+            assert_eq!(
+                out.crashed_ranks(),
+                vec![n / 2],
+                "the healer kill must fire"
+            );
             let snapshot = persisted.lock().expect("cursor store").clone();
             HealCursor::from_bytes(&snapshot).unwrap_or_else(|_| HealCursor::new(target))
         }

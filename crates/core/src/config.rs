@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use replidedup_ec::RsCode;
 use replidedup_hash::ChunkerKind;
 
 /// A dump configuration rejected at build/validation time.
@@ -223,15 +224,15 @@ impl RedundancyPolicy {
     pub fn validate(self) -> Result<(), ConfigError> {
         match self {
             RedundancyPolicy::Replicate(0) => Err(ConfigError::ZeroReplication),
-            RedundancyPolicy::Replicate(_) => Ok(()),
-            RedundancyPolicy::Rs { k, m } | RedundancyPolicy::Auto { k, m, .. } => {
-                if k == 0 || m == 0 || u16::from(k) + u16::from(m) > 255 {
-                    Err(ConfigError::InvalidRsParams { k, m })
-                } else {
-                    Ok(())
-                }
-            }
+            _ => self.rs_code().map(drop),
         }
+    }
+
+    /// The checked Reed-Solomon code, when the policy can code chunks.
+    pub fn rs_code(self) -> Result<Option<RsCode>, ConfigError> {
+        self.rs_params()
+            .map(|(k, m)| RsCode::new(k, m).map_err(|_| ConfigError::InvalidRsParams { k, m }))
+            .transpose()
     }
 }
 

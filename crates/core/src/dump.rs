@@ -132,6 +132,7 @@ pub(crate) fn dump_impl(
     cfg: &DumpConfig,
 ) -> Result<DumpStats, DumpError> {
     cfg.validate()?;
+    let code = cfg.policy.rs_code()?;
     let buf: &[u8] = data;
     let copied_before = thread_bytes_copied();
     let me = comm.rank();
@@ -157,7 +158,15 @@ pub(crate) fn dump_impl(
     // Every path reaches the dump's survivor fence exactly once: degraded
     // ranks wait there (inside `degraded_commit`) to learn which ranks died
     // before finishing, the rest just arrive.
-    match dump_pipeline(comm, ctx, data, cfg, k, &mut stats, &mut failure) {
+    match dump_pipeline(
+        comm,
+        ctx,
+        data,
+        cfg,
+        code.as_ref(),
+        &mut stats,
+        &mut failure,
+    ) {
         Ok(()) => comm.fence_arrive(),
         Err(CommError::RankFailed { .. }) => {
             // A peer died mid-collective. The error may have unwound from
@@ -216,10 +225,11 @@ fn dump_pipeline(
     ctx: &DumpContext<'_>,
     data: &Chunk,
     cfg: &DumpConfig,
-    k: u32,
+    code: Option<&RsCode>,
     stats: &mut DumpStats,
     failure: &mut Option<DumpError>,
 ) -> Result<(), CommError> {
+    let k = stats.k;
     let buf: &[u8] = data;
     let me = comm.rank();
     let n = comm.size();
@@ -241,7 +251,7 @@ fn dump_pipeline(
     // redundancy comes from a Reed-Solomon stripe instead of replication.
     // `stripe_fps` is the subset *this* rank assembles; `blob_coded` marks
     // a no-dedup buffer that is striped whole instead of replicated.
-    let rs = cfg.policy.rs_params();
+    let rs = code.map(|c| (c.k(), c.m()));
     let mut coded_fps = FpHashSet::default();
     let mut stripe_fps: Vec<Fingerprint> = Vec::new();
     let mut blob_coded = false;
@@ -428,8 +438,9 @@ fn dump_pipeline(
 
     // ---- Commit: own data -----------------------------------------------
     comm.enter_phase("commit");
-    match cfg.strategy {
-        Strategy::NoDedup => {
+    // The dedup strategies built a local index; `no-dedup` never hashes.
+    match &local {
+        None => {
             if !blob_coded {
                 // Refcount bump: the stored blob IS the app buffer.
                 let blob = data.as_bytes().clone();
@@ -445,10 +456,7 @@ fn dump_pipeline(
             // A coded blob stores no full copy anywhere: its data shards
             // (payload slices) and parity land in the stripe phase below.
         }
-        Strategy::LocalDedup | Strategy::CollDedup => {
-            let idx = local
-                .as_ref()
-                .expect("dedup strategies build a local index");
+        Some(idx) => {
             for &i in &keep_indices {
                 let fp = idx.in_order[i as usize];
                 // Zero-copy slice of the application buffer.
@@ -577,10 +585,10 @@ fn dump_pipeline(
     comm.exit_phase("commit");
 
     // ---- Stripe assembly (coded policies) -------------------------------
-    if let Some((rk, rm)) = rs {
+    if let Some(code) = code {
+        let (rk, rm) = (code.k(), code.m());
         comm.enter_phase("stripe_assembly");
         let node_count = ctx.cluster.node_count();
-        let code = RsCode::new(rk, rm).expect("geometry checked by DumpConfig::validate");
         // Payloads this rank stripes: its coded blob (no-dedup) or the
         // coded chunks it is the designated assembler for. Data shards are
         // zero-copy slices of the application buffer.

@@ -14,19 +14,29 @@
 //!   harness) can persist it, kill the healer, and resume from the exact
 //!   window where it died.
 //! * [`heal_step_impl`] advances the cursor by one **bounded step**: a
-//!   small collective over at most [`HealOptions::chunk_batch`] (or
-//!   `owner_batch` / `stripe_batch`) items. Each step re-plans its
-//!   window against the *current* cluster state with the pure
-//!   [`crate::repair::build_plan`], then post-filters the plan to the
-//!   window — so healing under live `dump`/`restore` traffic never acts
-//!   on stale inventory for longer than one window.
+//!   window that costs **one allgather**, the transfer and a counts
+//!   allreduce. In that allgather each live node's leader sends its
+//!   sorted lists past the cursor's high-water mark, each capped at the
+//!   stage's batch ([`HealOptions::chunk_batch`] / `owner_batch` /
+//!   `stripe_batch`) of distinct keys, plus a *bound*: the smallest last
+//!   kept key among the lists it cut. The window is `(high-water,
+//!   smallest bound]` — to the end of the stage when nobody cut — so
+//!   every leader's lists are complete inside it, and every rank plans
+//!   the identical window with no offer round. The lists double as the
+//!   census: a chunk's holders are the leaders whose held list carries
+//!   it. Each step plans its window against the *current* cluster state
+//!   with the pure [`crate::repair::build_plan`], so healing under live
+//!   `dump`/`restore` traffic never acts on stale inventory for longer
+//!   than one window. Since the batch bounds what each *node* sends, the
+//!   window count follows the largest per-node key count, not the world
+//!   size.
 //! * Between steps the world is free: a foreground dump of a *newer*
 //!   generation can run its own collectives, and the healer's next step
 //!   simply sees (and skips) whatever the dump committed. In-flight
 //!   generations are invisible to the healer by construction — chunk
 //!   healing only considers fingerprints referenced by *committed*
 //!   manifests of the cursor's generation, blob stripes of other
-//!   generations are never offered, and an `Auto`/`Rs` chunk stripe is
+//!   generations are never sent, and an `Auto`/`Rs` chunk stripe is
 //!   content-addressed, so touching it concurrently is idempotent.
 //! * The optional [`HealOptions::gc_before`] bound runs
 //!   [`replidedup_storage::Cluster::gc_superseded`] as the first step,
@@ -39,26 +49,26 @@
 //! Stage order: `Gc → Scrub → Chunks → Manifests → Stripes → Done` for
 //! the dedup strategies, `Gc → Scrub → Blobs → Stripes → Done` for
 //! `no-dedup`. The cursor is strictly monotonic — a step either advances
-//! a high-water mark past a non-empty window or advances the stage past
-//! an empty one — so a heal always terminates, and resuming from any
-//! persisted cursor position converges to the same healed state
-//! (re-running a window is idempotent: puts are content-addressed). A
-//! crash mid-step surfaces as [`RepairError::Comm`]; unrecoverable data
-//! is reported in the [`HealReport`] instead of failing the collective.
+//! the high-water mark to its window's cut or, when the window ran to
+//! the end, advances the stage — so a heal always terminates, and
+//! resuming from any persisted cursor position converges to the same
+//! healed state (re-running a window is idempotent: puts are
+//! content-addressed). A crash mid-step surfaces as
+//! [`RepairError::Comm`]; unrecoverable data is reported in the
+//! [`HealReport`] instead of failing the collective.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
 use replidedup_buf::Chunk;
-use replidedup_hash::{Fingerprint, FpHashSet};
+use replidedup_hash::Fingerprint;
 use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, Tag};
-use replidedup_storage::{DumpId, GcStats, Manifest, NodeId, SessionId, StorageError, StripeKey};
+use replidedup_storage::{DumpId, GcStats, Manifest, SessionId, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::global::{try_reduce_global_view, GlobalView};
 use crate::repair::{build_plan, leader_of, lowest_live_leader, NodeInventory, RepairError};
 
 const TAG_HEAL_CHUNKS: Tag = 0x5250_0009;
@@ -66,9 +76,10 @@ const TAG_HEAL_MANIFEST: Tag = 0x5250_000A;
 const TAG_HEAL_BLOB: Tag = 0x5250_000B;
 
 /// Phases a healing step may enter (trace span names). Unlike
-/// [`crate::DUMP_PHASES`] these repeat: every windowed step re-enters
-/// `heal.plan` / `heal.transfer`, which is what lets a fault plan target
-/// e.g. the *second* transfer window (`start:heal.transfer#2`).
+/// [`crate::DUMP_PHASES`] these repeat: every windowed step with work
+/// re-enters `heal.plan` / `heal.transfer`, which is what lets a fault
+/// plan target e.g. the *second* transfer window
+/// (`start:heal.transfer#2`).
 pub const HEAL_PHASES: [&str; 5] = [
     "heal.gc",
     "heal.scrub",
@@ -89,15 +100,19 @@ pub struct RateLimit {
 }
 
 /// Tuning knobs for the incremental healer. Must be identical on every
-/// rank driving the same heal (they shape the step's collectives).
+/// rank driving the same heal (they shape the step's collectives). The
+/// batches bound what each node sends per step, so a stage takes about
+/// (largest per-node key count ÷ batch) steps whatever the world size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealOptions {
-    /// Fingerprints re-planned per [`HealStage::Chunks`] step.
+    /// Fingerprints per node per [`HealStage::Chunks`] step, in each of
+    /// the referenced, held and chunk-stripe lists.
     pub chunk_batch: usize,
-    /// Owner ranks re-planned per [`HealStage::Manifests`] /
-    /// [`HealStage::Blobs`] step.
+    /// Owner ranks per node per [`HealStage::Manifests`] /
+    /// [`HealStage::Blobs`] step, in each of the held-owner, absent and
+    /// blob-stripe lists.
     pub owner_batch: usize,
-    /// Stripes re-planned per [`HealStage::Stripes`] step.
+    /// Stripes per node per [`HealStage::Stripes`] step.
     pub stripe_batch: usize,
     /// Throughput bound on healing payload bytes (`None`: unthrottled).
     pub rate: Option<RateLimit>,
@@ -445,132 +460,104 @@ pub(crate) fn heal_step_impl(
             };
         }
         HealStage::Chunks => {
-            comm.enter_phase("heal.plan");
-            // Window: each live leader offers its first `chunk_batch`
-            // referenced fingerprints past the high-water mark; the
-            // sorted union (re-truncated) is the window every rank
-            // plans. Committed manifests only — an in-flight dump of a
-            // newer generation has nothing here to offer yet. The node's
-            // manifests are read once per step: `referenced` answers
-            // both "what do I offer" and "which window entries are mine".
-            let referenced = if i_lead {
-                referenced_after(ctx, node, cursor.after_fp)?
-            } else {
-                Vec::new()
-            };
-            let mine: Vec<Fingerprint> =
-                referenced.iter().take(opts.chunk_batch).copied().collect();
-            let offered = comm.try_allgather(mine);
-            comm.exit_phase("heal.plan");
-            let mut window: Vec<Fingerprint> = offered?.into_iter().flatten().collect();
-            window.sort_unstable();
-            window.dedup();
-            window.truncate(opts.chunk_batch);
-            let Some(&last) = window.last() else {
-                cursor.stage = HealStage::Manifests;
-                cursor.steps_taken += 1;
-                report.steps += 1;
-                return Ok(());
-            };
-
+            // Committed manifests of this generation only: an in-flight
+            // dump of a newer one has nothing here to reference yet.
+            let after = cursor.after_fp;
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
-                let view = if i_lead {
-                    let mut held = cluster.chunk_fps(node)?;
-                    held.retain(|fp| window.binary_search(fp).is_ok());
-                    GlobalView::from_local(me, held, usize::MAX)
-                } else {
-                    GlobalView::default()
-                };
                 let mut inv = NodeInventory::default();
+                let mut cap = Cap::new(after, opts.chunk_batch);
                 if i_lead {
-                    inv.leads_live_node = true;
-                    inv.referenced = window
-                        .iter()
-                        .copied()
-                        .filter(|fp| referenced.binary_search(fp).is_ok())
+                    let mut refs: Vec<Fingerprint> = cluster
+                        .manifests_for(node, ctx.dump_id)?
+                        .into_iter()
+                        .flat_map(|m| m.chunks)
                         .collect();
-                    inv.shards = cluster.shard_inventory(node)?;
-                    inv.shards.retain(|(key, _)| match key {
-                        StripeKey::Chunk(fp) => window.binary_search(fp).is_ok(),
-                        StripeKey::Blob { .. } => false,
-                    });
+                    refs.sort_unstable();
+                    refs.dedup();
+                    let chunk_stripe = |(key, _): &(StripeKey, _)| match key {
+                        StripeKey::Chunk(fp) => Some(*fp),
+                        StripeKey::Blob { .. } => None,
+                    };
+                    inv.leads_live_node = true;
+                    inv.referenced = cap.list(refs, |fp| Some(*fp));
+                    inv.held = cap.list(cluster.chunk_fps(node)?, |fp| Some(*fp));
+                    inv.shards = cap.list(cluster.shard_inventory(node)?, chunk_stripe);
                 }
-                let global = try_reduce_global_view(comm, view, k, usize::MAX);
-                let world_inv = comm.try_allgather(inv);
-                Ok((global?, world_inv?))
+                gather_window(comm, inv, cap.bound)
             })();
             comm.exit_phase("heal.plan");
-            let (global, world_inv) = step?;
-            let plan = windowed_plan(ctx, strategy, k, n, &global, &world_inv);
-
-            comm.enter_phase("heal.transfer");
-            let moved = transfer(
-                comm,
-                TAG_HEAL_CHUNKS,
-                &plan.chunk_moves,
-                bucket,
-                |fp| cluster.get_chunk(node, fp),
-                |_, fp, data| Ok(cluster.put_chunk(node, fp, data.into_bytes())?),
-            )
-            .and_then(|(healed, bytes)| allreduce_counts(comm, vec![healed, bytes]));
-            comm.exit_phase("heal.transfer");
-            let sums = moved?;
-            report.chunks_healed += sums[0];
-            report.bytes_re_replicated += sums[1];
-            comm.tracer().counter("heal_chunks_healed", sums[0]);
-            comm.tracer().counter("heal_bytes", sums[1]);
-            // The window's unrepairables are final facts (zero copies
-            // and no viable stripe cluster-wide); the rest of the plan
-            // (manifests, stripes) is out of scope for this stage.
-            merge_sorted(&mut report.unrepairable_chunks, plan.unrepairable_chunks);
-            cursor.after_fp = Some(last);
+            let (mut world_inv, cut) = step?;
+            for inv in &mut world_inv {
+                inv.referenced.retain(|fp| cut.is_none_or(|c| *fp <= c));
+            }
+            if world_inv.iter().any(|inv| !inv.referenced.is_empty()) {
+                let plan = windowed_plan(ctx, strategy, k, n, world_inv);
+                comm.enter_phase("heal.transfer");
+                let moved = transfer(
+                    comm,
+                    TAG_HEAL_CHUNKS,
+                    &plan.chunk_moves,
+                    bucket,
+                    |fp| cluster.get_chunk(node, fp),
+                    |_, fp, data| Ok(cluster.put_chunk(node, fp, data.into_bytes())?),
+                )
+                .and_then(|(healed, bytes)| allreduce_counts(comm, vec![healed, bytes]));
+                comm.exit_phase("heal.transfer");
+                let sums = moved?;
+                report.chunks_healed += sums[0];
+                report.bytes_re_replicated += sums[1];
+                comm.tracer().counter("heal_chunks_healed", sums[0]);
+                comm.tracer().counter("heal_bytes", sums[1]);
+                // The window's unrepairables are final facts (zero copies
+                // and no viable stripe cluster-wide); the rest of the plan
+                // (manifests, stripes) is out of scope for this stage.
+                merge_sorted(&mut report.unrepairable_chunks, plan.unrepairable_chunks);
+            }
+            match cut {
+                Some(c) => cursor.after_fp = Some(c),
+                None => cursor.stage = HealStage::Manifests,
+            }
         }
         HealStage::Manifests | HealStage::Blobs => {
             // One owner-window body for both recipe formats: manifests
             // (dedup strategies) and raw blobs (`no-dedup`).
             let blobs = cursor.stage == HealStage::Blobs;
-            let window = owner_window(cursor.after_owner, n, opts.owner_batch);
-            let Some(&last) = window.last() else {
-                cursor.stage = HealStage::Stripes;
-                cursor.steps_taken += 1;
-                report.steps += 1;
-                return Ok(());
-            };
-            let in_window = |r: &u32| window.binary_search(r).is_ok();
+            let after = cursor.after_owner;
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
                 let mut inv = NodeInventory::default();
+                let mut cap = Cap::new(after, opts.owner_batch);
                 if i_lead {
+                    let owner = |r: &u32| Some(*r);
                     inv.leads_live_node = true;
-                    inv.absent = cluster.absent_ranks(node, ctx.dump_id)?;
-                    inv.absent.retain(in_window);
+                    inv.absent = cap.list(cluster.absent_ranks(node, ctx.dump_id)?, owner);
                     if blobs {
-                        inv.blob_owners = cluster.blob_owners(node, ctx.dump_id)?;
-                        inv.blob_owners.retain(in_window);
+                        inv.blob_owners = cap.list(cluster.blob_owners(node, ctx.dump_id)?, owner);
                         // A blob with no replica is healthy if its stripe
-                        // survives — the plan needs the window's Blob
+                        // survives — the plan needs this generation's Blob
                         // stripes to judge that.
-                        inv.shards = cluster.shard_inventory(node)?;
-                        inv.shards.retain(|(key, _)| match key {
-                            StripeKey::Blob { owner, dump_id } => {
-                                *dump_id == ctx.dump_id && in_window(owner)
+                        let blob_stripe = |(key, _): &(StripeKey, _)| match key {
+                            StripeKey::Blob { owner, dump_id } if *dump_id == ctx.dump_id => {
+                                Some(*owner)
                             }
-                            StripeKey::Chunk(_) => false,
-                        });
+                            _ => None,
+                        };
+                        inv.shards = cap.list(cluster.shard_inventory(node)?, blob_stripe);
                     } else {
-                        inv.manifest_owners = cluster.manifest_owners(node, ctx.dump_id)?;
-                        inv.manifest_owners.retain(in_window);
+                        let held = cluster.manifest_owners(node, ctx.dump_id)?;
+                        inv.manifest_owners = cap.list(held, owner);
                     }
                 }
-                comm.try_allgather(inv).map_err(RepairError::from)
+                gather_window(comm, inv, cap.bound)
             })();
             comm.exit_phase("heal.plan");
-            let world_inv = step?;
-            let plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
-            // The windowed inventory legitimately knows nothing about
-            // owners outside the window, so the plan flags them all as
-            // lost; only in-window verdicts are real.
+            let (world_inv, cut) = step?;
+            let plan = windowed_plan(ctx, strategy, k, n, world_inv);
+            // The window is the owner range `(after, cut]`; the plan flags
+            // every owner outside it as lost (their lists were not sent),
+            // so only in-window verdicts are real.
+            let in_window = |r: &u32| after.is_none_or(|a| *r > a) && cut.is_none_or(|c| *r <= c);
             let (mut moves, mut lost) = if blobs {
                 (plan.blob_moves, plan.unrepairable_blobs)
             } else {
@@ -626,72 +613,68 @@ pub(crate) fn heal_step_impl(
                     .counter("heal_manifests_rematerialized", sums[0]);
                 merge_sorted(&mut report.unrepairable_manifests, lost);
             }
-            cursor.after_owner = Some(last);
+            match cut {
+                Some(c) => cursor.after_owner = Some(c),
+                None => cursor.stage = HealStage::Stripes,
+            }
         }
         HealStage::Stripes => {
-            comm.enter_phase("heal.plan");
-            let mine = if i_lead {
-                stripes_after(ctx, node, cursor.after_stripe, opts.stripe_batch)?
-            } else {
-                Vec::new()
-            };
-            let offered = comm.try_allgather(mine);
-            comm.exit_phase("heal.plan");
-            let mut window: Vec<StripeKey> = offered?.into_iter().flatten().collect();
-            window.sort_unstable();
-            window.dedup();
-            window.truncate(opts.stripe_batch);
-            let Some(&last) = window.last() else {
-                cursor.stage = HealStage::Done;
-                cursor.steps_taken += 1;
-                report.steps += 1;
-                return Ok(());
-            };
-
+            let after = cursor.after_stripe;
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
                 let mut inv = NodeInventory::default();
+                let mut cap = Cap::new(after, opts.stripe_batch);
                 if i_lead {
+                    // Blob stripes of other generations are not this
+                    // heal's business — one of a dump still in flight is
+                    // legitimately below `k` shards mid-commit.
+                    let ours = |(key, _): &(StripeKey, _)| match key {
+                        StripeKey::Blob { dump_id, .. } if *dump_id != ctx.dump_id => None,
+                        _ => Some(*key),
+                    };
                     inv.leads_live_node = true;
-                    inv.shards = cluster.shard_inventory(node)?;
-                    inv.shards
-                        .retain(|(key, _)| window.binary_search(key).is_ok());
+                    inv.shards = cap.list(cluster.shard_inventory(node)?, ours);
                 }
-                comm.try_allgather(inv).map_err(RepairError::from)
+                gather_window(comm, inv, cap.bound)
             })();
             comm.exit_phase("heal.plan");
-            let world_inv = step?;
-            let plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
-
-            comm.enter_phase("heal.stripes");
-            let rebuilt = (|| -> Result<_, RepairError> {
-                let mut shards_rebuilt = 0u64;
-                let mut bytes_reconstructed = 0u64;
-                for (leader, key, index) in &plan.shard_rebuilds {
-                    if *leader != me {
-                        continue;
-                    }
-                    if let Some(shard) = cluster.rebuild_shard(*key, *index) {
-                        let len = shard.data.len() as u64;
-                        throttle(comm, bucket, len);
-                        if cluster.put_shard(node, *key, shard.meta, shard.data)? {
-                            shards_rebuilt += 1;
-                            bytes_reconstructed += len;
+            let (mut world_inv, cut) = step?;
+            for inv in &mut world_inv {
+                inv.shards.retain(|(key, _)| cut.is_none_or(|c| *key <= c));
+            }
+            if world_inv.iter().any(|inv| !inv.shards.is_empty()) {
+                let plan = windowed_plan(ctx, strategy, k, n, world_inv);
+                comm.enter_phase("heal.stripes");
+                let rebuilt = (|| -> Result<_, RepairError> {
+                    let mut shards_rebuilt = 0u64;
+                    let mut bytes_reconstructed = 0u64;
+                    for (leader, key, index) in &plan.shard_rebuilds {
+                        if *leader != me {
+                            continue;
+                        }
+                        if let Some(shard) = cluster.rebuild_shard(*key, *index) {
+                            let len = shard.data.len() as u64;
+                            throttle(comm, bucket, len);
+                            if cluster.put_shard(node, *key, shard.meta, shard.data)? {
+                                shards_rebuilt += 1;
+                                bytes_reconstructed += len;
+                            }
                         }
                     }
-                }
-                allreduce_counts(comm, vec![shards_rebuilt, bytes_reconstructed])
-            })();
-            comm.exit_phase("heal.stripes");
-            let sums = rebuilt?;
-            report.shards_rebuilt += sums[0];
-            report.bytes_reconstructed += sums[1];
-            comm.tracer().counter("heal_shards_rebuilt", sums[0]);
-            comm.tracer().counter("heal_bytes", sums[1]);
-            let mut lost = plan.unrepairable_stripes;
-            lost.retain(|key| window.binary_search(key).is_ok());
-            merge_sorted(&mut report.unrepairable_stripes, lost);
-            cursor.after_stripe = Some(last);
+                    allreduce_counts(comm, vec![shards_rebuilt, bytes_reconstructed])
+                })();
+                comm.exit_phase("heal.stripes");
+                let sums = rebuilt?;
+                report.shards_rebuilt += sums[0];
+                report.bytes_reconstructed += sums[1];
+                comm.tracer().counter("heal_shards_rebuilt", sums[0]);
+                comm.tracer().counter("heal_bytes", sums[1]);
+                merge_sorted(&mut report.unrepairable_stripes, plan.unrepairable_stripes);
+            }
+            match cut {
+                Some(c) => cursor.after_stripe = Some(c),
+                None => cursor.stage = HealStage::Done,
+            }
         }
     }
     cursor.steps_taken += 1;
@@ -727,65 +710,70 @@ pub(crate) fn heal_impl(
     Ok(report)
 }
 
-/// This node's sorted referenced fingerprints for the cursor's dump,
-/// strictly past `after` (committed manifests only).
-fn referenced_after(
-    ctx: &DumpContext<'_>,
-    node: NodeId,
-    after: Option<Fingerprint>,
-) -> Result<Vec<Fingerprint>, RepairError> {
-    let mut refs = FpHashSet::default();
-    for m in ctx.cluster.manifests_for(node, ctx.dump_id)? {
-        refs.extend(
-            m.chunks
-                .iter()
-                .filter(|fp| after.is_none_or(|hw| **fp > hw)),
-        );
-    }
-    let mut out: Vec<Fingerprint> = refs.into_iter().collect();
-    out.sort_unstable();
-    Ok(out)
-}
-
-/// This node's sorted stripe keys strictly past `after`, capped. Blob
-/// stripes of other generations are not this heal's business — one of a
-/// dump still in flight is legitimately below `k` shards mid-commit.
-fn stripes_after(
-    ctx: &DumpContext<'_>,
-    node: NodeId,
-    after: Option<StripeKey>,
+/// One leader's side of a window: its sorted lists strictly past
+/// `after`, each cut after `batch` distinct keys. `bound` is the smallest
+/// last kept key of any cut list, so inside the window every rank plans —
+/// `(after, smallest bound of all leaders]` — each list is complete.
+struct Cap<K> {
+    after: Option<K>,
     batch: usize,
-) -> Result<Vec<StripeKey>, RepairError> {
-    let mut keys: Vec<StripeKey> = ctx
-        .cluster
-        .shard_inventory(node)?
-        .into_iter()
-        .map(|(key, _)| key)
-        .filter(|key| after.is_none_or(|hw| *key > hw))
-        .filter(|key| !matches!(key, StripeKey::Blob { dump_id, .. } if *dump_id != ctx.dump_id))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys.truncate(batch);
-    Ok(keys)
+    bound: Option<K>,
 }
 
-/// The owner-rank window past `after`: at most `batch` ranks of the
-/// world, in order. Deterministic on every rank with no collective.
-fn owner_window(after: Option<u32>, world: u32, batch: usize) -> Vec<u32> {
-    let start = after.map_or(0, |o| o.saturating_add(1));
-    (start..world).take(batch).collect()
+impl<K: Ord + Copy> Cap<K> {
+    fn new(after: Option<K>, batch: usize) -> Self {
+        Self {
+            after,
+            batch,
+            bound: None,
+        }
+    }
+
+    /// The capped list of `sorted`; an entry keyed `None` is not this
+    /// stage's business.
+    fn list<T>(&mut self, sorted: Vec<T>, key: impl Fn(&T) -> Option<K>) -> Vec<T> {
+        let mut out = Vec::new();
+        let (mut distinct, mut last) = (0, None);
+        for item in sorted {
+            let Some(k) = key(&item).filter(|k| self.after.is_none_or(|hw| *k > hw)) else {
+                continue;
+            };
+            if last != Some(k) {
+                if let Some(l) = last.filter(|_| distinct >= self.batch) {
+                    self.bound = Some(self.bound.map_or(l, |b| b.min(l)));
+                    break;
+                }
+                distinct += 1;
+                last = Some(k);
+            }
+            out.push(item);
+        }
+        out
+    }
+}
+
+/// The window's one allgather: every leader's capped lists plus its
+/// bound. The cut is the smallest bound, or `None` when nobody truncated
+/// (the window then runs to the end of the stage's key space).
+fn gather_window<K: Wire + Ord + Copy>(
+    comm: &mut Comm,
+    inv: NodeInventory,
+    bound: Option<K>,
+) -> Result<(Vec<NodeInventory>, Option<K>), RepairError> {
+    let all = comm.try_allgather((inv, bound))?;
+    let cut = all.iter().filter_map(|(_, b)| *b).min();
+    Ok((all.into_iter().map(|(inv, _)| inv).collect(), cut))
 }
 
 /// Run [`build_plan`] over a windowed inventory with the world's real
-/// leader topology.
+/// leader topology. Consumes the inventory, so a rank frees the world's
+/// lists before it waits in the window's transfer.
 fn windowed_plan(
     ctx: &DumpContext<'_>,
     strategy: Strategy,
     k: u32,
     n: u32,
-    global: &GlobalView,
-    world_inv: &[NodeInventory],
+    world_inv: Vec<NodeInventory>,
 ) -> crate::repair::RepairPlan {
     let cluster = ctx.cluster;
     let home_leader: Vec<u32> = (0..n)
@@ -798,8 +786,7 @@ fn windowed_plan(
         k,
         strategy,
         ctx.dump_id,
-        global,
-        world_inv,
+        &world_inv,
         &home_leader,
         &leader_of_node,
     )
@@ -880,8 +867,10 @@ fn transfer<K: Wire + Copy>(
 mod tests {
     use super::*;
     use crate::session::Replicator;
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use replidedup_mpi::WorldConfig;
     use replidedup_storage::{Cluster, Placement};
+    use replidedup_trace::EventKind;
 
     #[test]
     fn cursor_wire_roundtrip_covers_every_stage() {
@@ -939,13 +928,74 @@ mod tests {
         assert_eq!(h.debit(u64::MAX), Duration::from_nanos(u64::MAX));
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The window rule over random per-leader key sets: walking from
+        /// `None` covers every key exactly once, each window holds every
+        /// leader's complete list, no list contributes more than `batch`
+        /// keys, and the cursor strictly increases.
+        #[test]
+        fn cap_windows_cover_every_key_once_with_complete_lists(
+            lists in proptest::collection::vec(
+                proptest::collection::vec(0u32..200, 0..40), 1..12),
+            batch in 1usize..10,
+        ) {
+            let lists: Vec<Vec<u32>> = lists
+                .into_iter()
+                .map(|mut l| { l.sort_unstable(); l.dedup(); l })
+                .collect();
+            let mut all: Vec<u32> = lists.iter().flatten().copied().collect();
+            all.sort_unstable();
+            all.dedup();
+            let mut covered = Vec::new();
+            let mut after: Option<u32> = None;
+            loop {
+                let mut cap = Cap::new(after, batch);
+                let sent: Vec<Vec<u32>> = lists
+                    .iter()
+                    .map(|l| cap.list(l.clone(), |k| Some(*k)))
+                    .collect();
+                let bound = cap.bound;
+                for s in &sent {
+                    prop_assert!(s.len() <= batch, "a list sent {} > {batch}", s.len());
+                }
+                let in_window = |k: &u32| after.is_none_or(|a| *k > a) && bound.is_none_or(|c| *k <= c);
+                for (l, s) in lists.iter().zip(&sent) {
+                    let expect: Vec<u32> = l.iter().copied().filter(in_window).collect();
+                    let got: Vec<u32> = s.iter().copied().filter(in_window).collect();
+                    prop_assert_eq!(got, expect, "a list is incomplete inside its window");
+                }
+                covered.extend(all.iter().copied().filter(in_window));
+                match bound {
+                    Some(c) => {
+                        prop_assert!(after.is_none_or(|a| c > a), "the cursor must advance");
+                        after = Some(c);
+                    }
+                    None => break,
+                }
+            }
+            prop_assert_eq!(covered, all, "every key exactly once, in order");
+        }
+    }
+
     #[test]
-    fn owner_windows_partition_the_world_monotonically() {
-        assert_eq!(owner_window(None, 5, 2), vec![0, 1]);
-        assert_eq!(owner_window(Some(1), 5, 2), vec![2, 3]);
-        assert_eq!(owner_window(Some(3), 5, 2), vec![4]);
-        assert_eq!(owner_window(Some(4), 5, 2), Vec::<u32>::new());
-        assert_eq!(owner_window(Some(u32::MAX), 5, 2), Vec::<u32>::new());
+    fn cap_counts_distinct_keys_and_skips_foreign_entries() {
+        // Shard-like entries: several per key, and `None` keys skipped.
+        let entries = vec![(1, 'a'), (1, 'b'), (2, 'x'), (3, 'a'), (3, 'b'), (4, 'a')];
+        let key = |(k, tag): &(u32, char)| (*tag != 'x').then_some(*k);
+        let mut cap = Cap::new(None, 2);
+        cap.bound = Some(9);
+        let kept = cap.list(entries.clone(), key);
+        assert_eq!(kept, vec![(1, 'a'), (1, 'b'), (3, 'a'), (3, 'b')]);
+        assert_eq!(cap.bound, Some(3), "the bound only ever falls");
+        let mut cap = Cap::new(Some(3), 2);
+        let rest = cap.list(entries, key);
+        assert_eq!(
+            (rest, cap.bound),
+            (vec![(4, 'a')], None),
+            "an uncut list leaves no bound"
+        );
     }
 
     /// A healthy dump heals to Done in bounded steps with zero work, and
@@ -976,6 +1026,50 @@ mod tests {
         assert!(r0.steps >= 4, "gc, scrub, window walks, stage exits");
         for (c, r) in &out.results {
             assert_eq!((c, r), (c0, r0), "all ranks agree on cursor and report");
+        }
+    }
+
+    /// Every windowed step costs exactly one allgather (the window and its
+    /// census travel in one message); the gc and scrub steps gather none.
+    #[test]
+    fn every_heal_window_is_one_allgather() {
+        let cluster = Cluster::new(Placement::one_per_node(4));
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&cluster)
+            .replication(3)
+            .chunk_size(32)
+            .tracing(true)
+            .heal_options(HealOptions {
+                chunk_batch: 2,
+                owner_batch: 1,
+                ..HealOptions::default()
+            })
+            .build()
+            .unwrap();
+        let out = WorldConfig::default()
+            .launch(4, |comm| {
+                let buf: Vec<u8> = (0..400u32).map(|i| (i / 32 + comm.rank()) as u8).collect();
+                repl.dump(comm, 1, buf).unwrap();
+                comm.barrier();
+                if comm.rank() == 0 {
+                    repl.cluster().fail_node(2);
+                    repl.cluster().revive_node(2);
+                }
+                comm.barrier();
+                comm.take_trace_events();
+                let report = repl.heal(comm, 1).unwrap();
+                let allgathers = comm
+                    .take_trace_events()
+                    .iter()
+                    .filter(|e| e.name == "coll_allgather" && e.kind == EventKind::Enter)
+                    .count() as u64;
+                (report, allgathers)
+            })
+            .expect_all();
+        for (report, allgathers) in out.results {
+            assert!(report.chunks_healed > 0 && report.is_fully_healed());
+            assert!(report.steps > 6, "several windows: {}", report.steps);
+            assert_eq!(allgathers, report.steps - 2);
         }
     }
 

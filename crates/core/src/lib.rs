@@ -49,10 +49,25 @@ pub mod config;
 pub mod dump;
 pub mod exchange;
 pub mod global;
+// The healer runs unattended against degraded, possibly corrupt clusters:
+// every failure must surface as a typed error its operator's loop can
+// retry, never a panic. `clippy.toml` still lets test code unwrap/expect.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod heal;
 pub mod local;
 pub mod offsets;
 pub mod plan;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod repair;
 pub mod restore;
 pub mod retry;

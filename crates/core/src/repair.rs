@@ -9,30 +9,28 @@
 //! and the cluster converges back to full replication. This module holds
 //! the pieces that engine and [`crate::Replicator::scrub`] both need:
 //!
-//! * [`NodeInventory`] — what one node's leader contributes to a planning
-//!   allgather (manifest owners, blob owners, referenced fingerprints,
-//!   tombstones, erasure-coded shards).
-//! * [`build_plan`] — the deterministic planner. Fed the `HMERGE`-reduced
-//!   live-copy census ([`crate::try_reduce_global_view`] with `k = K` and
-//!   `F = ∞`: any entry with `freq < K` carries its *complete,
-//!   untruncated* holder list, which is exactly the set healing cares
-//!   about) and the allgathered inventories, every rank derives the
-//!   identical plan: under-replicated chunks go to the least-loaded live
-//!   non-holders, lost manifests/blobs are re-materialized from any
-//!   surviving copy (the owner's own node first), and every viable
-//!   Reed-Solomon stripe is healed back to `k+m` shards on their home
-//!   nodes. A coded payload with no replica counts as healthy while its
-//!   stripe keeps at least `k` shards. Data with zero surviving copies —
-//!   or a stripe below `k` shards — is beyond repair by construction; the
-//!   plan reports it instead of failing, so one unrecoverable buffer does
-//!   not block healing everything else.
+//! * [`NodeInventory`] — what one node's leader contributes to a window's
+//!   one allgather (manifest owners, blob owners, referenced and held
+//!   fingerprints, tombstones, erasure-coded shards). The held lists are
+//!   the live-copy census: a chunk's holders are the live leaders whose
+//!   inventory lists it.
+//! * [`build_plan`] — the deterministic planner. Fed the allgathered
+//!   inventories, every rank derives the identical plan: under-replicated
+//!   chunks go to the least-loaded live non-holders, lost manifests/blobs
+//!   are re-materialized from any surviving copy (the owner's own node
+//!   first), and every viable Reed-Solomon stripe is healed back to `k+m`
+//!   shards on their home nodes. A coded payload with no replica counts
+//!   as healthy while its stripe keeps at least `k` shards. Data with zero
+//!   surviving copies — or a stripe below `k` shards — is beyond repair by
+//!   construction; the plan reports it instead of failing, so one
+//!   unrecoverable buffer does not block healing everything else.
 //! * [`scrub_impl`] — the read-only collective integrity scrub.
 //! * [`RepairError`] — every way a scrub or heal step can fail.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use replidedup_ec::shard_nodes;
-use replidedup_hash::{Fingerprint, FpHashSet};
+use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
 use replidedup_mpi::wire::{Wire, WireResult};
 use replidedup_mpi::{Comm, CommError};
 use replidedup_storage::{
@@ -41,7 +39,6 @@ use replidedup_storage::{
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::global::GlobalView;
 
 /// Failures of a collective heal or scrub.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,6 +107,8 @@ pub(crate) struct NodeInventory {
     /// Fingerprints referenced by this node's manifests for the dump
     /// (sorted, deduplicated).
     pub(crate) referenced: Vec<Fingerprint>,
+    /// Fingerprints of the chunks this node holds (sorted).
+    pub(crate) held: Vec<Fingerprint>,
     /// Ranks tombstoned as absent when the dump committed (sorted).
     pub(crate) absent: Vec<u32>,
     /// Erasure-coded shards this node holds, as `(stripe, meta)` pairs
@@ -123,6 +122,7 @@ impl Wire for NodeInventory {
         self.manifest_owners.encode(buf);
         self.blob_owners.encode(buf);
         self.referenced.encode(buf);
+        self.held.encode(buf);
         self.absent.encode(buf);
         self.shards.encode(buf);
     }
@@ -133,6 +133,7 @@ impl Wire for NodeInventory {
             manifest_owners: Vec::decode(input)?,
             blob_owners: Vec::decode(input)?,
             referenced: Vec::decode(input)?,
+            held: Vec::decode(input)?,
             absent: Vec::decode(input)?,
             shards: Vec::decode(input)?,
         })
@@ -185,7 +186,7 @@ pub(crate) fn pick_destinations(
 }
 
 /// Derive the transfer plan. Pure: every rank calls this with the
-/// identical reduced view and inventory and gets the identical plan.
+/// identical inventories and gets the identical plan.
 ///
 /// `home_leader[r]` is the leader rank of rank `r`'s own node — the
 /// preferred destination when re-materializing `r`'s manifest or blob, so
@@ -194,7 +195,6 @@ pub(crate) fn build_plan(
     k: u32,
     strategy: Strategy,
     dump_id: DumpId,
-    global: &GlobalView,
     inv: &[NodeInventory],
     home_leader: &[u32],
     leader_of_node: &[Option<u32>],
@@ -239,26 +239,30 @@ pub(crate) fn build_plan(
             .collect();
         required.sort_unstable();
         required.dedup();
+        // A chunk's live holders, in rank order: the leaders whose held
+        // list carries it.
+        let mut holders: FpHashMap<Vec<u32>> = FpHashMap::default();
+        for &r in &live {
+            for fp in &inv[r as usize].held {
+                holders.entry(*fp).or_default().push(r);
+            }
+        }
         let mut load: HashMap<u32, u64> = HashMap::new();
         for fp in required {
-            match global.lookup(&fp) {
+            match holders.get(&fp) {
                 None => {
                     if !stripe_viable(&StripeKey::Chunk(fp)) {
                         plan.unrepairable_chunks.push(fp);
                     }
                 }
-                // freq >= K: at least K intact copies survive, nothing to do
-                // (the holder list may be truncated, but is not needed).
-                Some(e) if e.freq >= u64::from(k) => {}
-                Some(e) => {
-                    // freq < K: `ranks` is the complete live holder set.
-                    let deficit = target.saturating_sub(e.ranks.len());
-                    for (i, dst) in pick_destinations(&live, &e.ranks, deficit, None, &mut load)
+                Some(have) if have.len() >= target => {}
+                Some(have) => {
+                    let deficit = target - have.len();
+                    for (i, dst) in pick_destinations(&live, have, deficit, None, &mut load)
                         .into_iter()
                         .enumerate()
                     {
-                        let src = e.ranks[i % e.ranks.len()];
-                        plan.chunk_moves.push((src, dst, fp));
+                        plan.chunk_moves.push((have[i % have.len()], dst, fp));
                     }
                 }
             }
@@ -426,11 +430,11 @@ mod tests {
         Fingerprint::synthetic(n)
     }
 
-    fn entry(n: u64, ranks: Vec<u32>) -> crate::global::GlobalEntry {
-        crate::global::GlobalEntry {
-            fp: fp(n),
-            freq: ranks.len() as u64,
-            ranks,
+    /// Record that the leaders `ranks` hold chunk `n` (call in ascending
+    /// `n`, so every held list stays sorted).
+    fn hold(world: &mut [NodeInventory], n: u64, ranks: &[u32]) {
+        for &r in ranks {
+            world[r as usize].held.push(fp(n));
         }
     }
 
@@ -440,6 +444,7 @@ mod tests {
             manifest_owners: manifests,
             blob_owners: Vec::new(),
             referenced: referenced.into_iter().map(fp).collect(),
+            held: Vec::new(),
             absent: Vec::new(),
             shards: Vec::new(),
         }
@@ -447,19 +452,14 @@ mod tests {
 
     /// `build_plan` over a one-rank-per-node world: home leaders are the
     /// ranks themselves and live leaders fall out of the inventory.
-    fn plan_for(
-        k: u32,
-        strategy: Strategy,
-        global: &GlobalView,
-        inv: &[NodeInventory],
-    ) -> RepairPlan {
+    fn plan_for(k: u32, strategy: Strategy, inv: &[NodeInventory]) -> RepairPlan {
         let home: Vec<u32> = (0..inv.len() as u32).collect();
         let leaders: Vec<Option<u32>> = inv
             .iter()
             .enumerate()
             .map(|(r, i)| i.leads_live_node.then_some(r as u32))
             .collect();
-        build_plan(k, strategy, 1, global, inv, &home, &leaders)
+        build_plan(k, strategy, 1, inv, &home, &leaders)
     }
 
     #[test]
@@ -469,6 +469,7 @@ mod tests {
             manifest_owners: vec![0, 2],
             blob_owners: vec![1],
             referenced: vec![fp(9), fp(11)],
+            held: vec![fp(4), fp(9)],
             absent: vec![3],
             shards: vec![(StripeKey::Chunk(fp(9)), meta(4, 2, 5))],
         };
@@ -479,16 +480,15 @@ mod tests {
     fn plan_heals_under_replicated_chunks_to_target() {
         // 4 one-rank nodes, K=3. Chunk 1 has one live copy (node 0),
         // chunk 2 already has three, chunk 3 is referenced but gone.
-        let global = GlobalView {
-            entries: vec![entry(1, vec![0]), entry(2, vec![0, 1, 2])],
-        };
-        let world_inv = vec![
+        let mut world_inv = vec![
             inv(true, vec![0], vec![1, 2, 3]),
             inv(true, vec![1], vec![]),
             inv(true, vec![2], vec![]),
             inv(true, vec![3], vec![]),
         ];
-        let plan = plan_for(3, Strategy::CollDedup, &global, &world_inv);
+        hold(&mut world_inv, 1, &[0]);
+        hold(&mut world_inv, 2, &[0, 1, 2]);
+        let plan = plan_for(3, Strategy::CollDedup, &world_inv);
         let for_one: Vec<_> = plan
             .chunk_moves
             .iter()
@@ -507,15 +507,13 @@ mod tests {
     #[test]
     fn plan_caps_target_at_live_node_count() {
         // K=3 but only 2 live nodes: target is 2, one extra copy suffices.
-        let global = GlobalView {
-            entries: vec![entry(1, vec![0])],
-        };
-        let world_inv = vec![
+        let mut world_inv = vec![
             inv(true, vec![0, 1], vec![1]),
             inv(true, vec![0, 1], vec![]),
             inv(false, vec![], vec![]),
         ];
-        let plan = plan_for(3, Strategy::CollDedup, &global, &world_inv);
+        hold(&mut world_inv, 1, &[0]);
+        let plan = plan_for(3, Strategy::CollDedup, &world_inv);
         assert_eq!(plan.chunk_moves, vec![(0, 1, fp(1))]);
     }
 
@@ -528,7 +526,7 @@ mod tests {
             inv(true, vec![0, 1], vec![]),
             inv(true, vec![], vec![]),
         ];
-        let plan = plan_for(2, Strategy::CollDedup, &GlobalView::default(), &world_inv);
+        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
         assert!(
             plan.manifest_moves.contains(&(0, 2, 2)),
             "rank 2's manifest must land on its own node: {:?}",
@@ -541,7 +539,7 @@ mod tests {
         let mut absent_inv = inv(true, vec![0], vec![]);
         absent_inv.absent = vec![1];
         let world_inv = vec![absent_inv, inv(true, vec![0], vec![])];
-        let plan = plan_for(2, Strategy::CollDedup, &GlobalView::default(), &world_inv);
+        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
         // Rank 1 is tombstoned (degraded dump): not unrepairable, just
         // absent. Rank 0's manifest already has 2 copies: nothing to do.
         assert!(plan.unrepairable_manifests.is_empty());
@@ -554,22 +552,20 @@ mod tests {
         a.blob_owners = vec![0, 1];
         let b = inv(true, vec![], vec![]);
         let world_inv = vec![a, b];
-        let plan = plan_for(2, Strategy::NoDedup, &GlobalView::default(), &world_inv);
+        let plan = plan_for(2, Strategy::NoDedup, &world_inv);
         assert_eq!(plan.blob_moves, vec![(0, 1, 0), (0, 1, 1)]);
         assert!(plan.manifest_moves.is_empty() && plan.chunk_moves.is_empty());
     }
 
     #[test]
     fn plan_is_deterministic_and_idempotent_on_healthy_state() {
-        let global = GlobalView {
-            entries: vec![entry(1, vec![0, 1])],
-        };
-        let world_inv = vec![
+        let mut world_inv = vec![
             inv(true, vec![0, 1], vec![1]),
             inv(true, vec![0, 1], vec![]),
         ];
-        let p1 = plan_for(2, Strategy::CollDedup, &global, &world_inv);
-        let p2 = plan_for(2, Strategy::CollDedup, &global, &world_inv);
+        hold(&mut world_inv, 1, &[0, 1]);
+        let p1 = plan_for(2, Strategy::CollDedup, &world_inv);
+        let p2 = plan_for(2, Strategy::CollDedup, &world_inv);
         assert_eq!(p1, p2);
         assert!(p1.chunk_moves.is_empty(), "healthy state plans no work");
         assert!(p1.unrepairable_chunks.is_empty());
@@ -579,16 +575,15 @@ mod tests {
     fn destinations_spread_by_planned_load() {
         // Two one-copy chunks on node 0, three spare nodes, K=2: the two
         // new copies must land on different nodes.
-        let global = GlobalView {
-            entries: vec![entry(1, vec![0]), entry(2, vec![0])],
-        };
-        let world_inv = vec![
+        let mut world_inv = vec![
             inv(true, vec![0], vec![1, 2]),
             inv(true, vec![], vec![]),
             inv(true, vec![], vec![]),
             inv(true, vec![], vec![]),
         ];
-        let plan = plan_for(2, Strategy::CollDedup, &global, &world_inv);
+        hold(&mut world_inv, 1, &[0]);
+        hold(&mut world_inv, 2, &[0]);
+        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
         assert_eq!(plan.chunk_moves.len(), 2);
         assert_ne!(
             plan.chunk_moves[0].1, plan.chunk_moves[1].1,
@@ -622,7 +617,7 @@ mod tests {
                 .shards
                 .push((key, meta(2, 1, index)));
         }
-        let plan = plan_for(2, Strategy::CollDedup, &GlobalView::default(), &world_inv);
+        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
         assert_eq!(
             plan.shard_rebuilds,
             vec![(homes[2], key, 2)],
@@ -636,7 +631,7 @@ mod tests {
         let key = StripeKey::Chunk(fp(9));
         let mut world_inv = vec![inv(true, vec![], vec![]), inv(true, vec![], vec![])];
         world_inv[0].shards.push((key, meta(2, 1, 0)));
-        let plan = plan_for(2, Strategy::CollDedup, &GlobalView::default(), &world_inv);
+        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
         assert_eq!(plan.unrepairable_stripes, vec![key]);
         assert!(
             plan.shard_rebuilds.is_empty(),
@@ -656,7 +651,7 @@ mod tests {
         ];
         world_inv[0].shards.push((key, meta(2, 1, 0)));
         world_inv[1].shards.push((key, meta(2, 1, 1)));
-        let plan = plan_for(2, Strategy::CollDedup, &GlobalView::default(), &world_inv);
+        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
         assert_eq!(plan.unrepairable_chunks, vec![fp(8)]);
         assert!(plan.unrepairable_stripes.is_empty());
     }
@@ -672,7 +667,7 @@ mod tests {
         };
         let mut world_inv = vec![inv(true, vec![], vec![]), inv(true, vec![], vec![])];
         world_inv[0].shards.push((key, meta(1, 1, 0)));
-        let plan = plan_for(2, Strategy::NoDedup, &GlobalView::default(), &world_inv);
+        let plan = plan_for(2, Strategy::NoDedup, &world_inv);
         assert_eq!(plan.unrepairable_blobs, vec![0]);
     }
 }

@@ -17,6 +17,8 @@
 //!    same cluster without corrupting either generation.
 //! 4. The superseded-generation GC step reclaims old dumps without
 //!    touching chunks the surviving generation still references.
+//! 5. Heal windows are bounded per node, so the step count does not grow
+//!    with the world size.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -454,4 +456,50 @@ fn heal_ignores_blob_stripes_of_other_generations() {
         assert!(gen1.is_fully_healed(), "gen 1 is intact: {gen1:?}");
         assert_eq!(gen2.unrepairable_stripes, vec![key]);
     }
+}
+
+/// Promise 5: each node sends at most a batch of keys per window, so the
+/// step count follows the largest per-node key count, not the world: the
+/// same per-rank workload heals in (nearly) as many steps at 32 ranks as
+/// at 8. The batches still cut every stage into several windows; they
+/// are not the tiniest ones, where the densest of many nodes sets each
+/// cut and the count creeps up with the world.
+#[test]
+fn heal_steps_do_not_grow_with_the_world() {
+    let opts = HealOptions {
+        chunk_batch: 16,
+        owner_batch: 4,
+        stripe_batch: 16,
+        ..HealOptions::default()
+    };
+    let steps = |n: u32| {
+        let bufs = buffers(n);
+        let cluster = Cluster::new(Placement::one_per_node(n));
+        let repl = replicator(
+            Strategy::CollDedup,
+            &cluster,
+            RedundancyPolicy::Replicate(3),
+            opts,
+        );
+        let out = WorldConfig::default()
+            .launch(n, |comm| {
+                repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
+                    .map(|_| ())
+            })
+            .expect_all();
+        assert!(out.results.iter().all(Result::is_ok), "{n}-rank dump");
+        cluster.fail_node(1);
+        cluster.revive_node(1); // replacement disk, empty
+        let out = WorldConfig::default()
+            .launch(n, |comm| repl.heal(comm, DUMP))
+            .expect_all();
+        let report = out.results[0].as_ref().expect("heal succeeds");
+        assert!(report.is_fully_healed() && report.chunks_healed > 0);
+        report.steps
+    };
+    let (narrow, wide) = (steps(8), steps(32));
+    assert!(
+        wide <= narrow + 1,
+        "8 ranks heal in {narrow} steps, 32 ranks in {wide}"
+    );
 }
