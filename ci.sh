@@ -32,9 +32,10 @@ echo "== cargo clippy (deny warnings) =="
 # denies the same plus clippy::panic and clippy::unreachable, so RS
 # decode/reconstruct surface every failure as a typed EcError against
 # corrupt or incomplete shards; its one unsafe site is the AVX2 kernel.
-# In crates/core, the heal and repair modules deny clippy::unwrap_used,
-# clippy::expect_used, clippy::panic and clippy::unreachable outside
-# tests, so the unattended healer fails with typed errors, never panics.
+# In crates/core, the dump, restore, heal and repair modules deny
+# clippy::unwrap_used, clippy::expect_used, clippy::panic and
+# clippy::unreachable outside tests, so dump, restore and the unattended
+# healer fail with typed errors, never panics.
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --release =="
@@ -54,7 +55,6 @@ echo "== dead-code gate (self-healing + zero-copy modules) =="
 if grep -n '#\[allow(dead_code)\]' \
     crates/storage/src/scrub.rs \
     crates/core/src/repair.rs \
-    crates/core/src/retry.rs \
     crates/buf/src/lib.rs \
     crates/buf/src/chunk.rs \
     crates/buf/src/pool.rs \

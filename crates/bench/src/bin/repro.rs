@@ -442,9 +442,10 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
         );
         if !stats.is_fully_healed() {
             println!(
-                "repair: UNRECOVERABLE — {} chunks, {} manifests beyond repair (more than K-1 copies lost)",
+                "repair: NOT HEALED — {} chunks, {} manifests beyond repair (more than K-1 copies lost), {} payloads skipped (re-run the heal)",
                 stats.unrepairable_chunks.len(),
-                stats.unrepairable_manifests.len()
+                stats.unrepairable_manifests.len(),
+                stats.payloads_skipped
             );
         }
         // Verify: every chunk referenced by every rank's manifest is back

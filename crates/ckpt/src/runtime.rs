@@ -6,7 +6,7 @@
 //! its runtime and then pass them to the DUMP_OUTPUT primitive when a
 //! checkpoint is desired."
 
-use replidedup_core::{DumpConfig, DumpError, DumpStats, ReplError, Replicator, RestoreError};
+use replidedup_core::{ConfigError, DumpConfig, DumpStats, ReplError, Replicator, RestoreError};
 use replidedup_hash::ChunkHasher;
 use replidedup_mpi::Comm;
 use replidedup_storage::{Cluster, DumpId};
@@ -74,32 +74,29 @@ impl<'a> CheckpointRuntime<'a> {
 
     /// The replication session this runtime drives (config is validated
     /// once per call; `new()` stays infallible for API compatibility).
-    fn replicator(&self) -> Result<Replicator<'a>, DumpError> {
-        Ok(Replicator::builder(self.config.strategy)
+    fn replicator(&self) -> Result<Replicator<'a>, ConfigError> {
+        Replicator::builder(self.config.strategy)
             .with_config(self.config)
             .cluster(self.cluster)
             .hasher(self.hasher)
-            .build()?)
+            .build()
     }
 
     /// Collective: capture the heap and dump it with the configured
-    /// strategy. All ranks must call together.
+    /// strategy. All ranks must call together. A rank that dies (or never
+    /// joins) mid-dump surfaces as [`ReplError::RankFailure`] when the
+    /// dump cannot degrade around it.
     pub fn checkpoint(
         &mut self,
         comm: &mut Comm,
         heap: &mut TrackedHeap,
-    ) -> Result<DumpStats, DumpError> {
+    ) -> Result<DumpStats, ReplError> {
         let repl = self.replicator()?;
         let snapshot = heap.snapshot_bytes();
         comm.tracer().enter("ckpt_checkpoint");
         let result = repl.dump(comm, self.next_dump, &snapshot);
         comm.tracer().exit("ckpt_checkpoint");
-        let stats = result.map_err(|e| match e {
-            ReplError::Config(c) => DumpError::Config(c),
-            ReplError::Dump(d) => d,
-            // restore errors cannot come out of a dump
-            other => panic!("unexpected dump failure: {other}"),
-        })?;
+        let stats = result?;
         self.next_dump += 1;
         heap.clear_dirty();
         self.history.push(stats.clone());
@@ -112,17 +109,13 @@ impl<'a> CheckpointRuntime<'a> {
         comm: &mut Comm,
         dump_id: DumpId,
     ) -> Result<TrackedHeap, RestartError> {
-        let repl = match self.replicator() {
-            Ok(r) => r,
-            Err(DumpError::Config(c)) => return Err(RestartError::Config(c)),
-            Err(other) => panic!("unexpected build failure: {other}"),
-        };
+        let repl = self.replicator().map_err(RestartError::Config)?;
         comm.tracer().enter("ckpt_restart");
         let bytes = repl.restore(comm, dump_id);
         comm.tracer().exit("ckpt_restart");
         let bytes = bytes.map_err(|e| match e {
             ReplError::Restore(r) => RestartError::Restore(r),
-            other => panic!("unexpected restore failure: {other}"),
+            other => RestartError::Session(other),
         })?;
         TrackedHeap::restore_bytes(&bytes).map_err(RestartError::Corrupt)
     }
@@ -144,6 +137,9 @@ pub enum RestartError {
     Config(replidedup_core::ConfigError),
     /// The collective restore failed.
     Restore(RestoreError),
+    /// The session failed outside the restore protocol — a rank died (or
+    /// a deadlock was suspected) mid-restore.
+    Session(ReplError),
     /// The restored bytes do not parse as a heap snapshot.
     Corrupt(String),
 }
@@ -154,6 +150,7 @@ impl std::fmt::Display for RestartError {
             RestartError::NoCheckpoint => write!(f, "no checkpoint taken yet"),
             RestartError::Config(e) => write!(f, "invalid checkpoint config: {e}"),
             RestartError::Restore(e) => write!(f, "restore failed: {e}"),
+            RestartError::Session(e) => write!(f, "{e}"),
             RestartError::Corrupt(msg) => write!(f, "corrupt heap snapshot: {msg}"),
         }
     }
@@ -164,6 +161,7 @@ impl std::error::Error for RestartError {
         match self {
             RestartError::Config(e) => Some(e),
             RestartError::Restore(e) => Some(e),
+            RestartError::Session(e) => Some(e),
             _ => None,
         }
     }
@@ -182,6 +180,7 @@ mod tests {
     use replidedup_hash::Sha1ChunkHasher;
     use replidedup_mpi::WorldConfig;
     use replidedup_storage::Placement;
+    use std::time::Duration;
 
     #[test]
     fn schedule_every() {
@@ -297,5 +296,33 @@ mod tests {
         for (rank, data) in out.results {
             assert_eq!(data, vec![rank as u8 + 10; 128]);
         }
+    }
+
+    /// A rank that skips a checkpoint leaves its peer a typed rank
+    /// failure, not a panic.
+    #[test]
+    fn a_rank_skipping_the_checkpoint_is_a_typed_error() {
+        let cluster = Cluster::new(Placement::one_per_node(2));
+        let cfg = DumpConfig::paper_defaults(Strategy::CollDedup)
+            .with_replication(2)
+            .with_chunk_size(64);
+        let out = WorldConfig::default()
+            .with_recv_timeout(Duration::from_millis(300))
+            .launch(2, |comm| {
+                if comm.rank() == 1 {
+                    return None;
+                }
+                let mut heap = TrackedHeap::new(64);
+                let r = heap.alloc(128);
+                heap.write(r, 0, &[7; 128]);
+                let mut rt = CheckpointRuntime::new(&cluster, &Sha1ChunkHasher, cfg);
+                Some(rt.checkpoint(comm, &mut heap))
+            })
+            .expect_all();
+        assert!(
+            matches!(out.results[0], Some(Err(ReplError::RankFailure(_)))),
+            "rank 0 must see the missing peer as a rank failure: {:?}",
+            out.results[0]
+        );
     }
 }

@@ -572,12 +572,14 @@ fn dump_pipeline(
     if cfg.strategy != Strategy::NoDedup {
         for d in 1..k as usize {
             let sender = shuffle[(p + n as usize - d) % n as usize];
-            let m: Manifest = comm.try_recv_val(sender, TAG_MANIFEST)?;
-            tally(
-                failure,
-                &mut stats.bytes_written_local,
-                ctx.cluster.put_manifest(node, m).map(|()| 0),
-            );
+            match decode_manifest_frame(comm.try_recv_frame(sender, TAG_MANIFEST)?, sender) {
+                Ok(m) => tally(
+                    failure,
+                    &mut stats.bytes_written_local,
+                    ctx.cluster.put_manifest(node, m).map(|()| 0),
+                ),
+                Err(e) => defer(failure, e),
+            }
         }
     }
 
@@ -704,6 +706,12 @@ fn decode_stripe_frame(
             Ok((key, meta, reader.take_payload().map_err(corrupt)?))
         })
         .collect()
+}
+
+/// Decode the partner manifest sent by rank `from`. A frame that fails to
+/// decode is [`DumpError::CorruptFrame`], never a panic.
+fn decode_manifest_frame(frame: Frame, from: u32) -> Result<Manifest, DumpError> {
+    Manifest::from_bytes(&frame.gather()).map_err(|_| DumpError::CorruptFrame { from })
 }
 
 /// Communication-free fallback after a mid-dump rank death: re-commit
@@ -1055,6 +1063,24 @@ mod tests {
         assert_eq!(
             decode_stripe_frame(FrameWriter::new().finish(), 4).map(|s| s.len()),
             Err(DumpError::CorruptFrame { from: 4 })
+        );
+    }
+
+    /// A partner manifest cut short is a typed error naming the sender,
+    /// not a panic.
+    #[test]
+    fn truncated_manifest_frame_is_a_typed_error_not_a_panic() {
+        let chunks = vec![Fingerprint::synthetic(1), Fingerprint::synthetic(2)];
+        let m = Manifest::fixed_stride(2, 1, 8, 10, chunks);
+        let whole = m.to_bytes();
+        assert_eq!(
+            decode_manifest_frame(Frame::single(whole.clone()), 2),
+            Ok(m)
+        );
+        let cut = Frame::single(whole.slice(..whole.len() - 1));
+        assert_eq!(
+            decode_manifest_frame(cut, 3),
+            Err(DumpError::CorruptFrame { from: 3 })
         );
     }
 

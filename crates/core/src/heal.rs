@@ -54,22 +54,22 @@
 //! resuming from any persisted cursor position converges to the same
 //! healed state (re-running a window is idempotent: puts are
 //! content-addressed). A crash mid-step surfaces as
-//! [`RepairError::Comm`]; unrecoverable data is reported in the
+//! [`RepairError::Comm`]; unrecoverable data, and payloads a window's
+//! [`crate::repair::transfer`] had to skip, are reported in the
 //! [`HealReport`] instead of failing the collective.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
-use bytes::Bytes;
-use replidedup_buf::Chunk;
 use replidedup_hash::Fingerprint;
-use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire, WireError, WireResult};
+use replidedup_mpi::wire::{Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, Tag};
-use replidedup_storage::{DumpId, GcStats, Manifest, SessionId, StorageError, StripeKey};
+use replidedup_storage::{DumpId, GcStats, Manifest, SessionId, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::repair::{build_plan, leader_of, lowest_live_leader, NodeInventory, RepairError};
+use crate::repair::{
+    build_plan, leader_of, lowest_live_leader, transfer, Moved, NodeInventory, RepairError,
+};
 
 const TAG_HEAL_CHUNKS: Tag = 0x5250_0009;
 const TAG_HEAL_MANIFEST: Tag = 0x5250_000A;
@@ -326,12 +326,20 @@ pub struct HealReport {
     pub unrepairable_blobs: Vec<u32>,
     /// Stripes below `k` surviving shards.
     pub unrepairable_stripes: Vec<StripeKey>,
+    /// Payloads a transfer could not move: a source read that failed past
+    /// the retry schedule, a copy its destination could not store, or a
+    /// frame that failed to decode. Not lost — re-running the heal
+    /// re-plans them — but the heal has not converged while this is
+    /// non-zero.
+    pub payloads_skipped: u64,
 }
 
 impl HealReport {
-    /// Did the steps this report covers leave nothing lost for good?
+    /// Did the steps this report covers leave nothing lost for good and
+    /// nothing skipped?
     pub fn is_fully_healed(&self) -> bool {
-        self.unrepairable_chunks.is_empty()
+        self.payloads_skipped == 0
+            && self.unrepairable_chunks.is_empty()
             && self.unrepairable_manifests.is_empty()
             && self.unrepairable_blobs.is_empty()
             && self.unrepairable_stripes.is_empty()
@@ -345,7 +353,7 @@ impl HealReport {
 
 /// Pause for a debit if a limiter is active. The pause parks the rank's
 /// worker slot, so a throttled healer never starves a pooled peer.
-fn throttle(comm: &Comm, bucket: &mut Option<TokenBucket>, bytes: u64) {
+pub(crate) fn throttle(comm: &Comm, bucket: &mut Option<TokenBucket>, bytes: u64) {
     if let Some(b) = bucket.as_mut() {
         let wait = b.debit(bytes);
         if wait > Duration::ZERO {
@@ -360,6 +368,16 @@ fn allreduce_counts(comm: &mut Comm, counts: Vec<u64>) -> Result<Vec<u64>, Repai
         a.iter().zip(&b).map(|(x, y)| x + y).collect()
     })
     .map_err(RepairError::from)
+}
+
+/// A window's transfer counts summed over the world — `[stored, bytes,
+/// skipped]` — in the step's one counts allreduce; this rank's read
+/// retries go to the `heal_retries` counter.
+fn window_counts(comm: &mut Comm, moved: Moved) -> Result<Vec<u64>, RepairError> {
+    if moved.retries > 0 {
+        comm.tracer().counter("heal_retries", moved.retries);
+    }
+    allreduce_counts(comm, vec![moved.stored, moved.bytes, moved.skipped])
 }
 
 /// Advance `cursor` by one bounded collective step, folding what the
@@ -500,13 +518,15 @@ pub(crate) fn heal_step_impl(
                     &plan.chunk_moves,
                     bucket,
                     |fp| cluster.get_chunk(node, fp),
-                    |_, fp, data| Ok(cluster.put_chunk(node, fp, data.into_bytes())?),
+                    |fp, data| cluster.put_chunk(node, fp, data.into_bytes()).ok(),
                 )
-                .and_then(|(healed, bytes)| allreduce_counts(comm, vec![healed, bytes]));
+                .map_err(RepairError::from)
+                .and_then(|moved| window_counts(comm, moved));
                 comm.exit_phase("heal.transfer");
                 let sums = moved?;
                 report.chunks_healed += sums[0];
                 report.bytes_re_replicated += sums[1];
+                report.payloads_skipped += sums[2];
                 comm.tracer().counter("heal_chunks_healed", sums[0]);
                 comm.tracer().counter("heal_bytes", sums[1]);
                 // The window's unrepairables are final facts (zero copies
@@ -574,9 +594,9 @@ pub(crate) fn heal_step_impl(
                     &moves,
                     bucket,
                     |owner| cluster.get_blob(node, *owner, ctx.dump_id),
-                    |_, owner, data| {
-                        cluster.put_blob(node, owner, ctx.dump_id, data.into_bytes())?;
-                        Ok(true)
+                    |owner, data| {
+                        let put = cluster.put_blob(node, owner, ctx.dump_id, data.into_bytes());
+                        put.ok().map(|()| true)
                     },
                 )
             } else {
@@ -590,17 +610,17 @@ pub(crate) fn heal_step_impl(
                         let m = cluster.get_manifest(node, *owner, ctx.dump_id)?;
                         Ok(m.to_bytes())
                     },
-                    |from, _, data| {
-                        let m = Manifest::from_bytes(&data)
-                            .map_err(|_| RepairError::CorruptFrame { from })?;
-                        cluster.put_manifest(node, m)?;
-                        Ok(true)
+                    |_, data| {
+                        let m = Manifest::from_bytes(&data).ok()?;
+                        cluster.put_manifest(node, m).ok().map(|()| true)
                     },
                 )
             }
-            .and_then(|(remat, bytes)| allreduce_counts(comm, vec![remat, bytes]));
+            .map_err(RepairError::from)
+            .and_then(|moved| window_counts(comm, moved));
             comm.exit_phase("heal.transfer");
             let sums = moved?;
+            report.payloads_skipped += sums[2];
             if blobs {
                 report.blobs_rematerialized += sums[0];
                 report.bytes_re_replicated += sums[1];
@@ -799,75 +819,13 @@ fn merge_sorted<T: Ord>(into: &mut Vec<T>, add: Vec<T>) {
     into.dedup();
 }
 
-/// Execute one window's `(src_leader, dst_leader, key)` moves — the one
-/// place healing payloads cross the wire, whatever they are (chunks keyed
-/// by fingerprint, blobs and encoded manifests keyed by owner rank).
-/// Sends first (buffered, one frame per destination so receive counts are
-/// derivable), then the receives the plan says are owed to me: `fetch`
-/// reads a payload off my node, `store(from, key, payload)` lands one and
-/// says whether it counts as healed. Returns local
-/// `(payloads_stored, bytes_received)`. Source-side rate limiting: the
-/// debit happens before the frame leaves, so a throttled healer slows its
-/// own sends instead of stalling receivers mid-recv. A frame that fails
-/// to decode is [`RepairError::CorruptFrame`], never a panic.
-fn transfer<K: Wire + Copy>(
-    comm: &mut Comm,
-    tag: Tag,
-    moves: &[(u32, u32, K)],
-    bucket: &mut Option<TokenBucket>,
-    fetch: impl Fn(&K) -> Result<Bytes, StorageError>,
-    mut store: impl FnMut(u32, K, Chunk) -> Result<bool, RepairError>,
-) -> Result<(u64, u64), RepairError> {
-    let me = comm.rank();
-    let mut out: BTreeMap<u32, Vec<K>> = BTreeMap::new();
-    for (src, dst, key) in moves {
-        if *src == me {
-            out.entry(*dst).or_default().push(*key);
-        }
-    }
-    for (dst, keys) in &out {
-        // Key headers interleaved with the stored payloads, which ride
-        // along by reference — never copied into a staging buffer.
-        let mut batch = FrameWriter::new();
-        let mut batch_bytes = 0u64;
-        for key in keys {
-            let data = fetch(key)?;
-            batch_bytes += data.len() as u64;
-            batch.put(key);
-            batch.attach(data);
-        }
-        throttle(comm, bucket, batch_bytes);
-        comm.try_send_frame(*dst, tag, batch.finish())?;
-    }
-    let mut srcs: Vec<u32> = moves
-        .iter()
-        .filter(|(_, dst, _)| *dst == me)
-        .map(|(src, _, _)| *src)
-        .collect();
-    srcs.sort_unstable();
-    srcs.dedup();
-    let mut stored = 0u64;
-    let mut bytes = 0u64;
-    for src in srcs {
-        let corrupt = |_| RepairError::CorruptFrame { from: src };
-        let mut batch = FrameReader::new(comm.try_recv_frame(src, tag)?);
-        while batch.remaining() > 0 {
-            let key: K = batch.get().map_err(corrupt)?;
-            let data = batch.take_payload().map_err(corrupt)?;
-            bytes += data.len() as u64;
-            if store(src, key, data)? {
-                stored += 1;
-            }
-        }
-    }
-    Ok((stored, bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Replicator;
+    use bytes::Bytes;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+    use replidedup_mpi::wire::FrameWriter;
     use replidedup_mpi::WorldConfig;
     use replidedup_storage::{Cluster, Placement};
     use replidedup_trace::EventKind;
@@ -1156,9 +1114,10 @@ mod tests {
         }
     }
 
-    /// A truncated frame on a healing tag fails the one transfer routine
-    /// with a typed error naming the sender — whatever the key type, so
-    /// this covers the chunk, blob and manifest stages alike.
+    /// A truncated frame on a healing tag is a counted decode failure of
+    /// the one transfer routine, not a panic and not an early exit —
+    /// whatever the key type, so this covers the chunk, blob and manifest
+    /// stages alike.
     #[test]
     fn truncated_transfer_frame_is_a_typed_error_not_a_panic() {
         let fp = Fingerprint::synthetic(1);
@@ -1172,7 +1131,7 @@ mod tests {
                     cut.put(&64u64);
                     comm.try_send_frame(1, TAG_HEAL_CHUNKS, cut.finish())
                         .unwrap();
-                    return Ok((0, 0));
+                    return Ok(Moved::default());
                 }
                 transfer(
                     comm,
@@ -1180,12 +1139,19 @@ mod tests {
                     &[(0, 1, fp)],
                     &mut None,
                     |_| Ok(Bytes::new()),
-                    |_, _, _| Ok(true),
+                    |_, _| Some(true),
                 )
             })
             .expect_all();
-        assert_eq!(out.results[0], Ok((0, 0)));
-        assert_eq!(out.results[1], Err(RepairError::CorruptFrame { from: 0 }));
+        assert_eq!(out.results[0], Ok(Moved::default()));
+        assert_eq!(
+            out.results[1],
+            Ok(Moved {
+                skipped: 1,
+                ..Moved::default()
+            }),
+            "the cut frame is counted, nothing is stored"
+        );
     }
 
     /// The no-dedup strategy walks the blob stage instead of

@@ -46,12 +46,19 @@
 //! ```
 
 pub mod config;
+// Dump, restore and the healer run against degraded, possibly corrupt
+// clusters: every failure must surface as a typed error the caller's loop
+// can retry, never a panic. `clippy.toml` still lets test code
+// unwrap/expect.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod dump;
 pub mod exchange;
 pub mod global;
-// The healer runs unattended against degraded, possibly corrupt clusters:
-// every failure must surface as a typed error its operator's loop can
-// retry, never a panic. `clippy.toml` still lets test code unwrap/expect.
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -69,8 +76,13 @@ pub mod plan;
     clippy::unreachable
 )]
 pub mod repair;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod restore;
-pub mod retry;
 pub mod session;
 pub mod shuffle;
 pub mod stats;
@@ -88,7 +100,6 @@ pub use repair::RepairError;
 pub use replidedup_hash::{ChunkerKind, GearParams};
 pub use replidedup_storage::SessionId;
 pub use restore::RestoreError;
-pub use retry::{Backoff, RetryPolicy};
 pub use session::{ReplError, Replicator, ReplicatorBuilder};
 pub use shuffle::{identity_shuffle, rank_shuffle};
 pub use stats::{DumpStats, ReductionStats, WorldDumpStats};

@@ -1,5 +1,6 @@
-//! What the healing collectives share: the error type, the per-node
-//! inventory, the pure transfer planner and the read-only scrub.
+//! What the recovery collectives share: the error type, the per-node
+//! inventory, the pure transfer planner, the read-only scrub and the one
+//! routine that moves recovery payloads.
 //!
 //! The paper replicates at dump time; a node that fails afterwards leaves
 //! every chunk it held one copy short. Restore tolerates that (up to
@@ -7,7 +8,8 @@
 //! margin that was never rebuilt. [`crate::heal`] is the one engine that
 //! closes the loop — run it after reviving (or replacing) a failed node
 //! and the cluster converges back to full replication. This module holds
-//! the pieces that engine and [`crate::Replicator::scrub`] both need:
+//! the pieces that engine, [`crate::restore`] and
+//! [`crate::Replicator::scrub`] need:
 //!
 //! * [`NodeInventory`] — what one node's leader contributes to a window's
 //!   one allgather (manifest owners, blob owners, referenced and held
@@ -24,21 +26,29 @@
 //!   surviving copies — or a stripe below `k` shards — is beyond repair by
 //!   construction; the plan reports it instead of failing, so one
 //!   unrecoverable buffer does not block healing everything else.
+//! * [`transfer`] — the only code that sends or receives restore and heal
+//!   payload frames, executing a `(src, dst, key)` move list under one
+//!   completion rule (see its docs), with every storage read on the fixed
+//!   retry schedule of [`retry_read`].
 //! * [`scrub_impl`] — the read-only collective integrity scrub.
 //! * [`RepairError`] — every way a scrub or heal step can fail.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::time::Duration;
 
+use bytes::Bytes;
+use replidedup_buf::Chunk;
 use replidedup_ec::shard_nodes;
 use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
-use replidedup_mpi::wire::{Wire, WireResult};
-use replidedup_mpi::{Comm, CommError};
+use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire, WireResult};
+use replidedup_mpi::{Comm, CommError, Tag};
 use replidedup_storage::{
     Cluster, DumpId, NodeId, ScrubReport, ShardMeta, StorageError, StripeKey,
 };
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
+use crate::heal::{throttle, TokenBucket};
 
 /// Failures of a collective heal or scrub.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,14 +60,6 @@ pub enum RepairError {
     /// collective steps. Re-running the heal after reviving converges:
     /// every window is re-planned from whatever state the crashed run left.
     Comm(CommError),
-    /// A healing transfer frame from `from` failed to decode — the batch
-    /// was truncated or malformed in flight. The step fails cleanly
-    /// instead of panicking; a resumed heal re-plans the window and
-    /// re-requests the data.
-    CorruptFrame {
-        /// Rank whose batch failed to decode.
-        from: u32,
-    },
 }
 
 impl std::fmt::Display for RepairError {
@@ -65,9 +67,6 @@ impl std::fmt::Display for RepairError {
         match self {
             RepairError::Storage(e) => write!(f, "storage failure during repair: {e}"),
             RepairError::Comm(e) => write!(f, "communication failure during repair: {e}"),
-            RepairError::CorruptFrame { from } => {
-                write!(f, "corrupt healing frame from rank {from}")
-            }
         }
     }
 }
@@ -77,7 +76,6 @@ impl std::error::Error for RepairError {
         match self {
             RepairError::Storage(e) => Some(e),
             RepairError::Comm(e) => Some(e),
-            RepairError::CorruptFrame { .. } => None,
         }
     }
 }
@@ -422,9 +420,140 @@ pub(crate) fn scrub_impl(
     Ok(merged)
 }
 
+/// Tries of every recovery storage read, the first included.
+const READ_ATTEMPTS: u32 = 4;
+/// Pause before the first retry; each later one doubles up to
+/// [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Upper bound on any single pause.
+const BACKOFF_CAP: Duration = Duration::from_millis(16);
+
+/// The pause before retry number `attempt` (1-based): 1, 2, 4 ms, …,
+/// saturating at [`BACKOFF_CAP`] for every larger attempt, `u32::MAX`
+/// included. Pure, so a recording sleeper replays the exact schedule.
+fn backoff(attempt: u32) -> Duration {
+    let factor = 1u32.checked_shl(attempt.max(1) - 1).unwrap_or(u32::MAX);
+    BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_CAP)
+}
+
+/// Run one storage read under the fixed retry schedule: a transient
+/// failure ([`StorageError::is_transient`]) is retried, pausing through
+/// `sleep`, until [`READ_ATTEMPTS`] tries are spent; any other error is a
+/// stable fact about the cluster and returns at once. Returns the outcome
+/// and the retries it took. Callers sleep through [`Comm::sleep`], which
+/// parks the rank's worker slot.
+pub(crate) fn retry_read<T>(
+    mut sleep: impl FnMut(Duration),
+    mut op: impl FnMut() -> Result<T, StorageError>,
+) -> (Result<T, StorageError>, u32) {
+    let mut retries = 0;
+    loop {
+        match op() {
+            Err(e) if e.is_transient() && retries + 1 < READ_ATTEMPTS => {
+                retries += 1;
+                sleep(backoff(retries));
+            }
+            done => return (done, retries),
+        }
+    }
+}
+
+/// What one rank's side of a [`transfer`] did.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Moved {
+    /// Received payloads that `store` counted.
+    pub(crate) stored: u64,
+    /// Payload bytes received.
+    pub(crate) bytes: u64,
+    /// Payloads this rank could not read as a source or land as a
+    /// destination, plus received frames that failed to decode.
+    pub(crate) skipped: u64,
+    /// Retries the storage reads took.
+    pub(crate) retries: u64,
+}
+
+/// Execute a `(src, dst, key)` move list — the one place restore and heal
+/// payloads cross the wire, whatever they are (chunks keyed by
+/// fingerprint, blobs and encoded manifests keyed by owner rank). Every
+/// rank derives the list from the same allgathered data; only the moves
+/// naming this rank matter, so a rank may pass just those. Sends first
+/// (buffered, one frame per destination), then one receive per source the
+/// list says owes me a frame: `fetch` reads a payload off my node,
+/// `store(key, payload)` lands one — `Some(counted)`, or `None` when it
+/// could not.
+///
+/// The completion rule keeps every peer's receive satisfied: each read
+/// runs under [`retry_read`]; a payload that still cannot be read is left
+/// out of its frame and counted as skipped, and the frame is sent anyway,
+/// empty if need be. A frame that fails to decode, or a payload `store`
+/// cannot land, is counted the same way. Only a [`CommError`] ends the
+/// transfer early. Source-side rate limiting: the debit happens before
+/// the frame leaves, so a throttled healer slows its own sends instead of
+/// stalling receivers mid-recv.
+pub(crate) fn transfer<K: Wire + Copy>(
+    comm: &mut Comm,
+    tag: Tag,
+    moves: &[(u32, u32, K)],
+    bucket: &mut Option<TokenBucket>,
+    fetch: impl Fn(&K) -> Result<Bytes, StorageError>,
+    mut store: impl FnMut(K, Chunk) -> Option<bool>,
+) -> Result<Moved, CommError> {
+    let me = comm.rank();
+    let mut moved = Moved::default();
+    let mut out: BTreeMap<u32, Vec<K>> = BTreeMap::new();
+    for (src, dst, key) in moves {
+        if *src == me {
+            out.entry(*dst).or_default().push(*key);
+        }
+    }
+    for (dst, keys) in &out {
+        // Key headers interleaved with the stored payloads, which ride
+        // along by reference — never copied into a staging buffer.
+        let mut batch = FrameWriter::new();
+        let mut batch_bytes = 0u64;
+        for key in keys {
+            let (data, retries) = retry_read(|d| comm.sleep(d), || fetch(key));
+            moved.retries += u64::from(retries);
+            let Ok(data) = data else {
+                moved.skipped += 1;
+                continue;
+            };
+            batch_bytes += data.len() as u64;
+            batch.put(key);
+            batch.attach(data);
+        }
+        throttle(comm, bucket, batch_bytes);
+        comm.try_send_frame(*dst, tag, batch.finish())?;
+    }
+    let mut srcs: Vec<u32> = moves
+        .iter()
+        .filter(|(_, dst, _)| *dst == me)
+        .map(|(src, _, _)| *src)
+        .collect();
+    srcs.sort_unstable();
+    srcs.dedup();
+    for src in srcs {
+        let mut batch = FrameReader::new(comm.try_recv_frame(src, tag)?);
+        while batch.remaining() > 0 {
+            let (Ok(key), Ok(data)) = (batch.get::<K>(), batch.take_payload()) else {
+                moved.skipped += 1;
+                break;
+            };
+            moved.bytes += data.len() as u64;
+            match store(key, data) {
+                Some(true) => moved.stored += 1,
+                Some(false) => {}
+                None => moved.skipped += 1,
+            }
+        }
+    }
+    Ok(moved)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::synthetic(n)
@@ -669,5 +798,81 @@ mod tests {
         world_inv[0].shards.push((key, meta(1, 1, 0)));
         let plan = plan_for(2, Strategy::NoDedup, &world_inv);
         assert_eq!(plan.unrepairable_blobs, vec![0]);
+    }
+
+    fn transient() -> StorageError {
+        StorageError::Transient { node: 0 }
+    }
+
+    #[test]
+    fn exponential_backoff_saturates_at_the_cap_for_extreme_attempts() {
+        assert_eq!(backoff(1), Duration::from_millis(1));
+        assert_eq!(backoff(2), Duration::from_millis(2));
+        assert_eq!(backoff(3), Duration::from_millis(4));
+        // The cap must hold at every point where the doubling could
+        // overflow: right at the shift width, just past it, and at the
+        // largest representable attempt count.
+        for attempt in [6, 31, 32, 33, 64, 1_000_000, u32::MAX] {
+            assert_eq!(
+                backoff(attempt),
+                BACKOFF_CAP,
+                "attempt {attempt} must pin to the cap, never wrap"
+            );
+        }
+    }
+
+    #[test]
+    fn transient_errors_retry_until_success() {
+        let failures = RefCell::new(2u32);
+        let slept = RefCell::new(Vec::new());
+        let (out, retries) = retry_read(
+            |d| slept.borrow_mut().push(d),
+            || {
+                let mut left = failures.borrow_mut();
+                if *left > 0 {
+                    *left -= 1;
+                    Err(transient())
+                } else {
+                    Ok(42)
+                }
+            },
+        );
+        assert_eq!(out, Ok(42));
+        assert_eq!(retries, 2);
+        assert_eq!(
+            *slept.borrow(),
+            vec![Duration::from_millis(1), Duration::from_millis(2)],
+            "the recorded schedule is exactly the fixed one"
+        );
+    }
+
+    #[test]
+    fn exhaustion_returns_the_transient_error() {
+        let mut calls = 0;
+        let (out, retries) = retry_read(
+            |_| {},
+            || {
+                calls += 1;
+                Err::<(), _>(transient())
+            },
+        );
+        assert_eq!(out, Err(transient()));
+        assert_eq!(calls, READ_ATTEMPTS, "exactly the schedule's tries");
+        assert_eq!(retries, READ_ATTEMPTS - 1);
+    }
+
+    #[test]
+    fn permanent_errors_never_retry() {
+        let (mut calls, mut slept) = (0, Vec::new());
+        let (out, retries) = retry_read(
+            |d| slept.push(d),
+            || {
+                calls += 1;
+                Err::<(), _>(StorageError::NodeDown(3))
+            },
+        );
+        assert_eq!(out, Err(StorageError::NodeDown(3)));
+        assert_eq!((calls, retries), (1, 0));
+        assert!(slept.is_empty(), "a permanent error never sleeps");
     }
 }

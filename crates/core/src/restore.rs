@@ -8,16 +8,20 @@
 //! 1. **Manifest recovery** — each rank advertises which manifests its node
 //!    holds (its own plus the ones replicated to it as a partner); ranks
 //!    whose node lost the manifest get it from the lowest-ranked advertiser
-//!    (all ranks compute the identical assignment from the allgather, so no
-//!    negotiation is needed — the same trick the dump uses for offsets).
+//!    other than themselves (all ranks compute the identical assignment
+//!    from the allgather, so no negotiation is needed — the same trick the
+//!    dump uses for offsets).
 //! 2. **Chunk recovery** — each rank lists the manifest chunks missing from
 //!    its local store; holders are discovered with a second allgather over
 //!    the union of requested fingerprints; the lowest-ranked live holder
 //!    serves each chunk. Restored chunks are written back to the local
 //!    store, so a revived node is re-seeded as a side effect.
 //!
-//! `no-dedup` dumps restore the raw blob through the same
-//! advertise/assign/serve pattern at blob granularity.
+//! `no-dedup` dumps restore the raw blob through the same owner-recovery
+//! body as manifests. Every step's payloads move as one `(src, dst, key)`
+//! move list over [`crate::repair::transfer`], the routine heal uses, so a
+//! server whose reads fail still sends every frame it owes; a requester
+//! that receives nothing falls through to the fallbacks below.
 //!
 //! When the dump ran under an erasure-coding redundancy policy, a payload
 //! whose replicas are all gone gets one last chance: Reed-Solomon
@@ -35,13 +39,13 @@ use std::collections::hash_map::Entry;
 use bytes::Bytes;
 use replidedup_buf::{global_pool, record_copy, Chunk};
 use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
-use replidedup_mpi::wire::{Frame, FrameReader, FrameWriter};
+use replidedup_mpi::wire::Wire;
 use replidedup_mpi::{Comm, CommError, Tag};
 use replidedup_storage::{DumpId, Manifest, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::retry::RetryPolicy;
+use crate::repair::{retry_read, transfer};
 
 const TAG_RESTORE_MANIFEST: Tag = 0x5250_0002;
 const TAG_RESTORE_CHUNKS: Tag = 0x5250_0003;
@@ -79,13 +83,6 @@ pub enum RestoreError {
     /// A rank died (or a deadlock was suspected) during one of the restore
     /// protocol's collective steps.
     Comm(CommError),
-    /// A chunk batch served by `from` failed to decode — it was truncated
-    /// or malformed in flight. The rank still finishes the collective, so
-    /// the others never wait on it.
-    CorruptFrame {
-        /// Rank whose batch failed to decode.
-        from: u32,
-    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -100,9 +97,6 @@ impl std::fmt::Display for RestoreError {
                 "rank {rank}'s data was absent when dump {dump_id} committed (degraded dump)"
             ),
             RestoreError::Comm(e) => write!(f, "communication failure during restore: {e}"),
-            RestoreError::CorruptFrame { from } => {
-                write!(f, "corrupt restore chunk batch from rank {from}")
-            }
         }
     }
 }
@@ -133,30 +127,31 @@ pub(crate) fn restore_impl(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,
     strategy: Strategy,
-    policy: &RetryPolicy,
 ) -> Result<Chunk, RestoreError> {
     match strategy {
-        Strategy::NoDedup => restore_blob(comm, ctx, policy),
-        Strategy::LocalDedup | Strategy::CollDedup => restore_chunks(comm, ctx, policy),
+        Strategy::NoDedup => restore_blob(comm, ctx),
+        Strategy::LocalDedup | Strategy::CollDedup => restore_chunks(comm, ctx),
     }
 }
 
-/// Run one storage read under the restore retry policy. Retries are only
-/// taken on [`StorageError::is_transient`] failures; when any happen, a
-/// zero-length `restore.retry` span marks the spot in the phase trace and
-/// the `restore_retries` counter records how many attempts it cost. The
-/// backoff parks the rank's worker slot ([`Comm::sleep`]).
-fn fetch_with_retry<T>(
-    comm: &mut Comm,
-    policy: &RetryPolicy,
-    op: impl FnMut() -> Result<T, StorageError>,
-) -> Result<T, StorageError> {
-    let (out, retries) = policy.run_with_sleep(|d| comm.sleep(d), op);
+/// Mark `retries` storage-read retries in the trace: a zero-length
+/// `restore.retry` span at the spot and the `restore_retries` counter.
+fn note_retries(comm: &mut Comm, retries: u64) {
     if retries > 0 {
         comm.tracer().enter("restore.retry");
         comm.tracer().exit("restore.retry");
-        comm.tracer().counter("restore_retries", u64::from(retries));
+        comm.tracer().counter("restore_retries", retries);
     }
+}
+
+/// Run one storage read under the fixed retry schedule
+/// ([`retry_read`]); the backoff parks the rank's worker slot.
+fn fetch_with_retry<T>(
+    comm: &mut Comm,
+    op: impl FnMut() -> Result<T, StorageError>,
+) -> Result<T, StorageError> {
+    let (out, retries) = retry_read(|d| comm.sleep(d), op);
+    note_retries(comm, u64::from(retries));
     out
 }
 
@@ -172,11 +167,10 @@ fn fetch_with_retry<T>(
 fn fetch_verified(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,
-    policy: &RetryPolicy,
     node: replidedup_storage::NodeId,
     fp: &Fingerprint,
 ) -> Result<Bytes, RestoreError> {
-    match fetch_with_retry(comm, policy, || ctx.cluster.get_chunk(node, fp)) {
+    match fetch_with_retry(comm, || ctx.cluster.get_chunk(node, fp)) {
         Ok(data) if ctx.hasher.fingerprint(&data) == *fp => return Ok(data),
         Ok(_) => {
             // Bit rot slipped past the dump: drop the bad copy so it can
@@ -192,7 +186,7 @@ fn fetch_verified(
         if nd == node || !ctx.cluster.has_chunk(nd, fp) {
             continue;
         }
-        if let Ok(data) = fetch_with_retry(comm, policy, || ctx.cluster.get_chunk(nd, fp)) {
+        if let Ok(data) = fetch_with_retry(comm, || ctx.cluster.get_chunk(nd, fp)) {
             if ctx.hasher.fingerprint(&data) == *fp {
                 ctx.cluster.put_chunk(node, *fp, data.clone()).ok();
                 return Ok(data);
@@ -212,141 +206,126 @@ fn fetch_verified(
     Err(RestoreError::ChunkLost(*fp))
 }
 
-/// Deterministic service assignment shared by all ranks: for each needy
-/// rank, the lowest-ranked advertiser serves. Returns `served[s]` = list of
-/// needy ranks rank `s` must serve, and `server_of[r]` = server of rank `r`
-/// (`None` when no one can).
-fn assign_servers(
-    world: u32,
-    needs: &[bool],
-    holders: &[Vec<u32>],
-) -> (Vec<Vec<u32>>, Vec<Option<u32>>) {
-    let mut served = vec![Vec::new(); world as usize];
-    let mut server_of = vec![None; world as usize];
-    for r in 0..world {
-        if !needs[r as usize] {
-            continue;
-        }
-        let server = (0..world).find(|&s| s != r && holders[s as usize].binary_search(&r).is_ok());
-        if let Some(s) = server {
-            served[s as usize].push(r);
-            server_of[r as usize] = Some(s);
-        }
-    }
-    (served, server_of)
+/// Deterministic service assignment shared by all ranks: each needy rank
+/// `r` is served its own recipe by the lowest-ranked advertiser other than
+/// itself, as the `(server, r, r)` move. A needy rank nobody advertises
+/// gets no move.
+fn assign_servers(needs: &[bool], holders: &[Vec<u32>]) -> Vec<(u32, u32, u32)> {
+    let world = needs.len() as u32;
+    (0..world)
+        .filter(|&r| needs[r as usize])
+        .filter_map(|r| {
+            (0..world)
+                .find(|&s| s != r && holders[s as usize].binary_search(&r).is_ok())
+                .map(|s| (s, r, r))
+        })
+        .collect()
 }
 
-fn restore_blob(
+/// Owner recovery, one body for both recipe formats: manifests (dedup
+/// strategies, moved encoded) and raw blobs (`no-dedup`). Collective.
+/// `need` says this rank's node lost its recipe; a needy rank receives it
+/// over [`transfer`] from the lowest other advertiser and re-seeds its
+/// node so it serves next time. Returns the received payload, if any, and
+/// whether the dump tombstoned this rank absent.
+fn recover_owned(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,
-    policy: &RetryPolicy,
-) -> Result<Chunk, RestoreError> {
+    blobs: bool,
+    need: bool,
+) -> Result<(Option<Bytes>, bool), CommError> {
     let me = comm.rank();
-    let n = comm.size();
-    let node = ctx.cluster.node_of(me);
-    comm.tracer().enter("blob_recovery");
-    let local = fetch_with_retry(comm, policy, || ctx.cluster.get_blob(node, me, ctx.dump_id)).ok();
-    let advertised = ctx
-        .cluster
-        .blob_owners(node, ctx.dump_id)
-        .unwrap_or_default();
-    let tombstoned = ctx
-        .cluster
-        .absent_ranks(node, ctx.dump_id)
-        .unwrap_or_default();
-    let info = comm.try_allgather((local.is_none(), advertised, tombstoned))?;
-    let needs: Vec<bool> = info.iter().map(|(need, _, _)| *need).collect();
+    let (cluster, dump_id) = (ctx.cluster, ctx.dump_id);
+    let node = cluster.node_of(me);
+    let advertised = if blobs {
+        cluster.blob_owners(node, dump_id)
+    } else {
+        cluster.manifest_owners(node, dump_id)
+    };
+    let tombstoned = cluster.absent_ranks(node, dump_id).unwrap_or_default();
+    let info = comm.try_allgather((need, advertised.unwrap_or_default(), tombstoned))?;
     let absent = info.iter().any(|(_, _, a)| a.binary_search(&me).is_ok());
+    let needs: Vec<bool> = info.iter().map(|(need, _, _)| *need).collect();
     let holders: Vec<Vec<u32>> = info.into_iter().map(|(_, h, _)| h).collect();
-    let (served, server_of) = assign_servers(n, &needs, &holders);
-    for &r in &served[me as usize] {
-        // The served blob travels as the stored allocation itself — no
-        // length-prefixed re-encode, no copy.
-        let blob = fetch_with_retry(comm, policy, || ctx.cluster.get_blob(node, r, ctx.dump_id))?;
-        comm.try_send_bytes(r, TAG_RESTORE_BLOB, blob)?;
-    }
-    let result = match local {
-        Some(b) => Ok(Chunk::from(b)),
-        None => match server_of[me as usize] {
-            Some(s) => {
-                let data = comm.try_recv_chunk(s, TAG_RESTORE_BLOB)?;
-                // Re-seed the local device so this node serves next time
-                // (refcount bump — the stored blob is the received one).
-                ctx.cluster
-                    .put_blob(node, me, ctx.dump_id, data.as_bytes().clone())
-                    .ok();
-                Ok(data)
-            }
-            None => {
-                // No live replica — but a blob dumped under an `Rs` policy
-                // was striped instead of replicated, so any `k` surviving
-                // shards can still rebuild it.
-                if let Some(data) = ctx.cluster.reconstruct_payload(StripeKey::Blob {
-                    owner: me,
-                    dump_id: ctx.dump_id,
-                }) {
-                    comm.tracer().counter("restore_rs_reconstructed", 1);
-                    ctx.cluster
-                        .put_blob(node, me, ctx.dump_id, data.clone())
-                        .ok();
-                    Ok(Chunk::from(data))
-                } else if absent {
-                    Err(RestoreError::AbsentAtDump {
-                        rank: me,
-                        dump_id: ctx.dump_id,
-                    })
-                } else {
-                    Err(RestoreError::BlobLost { rank: me })
-                }
+    let tag = if blobs {
+        TAG_RESTORE_BLOB
+    } else {
+        TAG_RESTORE_MANIFEST
+    };
+    let mut received = None;
+    let moved = transfer(
+        comm,
+        tag,
+        &assign_servers(&needs, &holders),
+        &mut None,
+        |owner| {
+            if blobs {
+                cluster.get_blob(node, *owner, dump_id)
+            } else {
+                Ok(cluster.get_manifest(node, *owner, dump_id)?.to_bytes())
             }
         },
+        |_, data| {
+            let data = data.into_bytes();
+            if blobs {
+                cluster.put_blob(node, me, dump_id, data.clone()).ok();
+            } else {
+                cluster
+                    .put_manifest(node, Manifest::from_bytes(&data).ok()?)
+                    .ok();
+            }
+            received = Some(data);
+            Some(true)
+        },
+    )?;
+    note_retries(comm, moved.retries);
+    Ok((received, absent))
+}
+
+fn restore_blob(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, RestoreError> {
+    let me = comm.rank();
+    let node = ctx.cluster.node_of(me);
+    comm.tracer().enter("blob_recovery");
+    let local = fetch_with_retry(comm, || ctx.cluster.get_blob(node, me, ctx.dump_id)).ok();
+    let (received, absent) = recover_owned(comm, ctx, true, local.is_none())?;
+    // No replica reached us — but a blob dumped under an `Rs` policy was
+    // striped instead of replicated, so any `k` surviving shards can
+    // still rebuild it.
+    let blob = local.or(received).or_else(|| {
+        let key = StripeKey::Blob {
+            owner: me,
+            dump_id: ctx.dump_id,
+        };
+        let data = ctx.cluster.reconstruct_payload(key)?;
+        comm.tracer().counter("restore_rs_reconstructed", 1);
+        ctx.cluster
+            .put_blob(node, me, ctx.dump_id, data.clone())
+            .ok();
+        Some(data)
+    });
+    let result = match blob {
+        Some(b) => Ok(Chunk::from(b)),
+        None if absent => Err(RestoreError::AbsentAtDump {
+            rank: me,
+            dump_id: ctx.dump_id,
+        }),
+        None => Err(RestoreError::BlobLost { rank: me }),
     };
     comm.try_barrier()?;
     comm.tracer().exit("blob_recovery");
     result
 }
 
-fn restore_chunks(
-    comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    policy: &RetryPolicy,
-) -> Result<Chunk, RestoreError> {
+fn restore_chunks(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, RestoreError> {
     let me = comm.rank();
     let n = comm.size();
     let node = ctx.cluster.node_of(me);
 
     // ---- Step 1: manifest recovery --------------------------------------
     comm.tracer().enter("manifest_recovery");
-    let mut manifest = fetch_with_retry(comm, policy, || {
-        ctx.cluster.get_manifest(node, me, ctx.dump_id)
-    })
-    .ok();
-    let advertised = ctx
-        .cluster
-        .manifest_owners(node, ctx.dump_id)
-        .unwrap_or_default();
-    let tombstoned = ctx
-        .cluster
-        .absent_ranks(node, ctx.dump_id)
-        .unwrap_or_default();
-    let info = comm.try_allgather((manifest.is_none(), advertised, tombstoned))?;
-    let needs: Vec<bool> = info.iter().map(|(need, _, _)| *need).collect();
-    let absent = info.iter().any(|(_, _, a)| a.binary_search(&me).is_ok());
-    let holders: Vec<Vec<u32>> = info.into_iter().map(|(_, h, _)| h).collect();
-    let (served, server_of) = assign_servers(n, &needs, &holders);
-    for &r in &served[me as usize] {
-        let m = fetch_with_retry(comm, policy, || {
-            ctx.cluster.get_manifest(node, r, ctx.dump_id)
-        })?;
-        comm.try_send_val(r, TAG_RESTORE_MANIFEST, &m)?;
-    }
-    if manifest.is_none() {
-        if let Some(s) = server_of[me as usize] {
-            let m: Manifest = comm.try_recv_val(s, TAG_RESTORE_MANIFEST)?;
-            ctx.cluster.put_manifest(node, m.clone()).ok();
-            manifest = Some(m);
-        }
-    }
+    let local = fetch_with_retry(comm, || ctx.cluster.get_manifest(node, me, ctx.dump_id)).ok();
+    let (received, absent) = recover_owned(comm, ctx, false, local.is_none())?;
+    let manifest = local.or_else(|| Manifest::from_bytes(&received?).ok());
     comm.tracer().exit("manifest_recovery");
 
     // ---- Step 2: chunk recovery ------------------------------------------
@@ -383,75 +362,56 @@ fn restore_chunks(
         (0..n).find(|&s| all_have[s as usize].get(i) == Some(&true))
     };
 
-    // Serve: group my outgoing chunks per requester into one scatter-gather
-    // frame — fingerprints in the header segments, chunk bodies attached as
-    // zero-copy slices of the store's own allocations.
-    for (r, wanted) in all_missing.iter().enumerate() {
-        if r as u32 == me || wanted.is_empty() {
-            continue;
-        }
-        let mut batch = FrameWriter::new();
-        let mut batched = 0usize;
-        for fp in wanted {
-            if server_of_fp(fp) == Some(me) {
-                let data = fetch_with_retry(comm, policy, || ctx.cluster.get_chunk(node, fp))?;
-                batch.put(fp);
-                batch.attach(data);
-                batched += 1;
+    // No live holder anywhere — try Reed-Solomon reconstruction from
+    // surviving shards before declaring the chunk lost. A rescued chunk
+    // is seeded locally so the reassemble step (and every later restore)
+    // reads it like any other copy. The first loss becomes this rank's
+    // result, but the rank keeps going through every collective step.
+    // Rebuilding before the transfer keeps decode buffers and received
+    // frames from peaking together.
+    let mut failure: Option<RestoreError> = None;
+    for fp in missing.iter().filter(|fp| server_of_fp(fp).is_none()) {
+        let rebuilt = ctx
+            .cluster
+            .reconstruct_payload(StripeKey::Chunk(*fp))
+            .filter(|data| ctx.hasher.fingerprint(data) == *fp);
+        match rebuilt {
+            Some(data) => {
+                comm.tracer().counter("restore_rs_reconstructed", 1);
+                ctx.cluster.put_chunk(node, *fp, data).ok();
             }
-        }
-        if batched > 0 {
-            comm.try_send_frame(r as u32, TAG_RESTORE_CHUNKS, batch.finish())?;
+            None => {
+                failure.get_or_insert(RestoreError::ChunkLost(*fp));
+            }
         }
     }
 
-    // Receive: I know exactly which servers owe me a batch. The first
-    // failure (a lost chunk, a corrupt batch) becomes this rank's result,
-    // but the rank keeps going through every collective step.
-    let mut failure: Option<RestoreError> = None;
-    let mut expected_servers: Vec<u32> = Vec::new();
-    for fp in &missing {
-        match server_of_fp(fp) {
-            Some(s) if s != me => expected_servers.push(s),
-            Some(_) => {} // cannot happen: missing means I do not have it
-            None => {
-                // No live holder anywhere — try Reed-Solomon reconstruction
-                // from surviving shards before declaring the chunk lost.
-                // A rescued chunk is seeded locally so the reassemble step
-                // (and every later restore) reads it like any other copy.
-                let rebuilt = ctx
-                    .cluster
-                    .reconstruct_payload(StripeKey::Chunk(*fp))
-                    .filter(|data| ctx.hasher.fingerprint(data) == *fp);
-                match rebuilt {
-                    Some(data) => {
-                        comm.tracer().counter("restore_rs_reconstructed", 1);
-                        ctx.cluster.put_chunk(node, *fp, data).ok();
-                    }
-                    None => {
-                        failure.get_or_insert(RestoreError::ChunkLost(*fp));
-                    }
-                }
+    // The lowest holder serves each requested chunk, batched per
+    // requester by `transfer` (fingerprints in the header, chunk bodies
+    // attached as zero-copy slices of the store's own allocations). Only
+    // the moves naming this rank are kept: the world's list would be
+    // every rank's copy of every request.
+    let mut moves: Vec<(u32, u32, Fingerprint)> = Vec::new();
+    for (r, wanted) in all_missing.iter().enumerate() {
+        for fp in wanted {
+            match server_of_fp(fp) {
+                Some(s) if s == me || r as u32 == me => moves.push((s, r as u32, *fp)),
+                _ => {}
             }
         }
     }
-    expected_servers.sort_unstable();
-    expected_servers.dedup();
-    for s in expected_servers {
-        match decode_chunk_batch(comm.try_recv_frame(s, TAG_RESTORE_CHUNKS)?, s) {
-            Ok(chunks) => {
-                for (fp, data) in chunks {
-                    // Write back: restores the failed node's share of the
-                    // data (zero-copy — the stored chunk is a slice of the
-                    // frame).
-                    ctx.cluster.put_chunk(node, fp, data.into_bytes()).ok();
-                }
-            }
-            Err(e) => {
-                failure.get_or_insert(e);
-            }
-        }
-    }
+    // Write back: restores the failed node's share of the data (zero-copy
+    // — the stored chunk is a slice of the frame). A chunk that does not
+    // arrive falls through to the reassemble step's fallbacks.
+    let moved = transfer(
+        comm,
+        TAG_RESTORE_CHUNKS,
+        &moves,
+        &mut None,
+        |fp| ctx.cluster.get_chunk(node, fp),
+        |fp, data| ctx.cluster.put_chunk(node, fp, data.into_bytes()).ok(),
+    )?;
+    note_retries(comm, moved.retries);
 
     comm.tracer().exit("chunk_recovery");
     comm.tracer()
@@ -466,25 +426,11 @@ fn restore_chunks(
         }),
         (None, _) => Err(RestoreError::ManifestLost { rank: me }),
         (Some(_), Some(e)) => Err(e),
-        (Some(m), None) => reassemble(comm, ctx, policy, node, &m),
+        (Some(m), None) => reassemble(comm, ctx, node, &m),
     };
     comm.try_barrier()?;
     comm.tracer().exit("reassemble");
     result
-}
-
-/// Decode one chunk batch served by rank `from` into `(fingerprint,
-/// payload)` pairs. A frame that fails to decode is
-/// [`RestoreError::CorruptFrame`], never a panic.
-fn decode_chunk_batch(frame: Frame, from: u32) -> Result<Vec<(Fingerprint, Chunk)>, RestoreError> {
-    let corrupt = |_| RestoreError::CorruptFrame { from };
-    let mut batch = FrameReader::new(frame);
-    let mut chunks = Vec::new();
-    while batch.remaining() > 0 {
-        let fp: Fingerprint = batch.get().map_err(corrupt)?;
-        chunks.push((fp, batch.take_payload().map_err(corrupt)?));
-    }
-    Ok(chunks)
 }
 
 /// Gather `m`'s chunks into this rank's buffer. Verified reassemble: each
@@ -495,7 +441,6 @@ fn decode_chunk_batch(frame: Frame, from: u32) -> Result<Vec<(Fingerprint, Chunk
 fn reassemble(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,
-    policy: &RetryPolicy,
     node: replidedup_storage::NodeId,
     m: &Manifest,
 ) -> Result<Chunk, RestoreError> {
@@ -508,9 +453,7 @@ fn reassemble(
     for (i, fp) in m.chunks.iter().enumerate() {
         let data = match verified.entry(*fp) {
             Entry::Occupied(e) => e.get().clone(),
-            Entry::Vacant(e) => e
-                .insert(fetch_verified(comm, ctx, policy, node, fp)?)
-                .clone(),
+            Entry::Vacant(e) => e.insert(fetch_verified(comm, ctx, node, fp)?).clone(),
         };
         debug_assert_eq!(data.len(), m.chunk_len(i), "chunk {i} length mismatch");
         buf.extend_from_slice(&data);
@@ -577,7 +520,7 @@ mod tests {
                 3,
                 |_| {},
                 |comm, ctx| {
-                    let buf = restore_impl(comm, ctx, strategy, &RetryPolicy::default_restore())
+                    let buf = restore_impl(comm, ctx, strategy)
                         .map(Vec::from)
                         .expect("restore");
                     (comm.rank(), buf)
@@ -604,7 +547,7 @@ mod tests {
                     cluster.revive_node(3);
                 },
                 |comm, ctx| {
-                    let buf = restore_impl(comm, ctx, strategy, &RetryPolicy::default_restore())
+                    let buf = restore_impl(comm, ctx, strategy)
                         .map(Vec::from)
                         .expect("restore after failures");
                     (comm.rank(), buf)
@@ -627,14 +570,9 @@ mod tests {
                 cluster.revive_node(2);
             },
             |comm, ctx| {
-                restore_impl(
-                    comm,
-                    ctx,
-                    Strategy::CollDedup,
-                    &RetryPolicy::default_restore(),
-                )
-                .map(Vec::from)
-                .expect("restore");
+                restore_impl(comm, ctx, Strategy::CollDedup)
+                    .map(Vec::from)
+                    .expect("restore");
                 comm.barrier();
                 // After restore, node 2 must again hold rank 2's chunks.
                 if comm.rank() == 2 {
@@ -675,13 +613,7 @@ mod tests {
             |comm, ctx| {
                 (
                     comm.rank(),
-                    restore_impl(
-                        comm,
-                        ctx,
-                        Strategy::CollDedup,
-                        &RetryPolicy::default_restore(),
-                    )
-                    .map(Vec::from),
+                    restore_impl(comm, ctx, Strategy::CollDedup).map(Vec::from),
                 )
             },
         );
@@ -707,36 +639,15 @@ mod tests {
             vec![2],    // rank 2 holds 2 (itself, needy)
             vec![2, 3], // rank 3 holds 2
         ];
-        let (served, server_of) = assign_servers(4, &needs, &holders);
-        assert_eq!(server_of[0], Some(1), "lowest non-self holder of 0");
-        assert_eq!(server_of[2], Some(0));
-        assert_eq!(served[1], vec![0]);
-        assert_eq!(served[0], vec![2]);
-        assert!(served[2].is_empty() && served[3].is_empty());
-    }
-
-    /// A truncated chunk batch is a typed error naming the server, not a
-    /// panic.
-    #[test]
-    fn truncated_chunk_batch_is_a_typed_error_not_a_panic() {
-        // A fingerprint whose payload length promises 64 bytes that never
-        // follow.
-        let mut cut = FrameWriter::new();
-        cut.put(&Fingerprint::synthetic(1));
-        cut.put(&64u64);
-        assert_eq!(
-            decode_chunk_batch(cut.finish(), 3).map(|c| c.len()),
-            Err(RestoreError::CorruptFrame { from: 3 })
-        );
+        // Rank 1 is the lowest non-self holder of 0; rank 0 of 2.
+        assert_eq!(assign_servers(&needs, &holders), vec![(1, 0, 0), (0, 2, 2)]);
     }
 
     #[test]
     fn assign_servers_reports_unservable() {
         let needs = vec![true, false];
         let holders = vec![vec![], vec![]];
-        let (served, server_of) = assign_servers(2, &needs, &holders);
-        assert_eq!(server_of[0], None);
-        assert!(served.iter().all(Vec::is_empty));
+        assert!(assign_servers(&needs, &holders).is_empty());
     }
 
     #[test]
@@ -766,22 +677,12 @@ mod tests {
                     &cfg,
                 )
                 .unwrap();
-                let b1 = restore_impl(
-                    comm,
-                    &ctx1,
-                    Strategy::CollDedup,
-                    &RetryPolicy::default_restore(),
-                )
-                .map(Vec::from)
-                .unwrap();
-                let b2 = restore_impl(
-                    comm,
-                    &ctx2,
-                    Strategy::CollDedup,
-                    &RetryPolicy::default_restore(),
-                )
-                .map(Vec::from)
-                .unwrap();
+                let b1 = restore_impl(comm, &ctx1, Strategy::CollDedup)
+                    .map(Vec::from)
+                    .unwrap();
+                let b2 = restore_impl(comm, &ctx2, Strategy::CollDedup)
+                    .map(Vec::from)
+                    .unwrap();
                 (b1, b2, rank)
             })
             .expect_all();
@@ -813,14 +714,9 @@ mod tests {
                 let buf = buffer_of(comm.rank());
                 dump_impl(comm, &ctx, &Chunk::from(&buf[..]), &cfg).expect("dump");
                 comm.barrier();
-                restore_impl(
-                    comm,
-                    &ctx,
-                    Strategy::CollDedup,
-                    &RetryPolicy::default_restore(),
-                )
-                .map(Vec::from)
-                .expect("restore reconstructs coded chunks")
+                restore_impl(comm, &ctx, Strategy::CollDedup)
+                    .map(Vec::from)
+                    .expect("restore reconstructs coded chunks")
             })
             .expect_all();
         for (rank, buf) in out.results.into_iter().enumerate() {

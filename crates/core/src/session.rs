@@ -20,7 +20,6 @@ use crate::dump::{dump_impl, DumpContext, DumpError};
 use crate::heal::{heal_impl, heal_step_impl, HealCursor, HealOptions, HealReport, TokenBucket};
 use crate::repair::{scrub_impl, RepairError};
 use crate::restore::{restore_impl, RestoreError};
-use crate::retry::RetryPolicy;
 use crate::stats::DumpStats;
 
 /// Top-level error of the session API: every failure class of the
@@ -109,7 +108,6 @@ pub struct ReplicatorBuilder<'a> {
     cluster: Option<&'a Cluster>,
     hasher: &'a (dyn ChunkHasher + Sync),
     tracing: Option<bool>,
-    retry: RetryPolicy,
     heal: HealOptions,
     session_label: Option<String>,
 }
@@ -120,7 +118,6 @@ impl std::fmt::Debug for ReplicatorBuilder<'_> {
             .field("cfg", &self.cfg)
             .field("cluster", &self.cluster.map(|_| ".."))
             .field("tracing", &self.tracing)
-            .field("retry", &self.retry)
             .field("heal", &self.heal)
             .field("session_label", &self.session_label)
             .finish_non_exhaustive() // hasher is a plain trait object
@@ -204,14 +201,6 @@ impl<'a> ReplicatorBuilder<'a> {
         self
     }
 
-    /// Retry policy for restore's storage reads (default:
-    /// [`RetryPolicy::default_restore`] — 4 attempts, short exponential
-    /// backoff). [`RetryPolicy::none`] turns retries off.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
     /// Tuning for the incremental background healer
     /// ([`Replicator::heal`] and friends): window sizes, the optional
     /// byte rate limit, and the optional superseded-generation GC bound.
@@ -256,7 +245,6 @@ impl<'a> ReplicatorBuilder<'a> {
             cluster,
             hasher: self.hasher,
             tracing: self.tracing,
-            retry: self.retry,
             heal: self.heal,
             session,
         })
@@ -290,7 +278,6 @@ pub struct Replicator<'a> {
     cluster: &'a Cluster,
     hasher: &'a (dyn ChunkHasher + Sync),
     tracing: Option<bool>,
-    retry: RetryPolicy,
     heal: HealOptions,
     session: Option<SessionId>,
 }
@@ -310,7 +297,6 @@ impl std::fmt::Debug for Replicator<'_> {
         f.debug_struct("Replicator")
             .field("cfg", &self.cfg)
             .field("tracing", &self.tracing)
-            .field("retry", &self.retry)
             .field("session", &self.session)
             .finish_non_exhaustive() // cluster/hasher carry no useful Debug
     }
@@ -326,7 +312,6 @@ impl<'a> Replicator<'a> {
             cluster: None,
             hasher: &Sha1ChunkHasher,
             tracing: None,
-            retry: RetryPolicy::default_restore(),
             heal: HealOptions::default(),
             session_label: None,
         }
@@ -405,7 +390,7 @@ impl<'a> Replicator<'a> {
     /// `Vec<u8>` can use `Vec::from(chunk)` (one recorded copy).
     pub fn restore(&self, comm: &mut Comm, dump_id: DumpId) -> Result<Chunk, ReplError> {
         let ctx = self.enter(comm, self.scoped_id(dump_id));
-        restore_impl(comm, &ctx, self.cfg.strategy, &self.retry).map_err(ReplError::from)
+        restore_impl(comm, &ctx, self.cfg.strategy).map_err(ReplError::from)
     }
 
     /// Collective heal of generation `dump_id`, from the beginning: scrub

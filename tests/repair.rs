@@ -1,4 +1,4 @@
-//! Seeded chaos suite for the self-healing layer (DESIGN.md §11):
+//! Seeded chaos suite for the self-healing layer (DESIGN.md §11, §16):
 //! integrity scrubbing, the collective heal, retrying restore.
 //!
 //! Promises under test:
@@ -14,18 +14,19 @@
 //!    the same healed invariants.
 //! 3. Scrub reports exactly the injected corruptions; heal quarantines
 //!    and re-replicates them; the post-heal scrub is clean.
-//! 4. Injected transient device hiccups are absorbed by the restore retry
-//!    policy (visible in the `restore_retries` counter), not surfaced as
-//!    errors.
+//! 4. Injected transient device hiccups are absorbed by the fixed retry
+//!    schedule of every recovery read (visible in the `restore_retries`
+//!    and `heal_retries` counters), not surfaced as errors; a server whose
+//!    reads keep failing still answers every peer, so nobody hangs.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
 use replidedup::core::{ReplError, Replicator, Strategy};
-use replidedup::mpi::{EventKind, FaultPlan, FaultTrigger, WorldConfig};
+use replidedup::mpi::{Comm, EventKind, FaultPlan, FaultTrigger, WorldConfig};
 use replidedup::storage::{Cluster, Placement};
 
 const N: u32 = 6;
@@ -377,5 +378,110 @@ fn transient_hiccups_are_absorbed_by_the_restore_retry_policy() {
     assert!(
         total_retries > 0,
         "the absorbed hiccups must be visible in the restore_retries counter"
+    );
+}
+
+/// Receive timeout of the transient-fault scenarios: long enough that a
+/// rank waiting it out is a hang, not a slow host.
+const RECV_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The transient-fault scenarios' setup: 4 one-rank nodes, coll-dedup,
+/// K = 3, 32-byte chunks, 400-byte buffers, dumped; then node 2 fails and
+/// comes back empty. Returns the session and every rank's buffer.
+fn dumped_then_node_2_wiped(cluster: &Cluster, tracing: bool) -> (Replicator<'_>, Vec<Vec<u8>>) {
+    let repl = Replicator::builder(Strategy::CollDedup)
+        .cluster(cluster)
+        .replication(3)
+        .chunk_size(32)
+        .tracing(tracing)
+        .build()
+        .expect("valid config");
+    let bufs: Vec<Vec<u8>> = (0..4u32)
+        .map(|r| (0..400u32).map(|i| (i / 32 + r) as u8).collect())
+        .collect();
+    let out = WorldConfig::default()
+        .launch(4, |comm| {
+            repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
+                .map(|_| ())
+        })
+        .expect_all();
+    assert!(out.results.iter().all(Result::is_ok));
+    cluster.fail_node(2);
+    cluster.revive_node(2);
+    (repl, bufs)
+}
+
+/// Sum of the `name` counter over one rank's trace.
+fn counter(comm: &mut Comm, name: &str) -> u64 {
+    comm.take_trace_events()
+        .iter()
+        .filter(|e| e.name == name)
+        .map(|e| match e.kind {
+            EventKind::Counter(v) => v,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Promise 4, heal side: one transient read on every surviving node is
+/// retried inside the heal's transfers — every rank converges and agrees.
+#[test]
+fn heal_absorbs_one_transient_read_per_node() {
+    let cluster = Cluster::new(Placement::one_per_node(4));
+    let (repl, _) = dumped_then_node_2_wiped(&cluster, true);
+    for nd in [0, 1, 3] {
+        cluster.inject_transient(nd, 1).expect("live node");
+    }
+    let out = WorldConfig::default()
+        .with_recv_timeout(RECV_TIMEOUT)
+        .launch(4, |comm| {
+            comm.take_trace_events();
+            let report = repl.heal(comm, DUMP);
+            (report, counter(comm, "heal_retries"))
+        })
+        .expect_all();
+    let (first, _) = &out.results[0];
+    let first = first.as_ref().expect("rank 0 heals");
+    let mut retries = 0;
+    for (rank, (report, taken)) in out.results.iter().enumerate() {
+        let report = report
+            .as_ref()
+            .unwrap_or_else(|e| panic!("rank {rank} heal failed: {e}"));
+        assert!(report.is_fully_healed(), "rank {rank}: {report:?}");
+        assert_eq!(report, first, "all ranks agree on the heal report");
+        retries += taken;
+    }
+    assert!(first.chunks_healed > 0, "node 2's copies come back");
+    assert!(retries > 0, "the hiccups must be retried, not missed");
+}
+
+/// A serving node whose reads all fail must not strand its peers: every
+/// owed frame still goes out, ranks whose data is local restore
+/// byte-exactly, and the rest get typed restore errors — all well inside
+/// the receive timeout.
+#[test]
+fn restore_with_a_failing_server_does_not_hang() {
+    let cluster = Cluster::new(Placement::one_per_node(4));
+    let (repl, bufs) = dumped_then_node_2_wiped(&cluster, false);
+    cluster.inject_transient(0, 100).expect("live node");
+    let t0 = Instant::now();
+    let out = WorldConfig::default()
+        .with_recv_timeout(RECV_TIMEOUT)
+        .launch(4, |comm| repl.restore(comm, DUMP))
+        .expect_all();
+    let took = t0.elapsed();
+    for (rank, r) in out.results.iter().enumerate() {
+        match r {
+            Ok(bytes) => assert_eq!(bytes, &bufs[rank], "rank {rank} restored wrong bytes"),
+            Err(ReplError::Restore(e)) => assert!(
+                rank != 1 && rank != 3,
+                "rank {rank}'s data is local, yet: {e}"
+            ),
+            Err(e) => panic!("rank {rank}: {e} is not a typed restore error"),
+        }
+    }
+    assert!(
+        took < RECV_TIMEOUT / 2,
+        "the restore must not wait out receive timeouts: {took:?}"
     );
 }
