@@ -305,11 +305,7 @@ fn dump_pipeline(
                 stats.reduction = Some(ReductionStats {
                     view_entries: g.len() as u64,
                     view_bytes: g.wire_size() as u64,
-                    designations: g
-                        .entries
-                        .iter()
-                        .filter(|e| e.ranks.binary_search(&me).is_ok())
-                        .count() as u64,
+                    designations: g.designations(me) as u64,
                     traffic_bytes: traffic,
                 });
                 g

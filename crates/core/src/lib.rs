@@ -47,9 +47,9 @@
 
 pub mod config;
 // Dump, restore and the healer run against degraded, possibly corrupt
-// clusters: every failure must surface as a typed error the caller's loop
-// can retry, never a panic. `clippy.toml` still lets test code
-// unwrap/expect.
+// clusters, and the global view decodes peers' bytes: every failure must
+// surface as a typed error the caller's loop can retry, never a panic.
+// `clippy.toml` still lets test code unwrap/expect.
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -58,6 +58,12 @@ pub mod config;
 )]
 pub mod dump;
 pub mod exchange;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod global;
 #[deny(
     clippy::unwrap_used,
@@ -89,7 +95,7 @@ pub mod stats;
 
 pub use config::{ConfigError, DumpConfig, RedundancyPolicy, Strategy};
 pub use dump::{DumpContext, DumpError, DUMP_PHASES};
-pub use global::{reduce_global_view, try_reduce_global_view, GlobalEntry, GlobalView};
+pub use global::{try_reduce_global_view, GlobalEntry, GlobalView};
 pub use heal::{
     HealCursor, HealOptions, HealReport, HealStage, RateLimit, TokenBucket, HEAL_PHASES,
 };

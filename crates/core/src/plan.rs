@@ -106,10 +106,8 @@ mod tests {
         LocalIndex::build(&Sha1ChunkHasher, buf, &FixedChunker::new(cs), false)
     }
 
-    fn view(entries: Vec<GlobalEntry>) -> GlobalView {
-        let mut v = GlobalView { entries };
-        v.entries.sort_unstable_by_key(|a| a.fp);
-        v
+    fn view(entries: &[GlobalEntry]) -> GlobalView {
+        GlobalView::from_entries(entries)
     }
 
     #[test]
@@ -129,10 +127,10 @@ mod tests {
         let buf = vec![1u8; 8];
         let idx = index_of(&buf, 8);
         let fp = idx.in_order[0];
-        let v = view(vec![GlobalEntry {
+        let v = view(&[GlobalEntry {
             fp,
             freq: 5,
-            ranks: vec![1, 2, 3],
+            ranks: &[1, 2, 3],
         }]);
         let plan = plan_chunks(0, &idx, &v, 3);
         assert_eq!(plan.load, vec![0, 0, 0]);
@@ -144,10 +142,10 @@ mod tests {
         let buf = vec![1u8; 8];
         let idx = index_of(&buf, 8);
         let fp = idx.in_order[0];
-        let v = view(vec![GlobalEntry {
+        let v = view(&[GlobalEntry {
             fp,
             freq: 3,
-            ranks: vec![0, 1, 2],
+            ranks: &[0, 1, 2],
         }]);
         let plan = plan_chunks(0, &idx, &v, 3);
         assert_eq!(plan.load, vec![1, 0, 0]);
@@ -160,10 +158,10 @@ mod tests {
         let buf = vec![1u8; 8];
         let idx = index_of(&buf, 8);
         let fp = idx.in_order[0];
-        let v = view(vec![GlobalEntry {
+        let v = view(&[GlobalEntry {
             fp,
             freq: 2,
-            ranks: vec![0, 4],
+            ranks: &[0, 4],
         }]);
         let plan0 = plan_chunks(0, &idx, &v, 5);
         assert_eq!(plan0.load, vec![1, 1, 1, 0, 0]);
@@ -179,10 +177,10 @@ mod tests {
         let buf = vec![1u8; 8];
         let idx = index_of(&buf, 8);
         let fp = idx.in_order[0];
-        let v = view(vec![GlobalEntry {
+        let v = view(&[GlobalEntry {
             fp,
             freq: 1,
-            ranks: vec![2],
+            ranks: &[2],
         }]);
         let plan = plan_chunks(2, &idx, &v, 4);
         assert_eq!(
@@ -212,16 +210,16 @@ mod tests {
         let idx = index_of(&buf, 8);
         let f0 = idx.in_order[0];
         let f1 = idx.in_order[1];
-        let v = view(vec![
+        let v = view(&[
             GlobalEntry {
                 fp: f0,
                 freq: 4,
-                ranks: vec![0, 1, 2],
+                ranks: &[0, 1, 2],
             }, // me designated, full
             GlobalEntry {
                 fp: f1,
                 freq: 4,
-                ranks: vec![1, 2, 3],
+                ranks: &[1, 2, 3],
             }, // me not designated
         ]);
         let plan = plan_chunks(0, &idx, &v, 3);

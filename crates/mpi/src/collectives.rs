@@ -27,10 +27,20 @@
 
 use bytes::Bytes;
 
-use crate::comm::Comm;
+use crate::comm::{Comm, Rank};
 use crate::fault::CommError;
 use crate::stats::Transport;
 use crate::wire::Wire;
+
+/// Allreduce round of the unfold step, which hands the result back to the
+/// ranks folded in before recursive doubling. Doubling rounds count up
+/// from 1 and stay far below it.
+const UNFOLD_ROUND: u16 = u16::MAX;
+
+/// Decode a peer's collective value, naming both ranks on failure.
+fn decode<T: Wire>(payload: &[u8], rank: Rank, peer: Rank) -> Result<T, CommError> {
+    T::from_bytes(payload).map_err(|error| CommError::Undecodable { rank, peer, error })
+}
 
 impl Comm {
     /// Block until every rank has entered the barrier. Kept for the
@@ -55,7 +65,7 @@ impl Comm {
     /// All-reduce with a user operator; see the `allreduce_impl` internals
     /// in this module for algorithm and determinism guarantees. Kept for
     /// the benchmark seam (`benchmark/src/sut.rs`); the mini-apps' dot
-    /// products and `reduce_global_view` call it too.
+    /// products call it too.
     pub fn allreduce<T, F>(&mut self, value: T, op: F) -> T
     where
         T: Wire,
@@ -65,7 +75,8 @@ impl Comm {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Comm::allreduce`].
+    /// Fallible [`Comm::allreduce`]; a peer's value that does not decode
+    /// fails with [`CommError::Undecodable`].
     pub fn try_allreduce<T, F>(&mut self, value: T, op: F) -> Result<T, CommError>
     where
         T: Wire,
@@ -87,7 +98,8 @@ impl Comm {
         self.try_allgather(value).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Comm::allgather`].
+    /// Fallible [`Comm::allgather`]; a block that does not decode fails
+    /// with [`CommError::Undecodable`].
     pub fn try_allgather<T: Wire>(&mut self, value: T) -> Result<Vec<T>, CommError> {
         self.enter_phase("coll_allgather");
         let op = self.next_op();
@@ -107,7 +119,7 @@ impl Comm {
             return Ok(());
         }
         let me = self.rank();
-        let mut round = 0u32;
+        let mut round = 0u16;
         let mut dist = 1u32;
         while dist < n {
             let dst = (me + dist) % n;
@@ -156,29 +168,26 @@ impl Comm {
             let tag = Self::coll_tag(seq, 0);
             self.try_send_raw(me - p2, tag, acc.to_bytes(), Transport::Collective)?;
             // Wait for the final result in the unfold phase.
-            let tag = Self::coll_tag(seq, u32::MAX);
+            let tag = Self::coll_tag(seq, UNFOLD_ROUND);
             let payload = self.try_recv_raw_guarded(me - p2, tag, Transport::Collective, epoch)?;
-            return Ok(T::from_bytes(&payload)
-                .unwrap_or_else(|e| panic!("rank {me} failed to decode allreduce result: {e}")));
+            return decode(&payload, me, me - p2);
         }
         if me < rem {
             let tag = Self::coll_tag(seq, 0);
             let payload = self.try_recv_raw_guarded(me + p2, tag, Transport::Collective, epoch)?;
-            let other = T::from_bytes(&payload)
-                .unwrap_or_else(|e| panic!("rank {me} failed to decode fold operand: {e}"));
+            let other = decode(&payload, me, me + p2)?;
             // Lower-rank operand first: acc belongs to me < me + p2.
             acc = op(acc, other);
         }
         // Recursive doubling among ranks 0..p2.
-        let mut round = 1u32;
+        let mut round = 1u16;
         let mut dist = 1u32;
         while dist < p2 {
             let partner = me ^ dist;
             let tag = Self::coll_tag(seq, round);
             self.try_send_raw(partner, tag, acc.to_bytes(), Transport::Collective)?;
             let payload = self.try_recv_raw_guarded(partner, tag, Transport::Collective, epoch)?;
-            let other = T::from_bytes(&payload)
-                .unwrap_or_else(|e| panic!("rank {me} failed to decode allreduce operand: {e}"));
+            let other = decode(&payload, me, partner)?;
             acc = if me < partner {
                 op(acc, other)
             } else {
@@ -189,7 +198,7 @@ impl Comm {
         }
         // Unfold phase: hand the final value back to the folded ranks.
         if me < rem {
-            let tag = Self::coll_tag(seq, u32::MAX);
+            let tag = Self::coll_tag(seq, UNFOLD_ROUND);
             self.try_send_raw(me + p2, tag, acc.to_bytes(), Transport::Collective)?;
         }
         Ok(acc)
@@ -211,7 +220,10 @@ impl Comm {
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
         for step in 0..n - 1 {
-            let tag = Self::coll_tag(seq, step);
+            // Past 2^16 ranks the step wraps within this collective's own
+            // tag space; each rank receives only from `left`, whose
+            // messages arrive in order, so no step takes another's block.
+            let tag = Self::coll_tag(seq, step as u16);
             // Forward the block that originated at rank (me - step).
             let origin_out = ((me + n - step) % n) as usize;
             let payload = blocks[origin_out]
@@ -222,24 +234,93 @@ impl Comm {
             let incoming = self.try_recv_raw_guarded(left, tag, Transport::Collective, epoch)?;
             blocks[origin_in] = Some(incoming);
         }
-        Ok(blocks
+        blocks
             .into_iter()
-            .enumerate()
-            .map(|(i, block)| {
+            .zip(0..)
+            .map(|(block, origin)| {
                 let bytes = block.expect("ring completed: every block present");
-                T::from_bytes(&bytes).unwrap_or_else(|e| {
-                    panic!("rank {me} failed to decode allgather block {i}: {e}")
-                })
+                decode(&bytes, me, origin)
             })
-            .collect())
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::WorldConfig;
+    use super::UNFOLD_ROUND;
+    use crate::comm::{Comm, WorldConfig};
     use crate::fault::{CommError, FaultPlan, FaultTrigger};
+    use crate::wire::{Wire, WireError, WireResult};
+    use std::collections::HashSet;
     use std::time::Duration;
+
+    /// Every (sequence, round) pair a run can produce, the unfold step
+    /// included, maps to its own tag: no round can reach into the
+    /// sequence bits.
+    #[test]
+    fn collective_tags_are_distinct_per_sequence_and_round() {
+        let rounds: Vec<u16> = (0..=40)
+            .chain([1_000, UNFOLD_ROUND - 1, UNFOLD_ROUND])
+            .collect();
+        let mut seen = HashSet::new();
+        for seq in [1u64, 2, 3, 255, 65_535, 65_536, 65_537, 1 << 40] {
+            for &round in &rounds {
+                assert!(
+                    seen.insert(Comm::coll_tag(seq, round)),
+                    "seq {seq} round {round} aliases an earlier tag"
+                );
+            }
+        }
+    }
+
+    /// Encodes fine, never decodes.
+    struct Undecodable;
+
+    impl Wire for Undecodable {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.push(0);
+        }
+
+        fn decode(_input: &mut &[u8]) -> WireResult<Self> {
+            Err(WireError::Malformed {
+                what: "Undecodable",
+            })
+        }
+    }
+
+    #[test]
+    fn undecodable_values_fail_collectives_typed() {
+        let error = WireError::Malformed {
+            what: "Undecodable",
+        };
+        let out = WorldConfig::default()
+            .launch(4, |comm| {
+                let reduced = comm.try_allreduce(Undecodable, |a, _| a).err();
+                let gathered = comm.try_allgather(Undecodable).err();
+                (comm.rank(), reduced, gathered)
+            })
+            .expect_all();
+        for (me, reduced, gathered) in out.results {
+            // The first recursive-doubling partner is `me ^ 1`; a ring
+            // decodes its blocks in rank order, starting at rank 0.
+            assert_eq!(
+                reduced,
+                Some(CommError::Undecodable {
+                    rank: me,
+                    peer: me ^ 1,
+                    error: error.clone(),
+                })
+            );
+            assert_eq!(
+                gathered,
+                Some(CommError::Undecodable {
+                    rank: me,
+                    peer: 0,
+                    error: error.clone(),
+                })
+            );
+        }
+    }
 
     #[test]
     fn barrier_all_sizes() {

@@ -1052,7 +1052,9 @@ impl Comm {
     }
 
     /// Internal tag for round `round` of the collective numbered `op_seq`.
-    pub(crate) fn coll_tag(op_seq: u64, round: u32) -> Tag {
+    /// The round owns the low 16 bits and the sequence number the bits
+    /// above, so distinct (sequence, round) pairs never share a tag.
+    pub(crate) fn coll_tag(op_seq: u64, round: u16) -> Tag {
         INTERNAL_TAG | (op_seq << 16) | u64::from(round)
     }
 

@@ -22,6 +22,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::comm::{Rank, Tag};
+use crate::wire::WireError;
 
 /// When a planned fault fires on its rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -347,6 +348,17 @@ pub enum CommError {
         /// The rank that observed the teardown.
         rank: Rank,
     },
+    /// A collective received a value that does not decode as its operand
+    /// type. The rank returns at once; peers still waiting on it fail at
+    /// their receive timeout or at the next collective.
+    Undecodable {
+        /// The rank that received the value.
+        rank: Rank,
+        /// The rank whose value it was.
+        peer: Rank,
+        /// What the decoder rejected.
+        error: WireError,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -365,6 +377,12 @@ impl fmt::Display for CommError {
             ),
             CommError::WorldTornDown { rank } => {
                 write!(f, "rank {rank}: world torn down mid-operation")
+            }
+            CommError::Undecodable { rank, peer, error } => {
+                write!(
+                    f,
+                    "rank {rank} could not decode rank {peer}'s value: {error}"
+                )
             }
         }
     }

@@ -181,3 +181,31 @@ fn send_bytes_delivers_identical_bytes() {
     assert_eq!(from_static, &payload);
     assert_eq!(owned, &payload);
 }
+
+/// The dump, restore, repair and heal hot paths move refcounted `Chunk`
+/// payloads and the global view moves flat columns; a `.to_vec()` in any
+/// of their sources, tests included, is a silent full copy creeping back.
+#[test]
+fn hot_path_sources_make_no_stray_copies() {
+    let sources = [
+        ("dump.rs", include_str!("../crates/core/src/dump.rs")),
+        ("restore.rs", include_str!("../crates/core/src/restore.rs")),
+        ("repair.rs", include_str!("../crates/core/src/repair.rs")),
+        ("heal.rs", include_str!("../crates/core/src/heal.rs")),
+        ("global.rs", include_str!("../crates/core/src/global.rs")),
+    ];
+    let hits: Vec<String> = sources
+        .iter()
+        .flat_map(|(file, src)| {
+            src.lines()
+                .zip(1..)
+                .filter(|(line, _)| line.contains(".to_vec()"))
+                .map(move |(line, n)| format!("crates/core/src/{file}:{n}: {}", line.trim()))
+        })
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "payload copies in hot paths:\n{}",
+        hits.join("\n")
+    );
+}
