@@ -47,37 +47,13 @@ echo "== cargo test (tier-1: umbrella suites + every crate) =="
 # command runs the integration suites under tests/ (seeded chaos, healing,
 # zero-copy, chunking, erasure coding, sessions — all fixed-seed, so
 # reproducible bit-for-bit across CI machines) and every crate's own unit
-# and property tests. The stray-copy gate is one of them:
+# and property tests. Three source gates are among them:
 # tests/zerocopy.rs::hot_path_sources_make_no_stray_copies fails on any
-# .to_vec() in core's dump, restore, repair, heal and global sources.
+# .to_vec() in core's dump, restore, repair, heal and global sources;
+# tests/source_gates.rs fails on a dead-code allowance in the self-healing
+# and zero-copy modules, and on a deprecated shim anywhere in crates/*/src
+# or tests/.
 cargo test -q
-
-echo "== dead-code gate (self-healing + zero-copy modules) =="
-# These modules must be fully wired into the public API — a stray
-# #[allow(dead_code)] means something regressed to unreachable.
-if grep -n '#\[allow(dead_code)\]' \
-    crates/storage/src/scrub.rs \
-    crates/core/src/repair.rs \
-    crates/buf/src/lib.rs \
-    crates/buf/src/chunk.rs \
-    crates/buf/src/pool.rs \
-    crates/core/src/exchange.rs \
-    crates/mpi/src/wire.rs \
-    tests/repair.rs \
-    tests/zerocopy.rs; then
-  echo "ci: FAIL — #[allow(dead_code)] found in gated modules" >&2
-  exit 1
-fi
-
-echo "== no-deprecated-shims gate =="
-# The transitional &[u8] shims (dump_output/restore_output, Comm::send,
-# Window::get/local_data) were removed after one release of deprecation;
-# a #[deprecated] attribute reappearing in the workspace means a shim
-# crept back instead of the API being designed right.
-if grep -rn '#\[deprecated' crates/*/src tests; then
-  echo "ci: FAIL — deprecated shim reintroduced; extend the API instead" >&2
-  exit 1
-fi
 
 echo "== stride-math gate (variable-length chunk paths) =="
 # Chunk geometry is carried as explicit per-chunk lengths end to end; a

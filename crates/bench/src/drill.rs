@@ -406,7 +406,7 @@ fn inject_damage(
             // neither chunks nor stripes (no-dedup with pure
             // replication keeps only whole blobs) loses a disk instead.
             let mut injected = 0u32;
-            if let Ok(fps) = cluster.chunk_fps(0) {
+            if let Ok(fps) = cluster.chunk_fps(0, None, usize::MAX) {
                 for fp in fps.into_iter().take(4) {
                     if cluster.corrupt_chunk(0, &fp).unwrap_or(false) {
                         injected += 1;
@@ -414,7 +414,10 @@ fn inject_damage(
                 }
             }
             let mut hit_stripes = Vec::new();
-            for (key, meta) in cluster.shard_inventory(0).unwrap_or_default() {
+            for (key, meta) in cluster
+                .shard_inventory(0, .., |_| true, usize::MAX)
+                .unwrap_or_default()
+            {
                 if hit_stripes.len() >= 2 || hit_stripes.contains(&key) {
                     continue;
                 }

@@ -252,12 +252,15 @@ impl GlobalView {
 /// of uniformly distributed digests without a byte-wise compare.
 /// (`Fingerprint::prefix64` is little-endian and does not preserve the
 /// order.)
-fn fp_cmp(x: &Fingerprint, y: &Fingerprint) -> Ordering {
-    let head = |fp: &Fingerprint| {
-        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = *fp.as_bytes();
-        u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
-    };
-    head(x).cmp(&head(y)).then_with(|| x.cmp(y))
+pub(crate) fn fp_cmp(x: &Fingerprint, y: &Fingerprint) -> Ordering {
+    fp_head(x).cmp(&fp_head(y)).then_with(|| x.cmp(y))
+}
+
+/// A fingerprint's big-endian 64-bit prefix: order-preserving, so
+/// `fp_head(x) < fp_head(y)` implies `x < y`.
+pub(crate) fn fp_head(fp: &Fingerprint) -> u64 {
+    let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = *fp.as_bytes();
+    u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
 }
 
 /// One fingerprint of the union of two views: its summed frequency and its

@@ -30,6 +30,12 @@
 //!   than one window. Since the batch bounds what each *node* sends, the
 //!   window count follows the largest per-node key count, not the world
 //!   size.
+//! * A window costs what the window holds. A leader builds each list
+//!   under its node lock with one bounded query (one scan, or one ordered
+//!   range walk) that returns only the smallest `batch + 1` distinct keys
+//!   past the cursor, which `Cap::list` cuts exactly as it would cut the
+//!   whole list. Every rank then runs a planner linear in the window. The
+//!   plans are the ones the full listings and the previous planner gave.
 //! * Between steps the world is free: a foreground dump of a *newer*
 //!   generation can run its own collectives, and the healer's next step
 //!   simply sees (and skips) whatever the dump committed. In-flight
@@ -58,12 +64,15 @@
 //! [`crate::repair::transfer`] had to skip, are reported in the
 //! [`HealReport`] instead of failing the collective.
 
+use std::ops::{Bound, RangeBounds};
 use std::time::Duration;
 
 use replidedup_hash::Fingerprint;
 use replidedup_mpi::wire::{Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, Tag};
-use replidedup_storage::{DumpId, GcStats, Manifest, SessionId, StripeKey};
+use replidedup_storage::{
+    Cluster, DumpId, GcStats, Manifest, NodeId, SessionId, ShardMeta, StorageError, StripeKey,
+};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
@@ -486,28 +495,25 @@ pub(crate) fn heal_step_impl(
                 let mut inv = NodeInventory::default();
                 let mut cap = Cap::new(after, opts.chunk_batch);
                 if i_lead {
-                    let mut refs: Vec<Fingerprint> = cluster
-                        .manifests_for(node, ctx.dump_id)?
-                        .into_iter()
-                        .flat_map(|m| m.chunks)
-                        .collect();
-                    refs.sort_unstable();
-                    refs.dedup();
-                    let chunk_stripe = |(key, _): &(StripeKey, _)| match key {
-                        StripeKey::Chunk(fp) => Some(*fp),
-                        StripeKey::Blob { .. } => None,
-                    };
+                    let len = cap.window_len();
                     inv.leads_live_node = true;
+                    let refs = cluster.referenced_window(node, ctx.dump_id, after, len)?;
                     inv.referenced = cap.list(refs, |fp| Some(*fp));
-                    inv.held = cap.list(cluster.chunk_fps(node)?, |fp| Some(*fp));
-                    inv.shards = cap.list(cluster.shard_inventory(node)?, chunk_stripe);
+                    inv.held = cap.list(cluster.chunk_fps(node, after, len)?, |fp| Some(*fp));
+                    inv.shards = chunk_shards(&mut cap, cluster, node)?;
                 }
                 gather_window(comm, inv, cap.bound)
             })();
             comm.exit_phase("heal.plan");
             let (mut world_inv, cut) = step?;
+            // Keys past the cut are the next window's business: the plan
+            // of this one needs none of them, so none reach the planner.
+            let in_window = |fp: &Fingerprint| cut.is_none_or(|c| *fp <= c);
             for inv in &mut world_inv {
-                inv.referenced.retain(|fp| cut.is_none_or(|c| *fp <= c));
+                inv.referenced.retain(in_window);
+                inv.held.retain(in_window);
+                inv.shards
+                    .retain(|(key, _)| matches!(key, StripeKey::Chunk(fp) if in_window(fp)));
             }
             if world_inv.iter().any(|inv| !inv.referenced.is_empty()) {
                 let plan = windowed_plan(ctx, strategy, k, n, world_inv);
@@ -557,13 +563,7 @@ pub(crate) fn heal_step_impl(
                         // A blob with no replica is healthy if its stripe
                         // survives — the plan needs this generation's Blob
                         // stripes to judge that.
-                        let blob_stripe = |(key, _): &(StripeKey, _)| match key {
-                            StripeKey::Blob { owner, dump_id } if *dump_id == ctx.dump_id => {
-                                Some(*owner)
-                            }
-                            _ => None,
-                        };
-                        inv.shards = cap.list(cluster.shard_inventory(node)?, blob_stripe);
+                        inv.shards = blob_shards(&mut cap, cluster, node, ctx.dump_id)?;
                     } else {
                         let held = cluster.manifest_owners(node, ctx.dump_id)?;
                         inv.manifest_owners = cap.list(held, owner);
@@ -645,15 +645,8 @@ pub(crate) fn heal_step_impl(
                 let mut inv = NodeInventory::default();
                 let mut cap = Cap::new(after, opts.stripe_batch);
                 if i_lead {
-                    // Blob stripes of other generations are not this
-                    // heal's business — one of a dump still in flight is
-                    // legitimately below `k` shards mid-commit.
-                    let ours = |(key, _): &(StripeKey, _)| match key {
-                        StripeKey::Blob { dump_id, .. } if *dump_id != ctx.dump_id => None,
-                        _ => Some(*key),
-                    };
                     inv.leads_live_node = true;
-                    inv.shards = cap.list(cluster.shard_inventory(node)?, ours);
+                    inv.shards = stripe_shards(&mut cap, cluster, node, ctx.dump_id)?;
                 }
                 gather_window(comm, inv, cap.bound)
             })();
@@ -730,6 +723,12 @@ pub(crate) fn heal_impl(
     Ok(report)
 }
 
+/// The least blob stripe key: every chunk stripe sorts below it.
+const FIRST_BLOB: StripeKey = StripeKey::Blob {
+    owner: 0,
+    dump_id: 0,
+};
+
 /// One leader's side of a window: its sorted lists strictly past
 /// `after`, each cut after `batch` distinct keys. `bound` is the smallest
 /// last kept key of any cut list, so inside the window every rank plans —
@@ -747,6 +746,13 @@ impl<K: Ord + Copy> Cap<K> {
             batch,
             bound: None,
         }
+    }
+
+    /// Distinct keys past `after` a list must carry for [`Cap::list`] to
+    /// cut it exactly as it would cut the whole list: the batch, plus one
+    /// to tell whether the list goes on.
+    fn window_len(&self) -> usize {
+        self.batch.saturating_add(1)
     }
 
     /// The capped list of `sorted`; an entry keyed `None` is not this
@@ -770,6 +776,78 @@ impl<K: Ord + Copy> Cap<K> {
         }
         out
     }
+
+    /// The capped list of `node`'s shards: the window query over
+    /// `stripes` (which must hold every stripe `key` maps past `after`),
+    /// then [`Cap::list`].
+    fn shards(
+        &mut self,
+        cluster: &Cluster,
+        node: NodeId,
+        stripes: impl RangeBounds<StripeKey>,
+        key: impl Fn(&StripeKey) -> Option<K>,
+    ) -> Result<Vec<(StripeKey, ShardMeta)>, StorageError> {
+        let window =
+            cluster.shard_inventory(node, stripes, |k| key(k).is_some(), self.window_len())?;
+        Ok(self.list(window, |(k, _)| key(k)))
+    }
+}
+
+/// The [`HealStage::Chunks`] shard list: chunk stripes keyed by
+/// fingerprint. They sort below every blob stripe.
+fn chunk_shards(
+    cap: &mut Cap<Fingerprint>,
+    cluster: &Cluster,
+    node: NodeId,
+) -> Result<Vec<(StripeKey, ShardMeta)>, StorageError> {
+    let from = cap
+        .after
+        .map_or(Bound::Unbounded, |fp| Bound::Excluded(StripeKey::Chunk(fp)));
+    cap.shards(
+        cluster,
+        node,
+        (from, Bound::Excluded(FIRST_BLOB)),
+        |key| match key {
+            StripeKey::Chunk(fp) => Some(*fp),
+            StripeKey::Blob { .. } => None,
+        },
+    )
+}
+
+/// The [`HealStage::Blobs`] shard list: `dump_id`'s blob stripes keyed by
+/// owner rank (blob stripes sort by owner, then generation).
+fn blob_shards(
+    cap: &mut Cap<u32>,
+    cluster: &Cluster,
+    node: NodeId,
+    dump_id: DumpId,
+) -> Result<Vec<(StripeKey, ShardMeta)>, StorageError> {
+    let from = cap.after.map_or(Bound::Included(FIRST_BLOB), |owner| {
+        Bound::Excluded(StripeKey::Blob {
+            owner,
+            dump_id: DumpId::MAX,
+        })
+    });
+    cap.shards(cluster, node, (from, Bound::Unbounded), |key| match key {
+        StripeKey::Blob { owner, dump_id: d } if *d == dump_id => Some(*owner),
+        _ => None,
+    })
+}
+
+/// The [`HealStage::Stripes`] shard list: every stripe but the blob
+/// stripes of other generations — one of a dump still in flight is
+/// legitimately below `k` shards mid-commit, and not this heal's business.
+fn stripe_shards(
+    cap: &mut Cap<StripeKey>,
+    cluster: &Cluster,
+    node: NodeId,
+    dump_id: DumpId,
+) -> Result<Vec<(StripeKey, ShardMeta)>, StorageError> {
+    let from = cap.after.map_or(Bound::Unbounded, Bound::Excluded);
+    cap.shards(cluster, node, (from, Bound::Unbounded), |key| match key {
+        StripeKey::Blob { dump_id: d, .. } if *d != dump_id => None,
+        _ => Some(*key),
+    })
 }
 
 /// The window's one allgather: every leader's capped lists plus its
@@ -934,6 +1012,101 @@ mod tests {
                 }
             }
             prop_assert_eq!(covered, all, "every key exactly once, in order");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// A leader's bounded window queries, cut by `Cap::list`, send
+        /// exactly what cutting its node's whole sorted lists sends — the
+        /// same entries and the same bound — for every list of every
+        /// stage, whatever the stored keys, the cursor and the batch.
+        #[test]
+        fn window_queries_cut_exactly_like_the_full_lists(
+            held in proptest::collection::vec(0u64..48, 0..60),
+            recipes in proptest::collection::vec(
+                (0u64..3, proptest::collection::vec(0u64..48, 0..16)), 0..8),
+            shards in proptest::collection::vec((0u8..3, 0u64..48, 0u8..3), 0..40),
+            at in 0u64..52,
+            batch in 1usize..8,
+        ) {
+            const GEN: DumpId = 1;
+            let cluster = Cluster::new(Placement::one_per_node(1));
+            for h in &held {
+                cluster.put_chunk(0, Fingerprint::synthetic(*h), Bytes::from_static(b"c")).unwrap();
+            }
+            for (owner, (dump_id, refs)) in (0u32..).zip(&recipes) {
+                let chunks: Vec<Fingerprint> = refs.iter().map(|r| Fingerprint::synthetic(*r)).collect();
+                let m = Manifest::fixed_stride(owner, *dump_id, 1, chunks.len() as u64, chunks);
+                cluster.put_manifest(0, m).unwrap();
+            }
+            let stripe = |kind: u8, x: u64| match kind {
+                0 => StripeKey::Chunk(Fingerprint::synthetic(x)),
+                _ => StripeKey::Blob { owner: (x % 9) as u32, dump_id: u64::from(kind) },
+            };
+            for (kind, x, index) in &shards {
+                let meta = ShardMeta { k: 2, m: 1, index: *index, total_len: 2 };
+                cluster.put_shard(0, stripe(*kind, *x), meta, Bytes::from_static(b"s")).unwrap();
+            }
+            // A cursor of every stage, or none (`at` past the key range).
+            let after_fp = (at < 48).then(|| Fingerprint::synthetic(at));
+            let after_owner = (at < 48).then_some((at % 10) as u32);
+            let after_stripe = (at < 48).then(|| stripe((at % 3) as u8, at));
+
+            // The specification: the whole sorted lists, cut.
+            let mut refs: Vec<Fingerprint> = recipes
+                .iter()
+                .filter(|(d, _)| *d == GEN)
+                .flat_map(|(_, r)| r.iter().map(|x| Fingerprint::synthetic(*x)))
+                .collect();
+            refs.sort_unstable();
+            refs.dedup();
+            let all_shards = cluster.shard_inventory(0, .., |_| true, usize::MAX).unwrap();
+            let mut full = Cap::new(after_fp, batch);
+            let full_chunks = (
+                full.list(refs, |fp| Some(*fp)),
+                full.list(cluster.chunk_fps(0, None, usize::MAX).unwrap(), |fp| Some(*fp)),
+                full.list(all_shards.clone(), |(key, _)| match key {
+                    StripeKey::Chunk(fp) => Some(*fp),
+                    StripeKey::Blob { .. } => None,
+                }),
+                full.bound,
+            );
+            let mut full = Cap::new(after_owner, batch);
+            let full_blobs = (
+                full.list(all_shards.clone(), |(key, _)| match key {
+                    StripeKey::Blob { owner, dump_id: GEN } => Some(*owner),
+                    _ => None,
+                }),
+                full.bound,
+            );
+            let mut full = Cap::new(after_stripe, batch);
+            let full_stripes = (
+                full.list(all_shards, |(key, _)| match key {
+                    StripeKey::Blob { dump_id, .. } if *dump_id != GEN => None,
+                    _ => Some(*key),
+                }),
+                full.bound,
+            );
+
+            // What the leaders run: the window queries, cut.
+            let mut cap = Cap::new(after_fp, batch);
+            let len = cap.window_len();
+            let refs = cluster.referenced_window(0, GEN, after_fp, len).unwrap();
+            let chunks = (
+                cap.list(refs, |fp| Some(*fp)),
+                cap.list(cluster.chunk_fps(0, after_fp, len).unwrap(), |fp| Some(*fp)),
+                chunk_shards(&mut cap, &cluster, 0).unwrap(),
+                cap.bound,
+            );
+            prop_assert_eq!(chunks, full_chunks);
+            let mut cap = Cap::new(after_owner, batch);
+            let blobs = (blob_shards(&mut cap, &cluster, 0, GEN).unwrap(), cap.bound);
+            prop_assert_eq!(blobs, full_blobs);
+            let mut cap = Cap::new(after_stripe, batch);
+            let stripes = (stripe_shards(&mut cap, &cluster, 0, GEN).unwrap(), cap.bound);
+            prop_assert_eq!(stripes, full_stripes);
         }
     }
 

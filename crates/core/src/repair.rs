@@ -33,13 +33,13 @@
 //! * [`scrub_impl`] — the read-only collective integrity scrub.
 //! * [`RepairError`] — every way a scrub or heal step can fail.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
 
 use bytes::Bytes;
 use replidedup_buf::Chunk;
 use replidedup_ec::shard_nodes;
-use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
+use replidedup_hash::{Fingerprint, FpHashSet};
 use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire, WireResult};
 use replidedup_mpi::{Comm, CommError, Tag};
 use replidedup_storage::{
@@ -48,6 +48,7 @@ use replidedup_storage::{
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
+use crate::global::{fp_cmp, fp_head};
 use crate::heal::{throttle, TokenBucket};
 
 /// Failures of a collective heal or scrub.
@@ -159,28 +160,74 @@ pub(crate) struct RepairPlan {
 
 /// Pick up to `deficit` destinations among live non-holder leaders,
 /// preferring `home` (the owner's own node leader) and then the least
-/// planned load, ties broken by rank for cross-rank determinism.
-pub(crate) fn pick_destinations(
+/// planned load, ties broken by rank for cross-rank determinism. One pass
+/// over `live` keeps the best `deficit` candidates in order; `load` is
+/// indexed by rank and gains one per pick.
+fn pick_destinations(
     live: &[u32],
     holders: &[u32],
     deficit: usize,
     home: Option<u32>,
-    load: &mut HashMap<u32, u64>,
+    load: &mut [u64],
 ) -> Vec<u32> {
-    let mut cands: Vec<u32> = live
-        .iter()
-        .copied()
-        .filter(|r| !holders.contains(r))
-        .collect();
-    cands.sort_by_key(|r| {
-        let is_home = Some(*r) == home;
-        (!is_home, load.get(r).copied().unwrap_or(0), *r)
-    });
-    cands.truncate(deficit);
-    for dst in &cands {
-        *load.entry(*dst).or_insert(0) += 1;
+    if deficit == 0 {
+        return Vec::new();
     }
-    cands
+    let mut best: Vec<(bool, u64, u32)> = Vec::with_capacity(deficit + 1);
+    for &r in live {
+        let key = (Some(r) != home, load[r as usize], r);
+        let full = best.len() == deficit;
+        if full && best.last().is_some_and(|worst| key > *worst) || holders.contains(&r) {
+            continue;
+        }
+        best.insert(best.partition_point(|b| *b < key), key);
+        best.truncate(deficit);
+    }
+    best.into_iter()
+        .map(|(_, _, dst)| {
+            load[dst as usize] += 1;
+            dst
+        })
+        .collect()
+}
+
+/// The `who` of a reference record in [`build_plan`]'s chunk pass; every
+/// other `who` is the rank of a live holder.
+const REFERENCED: u32 = u32::MAX;
+
+/// `records` stably sorted by fingerprint, in expected linear time: one
+/// counting pass spreads them over at least as many buckets as records by
+/// the high bits of their big-endian prefix (an order-keeping map), and
+/// each bucket — a few records for uniformly distributed digests — is
+/// sorted on its own. Skewed input only makes buckets larger.
+fn sort_by_fingerprint(records: &[(Fingerprint, u32)]) -> Vec<(Fingerprint, u32)> {
+    let Some(&first) = records.first() else {
+        return Vec::new();
+    };
+    let (lo, hi) = records.iter().fold((u64::MAX, 0), |(lo, hi), (fp, _)| {
+        (lo.min(fp_head(fp)), hi.max(fp_head(fp)))
+    });
+    let buckets = records.len().next_power_of_two();
+    let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(buckets.trailing_zeros());
+    let bucket = |fp: &Fingerprint| (fp_head(fp) - lo).checked_shr(shift).unwrap_or(0) as usize;
+    let mut start = vec![0usize; buckets + 1];
+    for (fp, _) in records {
+        start[bucket(fp) + 1] += 1;
+    }
+    for b in 1..start.len() {
+        start[b] += start[b - 1];
+    }
+    let mut next = start.clone();
+    let mut sorted = vec![first; records.len()];
+    for record in records {
+        let b = bucket(&record.0);
+        sorted[next[b]] = *record;
+        next[b] += 1;
+    }
+    for span in start.windows(2).filter(|span| span[1] - span[0] > 1) {
+        sorted[span[0]..span[1]].sort_by(|a, b| fp_cmp(&a.0, &b.0));
+    }
+    sorted
 }
 
 /// Derive the transfer plan. Pure: every rank calls this with the
@@ -189,6 +236,13 @@ pub(crate) fn pick_destinations(
 /// `home_leader[r]` is the leader rank of rank `r`'s own node — the
 /// preferred destination when re-materializing `r`'s manifest or blob, so
 /// a healed cluster restores without network recovery.
+///
+/// Cost is linear in the window (in expectation, for uniformly
+/// distributed fingerprints): chunk holders come from one bucket-sorted
+/// record list, owner holders from one table per window, and each
+/// destination pick is one scan of the live leaders. The plan is the one
+/// the per-chunk holder map and per-pick candidate sort it replaced
+/// derived (a property test holds it to that reference model).
 pub(crate) fn build_plan(
     k: u32,
     strategy: Strategy,
@@ -205,7 +259,6 @@ pub(crate) fn build_plan(
         .map(|(r, _)| r as u32)
         .collect();
     let target = (k as usize).min(live.len());
-    let tombstoned = |r: u32| inv.iter().any(|i| i.absent.binary_search(&r).is_ok());
 
     // Cluster-wide stripe map from the allgathered shard inventories:
     // geometry (from any shard's self-describing meta) plus surviving
@@ -229,95 +282,94 @@ pub(crate) fn build_plan(
             .is_some_and(|(meta, have)| have.len() >= meta.k as usize)
     };
 
-    if strategy != Strategy::NoDedup {
-        // ---- chunks: every fingerprint a surviving manifest references --
-        let mut required: Vec<Fingerprint> = inv
-            .iter()
-            .flat_map(|i| i.referenced.iter().copied())
-            .collect();
-        required.sort_unstable();
-        required.dedup();
-        // A chunk's live holders, in rank order: the leaders whose held
-        // list carries it.
-        let mut holders: FpHashMap<Vec<u32>> = FpHashMap::default();
-        for &r in &live {
-            for fp in &inv[r as usize].held {
-                holders.entry(*fp).or_default().push(r);
+    // Owner ranks tombstoned as absent: legitimately missing from this
+    // (degraded) dump, so neither healed nor lost.
+    let mut tombstoned = vec![false; home_leader.len()];
+    for r in inv.iter().flat_map(|i| &i.absent) {
+        if let Some(t) = tombstoned.get_mut(*r as usize) {
+            *t = true;
+        }
+    }
+    // Recipes (manifests or blobs) must survive K times each: which live
+    // leaders hold each owner's, in rank order, from one table per window.
+    // Returns the moves and the owners lost for good.
+    let plan_owners = |list: fn(&NodeInventory) -> &[u32], viable: &dyn Fn(u32) -> bool| {
+        let mut holders: Vec<Vec<u32>> = vec![Vec::new(); home_leader.len()];
+        for &l in &live {
+            for &r in list(&inv[l as usize]) {
+                match holders.get_mut(r as usize) {
+                    Some(h) if h.last() != Some(&l) => h.push(l),
+                    _ => {}
+                }
             }
         }
-        let mut load: HashMap<u32, u64> = HashMap::new();
-        for fp in required {
-            match holders.get(&fp) {
-                None => {
-                    if !stripe_viable(&StripeKey::Chunk(fp)) {
-                        plan.unrepairable_chunks.push(fp);
-                    }
+        let (mut moves, mut lost) = (Vec::new(), Vec::new());
+        let mut load = vec![0u64; inv.len()];
+        for (r, have) in (0u32..).zip(&holders) {
+            if tombstoned[r as usize] {
+                continue;
+            }
+            if have.is_empty() {
+                if !viable(r) {
+                    lost.push(r);
                 }
-                Some(have) if have.len() >= target => {}
-                Some(have) => {
-                    let deficit = target - have.len();
-                    for (i, dst) in pick_destinations(&live, have, deficit, None, &mut load)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        plan.chunk_moves.push((have[i % have.len()], dst, fp));
-                    }
+                continue;
+            }
+            let deficit = target.saturating_sub(have.len());
+            let home = Some(home_leader[r as usize]);
+            for (i, dst) in pick_destinations(&live, have, deficit, home, &mut load)
+                .into_iter()
+                .enumerate()
+            {
+                moves.push((have[i % have.len()], dst, r));
+            }
+        }
+        (moves, lost)
+    };
+
+    if strategy != Strategy::NoDedup {
+        // ---- chunks: every fingerprint a surviving manifest references --
+        // One record per live copy, in rank order, then one per reference;
+        // sorted stably, each fingerprint is one run: its holders in rank
+        // order, then its references (if any).
+        let mut records: Vec<(Fingerprint, u32)> = Vec::new();
+        for &r in &live {
+            records.extend(inv[r as usize].held.iter().map(|fp| (*fp, r)));
+        }
+        for i in inv {
+            records.extend(i.referenced.iter().map(|fp| (*fp, REFERENCED)));
+        }
+        let mut load = vec![0u64; inv.len()];
+        let mut have: Vec<u32> = Vec::new();
+        for run in sort_by_fingerprint(&records).chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(fp, REFERENCED)) = run.last() else {
+                continue; // held, but nothing in the window references it
+            };
+            have.clear();
+            have.extend(run.iter().map(|(_, who)| *who).filter(|w| *w != REFERENCED));
+            if have.is_empty() {
+                if !stripe_viable(&StripeKey::Chunk(fp)) {
+                    plan.unrepairable_chunks.push(fp);
                 }
+                continue;
+            }
+            let deficit = target.saturating_sub(have.len());
+            for (i, dst) in pick_destinations(&live, &have, deficit, None, &mut load)
+                .into_iter()
+                .enumerate()
+            {
+                plan.chunk_moves.push((have[i % have.len()], dst, fp));
             }
         }
 
         // ---- manifests: one recipe per rank must survive K times --------
-        let mut mload: HashMap<u32, u64> = HashMap::new();
-        for r in 0..home_leader.len() as u32 {
-            if tombstoned(r) {
-                continue; // legitimately absent from this (degraded) dump
-            }
-            let holders: Vec<u32> = live
-                .iter()
-                .copied()
-                .filter(|l| inv[*l as usize].manifest_owners.binary_search(&r).is_ok())
-                .collect();
-            if holders.is_empty() {
-                plan.unrepairable_manifests.push(r);
-                continue;
-            }
-            let deficit = target.saturating_sub(holders.len());
-            let home = Some(home_leader[r as usize]);
-            for (i, dst) in pick_destinations(&live, &holders, deficit, home, &mut mload)
-                .into_iter()
-                .enumerate()
-            {
-                plan.manifest_moves
-                    .push((holders[i % holders.len()], dst, r));
-            }
-        }
+        (plan.manifest_moves, plan.unrepairable_manifests) =
+            plan_owners(|i| &i.manifest_owners, &|_| false);
     } else {
         // ---- blobs: the no-dedup storage format ------------------------
-        let mut bload: HashMap<u32, u64> = HashMap::new();
-        for r in 0..home_leader.len() as u32 {
-            if tombstoned(r) {
-                continue;
-            }
-            let holders: Vec<u32> = live
-                .iter()
-                .copied()
-                .filter(|l| inv[*l as usize].blob_owners.binary_search(&r).is_ok())
-                .collect();
-            if holders.is_empty() {
-                if !stripe_viable(&StripeKey::Blob { owner: r, dump_id }) {
-                    plan.unrepairable_blobs.push(r);
-                }
-                continue;
-            }
-            let deficit = target.saturating_sub(holders.len());
-            let home = Some(home_leader[r as usize]);
-            for (i, dst) in pick_destinations(&live, &holders, deficit, home, &mut bload)
-                .into_iter()
-                .enumerate()
-            {
-                plan.blob_moves.push((holders[i % holders.len()], dst, r));
-            }
-        }
+        (plan.blob_moves, plan.unrepairable_blobs) = plan_owners(|i| &i.blob_owners, &|owner| {
+            stripe_viable(&StripeKey::Blob { owner, dump_id })
+        });
     }
 
     // ---- stripes: every viable stripe healed back to full k+m shards on
@@ -388,7 +440,7 @@ pub(crate) fn scrub_impl(
         if leader_of(ctx.cluster, node, n) == Some(me) && ctx.cluster.is_alive(node) {
             (
                 ctx.cluster.scrub(node, ctx.hasher)?,
-                ctx.cluster.chunk_fps(node)?,
+                ctx.cluster.chunk_fps(node, None, usize::MAX)?,
                 ctx.cluster.referenced_fps(node)?,
             )
         } else {
@@ -553,10 +605,204 @@ pub(crate) fn transfer<K: Wire + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use replidedup_hash::FpHashMap;
     use std::cell::RefCell;
+    use std::collections::HashMap;
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::synthetic(n)
+    }
+
+    // ---- the reference model: the planner as it was before it was made
+    // linear in the window, kept verbatim so a property test can hold the
+    // fast planner to identical plans ------------------------------------
+
+    /// Pick up to `deficit` destinations among live non-holder leaders,
+    /// preferring `home` (the owner's own node leader) and then the least
+    /// planned load, ties broken by rank for cross-rank determinism.
+    fn reference_destinations(
+        live: &[u32],
+        holders: &[u32],
+        deficit: usize,
+        home: Option<u32>,
+        load: &mut HashMap<u32, u64>,
+    ) -> Vec<u32> {
+        let mut cands: Vec<u32> = live
+            .iter()
+            .copied()
+            .filter(|r| !holders.contains(r))
+            .collect();
+        cands.sort_by_key(|r| {
+            let is_home = Some(*r) == home;
+            (!is_home, load.get(r).copied().unwrap_or(0), *r)
+        });
+        cands.truncate(deficit);
+        for dst in &cands {
+            *load.entry(*dst).or_insert(0) += 1;
+        }
+        cands
+    }
+
+    /// Derive the transfer plan. Pure: every rank calls this with the
+    /// identical inventories and gets the identical plan.
+    ///
+    /// `home_leader[r]` is the leader rank of rank `r`'s own node — the
+    /// preferred destination when re-materializing `r`'s manifest or blob, so
+    /// a healed cluster restores without network recovery.
+    fn reference_plan(
+        k: u32,
+        strategy: Strategy,
+        dump_id: DumpId,
+        inv: &[NodeInventory],
+        home_leader: &[u32],
+        leader_of_node: &[Option<u32>],
+    ) -> RepairPlan {
+        let mut plan = RepairPlan::default();
+        let live: Vec<u32> = inv
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| i.leads_live_node)
+            .map(|(r, _)| r as u32)
+            .collect();
+        let target = (k as usize).min(live.len());
+        let tombstoned = |r: u32| inv.iter().any(|i| i.absent.binary_search(&r).is_ok());
+
+        // Cluster-wide stripe map from the allgathered shard inventories:
+        // geometry (from any shard's self-describing meta) plus surviving
+        // indices, and which leader holds which shard.
+        let mut stripes: BTreeMap<StripeKey, (ShardMeta, Vec<u8>)> = BTreeMap::new();
+        let mut held: HashSet<(u32, StripeKey, u8)> = HashSet::new();
+        for (r, i) in inv.iter().enumerate() {
+            for (key, meta) in &i.shards {
+                held.insert((r as u32, *key, meta.index));
+                let e = stripes.entry(*key).or_insert((*meta, Vec::new()));
+                if !e.1.contains(&meta.index) {
+                    e.1.push(meta.index);
+                }
+            }
+        }
+        // A coded payload is healthy — no replicas required — as long as its
+        // stripe keeps at least `k` shards; the stripe pass heals the rest.
+        let stripe_viable = |key: &StripeKey| {
+            stripes
+                .get(key)
+                .is_some_and(|(meta, have)| have.len() >= meta.k as usize)
+        };
+
+        if strategy != Strategy::NoDedup {
+            // ---- chunks: every fingerprint a surviving manifest references --
+            let mut required: Vec<Fingerprint> = inv
+                .iter()
+                .flat_map(|i| i.referenced.iter().copied())
+                .collect();
+            required.sort_unstable();
+            required.dedup();
+            // A chunk's live holders, in rank order: the leaders whose held
+            // list carries it.
+            let mut holders: FpHashMap<Vec<u32>> = FpHashMap::default();
+            for &r in &live {
+                for fp in &inv[r as usize].held {
+                    holders.entry(*fp).or_default().push(r);
+                }
+            }
+            let mut load: HashMap<u32, u64> = HashMap::new();
+            for fp in required {
+                match holders.get(&fp) {
+                    None => {
+                        if !stripe_viable(&StripeKey::Chunk(fp)) {
+                            plan.unrepairable_chunks.push(fp);
+                        }
+                    }
+                    Some(have) if have.len() >= target => {}
+                    Some(have) => {
+                        let deficit = target - have.len();
+                        for (i, dst) in
+                            reference_destinations(&live, have, deficit, None, &mut load)
+                                .into_iter()
+                                .enumerate()
+                        {
+                            plan.chunk_moves.push((have[i % have.len()], dst, fp));
+                        }
+                    }
+                }
+            }
+
+            // ---- manifests: one recipe per rank must survive K times --------
+            let mut mload: HashMap<u32, u64> = HashMap::new();
+            for r in 0..home_leader.len() as u32 {
+                if tombstoned(r) {
+                    continue; // legitimately absent from this (degraded) dump
+                }
+                let holders: Vec<u32> = live
+                    .iter()
+                    .copied()
+                    .filter(|l| inv[*l as usize].manifest_owners.binary_search(&r).is_ok())
+                    .collect();
+                if holders.is_empty() {
+                    plan.unrepairable_manifests.push(r);
+                    continue;
+                }
+                let deficit = target.saturating_sub(holders.len());
+                let home = Some(home_leader[r as usize]);
+                for (i, dst) in reference_destinations(&live, &holders, deficit, home, &mut mload)
+                    .into_iter()
+                    .enumerate()
+                {
+                    plan.manifest_moves
+                        .push((holders[i % holders.len()], dst, r));
+                }
+            }
+        } else {
+            // ---- blobs: the no-dedup storage format ------------------------
+            let mut bload: HashMap<u32, u64> = HashMap::new();
+            for r in 0..home_leader.len() as u32 {
+                if tombstoned(r) {
+                    continue;
+                }
+                let holders: Vec<u32> = live
+                    .iter()
+                    .copied()
+                    .filter(|l| inv[*l as usize].blob_owners.binary_search(&r).is_ok())
+                    .collect();
+                if holders.is_empty() {
+                    if !stripe_viable(&StripeKey::Blob { owner: r, dump_id }) {
+                        plan.unrepairable_blobs.push(r);
+                    }
+                    continue;
+                }
+                let deficit = target.saturating_sub(holders.len());
+                let home = Some(home_leader[r as usize]);
+                for (i, dst) in reference_destinations(&live, &holders, deficit, home, &mut bload)
+                    .into_iter()
+                    .enumerate()
+                {
+                    plan.blob_moves.push((holders[i % holders.len()], dst, r));
+                }
+            }
+        }
+
+        // ---- stripes: every viable stripe healed back to full k+m shards on
+        // their home nodes (a stripe below k survivors is beyond rebuild) ----
+        let node_count = leader_of_node.len() as u32;
+        for (key, (meta, have)) in &stripes {
+            if have.len() < meta.k as usize {
+                plan.unrepairable_stripes.push(*key);
+                continue;
+            }
+            let shards = meta.k + meta.m;
+            let homes = shard_nodes(key.seed(), shards, node_count);
+            for index in 0..shards {
+                // Dead (or unpopulated) home nodes have nowhere to re-home the
+                // shard; a later heal after reviving picks them up.
+                let Some(leader) = leader_of_node[homes[index as usize] as usize] else {
+                    continue;
+                };
+                if !held.contains(&(leader, *key, index)) {
+                    plan.shard_rebuilds.push((leader, *key, index));
+                }
+            }
+        }
+        plan
     }
 
     /// Record that the leaders `ranks` hold chunk `n` (call in ascending
@@ -589,6 +835,142 @@ mod tests {
             .map(|(r, i)| i.leads_live_node.then_some(r as u32))
             .collect();
         build_plan(k, strategy, 1, inv, &home, &leaders)
+    }
+
+    /// A random planner input from `seed`: 1–40 leaders, about a quarter
+    /// dead, overlapping fingerprint and owner sets, tombstones, chunk and
+    /// blob stripes of two generations, K from 1 to 4 (so K often exceeds
+    /// the live count) and either storage format. Every list is sorted
+    /// and distinct, as leaders send them.
+    #[allow(clippy::type_complexity)]
+    fn random_world(
+        seed: u64,
+    ) -> (
+        u32,
+        Strategy,
+        Vec<NodeInventory>,
+        Vec<u32>,
+        Vec<Option<u32>>,
+    ) {
+        let mut x = seed;
+        let mut below = |n: u64| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n.max(1)
+        };
+        let n = 1 + below(40) as u32;
+        let fps = 1 + below(3 * u64::from(n) + 20);
+        let k = 1 + below(4) as u32;
+        let strategy = if below(3) == 0 {
+            Strategy::NoDedup
+        } else {
+            Strategy::CollDedup
+        };
+        let geometry = |key: &StripeKey| {
+            let g = key.seed();
+            (1 + (g % 3) as u8, 1 + (g / 3 % 2) as u8)
+        };
+        let mut world = Vec::new();
+        for _ in 0..n {
+            let density = below(60);
+            let mut i = NodeInventory {
+                leads_live_node: below(4) != 0,
+                ..NodeInventory::default()
+            };
+            for f in 0..fps {
+                if below(100) < density {
+                    i.referenced.push(fp(f));
+                }
+                if below(100) < density {
+                    i.held.push(fp(f));
+                }
+            }
+            for r in 0..n {
+                if below(100) < density / 4 {
+                    i.manifest_owners.push(r);
+                }
+                if below(100) < density / 4 {
+                    i.blob_owners.push(r);
+                }
+                if below(100) < 3 {
+                    i.absent.push(r);
+                }
+            }
+            for _ in 0..below(6) {
+                let key = if below(2) == 0 {
+                    StripeKey::Chunk(fp(below(fps)))
+                } else {
+                    StripeKey::Blob {
+                        owner: below(u64::from(n)) as u32,
+                        dump_id: 1 + below(2),
+                    }
+                };
+                let (k, m) = geometry(&key);
+                i.shards
+                    .push((key, meta(k, m, below(u64::from(k + m)) as u8)));
+            }
+            i.referenced.sort_unstable();
+            i.held.sort_unstable();
+            i.shards
+                .sort_unstable_by_key(|(key, meta)| (*key, meta.index));
+            i.shards.dedup();
+            world.push(i);
+        }
+        let home = (0..n).map(|_| below(u64::from(n)) as u32).collect();
+        let leaders = (0..1 + below(u64::from(n)))
+            .map(|_| (below(4) != 0).then(|| below(u64::from(n)) as u32))
+            .collect();
+        (k, strategy, world, home, leaders)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The linear planner derives exactly the plan the reference model
+        /// derives, move for move and verdict for verdict, in order.
+        #[test]
+        fn linear_planner_matches_the_reference_model(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (k, strategy, world, home, leaders) = random_world(seed);
+            proptest::prop_assert_eq!(
+                build_plan(k, strategy, 1, &world, &home, &leaders),
+                reference_plan(k, strategy, 1, &world, &home, &leaders)
+            );
+        }
+    }
+
+    #[test]
+    fn bucketed_sort_matches_a_stable_comparison_sort() {
+        // Spread prefixes, one shared prefix (a single bucket decided past
+        // the prefix), repeats of one fingerprint, and the trivial sizes.
+        let shared = |tail: u8| {
+            let mut b = [7u8; 20];
+            b[19] = tail;
+            Fingerprint::from_bytes(b)
+        };
+        let inputs: Vec<Vec<(Fingerprint, u32)>> = vec![
+            (0..300u64)
+                .map(|n| (fp(n * 7919 % 257), (n % 5) as u32))
+                .collect(),
+            (0..40u8)
+                .rev()
+                .map(|t| (shared(t % 13), u32::from(t)))
+                .collect(),
+            vec![(fp(3), 2), (fp(3), REFERENCED), (fp(3), 0), (fp(1), 9)],
+            vec![(fp(5), 1)],
+            Vec::new(),
+        ];
+        for records in inputs {
+            let mut expect = records.clone();
+            expect.sort_by_key(|(fp, _)| *fp);
+            assert_eq!(sort_by_fingerprint(&records), expect);
+        }
     }
 
     #[test]

@@ -318,7 +318,6 @@ fn restore_blob(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, Restore
 
 fn restore_chunks(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, RestoreError> {
     let me = comm.rank();
-    let n = comm.size();
     let node = ctx.cluster.node_of(me);
 
     // ---- Step 1: manifest recovery --------------------------------------
@@ -355,11 +354,19 @@ fn restore_chunks(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, Resto
         .collect();
     let all_have: Vec<Vec<bool>> = comm.try_allgather(my_have)?;
 
-    // Lowest-ranked holder of `fp`; `None` when no one holds it (or it is
-    // not in the union at all).
+    // Each union entry's server, its lowest-ranked holder: one pass over
+    // the bitmaps in rank order.
+    let mut server: Vec<Option<u32>> = vec![None; union.len()];
+    for (s, have) in (0u32..).zip(&all_have) {
+        for (slot, held) in server.iter_mut().zip(have) {
+            if *held && slot.is_none() {
+                *slot = Some(s);
+            }
+        }
+    }
+    // `None` when no one holds `fp` (or it is not in the union at all).
     let server_of_fp = |fp: &Fingerprint| -> Option<u32> {
-        let i = union.binary_search(fp).ok()?;
-        (0..n).find(|&s| all_have[s as usize].get(i) == Some(&true))
+        server.get(union.binary_search(fp).ok()?).copied().flatten()
     };
 
     // No live holder anywhere — try Reed-Solomon reconstruction from

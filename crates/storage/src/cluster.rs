@@ -14,6 +14,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::{Bound, RangeBounds};
 
 use bytes::Bytes;
 use replidedup_hash::Fingerprint;
@@ -458,16 +459,20 @@ impl Cluster {
             .unwrap_or_default()
     }
 
-    /// Fingerprints of every chunk stored on `node`, sorted. The repair
-    /// collective's inventory read: leaders list their node's holdings
-    /// once and plan transfers from the allgathered lists. Presence
-    /// listing, not a device read — injected transient failures do not
-    /// affect it.
-    pub fn chunk_fps(&self, node: NodeId) -> StorageResult<Vec<Fingerprint>> {
+    /// The `len` smallest fingerprints held on `node` strictly past
+    /// `after`, ascending (`None, usize::MAX`: every one). The inventory
+    /// read of the scrub and of each heal window: one pass over the store
+    /// under the node lock, with no full sort for a bounded window.
+    /// Presence listing, not a device read — injected transient failures
+    /// do not affect it.
+    pub fn chunk_fps(
+        &self,
+        node: NodeId,
+        after: Option<Fingerprint>,
+        len: usize,
+    ) -> StorageResult<Vec<Fingerprint>> {
         self.with_node(node, |n| {
-            let mut fps: Vec<Fingerprint> = n.store.entries().map(|(fp, _)| *fp).collect();
-            fps.sort_unstable();
-            fps
+            smallest_past(n.store.fingerprints().copied(), after, len)
         })
     }
 
@@ -489,19 +494,25 @@ impl Cluster {
         })
     }
 
-    /// All manifests for `dump_id` held on `node`, sorted by owner rank.
-    /// Repair walks these to find which chunks the surviving recipes still
-    /// reference and which recipes need re-materialization.
-    pub fn manifests_for(&self, node: NodeId, dump_id: DumpId) -> StorageResult<Vec<Manifest>> {
+    /// The `len` smallest distinct fingerprints that `node`'s manifests for
+    /// `dump_id` reference, strictly past `after`, ascending. The healer's
+    /// bounded window over the chunks a generation's surviving recipes
+    /// still need: built under the node lock in one pass over the
+    /// references, with no copy of the manifests and no full sort.
+    pub fn referenced_window(
+        &self,
+        node: NodeId,
+        dump_id: DumpId,
+        after: Option<Fingerprint>,
+        len: usize,
+    ) -> StorageResult<Vec<Fingerprint>> {
         self.with_node(node, |n| {
-            let mut ms: Vec<Manifest> = n
+            let refs = n
                 .manifests
                 .values()
                 .filter(|m| m.dump_id == dump_id)
-                .cloned()
-                .collect();
-            ms.sort_unstable_by_key(|m| m.owner_rank);
-            ms
+                .flat_map(|m| m.chunks.iter().copied());
+            smallest_past(refs, after, len)
         })
     }
 
@@ -677,15 +688,42 @@ impl Cluster {
             .unwrap_or_default()
     }
 
-    /// Every shard held on `node`, as `(stripe, meta)` pairs sorted by
-    /// stripe then shard index. The repair collective's stripe inventory,
-    /// analogous to [`Cluster::chunk_fps`].
-    pub fn shard_inventory(&self, node: NodeId) -> StorageResult<Vec<(StripeKey, ShardMeta)>> {
+    /// `node`'s shards as `(stripe, meta)` pairs sorted by stripe then
+    /// shard index: those of the first `len` distinct stripes in `stripes`
+    /// that `keep` accepts (`.., |_| true, usize::MAX`: every shard). One
+    /// ordered range walk under the node lock that stops at the first
+    /// stripe past the window.
+    pub fn shard_inventory(
+        &self,
+        node: NodeId,
+        stripes: impl RangeBounds<StripeKey>,
+        keep: impl Fn(&StripeKey) -> bool,
+        len: usize,
+    ) -> StorageResult<Vec<(StripeKey, ShardMeta)>> {
+        let from = match stripes.start_bound() {
+            Bound::Included(key) => Bound::Included((*key, 0)),
+            Bound::Excluded(key) => Bound::Excluded((*key, u8::MAX)),
+            Bound::Unbounded => Bound::Unbounded,
+        };
         self.with_node(node, |n| {
-            n.shards
-                .iter()
-                .map(|((key, _), s)| (*key, s.meta))
-                .collect()
+            let mut out: Vec<(StripeKey, ShardMeta)> = Vec::new();
+            let mut distinct = 0;
+            for ((key, _), s) in n.shards.range((from, Bound::Unbounded)) {
+                if !stripes.contains(key) {
+                    break; // the walk started inside, so this is past the end
+                }
+                if !keep(key) {
+                    continue;
+                }
+                if out.last().is_none_or(|(last, _)| last != key) {
+                    if distinct == len {
+                        break;
+                    }
+                    distinct += 1;
+                }
+                out.push((*key, s.meta));
+            }
+            out
         })
     }
 
@@ -1035,12 +1073,114 @@ impl Cluster {
     }
 }
 
+/// The `len` smallest distinct keys strictly past `after`, ascending. One
+/// pass: candidates collect in a buffer of at most `2 * len`; whenever it
+/// fills it is cut back to its `len` smallest distinct keys, and from the
+/// first full cut on, every key above the largest kept one is dropped on
+/// sight. With `len = usize::MAX` this is the whole sorted, deduplicated
+/// listing.
+fn smallest_past<K: Ord + Copy>(
+    keys: impl Iterator<Item = K>,
+    after: Option<K>,
+    len: usize,
+) -> Vec<K> {
+    let cut = |buf: &mut Vec<K>| {
+        buf.sort_unstable();
+        buf.dedup();
+        buf.truncate(len);
+    };
+    let mut buf = Vec::new();
+    let mut ceiling: Option<K> = None;
+    for key in keys {
+        if after.is_some_and(|a| key <= a) || ceiling.is_some_and(|c| key > c) {
+            continue;
+        }
+        buf.push(key);
+        if buf.len() >= len.saturating_mul(2).max(1) {
+            cut(&mut buf);
+            if buf.len() == len {
+                ceiling = buf.last().copied();
+            }
+        }
+    }
+    cut(&mut buf);
+    buf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::synthetic(n)
+    }
+
+    #[test]
+    fn smallest_past_counts_distinct_keys_through_duplicates() {
+        // The first full buffer is one key four times: the cut keeps one
+        // distinct key, which must not yet cap the keys still to come.
+        let keys = [1, 1, 1, 1, 7, 3, 9, 2];
+        assert_eq!(smallest_past(keys.into_iter(), None, 2), vec![1, 2]);
+        assert_eq!(smallest_past(keys.into_iter(), Some(1), 2), vec![2, 3]);
+        assert_eq!(smallest_past(keys.into_iter(), Some(7), 5), vec![9]);
+        assert_eq!(
+            smallest_past(keys.into_iter(), None, usize::MAX),
+            vec![1, 2, 3, 7, 9],
+            "an unbounded window is the whole sorted listing"
+        );
+    }
+
+    #[test]
+    fn shard_inventory_walks_one_stripe_range_and_counts_stripes() {
+        let c = Cluster::new(Placement::one_per_node(1));
+        let meta = |index| ShardMeta {
+            k: 1,
+            m: 1,
+            index,
+            total_len: 1,
+        };
+        let blob = |owner| StripeKey::Blob { owner, dump_id: 1 };
+        let keys = [
+            StripeKey::Chunk(fp(1)),
+            StripeKey::Chunk(fp(2)),
+            blob(0),
+            blob(1),
+        ];
+        for key in keys {
+            for index in 0..2 {
+                c.put_shard(0, key, meta(index), Bytes::from_static(b"s"))
+                    .unwrap();
+            }
+        }
+        let all = c.shard_inventory(0, .., |_| true, usize::MAX).unwrap();
+        let window = |range: (Bound<StripeKey>, Bound<StripeKey>), len| {
+            c.shard_inventory(0, range, |_| true, len).unwrap()
+        };
+        let (first, second) = (all[0].0, all[2].0);
+        assert_eq!(
+            window((Bound::Unbounded, Bound::Unbounded), usize::MAX),
+            all
+        );
+        assert_eq!(
+            window((Bound::Unbounded, Bound::Unbounded), 1),
+            all[..2],
+            "both shards of the first stripe, none of the next"
+        );
+        assert_eq!(
+            window((Bound::Excluded(first), Bound::Excluded(blob(0))), 9),
+            all[2..4],
+            "strictly past the first stripe, and stopped before the blobs"
+        );
+        assert_eq!(
+            window((Bound::Included(second), Bound::Included(blob(0))), 9),
+            all[2..6]
+        );
+        let kept = c.shard_inventory(0, .., |key| *key != second, 2).unwrap();
+        assert_eq!(
+            kept,
+            [&all[..2], &all[4..6]].concat(),
+            "skipped stripes do not count"
+        );
     }
 
     #[test]
@@ -1312,7 +1452,9 @@ mod tests {
             .unwrap());
         assert_eq!(c.total_device_bytes(), 600);
         // Inventory lists every shard with its stripe.
-        let inv = c.shard_inventory(nodes[0]).unwrap();
+        let inv = c
+            .shard_inventory(nodes[0], .., |_| true, usize::MAX)
+            .unwrap();
         assert_eq!(inv, vec![(key, shards[0].meta)]);
         // Quarantine evicts and un-accounts.
         assert!(c.quarantine_shard(nodes[0], key, 0).unwrap());
@@ -1401,7 +1543,10 @@ mod tests {
         c.revive_node(0);
         assert!(!c.has_shard(0, key, 0));
         assert_eq!(c.device_bytes(0), 0);
-        assert!(c.shard_inventory(0).unwrap().is_empty());
+        assert!(c
+            .shard_inventory(0, .., |_| true, usize::MAX)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

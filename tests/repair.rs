@@ -258,9 +258,9 @@ fn scrub_detects_exactly_injected_corruptions_and_heal_mends_them() {
 
     // Rot one stored chunk on each of two nodes — distinct fingerprints,
     // so each corrupted chunk keeps one intact copy (K=2) to heal from.
-    let fp1 = cluster.chunk_fps(1).expect("live node")[0];
+    let fp1 = cluster.chunk_fps(1, None, usize::MAX).expect("live node")[0];
     let fp4 = *cluster
-        .chunk_fps(4)
+        .chunk_fps(4, None, usize::MAX)
         .expect("live node")
         .iter()
         .find(|fp| **fp != fp1)

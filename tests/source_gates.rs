@@ -1,0 +1,98 @@
+//! Source gates: markers whose presence means a module regressed. Each
+//! test lists every hit as `file:line: text`. The needles are spelled in
+//! pieces so this file never matches itself.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The lines of `src` that contain `needle`, as `file:line: text`.
+fn hits(file: &str, src: &str, needle: &str) -> Vec<String> {
+    src.lines()
+        .zip(1..)
+        .filter(|(line, _)| line.contains(needle))
+        .map(|(line, n)| format!("{file}:{n}: {}", line.trim()))
+        .collect()
+}
+
+/// Every file under `dir`, recursively.
+fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            files_under(&path, out);
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+/// The self-healing and zero-copy modules must stay fully wired into the
+/// public API: a dead-code allowance in one of them means something
+/// regressed to unreachable.
+#[test]
+fn gated_modules_allow_no_dead_code() {
+    let needle = concat!("#[allow(", "dead_code)]");
+    // A file's path from the repository root, and its text.
+    macro_rules! source {
+        ($path:literal) => {
+            ($path, include_str!(concat!("../", $path)))
+        };
+    }
+    let sources = [
+        source!("crates/storage/src/scrub.rs"),
+        source!("crates/core/src/repair.rs"),
+        source!("crates/buf/src/lib.rs"),
+        source!("crates/buf/src/chunk.rs"),
+        source!("crates/buf/src/pool.rs"),
+        source!("crates/core/src/exchange.rs"),
+        source!("crates/mpi/src/wire.rs"),
+        source!("tests/repair.rs"),
+        source!("tests/zerocopy.rs"),
+    ];
+    let found: Vec<String> = sources
+        .iter()
+        .flat_map(|(file, src)| hits(file, src, needle))
+        .collect();
+    assert!(
+        found.is_empty(),
+        "dead code allowed in gated modules:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The transitional `&[u8]` shims were removed after one release of
+/// deprecation. A deprecation attribute anywhere in a crate's sources or
+/// the integration tests means a shim crept back instead of the API being
+/// designed right.
+#[test]
+fn no_deprecated_shims_in_the_workspace() {
+    let needle = concat!("#[", "deprecated");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    files_under(&root.join("tests"), &mut files);
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ is listable") {
+        files_under(&krate.expect("crate entry").path().join("src"), &mut files);
+    }
+    assert!(
+        files.iter().any(|f| f.ends_with("crates/core/src/heal.rs")),
+        "the walk reaches the crate sources"
+    );
+    let found: Vec<String> = files
+        .iter()
+        .flat_map(|path| {
+            let bytes = fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let file = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .display()
+                .to_string();
+            hits(&file, &String::from_utf8_lossy(&bytes), needle)
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "deprecated shim reintroduced; extend the API instead:\n{}",
+        found.join("\n")
+    );
+}
