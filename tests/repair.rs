@@ -25,7 +25,9 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
+use replidedup::buf::Chunk;
 use replidedup::core::{ReplError, Replicator, Strategy};
+use replidedup::hash::Fingerprint;
 use replidedup::mpi::{Comm, EventKind, FaultPlan, FaultTrigger, WorldConfig};
 use replidedup::storage::{Cluster, Placement};
 
@@ -484,4 +486,116 @@ fn restore_with_a_failing_server_does_not_hang() {
         took < RECV_TIMEOUT / 2,
         "the restore must not wait out receive timeouts: {took:?}"
     );
+}
+
+/// The restore fault scenarios' setup: the suite's workload dumped with
+/// coll-dedup at K = 3, traced, and no heal before the restore.
+fn dumped_k3(cluster: &Cluster) -> (Replicator<'_>, Vec<Vec<u8>>) {
+    let repl = Replicator::builder(Strategy::CollDedup)
+        .cluster(cluster)
+        .replication(3)
+        .chunk_size(64)
+        .tracing(true)
+        .build()
+        .expect("valid config");
+    let bufs = buffers(N);
+    let out = WorldConfig::default()
+        .launch(N, |comm| {
+            repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
+                .map(|_| ())
+        })
+        .expect_all();
+    assert!(out.results.iter().all(Result::is_ok));
+    (repl, bufs)
+}
+
+/// A chunk of `rank`'s manifest that `rank`'s own node stores, with at
+/// least three copies in the cluster.
+fn own_chunk(cluster: &Cluster, rank: u32) -> Fingerprint {
+    let node = cluster.node_of(rank);
+    let manifest = cluster
+        .get_manifest(node, rank, DUMP)
+        .expect("manifest on its node");
+    *manifest
+        .chunks
+        .iter()
+        .find(|fp| cluster.has_chunk(node, fp) && cluster.copies_of(fp) >= 3)
+        .expect("rank stores a chunk of its own")
+}
+
+/// Restore on every rank: each rank's result and its
+/// `restore_replica_fallback` count.
+fn restore_counting_fallbacks(repl: &Replicator<'_>) -> Vec<(Result<Chunk, ReplError>, u64)> {
+    WorldConfig::default()
+        .with_recv_timeout(RECV_TIMEOUT)
+        .launch(N, |comm| {
+            comm.take_trace_events();
+            let restored = repl.restore(comm, DUMP);
+            (restored, counter(comm, "restore_replica_fallback"))
+        })
+        .expect_all()
+        .results
+}
+
+/// A chunk whose copy on the reader's own node rotted is fetched intact
+/// from another holder: the restore is byte-exact and the rank counts
+/// the fallback.
+#[test]
+fn restore_refetches_a_chunk_corrupted_on_the_own_node() {
+    let cluster = Cluster::new(Placement::one_per_node(N));
+    let (repl, bufs) = dumped_k3(&cluster);
+    let fp = own_chunk(&cluster, 1);
+    assert!(cluster.corrupt_chunk(1, &fp).unwrap());
+    let out = restore_counting_fallbacks(&repl);
+    for (rank, (r, _)) in out.iter().enumerate() {
+        let bytes = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("rank {rank} restore failed: {e}"));
+        assert_eq!(bytes, &bufs[rank], "rank {rank} restored wrong bytes");
+    }
+    assert!(out[1].1 > 0, "rank 1 must count its replica fallback");
+}
+
+/// As above, and the lowest-ranked other holder's copy rotted too: the
+/// restore moves on to a third copy and stays byte-exact.
+#[test]
+fn restore_skips_a_corrupt_first_holder() {
+    let cluster = Cluster::new(Placement::one_per_node(N));
+    let (repl, bufs) = dumped_k3(&cluster);
+    let fp = own_chunk(&cluster, 1);
+    let first_other = (0..N)
+        .find(|&nd| nd != 1 && cluster.has_chunk(nd, &fp))
+        .expect("another holder");
+    assert!(cluster.corrupt_chunk(1, &fp).unwrap());
+    assert!(cluster.corrupt_chunk(first_other, &fp).unwrap());
+    for (rank, (r, _)) in restore_counting_fallbacks(&repl).iter().enumerate() {
+        let bytes = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("rank {rank} restore failed: {e}"));
+        assert_eq!(bytes, &bufs[rank], "rank {rank} restored wrong bytes");
+    }
+}
+
+/// A wiped node's chunks are served by other holders when the lowest
+/// holder, node 0, fails every read: the wiped rank restores byte-exactly.
+#[test]
+fn restore_of_a_wiped_node_survives_a_failing_first_holder() {
+    let cluster = Cluster::new(Placement::one_per_node(N));
+    let (repl, bufs) = dumped_k3(&cluster);
+    let manifest = cluster
+        .get_manifest(2, 2, DUMP)
+        .expect("manifest on its node");
+    assert!(
+        manifest.chunks.iter().any(|fp| cluster.has_chunk(0, fp)),
+        "node 0 holds some of rank 2's chunks"
+    );
+    cluster.fail_node(2);
+    cluster.revive_node(2);
+    cluster.inject_transient(0, u32::MAX).expect("live node");
+    let out = restore_counting_fallbacks(&repl);
+    let (restored, _) = &out[2];
+    let bytes = restored
+        .as_ref()
+        .unwrap_or_else(|e| panic!("wiped rank 2 restore failed: {e}"));
+    assert_eq!(bytes, &bufs[2], "rank 2 restored wrong bytes");
 }
