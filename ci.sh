@@ -47,31 +47,14 @@ echo "== cargo test (tier-1: umbrella suites + every crate) =="
 # command runs the integration suites under tests/ (seeded chaos, healing,
 # zero-copy, chunking, erasure coding, sessions — all fixed-seed, so
 # reproducible bit-for-bit across CI machines) and every crate's own unit
-# and property tests. Three source gates are among them:
+# and property tests. Every source gate is among them:
 # tests/zerocopy.rs::hot_path_sources_make_no_stray_copies fails on any
 # .to_vec() in core's dump, restore, repair, heal and global sources;
 # tests/source_gates.rs fails on a dead-code allowance in the self-healing
-# and zero-copy modules, and on a deprecated shim anywhere in crates/*/src
-# or tests/.
+# and zero-copy modules, on a deprecated shim anywhere in crates/*/src or
+# tests/, and on fixed-stride chunk math (`i * chunk_size`, `* 4096`) in
+# the variable-length chunk paths.
 cargo test -q
-
-echo "== stride-math gate (variable-length chunk paths) =="
-# Chunk geometry is carried as explicit per-chunk lengths end to end; a
-# hardcoded `i * chunk_size` (or `* 4096`) creeping back into a hot-path
-# module silently re-assumes fixed-stride chunking. The fixed chunker
-# itself (crates/hash) is the one legitimate home for stride math.
-if grep -nE '\* *(cfg\.|self\.|idx\.)?chunk_size|chunk_size *\*|\* *4096|4096 *\*' \
-    crates/core/src/dump.rs \
-    crates/core/src/restore.rs \
-    crates/core/src/exchange.rs \
-    crates/core/src/local.rs \
-    crates/core/src/offsets.rs \
-    crates/core/src/plan.rs \
-    crates/storage/src/manifest.rs \
-    crates/storage/src/scrub.rs; then
-  echo "ci: FAIL — fixed-stride chunk math outside the fixed chunker" >&2
-  exit 1
-fi
 
 echo "== ranks-smoke (128-rank dump/restore on the pooled scheduler) =="
 # One real scale point per CI run: 128 ranks multiplexed onto the worker

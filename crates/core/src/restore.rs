@@ -1,47 +1,43 @@
 //! Collective restore: reconstruct every rank's buffer after failures.
 //!
-//! The paper's evaluation exercises checkpoint *writing*; restart is left
-//! implicit. A replication library is only useful if the replicas are
-//! reachable again, so this module adds the missing half as a collective
-//! protocol that uses only messages (no shared-memory shortcuts):
+//! The half of checkpointing the paper leaves implicit, as a collective
+//! protocol over messages:
 //!
-//! 1. **Manifest recovery** — each rank advertises which manifests its node
-//!    holds (its own plus the ones replicated to it as a partner); ranks
-//!    whose node lost the manifest get it from the lowest-ranked advertiser
-//!    other than themselves (all ranks compute the identical assignment
-//!    from the allgather, so no negotiation is needed — the same trick the
-//!    dump uses for offsets).
-//! 2. **Chunk recovery** — each rank lists the manifest chunks missing from
-//!    its local store; holders are discovered with a second allgather over
-//!    the union of requested fingerprints; the lowest-ranked live holder
-//!    serves each chunk. Restored chunks are written back to the local
-//!    store, so a revived node is re-seeded as a side effect.
+//! 1. **Manifest recovery** — a rank whose node lost its manifest gets it
+//!    from the lowest-ranked other rank advertising it (every rank derives
+//!    the same assignment from one allgather, the trick the dump uses for
+//!    offsets).
+//! 2. **Chunk recovery** — one ladder for every chunk the rank cannot read
+//!    intact from its own node, in rounds over [`transfer`]. Each round
+//!    allgathers the requests (the chunks each rank needs and the nodes it
+//!    tried, its own implied) and a have-bitmap over their union; each
+//!    chunk comes from its lowest-ranked holder on an untried node, and a
+//!    copy that arrives corrupt, or not at all, marks that node tried. One
+//!    allreduce ends each round, so rounds are bounded by holder nodes.
+//!    - *Own-node verify*: round 1 requests the chunks absent from the
+//!      node; after its transfer every present one is hashed once, and a
+//!      corrupt (quarantined) or unreadable copy is requested in round 2.
+//!    - *One stripe rescue*: a chunk with no untried holder left is rebuilt
+//!      from its Reed-Solomon stripe, if the dump coded one.
 //!
-//! `no-dedup` dumps restore the raw blob through the same owner-recovery
-//! body as manifests. Every step's payloads move as one `(src, dst, key)`
-//! move list over [`crate::repair::transfer`], the routine heal uses, so a
-//! server whose reads fail still sends every frame it owes; a requester
-//! that receives nothing falls through to the fallbacks below.
+//!    Received and rebuilt chunks are hash-checked and re-seed the node.
+//! 3. **Reassemble** — concatenate the verified bytes.
 //!
-//! When the dump ran under an erasure-coding redundancy policy, a payload
-//! whose replicas are all gone gets one last chance: Reed-Solomon
-//! reconstruction from any `k` surviving shards of its stripe
-//! ([`replidedup_storage::Cluster::reconstruct_payload`]). Reconstructed
-//! payloads are hash-verified and re-seeded locally, exactly like replica
-//! rescues.
-//!
-//! Every rank participates in every collective step even when its own
-//! restore already failed (e.g. manifest unrecoverable), so one lost rank
-//! can never deadlock the others.
-
-use std::collections::hash_map::Entry;
+//! `no-dedup` dumps restore the raw blob through the same owner recovery,
+//! with the same stripe rescue behind it. Every storage call here names
+//! the rank's own node; the stripe rescue's shard gather
+//! ([`replidedup_storage::Cluster::reconstruct_payload`]) is the only
+//! shared-memory read of other nodes left, and corrupt copies elsewhere
+//! are heal's to quarantine. Every rank joins every collective step even
+//! when its own restore already failed, so one lost rank can never
+//! deadlock the others.
 
 use bytes::Bytes;
 use replidedup_buf::{global_pool, record_copy, Chunk};
 use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
 use replidedup_mpi::wire::Wire;
 use replidedup_mpi::{Comm, CommError, Tag};
-use replidedup_storage::{DumpId, Manifest, StorageError, StripeKey};
+use replidedup_storage::{DumpId, Manifest, NodeId, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
@@ -155,57 +151,6 @@ fn fetch_with_retry<T>(
     out
 }
 
-/// Verified chunk fetch for the reassemble step: read the local copy,
-/// re-hash it against its fingerprint, and on corruption (or a local copy
-/// that is missing / past its retry budget) fall back to any intact live
-/// replica by probing every other node's store directly — a deliberate
-/// storage-layer escape hatch outside the restore message protocol, taken
-/// only when the protocol's own recovery already ran and the local device
-/// still cannot produce intact bytes. Corrupt copies are quarantined
-/// wherever they are found; a rescued chunk is re-seeded locally so the
-/// next read is clean.
-fn fetch_verified(
-    comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    node: replidedup_storage::NodeId,
-    fp: &Fingerprint,
-) -> Result<Bytes, RestoreError> {
-    match fetch_with_retry(comm, || ctx.cluster.get_chunk(node, fp)) {
-        Ok(data) if ctx.hasher.fingerprint(&data) == *fp => return Ok(data),
-        Ok(_) => {
-            // Bit rot slipped past the dump: drop the bad copy so it can
-            // never be served again, then go hunting for a good one.
-            ctx.cluster.quarantine_chunk(node, fp).ok();
-        }
-        // Anything else (missing, node down, retries exhausted): the
-        // replica scan below is the last line before declaring loss.
-        Err(_) => {}
-    }
-    comm.tracer().counter("restore_replica_fallback", 1);
-    for nd in 0..ctx.cluster.node_count() {
-        if nd == node || !ctx.cluster.has_chunk(nd, fp) {
-            continue;
-        }
-        if let Ok(data) = fetch_with_retry(comm, || ctx.cluster.get_chunk(nd, fp)) {
-            if ctx.hasher.fingerprint(&data) == *fp {
-                ctx.cluster.put_chunk(node, *fp, data.clone()).ok();
-                return Ok(data);
-            }
-            ctx.cluster.quarantine_chunk(nd, fp).ok();
-        }
-    }
-    // Last line of defence: the chunk was erasure-coded and any `k` of its
-    // stripe's shards survive somewhere in the cluster.
-    if let Some(data) = ctx.cluster.reconstruct_payload(StripeKey::Chunk(*fp)) {
-        if ctx.hasher.fingerprint(&data) == *fp {
-            comm.tracer().counter("restore_rs_reconstructed", 1);
-            ctx.cluster.put_chunk(node, *fp, data.clone()).ok();
-            return Ok(data);
-        }
-    }
-    Err(RestoreError::ChunkLost(*fp))
-}
-
 /// Deterministic service assignment shared by all ranks: each needy rank
 /// `r` is served its own recipe by the lowest-ranked advertiser other than
 /// itself, as the `(server, r, r)` move. A needy rank nobody advertises
@@ -282,6 +227,29 @@ fn recover_owned(
     Ok((received, absent))
 }
 
+/// The one stripe rescue: rebuild `key`'s payload from any `k` surviving
+/// shards of its Reed-Solomon stripe, check a chunk against its
+/// fingerprint, and re-seed this rank's node with it.
+fn stripe_rescue(comm: &mut Comm, ctx: &DumpContext<'_>, key: StripeKey) -> Option<Bytes> {
+    let data = ctx.cluster.reconstruct_payload(key)?;
+    let node = ctx.cluster.node_of(comm.rank());
+    match key {
+        StripeKey::Chunk(fp) => {
+            if ctx.hasher.fingerprint(&data) != fp {
+                return None;
+            }
+            ctx.cluster.put_chunk(node, fp, data.clone()).ok();
+        }
+        StripeKey::Blob { owner, dump_id } => {
+            ctx.cluster
+                .put_blob(node, owner, dump_id, data.clone())
+                .ok();
+        }
+    }
+    comm.tracer().counter("restore_rs_reconstructed", 1);
+    Some(data)
+}
+
 fn restore_blob(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, RestoreError> {
     let me = comm.rank();
     let node = ctx.cluster.node_of(me);
@@ -296,12 +264,7 @@ fn restore_blob(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, Restore
             owner: me,
             dump_id: ctx.dump_id,
         };
-        let data = ctx.cluster.reconstruct_payload(key)?;
-        comm.tracer().counter("restore_rs_reconstructed", 1);
-        ctx.cluster
-            .put_blob(node, me, ctx.dump_id, data.clone())
-            .ok();
-        Some(data)
+        stripe_rescue(comm, ctx, key)
     });
     let result = match blob {
         Some(b) => Ok(Chunk::from(b)),
@@ -316,156 +279,191 @@ fn restore_blob(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, Restore
     result
 }
 
+/// One rank's chunk requests: the chunks it still needs, and the nodes it
+/// tried for them besides its own.
+type Requests = (Vec<Fingerprint>, Vec<(Fingerprint, NodeId)>);
+
 fn restore_chunks(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, RestoreError> {
     let me = comm.rank();
-    let node = ctx.cluster.node_of(me);
+    let cluster = ctx.cluster;
+    let node = cluster.node_of(me);
 
     // ---- Step 1: manifest recovery --------------------------------------
     comm.tracer().enter("manifest_recovery");
-    let local = fetch_with_retry(comm, || ctx.cluster.get_manifest(node, me, ctx.dump_id)).ok();
+    let local = fetch_with_retry(comm, || cluster.get_manifest(node, me, ctx.dump_id)).ok();
     let (received, absent) = recover_owned(comm, ctx, false, local.is_none())?;
     let manifest = local.or_else(|| Manifest::from_bytes(&received?).ok());
     comm.tracer().exit("manifest_recovery");
 
     // ---- Step 2: chunk recovery ------------------------------------------
     comm.tracer().enter("chunk_recovery");
-    // Missing = manifest chunks absent from my node (deduplicated).
-    let mut missing: Vec<Fingerprint> = Vec::new();
+    // Round 1 requests the manifest's distinct chunks absent from my node.
+    let (mut pending, mut tried): Requests = Default::default();
+    let mut local: Vec<Fingerprint> = Vec::new();
     if let Some(m) = &manifest {
         let mut seen = FpHashSet::default();
-        for fp in &m.chunks {
-            if seen.insert(*fp) && !ctx.cluster.has_chunk(node, fp) {
-                missing.push(*fp);
-            }
-        }
-        missing.sort_unstable();
-    }
-    let all_missing: Vec<Vec<Fingerprint>> = comm.try_allgather(missing.clone())?;
-
-    // Union of every requested fingerprint, sorted for stable indexing.
-    let mut union: Vec<Fingerprint> = all_missing.iter().flatten().copied().collect();
-    union.sort_unstable();
-    union.dedup();
-
-    // Who holds what: one bit per union entry, allgathered.
-    let my_have: Vec<bool> = union
-        .iter()
-        .map(|fp| ctx.cluster.has_chunk(node, fp))
-        .collect();
-    let all_have: Vec<Vec<bool>> = comm.try_allgather(my_have)?;
-
-    // Each union entry's server, its lowest-ranked holder: one pass over
-    // the bitmaps in rank order.
-    let mut server: Vec<Option<u32>> = vec![None; union.len()];
-    for (s, have) in (0u32..).zip(&all_have) {
-        for (slot, held) in server.iter_mut().zip(have) {
-            if *held && slot.is_none() {
-                *slot = Some(s);
+        for fp in m.chunks.iter().filter(|fp| seen.insert(**fp)) {
+            if cluster.has_chunk(node, fp) {
+                local.push(*fp);
+            } else {
+                pending.push(*fp);
             }
         }
     }
-    // `None` when no one holds `fp` (or it is not in the union at all).
-    let server_of_fp = |fp: &Fingerprint| -> Option<u32> {
-        server.get(union.binary_search(fp).ok()?).copied().flatten()
-    };
-
-    // No live holder anywhere — try Reed-Solomon reconstruction from
-    // surviving shards before declaring the chunk lost. A rescued chunk
-    // is seeded locally so the reassemble step (and every later restore)
-    // reads it like any other copy. The first loss becomes this rank's
-    // result, but the rank keeps going through every collective step.
-    // Rebuilding before the transfer keeps decode buffers and received
-    // frames from peaking together.
-    let mut failure: Option<RestoreError> = None;
-    for fp in missing.iter().filter(|fp| server_of_fp(fp).is_none()) {
-        let rebuilt = ctx
-            .cluster
-            .reconstruct_payload(StripeKey::Chunk(*fp))
-            .filter(|data| ctx.hasher.fingerprint(data) == *fp);
-        match rebuilt {
-            Some(data) => {
-                comm.tracer().counter("restore_rs_reconstructed", 1);
-                ctx.cluster.put_chunk(node, *fp, data).ok();
-            }
-            None => {
-                failure.get_or_insert(RestoreError::ChunkLost(*fp));
-            }
-        }
-    }
-
-    // The lowest holder serves each requested chunk, batched per
-    // requester by `transfer` (fingerprints in the header, chunk bodies
-    // attached as zero-copy slices of the store's own allocations). Only
-    // the moves naming this rank are kept: the world's list would be
-    // every rank's copy of every request.
-    let mut moves: Vec<(u32, u32, Fingerprint)> = Vec::new();
-    for (r, wanted) in all_missing.iter().enumerate() {
-        for fp in wanted {
-            match server_of_fp(fp) {
-                Some(s) if s == me || r as u32 == me => moves.push((s, r as u32, *fp)),
-                _ => {}
-            }
-        }
-    }
-    // Write back: restores the failed node's share of the data (zero-copy
-    // — the stored chunk is a slice of the frame). A chunk that does not
-    // arrive falls through to the reassemble step's fallbacks.
-    let moved = transfer(
-        comm,
-        TAG_RESTORE_CHUNKS,
-        &moves,
-        &mut None,
-        |fp| ctx.cluster.get_chunk(node, fp),
-        |fp, data| ctx.cluster.put_chunk(node, fp, data.into_bytes()).ok(),
-    )?;
-    note_retries(comm, moved.retries);
-
-    comm.tracer().exit("chunk_recovery");
     comm.tracer()
-        .counter("chunks_recovered", missing.len() as u64);
-
-    // ---- Step 3: reassemble ----------------------------------------------
-    comm.tracer().enter("reassemble");
-    let result = match (manifest, failure) {
-        (None, _) if absent => Err(RestoreError::AbsentAtDump {
-            rank: me,
-            dump_id: ctx.dump_id,
-        }),
-        (None, _) => Err(RestoreError::ManifestLost { rank: me }),
-        (Some(_), Some(e)) => Err(e),
-        (Some(m), None) => reassemble(comm, ctx, node, &m),
-    };
-    comm.try_barrier()?;
-    comm.tracer().exit("reassemble");
-    result
+        .counter("chunks_recovered", pending.len() as u64);
+    let mut verified: FpHashMap<Bytes> = FpHashMap::default();
+    let mut result = None;
+    loop {
+        let requests: Vec<Requests> = comm.try_allgather((pending.clone(), tried.clone()))?;
+        // Union of every requested fingerprint, sorted for stable indexing.
+        let mut union: Vec<Fingerprint> = requests.iter().flat_map(|r| &r.0).copied().collect();
+        union.sort_unstable();
+        union.dedup();
+        // Who holds what: one bit per union entry, allgathered, and each
+        // entry's lowest-ranked holder from one pass over the bitmaps.
+        let my_have: Vec<bool> = union.iter().map(|fp| cluster.has_chunk(node, fp)).collect();
+        let have: Vec<Vec<bool>> = comm.try_allgather(my_have)?;
+        let mut lowest: Vec<Option<u32>> = vec![None; union.len()];
+        for (s, bits) in (0u32..).zip(&have) {
+            for (slot, held) in lowest.iter_mut().zip(bits) {
+                if *held && slot.is_none() {
+                    *slot = Some(s);
+                }
+            }
+        }
+        // The server of rank `r`'s request for `fp`: the lowest-ranked
+        // holder on a node `r` has not tried, its own node included. Ranks
+        // on one node share a store, so a node is tried, not a rank.
+        let server = |r: u32, fp: &Fingerprint, tried: &[(Fingerprint, NodeId)]| {
+            let i = union.binary_search(fp).ok()?;
+            // Usually the lowest holder; the scan is for the fault paths.
+            let first = lowest.get(i).copied().flatten()?;
+            let later = (first..).zip(have.iter().skip(first as usize));
+            let holders = later.filter(|(_, bits)| bits.get(i) == Some(&true));
+            holders.map(|(s, _)| s).find(|&s| {
+                let nd = cluster.node_of(s);
+                nd != cluster.node_of(r) && !tried.contains(&(*fp, nd))
+            })
+        };
+        // A chunk with no untried holder gets the stripe rescue before the
+        // transfer, so decode buffers and received frames never peak
+        // together; one it cannot rebuild stays out of `verified`, and
+        // reassemble reports it lost.
+        pending.retain(|fp| {
+            if server(me, fp, &tried).is_some() {
+                return true;
+            }
+            if let Some(data) = stripe_rescue(comm, ctx, StripeKey::Chunk(*fp)) {
+                verified.insert(*fp, data);
+            }
+            false
+        });
+        // Only the moves naming this rank are kept: the world's list would
+        // be every rank's copy of every request.
+        let mut moves: Vec<(u32, u32, Fingerprint)> = Vec::new();
+        for (r, (wanted, tried)) in (0u32..).zip(&requests) {
+            for fp in wanted {
+                match server(r, fp, tried) {
+                    Some(s) if s == me || r == me => moves.push((s, r, *fp)),
+                    _ => {}
+                }
+            }
+        }
+        // Chunk bodies ride as zero-copy slices of the store's allocations
+        // and of the received frame; an intact one is written back.
+        let moved = transfer(
+            comm,
+            TAG_RESTORE_CHUNKS,
+            &moves,
+            &mut None,
+            |fp| cluster.get_chunk(node, fp),
+            |fp, data| {
+                let data = data.into_bytes();
+                let intact = ctx.hasher.fingerprint(&data) == fp;
+                if intact {
+                    cluster.put_chunk(node, fp, data.clone()).ok();
+                    verified.insert(fp, data);
+                }
+                Some(intact)
+            },
+        )?;
+        note_retries(comm, moved.retries);
+        // A chunk that arrived corrupt, or not at all, marks its server's
+        // node tried.
+        pending.retain(|fp| !verified.contains_key(fp));
+        let missed: Vec<(Fingerprint, NodeId)> = pending
+            .iter()
+            .filter_map(|fp| Some((*fp, cluster.node_of(server(me, fp, &tried)?))))
+            .collect();
+        tried.extend(missed);
+        // Own-node verify, once, after round 1's transfer so the hashing
+        // overlaps peers still in its collectives. A corrupt or unreadable
+        // copy counts a replica fallback and is requested next round; a
+        // corrupt one is quarantined so it can never be served again.
+        for fp in std::mem::take(&mut local) {
+            match fetch_with_retry(comm, || cluster.get_chunk(node, &fp)) {
+                Ok(data) if ctx.hasher.fingerprint(&data) == fp => {
+                    verified.insert(fp, data);
+                    continue;
+                }
+                Ok(_) => {
+                    cluster.quarantine_chunk(node, &fp).ok();
+                }
+                Err(_) => {}
+            }
+            comm.tracer().counter("restore_replica_fallback", 1);
+            pending.push(fp);
+        }
+        // ---- Step 3: reassemble, once nothing is left to fetch and before
+        // the allreduce, so the copy too overlaps peers still in a round.
+        if pending.is_empty() && result.is_none() {
+            result = Some(reassemble(comm, ctx, manifest.as_ref(), absent, &verified));
+        }
+        // Does any rank still have a chunk to fetch?
+        if !comm.try_allreduce(!pending.is_empty(), |a, b| a || b)? {
+            break;
+        }
+    }
+    comm.tracer().exit("chunk_recovery");
+    // The loop ends only once nothing is pending, so `result` is set.
+    result.unwrap_or_else(|| reassemble(comm, ctx, manifest.as_ref(), absent, &verified))
 }
 
-/// Gather `m`'s chunks into this rank's buffer. Verified reassemble: each
-/// distinct fingerprint is fetched through [`fetch_verified`] (re-hashed,
-/// with quarantine and fallback) exactly once, so silent bit rot can never
-/// leak into a restored buffer; repeat references reuse the same
-/// refcounted bytes.
+/// This rank's result: its manifest's chunks gathered from `verified`
+/// (repeat references reuse the same refcounted bytes), `ChunkLost` for
+/// one step 2 could not verify, or why there is no manifest.
 fn reassemble(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,
-    node: replidedup_storage::NodeId,
-    m: &Manifest,
+    manifest: Option<&Manifest>,
+    absent: bool,
+    verified: &FpHashMap<Bytes>,
 ) -> Result<Chunk, RestoreError> {
+    let (rank, dump_id) = (comm.rank(), ctx.dump_id);
+    let Some(m) = manifest else {
+        return Err(if absent {
+            RestoreError::AbsentAtDump { rank, dump_id }
+        } else {
+            RestoreError::ManifestLost { rank }
+        });
+    };
+    comm.tracer().enter("reassemble");
     // Pool-recycled reassembly buffer; the gather below is the one
     // unavoidable copy of a chunked restore (scattered chunks into a
     // contiguous buffer), so it is charged to the copy accounting. The
     // filled buffer freezes into the returned `Chunk` without another copy.
     let mut buf = global_pool().take(m.total_len as usize);
-    let mut verified: FpHashMap<Bytes> = FpHashMap::default();
     for (i, fp) in m.chunks.iter().enumerate() {
-        let data = match verified.entry(*fp) {
-            Entry::Occupied(e) => e.get().clone(),
-            Entry::Vacant(e) => e.insert(fetch_verified(comm, ctx, node, fp)?).clone(),
+        let Some(data) = verified.get(fp) else {
+            comm.tracer().exit("reassemble");
+            return Err(RestoreError::ChunkLost(*fp));
         };
         debug_assert_eq!(data.len(), m.chunk_len(i), "chunk {i} length mismatch");
-        buf.extend_from_slice(&data);
+        buf.extend_from_slice(data);
         record_copy(data.len());
     }
+    comm.tracer().exit("reassemble");
     Ok(Chunk::from(buf))
 }
 

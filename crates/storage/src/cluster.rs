@@ -741,12 +741,10 @@ impl Cluster {
     }
 
     /// All live copies of the stripe's shards across the cluster, one per
-    /// shard index (lowest node wins on duplicates), sorted by index.
-    ///
-    /// This is the shared-storage escape hatch: the distributed protocols
-    /// locate shards via messages first, and reconstruction consults the
-    /// cluster directly only as the last-resort repair index.
-    pub fn gather_shards(&self, key: StripeKey) -> Vec<StoredShard> {
+    /// shard index (lowest node wins on duplicates), sorted by index. A
+    /// direct read of every node's device: only the stripe decoders below
+    /// call it.
+    fn gather_shards(&self, key: StripeKey) -> Vec<StoredShard> {
         let mut found: BTreeMap<u8, StoredShard> = BTreeMap::new();
         for node in 0..self.node_count() {
             // A down node contributes nothing.
@@ -760,22 +758,35 @@ impl Cluster {
         found.into_values().collect()
     }
 
+    /// The stripe decoders' shared prelude: gather the surviving shards,
+    /// take the geometry from the first, and hand `decode` the code, that
+    /// geometry, the payload length and the `(index, bytes)` of every
+    /// shard that agrees with it. `None` when no shard survives.
+    fn decode_stripe<T>(
+        &self,
+        key: StripeKey,
+        decode: impl FnOnce(&replidedup_ec::RsCode, ShardMeta, usize, &[(u8, &[u8])]) -> Option<T>,
+    ) -> Option<T> {
+        let shards = self.gather_shards(key);
+        let first = shards.first()?.meta;
+        let len = usize::try_from(first.total_len).ok()?;
+        let consistent: Vec<(u8, &[u8])> = shards
+            .iter()
+            .filter(|s| s.meta.k == first.k && s.meta.m == first.m)
+            .map(|s| (s.meta.index, s.data.as_ref()))
+            .collect();
+        let code = replidedup_ec::RsCode::new(first.k, first.m).ok()?;
+        decode(&code, first, len, &consistent)
+    }
+
     /// Reconstruct a stripe's payload from any `k` surviving shards across
     /// live nodes. `None` when fewer than `k` shards survive, when the
     /// survivors disagree on geometry, or when decode fails — the caller
     /// maps that to its own loss class (restore's `ChunkLost`/`BlobLost`).
     pub fn reconstruct_payload(&self, key: StripeKey) -> Option<Bytes> {
-        let shards = self.gather_shards(key);
-        let first = shards.first()?;
-        let (k, m, total_len) = (first.meta.k, first.meta.m, first.meta.total_len);
-        let total_len = usize::try_from(total_len).ok()?;
-        let consistent: Vec<(u8, &[u8])> = shards
-            .iter()
-            .filter(|s| s.meta.k == k && s.meta.m == m)
-            .map(|s| (s.meta.index, s.data.as_ref()))
-            .collect();
-        let code = replidedup_ec::RsCode::new(k, m).ok()?;
-        code.decode(&consistent, total_len).ok().map(Bytes::from)
+        self.decode_stripe(key, |code, _, len, shards| {
+            code.decode(shards, len).ok().map(Bytes::from)
+        })
     }
 
     /// Rebuild one shard of a stripe from any `k` surviving shards across
@@ -783,25 +794,12 @@ impl Cluster {
     /// re-homes it). `None` when fewer than `k` consistent shards survive,
     /// when the survivors disagree on geometry, or when decode fails.
     pub fn rebuild_shard(&self, key: StripeKey, index: u8) -> Option<StoredShard> {
-        let shards = self.gather_shards(key);
-        let first = shards.first()?;
-        let (k, m, total_len) = (first.meta.k, first.meta.m, first.meta.total_len);
-        let len = usize::try_from(total_len).ok()?;
-        let consistent: Vec<(u8, &[u8])> = shards
-            .iter()
-            .filter(|s| s.meta.k == k && s.meta.m == m)
-            .map(|s| (s.meta.index, s.data.as_ref()))
-            .collect();
-        let code = replidedup_ec::RsCode::new(k, m).ok()?;
-        let data = code.reconstruct_shard(&consistent, index, len).ok()?;
-        Some(StoredShard {
-            meta: ShardMeta {
-                k,
-                m,
-                index,
-                total_len,
-            },
-            data: Bytes::from(data),
+        self.decode_stripe(key, |code, first, len, shards| {
+            let data = code.reconstruct_shard(shards, index, len).ok()?;
+            Some(StoredShard {
+                meta: ShardMeta { index, ..first },
+                data: Bytes::from(data),
+            })
         })
     }
 

@@ -5,11 +5,18 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The lines of `src` that contain `needle`, as `file:line: text`.
-fn hits(file: &str, src: &str, needle: &str) -> Vec<String> {
+/// A file's path from the repository root, and its text.
+macro_rules! source {
+    ($path:literal) => {
+        ($path, include_str!(concat!("../", $path)))
+    };
+}
+
+/// The lines of `src` that `hit` flags, as `file:line: text`.
+fn hits(file: &str, src: &str, hit: impl Fn(&str) -> bool) -> Vec<String> {
     src.lines()
         .zip(1..)
-        .filter(|(line, _)| line.contains(needle))
+        .filter(|(line, _)| hit(line))
         .map(|(line, n)| format!("{file}:{n}: {}", line.trim()))
         .collect()
 }
@@ -33,12 +40,6 @@ fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
 #[test]
 fn gated_modules_allow_no_dead_code() {
     let needle = concat!("#[allow(", "dead_code)]");
-    // A file's path from the repository root, and its text.
-    macro_rules! source {
-        ($path:literal) => {
-            ($path, include_str!(concat!("../", $path)))
-        };
-    }
     let sources = [
         source!("crates/storage/src/scrub.rs"),
         source!("crates/core/src/repair.rs"),
@@ -52,11 +53,54 @@ fn gated_modules_allow_no_dead_code() {
     ];
     let found: Vec<String> = sources
         .iter()
-        .flat_map(|(file, src)| hits(file, src, needle))
+        .flat_map(|(file, src)| hits(file, src, |line| line.contains(needle)))
         .collect();
     assert!(
         found.is_empty(),
         "dead code allowed in gated modules:\n{}",
+        found.join("\n")
+    );
+}
+
+/// Chunk geometry is carried as explicit per-chunk lengths end to end: a
+/// hardcoded `i * chunk_size` (or `* 4096`) creeping back into a hot-path
+/// module silently re-assumes fixed-stride chunking. The fixed chunker
+/// itself (crates/hash) is the one legitimate home for stride math. Lines
+/// are matched with their spaces squeezed out, so `i*chunk_size` and
+/// `i *  chunk_size` hit alike.
+#[test]
+fn hot_path_modules_do_no_stride_math() {
+    let needles = [
+        concat!("*", "chunk_size"),
+        concat!("*", "cfg.", "chunk_size"),
+        concat!("*", "self.", "chunk_size"),
+        concat!("*", "idx.", "chunk_size"),
+        concat!("chunk_size", "*"),
+        concat!("*", "4096"),
+        concat!("4096", "*"),
+    ];
+    let sources = [
+        source!("crates/core/src/dump.rs"),
+        source!("crates/core/src/restore.rs"),
+        source!("crates/core/src/exchange.rs"),
+        source!("crates/core/src/local.rs"),
+        source!("crates/core/src/offsets.rs"),
+        source!("crates/core/src/plan.rs"),
+        source!("crates/storage/src/manifest.rs"),
+        source!("crates/storage/src/scrub.rs"),
+    ];
+    let found: Vec<String> = sources
+        .iter()
+        .flat_map(|(file, src)| {
+            hits(file, src, |line| {
+                let squeezed = line.replace(' ', "");
+                needles.iter().any(|needle| squeezed.contains(needle))
+            })
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "fixed-stride chunk math outside the fixed chunker:\n{}",
         found.join("\n")
     );
 }
@@ -87,7 +131,9 @@ fn no_deprecated_shims_in_the_workspace() {
                 .unwrap_or(path)
                 .display()
                 .to_string();
-            hits(&file, &String::from_utf8_lossy(&bytes), needle)
+            hits(&file, &String::from_utf8_lossy(&bytes), |line| {
+                line.contains(needle)
+            })
         })
         .collect();
     assert!(
