@@ -36,7 +36,10 @@ echo "== cargo clippy (deny warnings) =="
 # clippy::unwrap_used, clippy::expect_used, clippy::panic and
 # clippy::unreachable outside tests, so dump, restore, the unattended
 # healer and the HMERGE view's decode of peers' bytes fail with typed
-# errors, never panics.
+# errors, never panics. crates/mpi's window module denies the same four:
+# a dead peer or a misordered create is a CommError; only the benchmark
+# seam's three panicking twins (allowed one by one) and the documented
+# overrun check may panic.
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --release =="

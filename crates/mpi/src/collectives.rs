@@ -297,10 +297,13 @@ mod tests {
             .launch(4, |comm| {
                 let reduced = comm.try_allreduce(Undecodable, |a, _| a).err();
                 let gathered = comm.try_allgather(Undecodable).err();
-                (comm.rank(), reduced, gathered)
+                let (me, n) = (comm.rank(), comm.size());
+                comm.try_send_val((me + 1) % n, 5, &Undecodable).unwrap();
+                let received = comm.try_recv_val::<Undecodable>((me + n - 1) % n, 5).err();
+                (me, reduced, gathered, received)
             })
             .expect_all();
-        for (me, reduced, gathered) in out.results {
+        for (me, reduced, gathered, received) in out.results {
             // The first recursive-doubling partner is `me ^ 1`; a ring
             // decodes its blocks in rank order, starting at rank 0.
             assert_eq!(
@@ -316,6 +319,14 @@ mod tests {
                 Some(CommError::Undecodable {
                     rank: me,
                     peer: 0,
+                    error: error.clone(),
+                })
+            );
+            assert_eq!(
+                received,
+                Some(CommError::Undecodable {
+                    rank: me,
+                    peer: (me + 3) % 4,
                     error: error.clone(),
                 })
             );

@@ -27,7 +27,7 @@ use crate::fault::{
 };
 use crate::sched::{self, SchedSlot};
 use crate::stats::{RankCounters, TrafficReport, Transport};
-use crate::window::WinBuf;
+use crate::window::Exposures;
 use crate::wire::{self, Chunk, Frame, Wire};
 
 /// Rank index within a world (MPI `comm_rank`).
@@ -53,19 +53,6 @@ pub(crate) struct Message {
     pub src: Rank,
     pub tag: Tag,
     pub payload: Frame,
-}
-
-/// Out-of-band control messages (RMA window registration). Real MPI also
-/// exchanges window handles out-of-band during `MPI_Win_create`.
-#[derive(Clone)]
-pub(crate) enum CtrlMsg {
-    Win {
-        src: Rank,
-        seq: u64,
-        handle: Arc<WinBuf>,
-    },
-    /// Death notice on the control channel (wakes `win_create` handshakes).
-    Dead { src: Rank },
 }
 
 /// Configuration for a world run. The one launch entry point is
@@ -291,30 +278,19 @@ where
     let counters: Arc<Vec<RankCounters>> =
         Arc::new((0..size).map(|_| RankCounters::default()).collect());
 
-    let mut data_senders = Vec::with_capacity(size as usize);
-    let mut data_receivers = Vec::with_capacity(size as usize);
-    let mut ctrl_senders = Vec::with_capacity(size as usize);
-    let mut ctrl_receivers = Vec::with_capacity(size as usize);
-    for _ in 0..size {
-        let (ts, tr) = channel::<Message>();
-        data_senders.push(ts);
-        data_receivers.push(tr);
-        let (cs, cr) = channel::<CtrlMsg>();
-        ctrl_senders.push(cs);
-        ctrl_receivers.push(cr);
-    }
+    let (data_senders, data_receivers): (Vec<_>, Vec<_>) =
+        (0..size).map(|_| channel::<Message>()).unzip();
     let data_senders = Arc::new(data_senders);
-    let ctrl_senders = Arc::new(ctrl_senders);
+    let exposures = Arc::new(Exposures::default());
 
     let f = &f;
     let tasks: Vec<_> = data_receivers
         .into_iter()
-        .zip(ctrl_receivers)
         .enumerate()
-        .map(|(rank, (receiver, ctrl_receiver))| {
+        .map(|(rank, receiver)| {
             let rank = rank as Rank;
             let data_senders = Arc::clone(&data_senders);
-            let ctrl_senders = Arc::clone(&ctrl_senders);
+            let exposures = Arc::clone(&exposures);
             let counters = Arc::clone(&counters);
             let fault_rt = fault_rt.clone();
             let my_faults: Vec<Fault> = config
@@ -335,13 +311,10 @@ where
                     size,
                     data_senders,
                     receiver,
-                    ctrl_senders,
-                    ctrl_receiver,
                     pending: HashMap::new(),
-                    pending_ctrl: HashMap::new(),
+                    exposures,
                     counters,
                     op_seq: 0,
-                    win_seq: 0,
                     recv_timeout: config.recv_timeout,
                     tracer: if config.trace {
                         Tracer::enabled()
@@ -430,17 +403,15 @@ pub struct Comm {
     size: u32,
     data_senders: Arc<Vec<Sender<Message>>>,
     receiver: Receiver<Message>,
-    ctrl_senders: Arc<Vec<Sender<CtrlMsg>>>,
-    ctrl_receiver: Receiver<CtrlMsg>,
     /// Unexpected-message queue: messages that arrived before their receive.
     pending: HashMap<(Rank, Tag), VecDeque<Frame>>,
-    pending_ctrl: HashMap<(Rank, u64), Arc<WinBuf>>,
+    /// The world's window-handle table (see [`crate::window`]).
+    pub(crate) exposures: Arc<Exposures>,
     counters: Arc<Vec<RankCounters>>,
     /// Collective sequence number; SPMD programs call collectives in the
     /// same order on every rank, so this stays globally consistent and
     /// namespaces the internal tags of successive collectives.
     pub(crate) op_seq: u64,
-    pub(crate) win_seq: u64,
     recv_timeout: Duration,
     /// Per-rank phase recorder (the no-op sink unless the world enabled
     /// tracing). Owned by this rank: recording never takes a lock.
@@ -672,9 +643,9 @@ impl Comm {
 
     /// Kill this rank: record the death (flag first — peers that observe
     /// it are guaranteed to find every earlier message already queued),
-    /// run the crash hook, wake every peer on both channels, balance the
-    /// trace with a `fault.injected` span, and unwind with the private
-    /// payload [`WorldConfig::launch`] catches.
+    /// run the crash hook, wake every peer, balance the trace with a
+    /// `fault.injected` span, and unwind with the private payload
+    /// [`WorldConfig::launch`] catches.
     fn crash_now(&mut self) -> ! {
         let rank = self.rank;
         if let Some(rt) = &self.fault_rt {
@@ -693,7 +664,6 @@ impl Comm {
                 tag: DEATH_TAG,
                 payload: Frame::new(),
             });
-            let _ = self.ctrl_senders[dst as usize].send(CtrlMsg::Dead { src: rank });
         }
         self.tracer.enter("fault.injected");
         self.tracer.exit("fault.injected");
@@ -717,107 +687,6 @@ impl Comm {
                 }
             }
             None => Ok(None),
-        }
-    }
-
-    pub(crate) fn ctrl_send(&self, dst: Rank, msg: CtrlMsg) {
-        self.ctrl_senders[dst as usize]
-            .send(msg)
-            .expect("world torn down mid-operation");
-    }
-
-    /// Fallible window-handle handshake. `coll_epoch` as in
-    /// [`Comm::try_recv_raw_guarded`].
-    pub(crate) fn try_ctrl_recv_win(
-        &mut self,
-        src: Rank,
-        seq: u64,
-        coll_epoch: Option<u64>,
-    ) -> Result<Arc<WinBuf>, CommError> {
-        if let Some(handle) = self.pending_ctrl.remove(&(src, seq)) {
-            return Ok(handle);
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            // Drain queued ctrl messages before consulting death flags: a
-            // handle sent before the sender died is already queued.
-            loop {
-                match self.ctrl_receiver.try_recv() {
-                    Ok(msg) => {
-                        if let Some(handle) = self.absorb_ctrl(msg, src, seq) {
-                            return Ok(handle);
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        return Err(CommError::WorldTornDown { rank: self.rank })
-                    }
-                }
-            }
-            if let Some(rt) = &self.fault_rt {
-                if rt.is_dead(src) {
-                    return Err(CommError::RankFailed { rank: src });
-                }
-                if let Some(snap) = coll_epoch {
-                    if let Some(rank) = rt.newly_dead(snap) {
-                        return Err(CommError::RankFailed { rank });
-                    }
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::DeadlockSuspected {
-                    rank: self.rank,
-                    src,
-                    tag: INTERNAL_TAG | seq,
-                    waited: self.recv_timeout,
-                });
-            }
-            // Blocking RMA-handshake edge: park the worker slot while the
-            // control channel sleeps so a pooled peer can run.
-            let received = {
-                let (sched, ctrl_receiver) = (&self.sched, &self.ctrl_receiver);
-                sched.park_while(|| ctrl_receiver.recv_timeout(deadline - now))
-            };
-            match received {
-                Ok(msg) => {
-                    if let Some(handle) = self.absorb_ctrl(msg, src, seq) {
-                        return Ok(handle);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::DeadlockSuspected {
-                        rank: self.rank,
-                        src,
-                        tag: INTERNAL_TAG | seq,
-                        waited: self.recv_timeout,
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::WorldTornDown { rank: self.rank })
-                }
-            }
-        }
-    }
-
-    /// Match or stash one ctrl message; death notices are pure wakeups.
-    fn absorb_ctrl(&mut self, msg: CtrlMsg, src: Rank, seq: u64) -> Option<Arc<WinBuf>> {
-        match msg {
-            CtrlMsg::Win {
-                src: s,
-                seq: q,
-                handle,
-            } => {
-                if s == src && q == seq {
-                    return Some(handle);
-                }
-                self.pending_ctrl.insert((s, q), handle);
-                None
-            }
-            CtrlMsg::Dead { src: dead } => {
-                debug_assert!(self.fault_rt.as_ref().is_some_and(|rt| rt.is_dead(dead)));
-                None
-            }
         }
     }
 
@@ -915,20 +784,15 @@ impl Comm {
         self.try_recv_frame_guarded(src, tag, Transport::PointToPoint, None)
     }
 
-    /// Receive and decode a typed value. Only communication errors are
-    /// values.
-    ///
-    /// # Panics
-    /// If the payload does not decode as `T` — a type mismatch is a
-    /// programming error in an SPMD program, not a recoverable condition.
+    /// Receive and decode a typed value; a payload that does not decode as
+    /// `T` fails with [`CommError::Undecodable`].
     pub fn try_recv_val<T: Wire>(&mut self, src: Rank, tag: Tag) -> Result<T, CommError> {
         let bytes = self.try_recv_frame(src, tag)?.gather();
-        Ok(T::from_bytes(&bytes).unwrap_or_else(|e| {
-            panic!(
-                "rank {} failed to decode message from {src} tag {tag}: {e}",
-                self.rank
-            )
-        }))
+        T::from_bytes(&bytes).map_err(|error| CommError::Undecodable {
+            rank: self.rank,
+            peer: src,
+            error,
+        })
     }
 
     /// Guarded matched receive. `coll_epoch` is the death-epoch snapshot a
@@ -971,64 +835,43 @@ impl Comm {
                 return Ok(payload);
             }
         }
-        let deadline = Instant::now() + self.recv_timeout;
+        let (rank, waited) = (self.rank, self.recv_timeout);
+        let timed_out = CommError::DeadlockSuspected {
+            rank,
+            src,
+            tag,
+            waited,
+        };
+        let deadline = Instant::now() + waited;
         loop {
             // Drain everything already queued before consulting the flags.
-            loop {
-                match self.receiver.try_recv() {
-                    Ok(msg) => {
-                        if let Some(payload) = self.absorb(msg, src, tag, transport) {
-                            return Ok(payload);
+            let msg = match self.receiver.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Disconnected) => return Err(CommError::WorldTornDown { rank }),
+                Err(TryRecvError::Empty) => {
+                    if let Some(rt) = &self.fault_rt {
+                        if rt.is_dead(src) {
+                            return Err(CommError::RankFailed { rank: src });
+                        }
+                        if let Some(dead) = coll_epoch.and_then(|snap| rt.newly_dead(snap)) {
+                            return Err(CommError::RankFailed { rank: dead });
                         }
                     }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        return Err(CommError::WorldTornDown { rank: self.rank })
+                    // The one blocking channel wait: park the worker slot
+                    // while the channel sleeps so a pooled peer can run.
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let (sched, receiver) = (&self.sched, &self.receiver);
+                    match sched.park_while(|| receiver.recv_timeout(left)) {
+                        Ok(msg) => msg,
+                        Err(RecvTimeoutError::Timeout) => return Err(timed_out),
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(CommError::WorldTornDown { rank })
+                        }
                     }
                 }
-            }
-            if let Some(rt) = &self.fault_rt {
-                if rt.is_dead(src) {
-                    return Err(CommError::RankFailed { rank: src });
-                }
-                if let Some(snap) = coll_epoch {
-                    if let Some(rank) = rt.newly_dead(snap) {
-                        return Err(CommError::RankFailed { rank });
-                    }
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::DeadlockSuspected {
-                    rank: self.rank,
-                    src,
-                    tag,
-                    waited: self.recv_timeout,
-                });
-            }
-            // Blocking collective/p2p edge: park the worker slot while the
-            // data channel sleeps so a pooled peer can run.
-            let received = {
-                let (sched, receiver) = (&self.sched, &self.receiver);
-                sched.park_while(|| receiver.recv_timeout(deadline - now))
             };
-            match received {
-                Ok(msg) => {
-                    if let Some(payload) = self.absorb(msg, src, tag, transport) {
-                        return Ok(payload);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::DeadlockSuspected {
-                        rank: self.rank,
-                        src,
-                        tag,
-                        waited: self.recv_timeout,
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::WorldTornDown { rank: self.rank })
-                }
+            if let Some(payload) = self.absorb(msg, src, tag, transport) {
+                return Ok(payload);
             }
         }
     }

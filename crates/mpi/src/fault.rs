@@ -348,9 +348,9 @@ pub enum CommError {
         /// The rank that observed the teardown.
         rank: Rank,
     },
-    /// A collective received a value that does not decode as its operand
-    /// type. The rank returns at once; peers still waiting on it fail at
-    /// their receive timeout or at the next collective.
+    /// A collective or a typed receive got a value that does not decode
+    /// as its operand type. The rank returns at once; peers still waiting
+    /// on it fail at their receive timeout or at the next collective.
     Undecodable {
         /// The rank that received the value.
         rank: Rank,
@@ -358,6 +358,14 @@ pub enum CommError {
         peer: Rank,
         /// What the decoder rejected.
         error: WireError,
+    },
+    /// A window creation passed its opening fence, but a peer deposited no
+    /// window there: the ranks called collectives in different orders.
+    MissingExposure {
+        /// The rank creating the window.
+        rank: Rank,
+        /// The rank whose window is missing.
+        peer: Rank,
     },
 }
 
@@ -384,6 +392,11 @@ impl fmt::Display for CommError {
                     "rank {rank} could not decode rank {peer}'s value: {error}"
                 )
             }
+            CommError::MissingExposure { rank, peer } => write!(
+                f,
+                "rank {rank} found no window from rank {peer} after the opening fence \
+                 (mismatched collective ordering)"
+            ),
         }
     }
 }

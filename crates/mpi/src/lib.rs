@@ -8,7 +8,10 @@
 //! `allgather`) use the textbook algorithms a real MPI library would pick.
 //! One-sided communication is provided through [`Window`]s mirroring
 //! `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence`, which is what the
-//! paper's single-sided exchange phase uses.
+//! paper's single-sided exchange phase uses. Each rank owns one mailbox;
+//! window creation sends no messages of its own, because ranks trade
+//! window handles through a world-shared table read after the opening
+//! fence.
 //!
 //! Library code uses the fallible `try_*` operations, which surface a dead
 //! peer as a [`CommError`]; ranks sleep through [`Comm::sleep`], which
@@ -37,6 +40,16 @@ pub mod comm;
 pub mod fault;
 pub mod sched;
 pub mod stats;
+// The exchange phase's windows sit under dump's typed-error contract: a
+// dead peer or a misordered create is a `CommError`, never a panic. The
+// benchmark seam's panicking twins and the overrun check are the allowed
+// exceptions. `clippy.toml` still lets test code unwrap/expect.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod window;
 pub mod wire;
 

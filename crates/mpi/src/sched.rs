@@ -8,7 +8,7 @@
 //! `Chunk` payloads mean a parked rank pins no bulk buffers beyond what the
 //! algorithm itself holds), but only `workers` of them are runnable at any
 //! instant. A rank *parks* — releases its slot — whenever it blocks on a
-//! collective or RMA edge (a matched receive, a window handshake, an
+//! collective or RMA edge (a matched receive, a window fence, an
 //! injected delay) and reacquires a slot before it resumes. Because every
 //! blocking wait parks, slot capacity can never deadlock the world: a rank
 //! holding a slot is by construction runnable.

@@ -8,19 +8,27 @@
 //! occupies most of the memory at checkpoint time.
 //!
 //! Semantics mirror `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence`:
-//! creation is collective (handles are exchanged out-of-band, as a real MPI
-//! implementation registers memory out-of-band), `put` is one-sided and
-//! completes at the next fence, and local reads are only valid after a
-//! fence. In this runtime a `put` is a locked `memcpy` into the target
-//! buffer, so the fence reduces to a barrier.
+//! creation is collective, `put` is one-sided and completes at the next
+//! fence, and local reads are only valid after a fence. In this runtime a
+//! `put` is a locked `memcpy` into the target buffer, so the fence reduces
+//! to a barrier. Creation needs no messages of its own: each rank deposits
+//! its handle in the world's [`Exposures`] table, passes the opening fence
+//! and reads its peers' handles from the table.
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
 use replidedup_buf::{global_pool, Chunk};
 
-use crate::comm::{Comm, CtrlMsg, Rank};
+use crate::comm::{Comm, Rank};
 use crate::fault::{CommError, FaultRuntime};
+
+/// Lock `m`, ignoring poisoning: no holder of an exposure or table lock
+/// can panic between writes, so the data behind a poisoned lock is whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Shared backing buffer of one rank's window. Backed by the global
 /// [`BufferPool`](replidedup_buf::BufferPool): creation takes a recycled
@@ -42,6 +50,56 @@ impl Drop for WinBuf {
 impl std::fmt::Debug for WinBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WinBuf").field("size", &self.size).finish()
+    }
+}
+
+/// The world-shared table through which window creation exchanges handles.
+/// An entry is keyed by the collective sequence number of its create's
+/// opening fence, so a fast rank can deposit its next window before a slow
+/// peer has read the previous one. The last reader removes the entry; the
+/// entry of a create that a rank death interrupted stays until the world
+/// ends.
+#[derive(Default)]
+pub(crate) struct Exposures(Mutex<HashMap<u64, Exposure>>);
+
+/// One create's handles, indexed by rank, and how many ranks have yet to
+/// read them.
+struct Exposure {
+    handles: Vec<Option<Arc<WinBuf>>>,
+    unread: u32,
+}
+
+impl Exposures {
+    fn deposit(&self, seq: u64, world: u32, rank: Rank, handle: Arc<WinBuf>) {
+        let mut table = lock(&self.0);
+        let entry = table.entry(seq).or_insert_with(|| Exposure {
+            handles: vec![None; world as usize],
+            unread: world,
+        });
+        entry.handles[rank as usize] = Some(handle);
+    }
+
+    /// Every rank's handle for create `seq`, or [`CommError::MissingExposure`]
+    /// naming the first rank that deposited none.
+    fn read(&self, seq: u64, rank: Rank) -> Result<Vec<Arc<WinBuf>>, CommError> {
+        let mut table = lock(&self.0);
+        // This rank's own deposit keeps the entry alive until it reads.
+        let Some(entry) = table.get_mut(&seq) else {
+            return Err(CommError::MissingExposure { rank, peer: rank });
+        };
+        let handles = (0..)
+            .zip(&entry.handles)
+            .map(|(peer, handle)| {
+                handle
+                    .clone()
+                    .ok_or(CommError::MissingExposure { rank, peer })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        entry.unread -= 1;
+        if entry.unread == 0 {
+            table.remove(&seq);
+        }
+        Ok(handles)
     }
 }
 
@@ -67,14 +125,14 @@ impl Comm {
     /// Collectively create a window exposing `local_size` bytes on this
     /// rank (sizes may differ per rank). Must be called by every rank.
     /// Kept for the benchmark seam (`benchmark/src/sut.rs`).
+    #[allow(clippy::panic, reason = "benchmark seam")]
     pub fn win_create(&mut self, local_size: usize) -> Window {
         self.try_win_create(local_size)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Comm::win_create`]: the handle handshake and the opening
-    /// fence detect rank deaths and fail with [`CommError`] instead of
-    /// timing out.
+    /// Fallible [`Comm::win_create`]: the opening fence detects rank deaths
+    /// and fails with [`CommError`] instead of timing out.
     pub fn try_win_create(&mut self, local_size: usize) -> Result<Window, CommError> {
         self.enter_phase("win_create");
         let out = self.try_win_create_inner(local_size);
@@ -85,21 +143,7 @@ impl Comm {
     fn try_win_create_inner(&mut self, local_size: usize) -> Result<Window, CommError> {
         self.tracer()
             .gauge_bytes("win_local_bytes", local_size as u64);
-        // Window and collective sequence numbers must advance exactly once
-        // per call on every rank, even when this rank bails out early:
-        // survivors that fail at different points must still agree on the
-        // tag namespace of their next operation.
-        self.win_seq += 1;
-        let seq = self.win_seq;
-        let epoch = match self.coll_entry_guard() {
-            Ok(epoch) => epoch,
-            Err(e) => {
-                self.next_op(); // the closing fence's sequence slot
-                return Err(e);
-            }
-        };
-        let me = self.rank();
-        let n = self.size();
+        let (me, n) = (self.rank(), self.size());
         // Pool-backed exposure: recycled buffers arrive cleared, so the
         // resize zero-fills and every window starts all-zero (put offsets
         // may leave gaps that readers expect to be zero).
@@ -109,43 +153,22 @@ impl Comm {
             data: Mutex::new(backing),
             size: local_size,
         });
-        for dst in 0..n {
-            if dst != me {
-                self.ctrl_send(
-                    dst,
-                    CtrlMsg::Win {
-                        src: me,
-                        seq,
-                        handle: Arc::clone(&mine),
-                    },
-                );
-            }
-        }
-        let mut handles: Vec<Option<Arc<WinBuf>>> = (0..n).map(|_| None).collect();
-        handles[me as usize] = Some(mine);
-        for src in 0..n {
-            if src != me {
-                match self.try_ctrl_recv_win(src, seq, epoch) {
-                    Ok(h) => handles[src as usize] = Some(h),
-                    Err(e) => {
-                        self.next_op(); // the closing fence's sequence slot
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let window = Window {
+        // Deposit under the sequence number the opening fence is about to
+        // take: it is the same on every rank, and the create uses one
+        // collective sequence slot whether it succeeds or fails.
+        let seq = self.op_seq + 1;
+        self.exposures.deposit(seq, n, me, mine);
+        // Opening fence: no rank may put before every rank has exposed. A
+        // dissemination barrier completes on a rank only after every rank
+        // entered it, so every handle is in the table; a rank that died
+        // before depositing fails the fence instead.
+        self.try_barrier()?;
+        Ok(Window {
             rank: me,
-            handles: handles
-                .into_iter()
-                .map(|h| h.expect("all handles collected"))
-                .collect(),
+            handles: self.exposures.read(seq, me)?,
             counters: Arc::clone(self.counters()),
             fault_rt: self.fault_rt().cloned(),
-        };
-        // Opening fence: no rank may put before every rank has exposed.
-        self.try_barrier()?;
-        Ok(window)
+        })
     }
 }
 
@@ -158,6 +181,7 @@ impl Window {
     ///
     /// # Panics
     /// If the target is dead or the write would overrun its exposure.
+    #[allow(clippy::panic, reason = "benchmark seam")]
     pub fn put_chunk(&self, target: Rank, offset: usize, chunk: &Chunk) {
         self.try_put_vectored(target, offset, &[chunk])
             .unwrap_or_else(|e| panic!("{e}"));
@@ -196,7 +220,7 @@ impl Window {
             self.rank,
             buf.size
         );
-        let mut guard = buf.data.lock().unwrap();
+        let mut guard = lock(&buf.data);
         let mut at = offset;
         for part in parts {
             guard[at..at + part.len()].copy_from_slice(part);
@@ -215,6 +239,7 @@ impl Window {
     /// in this epoch. Local reads of data put by peers are valid only after
     /// a fence. Must be called by every rank. Kept for the benchmark seam
     /// (`benchmark/src/sut.rs`); library code uses [`Window::try_fence`].
+    #[allow(clippy::panic, reason = "benchmark seam")]
     pub fn fence(&self, comm: &mut Comm) {
         self.try_fence(comm).unwrap_or_else(|e| panic!("{e}"));
     }
@@ -234,9 +259,9 @@ impl Window {
     /// exposure is left empty, so later RMA access to this rank's window
     /// is a bounds violation by construction.
     pub fn take_local(&self) -> Bytes {
-        Bytes::from(std::mem::take(
-            &mut *self.handles[self.rank as usize].data.lock().unwrap(),
-        ))
+        Bytes::from(std::mem::take(&mut *lock(
+            &self.handles[self.rank as usize].data,
+        )))
     }
 }
 
@@ -332,21 +357,86 @@ mod tests {
 
     #[test]
     fn successive_windows_do_not_cross_talk() {
-        let out = WorldConfig::default()
-            .launch(2, |comm| {
-                let w1 = comm.win_create(2);
-                let w2 = comm.win_create(2);
-                if comm.rank() == 0 {
-                    w1.try_put_vectored(1, 0, &[&[1, 1]]).unwrap();
-                    w2.try_put_vectored(1, 0, &[&[2, 2]]).unwrap();
+        // Back-to-back creates with no fence between them: a fast rank
+        // deposits its next window while a slow peer still reads the last
+        // one, so the exposure table must key entries by sequence number.
+        const WINDOWS: u8 = 32;
+        for config in [
+            WorldConfig::default(),
+            WorldConfig::default().with_workers(1),
+        ] {
+            let out = config
+                .launch(4, |comm| {
+                    let (me, n) = (comm.rank(), comm.size());
+                    let windows: Vec<_> = (0..WINDOWS)
+                        .map(|w| {
+                            let win = comm.win_create(2);
+                            win.try_put_vectored((me + 1) % n, 0, &[&[me as u8, w]])
+                                .unwrap();
+                            win
+                        })
+                        .collect();
+                    windows
+                        .iter()
+                        .map(|win| {
+                            win.fence(comm);
+                            win.take_local().to_vec()
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .expect_all();
+            for (me, locals) in out.results.iter().enumerate() {
+                let left = ((me + 3) % 4) as u8;
+                for (w, local) in (0..WINDOWS).zip(locals) {
+                    assert_eq!(*local, vec![left, w], "rank {me} window {w}");
                 }
-                w1.fence(comm);
-                w2.fence(comm);
-                (w1.take_local().to_vec(), w2.take_local().to_vec())
+            }
+        }
+    }
+
+    #[test]
+    fn rank_dying_before_create_fails_every_survivor() {
+        for workers in [None, Some(1)] {
+            let plan = FaultPlan::new(29).crash(1, FaultTrigger::PhaseStart("win_create".into()));
+            let mut config = WorldConfig::default()
+                .with_recv_timeout(Duration::from_secs(2))
+                .with_faults(plan);
+            if let Some(w) = workers {
+                config = config.with_workers(w);
+            }
+            let out = config.launch(4, |comm| comm.try_win_create(8).err());
+            assert_eq!(out.crashed_ranks(), vec![1], "workers {workers:?}");
+            for rank in [0usize, 2, 3] {
+                assert_eq!(
+                    out.outcomes[rank].as_completed(),
+                    Some(&Some(CommError::RankFailed { rank: 1 })),
+                    "rank {rank}, workers {workers:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn misordered_create_is_a_typed_error() {
+        // Rank 0 calls a barrier where its peers create a window: the
+        // barrier is their opening fence, so it completes, but rank 0
+        // deposited nothing.
+        let out = WorldConfig::default()
+            .launch(3, |comm| {
+                if comm.rank() == 0 {
+                    comm.try_barrier().err()
+                } else {
+                    comm.try_win_create(4).err()
+                }
             })
             .expect_all();
-        assert_eq!(out.results[1].0, vec![1, 1]);
-        assert_eq!(out.results[1].1, vec![2, 2]);
+        assert_eq!(out.results[0], None);
+        for rank in 1..3 {
+            assert_eq!(
+                out.results[rank as usize],
+                Some(CommError::MissingExposure { rank, peer: 0 })
+            );
+        }
     }
 
     #[test]
