@@ -42,6 +42,11 @@ echo "== cargo clippy (deny warnings) =="
 # overrun check may panic.
 cargo clippy --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings) =="
+# Neither the build nor clippy checks intra-doc links: a link to a
+# deleted item, or from public docs to a private one, fails only here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
+
 echo "== cargo build --release =="
 cargo build --release
 

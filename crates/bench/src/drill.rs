@@ -140,7 +140,6 @@ fn drill_heal_options(gc_before: Option<u64>) -> HealOptions {
     HealOptions {
         chunk_batch: 32,
         owner_batch: 2,
-        stripe_batch: 16,
         rate: Some(RateLimit {
             bytes_per_sec: 64 << 20,
             burst_bytes: 1 << 20,

@@ -1,5 +1,5 @@
 //! Checkpoint/restart driver: the glue between an application's
-//! [`TrackedHeap`](crate::heap::TrackedHeap) and the collective dump.
+//! [`TrackedHeap`] and the collective dump.
 //!
 //! Mirrors how the paper uses AC-FTE: "we use the transparent mode to
 //! capture all memory pages that were allocated by the application during

@@ -9,23 +9,23 @@
 //!
 //! * A [`HealCursor`] names a position inside the heal of one dump
 //!   generation: the current [`HealStage`] plus high-water marks
-//!   (`after_fp` / `after_owner` / `after_stripe`) inside the stage. The
-//!   cursor is [`Wire`]-serializable, so an operator (or a drill
-//!   harness) can persist it, kill the healer, and resume from the exact
-//!   window where it died.
-//! * [`heal_step_impl`] advances the cursor by one **bounded step**: a
-//!   window that costs **one allgather**, the transfer and a counts
-//!   allreduce. In that allgather each live node's leader sends its
-//!   sorted lists past the cursor's high-water mark, each capped at the
-//!   stage's batch ([`HealOptions::chunk_batch`] / `owner_batch` /
-//!   `stripe_batch`) of distinct keys, plus a *bound*: the smallest last
-//!   kept key among the lists it cut. The window is `(high-water,
-//!   smallest bound]` — to the end of the stage when nobody cut — so
-//!   every leader's lists are complete inside it, and every rank plans
-//!   the identical window with no offer round. The lists double as the
-//!   census: a chunk's holders are the leaders whose held list carries
-//!   it. Each step plans its window against the *current* cluster state
-//!   with the pure [`crate::repair::build_plan`], so healing under live
+//!   (`after_fp` / `after_owner`) inside the stage. The cursor is
+//!   [`Wire`]-serializable, so an operator (or a drill harness) can
+//!   persist it, kill the healer, and resume from the exact window where
+//!   it died.
+//! * `heal_step_impl` advances the cursor by one **bounded step**: a
+//!   window that costs **one allgather**, the window's shard rebuilds, the
+//!   transfer and a counts allreduce. In that allgather each live node's
+//!   leader sends its sorted lists past the cursor's high-water mark,
+//!   each capped at the stage's batch ([`HealOptions::chunk_batch`] /
+//!   [`HealOptions::owner_batch`]) of distinct keys, plus a *bound*: the
+//!   smallest last kept key among the lists it cut. The window is
+//!   `(high-water, smallest bound]` — to the end of the stage when nobody
+//!   cut — so every leader's lists are complete inside it, and every rank
+//!   plans the identical window with no offer round. The lists double as
+//!   the census: a chunk's holders are the leaders whose held list
+//!   carries it. Each step plans its window against the *current* cluster
+//!   state with the pure `repair::build_plan`, so healing under live
 //!   `dump`/`restore` traffic never acts on stale inventory for longer
 //!   than one window. Since the batch bounds what each *node* sends, the
 //!   window count follows the largest per-node key count, not the world
@@ -34,35 +34,34 @@
 //!   under its node lock with one bounded query (one scan, or one ordered
 //!   range walk) that returns only the smallest `batch + 1` distinct keys
 //!   past the cursor, which `Cap::list` cuts exactly as it would cut the
-//!   whole list. Every rank then runs a planner linear in the window. The
-//!   plans are the ones the full listings and the previous planner gave.
+//!   whole list. Every rank then runs a planner linear in the window.
 //! * Between steps the world is free: a foreground dump of a *newer*
 //!   generation can run its own collectives, and the healer's next step
 //!   simply sees (and skips) whatever the dump committed. In-flight
 //!   generations are invisible to the healer by construction — chunk
 //!   healing only considers fingerprints referenced by *committed*
-//!   manifests of the cursor's generation, blob stripes of other
-//!   generations are never sent, and an `Auto`/`Rs` chunk stripe is
-//!   content-addressed, so touching it concurrently is idempotent.
+//!   manifests of the cursor's generation, a chunk stripe below `k` is
+//!   judged lost only when such a manifest references it, blob stripes of
+//!   other generations are never sent, and an `Auto`/`Rs` chunk stripe is
+//!   content-addressed, so rebuilding it concurrently is idempotent.
 //! * The optional [`HealOptions::gc_before`] bound runs
-//!   [`replidedup_storage::Cluster::gc_superseded`] as the first step,
-//!   so superseded generations are collected *before* the scrub wastes
-//!   bandwidth re-replicating data nothing references anymore.
+//!   [`replidedup_storage::Cluster::gc_superseded`] at the start of the
+//!   scrub step, so superseded generations are collected *before* the
+//!   heal wastes bandwidth re-replicating data nothing references anymore.
 //! * An optional [`RateLimit`] meters healing payload bytes through a
 //!   deterministic debt-based [`TokenBucket`], bounding how hard the
 //!   background healer competes with foreground collectives.
 //!
-//! Stage order: `Gc → Scrub → Chunks → Manifests → Stripes → Done` for
-//! the dedup strategies, `Gc → Scrub → Blobs → Stripes → Done` for
-//! `no-dedup`. The cursor is strictly monotonic — a step either advances
+//! Stage order: `Scrub → Chunks → Owners → Done`; `no-dedup` skips
+//! `Chunks`. The cursor is strictly monotonic — a step either advances
 //! the high-water mark to its window's cut or, when the window ran to
 //! the end, advances the stage — so a heal always terminates, and
 //! resuming from any persisted cursor position converges to the same
 //! healed state (re-running a window is idempotent: puts are
 //! content-addressed). A crash mid-step surfaces as
-//! [`RepairError::Comm`]; unrecoverable data, and payloads a window's
-//! [`crate::repair::transfer`] had to skip, are reported in the
-//! [`HealReport`] instead of failing the collective.
+//! [`RepairError::Comm`]; unrecoverable data, and payloads a window had
+//! to skip, are reported in the [`HealReport`] instead of failing the
+//! collective.
 
 use std::ops::{Bound, RangeBounds};
 use std::time::Duration;
@@ -117,16 +116,13 @@ pub struct HealOptions {
     /// Fingerprints per node per [`HealStage::Chunks`] step, in each of
     /// the referenced, held and chunk-stripe lists.
     pub chunk_batch: usize,
-    /// Owner ranks per node per [`HealStage::Manifests`] /
-    /// [`HealStage::Blobs`] step, in each of the held-owner, absent and
-    /// blob-stripe lists.
+    /// Owner ranks per node per [`HealStage::Owners`] step, in each of
+    /// the held-owner, absent and (`no-dedup`) blob-stripe lists.
     pub owner_batch: usize,
-    /// Stripes per node per [`HealStage::Stripes`] step.
-    pub stripe_batch: usize,
     /// Throughput bound on healing payload bytes (`None`: unthrottled).
     pub rate: Option<RateLimit>,
-    /// Collect superseded generations older than this id in the
-    /// [`HealStage::Gc`] step (`None`: skip collection).
+    /// Collect superseded generations older than this id at the start of
+    /// the [`HealStage::Scrub`] step (`None`: skip collection).
     pub gc_before: Option<DumpId>,
 }
 
@@ -135,7 +131,6 @@ impl Default for HealOptions {
         Self {
             chunk_batch: 64,
             owner_batch: 16,
-            stripe_batch: 32,
             rate: None,
             gc_before: None,
         }
@@ -180,26 +175,20 @@ impl TokenBucket {
     }
 }
 
-/// Where a heal stands. Stages run in declaration order; the dedup
-/// strategies skip [`HealStage::Blobs`], `no-dedup` skips
-/// [`HealStage::Chunks`] and [`HealStage::Manifests`].
+/// Where a heal stands. Stages run in declaration order; `no-dedup` skips
+/// [`HealStage::Chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealStage {
-    /// Collect superseded generations (one step, optional).
-    Gc,
-    /// Scrub and quarantine corrupt chunk and shard copies (one step).
+    /// Collect superseded generations (optional), then scrub and
+    /// quarantine corrupt chunk and shard copies (one step).
     Scrub,
-    /// Re-replicate under-replicated chunks, one fingerprint window at a
-    /// time.
+    /// Re-replicate under-replicated chunks and rebuild missing
+    /// chunk-stripe shards, one fingerprint window at a time.
     Chunks,
-    /// Re-materialize lost manifests, one owner-rank window at a time.
-    Manifests,
-    /// Re-materialize lost raw blobs (`no-dedup`), one owner-rank window
+    /// Re-materialize lost recipes — manifests, or under `no-dedup` raw
+    /// blobs and their missing blob-stripe shards — one owner-rank window
     /// at a time.
-    Blobs,
-    /// Rebuild missing erasure-coded shards, one stripe window at a
-    /// time.
-    Stripes,
+    Owners,
     /// Nothing left to heal for this generation.
     Done,
 }
@@ -207,26 +196,20 @@ pub enum HealStage {
 impl Wire for HealStage {
     fn encode(&self, buf: &mut Vec<u8>) {
         let d: u8 = match self {
-            HealStage::Gc => 0,
-            HealStage::Scrub => 1,
-            HealStage::Chunks => 2,
-            HealStage::Manifests => 3,
-            HealStage::Blobs => 4,
-            HealStage::Stripes => 5,
-            HealStage::Done => 6,
+            HealStage::Scrub => 0,
+            HealStage::Chunks => 1,
+            HealStage::Owners => 2,
+            HealStage::Done => 3,
         };
         d.encode(buf);
     }
 
     fn decode(input: &mut &[u8]) -> WireResult<Self> {
         Ok(match u8::decode(input)? {
-            0 => HealStage::Gc,
-            1 => HealStage::Scrub,
-            2 => HealStage::Chunks,
-            3 => HealStage::Manifests,
-            4 => HealStage::Blobs,
-            5 => HealStage::Stripes,
-            6 => HealStage::Done,
+            0 => HealStage::Scrub,
+            1 => HealStage::Chunks,
+            2 => HealStage::Owners,
+            3 => HealStage::Done,
             _ => return Err(WireError::Malformed { what: "HealStage" }),
         })
     }
@@ -244,11 +227,8 @@ pub struct HealCursor {
     pub stage: HealStage,
     /// High-water fingerprint inside [`HealStage::Chunks`].
     pub after_fp: Option<Fingerprint>,
-    /// High-water owner rank inside [`HealStage::Manifests`] /
-    /// [`HealStage::Blobs`].
+    /// High-water owner rank inside [`HealStage::Owners`].
     pub after_owner: Option<u32>,
-    /// High-water stripe inside [`HealStage::Stripes`].
-    pub after_stripe: Option<StripeKey>,
     /// Bounded steps this cursor has been advanced through (across
     /// resumes, if the resumed cursor came from persisted bytes).
     pub steps_taken: u64,
@@ -259,10 +239,9 @@ impl HealCursor {
     pub fn new(dump_id: DumpId) -> Self {
         Self {
             dump_id,
-            stage: HealStage::Gc,
+            stage: HealStage::Scrub,
             after_fp: None,
             after_owner: None,
-            after_stripe: None,
             steps_taken: 0,
         }
     }
@@ -279,7 +258,6 @@ impl Wire for HealCursor {
         self.stage.encode(buf);
         self.after_fp.encode(buf);
         self.after_owner.encode(buf);
-        self.after_stripe.encode(buf);
         self.steps_taken.encode(buf);
     }
 
@@ -289,7 +267,6 @@ impl Wire for HealCursor {
             stage: HealStage::decode(input)?,
             after_fp: Option::decode(input)?,
             after_owner: Option::decode(input)?,
-            after_stripe: Option::decode(input)?,
             steps_taken: u64::decode(input)?,
         })
     }
@@ -325,7 +302,7 @@ pub struct HealReport {
     pub bytes_reconstructed: u64,
     /// Parity-inconsistent shard copies quarantined by the scrub step.
     pub shards_quarantined: u64,
-    /// What the [`HealStage::Gc`] step collected.
+    /// What the superseded-generation sweep collected.
     pub gc: GcStats,
     /// Referenced fingerprints found beyond repair in a planned window.
     pub unrepairable_chunks: Vec<Fingerprint>,
@@ -333,7 +310,8 @@ pub struct HealReport {
     pub unrepairable_manifests: Vec<u32>,
     /// Owner ranks whose raw blob has no surviving copy or stripe.
     pub unrepairable_blobs: Vec<u32>,
-    /// Stripes below `k` surviving shards.
+    /// Stripes below `k` surviving shards: the generation's blob stripes,
+    /// and the chunk stripes its committed manifests reference.
     pub unrepairable_stripes: Vec<StripeKey>,
     /// Payloads a transfer could not move: a source read that failed past
     /// the retry schedule, a copy its destination could not store, or a
@@ -379,14 +357,75 @@ fn allreduce_counts(comm: &mut Comm, counts: Vec<u64>) -> Result<Vec<u64>, Repai
     .map_err(RepairError::from)
 }
 
-/// A window's transfer counts summed over the world — `[stored, bytes,
-/// skipped]` — in the step's one counts allreduce; this rank's read
-/// retries go to the `heal_retries` counter.
-fn window_counts(comm: &mut Comm, moved: Moved) -> Result<Vec<u64>, RepairError> {
+/// A window's one counts allreduce: its transfer and its shard rebuilds,
+/// summed over the world. Folds what every window shares — skipped
+/// payloads and rebuilt shards — into `report` and returns the transfer's
+/// `(stored, bytes)`; this rank's read retries go to the `heal_retries`
+/// counter.
+fn window_counts(
+    comm: &mut Comm,
+    moved: Moved,
+    rebuilt: Moved,
+    report: &mut HealReport,
+) -> Result<(u64, u64), RepairError> {
     if moved.retries > 0 {
         comm.tracer().counter("heal_retries", moved.retries);
     }
-    allreduce_counts(comm, vec![moved.stored, moved.bytes, moved.skipped])
+    let sums = allreduce_counts(
+        comm,
+        vec![
+            moved.stored,
+            moved.bytes,
+            moved.skipped + rebuilt.skipped,
+            rebuilt.stored,
+            rebuilt.bytes,
+        ],
+    )?;
+    report.payloads_skipped += sums[2];
+    if sums[3] > 0 {
+        report.shards_rebuilt += sums[3];
+        report.bytes_reconstructed += sums[4];
+        comm.tracer().counter("heal_shards_rebuilt", sums[3]);
+        comm.tracer().counter("heal_bytes", sums[4]);
+    }
+    Ok((sums[0], sums[1]))
+}
+
+/// Rebuild the shards of a window's `rebuilds` this rank leads, each from
+/// any `k` survivors, onto this rank's node, under `heal.stripes` —
+/// entered only when the window has any. Throttled like a transfer, and
+/// like one it counts a rebuilt shard its node cannot store as skipped:
+/// `stored` and `bytes` are the shards written back and their bytes.
+fn rebuild_shards(
+    comm: &mut Comm,
+    cluster: &Cluster,
+    bucket: &mut Option<TokenBucket>,
+    rebuilds: &[(u32, StripeKey, u8)],
+) -> Moved {
+    let mut rebuilt = Moved::default();
+    if rebuilds.is_empty() {
+        return rebuilt;
+    }
+    let me = comm.rank();
+    let node = cluster.node_of(me);
+    comm.enter_phase("heal.stripes");
+    for (_, key, index) in rebuilds.iter().filter(|(leader, ..)| *leader == me) {
+        let Some(shard) = cluster.rebuild_shard(*key, *index) else {
+            continue;
+        };
+        let len = shard.data.len() as u64;
+        throttle(comm, bucket, len);
+        match cluster.put_shard(node, *key, shard.meta, shard.data) {
+            Ok(true) => {
+                rebuilt.stored += 1;
+                rebuilt.bytes += len;
+            }
+            Ok(false) => {}
+            Err(_) => rebuilt.skipped += 1,
+        }
+    }
+    comm.exit_phase("heal.stripes");
+    rebuilt
 }
 
 /// Advance `cursor` by one bounded collective step, folding what the
@@ -416,44 +455,18 @@ pub(crate) fn heal_step_impl(
 
     match cursor.stage {
         HealStage::Done => {}
-        HealStage::Gc => {
+        HealStage::Scrub => {
+            // The optional sweep first, so nothing scrubs or heals what it
+            // collects. One rank sweeps (the sweep is cluster-wide by
+            // itself); the scrub's allreduce publishes its counts.
+            let mut gc = GcStats::default();
             if let Some(before) = opts.gc_before {
                 comm.enter_phase("heal.gc");
-                // One rank sweeps (the sweep is cluster-wide by itself);
-                // the allreduce publishes its counts to everyone.
-                let local = if lowest_live_leader(cluster, n) == Some(me) {
-                    cluster.gc_superseded(before)
-                } else {
-                    GcStats::default()
-                };
-                let sums = allreduce_counts(
-                    comm,
-                    vec![
-                        local.generations_collected,
-                        local.manifests_removed,
-                        local.blobs_removed,
-                        local.chunks_removed,
-                        local.shards_removed,
-                        local.tombstones_removed,
-                        local.bytes_reclaimed,
-                    ],
-                );
+                if lowest_live_leader(cluster, n) == Some(me) {
+                    gc = cluster.gc_superseded(before);
+                }
                 comm.exit_phase("heal.gc");
-                let sums = sums?;
-                report.gc.merge(&GcStats {
-                    generations_collected: sums[0],
-                    manifests_removed: sums[1],
-                    blobs_removed: sums[2],
-                    chunks_removed: sums[3],
-                    shards_removed: sums[4],
-                    tombstones_removed: sums[5],
-                    bytes_reclaimed: sums[6],
-                });
-                comm.tracer().counter("heal_generations_collected", sums[0]);
             }
-            cursor.stage = HealStage::Scrub;
-        }
-        HealStage::Scrub => {
             comm.enter_phase("heal.scrub");
             let step = (|| -> Result<Vec<u64>, RepairError> {
                 let mut corrupt = 0u64;
@@ -474,14 +487,39 @@ pub(crate) fn heal_step_impl(
                         }
                     }
                 }
-                allreduce_counts(comm, vec![corrupt, shards])
+                allreduce_counts(
+                    comm,
+                    vec![
+                        corrupt,
+                        shards,
+                        gc.generations_collected,
+                        gc.manifests_removed,
+                        gc.blobs_removed,
+                        gc.chunks_removed,
+                        gc.shards_removed,
+                        gc.tombstones_removed,
+                        gc.bytes_reclaimed,
+                    ],
+                )
             })();
             comm.exit_phase("heal.scrub");
             let sums = step?;
             report.corrupt_quarantined += sums[0];
             report.shards_quarantined += sums[1];
+            if opts.gc_before.is_some() {
+                report.gc.merge(&GcStats {
+                    generations_collected: sums[2],
+                    manifests_removed: sums[3],
+                    blobs_removed: sums[4],
+                    chunks_removed: sums[5],
+                    shards_removed: sums[6],
+                    tombstones_removed: sums[7],
+                    bytes_reclaimed: sums[8],
+                });
+                comm.tracer().counter("heal_generations_collected", sums[2]);
+            }
             cursor.stage = if strategy == Strategy::NoDedup {
-                HealStage::Blobs
+                HealStage::Owners
             } else {
                 HealStage::Chunks
             };
@@ -515,8 +553,12 @@ pub(crate) fn heal_step_impl(
                 inv.shards
                     .retain(|(key, _)| matches!(key, StripeKey::Chunk(fp) if in_window(fp)));
             }
-            if world_inv.iter().any(|inv| !inv.referenced.is_empty()) {
+            if world_inv
+                .iter()
+                .any(|inv| !inv.referenced.is_empty() || !inv.shards.is_empty())
+            {
                 let plan = windowed_plan(ctx, strategy, k, n, world_inv);
+                let rebuilt = rebuild_shards(comm, cluster, bucket, &plan.shard_rebuilds);
                 comm.enter_phase("heal.transfer");
                 let moved = transfer(
                     comm,
@@ -527,28 +569,28 @@ pub(crate) fn heal_step_impl(
                     |fp, data| cluster.put_chunk(node, fp, data.into_bytes()).ok(),
                 )
                 .map_err(RepairError::from)
-                .and_then(|moved| window_counts(comm, moved));
+                .and_then(|moved| window_counts(comm, moved, rebuilt, report));
                 comm.exit_phase("heal.transfer");
-                let sums = moved?;
-                report.chunks_healed += sums[0];
-                report.bytes_re_replicated += sums[1];
-                report.payloads_skipped += sums[2];
-                comm.tracer().counter("heal_chunks_healed", sums[0]);
-                comm.tracer().counter("heal_bytes", sums[1]);
+                let (stored, bytes) = moved?;
+                report.chunks_healed += stored;
+                report.bytes_re_replicated += bytes;
+                comm.tracer().counter("heal_chunks_healed", stored);
+                comm.tracer().counter("heal_bytes", bytes);
                 // The window's unrepairables are final facts (zero copies
-                // and no viable stripe cluster-wide); the rest of the plan
-                // (manifests, stripes) is out of scope for this stage.
+                // and no viable stripe cluster-wide); its manifests are
+                // the next stage's.
                 merge_sorted(&mut report.unrepairable_chunks, plan.unrepairable_chunks);
+                merge_sorted(&mut report.unrepairable_stripes, plan.unrepairable_stripes);
             }
             match cut {
                 Some(c) => cursor.after_fp = Some(c),
-                None => cursor.stage = HealStage::Manifests,
+                None => cursor.stage = HealStage::Owners,
             }
         }
-        HealStage::Manifests | HealStage::Blobs => {
-            // One owner-window body for both recipe formats: manifests
-            // (dedup strategies) and raw blobs (`no-dedup`).
-            let blobs = cursor.stage == HealStage::Blobs;
+        HealStage::Owners => {
+            // One owner-window body for both recipe formats: raw blobs
+            // under `no-dedup`, manifests otherwise.
+            let blobs = strategy == Strategy::NoDedup;
             let after = cursor.after_owner;
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
@@ -562,7 +604,7 @@ pub(crate) fn heal_step_impl(
                         inv.blob_owners = cap.list(cluster.blob_owners(node, ctx.dump_id)?, owner);
                         // A blob with no replica is healthy if its stripe
                         // survives — the plan needs this generation's Blob
-                        // stripes to judge that.
+                        // stripes to judge that, and rebuilds them.
                         inv.shards = blob_shards(&mut cap, cluster, node, ctx.dump_id)?;
                     } else {
                         let held = cluster.manifest_owners(node, ctx.dump_id)?;
@@ -572,12 +614,18 @@ pub(crate) fn heal_step_impl(
                 gather_window(comm, inv, cap.bound)
             })();
             comm.exit_phase("heal.plan");
-            let (world_inv, cut) = step?;
-            let plan = windowed_plan(ctx, strategy, k, n, world_inv);
-            // The window is the owner range `(after, cut]`; the plan flags
-            // every owner outside it as lost (their lists were not sent),
-            // so only in-window verdicts are real.
+            let (mut world_inv, cut) = step?;
+            // The window is the owner range `(after, cut]`. Stripes past
+            // the cut are the next window's; the plan flags every owner
+            // outside the window as lost (their lists were not sent), so
+            // only in-window verdicts are real.
             let in_window = |r: &u32| after.is_none_or(|a| *r > a) && cut.is_none_or(|c| *r <= c);
+            for inv in &mut world_inv {
+                inv.shards.retain(
+                    |(key, _)| matches!(key, StripeKey::Blob { owner, .. } if in_window(owner)),
+                );
+            }
+            let plan = windowed_plan(ctx, strategy, k, n, world_inv);
             let (mut moves, mut lost) = if blobs {
                 (plan.blob_moves, plan.unrepairable_blobs)
             } else {
@@ -585,6 +633,7 @@ pub(crate) fn heal_step_impl(
             };
             moves.retain(|(_, _, owner)| in_window(owner));
             lost.retain(in_window);
+            let rebuilt = rebuild_shards(comm, cluster, bucket, &plan.shard_rebuilds);
 
             comm.enter_phase("heal.transfer");
             let moved = if blobs {
@@ -617,75 +666,24 @@ pub(crate) fn heal_step_impl(
                 )
             }
             .map_err(RepairError::from)
-            .and_then(|moved| window_counts(comm, moved));
+            .and_then(|moved| window_counts(comm, moved, rebuilt, report));
             comm.exit_phase("heal.transfer");
-            let sums = moved?;
-            report.payloads_skipped += sums[2];
+            let (stored, bytes) = moved?;
             if blobs {
-                report.blobs_rematerialized += sums[0];
-                report.bytes_re_replicated += sums[1];
-                comm.tracer().counter("heal_blobs_rematerialized", sums[0]);
-                comm.tracer().counter("heal_bytes", sums[1]);
+                report.blobs_rematerialized += stored;
+                report.bytes_re_replicated += bytes;
+                comm.tracer().counter("heal_blobs_rematerialized", stored);
+                comm.tracer().counter("heal_bytes", bytes);
                 merge_sorted(&mut report.unrepairable_blobs, lost);
             } else {
-                report.manifests_rematerialized += sums[0];
+                report.manifests_rematerialized += stored;
                 comm.tracer()
-                    .counter("heal_manifests_rematerialized", sums[0]);
+                    .counter("heal_manifests_rematerialized", stored);
                 merge_sorted(&mut report.unrepairable_manifests, lost);
             }
+            merge_sorted(&mut report.unrepairable_stripes, plan.unrepairable_stripes);
             match cut {
                 Some(c) => cursor.after_owner = Some(c),
-                None => cursor.stage = HealStage::Stripes,
-            }
-        }
-        HealStage::Stripes => {
-            let after = cursor.after_stripe;
-            comm.enter_phase("heal.plan");
-            let step = (|| -> Result<_, RepairError> {
-                let mut inv = NodeInventory::default();
-                let mut cap = Cap::new(after, opts.stripe_batch);
-                if i_lead {
-                    inv.leads_live_node = true;
-                    inv.shards = stripe_shards(&mut cap, cluster, node, ctx.dump_id)?;
-                }
-                gather_window(comm, inv, cap.bound)
-            })();
-            comm.exit_phase("heal.plan");
-            let (mut world_inv, cut) = step?;
-            for inv in &mut world_inv {
-                inv.shards.retain(|(key, _)| cut.is_none_or(|c| *key <= c));
-            }
-            if world_inv.iter().any(|inv| !inv.shards.is_empty()) {
-                let plan = windowed_plan(ctx, strategy, k, n, world_inv);
-                comm.enter_phase("heal.stripes");
-                let rebuilt = (|| -> Result<_, RepairError> {
-                    let mut shards_rebuilt = 0u64;
-                    let mut bytes_reconstructed = 0u64;
-                    for (leader, key, index) in &plan.shard_rebuilds {
-                        if *leader != me {
-                            continue;
-                        }
-                        if let Some(shard) = cluster.rebuild_shard(*key, *index) {
-                            let len = shard.data.len() as u64;
-                            throttle(comm, bucket, len);
-                            if cluster.put_shard(node, *key, shard.meta, shard.data)? {
-                                shards_rebuilt += 1;
-                                bytes_reconstructed += len;
-                            }
-                        }
-                    }
-                    allreduce_counts(comm, vec![shards_rebuilt, bytes_reconstructed])
-                })();
-                comm.exit_phase("heal.stripes");
-                let sums = rebuilt?;
-                report.shards_rebuilt += sums[0];
-                report.bytes_reconstructed += sums[1];
-                comm.tracer().counter("heal_shards_rebuilt", sums[0]);
-                comm.tracer().counter("heal_bytes", sums[1]);
-                merge_sorted(&mut report.unrepairable_stripes, plan.unrepairable_stripes);
-            }
-            match cut {
-                Some(c) => cursor.after_stripe = Some(c),
                 None => cursor.stage = HealStage::Done,
             }
         }
@@ -814,8 +812,8 @@ fn chunk_shards(
     )
 }
 
-/// The [`HealStage::Blobs`] shard list: `dump_id`'s blob stripes keyed by
-/// owner rank (blob stripes sort by owner, then generation).
+/// The `no-dedup` [`HealStage::Owners`] shard list: `dump_id`'s blob
+/// stripes keyed by owner rank (blob stripes sort by owner, then generation).
 fn blob_shards(
     cap: &mut Cap<u32>,
     cluster: &Cluster,
@@ -831,22 +829,6 @@ fn blob_shards(
     cap.shards(cluster, node, (from, Bound::Unbounded), |key| match key {
         StripeKey::Blob { owner, dump_id: d } if *d == dump_id => Some(*owner),
         _ => None,
-    })
-}
-
-/// The [`HealStage::Stripes`] shard list: every stripe but the blob
-/// stripes of other generations — one of a dump still in flight is
-/// legitimately below `k` shards mid-commit, and not this heal's business.
-fn stripe_shards(
-    cap: &mut Cap<StripeKey>,
-    cluster: &Cluster,
-    node: NodeId,
-    dump_id: DumpId,
-) -> Result<Vec<(StripeKey, ShardMeta)>, StorageError> {
-    let from = cap.after.map_or(Bound::Unbounded, Bound::Excluded);
-    cap.shards(cluster, node, (from, Bound::Unbounded), |key| match key {
-        StripeKey::Blob { dump_id: d, .. } if *d != dump_id => None,
-        _ => Some(*key),
     })
 }
 
@@ -900,6 +882,7 @@ fn merge_sorted<T: Ord>(into: &mut Vec<T>, add: Vec<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RedundancyPolicy;
     use crate::session::Replicator;
     use bytes::Bytes;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -911,12 +894,9 @@ mod tests {
     #[test]
     fn cursor_wire_roundtrip_covers_every_stage() {
         for stage in [
-            HealStage::Gc,
             HealStage::Scrub,
             HealStage::Chunks,
-            HealStage::Manifests,
-            HealStage::Blobs,
-            HealStage::Stripes,
+            HealStage::Owners,
             HealStage::Done,
         ] {
             let c = HealCursor {
@@ -924,19 +904,33 @@ mod tests {
                 stage,
                 after_fp: Some(Fingerprint::synthetic(9)),
                 after_owner: Some(3),
-                after_stripe: Some(StripeKey::Blob {
-                    owner: 1,
-                    dump_id: 42,
-                }),
                 steps_taken: 17,
             };
             assert_eq!(HealCursor::from_bytes(&c.to_bytes()).unwrap(), c);
         }
-        let bad = [7u8]; // no such stage discriminant
+        let bad = [4u8]; // no such stage discriminant
         assert_eq!(
             HealStage::from_bytes(&bad),
             Err(WireError::Malformed { what: "HealStage" })
         );
+        // The seven-stage layout carried a stripe mark before the step
+        // count; such a cursor fails to decode rather than resuming from
+        // a misread position.
+        for after_stripe in [None, Some(StripeKey::Chunk(Fingerprint::synthetic(5)))] {
+            for old_stage in 0u8..7 {
+                let mut old = Vec::new();
+                42u64.encode(&mut old);
+                old_stage.encode(&mut old);
+                Some(Fingerprint::synthetic(9)).encode(&mut old);
+                Some(3u32).encode(&mut old);
+                after_stripe.encode(&mut old);
+                17u64.encode(&mut old);
+                assert!(
+                    HealCursor::from_bytes(&old).is_err(),
+                    "{old_stage} {after_stripe:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1052,7 +1046,6 @@ mod tests {
             // A cursor of every stage, or none (`at` past the key range).
             let after_fp = (at < 48).then(|| Fingerprint::synthetic(at));
             let after_owner = (at < 48).then_some((at % 10) as u32);
-            let after_stripe = (at < 48).then(|| stripe((at % 3) as u8, at));
 
             // The specification: the whole sorted lists, cut.
             let mut refs: Vec<Fingerprint> = recipes
@@ -1075,17 +1068,9 @@ mod tests {
             );
             let mut full = Cap::new(after_owner, batch);
             let full_blobs = (
-                full.list(all_shards.clone(), |(key, _)| match key {
+                full.list(all_shards, |(key, _)| match key {
                     StripeKey::Blob { owner, dump_id: GEN } => Some(*owner),
                     _ => None,
-                }),
-                full.bound,
-            );
-            let mut full = Cap::new(after_stripe, batch);
-            let full_stripes = (
-                full.list(all_shards, |(key, _)| match key {
-                    StripeKey::Blob { dump_id, .. } if *dump_id != GEN => None,
-                    _ => Some(*key),
                 }),
                 full.bound,
             );
@@ -1104,9 +1089,6 @@ mod tests {
             let mut cap = Cap::new(after_owner, batch);
             let blobs = (blob_shards(&mut cap, &cluster, 0, GEN).unwrap(), cap.bound);
             prop_assert_eq!(blobs, full_blobs);
-            let mut cap = Cap::new(after_stripe, batch);
-            let stripes = (stripe_shards(&mut cap, &cluster, 0, GEN).unwrap(), cap.bound);
-            prop_assert_eq!(stripes, full_stripes);
         }
     }
 
@@ -1154,53 +1136,64 @@ mod tests {
         assert!(r0.is_fully_healed());
         assert_eq!(r0.chunks_healed, 0, "healthy data plans no moves");
         assert_eq!(r0.heal_bytes(), 0);
-        assert!(r0.steps >= 4, "gc, scrub, window walks, stage exits");
+        assert!(r0.steps >= 3, "scrub, then a window per windowed stage");
         for (c, r) in &out.results {
             assert_eq!((c, r), (c0, r0), "all ranks agree on cursor and report");
         }
     }
 
     /// Every windowed step costs exactly one allgather (the window and its
-    /// census travel in one message); the gc and scrub steps gather none.
+    /// census travel in one message, and its stripes are rebuilt without
+    /// another); only the scrub step gathers none.
     #[test]
     fn every_heal_window_is_one_allgather() {
-        let cluster = Cluster::new(Placement::one_per_node(4));
-        let repl = Replicator::builder(Strategy::CollDedup)
-            .cluster(&cluster)
-            .replication(3)
-            .chunk_size(32)
-            .tracing(true)
-            .heal_options(HealOptions {
-                chunk_batch: 2,
-                owner_batch: 1,
-                ..HealOptions::default()
-            })
-            .build()
-            .unwrap();
-        let out = WorldConfig::default()
-            .launch(4, |comm| {
-                let buf: Vec<u8> = (0..400u32).map(|i| (i / 32 + comm.rank()) as u8).collect();
-                repl.dump(comm, 1, buf).unwrap();
-                comm.barrier();
-                if comm.rank() == 0 {
-                    repl.cluster().fail_node(2);
-                    repl.cluster().revive_node(2);
+        for policy in [
+            RedundancyPolicy::Replicate(3),
+            RedundancyPolicy::Rs { k: 4, m: 2 },
+        ] {
+            let cluster = Cluster::new(Placement::one_per_node(6));
+            let repl = Replicator::builder(Strategy::CollDedup)
+                .cluster(&cluster)
+                .replication(3)
+                .chunk_size(32)
+                .with_policy(policy)
+                .tracing(true)
+                .heal_options(HealOptions {
+                    chunk_batch: 2,
+                    owner_batch: 1,
+                    ..HealOptions::default()
+                })
+                .build()
+                .unwrap();
+            let out = WorldConfig::default()
+                .launch(6, |comm| {
+                    let buf: Vec<u8> = (0..400u32).map(|i| (i / 32 + comm.rank()) as u8).collect();
+                    repl.dump(comm, 1, buf).unwrap();
+                    comm.barrier();
+                    if comm.rank() == 0 {
+                        repl.cluster().fail_node(2);
+                        repl.cluster().revive_node(2);
+                    }
+                    comm.barrier();
+                    comm.take_trace_events();
+                    let report = repl.heal(comm, 1).unwrap();
+                    let allgathers = comm
+                        .take_trace_events()
+                        .iter()
+                        .filter(|e| e.name == "coll_allgather" && e.kind == EventKind::Enter)
+                        .count() as u64;
+                    (report, allgathers)
+                })
+                .expect_all();
+            for (report, allgathers) in out.results {
+                assert!(report.is_fully_healed(), "{policy:?}: {report:?}");
+                match policy {
+                    RedundancyPolicy::Replicate(_) => assert!(report.chunks_healed > 0),
+                    _ => assert!(report.shards_rebuilt > 0, "{report:?}"),
                 }
-                comm.barrier();
-                comm.take_trace_events();
-                let report = repl.heal(comm, 1).unwrap();
-                let allgathers = comm
-                    .take_trace_events()
-                    .iter()
-                    .filter(|e| e.name == "coll_allgather" && e.kind == EventKind::Enter)
-                    .count() as u64;
-                (report, allgathers)
-            })
-            .expect_all();
-        for (report, allgathers) in out.results {
-            assert!(report.chunks_healed > 0 && report.is_fully_healed());
-            assert!(report.steps > 6, "several windows: {}", report.steps);
-            assert_eq!(allgathers, report.steps - 2);
+                assert!(report.steps > 6, "several windows: {}", report.steps);
+                assert_eq!(allgathers, report.steps - 1, "{policy:?}");
+            }
         }
     }
 
@@ -1267,10 +1260,10 @@ mod tests {
                     repl.cluster().revive_node(1);
                 }
                 comm.barrier();
-                // Drive three steps, "kill" the healer, persist the cursor.
+                // Drive two steps, "kill" the healer, persist the cursor.
                 let mut cursor = HealCursor::new(1);
                 let mut report = HealReport::default();
-                for _ in 0..3 {
+                for _ in 0..2 {
                     repl.heal_step(comm, &mut cursor, &mut report).unwrap();
                 }
                 let persisted = cursor.to_bytes();

@@ -11,12 +11,12 @@
 //! the pieces that engine, [`crate::restore`] and
 //! [`crate::Replicator::scrub`] need:
 //!
-//! * [`NodeInventory`] — what one node's leader contributes to a window's
+//! * `NodeInventory` — what one node's leader contributes to a window's
 //!   one allgather (manifest owners, blob owners, referenced and held
 //!   fingerprints, tombstones, erasure-coded shards). The held lists are
 //!   the live-copy census: a chunk's holders are the live leaders whose
 //!   inventory lists it.
-//! * [`build_plan`] — the deterministic planner. Fed the allgathered
+//! * `build_plan` — the deterministic planner. Fed the allgathered
 //!   inventories, every rank derives the identical plan: under-replicated
 //!   chunks go to the least-loaded live non-holders, lost manifests/blobs
 //!   are re-materialized from any surviving copy (the owner's own node
@@ -26,11 +26,11 @@
 //!   surviving copies — or a stripe below `k` shards — is beyond repair by
 //!   construction; the plan reports it instead of failing, so one
 //!   unrecoverable buffer does not block healing everything else.
-//! * [`transfer`] — the only code that sends or receives restore and heal
+//! * `transfer` — the only code that sends or receives restore and heal
 //!   payload frames, executing a `(src, dst, key)` move list under one
 //!   completion rule (see its docs), with every storage read on the fixed
-//!   retry schedule of [`retry_read`].
-//! * [`scrub_impl`] — the read-only collective integrity scrub.
+//!   retry schedule of `retry_read`.
+//! * `scrub_impl` — the read-only collective integrity scrub.
 //! * [`RepairError`] — every way a scrub or heal step can fail.
 
 use std::collections::{BTreeMap, HashSet};
@@ -237,6 +237,10 @@ fn sort_by_fingerprint(records: &[(Fingerprint, u32)]) -> Vec<(Fingerprint, u32)
 /// preferred destination when re-materializing `r`'s manifest or blob, so
 /// a healed cluster restores without network recovery.
 ///
+/// A stripe below `k` survivors is unrepairable; a chunk stripe only if
+/// the window references its fingerprint, else it may be a concurrent
+/// dump's, half written.
+///
 /// Cost is linear in the window (in expectation, for uniformly
 /// distributed fingerprints): chunk holders come from one bucket-sorted
 /// record list, owner holders from one table per window, and each
@@ -327,6 +331,8 @@ pub(crate) fn build_plan(
         (moves, lost)
     };
 
+    // The window's referenced fingerprints, in order.
+    let mut referenced: Vec<Fingerprint> = Vec::new();
     if strategy != Strategy::NoDedup {
         // ---- chunks: every fingerprint a surviving manifest references --
         // One record per live copy, in rank order, then one per reference;
@@ -345,6 +351,7 @@ pub(crate) fn build_plan(
             let Some(&(fp, REFERENCED)) = run.last() else {
                 continue; // held, but nothing in the window references it
             };
+            referenced.push(fp);
             have.clear();
             have.extend(run.iter().map(|(_, who)| *who).filter(|w| *w != REFERENCED));
             if have.is_empty() {
@@ -377,7 +384,9 @@ pub(crate) fn build_plan(
     let node_count = leader_of_node.len() as u32;
     for (key, (meta, have)) in &stripes {
         if have.len() < meta.k as usize {
-            plan.unrepairable_stripes.push(*key);
+            if !matches!(key, StripeKey::Chunk(fp) if referenced.binary_search(fp).is_err()) {
+                plan.unrepairable_stripes.push(*key);
+            }
             continue;
         }
         let shards = meta.k + meta.m;
@@ -689,9 +698,10 @@ mod tests {
                 .is_some_and(|(meta, have)| have.len() >= meta.k as usize)
         };
 
+        let mut required: Vec<Fingerprint> = Vec::new();
         if strategy != Strategy::NoDedup {
             // ---- chunks: every fingerprint a surviving manifest references --
-            let mut required: Vec<Fingerprint> = inv
+            required = inv
                 .iter()
                 .flat_map(|i| i.referenced.iter().copied())
                 .collect();
@@ -706,7 +716,7 @@ mod tests {
                 }
             }
             let mut load: HashMap<u32, u64> = HashMap::new();
-            for fp in required {
+            for &fp in &required {
                 match holders.get(&fp) {
                     None => {
                         if !stripe_viable(&StripeKey::Chunk(fp)) {
@@ -786,7 +796,9 @@ mod tests {
         let node_count = leader_of_node.len() as u32;
         for (key, (meta, have)) in &stripes {
             if have.len() < meta.k as usize {
-                plan.unrepairable_stripes.push(*key);
+                if !matches!(key, StripeKey::Chunk(fp) if !required.contains(fp)) {
+                    plan.unrepairable_stripes.push(*key);
+                }
                 continue;
             }
             let shards = meta.k + meta.m;
@@ -1139,11 +1151,15 @@ mod tests {
 
     #[test]
     fn plan_flags_stripes_below_k_survivors() {
-        let key = StripeKey::Chunk(fp(9));
-        let mut world_inv = vec![inv(true, vec![], vec![]), inv(true, vec![], vec![])];
-        world_inv[0].shards.push((key, meta(2, 1, 0)));
+        // Both chunk stripes are down to one of the two shards they need;
+        // only fp 9 is referenced in the window. Fp 8's may be a
+        // concurrent dump's stripe, half written.
+        let (lost, in_flight) = (StripeKey::Chunk(fp(9)), StripeKey::Chunk(fp(8)));
+        let mut world_inv = vec![inv(true, vec![], vec![9]), inv(true, vec![], vec![])];
+        world_inv[0].shards.push((in_flight, meta(2, 1, 0)));
+        world_inv[0].shards.push((lost, meta(2, 1, 0)));
         let plan = plan_for(2, Strategy::CollDedup, &world_inv);
-        assert_eq!(plan.unrepairable_stripes, vec![key]);
+        assert_eq!(plan.unrepairable_stripes, vec![lost]);
         assert!(
             plan.shard_rebuilds.is_empty(),
             "a dead stripe plans no rebuilds"

@@ -8,7 +8,7 @@
 //!    the same assignment from one allgather, the trick the dump uses for
 //!    offsets).
 //! 2. **Chunk recovery** — one ladder for every chunk the rank cannot read
-//!    intact from its own node, in rounds over [`transfer`]. Each round
+//!    intact from its own node, in rounds over `repair::transfer`. Each round
 //!    allgathers the requests (the chunks each rank needs and the nodes it
 //!    tried, its own implied) and a have-bitmap over their union; each
 //!    chunk comes from its lowest-ranked holder on an untried node, and a

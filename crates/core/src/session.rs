@@ -202,9 +202,11 @@ impl<'a> ReplicatorBuilder<'a> {
     }
 
     /// Tuning for the incremental background healer
-    /// ([`Replicator::heal`] and friends): window sizes, the optional
-    /// byte rate limit, and the optional superseded-generation GC bound.
-    /// Must be identical on every rank driving the same heal.
+    /// ([`Replicator::heal`] and friends): the chunk and owner window
+    /// sizes (a window also rebuilds the stripe shards it lists), the
+    /// optional byte rate limit, and the optional superseded-generation
+    /// GC bound, swept at the start of the scrub step. Must be identical
+    /// on every rank driving the same heal.
     pub fn heal_options(mut self, opts: HealOptions) -> Self {
         self.heal = opts;
         self
@@ -394,9 +396,9 @@ impl<'a> Replicator<'a> {
     }
 
     /// Collective heal of generation `dump_id`, from the beginning: scrub
-    /// and quarantine, then re-replicate every under-replicated chunk,
-    /// re-materialize lost manifests/blobs and rebuild every missing
-    /// erasure-coded shard on its home node, until everything the dump
+    /// and quarantine, then re-replicate every under-replicated chunk and
+    /// re-materialize lost manifests/blobs, rebuilding every missing
+    /// erasure-coded shard on its home node in the same windows, until everything the dump
     /// still references has `min(K, live_nodes)` intact copies (or a full
     /// `k+m` stripe). Under an `Rs`/`Auto` policy the replica target is
     /// the same `m+1` floor the dump's pipeline used, so healing converges

@@ -12,7 +12,7 @@
 //!
 //! A crashed rank stops participating: its thread unwinds with a private
 //! payload [`crate::WorldConfig::launch`] catches, a shared per-world
-//! [`FaultRuntime`] marks it dead, and every peer is woken with a death
+//! `FaultRuntime` marks it dead, and every peer is woken with a death
 //! notice so blocked receives fail fast with a typed [`CommError`] instead
 //! of waiting out the deadlock timeout.
 

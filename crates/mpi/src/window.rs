@@ -12,7 +12,7 @@
 //! fence, and local reads are only valid after a fence. In this runtime a
 //! `put` is a locked `memcpy` into the target buffer, so the fence reduces
 //! to a barrier. Creation needs no messages of its own: each rank deposits
-//! its handle in the world's [`Exposures`] table, passes the opening fence
+//! its handle in the world's `Exposures` table, passes the opening fence
 //! and reads its peers' handles from the table.
 
 use std::collections::HashMap;

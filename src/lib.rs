@@ -15,7 +15,7 @@
 //! * [`ckpt`] — AC-FTE-style checkpoint/restart runtime,
 //! * [`apps`] — HPCCG and CM1-like mini-apps plus synthetic workloads,
 //! * [`sim`] — the Shamrock-testbed cost model,
-//! * [`bench`] — experiment harness regenerating every table and figure.
+//! * [`mod@bench`] — experiment harness regenerating every table and figure.
 
 pub use replidedup_apps as apps;
 pub use replidedup_bench as bench;

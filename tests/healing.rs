@@ -45,7 +45,6 @@ fn small_windows() -> HealOptions {
     HealOptions {
         chunk_batch: 8,
         owner_batch: 2,
-        stripe_batch: 8,
         ..HealOptions::default()
     }
 }
@@ -461,6 +460,67 @@ fn heal_ignores_blob_stripes_of_other_generations() {
     }
 }
 
+/// The chunk-stripe twin: a dedup dump commits each chunk's stripe shard
+/// by shard, so a heal of gen 1 that judged a stripe only gen 2
+/// references could report a half-written stripe unrepairable. Only the
+/// chunk windows know what their generation references, and they judge
+/// just that. Gen 2's own heal still reports the stripe.
+#[test]
+fn heal_ignores_chunk_stripes_its_generation_does_not_reference() {
+    let bufs = buffers(N);
+    let cluster = Cluster::new(Placement::one_per_node(N));
+    let rs = RedundancyPolicy::Rs { k: 4, m: 2 };
+    let repl = replicator(Strategy::CollDedup, &cluster, rs, small_windows());
+    // Gen 2 is gen 1 but for rank 0's first chunk.
+    let gen2 = |rank: u32| {
+        let mut buf = bufs[rank as usize].clone();
+        if rank == 0 {
+            buf[0] ^= 0x5A;
+        }
+        buf
+    };
+    let out = WorldConfig::default()
+        .launch(N, |comm| {
+            repl.dump(comm, DUMP, &bufs[comm.rank() as usize])?;
+            repl.dump(comm, 2, gen2(comm.rank())).map(|_| ())
+        })
+        .expect_all();
+    assert!(out.results.iter().all(Result::is_ok));
+    let manifest = |owner, gen| {
+        (0..N)
+            .find_map(|node| cluster.get_manifest(node, owner, gen).ok())
+            .expect("every manifest is stored")
+    };
+    let fp = manifest(0, 2).chunks[0];
+    assert!(
+        (0..N).all(|owner| !manifest(owner, DUMP).chunks.contains(&fp)),
+        "gen 1 does not reference the new chunk"
+    );
+    let key = StripeKey::Chunk(fp);
+    // As mid-commit: at most three of six shards landed, k = 4.
+    for (node, index) in (0..3).flat_map(|n| (0..6).map(move |i| (n, i))) {
+        cluster.quarantine_shard(node, key, index).unwrap();
+    }
+    let left: usize = (0..N)
+        .map(|node| {
+            let shards = cluster.shard_inventory(node, key..=key, |_| true, usize::MAX);
+            shards.unwrap().len()
+        })
+        .sum();
+    assert!(left < 4, "{left} shards left");
+
+    let out = WorldConfig::default()
+        .launch(N, |comm| {
+            (repl.heal(comm, DUMP).unwrap(), repl.heal(comm, 2).unwrap())
+        })
+        .expect_all();
+    for (gen1, gen2) in out.results {
+        assert!(gen1.is_fully_healed(), "gen 1 is intact: {gen1:?}");
+        assert!(gen1.unrepairable_stripes.is_empty());
+        assert_eq!(gen2.unrepairable_stripes, vec![key]);
+    }
+}
+
 /// Promise 5: each node sends at most a batch of keys per window, so the
 /// step count follows the largest per-node key count, not the world: the
 /// same per-rank workload heals in (nearly) as many steps at 32 ranks as
@@ -472,7 +532,6 @@ fn heal_steps_do_not_grow_with_the_world() {
     let opts = HealOptions {
         chunk_batch: 16,
         owner_batch: 4,
-        stripe_batch: 16,
         ..HealOptions::default()
     };
     let steps = |n: u32| {
