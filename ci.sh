@@ -32,11 +32,10 @@ echo "== cargo clippy (deny warnings) =="
 # denies the same plus clippy::panic and clippy::unreachable, so RS
 # decode/reconstruct surface every failure as a typed EcError against
 # corrupt or incomplete shards; its one unsafe site is the AVX2 kernel.
-# In crates/core, the dump, restore, heal, repair and global modules deny
-# clippy::unwrap_used, clippy::expect_used, clippy::panic and
-# clippy::unreachable outside tests, so dump, restore, the unattended
-# healer and the HMERGE view's decode of peers' bytes fail with typed
-# errors, never panics. crates/mpi's window module denies the same four:
+# All of crates/core denies clippy::unwrap_used, clippy::expect_used,
+# clippy::panic and clippy::unreachable outside tests, so dump, restore,
+# the unattended healer, sessions and every decode of peers' bytes fail
+# with typed errors, never panics. crates/mpi's window module denies the same four:
 # a dead peer or a misordered create is a CommError; only the benchmark
 # seam's three panicking twins (allowed one by one) and the documented
 # overrun check may panic.

@@ -84,16 +84,16 @@ pub fn parse_records_zc(
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
         let start = i * cell;
-        let Some(record) = buf.get(start..start + cell) else {
+        let header = buf.get(start..start + cell).and_then(|record| {
+            let (fp, rest) = record.split_first_chunk::<{ Fingerprint::SIZE }>()?;
+            Some((
+                Fingerprint::from_bytes(*fp),
+                u32::from_le_bytes(*rest.first_chunk()?),
+            ))
+        });
+        let Some((fp, len)) = header else {
             return Err(RecordError::Truncated { at: i });
         };
-        let fp =
-            Fingerprint::from_bytes(record[..Fingerprint::SIZE].try_into().expect("fixed slice"));
-        let len = u32::from_le_bytes(
-            record[Fingerprint::SIZE..RECORD_HEADER]
-                .try_into()
-                .expect("fixed slice"),
-        );
         if len as usize > payload_cap {
             return Err(RecordError::BadLength { at: i, len });
         }

@@ -45,49 +45,26 @@
 //! assert!(out.results.iter().all(|s| s.k == 3));
 //! ```
 
-pub mod config;
-// Dump, restore and the healer run against degraded, possibly corrupt
-// clusters, and the global view decodes peers' bytes: every failure must
-// surface as a typed error the caller's loop can retry, never a panic.
-// `clippy.toml` still lets test code unwrap/expect.
-#[deny(
+// The whole crate runs against degraded, possibly corrupt clusters and
+// decodes peers' bytes: every failure must surface as a typed error the
+// caller's loop can retry, never a panic. `clippy.toml` still lets test
+// code unwrap/expect.
+#![deny(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable
 )]
+
+pub mod config;
 pub mod dump;
 pub mod exchange;
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
 pub mod global;
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
 pub mod heal;
 pub mod local;
 pub mod offsets;
 pub mod plan;
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
 pub mod repair;
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
 pub mod restore;
 pub mod session;
 pub mod shuffle;

@@ -534,8 +534,9 @@ pub(crate) struct Moved {
 }
 
 /// Execute a `(src, dst, key)` move list — the one place restore and heal
-/// payloads cross the wire, whatever they are (chunks keyed by
-/// fingerprint, blobs and encoded manifests keyed by owner rank). Every
+/// payloads cross the wire, whatever they are: heal moves chunks keyed by
+/// fingerprint and blobs or encoded manifests keyed by owner rank, and
+/// restore moves both in one list, keyed `Owner(rank)` or `Chunk(fp)`. Every
 /// rank derives the list from the same allgathered data; only the moves
 /// naming this rank matter, so a rank may pass just those. Sends first
 /// (buffered, one frame per destination), then one receive per source the

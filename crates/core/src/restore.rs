@@ -1,51 +1,40 @@
 //! Collective restore: reconstruct every rank's buffer after failures.
 //!
-//! The half of checkpointing the paper leaves implicit, as a collective
-//! protocol over messages:
+//! The half of checkpointing the paper leaves implicit: one round loop
+//! over `repair::transfer` serves every key a rank cannot read intact off
+//! its own node, `Owner(rank)` (its manifest, or its raw blob under
+//! `no-dedup`) or `Chunk(fp)`. Each round allgathers every rank's wanted
+//! keys, tried `(key, node)` pairs, advertised owners and, in round 1,
+//! tombstones. A round in which any rank wants an owner moves owners only;
+//! otherwise chunks move, their holders from one have-bitmap allgather. A
+//! key comes from its lowest-ranked holder on a node its requester has not
+//! tried (its own node always counts as tried); a copy that arrives
+//! corrupt, undecodable or not at all marks that node tried, and a key
+//! with no holder left gets the one stripe rescue or is lost. After its
+//! first chunk round a rank hashes the chunks its node holds once and
+//! requests a corrupt (quarantined) or unreadable one next round. Payloads
+//! that check out re-seed the node. One allreduce ends each round.
 //!
-//! 1. **Manifest recovery** — a rank whose node lost its manifest gets it
-//!    from the lowest-ranked other rank advertising it (every rank derives
-//!    the same assignment from one allgather, the trick the dump uses for
-//!    offsets).
-//! 2. **Chunk recovery** — one ladder for every chunk the rank cannot read
-//!    intact from its own node, in rounds over `repair::transfer`. Each round
-//!    allgathers the requests (the chunks each rank needs and the nodes it
-//!    tried, its own implied) and a have-bitmap over their union; each
-//!    chunk comes from its lowest-ranked holder on an untried node, and a
-//!    copy that arrives corrupt, or not at all, marks that node tried. One
-//!    allreduce ends each round, so rounds are bounded by holder nodes.
-//!    - *Own-node verify*: round 1 requests the chunks absent from the
-//!      node; after its transfer every present one is hashed once, and a
-//!      corrupt (quarantined) or unreadable copy is requested in round 2.
-//!    - *One stripe rescue*: a chunk with no untried holder left is rebuilt
-//!      from its Reed-Solomon stripe, if the dump coded one.
-//!
-//!    Received and rebuilt chunks are hash-checked and re-seed the node.
-//! 3. **Reassemble** — concatenate the verified bytes.
-//!
-//! `no-dedup` dumps restore the raw blob through the same owner recovery,
-//! with the same stripe rescue behind it. Every storage call here names
-//! the rank's own node; the stripe rescue's shard gather
-//! ([`replidedup_storage::Cluster::reconstruct_payload`]) is the only
-//! shared-memory read of other nodes left, and corrupt copies elsewhere
-//! are heal's to quarantine. Every rank joins every collective step even
-//! when its own restore already failed, so one lost rank can never
-//! deadlock the others.
+//! Every storage call here names the rank's own node; the stripe rescue's
+//! shard gather ([`replidedup_storage::Cluster::reconstruct_payload`]) is
+//! the only shared-memory read of other nodes left. Every rank joins every
+//! collective step even when its own restore already failed, so one lost
+//! rank can never deadlock the others.
+
+use std::cmp::Ordering;
 
 use bytes::Bytes;
 use replidedup_buf::{global_pool, record_copy, Chunk};
 use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
-use replidedup_mpi::wire::Wire;
+use replidedup_mpi::wire::{Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, CommError, Tag};
-use replidedup_storage::{DumpId, Manifest, NodeId, StorageError, StripeKey};
+use replidedup_storage::{Cluster, DumpId, Manifest, NodeId, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
 use crate::repair::{retry_read, transfer};
 
-const TAG_RESTORE_MANIFEST: Tag = 0x5250_0002;
-const TAG_RESTORE_CHUNKS: Tag = 0x5250_0003;
-const TAG_RESTORE_BLOB: Tag = 0x5250_0004;
+const TAG_RESTORE: Tag = 0x5250_0003;
 
 /// Failures of a collective restore (per rank).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,15 +108,292 @@ impl From<CommError> for RestoreError {
     }
 }
 
+/// What a restore round requests and moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Key {
+    /// A rank's recipe: its manifest, or its raw blob under `no-dedup`.
+    Owner(u32),
+    /// A dedup chunk.
+    Chunk(Fingerprint),
+}
+
+impl Wire for Key {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Key::Owner(rank) => (0u8, *rank).encode(buf),
+            Key::Chunk(fp) => (1u8, *fp).encode(buf),
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> WireResult<Self> {
+        match u8::decode(input)? {
+            0 => u32::decode(input).map(Key::Owner),
+            1 => Fingerprint::decode(input).map(Key::Chunk),
+            _ => Err(WireError::Malformed { what: "Key" }),
+        }
+    }
+}
+
+// By hand, so chunk keys sort and search as fast as bare fingerprints;
+// the derived order tests the variants first, a fifth slower at 128 ranks.
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Key::Chunk(a), Key::Chunk(b)) => a.cmp(b),
+            (Key::Owner(a), Key::Owner(b)) => a.cmp(b),
+            (Key::Owner(_), Key::Chunk(_)) => Ordering::Less,
+            (Key::Chunk(_), Key::Owner(_)) => Ordering::Greater,
+        }
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A rank's recipe, read off its own node or received.
+enum Recipe {
+    Manifest(Manifest),
+    Blob(Bytes),
+}
+
+/// The one server rule, for owner and chunk keys alike: the first of
+/// `holders` (ranks, ascending) on a node `requester` has not tried for
+/// `key`. Its own node always counts as tried; ranks on one node share a
+/// store, so a node is tried, not a rank.
+fn server(
+    key: Key,
+    requester: u32,
+    tried: &[(Key, NodeId)],
+    holders: impl IntoIterator<Item = u32>,
+    node_of: impl Fn(u32) -> NodeId,
+) -> Option<u32> {
+    let home = node_of(requester);
+    let untried = |nd: NodeId| nd != home && !tried.contains(&(key, nd));
+    holders.into_iter().find(|&s| untried(node_of(s)))
+}
+
+/// A manifest's distinct chunks: those absent from `node` to request, and
+/// those present to verify.
+fn list_chunks(cluster: &Cluster, node: NodeId, m: &Manifest) -> (Vec<Key>, Vec<Fingerprint>) {
+    let mut seen = FpHashSet::default();
+    let distinct = m.chunks.iter().copied().filter(|fp| seen.insert(*fp));
+    let (local, absent): (Vec<_>, Vec<_>) = distinct.partition(|fp| cluster.has_chunk(node, fp));
+    (absent.into_iter().map(Key::Chunk).collect(), local)
+}
+
 pub(crate) fn restore_impl(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,
     strategy: Strategy,
 ) -> Result<Chunk, RestoreError> {
-    match strategy {
-        Strategy::NoDedup => restore_blob(comm, ctx),
-        Strategy::LocalDedup | Strategy::CollDedup => restore_chunks(comm, ctx),
+    let (blobs, span) = match strategy {
+        Strategy::NoDedup => (true, "blob_recovery"),
+        Strategy::LocalDedup | Strategy::CollDedup => (false, "chunk_recovery"),
+    };
+    let me = comm.rank();
+    let (cluster, dump_id) = (ctx.cluster, ctx.dump_id);
+    let node = cluster.node_of(me);
+    comm.tracer().enter(span);
+    let mut recipe = fetch_with_retry(comm, || match strategy {
+        Strategy::NoDedup => cluster.get_blob(node, me, dump_id).map(Recipe::Blob),
+        Strategy::LocalDedup | Strategy::CollDedup => cluster
+            .get_manifest(node, me, dump_id)
+            .map(Recipe::Manifest),
+    })
+    .ok();
+    let (mut wanted, mut local) = match &recipe {
+        Some(Recipe::Manifest(m)) => list_chunks(cluster, node, m),
+        Some(Recipe::Blob(_)) => Default::default(),
+        None => (vec![Key::Owner(me)], Vec::new()),
+    };
+    let (mut tried, mut verified) = (Vec::new(), FpHashMap::default());
+    let (mut round1, mut absent, mut fetched, mut result) = (true, false, 0, None);
+    loop {
+        // This rank's request: the keys it still wants, the `(key, node)`
+        // pairs it tried, the owners its node advertises, and (round 1
+        // only) the ranks its node holds tombstoned absent.
+        let advertised = if blobs {
+            cluster.blob_owners(node, dump_id).unwrap_or_default()
+        } else {
+            cluster.manifest_owners(node, dump_id).unwrap_or_default()
+        };
+        let tombstoned = if std::mem::take(&mut round1) {
+            cluster.absent_ranks(node, dump_id).unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        let requests =
+            comm.try_allgather((wanted.clone(), tried.clone(), advertised, tombstoned))?;
+        absent |= requests.iter().any(|r| r.3.binary_search(&me).is_ok());
+        // A round in which any rank requests an owner moves owner keys
+        // only; chunk requests wait for the next round.
+        let is_owner = |k: &Key| matches!(k, Key::Owner(_));
+        let owner_round = requests.iter().flat_map(|r| &r.0).any(is_owner);
+        let moves_now = |k: &&Key| is_owner(k) == owner_round;
+        // The keys moving this round, sorted for stable indexing, and their
+        // holders: an owner's advertisers, or what the have-bitmaps say.
+        let mut union: Vec<Key> = requests
+            .iter()
+            .flat_map(|r| &r.0)
+            .filter(moves_now)
+            .copied()
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        let have: Vec<Vec<bool>> = if owner_round {
+            let holds =
+                |adv: &[u32], k: &Key| matches!(k, Key::Owner(o) if adv.binary_search(o).is_ok());
+            requests
+                .iter()
+                .map(|r| union.iter().map(|k| holds(&r.2, k)).collect())
+                .collect()
+        } else if union.is_empty() {
+            Vec::new()
+        } else {
+            let holds = |k: &Key| matches!(k, Key::Chunk(fp) if cluster.has_chunk(node, fp));
+            comm.try_allgather(union.iter().map(holds).collect::<Vec<bool>>())?
+        };
+        // Each key's lowest-ranked holder, from one pass over the bitmaps.
+        let mut lowest: Vec<Option<u32>> = vec![None; union.len()];
+        for (s, bits) in (0u32..).zip(&have) {
+            for (slot, held) in lowest.iter_mut().zip(bits) {
+                if *held && slot.is_none() {
+                    *slot = Some(s);
+                }
+            }
+        }
+        let serve = |r: u32, key: &Key, tried: &[(Key, NodeId)]| {
+            let i = union.binary_search(key).ok()?;
+            // Usually the lowest holder; the scan is for the fault paths.
+            let first = lowest.get(i).copied().flatten()?;
+            let later = (first..).zip(have.iter().skip(first as usize));
+            let holders = later.filter_map(|(s, bits)| (bits.get(i) == Some(&true)).then_some(s));
+            server(*key, r, tried, holders, |s| cluster.node_of(s))
+        };
+        // A key with no untried holder gets the stripe rescue before the
+        // transfer, so decode buffers and received frames never peak
+        // together; one it cannot rebuild is lost, and reassemble says so.
+        wanted.retain(|k| {
+            if !moves_now(&k) || serve(me, k, &tried).is_some() {
+                return true;
+            }
+            match *k {
+                Key::Chunk(fp) => {
+                    if let Some(data) = stripe_rescue(comm, ctx, StripeKey::Chunk(fp)) {
+                        verified.insert(fp, data);
+                    }
+                }
+                Key::Owner(owner) if blobs => {
+                    let key = StripeKey::Blob { owner, dump_id };
+                    recipe = stripe_rescue(comm, ctx, key).map(Recipe::Blob);
+                }
+                Key::Owner(_) => {}
+            }
+            false
+        });
+        // Only the moves naming this rank are kept: the world's list would
+        // be every rank's copy of every request.
+        let mut moves: Vec<(u32, u32, Key)> = Vec::new();
+        for (r, (keys, tried, ..)) in (0u32..).zip(&requests) {
+            for key in keys.iter().filter(moves_now) {
+                match serve(r, key, tried) {
+                    Some(s) if s == me || r == me => moves.push((s, r, *key)),
+                    _ => {}
+                }
+            }
+        }
+        // Payloads ride as zero-copy slices of the store's allocations and
+        // of the received frame; one that checks out re-seeds the node.
+        let moved = transfer(
+            comm,
+            TAG_RESTORE,
+            &moves,
+            &mut None,
+            |key| match *key {
+                Key::Chunk(fp) => cluster.get_chunk(node, &fp),
+                Key::Owner(owner) if blobs => cluster.get_blob(node, owner, dump_id),
+                Key::Owner(owner) => Ok(cluster.get_manifest(node, owner, dump_id)?.to_bytes()),
+            },
+            |key, data| {
+                let data = data.into_bytes();
+                match key {
+                    Key::Chunk(fp) => {
+                        let intact = ctx.hasher.fingerprint(&data) == fp;
+                        if intact {
+                            cluster.put_chunk(node, fp, data.clone()).ok();
+                            verified.insert(fp, data);
+                            fetched += 1;
+                        }
+                        return Some(intact);
+                    }
+                    Key::Owner(owner) if blobs => {
+                        cluster.put_blob(node, owner, dump_id, data.clone()).ok();
+                        recipe = Some(Recipe::Blob(data));
+                    }
+                    Key::Owner(_) => {
+                        let m = Manifest::from_bytes(&data).ok()?;
+                        (wanted, local) = list_chunks(cluster, node, &m);
+                        cluster.put_manifest(node, m.clone()).ok();
+                        recipe = Some(Recipe::Manifest(m));
+                    }
+                }
+                Some(true)
+            },
+        )?;
+        note_retries(comm, moved.retries);
+        // A key that arrived corrupt or undecodable, or not at all, marks
+        // its server's node tried.
+        let pending = |k: &Key| match k {
+            Key::Chunk(fp) => !verified.contains_key(fp),
+            Key::Owner(_) => recipe.is_none(),
+        };
+        let missed = moves.iter().filter(|&&(_, r, k)| r == me && pending(&k));
+        tried.extend(missed.map(|&(s, _, k)| (k, cluster.node_of(s))));
+        wanted.retain(pending);
+        // Own-node verify, once, after the first chunk round's transfer, so
+        // the hashing overlaps peers still in its collectives; an owner
+        // round would hold up the ranks waiting for their manifests. A
+        // corrupt or unreadable copy counts a replica fallback and is
+        // requested next round; a corrupt one is quarantined for good.
+        if !owner_round {
+            for fp in std::mem::take(&mut local) {
+                match fetch_with_retry(comm, || cluster.get_chunk(node, &fp)) {
+                    Ok(data) if ctx.hasher.fingerprint(&data) == fp => {
+                        verified.insert(fp, data);
+                        continue;
+                    }
+                    Ok(_) => {
+                        cluster.quarantine_chunk(node, &fp).ok();
+                    }
+                    Err(_) => {}
+                }
+                comm.tracer().counter("restore_replica_fallback", 1);
+                wanted.push(Key::Chunk(fp));
+            }
+        }
+        // ---- Step 3: reassemble, once nothing is left to fetch and before
+        // the allreduce, so the copy too overlaps peers still in a round.
+        let busy = !wanted.is_empty() || !local.is_empty();
+        if !busy && result.is_none() {
+            result = Some(match &recipe {
+                Some(Recipe::Manifest(m)) => reassemble(comm, m, &verified),
+                Some(Recipe::Blob(blob)) => Ok(Chunk::from(blob.clone())),
+                None if absent => Err(RestoreError::AbsentAtDump { rank: me, dump_id }),
+                None if blobs => Err(RestoreError::BlobLost { rank: me }),
+                None => Err(RestoreError::ManifestLost { rank: me }),
+            });
+        }
+        if !comm.try_allreduce(busy, |a, b| a || b)? {
+            break;
+        }
     }
+    comm.tracer().counter("chunks_recovered", fetched);
+    comm.tracer().exit(span);
+    // The loop ends only once nothing is wanted, so `result` is set.
+    result.unwrap_or(Err(RestoreError::ManifestLost { rank: me }))
 }
 
 /// Mark `retries` storage-read retries in the trace: a zero-length
@@ -149,82 +415,6 @@ fn fetch_with_retry<T>(
     let (out, retries) = retry_read(|d| comm.sleep(d), op);
     note_retries(comm, u64::from(retries));
     out
-}
-
-/// Deterministic service assignment shared by all ranks: each needy rank
-/// `r` is served its own recipe by the lowest-ranked advertiser other than
-/// itself, as the `(server, r, r)` move. A needy rank nobody advertises
-/// gets no move.
-fn assign_servers(needs: &[bool], holders: &[Vec<u32>]) -> Vec<(u32, u32, u32)> {
-    let world = needs.len() as u32;
-    (0..world)
-        .filter(|&r| needs[r as usize])
-        .filter_map(|r| {
-            (0..world)
-                .find(|&s| s != r && holders[s as usize].binary_search(&r).is_ok())
-                .map(|s| (s, r, r))
-        })
-        .collect()
-}
-
-/// Owner recovery, one body for both recipe formats: manifests (dedup
-/// strategies, moved encoded) and raw blobs (`no-dedup`). Collective.
-/// `need` says this rank's node lost its recipe; a needy rank receives it
-/// over [`transfer`] from the lowest other advertiser and re-seeds its
-/// node so it serves next time. Returns the received payload, if any, and
-/// whether the dump tombstoned this rank absent.
-fn recover_owned(
-    comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    blobs: bool,
-    need: bool,
-) -> Result<(Option<Bytes>, bool), CommError> {
-    let me = comm.rank();
-    let (cluster, dump_id) = (ctx.cluster, ctx.dump_id);
-    let node = cluster.node_of(me);
-    let advertised = if blobs {
-        cluster.blob_owners(node, dump_id)
-    } else {
-        cluster.manifest_owners(node, dump_id)
-    };
-    let tombstoned = cluster.absent_ranks(node, dump_id).unwrap_or_default();
-    let info = comm.try_allgather((need, advertised.unwrap_or_default(), tombstoned))?;
-    let absent = info.iter().any(|(_, _, a)| a.binary_search(&me).is_ok());
-    let needs: Vec<bool> = info.iter().map(|(need, _, _)| *need).collect();
-    let holders: Vec<Vec<u32>> = info.into_iter().map(|(_, h, _)| h).collect();
-    let tag = if blobs {
-        TAG_RESTORE_BLOB
-    } else {
-        TAG_RESTORE_MANIFEST
-    };
-    let mut received = None;
-    let moved = transfer(
-        comm,
-        tag,
-        &assign_servers(&needs, &holders),
-        &mut None,
-        |owner| {
-            if blobs {
-                cluster.get_blob(node, *owner, dump_id)
-            } else {
-                Ok(cluster.get_manifest(node, *owner, dump_id)?.to_bytes())
-            }
-        },
-        |_, data| {
-            let data = data.into_bytes();
-            if blobs {
-                cluster.put_blob(node, me, dump_id, data.clone()).ok();
-            } else {
-                cluster
-                    .put_manifest(node, Manifest::from_bytes(&data).ok()?)
-                    .ok();
-            }
-            received = Some(data);
-            Some(true)
-        },
-    )?;
-    note_retries(comm, moved.retries);
-    Ok((received, absent))
 }
 
 /// The one stripe rescue: rebuild `key`'s payload from any `k` surviving
@@ -250,204 +440,13 @@ fn stripe_rescue(comm: &mut Comm, ctx: &DumpContext<'_>, key: StripeKey) -> Opti
     Some(data)
 }
 
-fn restore_blob(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, RestoreError> {
-    let me = comm.rank();
-    let node = ctx.cluster.node_of(me);
-    comm.tracer().enter("blob_recovery");
-    let local = fetch_with_retry(comm, || ctx.cluster.get_blob(node, me, ctx.dump_id)).ok();
-    let (received, absent) = recover_owned(comm, ctx, true, local.is_none())?;
-    // No replica reached us — but a blob dumped under an `Rs` policy was
-    // striped instead of replicated, so any `k` surviving shards can
-    // still rebuild it.
-    let blob = local.or(received).or_else(|| {
-        let key = StripeKey::Blob {
-            owner: me,
-            dump_id: ctx.dump_id,
-        };
-        stripe_rescue(comm, ctx, key)
-    });
-    let result = match blob {
-        Some(b) => Ok(Chunk::from(b)),
-        None if absent => Err(RestoreError::AbsentAtDump {
-            rank: me,
-            dump_id: ctx.dump_id,
-        }),
-        None => Err(RestoreError::BlobLost { rank: me }),
-    };
-    comm.try_barrier()?;
-    comm.tracer().exit("blob_recovery");
-    result
-}
-
-/// One rank's chunk requests: the chunks it still needs, and the nodes it
-/// tried for them besides its own.
-type Requests = (Vec<Fingerprint>, Vec<(Fingerprint, NodeId)>);
-
-fn restore_chunks(comm: &mut Comm, ctx: &DumpContext<'_>) -> Result<Chunk, RestoreError> {
-    let me = comm.rank();
-    let cluster = ctx.cluster;
-    let node = cluster.node_of(me);
-
-    // ---- Step 1: manifest recovery --------------------------------------
-    comm.tracer().enter("manifest_recovery");
-    let local = fetch_with_retry(comm, || cluster.get_manifest(node, me, ctx.dump_id)).ok();
-    let (received, absent) = recover_owned(comm, ctx, false, local.is_none())?;
-    let manifest = local.or_else(|| Manifest::from_bytes(&received?).ok());
-    comm.tracer().exit("manifest_recovery");
-
-    // ---- Step 2: chunk recovery ------------------------------------------
-    comm.tracer().enter("chunk_recovery");
-    // Round 1 requests the manifest's distinct chunks absent from my node.
-    let (mut pending, mut tried): Requests = Default::default();
-    let mut local: Vec<Fingerprint> = Vec::new();
-    if let Some(m) = &manifest {
-        let mut seen = FpHashSet::default();
-        for fp in m.chunks.iter().filter(|fp| seen.insert(**fp)) {
-            if cluster.has_chunk(node, fp) {
-                local.push(*fp);
-            } else {
-                pending.push(*fp);
-            }
-        }
-    }
-    comm.tracer()
-        .counter("chunks_recovered", pending.len() as u64);
-    let mut verified: FpHashMap<Bytes> = FpHashMap::default();
-    let mut result = None;
-    loop {
-        let requests: Vec<Requests> = comm.try_allgather((pending.clone(), tried.clone()))?;
-        // Union of every requested fingerprint, sorted for stable indexing.
-        let mut union: Vec<Fingerprint> = requests.iter().flat_map(|r| &r.0).copied().collect();
-        union.sort_unstable();
-        union.dedup();
-        // Who holds what: one bit per union entry, allgathered, and each
-        // entry's lowest-ranked holder from one pass over the bitmaps.
-        let my_have: Vec<bool> = union.iter().map(|fp| cluster.has_chunk(node, fp)).collect();
-        let have: Vec<Vec<bool>> = comm.try_allgather(my_have)?;
-        let mut lowest: Vec<Option<u32>> = vec![None; union.len()];
-        for (s, bits) in (0u32..).zip(&have) {
-            for (slot, held) in lowest.iter_mut().zip(bits) {
-                if *held && slot.is_none() {
-                    *slot = Some(s);
-                }
-            }
-        }
-        // The server of rank `r`'s request for `fp`: the lowest-ranked
-        // holder on a node `r` has not tried, its own node included. Ranks
-        // on one node share a store, so a node is tried, not a rank.
-        let server = |r: u32, fp: &Fingerprint, tried: &[(Fingerprint, NodeId)]| {
-            let i = union.binary_search(fp).ok()?;
-            // Usually the lowest holder; the scan is for the fault paths.
-            let first = lowest.get(i).copied().flatten()?;
-            let later = (first..).zip(have.iter().skip(first as usize));
-            let holders = later.filter(|(_, bits)| bits.get(i) == Some(&true));
-            holders.map(|(s, _)| s).find(|&s| {
-                let nd = cluster.node_of(s);
-                nd != cluster.node_of(r) && !tried.contains(&(*fp, nd))
-            })
-        };
-        // A chunk with no untried holder gets the stripe rescue before the
-        // transfer, so decode buffers and received frames never peak
-        // together; one it cannot rebuild stays out of `verified`, and
-        // reassemble reports it lost.
-        pending.retain(|fp| {
-            if server(me, fp, &tried).is_some() {
-                return true;
-            }
-            if let Some(data) = stripe_rescue(comm, ctx, StripeKey::Chunk(*fp)) {
-                verified.insert(*fp, data);
-            }
-            false
-        });
-        // Only the moves naming this rank are kept: the world's list would
-        // be every rank's copy of every request.
-        let mut moves: Vec<(u32, u32, Fingerprint)> = Vec::new();
-        for (r, (wanted, tried)) in (0u32..).zip(&requests) {
-            for fp in wanted {
-                match server(r, fp, tried) {
-                    Some(s) if s == me || r == me => moves.push((s, r, *fp)),
-                    _ => {}
-                }
-            }
-        }
-        // Chunk bodies ride as zero-copy slices of the store's allocations
-        // and of the received frame; an intact one is written back.
-        let moved = transfer(
-            comm,
-            TAG_RESTORE_CHUNKS,
-            &moves,
-            &mut None,
-            |fp| cluster.get_chunk(node, fp),
-            |fp, data| {
-                let data = data.into_bytes();
-                let intact = ctx.hasher.fingerprint(&data) == fp;
-                if intact {
-                    cluster.put_chunk(node, fp, data.clone()).ok();
-                    verified.insert(fp, data);
-                }
-                Some(intact)
-            },
-        )?;
-        note_retries(comm, moved.retries);
-        // A chunk that arrived corrupt, or not at all, marks its server's
-        // node tried.
-        pending.retain(|fp| !verified.contains_key(fp));
-        let missed: Vec<(Fingerprint, NodeId)> = pending
-            .iter()
-            .filter_map(|fp| Some((*fp, cluster.node_of(server(me, fp, &tried)?))))
-            .collect();
-        tried.extend(missed);
-        // Own-node verify, once, after round 1's transfer so the hashing
-        // overlaps peers still in its collectives. A corrupt or unreadable
-        // copy counts a replica fallback and is requested next round; a
-        // corrupt one is quarantined so it can never be served again.
-        for fp in std::mem::take(&mut local) {
-            match fetch_with_retry(comm, || cluster.get_chunk(node, &fp)) {
-                Ok(data) if ctx.hasher.fingerprint(&data) == fp => {
-                    verified.insert(fp, data);
-                    continue;
-                }
-                Ok(_) => {
-                    cluster.quarantine_chunk(node, &fp).ok();
-                }
-                Err(_) => {}
-            }
-            comm.tracer().counter("restore_replica_fallback", 1);
-            pending.push(fp);
-        }
-        // ---- Step 3: reassemble, once nothing is left to fetch and before
-        // the allreduce, so the copy too overlaps peers still in a round.
-        if pending.is_empty() && result.is_none() {
-            result = Some(reassemble(comm, ctx, manifest.as_ref(), absent, &verified));
-        }
-        // Does any rank still have a chunk to fetch?
-        if !comm.try_allreduce(!pending.is_empty(), |a, b| a || b)? {
-            break;
-        }
-    }
-    comm.tracer().exit("chunk_recovery");
-    // The loop ends only once nothing is pending, so `result` is set.
-    result.unwrap_or_else(|| reassemble(comm, ctx, manifest.as_ref(), absent, &verified))
-}
-
-/// This rank's result: its manifest's chunks gathered from `verified`
-/// (repeat references reuse the same refcounted bytes), `ChunkLost` for
-/// one step 2 could not verify, or why there is no manifest.
+/// The manifest's chunks gathered from `verified` (repeat references
+/// reuse the same refcounted bytes), or `ChunkLost` for one not there.
 fn reassemble(
     comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    manifest: Option<&Manifest>,
-    absent: bool,
+    m: &Manifest,
     verified: &FpHashMap<Bytes>,
 ) -> Result<Chunk, RestoreError> {
-    let (rank, dump_id) = (comm.rank(), ctx.dump_id);
-    let Some(m) = manifest else {
-        return Err(if absent {
-            RestoreError::AbsentAtDump { rank, dump_id }
-        } else {
-            RestoreError::ManifestLost { rank }
-        });
-    };
     comm.tracer().enter("reassemble");
     // Pool-recycled reassembly buffer; the gather below is the one
     // unavoidable copy of a chunked restore (scattered chunks into a
@@ -474,7 +473,7 @@ mod tests {
     use crate::dump::dump_impl;
     use replidedup_buf::Chunk;
     use replidedup_hash::Sha1ChunkHasher;
-    use replidedup_mpi::WorldConfig;
+    use replidedup_mpi::{Event, EventKind, WorldConfig};
     use replidedup_storage::{Cluster, Placement};
 
     fn buffer_of(rank: u32) -> Vec<u8> {
@@ -496,7 +495,7 @@ mod tests {
         let cfg = DumpConfig::paper_defaults(strategy)
             .with_replication(k)
             .with_chunk_size(64);
-        let out = WorldConfig::default()
+        let out = WorldConfig::traced()
             .launch(n, |comm| {
                 let ctx = DumpContext {
                     cluster: &cluster,
@@ -636,23 +635,83 @@ mod tests {
     }
 
     #[test]
-    fn assign_servers_picks_lowest_and_skips_self() {
-        let needs = vec![true, false, true, false];
-        let holders = vec![
-            vec![0, 2], // rank 0 holds 0 and 2 (but needs 0 itself)
-            vec![0, 1], // rank 1 holds 0
-            vec![2],    // rank 2 holds 2 (itself, needy)
-            vec![2, 3], // rank 3 holds 2
-        ];
-        // Rank 1 is the lowest non-self holder of 0; rank 0 of 2.
-        assert_eq!(assign_servers(&needs, &holders), vec![(1, 0, 0), (0, 2, 2)]);
+    fn server_is_the_lowest_holder_off_the_requesters_node() {
+        let key = Key::Chunk(Fingerprint::synthetic(1));
+        let one_per_node = |s: u32| s;
+        assert_eq!(server(key, 0, &[], [2, 3, 5], one_per_node), Some(2));
+        assert_eq!(server(key, 2, &[], [2, 3, 5], one_per_node), Some(3));
+        // Ranks 0 and 1 share node 0: neither serves the other.
+        let packed = Placement::pack(8, 2);
+        let node_of = |s: u32| packed.node_of(s);
+        assert_eq!(server(key, 0, &[], [1, 3, 4], node_of), Some(3));
+        assert_eq!(server(Key::Owner(1), 1, &[], [0, 1, 2], node_of), Some(2));
     }
 
     #[test]
-    fn assign_servers_reports_unservable() {
-        let needs = vec![true, false];
-        let holders = vec![vec![], vec![]];
-        assert!(assign_servers(&needs, &holders).is_empty());
+    fn server_skips_tried_nodes_until_none_is_left() {
+        let (key, other) = (Key::Owner(0), Key::Owner(1));
+        let packed = Placement::pack(8, 2);
+        let node_of = |s: u32| packed.node_of(s);
+        // Node 1 (ranks 2 and 3) was tried for this key; node 2 only for
+        // another one.
+        let tried = [(key, 1), (other, 2)];
+        assert_eq!(server(key, 0, &tried, [2, 3, 4], node_of), Some(4));
+        assert_eq!(server(key, 0, &tried, [1, 2, 3], node_of), None);
+        assert_eq!(server(key, 0, &[], [], node_of), None);
+    }
+
+    /// Collectives each rank enters in one restore, as `[allgather,
+    /// allreduce, barrier]`: an owner round is one allgather and one
+    /// allreduce, a round that moves chunks adds the have-bitmap
+    /// allgather, and nothing else joins.
+    #[test]
+    fn restore_rounds_cost_their_collectives() {
+        let cases = [
+            (Strategy::CollDedup, false, [2, 1, 0]),
+            (Strategy::CollDedup, true, [3, 2, 0]),
+            (Strategy::LocalDedup, true, [3, 2, 0]),
+            (Strategy::NoDedup, false, [1, 1, 0]),
+            (Strategy::NoDedup, true, [1, 1, 0]),
+        ];
+        for (strategy, wipe, want) in cases {
+            let results = dump_then(
+                4,
+                strategy,
+                3,
+                |cluster| {
+                    if wipe {
+                        cluster.fail_node(1);
+                        cluster.revive_node(1);
+                    }
+                },
+                |comm, ctx| {
+                    comm.take_trace_events();
+                    let restored = restore_impl(comm, ctx, strategy).map(Vec::from);
+                    let events = comm.take_trace_events();
+                    let entered = |name: &str| {
+                        let hit = |e: &&Event| e.name == name && e.kind == EventKind::Enter;
+                        events.iter().filter(hit).count()
+                    };
+                    let counts = ["coll_allgather", "coll_allreduce", "coll_barrier"].map(entered);
+                    let fetched = events.iter().any(|e| {
+                        e.name == "chunks_recovered"
+                            && matches!(e.kind, EventKind::Counter(n) if n > 0)
+                    });
+                    (comm.rank(), restored, counts, fetched)
+                },
+            );
+            let label = format!("{strategy:?}, wiped {wipe}");
+            for (rank, restored, counts, _) in &results {
+                assert_eq!(restored.as_ref().ok(), Some(&buffer_of(*rank)), "{label}");
+                assert_eq!(*counts, want, "{label}: rank {rank}");
+            }
+            if strategy == Strategy::CollDedup && !wipe {
+                assert!(
+                    results.iter().any(|r| r.3),
+                    "{label}: some chunk is fetched"
+                );
+            }
+        }
     }
 
     #[test]

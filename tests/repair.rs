@@ -599,3 +599,73 @@ fn restore_of_a_wiped_node_survives_a_failing_first_holder() {
         .unwrap_or_else(|e| panic!("wiped rank 2 restore failed: {e}"));
     assert_eq!(bytes, &bufs[2], "rank 2 restored wrong bytes");
 }
+
+/// Nodes advertising `rank`'s recipe for the dump: its manifest, or its
+/// raw blob under `no-dedup`.
+fn advertisers(cluster: &Cluster, strategy: Strategy, rank: u32) -> Vec<u32> {
+    (0..cluster.placement().nodes)
+        .filter(|&nd| {
+            let owners = match strategy {
+                Strategy::NoDedup => cluster.blob_owners(nd, DUMP),
+                _ => cluster.manifest_owners(nd, DUMP),
+            };
+            owners.is_ok_and(|o| o.contains(&rank))
+        })
+        .collect()
+}
+
+/// A recipe whose first other advertiser fails every read is served by
+/// the next one, for both recipe formats: the lowest other advertiser of
+/// a wiped rank's recipe fails, or, with two ranks per node, node 0
+/// fails, so ranks 0 and 1 cannot count on their same-node neighbour.
+/// Every rank restores byte-exactly.
+#[test]
+fn restore_serves_a_recipe_past_a_failing_advertiser() {
+    for strategy in [Strategy::CollDedup, Strategy::NoDedup] {
+        for packed in [false, true] {
+            let label = format!("{strategy:?}, packed {packed}");
+            let (n, placement) = if packed {
+                (8, Placement::pack(8, 2))
+            } else {
+                (N, Placement::one_per_node(N))
+            };
+            let cluster = Cluster::new(placement);
+            let repl = replicator(strategy, &cluster, 3);
+            let bufs = buffers(n);
+            let out = WorldConfig::default()
+                .launch(n, |comm| {
+                    repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
+                        .map(|_| ())
+                })
+                .expect_all();
+            assert!(out.results.iter().all(Result::is_ok), "{label}: dump");
+            let failing = if packed {
+                0
+            } else {
+                let first = advertisers(&cluster, strategy, 2)
+                    .into_iter()
+                    .find(|&nd| nd != 2)
+                    .expect("another advertiser");
+                cluster.fail_node(2);
+                cluster.revive_node(2);
+                first
+            };
+            cluster
+                .inject_transient(failing, u32::MAX)
+                .expect("live node");
+            let out = WorldConfig::default()
+                .with_recv_timeout(RECV_TIMEOUT)
+                .launch(n, |comm| repl.restore(comm, DUMP))
+                .expect_all();
+            for (rank, r) in out.results.iter().enumerate() {
+                let bytes = r
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{label}: rank {rank} restore failed: {e}"));
+                assert_eq!(
+                    bytes, &bufs[rank],
+                    "{label}: rank {rank} restored wrong bytes"
+                );
+            }
+        }
+    }
+}

@@ -195,7 +195,7 @@ fn traced_restore_after_node_failure_is_byte_exact_and_records_recovery_phases()
 
             let expected: &[&str] = match strategy {
                 Strategy::NoDedup => &["blob_recovery"],
-                _ => &["manifest_recovery", "chunk_recovery", "reassemble"],
+                _ => &["chunk_recovery", "reassemble"],
             };
             for (rank, (restored, events)) in out.results.iter().enumerate() {
                 assert_eq!(
