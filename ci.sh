@@ -35,10 +35,12 @@ echo "== cargo clippy (deny warnings) =="
 # All of crates/core denies clippy::unwrap_used, clippy::expect_used,
 # clippy::panic and clippy::unreachable outside tests, so dump, restore,
 # the unattended healer, sessions and every decode of peers' bytes fail
-# with typed errors, never panics. crates/mpi's window module denies the same four:
-# a dead peer or a misordered create is a CommError; only the benchmark
-# seam's three panicking twins (allowed one by one) and the documented
-# overrun check may panic.
+# with typed errors, never panics. crates/mpi's collectives, sched and
+# window modules deny the same four: a dead peer, an undecodable block or
+# a misordered create is a CommError, a failed rank-thread spawn an Err
+# result; only the benchmark seam's six panicking twins (allowed one by
+# one), the documented overrun check and sched::spawn's one expect may
+# panic.
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo doc (deny warnings) =="

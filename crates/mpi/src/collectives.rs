@@ -10,7 +10,8 @@
 //! * barrier — dissemination (⌈log₂ N⌉ rounds),
 //! * allreduce — recursive doubling with pre/post folding for
 //!   non-power-of-two worlds,
-//! * allgather — ring (exact N-1 steps, bandwidth-optimal).
+//! * allgather — Bruck (⌈log₂ N⌉ rounds of one frame each; every rank
+//!   still sends N - 1 blocks, the bytes a ring allgather sends).
 //!
 //! All internal messages are tagged under the reserved tag space and
 //! namespaced by the per-rank collective sequence number, so a collective
@@ -30,7 +31,7 @@ use bytes::Bytes;
 use crate::comm::{Comm, Rank};
 use crate::fault::CommError;
 use crate::stats::Transport;
-use crate::wire::Wire;
+use crate::wire::{Frame, Wire, WireError};
 
 /// Allreduce round of the unfold step, which hands the result back to the
 /// ranks folded in before recursive doubling. Doubling rounds count up
@@ -46,6 +47,7 @@ impl Comm {
     /// Block until every rank has entered the barrier. Kept for the
     /// benchmark seam (`benchmark/src/sut.rs`); library code uses
     /// [`Comm::try_barrier`].
+    #[allow(clippy::panic, reason = "benchmark seam")]
     pub fn barrier(&mut self) {
         self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
     }
@@ -66,6 +68,7 @@ impl Comm {
     /// in this module for algorithm and determinism guarantees. Kept for
     /// the benchmark seam (`benchmark/src/sut.rs`); the mini-apps' dot
     /// products call it too.
+    #[allow(clippy::panic, reason = "benchmark seam")]
     pub fn allreduce<T, F>(&mut self, value: T, op: F) -> T
     where
         T: Wire,
@@ -94,6 +97,7 @@ impl Comm {
     /// All-gather: every rank contributes one value and receives the full
     /// rank-ordered vector. Kept for the benchmark seam
     /// (`benchmark/src/sut.rs`).
+    #[allow(clippy::panic, reason = "benchmark seam")]
     pub fn allgather<T: Wire>(&mut self, value: T) -> Vec<T> {
         self.try_allgather(value).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -205,8 +209,12 @@ impl Comm {
     }
 
     /// All-gather: every rank contributes one value and receives the full
-    /// rank-ordered vector. Ring algorithm: N-1 steps, each rank forwards
-    /// the block it received in the previous step.
+    /// rank-ordered vector. Bruck's algorithm: `held[i]` is the block that
+    /// started at rank `me + i`, and in round `r` (`d = 2^r`) a rank sends
+    /// its first `min(d, N - d)` blocks to `me - d` and appends the ones
+    /// `me + d` sends it. That is ⌈log₂ N⌉ rounds of one frame each, one
+    /// zero-copy segment per block with no length headers, so the world
+    /// sends (N - 1) · Σ|block| bytes, as a ring allgather does.
     fn allgather_impl<T: Wire>(
         &mut self,
         value: T,
@@ -215,32 +223,39 @@ impl Comm {
     ) -> Result<Vec<T>, CommError> {
         let n = self.size();
         let me = self.rank();
-        let mut blocks: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
-        blocks[me as usize] = Some(value.to_bytes());
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        for step in 0..n - 1 {
-            // Past 2^16 ranks the step wraps within this collective's own
-            // tag space; each rank receives only from `left`, whose
-            // messages arrive in order, so no step takes another's block.
-            let tag = Self::coll_tag(seq, step as u16);
-            // Forward the block that originated at rank (me - step).
-            let origin_out = ((me + n - step) % n) as usize;
-            let payload = blocks[origin_out]
-                .clone()
-                .expect("block to forward is present by induction");
-            self.try_send_raw(right, tag, payload, Transport::Collective)?;
-            let origin_in = ((me + n - step - 1) % n) as usize;
-            let incoming = self.try_recv_raw_guarded(left, tag, Transport::Collective, epoch)?;
-            blocks[origin_in] = Some(incoming);
+        let mut held = Vec::with_capacity(n as usize);
+        held.push(value.to_bytes());
+        let mut round = 0u16;
+        let mut dist = 1u32;
+        while dist < n {
+            let count = dist.min(n - dist) as usize;
+            let (dst, src) = ((me + n - dist) % n, (me + dist) % n);
+            let tag = Self::coll_tag(seq, round);
+            let mut frame = Frame::new();
+            for block in &held[..count] {
+                frame.push(block.clone());
+            }
+            self.try_send_frame_raw(dst, tag, frame, Transport::Collective)?;
+            let segments = self
+                .try_recv_frame_guarded(src, tag, Transport::Collective, epoch)?
+                .into_segments();
+            if segments.len() != count {
+                return Err(CommError::Undecodable {
+                    rank: me,
+                    peer: src,
+                    error: WireError::Malformed {
+                        what: "allgather round frame",
+                    },
+                });
+            }
+            held.extend(segments);
+            round += 1;
+            dist <<= 1;
         }
-        blocks
-            .into_iter()
-            .zip(0..)
-            .map(|(block, origin)| {
-                let bytes = block.expect("ring completed: every block present");
-                decode(&bytes, me, origin)
-            })
+        // `held` is rotated by `me`; decode in rank order so the lowest
+        // undecodable origin is the one reported.
+        (0..n)
+            .map(|origin| decode(&held[((origin + n - me) % n) as usize], me, origin))
             .collect()
     }
 }
@@ -250,7 +265,8 @@ mod tests {
     use super::UNFOLD_ROUND;
     use crate::comm::{Comm, WorldConfig};
     use crate::fault::{CommError, FaultPlan, FaultTrigger};
-    use crate::wire::{Wire, WireError, WireResult};
+    use crate::stats::Transport;
+    use crate::wire::{Frame, Wire, WireError, WireResult};
     use std::collections::HashSet;
     use std::time::Duration;
 
@@ -304,8 +320,8 @@ mod tests {
             })
             .expect_all();
         for (me, reduced, gathered, received) in out.results {
-            // The first recursive-doubling partner is `me ^ 1`; a ring
-            // decodes its blocks in rank order, starting at rank 0.
+            // The first recursive-doubling partner is `me ^ 1`; the
+            // allgather decodes its blocks in rank order, from rank 0.
             assert_eq!(
                 reduced,
                 Some(CommError::Undecodable {
@@ -432,6 +448,93 @@ mod tests {
         }
     }
 
+    /// Encodes as its bare bytes, with no length prefix, so an empty
+    /// block is an empty segment on the wire.
+    #[derive(Debug, PartialEq)]
+    struct Raw(Vec<u8>);
+
+    impl Wire for Raw {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0);
+        }
+
+        fn decode(input: &mut &[u8]) -> WireResult<Self> {
+            Ok(Raw(std::mem::take(input).to_vec()))
+        }
+    }
+
+    /// Rank `r`'s block: sizes 0, 2, 4, 1, 3 repeating, so every world
+    /// past one rank mixes sizes and rank 0's block is empty.
+    fn block(rank: u32) -> Raw {
+        Raw(vec![rank as u8; (rank as usize * 7) % 5])
+    }
+
+    #[test]
+    fn allgather_is_log_depth_and_sends_the_rings_bytes() {
+        let worlds = [1u32, 2, 3, 5, 7, 8, 13, 16]
+            .map(|n| (n, WorldConfig::default()))
+            .into_iter()
+            .chain([(128, WorldConfig::default().with_workers(2))]);
+        for (n, config) in worlds {
+            let out = config
+                .launch(n, |comm| {
+                    let before = comm.traffic().msgs_sent;
+                    let all = comm.allgather(block(comm.rank()));
+                    (all, comm.traffic().msgs_sent - before)
+                })
+                .expect_all();
+            let expect: Vec<Raw> = (0..n).map(block).collect();
+            let rounds = u64::from(n.next_power_of_two().trailing_zeros());
+            for (rank, (all, msgs)) in out.results.iter().enumerate() {
+                assert_eq!(*all, expect, "n={n} rank {rank}: blocks out of rank order");
+                assert_eq!(
+                    *msgs, rounds,
+                    "n={n} rank {rank}: not one message per round"
+                );
+            }
+            let total: u64 = expect.iter().map(|b| b.0.len() as u64).sum();
+            let sent: u64 = out.traffic.ranks.iter().map(|t| t.coll_sent).sum();
+            assert_eq!(
+                sent,
+                u64::from(n - 1) * total,
+                "n={n}: not the ring's bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_round_frame_with_the_wrong_segment_count_is_undecodable() {
+        let out = WorldConfig::default()
+            .with_recv_timeout(Duration::from_secs(2))
+            .launch(2, |comm| {
+                if comm.rank() == 0 {
+                    return comm.try_allgather(0u32).err();
+                }
+                // Round 0 of a two-rank allgather carries one block; send
+                // rank 0 a frame of two in its place.
+                let tag = Comm::coll_tag(comm.op_seq + 1, 0);
+                let mut frame = Frame::new();
+                frame.push(1u32.to_bytes());
+                frame.push(2u32.to_bytes());
+                comm.try_send_frame_raw(0, tag, frame, Transport::Collective)
+                    .err()
+            })
+            .expect_all();
+        assert_eq!(
+            out.results,
+            vec![
+                Some(CommError::Undecodable {
+                    rank: 0,
+                    peer: 1,
+                    error: WireError::Malformed {
+                        what: "allgather round frame",
+                    },
+                }),
+                None,
+            ]
+        );
+    }
+
     #[test]
     fn collectives_compose_in_sequence() {
         // Back-to-back collectives must not steal each other's messages.
@@ -490,6 +593,33 @@ mod tests {
                 Some(&Err(CommError::RankFailed { rank: 2 })),
                 "rank {rank}"
             );
+        }
+    }
+
+    #[test]
+    fn allgather_fails_typed_when_a_rank_dies_mid_operation() {
+        // Non-power-of-two worlds, where Bruck's last round is partial:
+        // every survivor fails the allgather and then the next
+        // collective's entry guard, and none hangs.
+        for (n, victim) in [(5u32, 2u32), (7, 4)] {
+            let plan =
+                FaultPlan::new(13).crash(victim, FaultTrigger::PhaseStart("coll_allgather".into()));
+            let out = fault_config(plan).launch(n, |comm| {
+                let gathered = comm.try_allgather(comm.rank()).map(drop);
+                (gathered, comm.try_barrier())
+            });
+            assert_eq!(out.crashed_ranks(), vec![victim], "n={n}");
+            let failed = || Err(CommError::RankFailed { rank: victim });
+            for (rank, o) in out.outcomes.iter().enumerate() {
+                if rank as u32 == victim {
+                    continue;
+                }
+                assert_eq!(
+                    o.as_completed(),
+                    Some(&(failed(), failed())),
+                    "n={n} rank {rank}"
+                );
+            }
         }
     }
 

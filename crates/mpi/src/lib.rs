@@ -35,15 +35,30 @@
 //! assert!(out.results.iter().all(|&s| s == 6));
 //! ```
 
+// Collectives, the scheduler and the exchange phase's windows sit under
+// dump's typed-error contract: a dead peer, an undecodable block, a
+// misordered create or a failed thread spawn is a `CommError` or an `Err`
+// result, never a panic. The benchmark seam's panicking twins, the
+// overrun check and `sched::spawn` are the allowed exceptions, each
+// allowed where it stands. `clippy.toml` still lets test code
+// unwrap/expect.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod collectives;
 pub mod comm;
 pub mod fault;
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 pub mod sched;
 pub mod stats;
-// The exchange phase's windows sit under dump's typed-error contract: a
-// dead peer or a misordered create is a `CommError`, never a panic. The
-// benchmark seam's panicking twins and the overrun check are the allowed
-// exceptions. `clippy.toml` still lets test code unwrap/expect.
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,

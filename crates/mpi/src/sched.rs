@@ -24,7 +24,7 @@
 //! session) go through [`spawn`].
 
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Counting semaphore over worker slots. Plain `Mutex` + `Condvar`: slot
 /// transitions happen only at blocking edges, so this is never on a
@@ -45,16 +45,19 @@ impl Gate {
         }
     }
 
+    // A poisoned lock is recovered, not propagated: every holder only adds
+    // or subtracts one, so the count stays consistent across a panic.
     fn acquire(&self) {
-        let mut running = self.running.lock().expect("scheduler gate poisoned");
-        while *running >= self.capacity {
-            running = self.wakeup.wait(running).expect("scheduler gate poisoned");
-        }
+        let running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut running = self
+            .wakeup
+            .wait_while(running, |running| *running >= self.capacity)
+            .unwrap_or_else(PoisonError::into_inner);
         *running += 1;
     }
 
     fn release(&self) {
-        let mut running = self.running.lock().expect("scheduler gate poisoned");
+        let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(*running > 0, "slot released twice");
         *running = running.saturating_sub(1);
         drop(running);
@@ -124,7 +127,9 @@ impl SchedSlot {
 /// which are runnable at once (`None` = unbounded, thread-per-rank). Each
 /// closure receives the [`SchedSlot`] it must park through at blocking
 /// edges. Returns per-task join results in task order; panics are carried
-/// as `Err` payloads exactly as `JoinHandle::join` reports them.
+/// as `Err` payloads exactly as `JoinHandle::join` reports them, and a
+/// thread that could not be spawned as an `Err` holding the spawn error's
+/// message (a `String`).
 #[allow(
     clippy::disallowed_methods,
     reason = "the scheduler is the one owner of rank threads"
@@ -154,10 +159,16 @@ where
                             task(slot.clone())
                         }
                     })
-                    .expect("spawn task thread")
             })
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(i, spawned)| match spawned {
+                Ok(handle) => handle.join(),
+                Err(e) => Err(Box::new(format!("spawn {name_prefix}-{i}: {e}")) as _),
+            })
+            .collect()
     })
 }
 
@@ -167,6 +178,10 @@ where
 #[allow(
     clippy::disallowed_methods,
     reason = "the scheduler is the one owner of background threads"
+)]
+#[allow(
+    clippy::expect_used,
+    reason = "keeps its `JoinHandle` signature: a failed spawn has no `Err` to travel in"
 )]
 pub fn spawn<T, F>(name: &str, f: F) -> std::thread::JoinHandle<T>
 where
@@ -264,6 +279,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::panic, reason = "the task under test panics")]
     fn panicking_task_releases_its_slot() {
         // 1 worker; the first task panics while holding the slot. The
         // remaining tasks must still run to completion.
@@ -275,6 +291,26 @@ mod tests {
         let out = run_tasks("crash", NonZeroUsize::new(1), tasks);
         assert!(out[0].is_err());
         assert!(out[1..].iter().all(|r| r.is_ok()));
+    }
+
+    #[test]
+    fn a_poisoned_gate_keeps_its_count() {
+        let gate = Gate::new(1);
+        gate.acquire();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = gate.running.lock().unwrap();
+            std::panic::resume_unwind(Box::new("poison the gate"));
+        }));
+        assert!(unwound.is_err() && gate.running.is_poisoned());
+        // With one slot, a count that drifted would block the second
+        // acquire forever.
+        gate.release();
+        gate.acquire();
+        assert_eq!(
+            *gate.running.lock().unwrap_or_else(PoisonError::into_inner),
+            1
+        );
+        gate.release();
     }
 
     #[test]

@@ -337,6 +337,11 @@ impl Frame {
         self.segments.iter().all(Bytes::is_empty)
     }
 
+    /// The segments, in order and exactly as pushed (empty ones kept).
+    pub(crate) fn into_segments(self) -> Vec<Bytes> {
+        self.segments
+    }
+
     /// Flatten into one contiguous [`Bytes`]. Zero-copy when the frame has
     /// at most one segment; otherwise the segments are coalesced into a
     /// fresh buffer and the memcpy is recorded against the copy accounting
