@@ -1,19 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI gate: format, lints, build, tests. Mirrors
 # .github/workflows/ci.yml so "ci.sh passes" == "CI is green".
-#
-#   ./ci.sh         the full gate
-#   ./ci.sh drill   the full recovery-drill matrix only (all five
-#                   scenarios x strategies x policies; tier-1 runs the
-#                   smoke drill subset as a unit test of drill.rs)
 set -euo pipefail
 cd "$(dirname "$0")"
-
-if [[ "${1:-}" == "drill" ]]; then
-  echo "== repro --drill all (full recovery-drill matrix) =="
-  cargo run --release -p replidedup-bench --bin repro -- --drill all
-  exit 0
-fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -24,23 +13,8 @@ echo "== cargo clippy (deny warnings) =="
 # std::thread::sleep, so every rank sleeps through Comm::sleep (which
 # parks its worker slot), unless a site carries an
 # #[allow(clippy::disallowed_methods, reason = "...")].
-# Also the panic-free / unsafe gate, crate by crate: crates/hash denies
-# unsafe_code, unsafe_op_in_unsafe_fn, clippy::unwrap_used,
-# clippy::expect_used and clippy::undocumented_unsafe_blocks outside
-# tests (clippy.toml allow-*-in-tests); its one unsafe site, the SHA-NI
-# kernel, is allowed per module and carries SAFETY comments. crates/ec
-# denies the same plus clippy::panic and clippy::unreachable, so RS
-# decode/reconstruct surface every failure as a typed EcError against
-# corrupt or incomplete shards; its one unsafe site is the AVX2 kernel.
-# All of crates/core denies clippy::unwrap_used, clippy::expect_used,
-# clippy::panic and clippy::unreachable outside tests, so dump, restore,
-# the unattended healer, sessions and every decode of peers' bytes fail
-# with typed errors, never panics. crates/mpi's collectives, sched and
-# window modules deny the same four: a dead peer, an undecodable block or
-# a misordered create is a CommError, a failed rank-thread spawn an Err
-# result; only the benchmark seam's six panicking twins (allowed one by
-# one), the documented overrun check and sched::spawn's one expect may
-# panic.
+# Also the panic-free / unsafe gate: each crate states its lints once,
+# in the #![deny] of its src/lib.rs and the comment above it.
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo doc (deny warnings) =="

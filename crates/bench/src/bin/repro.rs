@@ -4,7 +4,7 @@
 //! cargo run -p replidedup-bench --release --bin repro -- [exp...] [--scale S] [--out DIR]
 //!
 //!   exp         one or more of: fig2 fig3a fig3b fig3c tab1 fig4 fig5 all
-//!               (default: all)
+//!               (default: all; any other name exits 2)
 //!   --scale     process-count scale factor (1.0 = paper's 408-rank worlds;
 //!               default 1.0; use e.g. 0.25 for a quick pass)
 //!   --out       CSV output directory (default: results)
@@ -30,12 +30,6 @@
 //!               cross-check measured replication + parity traffic against
 //!               the sim cost model, print the table and write ranks.csv;
 //!               exits non-zero if any point falls outside the sim band
-//!   --drill SCENARIO  scripted recovery drill: inject the scenario's
-//!               damage, heal in the background while a foreground dump
-//!               runs, verify both generations byte-exactly (repeatable;
-//!               SCENARIO = node-loss | healer-crash | dump-crash |
-//!               corruption | gc-pressure | all; exits non-zero if any
-//!               drill fails to converge or verify)
 //! ```
 //!
 //! Absolute times come from the Shamrock cost model fed with measured
@@ -44,10 +38,14 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use replidedup_bench::drill::DrillScenario;
 use replidedup_bench::experiments as exp;
 use replidedup_bench::report;
 use replidedup_bench::workloads::AppKind;
+
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: [&str; 8] = [
+    "fig2", "fig3a", "fig3b", "fig3c", "tab1", "fig4", "fig5", "all",
+];
 
 struct Args {
     exps: Vec<String>,
@@ -58,7 +56,6 @@ struct Args {
     fail_nodes: Vec<u32>,
     repair: bool,
     scrub: bool,
-    drills: Vec<String>,
     ranks: Option<u32>,
 }
 
@@ -71,7 +68,6 @@ fn parse_args() -> Args {
     let mut fail_nodes = Vec::new();
     let mut repair = false;
     let mut scrub = false;
-    let mut drills = Vec::new();
     let mut ranks = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -105,12 +101,6 @@ fn parse_args() -> Args {
             }
             "--repair" => repair = true,
             "--scrub" => scrub = true,
-            "--drill" => {
-                drills.push(
-                    it.next()
-                        .unwrap_or_else(|| die("--drill needs a scenario name or \"all\"")),
-                );
-            }
             "--ranks" => {
                 ranks = Some(
                     it.next()
@@ -121,25 +111,23 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [fig2|fig3a|fig3b|fig3c|tab1|fig4|fig5|all]... \
+                    "usage: repro [{}]... \
                      [--scale S] [--out DIR] [--trace-out PATH] [--fault-plan SEED[:SPEC]] \
-                     [--fail-node N]... [--scrub] [--repair] \
-                     [--drill SCENARIO]... \
-                     [--ranks N]"
+                     [--fail-node N]... [--scrub] [--repair] [--ranks N]",
+                    EXPERIMENTS.join("|")
                 );
                 std::process::exit(0);
             }
-            other if !other.starts_with('-') => exps.push(other.to_string()),
+            other if EXPERIMENTS.contains(&other) => exps.push(other.to_string()),
+            other if !other.starts_with('-') => die(&format!(
+                "unknown experiment {other} (valid: {})",
+                EXPERIMENTS.join(", ")
+            )),
             other => die(&format!("unknown flag {other}")),
         }
     }
     let healing = !fail_nodes.is_empty() || repair || scrub;
-    if exps.is_empty()
-        && trace_out.is_none()
-        && fault_plan.is_none()
-        && !healing
-        && drills.is_empty()
-        && ranks.is_none()
+    if exps.is_empty() && trace_out.is_none() && fault_plan.is_none() && !healing && ranks.is_none()
     {
         exps.push("all".to_string());
     }
@@ -155,81 +143,7 @@ fn parse_args() -> Args {
         fail_nodes,
         repair,
         scrub,
-        drills,
         ranks,
-    }
-}
-
-/// Render the drill rows as the recovery table.
-fn print_drill_table(rows: &[DrillScenario]) {
-    let mut t = report::Table::new(&[
-        "scenario",
-        "strategy",
-        "policy",
-        "recovery (ms)",
-        "healed",
-        "steps",
-        "fg slowdown",
-        "converged",
-        "restore",
-    ]);
-    for d in rows {
-        t.row(vec![
-            d.scenario.clone(),
-            d.strategy.clone(),
-            d.policy.clone(),
-            format!("{:.1}", d.recovery_ms),
-            report::human_bytes(d.heal_bytes as f64),
-            d.heal_steps.to_string(),
-            format!("{:.2}x", d.foreground_slowdown),
-            if d.converged { "yes" } else { "NO" }.into(),
-            if d.restore_verified {
-                "byte-exact"
-            } else {
-                "FAILED"
-            }
-            .into(),
-        ]);
-    }
-    println!("{}", t.render());
-}
-
-/// Run scripted recovery drills (see `drill::DRILL_SCENARIOS`), print
-/// the recovery table, and exit non-zero if any drill failed to converge
-/// or verify. `--drill all` sweeps the full matrix.
-fn run_drills(specs: &[String]) {
-    use replidedup_bench::drill::{run_drill, run_drill_matrix, DRILL_NOISE_BAND, DRILL_SCENARIOS};
-
-    const RANKS: u32 = 8;
-    println!("== recovery drills: fail -> heal under live dump -> verify ({RANKS} ranks) ==");
-    let rows = if specs.iter().any(|s| s == "all") {
-        run_drill_matrix(RANKS)
-    } else {
-        let mut rows = Vec::new();
-        for spec in specs {
-            rows.extend(run_drill(RANKS, spec).unwrap_or_else(|| {
-                die(&format!(
-                    "--drill {spec}: unknown scenario (valid: {}, all)",
-                    DRILL_SCENARIOS.join(", ")
-                ))
-            }));
-        }
-        rows
-    };
-    print_drill_table(&rows);
-    let noisy = rows
-        .iter()
-        .filter(|d| d.foreground_slowdown > DRILL_NOISE_BAND)
-        .count();
-    println!(
-        "{} drills, {noisy} with foreground slowdown beyond the {DRILL_NOISE_BAND:.1}x noise band",
-        rows.len()
-    );
-    if let Some(bad) = rows.iter().find(|d| !d.converged || !d.restore_verified) {
-        die(&format!(
-            "drill {} {} {} did not recover (converged={}, restore_verified={})",
-            bad.scenario, bad.strategy, bad.policy, bad.converged, bad.restore_verified
-        ));
     }
 }
 
@@ -499,9 +413,6 @@ fn main() {
     }
     if !args.fail_nodes.is_empty() || args.repair || args.scrub {
         run_heal_demo(&args.fail_nodes, args.scrub, args.repair);
-    }
-    if !args.drills.is_empty() {
-        run_drills(&args.drills);
     }
     if let Some(max) = args.ranks {
         run_ranks_sweep(max, &args.out);

@@ -167,15 +167,6 @@ impl Default for RedundancyPolicy {
 }
 
 impl RedundancyPolicy {
-    /// Short label used in benchmark output: `rep3`, `rs4+2`, `auto4+2`.
-    pub fn label(self) -> String {
-        match self {
-            RedundancyPolicy::Replicate(k) => format!("rep{k}"),
-            RedundancyPolicy::Rs { k, m } => format!("rs{k}+{m}"),
-            RedundancyPolicy::Auto { k, m, .. } => format!("auto{k}+{m}"),
-        }
-    }
-
     /// The Reed-Solomon geometry, when the policy can code chunks.
     pub fn rs_params(self) -> Option<(u8, u8)> {
         match self {
@@ -536,9 +527,6 @@ mod tests {
 
         assert_eq!(rep.fault_tolerance(), 2);
         assert_eq!(rs.fault_tolerance(), 2);
-        assert_eq!(rep.label(), "rep3");
-        assert_eq!(rs.label(), "rs4+2");
-        assert_eq!(auto.label(), "auto4+2");
         assert_eq!(rep.rs_params(), None);
         assert_eq!(auto.rs_params(), Some((4, 2)));
     }

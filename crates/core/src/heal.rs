@@ -10,9 +10,8 @@
 //! * A [`HealCursor`] names a position inside the heal of one dump
 //!   generation: the current [`HealStage`] plus high-water marks
 //!   (`after_fp` / `after_owner`) inside the stage. The cursor is
-//!   [`Wire`]-serializable, so an operator (or a drill harness) can
-//!   persist it, kill the healer, and resume from the exact window where
-//!   it died.
+//!   [`Wire`]-serializable, so an operator (or a test) can persist it,
+//!   kill the healer, and resume from the exact window where it died.
 //! * `heal_step_impl` advances the cursor by one **bounded step**: a
 //!   window that costs **one allgather**, the window's shard rebuilds, the
 //!   transfer and a counts allreduce. In that allgather each live node's

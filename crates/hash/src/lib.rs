@@ -19,6 +19,10 @@
 //!   alternative, provided as an extension),
 //! * [`fingerprint_ranges`] — fingerprints every chunk a [`Chunker`] cut.
 
+// Hashing runs on every byte a dump fingerprints: no unwrap/expect
+// outside tests (`clippy.toml` lets test code unwrap/expect), and
+// `unsafe` only in the SHA-NI kernel, allowed per module, where every
+// block carries a `SAFETY` comment.
 #![deny(
     unsafe_code,
     unsafe_op_in_unsafe_fn,

@@ -18,7 +18,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::comm::{Rank, Tag};
@@ -458,13 +458,20 @@ impl FaultRuntime {
         let ranks = 0..self.dead.len() as u32;
         let reached = |r: Rank| self.arrivals[r as usize].load(Ordering::Acquire) >= generation;
         let deadline = Instant::now() + timeout;
-        let mut guard = self.fence_lock.lock().unwrap();
+        let mut guard = self
+            .fence_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         while !ranks.clone().all(|r| reached(r) || self.is_dead(r)) {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            guard = self.fence_cv.wait_timeout(guard, deadline - now).unwrap().0;
+            guard = self
+                .fence_cv
+                .wait_timeout(guard, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         drop(guard);
         ranks.filter(|&r| self.is_dead(r) && !reached(r)).collect()
@@ -473,7 +480,11 @@ impl FaultRuntime {
     /// Wake fence waiters. Taking the lock orders this after any waiter's
     /// check, so a state change made before the call is never missed.
     fn wake_fence(&self) {
-        drop(self.fence_lock.lock().unwrap());
+        drop(
+            self.fence_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         self.fence_cv.notify_all();
     }
 
@@ -485,7 +496,10 @@ impl FaultRuntime {
     /// the epoch bump that collectives poll.
     pub(crate) fn mark_dead(&self, rank: Rank) {
         self.dead[rank as usize].store(true, Ordering::Release);
-        self.death_log.lock().unwrap().push(rank);
+        self.death_log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(rank);
         self.epoch.fetch_add(1, Ordering::Release);
         self.wake_fence();
     }
@@ -501,7 +515,11 @@ impl FaultRuntime {
 
     /// The first death recorded after epoch snapshot `since`.
     pub(crate) fn newly_dead(&self, since: u64) -> Option<Rank> {
-        self.death_log.lock().unwrap().get(since as usize).copied()
+        self.death_log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(since as usize)
+            .copied()
     }
 
     /// All dead ranks, ascending.

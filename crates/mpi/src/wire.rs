@@ -86,6 +86,26 @@ pub trait Wire: Sized {
     /// Decode a value from the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> WireResult<Self>;
 
+    /// Append the encodings of `items`, one after another (a `Vec<Self>`
+    /// body, after its length prefix). Types whose sequence is one byte
+    /// run override this and [`Wire::decode_seq`] to move it at once.
+    fn encode_seq(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decode `len` values from the front of `input`, advancing it.
+    fn decode_seq(len: usize, input: &mut &[u8]) -> WireResult<Vec<Self>> {
+        // Guard capacity against hostile length prefixes: never reserve more
+        // than the remaining input could possibly encode (1 byte/element min).
+        let mut out = Vec::with_capacity(len.min(input.len()));
+        for _ in 0..len {
+            out.push(Self::decode(input)?);
+        }
+        Ok(out)
+    }
+
     /// Encode into a fresh, frozen buffer.
     fn to_bytes(&self) -> Bytes {
         let mut buf = Vec::new();
@@ -115,6 +135,18 @@ fn take<'a>(input: &mut &'a [u8], n: usize, what: &'static str) -> WireResult<&'
     Ok(head)
 }
 
+/// [`take`] for a length known at compile time.
+fn take_array<'a, const N: usize>(
+    input: &mut &'a [u8],
+    what: &'static str,
+) -> WireResult<&'a [u8; N]> {
+    let (head, tail) = input
+        .split_first_chunk()
+        .ok_or(WireError::Truncated { what })?;
+    *input = tail;
+    Ok(head)
+}
+
 macro_rules! wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
@@ -122,14 +154,31 @@ macro_rules! wire_int {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(input: &mut &[u8]) -> WireResult<Self> {
-                let raw = take(input, std::mem::size_of::<$t>(), stringify!($t))?;
-                Ok(<$t>::from_le_bytes(raw.try_into().unwrap()))
+                Ok(<$t>::from_le_bytes(*take_array(input, stringify!($t))?))
             }
         }
     )*};
 }
 
-wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+wire_int!(u16, u32, u64, i8, i16, i32, i64);
+
+impl Wire for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+
+    fn decode(input: &mut &[u8]) -> WireResult<Self> {
+        Ok(take_array::<1>(input, "u8")?[0])
+    }
+
+    fn encode_seq(items: &[Self], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+
+    fn decode_seq(len: usize, input: &mut &[u8]) -> WireResult<Vec<Self>> {
+        Ok(take(input, len, "u8")?.to_vec())
+    }
+}
 
 impl Wire for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -148,8 +197,7 @@ impl Wire for f64 {
     }
 
     fn decode(input: &mut &[u8]) -> WireResult<Self> {
-        let raw = take(input, 8, "f64")?;
-        Ok(f64::from_le_bytes(raw.try_into().unwrap()))
+        Ok(f64::from_le_bytes(*take_array(input, "f64")?))
     }
 }
 
@@ -159,11 +207,26 @@ impl Wire for bool {
     }
 
     fn decode(input: &mut &[u8]) -> WireResult<Self> {
-        match take(input, 1, "bool")?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed { what: "bool" }),
-        }
+        bool_of(take_array::<1>(input, "bool")?[0])
+    }
+
+    fn encode_seq(items: &[Self], buf: &mut Vec<u8>) {
+        buf.extend(items.iter().map(|&b| u8::from(b)));
+    }
+
+    fn decode_seq(len: usize, input: &mut &[u8]) -> WireResult<Vec<Self>> {
+        take(input, len, "bool")?
+            .iter()
+            .map(|&b| bool_of(b))
+            .collect()
+    }
+}
+
+fn bool_of(byte: u8) -> WireResult<bool> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::Malformed { what: "bool" }),
     }
 }
 
@@ -183,20 +246,12 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.len().encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_seq(self, buf);
     }
 
     fn decode(input: &mut &[u8]) -> WireResult<Self> {
         let len = usize::decode(input)?;
-        // Guard capacity against hostile length prefixes: never reserve more
-        // than the remaining input could possibly encode (1 byte/element min).
-        let mut out = Vec::with_capacity(len.min(input.len()));
-        for _ in 0..len {
-            out.push(T::decode(input)?);
-        }
-        Ok(out)
+        T::decode_seq(len, input)
     }
 }
 
@@ -267,8 +322,7 @@ impl<const N: usize> Wire for [u8; N] {
     }
 
     fn decode(input: &mut &[u8]) -> WireResult<Self> {
-        let raw = take(input, N, "byte array")?;
-        Ok(raw.try_into().unwrap())
+        take_array(input, "byte array").copied()
     }
 }
 
@@ -286,8 +340,7 @@ impl Wire for replidedup_hash::Fingerprint {
     }
 
     fn decode(input: &mut &[u8]) -> WireResult<Self> {
-        let raw = take(input, Self::SIZE, "Fingerprint")?;
-        Ok(Self::from_bytes(raw.try_into().unwrap()))
+        Ok(Self::from_bytes(*take_array(input, "Fingerprint")?))
     }
 }
 
@@ -347,19 +400,16 @@ impl Frame {
     /// fresh buffer and the memcpy is recorded against the copy accounting
     /// ([`replidedup_buf::record_copy`]).
     pub fn gather(mut self) -> Bytes {
-        match self.segments.len() {
-            0 => Bytes::new(),
-            1 => self.segments.pop().expect("one segment"),
-            _ => {
-                let total = self.len();
-                replidedup_buf::record_copy(total);
-                let mut out = Vec::with_capacity(total);
-                for seg in &self.segments {
-                    out.extend_from_slice(seg);
-                }
-                Bytes::from(out)
-            }
+        if self.segments.len() <= 1 {
+            return self.segments.pop().unwrap_or_default();
         }
+        let total = self.len();
+        replidedup_buf::record_copy(total);
+        let mut out = Vec::with_capacity(total);
+        for seg in &self.segments {
+            out.extend_from_slice(seg);
+        }
+        Bytes::from(out)
     }
 }
 
@@ -608,6 +658,29 @@ mod tests {
             u32::from_bytes(&bytes[..3]),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    /// The one-run `u8` and `bool` sequences keep the element-wise wire
+    /// format, and a length prefix past the input is still `Truncated`.
+    #[test]
+    fn byte_sequences_match_the_element_wise_encoding() {
+        fn check<T: Wire + PartialEq + std::fmt::Debug>(items: Vec<T>) {
+            let mut want = Vec::new();
+            items.len().encode(&mut want);
+            items.iter().for_each(|item| item.encode(&mut want));
+            assert_eq!(&items.to_bytes()[..], &want[..]);
+            assert_eq!(Vec::<T>::from_bytes(&want).unwrap(), items);
+            let hostile = [&u64::MAX.to_le_bytes()[..], &[1]].concat();
+            let err = Vec::<T>::from_bytes(&hostile);
+            assert!(matches!(err, Err(WireError::Truncated { .. })));
+        }
+        for len in [0usize, 1, 4096] {
+            check((0..len).map(|i| (i * 7) as u8).collect());
+            check((0..len).map(|i| i % 3 == 0).collect());
+        }
+        let two = [&1u64.to_le_bytes()[..], &[2]].concat();
+        let err = Vec::<bool>::from_bytes(&two);
+        assert_eq!(err, Err(WireError::Malformed { what: "bool" }));
     }
 
     #[test]

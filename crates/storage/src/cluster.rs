@@ -258,8 +258,8 @@ pub struct NodeState {
 ///
 /// `generations_collected` counts the distinct superseded dump ids that
 /// still had any on-device footprint (manifests, blobs, blob stripes or
-/// tombstones) when the sweep ran — the long-drill health metric: a
-/// healthy steady state collects every generation it supersedes, so the
+/// tombstones) when the sweep ran — a steady-state health metric: a
+/// healthy cluster collects every generation it supersedes, so the
 /// count stays bounded by the dump rate instead of growing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {

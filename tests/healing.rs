@@ -8,13 +8,14 @@
 //!    a seed-chosen number of steps, round-tripping the cursor through
 //!    its wire form and resuming heals everything — a follow-up heal
 //!    from scratch finds zero work and every rank restores byte-exactly.
-//! 2. The ISSUE's acceptance drill: a node crashes mid-dump (taking its
-//!    storage), then the healer itself is killed mid-heal (second
-//!    transfer window, via `start:heal.transfer#2`) — and a fresh healer
-//!    resumed from the last persisted cursor still converges.
+//! 2. A node crashes mid-dump (taking its storage), then the healer
+//!    itself is killed mid-heal (second transfer window, via
+//!    `start:heal.transfer#2`) — and a fresh healer resumed from the
+//!    last persisted cursor still converges.
 //! 3. Healing runs *under* live traffic: a foreground dump of a newer
-//!    generation and a background heal of an older one interleave on the
-//!    same cluster without corrupting either generation.
+//!    generation and a rate-limited background heal of an older one
+//!    interleave on the same cluster without corrupting either
+//!    generation.
 //! 4. The superseded-generation GC step reclaims old dumps without
 //!    touching chunks the surviving generation still references.
 //! 5. Heal windows are bounded per node, so the step count does not grow
@@ -22,6 +23,10 @@
 //! 6. Each window plans against the cluster as it is when the window
 //!    runs: a node wiped between two chunk windows is healed by the rest
 //!    of the same heal.
+//! 7. The scrub step quarantines rotten chunk copies and data shards,
+//!    and the heal rebuilds them.
+//!
+//! Promises 1–4 and 7 hold on every strategy × policy cell.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -30,7 +35,8 @@ use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
 use replidedup::core::{
-    HealCursor, HealOptions, HealReport, HealStage, RedundancyPolicy, Replicator, Strategy,
+    HealCursor, HealOptions, HealReport, HealStage, RateLimit, RedundancyPolicy, Replicator,
+    Strategy,
 };
 use replidedup::mpi::wire::Wire;
 use replidedup::mpi::{FaultPlan, FaultTrigger, WorldConfig};
@@ -79,9 +85,11 @@ fn replicator<'a>(
         .expect("valid config")
 }
 
-/// The bench drill's policy axis: replication, pure Reed-Solomon, and
-/// the automatic per-chunk choice — each with the node losses it
-/// tolerates by construction.
+/// The policy axis of every healing promise: replication, pure
+/// Reed-Solomon, and the automatic per-chunk choice — each with the node
+/// losses it tolerates by construction. The automatic threshold sits
+/// between the 64-byte chunks (replicated) and the sub-KiB `no-dedup`
+/// blobs (coded), so both of its branches run.
 fn policies() -> [(&'static str, RedundancyPolicy, u32); 3] {
     [
         ("rep3", RedundancyPolicy::Replicate(3), 2),
@@ -91,7 +99,7 @@ fn policies() -> [(&'static str, RedundancyPolicy, u32); 3] {
             RedundancyPolicy::Auto {
                 k: 4,
                 m: 2,
-                replicate_below: 1 << 10,
+                replicate_below: 1 << 7,
             },
             2,
         ),
@@ -186,7 +194,40 @@ proptest! {
     }
 }
 
-/// Promise 2, the ISSUE's acceptance drill: gen 2's dump crashes rank 3
+/// Run `case` on every strategy × policy cell, with the cell's name.
+fn each_cell(case: impl Fn(Strategy, RedundancyPolicy, &str)) {
+    for strategy in [Strategy::CollDedup, Strategy::NoDedup] {
+        for (label, policy, _) in policies() {
+            case(strategy, policy, &format!("{} {label}", strategy.label()));
+        }
+    }
+}
+
+/// Dump `bufs` as generation `gen` on a healthy world.
+fn dump_all(repl: &Replicator<'_>, bufs: &[Vec<u8>], gen: u64) {
+    let out = WorldConfig::default()
+        .launch(N, |comm| {
+            repl.dump(comm, gen, &bufs[comm.rank() as usize])
+                .map(|_| ())
+        })
+        .expect_all();
+    assert!(out.results.iter().all(Result::is_ok), "gen {gen} dump");
+}
+
+/// Every rank restores generation `gen` byte-exactly.
+fn assert_restores(repl: &Replicator<'_>, bufs: &[Vec<u8>], gen: u64, cell: &str) {
+    let out = WorldConfig::default()
+        .launch(N, |comm| repl.restore(comm, gen))
+        .expect_all();
+    for (rank, r) in out.results.iter().enumerate() {
+        let bytes = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{cell}: gen {gen} rank {rank} restore: {e}"));
+        assert_eq!(bytes, &bufs[rank], "{cell}: gen {gen} rank {rank} bytes");
+    }
+}
+
+/// Promise 2, on every strategy × policy: gen 2's dump crashes rank 3
 /// (its node's storage dies with it), the replacement disk comes up
 /// empty, and the healer mending gen 1 is itself killed the moment its
 /// *second* transfer window opens. The last cursor persisted before the
@@ -194,22 +235,14 @@ proptest! {
 /// healer that converges; gen 1 restores byte-exactly everywhere.
 #[test]
 fn healer_killed_mid_heal_resumes_from_persisted_cursor() {
+    each_cell(healer_killed_case);
+}
+
+fn healer_killed_case(strategy: Strategy, policy: RedundancyPolicy, cell: &str) {
     let bufs = buffers(N);
     let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
-    let repl = replicator(
-        Strategy::CollDedup,
-        &cluster,
-        RedundancyPolicy::Replicate(3),
-        small_windows(),
-    );
-
-    let out = WorldConfig::default()
-        .launch(N, |comm| {
-            repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
-                .map(|_| ())
-        })
-        .expect_all();
-    assert!(out.results.iter().all(Result::is_ok), "healthy gen 1");
+    let repl = replicator(strategy, &cluster, policy, small_windows());
+    dump_all(&repl, &bufs, DUMP);
 
     // Gen 2 dies mid-commit: rank 3 crashes and takes its node down.
     let hook = Arc::clone(&cluster);
@@ -222,7 +255,11 @@ fn healer_killed_mid_heal_resumes_from_persisted_cursor() {
     let out = config.launch(N, |comm| {
         repl.dump(comm, 2, &bufs[comm.rank() as usize]).map(|_| ())
     });
-    assert_eq!(out.crashed_ranks(), vec![3], "the dump crash must fire");
+    assert_eq!(
+        out.crashed_ranks(),
+        vec![3],
+        "{cell}: the dump crash must fire"
+    );
     for node in 0..N {
         if !cluster.is_alive(node) {
             cluster.revive_node(node); // replacement disk, empty
@@ -238,196 +275,193 @@ fn healer_killed_mid_heal_resumes_from_persisted_cursor() {
         .with_recv_timeout(Duration::from_secs(2))
         .with_faults(plan);
     let store = Arc::clone(&persisted);
-    let out = config.launch(N, move |comm| {
+    let out = config.launch(N, |comm| {
         let mut cursor = HealCursor::new(DUMP);
         let mut report = HealReport::default();
-        loop {
-            match repl.heal_step(comm, &mut cursor, &mut report) {
-                Ok(true) => {
-                    if comm.rank() == 0 {
-                        *store.lock().unwrap() = cursor.to_bytes().to_vec();
-                    }
-                }
-                Ok(false) => break, // finished before the kill landed
-                Err(_) => break,    // the kill reached this rank's step
+        // Stop at Done, or when the kill reaches this rank's step.
+        while let Ok(true) = repl.heal_step(comm, &mut cursor, &mut report) {
+            if comm.rank() == 0 {
+                *store.lock().unwrap() = cursor.to_bytes().to_vec();
             }
         }
     });
-    assert_eq!(out.crashed_ranks(), vec![4], "the healer kill must fire");
+    assert_eq!(
+        out.crashed_ranks(),
+        vec![4],
+        "{cell}: the healer kill must fire"
+    );
 
     let snapshot = persisted.lock().unwrap().clone();
-    let mut resumed = HealCursor::from_bytes(&snapshot).expect("persisted cursor decodes");
+    let resumed = HealCursor::from_bytes(&snapshot).expect("persisted cursor decodes");
     assert!(
         !resumed.is_done() && resumed.steps_taken > 0,
-        "the kill must land mid-heal: {resumed:?}"
+        "{cell}: the kill must land mid-heal: {resumed:?}"
     );
 
     // A fresh healer in a fresh world resumes from the snapshot.
-    let repl = replicator(
-        Strategy::CollDedup,
-        &cluster,
-        RedundancyPolicy::Replicate(3),
-        small_windows(),
-    );
-    let cursor0 = resumed.clone();
     let out = WorldConfig::default()
         .launch(N, |comm| {
-            let mut cursor = cursor0.clone();
+            let mut cursor = resumed.clone();
             repl.heal_from(comm, &mut cursor).map(|r| (cursor, r))
         })
         .expect_all();
     for r in &out.results {
         let (cursor, report) = r.as_ref().expect("resumed heal succeeds");
-        assert!(cursor.is_done());
+        assert!(cursor.is_done() && cursor.steps_taken > resumed.steps_taken);
         assert!(
             report.is_fully_healed(),
-            "resumed heal converges: {report:?}"
+            "{cell}: resumed heal converges: {report:?}"
         );
     }
-    resumed = out.results[0].as_ref().unwrap().0.clone();
-    assert!(resumed.steps_taken > 0);
-
-    let out = WorldConfig::default()
-        .launch(N, |comm| repl.restore(comm, DUMP))
-        .expect_all();
-    for (rank, r) in out.results.iter().enumerate() {
-        assert_eq!(
-            r.as_ref().expect("restore after resumed heal"),
-            &bufs[rank],
-            "rank {rank} restored wrong bytes"
-        );
-    }
+    assert_restores(&repl, &bufs, DUMP, cell);
 }
 
-/// Promise 3: a background heal of gen 1 and a foreground dump of gen 2
-/// run *simultaneously* — two worlds, two thread pools, one cluster —
-/// and both generations come out intact. The heal only ever considers
-/// committed gen-1 state, so the in-flight gen 2 is invisible to it.
+/// Promise 3, on every strategy × policy: a rate-limited background heal
+/// of gen 1 and a foreground dump of gen 2 run *simultaneously* — two
+/// worlds, two thread pools, one cluster — and both generations come out
+/// intact. The heal only ever considers committed gen-1 state, so the
+/// in-flight gen 2 is invisible to it.
 #[test]
 fn heal_interleaves_with_a_live_foreground_dump() {
-    let bufs = buffers(N);
-    let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
-    {
-        let repl = replicator(
-            Strategy::CollDedup,
-            &cluster,
-            RedundancyPolicy::Replicate(3),
-            small_windows(),
-        );
-        let out = WorldConfig::default()
-            .launch(N, |comm| {
-                repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
-                    .map(|_| ())
-            })
-            .expect_all();
-        assert!(out.results.iter().all(Result::is_ok));
+    each_cell(|strategy, policy, cell| {
+        // No burst allowance: every healed byte is metered.
+        let throttled = HealOptions {
+            rate: Some(RateLimit {
+                bytes_per_sec: 1 << 18,
+                burst_bytes: 0,
+            }),
+            ..small_windows()
+        };
+        let bufs = buffers(N);
+        let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
+        let repl = replicator(strategy, &cluster, policy, throttled);
+        dump_all(&repl, &bufs, DUMP);
         cluster.fail_node(5);
         cluster.revive_node(5);
-    }
 
-    let healer = {
-        let cluster = Arc::clone(&cluster);
-        replidedup::mpi::sched::spawn("bg-healer", move || {
-            let repl = replicator(
-                Strategy::CollDedup,
-                &cluster,
-                RedundancyPolicy::Replicate(3),
-                small_windows(),
-            );
-            let out = WorldConfig::default()
-                .launch(N, |comm| repl.heal(comm, DUMP))
-                .expect_all();
-            out.results
-                .into_iter()
-                .map(|r| r.expect("background heal succeeds"))
-                .collect::<Vec<_>>()
-        })
-    };
-    let dumper = {
-        let cluster = Arc::clone(&cluster);
-        let bufs = bufs.clone();
-        replidedup::mpi::sched::spawn("bg-dumper", move || {
-            let repl = replicator(
-                Strategy::CollDedup,
-                &cluster,
-                RedundancyPolicy::Replicate(3),
-                small_windows(),
-            );
-            let out = WorldConfig::default()
-                .launch(N, |comm| {
-                    repl.dump(comm, 2, &bufs[comm.rank() as usize]).map(|_| ())
-                })
-                .expect_all();
-            assert!(out.results.iter().all(Result::is_ok), "foreground dump");
-        })
-    };
-    let reports = healer.join().expect("healer thread");
-    dumper.join().expect("dumper thread");
-    assert!(reports.iter().all(HealReport::is_fully_healed));
-
-    let repl = replicator(
-        Strategy::CollDedup,
-        &cluster,
-        RedundancyPolicy::Replicate(3),
-        small_windows(),
-    );
-    for gen in [DUMP, 2] {
-        let out = WorldConfig::default()
-            .launch(N, |comm| repl.restore(comm, gen))
-            .expect_all();
-        for (rank, r) in out.results.iter().enumerate() {
-            assert_eq!(
-                r.as_ref()
-                    .unwrap_or_else(|e| panic!("gen {gen} rank {rank}: {e}")),
-                &bufs[rank],
-                "gen {gen} rank {rank} restored wrong bytes"
-            );
+        let healer = {
+            let cluster = Arc::clone(&cluster);
+            replidedup::mpi::sched::spawn("bg-healer", move || {
+                let repl = replicator(strategy, &cluster, policy, throttled);
+                let out = WorldConfig::default()
+                    .launch(N, |comm| repl.heal(comm, DUMP))
+                    .expect_all();
+                out.results
+                    .into_iter()
+                    .map(|r| r.expect("background heal succeeds"))
+                    .collect::<Vec<_>>()
+            })
+        };
+        dump_all(&repl, &bufs, 2);
+        let reports = healer.join().expect("healer thread");
+        assert!(
+            reports.iter().all(HealReport::is_fully_healed),
+            "{cell}: {reports:?}"
+        );
+        for gen in [DUMP, 2] {
+            assert_restores(&repl, &bufs, gen, cell);
         }
-    }
+    });
 }
 
-/// Promise 4: with `gc_before` set, the heal's first step collects the
-/// superseded generation — and the surviving generation still restores,
+/// Promise 4, on every strategy × policy: with `gc_before` set, the
+/// heal's first step collects the superseded generation before it mends
+/// a replaced disk — and the surviving generation still restores,
 /// proving shared content-addressed chunks were not swept with it.
 #[test]
 fn heal_gc_step_reclaims_superseded_generations_safely() {
-    let bufs = buffers(N);
-    let cluster = Cluster::new(Placement::one_per_node(N));
-    let repl = replicator(
-        Strategy::CollDedup,
-        &cluster,
-        RedundancyPolicy::Replicate(3),
-        HealOptions {
+    each_cell(|strategy, policy, cell| {
+        let bufs = buffers(N);
+        let cluster = Cluster::new(Placement::one_per_node(N));
+        let gc = HealOptions {
             gc_before: Some(2),
             ..small_windows()
-        },
-    );
-    let out = WorldConfig::default()
-        .launch(N, |comm| {
-            // Gen 1 and gen 2 share most chunks (same workload, one byte of
-            // per-generation skew via the dump id in the first chunk).
-            let mut buf = bufs[comm.rank() as usize].clone();
-            repl.dump(comm, DUMP, &buf)?;
-            buf[0] ^= 0x5A;
-            repl.dump(comm, 2, &buf)?;
-            let mut cursor = HealCursor::new(2);
-            let report = repl.heal_from(comm, &mut cursor)?;
-            repl.restore(comm, 2).map(|r| (report, Vec::from(r), buf))
-        })
-        .expect_all();
-    for (rank, r) in out.results.iter().enumerate() {
-        let (report, restored, expected) = r.as_ref().expect("heal with gc succeeds");
-        assert_eq!(report.gc.generations_collected, 1, "gen 1 swept");
-        assert!(report.is_fully_healed());
-        assert_eq!(restored, expected, "rank {rank}: gen 2 intact after gc");
-    }
-    assert_eq!(cluster.generations(), vec![2], "only gen 2 remains at rest");
+        };
+        let repl = replicator(strategy, &cluster, policy, gc);
+        // Gen 1 and gen 2 share most chunks (same workload, one byte of
+        // per-generation skew in the first chunk).
+        let gen2: Vec<Vec<u8>> = bufs
+            .iter()
+            .map(|b| [&[b[0] ^ 0x5A][..], &b[1..]].concat())
+            .collect();
+        dump_all(&repl, &bufs, DUMP);
+        dump_all(&repl, &gen2, 2);
+        cluster.fail_node(1);
+        cluster.revive_node(1); // replacement disk, empty
+
+        let out = WorldConfig::default()
+            .launch(N, |comm| repl.heal(comm, 2))
+            .expect_all();
+        for r in &out.results {
+            let report = r.as_ref().expect("heal with gc succeeds");
+            assert_eq!(report.gc.generations_collected, 1, "{cell}: gen 1 swept");
+            assert!(report.is_fully_healed(), "{cell}: {report:?}");
+        }
+        assert_eq!(cluster.generations(), vec![2], "{cell}: only gen 2 remains");
+        assert_restores(&repl, &gen2, 2, cell);
+    });
+}
+
+/// Bit-rot in place, on every strategy × policy: node 0 loses up to four
+/// chunk copies and one *data* shard (index < k) of up to two stripes.
+/// The scrub step quarantines exactly those, the heal rebuilds them (a
+/// second heal finds nothing), and every rank restores byte-exactly. A
+/// cell with nothing to rot (`no-dedup` under replication keeps whole
+/// blobs only) loses a disk instead.
+#[test]
+fn heal_scrub_quarantines_and_rebuilds_rotten_copies() {
+    each_cell(|strategy, policy, cell| {
+        let bufs = buffers(N);
+        let cluster = Cluster::new(Placement::one_per_node(N));
+        let repl = replicator(strategy, &cluster, policy, small_windows());
+        dump_all(&repl, &bufs, DUMP);
+
+        let mut chunks = 0;
+        for fp in cluster.chunk_fps(0, None, 4).unwrap() {
+            chunks += u64::from(cluster.corrupt_chunk(0, &fp).unwrap());
+        }
+        let inventory = cluster.shard_inventory(0, .., |_| true, usize::MAX);
+        let data_shards = inventory.unwrap().into_iter().filter(|(_, m)| m.index < 4);
+        let mut shards = 0;
+        for (key, meta) in data_shards.take(2) {
+            shards += u64::from(cluster.corrupt_shard(0, key, meta.index).unwrap());
+        }
+        if matches!(policy, RedundancyPolicy::Rs { .. }) {
+            assert!(shards > 0, "{cell}: a data shard rots");
+        }
+        if chunks + shards == 0 {
+            cluster.fail_node(1);
+            cluster.revive_node(1);
+        }
+
+        let out = WorldConfig::default()
+            .launch(N, |comm| {
+                let report = repl.heal(comm, DUMP)?;
+                repl.heal(comm, DUMP).map(|after| (report, after))
+            })
+            .expect_all();
+        for r in &out.results {
+            let (report, after) = r.as_ref().expect("heal succeeds");
+            assert!(report.is_fully_healed(), "{cell}: {report:?}");
+            assert_eq!(report.corrupt_quarantined, chunks, "{cell}: chunk copies");
+            assert_eq!(report.shards_quarantined, shards, "{cell}: data shards");
+            assert!(report.shards_rebuilt >= shards, "{cell}: {report:?}");
+            let work = after.corrupt_quarantined
+                + after.shards_quarantined
+                + after.chunks_healed
+                + after.shards_rebuilt
+                + after.blobs_rematerialized;
+            assert_eq!(work, 0, "{cell}: a second heal finds nothing: {after:?}");
+        }
+        assert_restores(&repl, &bufs, DUMP, cell);
+    });
 }
 
 /// Blob stripes of *other* generations are none of a heal's business: a
 /// `no-dedup` dump commits its stripe shard by shard, so a background
 /// heal of gen 1 that judged gen 2's half-written stripe would report it
-/// unrepairable (the recovery-drill flake). Gen 2's own heal still does.
+/// unrepairable (a flake once seen with a heal racing such a dump). Gen
+/// 2's own heal still does.
 #[test]
 fn heal_ignores_blob_stripes_of_other_generations() {
     let bufs = buffers(N);
@@ -581,13 +615,7 @@ fn a_node_wiped_between_chunk_windows_is_healed_past_the_cursor() {
         RedundancyPolicy::Replicate(K),
         small_windows(),
     );
-    let out = WorldConfig::default()
-        .launch(N, |comm| {
-            repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
-                .map(|_| ())
-        })
-        .expect_all();
-    assert!(out.results.iter().all(Result::is_ok));
+    dump_all(&repl, &bufs, DUMP);
     cluster.fail_node(1);
     cluster.revive_node(1); // replacement disk, empty
 

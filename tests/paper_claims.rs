@@ -257,7 +257,7 @@ fn ec_claim_rs_beats_replication_and_dedup_credit_cuts_parity() {
         let mut stored = Vec::new();
         for policy in policies {
             for strategy in [Strategy::NoDedup, Strategy::CollDedup] {
-                let cell = format!("{} {} {}", app.label(), strategy.label(), policy.label());
+                let cell = format!("{} {} {policy:?}", app.label(), strategy.label());
                 let cluster = Cluster::new(Placement::one_per_node(N));
                 let repl = Replicator::builder(strategy)
                     .with_config(DumpConfig::paper_defaults(strategy).with_policy(policy))
