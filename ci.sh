@@ -10,8 +10,8 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 # Includes the thread-spawn gate: clippy.toml disallows raw std::thread
 # spawns, so every thread goes through crates/mpi/src/sched.rs, and raw
-# std::thread::sleep, so every rank sleeps through Comm::sleep (which
-# parks its worker slot), unless a site carries an
+# std::thread::sleep, so every rank sleeps through Comm::sleep (the one
+# sanctioned sleep), unless a site carries an
 # #[allow(clippy::disallowed_methods, reason = "...")].
 # Also the panic-free / unsafe gate: each crate states its lints once,
 # in the #![deny] of its src/lib.rs and the comment above it.
@@ -35,13 +35,15 @@ echo "== cargo test (tier-1: umbrella suites + every crate) =="
 # .to_vec() in core's dump, restore, repair, heal and global sources;
 # tests/source_gates.rs fails on a dead-code allowance in the self-healing
 # and zero-copy modules, on a deprecated shim anywhere in crates/*/src or
-# tests/, and on fixed-stride chunk math (`i * chunk_size`, `* 4096`) in
-# the variable-length chunk paths.
+# tests/, on fixed-stride chunk math (`i * chunk_size`, `* 4096`) in
+# the variable-length chunk paths, and on any use of the ignored
+# WorldConfig worker setter outside its definition (the benchmark seam
+# is its one caller).
 cargo test -q
 
-echo "== ranks-smoke (128-rank dump/restore on the pooled scheduler) =="
-# One real scale point per CI run: 128 ranks multiplexed onto the worker
-# pool, all four paper strategies, every restore byte-verified and the
+echo "== ranks-smoke (128-rank dump/restore, one thread per rank) =="
+# One real scale point per CI run: 128 rank threads, all four paper
+# strategies, every restore byte-verified and the
 # measured replication + parity traffic cross-checked against the sim
 # cost model (repro exits non-zero on any out-of-band cell).
 cargo run --release -p replidedup-bench --bin repro -- \

@@ -25,7 +25,7 @@
 //!   --repair    run the collective heal, then verify that every chunk
 //!               referenced by the dump is back to K copies and the
 //!               restore is byte-exact
-//!   --ranks N   pooled-scheduler scale-out sweep: run every sweep point up
+//!   --ranks N   scale-out sweep: run every sweep point up
 //!               to N ranks (plus N itself) × the four paper strategies,
 //!               cross-check measured replication + parity traffic against
 //!               the sim cost model, print the table and write ranks.csv;
@@ -147,7 +147,7 @@ fn parse_args() -> Args {
     }
 }
 
-/// Run the pooled-scheduler scale-out sweep: every sweep point up to
+/// Run the scale-out sweep: every sweep point up to
 /// `max` ranks (plus `max` itself) × the four paper strategies, the
 /// measured replication + parity traffic cross-checked against the sim
 /// cost model. Writes `ranks.csv` and exits non-zero if any point falls
@@ -159,10 +159,7 @@ fn run_ranks_sweep(max: u32, out: &std::path::Path) {
         .filter(|&p| p <= max)
         .chain((!exp::RANKS_SWEEP_POINTS.contains(&max)).then_some(max))
         .collect();
-    println!(
-        "== pooled-scheduler ranks sweep: {points:?} ranks x 4 strategies, {} workers ==",
-        exp::default_sweep_workers()
-    );
+    println!("== ranks sweep: {points:?} ranks x 4 strategies, one thread per rank ==");
     let rows = exp::ranks_sweep(&points);
     let t = report::ranks_table(&rows);
     println!("{}", t.render());

@@ -11,7 +11,6 @@
 //! CSV writers serialize, so integration tests can assert the paper's
 //! qualitative claims (who wins, by roughly what factor) directly.
 
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use replidedup_apps::SyntheticWorkload;
@@ -416,7 +415,7 @@ pub fn fig_shuffle(app: AppKind, proc_scale: f64) -> Vec<FigShuffleRow> {
 }
 
 // ------------------------------------------------------------------
-// Ranks sweep — pooled scheduler scale-out, validated against the model
+// Ranks sweep — thread-per-rank scale-out, validated against the model
 // ------------------------------------------------------------------
 
 /// World sizes of the scale-out sweep: small sanity points, the paper's
@@ -447,8 +446,6 @@ pub struct RanksRow {
     pub ranks: u32,
     /// Strategy label (paper naming, incl. `coll-no-shuffle`).
     pub strategy: String,
-    /// Worker-pool slots the scheduler multiplexed the ranks onto.
-    pub workers: usize,
     /// Wall-clock seconds of the in-process dump collective.
     pub wall_seconds: f64,
     /// Transport-layer wire bytes: point-to-point sends plus RMA puts,
@@ -501,16 +498,7 @@ pub fn ranks_sweep_config(strategy: Strategy, shuffle: bool) -> DumpConfig {
         })
 }
 
-/// Default worker-pool width for the sweep: the host's parallelism, but
-/// at least 4 so even single-core CI runs exercise real cross-worker
-/// multiplexing (park points make oversubscription safe either way).
-pub fn default_sweep_workers() -> usize {
-    std::thread::available_parallelism()
-        .map_or(4, NonZeroUsize::get)
-        .max(4)
-}
-
-/// Run one `(ranks, strategy)` cell of the sweep on a pooled scheduler.
+/// Run one `(ranks, strategy)` cell of the sweep, one thread per rank.
 pub fn ranks_run(ranks: u32, label: &str, strategy: Strategy, shuffle: bool) -> RanksRow {
     let cfg = ranks_sweep_config(strategy, shuffle);
     let buffers: Vec<Vec<u8>> = {
@@ -524,8 +512,7 @@ pub fn ranks_run(ranks: u32, label: &str, strategy: Strategy, shuffle: bool) -> 
         .hasher(&Sha1ChunkHasher)
         .build()
         .expect("sweep configs are valid");
-    let workers = default_sweep_workers();
-    let world = WorldConfig::default().with_workers(workers);
+    let world = WorldConfig::default();
     let t0 = Instant::now();
     let out = world
         .launch(ranks, |comm| {
@@ -543,7 +530,7 @@ pub fn ranks_run(ranks: u32, label: &str, strategy: Strategy, shuffle: bool) -> 
         .sum();
     let measured_parity_bytes = cluster.total_parity_bytes();
 
-    // Every sweep cell proves itself: a pooled restore must hand every
+    // Every sweep cell proves itself: a restore must hand every
     // rank its bytes back exactly (outside the timed window).
     let restored = world
         .launch(ranks, |comm| {
@@ -553,7 +540,7 @@ pub fn ranks_run(ranks: u32, label: &str, strategy: Strategy, shuffle: bool) -> 
     for (rank, bytes) in restored.results.iter().enumerate() {
         assert!(
             *bytes == buffers[rank],
-            "{label} at {ranks} ranks: rank {rank} restored wrong bytes on the pooled scheduler"
+            "{label} at {ranks} ranks: rank {rank} restored wrong bytes"
         );
     }
 
@@ -564,7 +551,6 @@ pub fn ranks_run(ranks: u32, label: &str, strategy: Strategy, shuffle: bool) -> 
     RanksRow {
         ranks,
         strategy: label.to_string(),
-        workers,
         wall_seconds,
         measured_wire_bytes,
         measured_parity_bytes,
@@ -585,7 +571,7 @@ pub fn ranks_run(ranks: u32, label: &str, strategy: Strategy, shuffle: bool) -> 
 }
 
 /// The full scale-out sweep: every strategy setting at every point of
-/// `points`, each run multiplexed onto the pooled scheduler.
+/// `points`.
 pub fn ranks_sweep(points: &[u32]) -> Vec<RanksRow> {
     points
         .iter()

@@ -234,14 +234,13 @@ pub fn fig_shuffle_table(rows: &[FigShuffleRow]) -> Table {
     t
 }
 
-/// The pooled-scheduler ranks sweep as a table: measured wire/parity
+/// The ranks sweep as a table: measured wire/parity
 /// traffic next to the `crates/sim` prediction and whether the two agree
 /// within the noise band.
 pub fn ranks_table(rows: &[RanksRow]) -> Table {
     let mut t = Table::new(&[
         "ranks",
         "strategy",
-        "workers",
         "wall (s)",
         "wire meas/pred",
         "parity meas/pred",
@@ -253,7 +252,6 @@ pub fn ranks_table(rows: &[RanksRow]) -> Table {
         t.row(vec![
             r.ranks.to_string(),
             r.strategy.clone(),
-            r.workers.to_string(),
             format!("{:.2}", r.wall_seconds),
             format!(
                 "{} / {}",

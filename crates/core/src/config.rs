@@ -49,6 +49,10 @@ pub enum ConfigError {
         /// The label that is already active on the cluster.
         label: String,
     },
+    /// The target cluster has handed out every labeled-session id. Ids are
+    /// never reused, so no further labeled [`crate::Replicator`] can be
+    /// built against it.
+    SessionsExhausted,
 }
 
 impl fmt::Display for ConfigError {
@@ -81,6 +85,9 @@ impl fmt::Display for ConfigError {
                     "session label {label:?} is already active on this cluster; \
                      concurrent sessions need distinct labels"
                 )
+            }
+            ConfigError::SessionsExhausted => {
+                write!(f, "the cluster has no labeled-session ids left")
             }
         }
     }

@@ -29,6 +29,7 @@ use crate::global::{try_reduce_global_view, GlobalView};
 use crate::local::LocalIndex;
 use crate::offsets::window_plan;
 use crate::plan::plan_chunks;
+use crate::repair::send_every;
 use crate::shuffle::{identity_shuffle, positions_of, rank_shuffle};
 use crate::stats::{DumpStats, ReductionStats};
 
@@ -497,9 +498,11 @@ fn dump_pipeline(
             // once and fan the same frozen buffer out to every partner —
             // re-encoding per partner copied the whole list K-1 times.
             let encoded = manifest.to_bytes();
-            for &target in &wplan.partners[me as usize] {
-                comm.try_send_bytes(target, TAG_MANIFEST, encoded.clone())?;
-            }
+            send_every(
+                wplan.partners[me as usize]
+                    .iter()
+                    .map(|&target| comm.try_send_bytes(target, TAG_MANIFEST, encoded.clone())),
+            )?;
         }
     }
 
@@ -638,10 +641,10 @@ fn dump_pipeline(
         // framing: every rank sends one (possibly empty) scatter-gather
         // frame to each node's leader; each leader then drains one frame
         // from every rank and commits the shards to its device.
-        for nd in 0..node_count {
+        send_every((0..node_count).map(|nd| {
             let ranks = ctx.cluster.placement().ranks_on(nd, n);
             if ranks.is_empty() {
-                continue;
+                return Ok(());
             }
             let leader = ranks.start;
             let mut w = FrameWriter::new();
@@ -652,8 +655,8 @@ fn dump_pipeline(
                 stats.bytes_sent_stripes += shard.len() as u64;
                 w.attach(shard);
             }
-            comm.try_send_frame(leader, TAG_STRIPE, w.finish())?;
-        }
+            comm.try_send_frame(leader, TAG_STRIPE, w.finish())
+        }))?;
         if ctx.cluster.placement().ranks_on(node, n).start == me {
             for r in 0..n {
                 let shards = match decode_stripe_frame(comm.try_recv_frame(r, TAG_STRIPE)?, r) {

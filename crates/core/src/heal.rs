@@ -337,8 +337,7 @@ impl HealReport {
     }
 }
 
-/// Pause for a debit if a limiter is active. The pause parks the rank's
-/// worker slot, so a throttled healer never starves a pooled peer.
+/// Pause for a debit if a limiter is active, through [`Comm::sleep`].
 pub(crate) fn throttle(comm: &Comm, bucket: &mut Option<TokenBucket>, bytes: u64) {
     if let Some(b) = bucket.as_mut() {
         let wait = b.debit(bytes);

@@ -501,8 +501,7 @@ fn backoff(attempt: u32) -> Duration {
 /// failure ([`StorageError::is_transient`]) is retried, pausing through
 /// `sleep`, until [`READ_ATTEMPTS`] tries are spent; any other error is a
 /// stable fact about the cluster and returns at once. Returns the outcome
-/// and the retries it took. Callers sleep through [`Comm::sleep`], which
-/// parks the rank's worker slot.
+/// and the retries it took. Callers sleep through [`Comm::sleep`].
 pub(crate) fn retry_read<T>(
     mut sleep: impl FnMut(Duration),
     mut op: impl FnMut() -> Result<T, StorageError>,
@@ -517,6 +516,15 @@ pub(crate) fn retry_read<T>(
             done => return (done, retries),
         }
     }
+}
+
+/// Drive every send, then return the first failure: a dead peer must not
+/// cost the live peers after it the frames they are owed, or they wait
+/// out the whole receive timeout for a sender that is still alive.
+pub(crate) fn send_every(
+    sends: impl Iterator<Item = Result<(), CommError>>,
+) -> Result<(), CommError> {
+    sends.fold(Ok(()), Result::and)
 }
 
 /// What one rank's side of a [`transfer`] did.
@@ -549,7 +557,8 @@ pub(crate) struct Moved {
 /// out of its frame and counted as skipped, and the frame is sent anyway,
 /// empty if need be. A frame that fails to decode, or a payload `store`
 /// cannot land, is counted the same way. Only a [`CommError`] ends the
-/// transfer early. Source-side rate limiting: the debit happens before
+/// transfer early, and a failed send only after every other destination
+/// got its frame. Source-side rate limiting: the debit happens before
 /// the frame leaves, so a throttled healer slows its own sends instead of
 /// stalling receivers mid-recv.
 pub(crate) fn transfer<K: Wire + Copy>(
@@ -568,7 +577,7 @@ pub(crate) fn transfer<K: Wire + Copy>(
             out.entry(*dst).or_default().push(*key);
         }
     }
-    for (dst, keys) in &out {
+    send_every(out.iter().map(|(dst, keys)| {
         // Key headers interleaved with the stored payloads, which ride
         // along by reference — never copied into a staging buffer.
         let mut batch = FrameWriter::new();
@@ -585,8 +594,8 @@ pub(crate) fn transfer<K: Wire + Copy>(
             batch.attach(data);
         }
         throttle(comm, bucket, batch_bytes);
-        comm.try_send_frame(*dst, tag, batch.finish())?;
-    }
+        comm.try_send_frame(*dst, tag, batch.finish())
+    }))?;
     let mut srcs: Vec<u32> = moves
         .iter()
         .filter(|(_, dst, _)| *dst == me)
@@ -1258,6 +1267,53 @@ mod tests {
         assert_eq!(out, Err(transient()));
         assert_eq!(calls, READ_ATTEMPTS, "exactly the schedule's tries");
         assert_eq!(retries, READ_ATTEMPTS - 1);
+    }
+
+    /// A dead destination first in the send order must not cost a live
+    /// one its frame: the live rank gets its payload at once, and the
+    /// sender learns of the death after every frame it owed went out.
+    #[test]
+    fn a_dead_destination_does_not_withhold_a_live_ones_frame() {
+        use replidedup_mpi::{FaultPlan, FaultTrigger, WorldConfig};
+        let plan = FaultPlan::new(3).crash(1, FaultTrigger::PhaseStart("die".into()));
+        let moves = [(0, 1, fp(1)), (0, 2, fp(2))];
+        let out = WorldConfig::default()
+            .with_recv_timeout(Duration::from_secs(2))
+            .with_faults(plan)
+            .launch(3, |comm| {
+                match comm.rank() {
+                    1 => comm.enter_phase("die"),
+                    0 => {
+                        // The death is certain before the transfer starts.
+                        while comm.failed_ranks().is_empty() {
+                            comm.sleep(Duration::from_millis(1));
+                        }
+                    }
+                    _ => {}
+                }
+                transfer(
+                    comm,
+                    7,
+                    &moves,
+                    &mut None,
+                    |_| Ok(Bytes::from_static(b"frame")),
+                    |_, _| Some(true),
+                )
+            });
+        assert_eq!(out.crashed_ranks(), vec![1]);
+        assert_eq!(
+            out.outcomes[0].as_completed(),
+            Some(&Err(CommError::RankFailed { rank: 1 }))
+        );
+        assert_eq!(
+            out.outcomes[2].as_completed(),
+            Some(&Ok(Moved {
+                stored: 1,
+                bytes: 5,
+                ..Moved::default()
+            })),
+            "the live destination got its frame"
+        );
     }
 
     #[test]

@@ -407,7 +407,7 @@ fn note_retries(comm: &mut Comm, retries: u64) {
 }
 
 /// Run one storage read under the fixed retry schedule
-/// ([`retry_read`]); the backoff parks the rank's worker slot.
+/// ([`retry_read`]); the backoff sleeps through [`Comm::sleep`].
 fn fetch_with_retry<T>(
     comm: &mut Comm,
     op: impl FnMut() -> Result<T, StorageError>,

@@ -13,7 +13,7 @@
 use replidedup_buf::Chunk;
 use replidedup_hash::{ChunkHasher, ChunkerKind, Sha1ChunkHasher};
 use replidedup_mpi::{Comm, CommError};
-use replidedup_storage::{Cluster, DumpId, ScrubReport, SessionId};
+use replidedup_storage::{Cluster, DumpId, ScrubReport, SessionError, SessionId};
 
 use crate::config::{ConfigError, DumpConfig, RedundancyPolicy, Strategy};
 use crate::dump::{dump_impl, DumpContext, DumpError};
@@ -220,7 +220,9 @@ impl<'a> ReplicatorBuilder<'a> {
     ///
     /// Labels must be unique among *live* sessions on the cluster —
     /// [`ReplicatorBuilder::build`] returns
-    /// [`ConfigError::DuplicateSession`] otherwise. The registration is
+    /// [`ConfigError::DuplicateSession`] otherwise, and
+    /// [`ConfigError::SessionsExhausted`] once the cluster has handed out
+    /// every session id. The registration is
     /// released when the [`Replicator`] is dropped, but its [`SessionId`]
     /// is never reused, so a crashed session's stale messages and
     /// generations can never alias a later one's.
@@ -233,15 +235,15 @@ impl<'a> ReplicatorBuilder<'a> {
     pub fn build(self) -> Result<Replicator<'a>, ConfigError> {
         self.cfg.validate()?;
         let cluster = self.cluster.ok_or(ConfigError::MissingCluster)?;
-        let session =
-            match &self.session_label {
-                Some(label) => Some(cluster.begin_session(label).ok_or_else(|| {
-                    ConfigError::DuplicateSession {
-                        label: label.clone(),
-                    }
-                })?),
-                None => None,
-            };
+        let session = match &self.session_label {
+            Some(label) => Some(cluster.begin_session(label).map_err(|e| match e {
+                SessionError::Duplicate => ConfigError::DuplicateSession {
+                    label: label.clone(),
+                },
+                SessionError::Exhausted => ConfigError::SessionsExhausted,
+            })?),
+            None => None,
+        };
         Ok(Replicator {
             cfg: self.cfg,
             cluster,
@@ -544,6 +546,23 @@ mod tests {
             err(Replicator::builder(Strategy::CollDedup)),
             ConfigError::MissingCluster
         );
+    }
+
+    #[test]
+    fn a_cluster_out_of_session_ids_is_a_typed_config_error() {
+        let c = cluster(1);
+        let open = || {
+            Replicator::builder(Strategy::CollDedup)
+                .cluster(&c)
+                .session_label("nightly")
+                .build()
+        };
+        // Each session closes when its replicator drops; ids are never
+        // reused, so the cluster hands out exactly `u16::MAX` of them.
+        for _ in 0..u16::MAX {
+            open().expect("an id is left");
+        }
+        assert_eq!(open().err(), Some(ConfigError::SessionsExhausted));
     }
 
     #[test]

@@ -471,12 +471,8 @@ mod tests {
 
     #[test]
     fn allgather_is_log_depth_and_sends_the_rings_bytes() {
-        let worlds = [1u32, 2, 3, 5, 7, 8, 13, 16]
-            .map(|n| (n, WorldConfig::default()))
-            .into_iter()
-            .chain([(128, WorldConfig::default().with_workers(2))]);
-        for (n, config) in worlds {
-            let out = config
+        for n in [1u32, 2, 3, 5, 7, 8, 13, 16, 128] {
+            let out = WorldConfig::default()
                 .launch(n, |comm| {
                     let before = comm.traffic().msgs_sent;
                     let all = comm.allgather(block(comm.rank()));

@@ -1,8 +1,8 @@
 //! The thread-rank world and per-rank communicator.
 //!
 //! `replidedup` runs each MPI-style rank as an OS thread inside one process.
-//! Point-to-point messaging uses one unbounded crossbeam channel per rank
-//! with MPI's matching semantics: a receive names `(source, tag)` and
+//! Point-to-point messaging uses one unbounded `std::sync::mpsc` channel
+//! per rank with MPI's matching semantics: a receive names `(source, tag)` and
 //! messages that arrive before their matching receive are stashed in an
 //! unexpected-message queue, exactly like an MPI implementation's UMQ.
 //!
@@ -14,7 +14,6 @@
 //! timings.
 
 use std::collections::{HashMap, VecDeque};
-use std::num::NonZeroUsize;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
@@ -25,7 +24,7 @@ use replidedup_trace::{Tracer, WorldTrace};
 use crate::fault::{
     CommError, Fault, FaultAction, FaultPlan, FaultRuntime, FaultTrigger, InjectedCrash,
 };
-use crate::sched::{self, SchedSlot};
+use crate::sched;
 use crate::stats::{RankCounters, TrafficReport, Transport};
 use crate::window::Exposures;
 use crate::wire::{self, Chunk, Frame, Wire};
@@ -56,8 +55,8 @@ pub(crate) struct Message {
 }
 
 /// Configuration for a world run. The one launch entry point is
-/// [`WorldConfig::launch`]; everything a run can vary — worker pool size,
-/// fault schedule, tracing, receive timeout — lives here.
+/// [`WorldConfig::launch`]; everything a run can vary — fault schedule,
+/// tracing, receive timeout — lives here.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// How long a blocking receive may wait before the runtime declares the
@@ -70,12 +69,6 @@ pub struct WorldConfig {
     /// (the default) keeps the fault machinery entirely out of the hot
     /// paths.
     pub faults: Option<FaultPlan>,
-    /// Bound on simultaneously *runnable* ranks. `None` (the default) is
-    /// classic thread-per-rank execution; `Some(w)` multiplexes all ranks
-    /// onto `w` worker slots via [`crate::sched`], parking ranks at
-    /// blocking collective/RMA edges. Results and trace span sets are
-    /// identical either way — only wall-clock interleaving changes.
-    pub workers: Option<NonZeroUsize>,
 }
 
 impl Default for WorldConfig {
@@ -84,7 +77,6 @@ impl Default for WorldConfig {
             recv_timeout: Duration::from_secs(120),
             trace: false,
             faults: None,
-            workers: None,
         }
     }
 }
@@ -111,9 +103,11 @@ impl WorldConfig {
         self
     }
 
-    /// Bound the worker pool to `workers` runnable ranks (clamped to ≥ 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = NonZeroUsize::new(workers.max(1));
+    /// Ignored: every rank runs on its own OS thread. Kept only because
+    /// the benchmark's `benchmark/src/sut.rs` still calls it; it is deleted
+    /// once the benchmark-only change of ROADMAP item 14(a) drops that
+    /// call. Nothing else may call it (`tests/source_gates.rs`).
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -258,9 +252,9 @@ fn silence_injected_crash_panics() {
 }
 
 /// The world launcher behind [`WorldConfig::launch`]: builds the per-rank
-/// channel mesh, hands every rank body to the [`sched`] executor (bounded
-/// worker pool when `config.workers` is set, thread-per-rank otherwise),
-/// and assembles outcomes, traffic, and traces after all ranks ended.
+/// channel mesh, runs every rank body on its own thread through
+/// [`sched::run_tasks`], and assembles outcomes, traffic, and traces after
+/// all ranks ended.
 fn launch_world<T, F>(size: u32, config: &WorldConfig, f: F) -> Launch<T>
 where
     T: Send,
@@ -305,7 +299,7 @@ where
                 })
                 .unwrap_or_default();
             let config = config.clone();
-            move |slot: SchedSlot| {
+            move || {
                 let mut comm = Comm {
                     rank,
                     size,
@@ -324,7 +318,6 @@ where
                     fault_rt,
                     my_faults,
                     msg_ops: 0,
-                    sched: slot,
                     tag_ns: 0,
                 };
                 let caught =
@@ -345,7 +338,7 @@ where
 
     // All ranks end (and their channels stay alive) before run_tasks
     // returns, exactly like the scoped-join it replaces.
-    let ends: Vec<ThreadEnd<T>> = sched::run_tasks("rank", config.workers, tasks)
+    let ends: Vec<ThreadEnd<T>> = sched::run_tasks("rank", tasks)
         .into_iter()
         .map(|j| match j {
             Ok((end, _comm)) => end,
@@ -424,9 +417,6 @@ pub struct Comm {
     /// Message operations (sends + receives, collective internals
     /// included) performed so far; drives `FaultTrigger::MessageCount`.
     msg_ops: u64,
-    /// This rank's scheduler slot: blocking waits park through it so a
-    /// bounded worker pool can run a peer. A no-op in unpooled worlds.
-    sched: SchedSlot,
     /// Session tag namespace, pre-shifted into the reserved high bits
     /// (see [`crate::wire::session_tag`]). Folded into every user tag on
     /// send and receive so overlapping sessions on one communicator can
@@ -518,17 +508,17 @@ impl Comm {
             .unwrap_or_default()
     }
 
-    /// Sleep for `dur` with the worker slot released, so a pooled world
-    /// keeps running peers underneath a rank that is only waiting (a rate
-    /// limiter's debt, a retry backoff, an injected delay). Every non-test
-    /// sleep goes through here: the root `clippy.toml` disallows
+    /// Sleep for `dur`: a rank that is only waiting (a rate limiter's
+    /// debt, a retry backoff, an injected delay). Every non-test sleep
+    /// goes through here, so a future change to how waiting ranks are
+    /// scheduled has one place to hook; the root `clippy.toml` disallows
     /// `std::thread::sleep` elsewhere.
     #[allow(
         clippy::disallowed_methods,
-        reason = "the one sleep that parks its worker slot"
+        reason = "the one sanctioned sleep of a rank"
     )]
     pub fn sleep(&self, dur: Duration) {
-        self.sched.park_while(|| std::thread::sleep(dur));
+        std::thread::sleep(dur);
     }
 
     // ---- survivor fence ----
@@ -549,15 +539,14 @@ impl Comm {
 
     /// Reach this rank's next fence, then wait until every rank has reached
     /// it or died, and return the ranks that died first, ascending. The wait
-    /// parks the worker slot and is bounded by the receive timeout; on
-    /// expiry the answer covers the deaths seen so far.
+    /// is bounded by the receive timeout; on expiry the answer covers the
+    /// deaths seen so far.
     pub fn fence_wait(&mut self) -> Vec<Rank> {
         let Some(rt) = &self.fault_rt else {
             return Vec::new();
         };
         let generation = rt.arrive(self.rank);
-        self.sched
-            .park_while(|| rt.await_fence(generation, self.recv_timeout))
+        rt.await_fence(generation, self.recv_timeout)
     }
 
     /// Open the phase span `name`, firing any `PhaseStart(name)` fault of
@@ -857,11 +846,9 @@ impl Comm {
                             return Err(CommError::RankFailed { rank: dead });
                         }
                     }
-                    // The one blocking channel wait: park the worker slot
-                    // while the channel sleeps so a pooled peer can run.
+                    // The one blocking channel wait.
                     let left = deadline.saturating_duration_since(Instant::now());
-                    let (sched, receiver) = (&self.sched, &self.receiver);
-                    match sched.park_while(|| receiver.recv_timeout(left)) {
+                    match self.receiver.recv_timeout(left) {
                         Ok(msg) => msg,
                         Err(RecvTimeoutError::Timeout) => return Err(timed_out),
                         Err(RecvTimeoutError::Disconnected) => {
@@ -1069,68 +1056,35 @@ mod tests {
     }
 
     #[test]
-    fn pooled_world_matches_thread_per_rank() {
-        let body = |comm: &mut Comm| {
-            let sum = comm.allreduce(u64::from(comm.rank()), |a, b| a + b);
-            let dst = (comm.rank() + 1) % comm.size();
-            let src = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.try_send_val(dst, 4, &comm.rank()).unwrap();
-            let from = comm.try_recv_val::<Rank>(src, 4).unwrap();
-            (sum, from)
-        };
-        let unpooled = WorldConfig::default().launch(32, body).expect_all();
-        let pooled = WorldConfig::default()
-            .with_workers(3)
-            .launch(32, body)
-            .expect_all();
-        assert_eq!(unpooled.results, pooled.results);
-        assert_eq!(
-            unpooled.traffic.total_sent(),
-            pooled.traffic.total_sent(),
-            "scheduling must not change traffic"
-        );
-    }
-
-    #[test]
-    fn sleeping_ranks_release_their_worker_slot() {
-        // 4 ranks on 1 worker: parked sleeps overlap, so the world takes
-        // about one sleep, not four back to back.
-        let started = Instant::now();
-        WorldConfig::default()
-            .with_workers(1)
-            .launch(4, |comm| comm.sleep(Duration::from_millis(200)))
-            .expect_all();
-        let took = started.elapsed();
-        assert!(
-            took < Duration::from_millis(600),
-            "sleeps serialized: {took:?}"
-        );
-    }
-
-    #[test]
-    fn oversubscribed_pool_completes_heavy_collectives() {
-        // 64 ranks on 2 workers: every collective edge must park, or the
-        // world deadlocks well before the recv timeout.
+    fn ranks_meeting_outside_comm_all_arrive() {
+        // Every rank is its own OS thread, so a wait the runtime does not
+        // see (here a plain condvar rendezvous) still lets every peer run.
+        // A runnable-set bound smaller than the world would time it out:
+        // one shared deadline, so the ranks that never got to run fail at
+        // once instead of each waiting out a timeout of its own.
+        const RANKS: u32 = 64;
+        let meeting = (std::sync::Mutex::new(0u32), std::sync::Condvar::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
         let out = WorldConfig::default()
-            .with_workers(2)
-            .with_recv_timeout(Duration::from_secs(30))
-            .launch(64, |comm| {
-                let mut acc = 0u64;
-                for round in 0..4 {
-                    acc += comm.allreduce(u64::from(comm.rank()) + round, |a, b| a + b);
-                    comm.barrier();
-                }
-                acc
+            .launch(RANKS, |_comm| {
+                let (count, arrived) = &meeting;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                arrived.notify_all();
+                let left = deadline.saturating_duration_since(Instant::now());
+                let (count, _) = arrived
+                    .wait_timeout_while(count, left, |n| *n < RANKS)
+                    .unwrap();
+                *count == RANKS
             })
             .expect_all();
-        let per_round: u64 = (0..64u64).sum();
-        assert!(out.results.iter().all(|&v| v >= 4 * per_round));
+        assert!(out.results.iter().all(|&met| met), "a rank never arrived");
     }
 
     #[test]
     fn pooled_world_observes_injected_crashes() {
         let plan = FaultPlan::new(1).crash(1, FaultTrigger::MessageCount(1));
-        let out = fault_config(plan).with_workers(2).launch(8, |comm| {
+        let out = fault_config(plan).launch(8, |comm| {
             if comm.rank() == 1 {
                 let _ = comm.try_send_bytes(0, 1, Bytes::from_static(b"boom"));
                 unreachable!("rank 1 must crash on its first message op");

@@ -14,8 +14,8 @@
 //! fence.
 //!
 //! Library code uses the fallible `try_*` operations, which surface a dead
-//! peer as a [`CommError`]; ranks sleep through [`Comm::sleep`], which
-//! releases their worker slot in a pooled world.
+//! peer as a [`CommError`]; ranks sleep through [`Comm::sleep`], the one
+//! sanctioned sleep.
 //!
 //! Every transfer is byte-accounted per rank ([`stats`]); the evaluation
 //! harness feeds these exact counts to `replidedup-sim` to recover
@@ -68,7 +68,6 @@ pub use fault::{
     TransientHook,
 };
 pub use replidedup_trace::{Event, EventKind, PhaseAgg, RankTrace, Tracer, WorldTrace};
-pub use sched::SchedSlot;
 pub use stats::{RankTraffic, TrafficReport, Transport};
 pub use window::Window;
 pub use wire::{Chunk, Frame, FrameReader, FrameWriter, Wire, WireError, WireResult};

@@ -274,8 +274,19 @@ mod tests {
     use crate::comm::WorldConfig;
     use crate::fault::{CommError, FaultPlan, FaultTrigger};
 
+    /// Window backings come from the process-wide buffer pool, which every
+    /// test in this binary shares. Each window test holds this lock, so no
+    /// concurrent test takes or overfills the shelf between the two worlds
+    /// of `dropped_windows_recycle_their_backing`.
+    fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+        static POOL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        POOL.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn put_lands_at_offset() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 let win = comm.win_create(8);
@@ -292,6 +303,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_window_sizes() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(3, |comm| {
                 let me = comm.rank() as usize;
@@ -311,6 +323,7 @@ mod tests {
 
     #[test]
     fn disjoint_concurrent_puts_all_land() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(8, |comm| {
                 let n = comm.size() as usize;
@@ -326,6 +339,7 @@ mod tests {
 
     #[test]
     fn self_put_is_not_counted_as_traffic() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(1, |comm| {
                 let win = comm.win_create(4);
@@ -341,6 +355,7 @@ mod tests {
 
     #[test]
     fn rma_traffic_is_attributed_to_both_sides() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 let win = comm.win_create(100);
@@ -357,67 +372,60 @@ mod tests {
 
     #[test]
     fn successive_windows_do_not_cross_talk() {
+        let _pool = pool_lock();
         // Back-to-back creates with no fence between them: a fast rank
         // deposits its next window while a slow peer still reads the last
         // one, so the exposure table must key entries by sequence number.
         const WINDOWS: u8 = 32;
-        for config in [
-            WorldConfig::default(),
-            WorldConfig::default().with_workers(1),
-        ] {
-            let out = config
-                .launch(4, |comm| {
-                    let (me, n) = (comm.rank(), comm.size());
-                    let windows: Vec<_> = (0..WINDOWS)
-                        .map(|w| {
-                            let win = comm.win_create(2);
-                            win.try_put_vectored((me + 1) % n, 0, &[&[me as u8, w]])
-                                .unwrap();
-                            win
-                        })
-                        .collect();
-                    windows
-                        .iter()
-                        .map(|win| {
-                            win.fence(comm);
-                            win.take_local().to_vec()
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .expect_all();
-            for (me, locals) in out.results.iter().enumerate() {
-                let left = ((me + 3) % 4) as u8;
-                for (w, local) in (0..WINDOWS).zip(locals) {
-                    assert_eq!(*local, vec![left, w], "rank {me} window {w}");
-                }
+        let out = WorldConfig::default()
+            .launch(4, |comm| {
+                let (me, n) = (comm.rank(), comm.size());
+                let windows: Vec<_> = (0..WINDOWS)
+                    .map(|w| {
+                        let win = comm.win_create(2);
+                        win.try_put_vectored((me + 1) % n, 0, &[&[me as u8, w]])
+                            .unwrap();
+                        win
+                    })
+                    .collect();
+                windows
+                    .iter()
+                    .map(|win| {
+                        win.fence(comm);
+                        win.take_local().to_vec()
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .expect_all();
+        for (me, locals) in out.results.iter().enumerate() {
+            let left = ((me + 3) % 4) as u8;
+            for (w, local) in (0..WINDOWS).zip(locals) {
+                assert_eq!(*local, vec![left, w], "rank {me} window {w}");
             }
         }
     }
 
     #[test]
     fn rank_dying_before_create_fails_every_survivor() {
-        for workers in [None, Some(1)] {
-            let plan = FaultPlan::new(29).crash(1, FaultTrigger::PhaseStart("win_create".into()));
-            let mut config = WorldConfig::default()
-                .with_recv_timeout(Duration::from_secs(2))
-                .with_faults(plan);
-            if let Some(w) = workers {
-                config = config.with_workers(w);
-            }
-            let out = config.launch(4, |comm| comm.try_win_create(8).err());
-            assert_eq!(out.crashed_ranks(), vec![1], "workers {workers:?}");
-            for rank in [0usize, 2, 3] {
-                assert_eq!(
-                    out.outcomes[rank].as_completed(),
-                    Some(&Some(CommError::RankFailed { rank: 1 })),
-                    "rank {rank}, workers {workers:?}"
-                );
-            }
+        let _pool = pool_lock();
+        let plan = FaultPlan::new(29).crash(1, FaultTrigger::PhaseStart("win_create".into()));
+        let out = WorldConfig::default()
+            .with_recv_timeout(Duration::from_secs(2))
+            .with_faults(plan)
+            .launch(4, |comm| comm.try_win_create(8).err());
+        assert_eq!(out.crashed_ranks(), vec![1]);
+        for rank in [0usize, 2, 3] {
+            assert_eq!(
+                out.outcomes[rank].as_completed(),
+                Some(&Some(CommError::RankFailed { rank: 1 })),
+                "rank {rank}"
+            );
         }
     }
 
     #[test]
     fn misordered_create_is_a_typed_error() {
+        let _pool = pool_lock();
         // Rank 0 calls a barrier where its peers create a window: the
         // barrier is their opening fence, so it completes, but rank 0
         // deposited nothing.
@@ -442,6 +450,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overruns window")]
     fn out_of_bounds_put_panics() {
+        let _pool = pool_lock();
         WorldConfig::default()
             .launch(1, |comm| {
                 let win = comm.win_create(4);
@@ -452,6 +461,7 @@ mod tests {
 
     #[test]
     fn vectored_put_lands_parts_back_to_back() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 let win = comm.win_create(8);
@@ -471,6 +481,7 @@ mod tests {
 
     #[test]
     fn chunk_put_and_get_roundtrip() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 let win = comm.win_create(4);
@@ -487,6 +498,7 @@ mod tests {
 
     #[test]
     fn take_local_is_zero_copy_and_empties_the_exposure() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(1, |comm| {
                 let win = comm.win_create(4);
@@ -507,6 +519,7 @@ mod tests {
 
     #[test]
     fn dropped_windows_recycle_their_backing() {
+        let _pool = pool_lock();
         use replidedup_buf::global_pool;
         // Warm the shelf, then show a same-sized window reuses it.
         let size = 1 << 16;
@@ -532,6 +545,7 @@ mod tests {
 
     #[test]
     fn zero_sized_window_is_legal() {
+        let _pool = pool_lock();
         let out = WorldConfig::default()
             .launch(2, |comm| {
                 let win = comm.win_create(0);
@@ -544,6 +558,7 @@ mod tests {
 
     #[test]
     fn rma_to_dead_rank_fails_fast() {
+        let _pool = pool_lock();
         let plan = FaultPlan::new(21).crash(1, FaultTrigger::PhaseStart("doomed".into()));
         let config = WorldConfig::default()
             .with_recv_timeout(Duration::from_secs(2))

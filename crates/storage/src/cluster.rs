@@ -18,7 +18,7 @@ use std::ops::{Bound, RangeBounds};
 
 use bytes::Bytes;
 use replidedup_hash::Fingerprint;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::manifest::{DumpId, Manifest, ManifestError};
 use crate::shard::{ShardMeta, StoredShard, StripeKey};
@@ -85,6 +85,27 @@ impl fmt::Display for SessionId {
 struct SessionRegistry {
     active: HashMap<String, SessionId>,
     last: u16,
+}
+
+/// Take a cluster lock, recovering it if a holder panicked. The
+/// cluster's own updates under a lock cannot panic (the crate denies the
+/// panic lints), so a poisoned lock means a caller's [`Cluster::with_node`]
+/// closure unwound — say a rank's crash — and the node keeps serving
+/// whatever that closure left, as a device keeps what was written before
+/// its writer died. Refusing the lock instead would turn one dead rank
+/// into a panic in every rank that touches that node.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Why [`Cluster::begin_session`] opened no session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionError {
+    /// A session with this label is still active.
+    Duplicate,
+    /// Every session id has been handed out: ids are never reused, so a
+    /// cluster opens at most `u16::MAX` labeled sessions in its lifetime.
+    Exhausted,
 }
 
 /// Storage-level failures.
@@ -337,27 +358,27 @@ impl Cluster {
     // ---- session registry ----
 
     /// Open a replication session named `label` against this cluster.
-    /// Returns `None` while a session with the same label is still active
-    /// (the caller surfaces that as a typed duplicate-session error).
-    /// Session ids are monotonic and never reused, so generations scoped
-    /// by distinct sessions never collide — even across reopenings of the
-    /// same label.
-    pub fn begin_session(&self, label: &str) -> Option<SessionId> {
-        let mut reg = self.sessions.lock().unwrap();
+    /// Fails with [`SessionError::Duplicate`] while a session with the
+    /// same label is still active, and with [`SessionError::Exhausted`]
+    /// once every id has been handed out. Session ids are monotonic and
+    /// never reused, so generations scoped by distinct sessions never
+    /// collide — even across reopenings of the same label.
+    pub fn begin_session(&self, label: &str) -> Result<SessionId, SessionError> {
+        let mut reg = lock(&self.sessions);
         if reg.active.contains_key(label) {
-            return None;
+            return Err(SessionError::Duplicate);
         }
-        reg.last = reg.last.checked_add(1).expect("session ids exhausted");
+        reg.last = reg.last.checked_add(1).ok_or(SessionError::Exhausted)?;
         let id = SessionId(reg.last);
         reg.active.insert(label.to_string(), id);
-        Some(id)
+        Ok(id)
     }
 
     /// Close a session, freeing its label for reuse. Returns whether the
     /// id named an active session. Stored data is untouched: generations
     /// the session wrote remain addressable by their scoped ids.
     pub fn end_session(&self, id: SessionId) -> bool {
-        let mut reg = self.sessions.lock().unwrap();
+        let mut reg = lock(&self.sessions);
         let label = reg
             .active
             .iter()
@@ -370,7 +391,7 @@ impl Cluster {
 
     /// Currently active sessions as `(label, id)`, sorted by id.
     pub fn active_sessions(&self) -> Vec<(String, SessionId)> {
-        let reg = self.sessions.lock().unwrap();
+        let reg = lock(&self.sessions);
         let mut out: Vec<_> = reg.active.iter().map(|(l, s)| (l.clone(), *s)).collect();
         out.sort_by_key(|(_, s)| *s);
         out
@@ -396,7 +417,7 @@ impl Cluster {
         node: NodeId,
         f: impl FnOnce(&mut NodeState) -> R,
     ) -> StorageResult<R> {
-        let mut state = self.check(node).lock().unwrap();
+        let mut state = lock(self.check(node));
         if !state.alive {
             return Err(StorageError::NodeDown(node));
         }
@@ -826,7 +847,7 @@ impl Cluster {
     /// Raw device usage of a node in bytes: chunk store plus blobs plus
     /// erasure-coded shards.
     pub fn device_bytes(&self, node: NodeId) -> u64 {
-        let s = self.check(node).lock().unwrap();
+        let s = lock(self.check(node));
         if s.alive {
             s.store.bytes_stored() + s.blob_bytes + s.shard_bytes
         } else {
@@ -842,7 +863,7 @@ impl Cluster {
         self.nodes
             .iter()
             .map(|n| {
-                let s = n.lock().unwrap();
+                let s = lock(n);
                 if s.alive {
                     s.shards
                         .values()
@@ -864,12 +885,12 @@ impl Cluster {
 
     /// Is the node alive?
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.check(node).lock().unwrap().alive
+        lock(self.check(node)).alive
     }
 
     /// Fail a node: the device contents are lost.
     pub fn fail_node(&self, node: NodeId) {
-        let mut state = self.check(node).lock().unwrap();
+        let mut state = lock(self.check(node));
         state.alive = false;
         state.store.wipe();
         state.manifests.clear();
@@ -883,7 +904,7 @@ impl Cluster {
 
     /// Bring a replacement node online (empty device, same identity).
     pub fn revive_node(&self, node: NodeId) {
-        self.check(node).lock().unwrap().alive = true;
+        lock(self.check(node)).alive = true;
     }
 
     /// Total unique bytes stored across live nodes (Figure 3(a)'s metric
@@ -892,7 +913,7 @@ impl Cluster {
         self.nodes
             .iter()
             .map(|n| {
-                let s = n.lock().unwrap();
+                let s = lock(n);
                 if s.alive {
                     s.store.bytes_stored()
                 } else {
@@ -907,7 +928,7 @@ impl Cluster {
         self.nodes
             .iter()
             .map(|n| {
-                let s = n.lock().unwrap();
+                let s = lock(n);
                 u32::from(s.alive && s.store.contains(fp))
             })
             .sum()
@@ -921,7 +942,7 @@ impl Cluster {
     pub fn generations(&self) -> Vec<DumpId> {
         let mut gens: Vec<DumpId> = Vec::new();
         for node in 0..self.node_count() {
-            let s = self.check(node).lock().unwrap();
+            let s = lock(self.check(node));
             if !s.alive {
                 continue;
             }
@@ -959,7 +980,7 @@ impl Cluster {
         let mut collected: Vec<DumpId> = Vec::new();
         // Pass 1: drop everything tagged with a superseded generation.
         for node in 0..self.node_count() {
-            let mut s = self.check(node).lock().unwrap();
+            let mut s = lock(self.check(node));
             if !s.alive {
                 continue;
             }
@@ -1024,7 +1045,7 @@ impl Cluster {
         // wide, and drop the rest (plus their chunk stripes).
         let mut referenced: Vec<Fingerprint> = Vec::new();
         for node in 0..self.node_count() {
-            let s = self.check(node).lock().unwrap();
+            let s = lock(self.check(node));
             if s.alive {
                 referenced.extend(s.manifests.values().flat_map(|m| m.chunks.iter().copied()));
             }
@@ -1032,7 +1053,7 @@ impl Cluster {
         referenced.sort_unstable();
         referenced.dedup();
         for node in 0..self.node_count() {
-            let mut s = self.check(node).lock().unwrap();
+            let mut s = lock(self.check(node));
             if !s.alive {
                 continue;
             }
@@ -1331,17 +1352,20 @@ mod tests {
             rs: None,
             coded: vec![],
         };
-        match c.put_manifest(0, bad) {
-            Err(StorageError::InvalidManifest(ManifestError::LengthSumMismatch {
-                sum,
-                total_len,
-                ..
-            })) => {
-                assert_eq!(sum, 0);
-                assert_eq!(total_len, 100);
-            }
-            other => panic!("expected InvalidManifest, got {other:?}"),
-        }
+        let put = c.put_manifest(0, bad);
+        assert!(
+            matches!(
+                put,
+                Err(StorageError::InvalidManifest(
+                    ManifestError::LengthSumMismatch {
+                        sum: 0,
+                        total_len: 100,
+                        ..
+                    }
+                ))
+            ),
+            "expected InvalidManifest, got {put:?}"
+        );
         // Nothing was stored.
         assert!(c.get_manifest(0, 0, 0).is_err());
     }
@@ -1625,7 +1649,11 @@ mod tests {
         let c = Cluster::new(Placement::one_per_node(1));
         let a = c.begin_session("nightly").unwrap();
         assert!(a > SessionId::DEFAULT);
-        assert_eq!(c.begin_session("nightly"), None, "label is active");
+        assert_eq!(
+            c.begin_session("nightly"),
+            Err(SessionError::Duplicate),
+            "label is active"
+        );
         let b = c.begin_session("hourly").unwrap();
         assert_ne!(a, b);
         assert_eq!(

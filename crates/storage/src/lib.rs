@@ -15,6 +15,18 @@
 //! * [`ScrubReport`] / [`Cluster::scrub`] — integrity scrubbing: re-hash
 //!   every chunk against its key, cross-check manifests vs. presence.
 
+// The panic-lint inventory of this crate: none is allowed outside tests.
+// Storage failures are `StorageError`, `ManifestError` or `SessionError`
+// values, and a poisoned lock is recovered (`cluster::lock`). Invariant
+// `assert!`s are not linted. `clippy.toml` still lets test code
+// unwrap/expect.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod cluster;
 pub mod manifest;
 pub mod scrub;
@@ -22,7 +34,8 @@ pub mod shard;
 pub mod store;
 
 pub use cluster::{
-    Cluster, GcStats, NodeId, NodeState, Placement, SessionId, StorageError, StorageResult,
+    Cluster, GcStats, NodeId, NodeState, Placement, SessionError, SessionId, StorageError,
+    StorageResult,
 };
 pub use manifest::{DumpId, Manifest, ManifestError};
 pub use scrub::ScrubReport;

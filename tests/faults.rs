@@ -21,7 +21,9 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
-use replidedup::core::{ReplError, Replicator, RestoreError, Strategy, DUMP_PHASES};
+use replidedup::core::{
+    RedundancyPolicy, ReplError, Replicator, RestoreError, Strategy, DUMP_PHASES,
+};
 use replidedup::mpi::{CommError, FaultPlan, FaultTrigger, RankOutcome, WorldConfig};
 use replidedup::storage::{Cluster, Placement};
 
@@ -218,6 +220,62 @@ fn losing_more_than_k_minus_1_ranks_is_typed_data_loss_not_a_hang() {
             "{strategy:?}: fault round took {:?} — failure path is hanging",
             t0.elapsed()
         );
+    }
+}
+
+/// A rank dead before its peers fan out — partner manifests at commit,
+/// stripe shards to node leaders at stripe assembly — must not cost the
+/// live peers after it in a sender's order their frames: every survivor
+/// degrades at once instead of waiting out its receive timeout for a
+/// sender that is alive. At the phase start the victim waits 100 ms, so
+/// every survivor has left the collective before it (a death inside one
+/// fails it on some ranks only), and then dies; the survivors wait
+/// 250 ms, so the death precedes every fan-out.
+#[test]
+fn survivors_of_a_crash_before_a_fan_out_do_not_wait_out_the_timeout() {
+    const TIMEOUT: Duration = Duration::from_secs(2);
+    const VICTIM: u32 = 1;
+    let bufs = buffers(N);
+    let cases = [
+        ("commit", RedundancyPolicy::Replicate(3)),
+        ("stripe_assembly", RedundancyPolicy::Rs { k: 4, m: 2 }),
+    ];
+    for (phase, policy) in cases {
+        let at = || FaultTrigger::PhaseStart(phase.into());
+        let victim = FaultPlan::new(5)
+            .delay(VICTIM, at(), Duration::from_millis(100))
+            .crash(VICTIM, at());
+        let plan = (0..N)
+            .filter(|&rank| rank != VICTIM)
+            .fold(victim, |plan, rank| {
+                plan.delay(rank, at(), Duration::from_millis(250))
+            });
+        let cluster = Cluster::new(Placement::one_per_node(N));
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&cluster)
+            .replication(3)
+            .chunk_size(64)
+            .with_policy(policy)
+            .build()
+            .expect("valid config");
+        let out = WorldConfig::default()
+            .with_recv_timeout(TIMEOUT)
+            .with_faults(plan)
+            .launch(N, |comm| {
+                let t0 = Instant::now();
+                let dumped = repl.dump(comm, 1, &bufs[comm.rank() as usize]);
+                (dumped.map(|_| ()), t0.elapsed())
+            });
+        assert_eq!(out.crashed_ranks(), vec![VICTIM], "{phase}");
+        for (rank, outcome) in out.outcomes.iter().enumerate() {
+            if let RankOutcome::Completed((dumped, took)) = outcome {
+                assert!(dumped.is_ok(), "{phase}: rank {rank} failed: {dumped:?}");
+                assert!(
+                    *took < TIMEOUT / 4,
+                    "{phase}: survivor {rank} took {took:?}, waiting on a live sender"
+                );
+            }
+        }
     }
 }
 

@@ -1,11 +1,10 @@
-//! Scale-out runtime suite: the pooled rank scheduler and concurrent
+//! Scale-out runtime suite: thread-per-rank worlds and concurrent
 //! labeled sessions (DESIGN.md §17).
 //!
 //! Three promises under test:
-//! 1. Multiplexing is invisible: an oversubscribed worker pool (64 ranks
-//!    on 4 workers) produces byte-identical dump/restore results *and*
-//!    identical per-rank trace span sequences vs thread-per-rank — for
-//!    every strategy and K ∈ {2, 3}.
+//! 1. Thread interleaving is invisible: two 64-rank launches of one seed
+//!    produce byte-identical dump/restore results *and* identical per-rank
+//!    trace span sequences — for every strategy and K ∈ {2, 3}.
 //! 2. Sessions are isolated: two labeled sessions sharing one storage
 //!    cluster can dump the same dump id concurrently without mixing
 //!    generations, and a crash in session A never poisons session B —
@@ -43,24 +42,19 @@ fn buffers(n: u32, seed: u64) -> Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
 
-    /// Promise 1: pooled execution is observationally identical to
-    /// thread-per-rank. 64 ranks multiplexed onto 4 workers dump and
-    /// restore the same bytes and record the same span sequence per rank
-    /// as the unpooled runtime, for every strategy × K ∈ {2, 3}.
+    /// Promise 1: a run is a function of its seed, not of how the OS
+    /// interleaves rank threads. Two 64-rank launches of one seed dump and
+    /// restore the same bytes and record the same span sequence per rank,
+    /// for every strategy × K ∈ {2, 3}.
     #[test]
-    fn oversubscribed_pool_matches_thread_per_rank(seed in any::<u64>()) {
+    fn same_seed_runs_are_identical_across_launches(seed in any::<u64>()) {
         const N: u32 = 64;
-        const WORKERS: usize = 4;
         let bufs = buffers(N, seed);
         for strategy in [Strategy::NoDedup, Strategy::LocalDedup, Strategy::CollDedup] {
             for k in [2u32, 3] {
-                let run = |workers: Option<usize>| {
+                let run = || {
                     let cluster = Cluster::new(Placement::one_per_node(N));
-                    let mut config = WorldConfig::traced();
-                    if let Some(w) = workers {
-                        config = config.with_workers(w);
-                    }
-                    let out = config.launch(N, |comm| {
+                    let out = WorldConfig::traced().launch(N, |comm| {
                         let repl = Replicator::builder(strategy)
                             .cluster(&cluster)
                             .replication(k)
@@ -73,23 +67,23 @@ proptest! {
                     }).expect_all();
                     (out.results, out.trace.expect("tracing was enabled"))
                 };
-                let (pooled, pooled_trace) = run(Some(WORKERS));
-                let (unpooled, unpooled_trace) = run(None);
+                let (first, first_trace) = run();
+                let (second, second_trace) = run();
                 for rank in 0..N as usize {
                     prop_assert_eq!(
-                        &pooled[rank], &bufs[rank],
-                        "{:?} K={} seed={}: pooled rank {} restored wrong bytes",
+                        &first[rank], &bufs[rank],
+                        "{:?} K={} seed={}: rank {} restored wrong bytes",
                         strategy, k, seed, rank
                     );
                     prop_assert_eq!(
-                        &pooled[rank], &unpooled[rank],
-                        "{:?} K={} seed={}: rank {} differs across schedulers",
+                        &first[rank], &second[rank],
+                        "{:?} K={} seed={}: rank {} differs across launches",
                         strategy, k, seed, rank
                     );
                     prop_assert_eq!(
-                        pooled_trace.ranks[rank].span_sequence(),
-                        unpooled_trace.ranks[rank].span_sequence(),
-                        "{:?} K={} seed={}: rank {} trace diverged under multiplexing",
+                        first_trace.ranks[rank].span_sequence(),
+                        second_trace.ranks[rank].span_sequence(),
+                        "{:?} K={} seed={}: rank {} trace diverged across launches",
                         strategy, k, seed, rank
                     );
                 }
@@ -99,7 +93,7 @@ proptest! {
 }
 
 /// Promise 2: two labeled sessions against one cluster, running
-/// concurrently on background schedulers, with session A's world under a
+/// concurrently on background threads, with session A's world under a
 /// seeded crash plan. Session B's dump — same dump id, different bytes —
 /// must commit and restore byte-exactly, and A's surviving ranks must
 /// degrade, not wedge B.

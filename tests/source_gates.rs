@@ -142,3 +142,41 @@ fn no_deprecated_shims_in_the_workspace() {
         found.join("\n")
     );
 }
+
+/// `WorldConfig`'s worker-count setter is ignored and survives only as
+/// the benchmark's seam (`benchmark/src/sut.rs`). Its name anywhere in the
+/// workspace besides its own definition means the seam-only method spread
+/// instead of being deleted.
+#[test]
+fn the_ignored_worker_setter_has_no_workspace_caller() {
+    let needle = concat!("with_", "workers");
+    let definition = concat!("fn ", "with_", "workers(");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        files_under(&root.join(dir), &mut files);
+    }
+    assert!(
+        files.iter().any(|f| f.ends_with("crates/mpi/src/comm.rs")),
+        "the walk reaches the crate sources"
+    );
+    let found: Vec<String> = files
+        .iter()
+        .flat_map(|path| {
+            let bytes = fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let file = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .display()
+                .to_string();
+            hits(&file, &String::from_utf8_lossy(&bytes), |line| {
+                line.contains(needle) && !line.contains(definition)
+            })
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "the ignored seam-only method is called in the workspace:\n{}",
+        found.join("\n")
+    );
+}
