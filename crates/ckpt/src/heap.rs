@@ -15,6 +15,12 @@
 /// Default page size (matches the paper's chunk size).
 pub const PAGE_SIZE: usize = 4096;
 
+/// Snapshot bytes before the region table: the header page count, the
+/// page size and the region count, 8 bytes each.
+const TABLE_START: usize = 24;
+/// Snapshot bytes per region-table entry: offset, length, live flag.
+const REGION_BYTES: usize = 17;
+
 /// Handle to an allocated region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionId(u32);
@@ -174,7 +180,8 @@ impl TrackedHeap {
             meta.extend_from_slice(&r.len.to_le_bytes());
             meta.push(u8::from(r.live));
         }
-        let header_pages = meta.len().div_ceil(self.page_size).max(1);
+        // The header holds the page-count prefix and then the metadata.
+        let header_pages = (8 + meta.len()).div_ceil(self.page_size);
         let mut out = vec![0u8; header_pages * self.page_size + self.arena.len()];
         // First 8 bytes: header page count, so restore knows where the
         // arena starts; then the metadata.
@@ -186,46 +193,62 @@ impl TrackedHeap {
 
     /// Rebuild a heap from [`Self::snapshot_bytes`] output.
     ///
+    /// Every size and offset comes from the snapshot, so each is checked
+    /// before use: the region table must fit inside the header pages, the
+    /// header inside the buffer, and every region inside the arena.
+    ///
     /// # Errors
     /// Returns a message when the snapshot is malformed.
     pub fn restore_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let take8 = |b: &[u8], at: usize| -> Result<u64, String> {
-            b.get(at..at + 8)
-                .map(|s| u64::from_le_bytes(s.try_into().expect("8-byte slice")))
+        let take8 = |at: usize| -> Result<u64, String> {
+            at.checked_add(8)
+                .and_then(|end| bytes.get(at..end))
+                .and_then(|s| <[u8; 8]>::try_from(s).ok())
+                .map(u64::from_le_bytes)
                 .ok_or_else(|| "snapshot truncated".to_string())
         };
-        let header_pages = take8(bytes, 0)? as usize;
-        let page_size = take8(bytes, 8)? as usize;
+        let size = |what: &str, v: u64| {
+            usize::try_from(v).map_err(|_| format!("snapshot {what} {v} overflows usize"))
+        };
+        let header_pages = size("header page count", take8(0)?)?;
+        let page_size = size("page size", take8(8)?)?;
         if page_size == 0 {
             return Err("snapshot has zero page size".into());
         }
-        let region_count = take8(bytes, 16)? as usize;
+        let region_count = size("region count", take8(16)?)?;
+        let arena_start = header_pages
+            .checked_mul(page_size)
+            .filter(|&start| start <= bytes.len())
+            .ok_or("snapshot header overruns buffer")?;
+        // The table lies inside the header, which bounds the allocation
+        // below by the bytes actually present.
+        region_count
+            .checked_mul(REGION_BYTES)
+            .and_then(|table| table.checked_add(TABLE_START))
+            .filter(|&end| end <= arena_start)
+            .ok_or("snapshot region table overruns its header")?;
+        let arena_len = bytes.len() - arena_start;
         let mut regions = Vec::with_capacity(region_count);
-        let mut at = 24;
-        for _ in 0..region_count {
-            let offset = take8(bytes, at)?;
-            let len = take8(bytes, at + 8)?;
-            let live = *bytes.get(at + 16).ok_or("snapshot truncated")? != 0;
-            regions.push(Region { offset, len, live });
-            at += 17;
-        }
-        let arena_start = header_pages * page_size;
-        if arena_start > bytes.len() {
-            return Err("snapshot header overruns buffer".into());
-        }
-        let arena = bytes[arena_start..].to_vec();
-        for (i, r) in regions.iter().enumerate() {
-            let padded = (r.len as usize).div_ceil(page_size) * page_size;
-            if r.offset as usize + padded > arena.len() {
+        for i in 0..region_count {
+            let at = TABLE_START + i * REGION_BYTES;
+            let (offset, len) = (take8(at)?, take8(at + 8)?);
+            let live = bytes[at + 16] != 0;
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| len.div_ceil(page_size).checked_mul(page_size))
+                .zip(usize::try_from(offset).ok())
+                .and_then(|(padded, offset)| offset.checked_add(padded));
+            if end.is_none_or(|end| end > arena_len) {
                 return Err(format!("region {i} overruns restored arena"));
             }
+            regions.push(Region { offset, len, live });
         }
-        let pages = arena.len() / page_size;
+        let arena = bytes[arena_start..].to_vec();
         Ok(Self {
             page_size,
+            dirty: vec![false; arena.len() / page_size],
             arena,
             regions,
-            dirty: vec![false; pages],
         })
     }
 }
@@ -343,6 +366,65 @@ mod tests {
         let mut snap = h.snapshot_bytes();
         snap[0] = 0xFF;
         assert!(TrackedHeap::restore_bytes(&snap).is_err());
+    }
+
+    /// A valid snapshot with 8-byte fields overwritten, each given as
+    /// `(index, value)`: 0–2 are the header page count, page size and
+    /// region count, 3 and 4 the first region's offset and length.
+    fn hostile(fields: &[(usize, u64)]) -> Vec<u8> {
+        let mut h = TrackedHeap::new(16);
+        h.alloc(20);
+        let mut snap = h.snapshot_bytes();
+        for &(i, v) in fields {
+            snap[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        snap
+    }
+
+    /// Every header value a malformed snapshot can carry is an `Err`, never
+    /// a panic or an abort: huge counts, sizes whose products overflow, and
+    /// regions past the arena.
+    #[test]
+    fn hostile_headers_are_errors_not_panics() {
+        let max = u64::MAX;
+        let cases = [
+            vec![(2, max)],          // region count: capacity overflow
+            vec![(2, max / 17 + 1)], // region count × entry size overflows
+            vec![(2, 1 << 40)],      // region table past the header
+            vec![(0, max)],          // header pages × page size overflows
+            vec![(0, 1 << 40), (1, 1 << 30)],
+            vec![(1, max)],      // page size past the buffer
+            vec![(0, 0)],        // header holds no table
+            vec![(3, max)],      // region offset overflows
+            vec![(3, max - 15)], // offset + padded length overflows
+            vec![(4, max)],      // length rounds past usize
+            vec![(4, max - 3)],
+            vec![(3, 16), (4, 64)], // region past the arena
+        ];
+        for fields in cases {
+            let snap = hostile(&fields);
+            let got = std::panic::catch_unwind(|| TrackedHeap::restore_bytes(&snap));
+            assert!(matches!(got, Ok(Err(_))), "{fields:?}: {got:?}");
+        }
+        assert!(TrackedHeap::restore_bytes(&hostile(&[])).is_ok());
+    }
+
+    /// Page sizes so small that the table spills past the header's first
+    /// page still round-trip, the empty heap included.
+    #[test]
+    fn tiny_page_snapshots_keep_their_table_in_the_header() {
+        for page in [1usize, 8, 16, 24] {
+            for regions in 0..4 {
+                let mut h = TrackedHeap::new(page);
+                for r in 0..regions {
+                    let id = h.alloc(r * 5 + 1);
+                    h.write(id, 0, &[r as u8 + 1]);
+                }
+                let r = TrackedHeap::restore_bytes(&h.snapshot_bytes()).unwrap();
+                assert_eq!(r.arena(), h.arena(), "page {page}, {regions} regions");
+                assert_eq!(r.regions, h.regions, "page {page}, {regions} regions");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,19 @@
 //! * [`CheckpointSchedule`] — when to checkpoint (the paper's experiments
 //!   use fixed iteration counts).
 
+// The panic-lint inventory of this crate: none is allowed outside tests.
+// A snapshot read back from storage is input, so a malformed one is a
+// `RestartError::Corrupt`, never a panic; every other restart failure is
+// another `RestartError`. The heap's invariant `assert!`s (zero page size,
+// double free, use after free, a write past its region) flag caller bugs
+// and are not linted. `clippy.toml` still lets test code unwrap/expect.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod heap;
 pub mod runtime;
 

@@ -13,18 +13,22 @@
 //!   [`Wire`]-serializable, so an operator (or a test) can persist it,
 //!   kill the healer, and resume from the exact window where it died.
 //! * `heal_step_impl` advances the cursor by one **bounded step**: a
-//!   window that costs **one allgather**, the window's shard rebuilds, the
-//!   transfer and a counts allreduce. In that allgather each live node's
-//!   leader sends its sorted lists past the cursor's high-water mark,
-//!   each capped at the stage's batch ([`HealOptions::chunk_batch`] /
-//!   [`HealOptions::owner_batch`]) of distinct keys, plus a *bound*: the
-//!   smallest last kept key among the lists it cut. The window is
-//!   `(high-water, smallest bound]` — to the end of the stage when nobody
-//!   cut — so every leader's lists are complete inside it, and every rank
-//!   plans the identical window with no offer round. The lists double as
-//!   the census: a chunk's holders are the leaders whose held list
-//!   carries it. Each step plans its window against the *current* cluster
-//!   state with the pure `repair::build_plan`, so healing under live
+//!   window that costs **one gather-scatter**, the window's shard
+//!   rebuilds, the transfer and a counts allreduce. In that gather-scatter
+//!   each live node's leader sends rank 0 its sorted lists past the
+//!   cursor's high-water mark, each capped at the stage's batch
+//!   ([`HealOptions::chunk_batch`] / [`HealOptions::owner_batch`]) of
+//!   distinct keys, plus a *bound*: the smallest last kept key among the
+//!   lists it cut. The window is `(high-water, smallest bound]` — to the
+//!   end of the stage when nobody cut — so every leader's lists are
+//!   complete inside it. Rank 0 plans the window once, with no offer
+//!   round, and sends each rank the cut and its part of the plan: the
+//!   moves naming it, the shard rebuilds it leads and the window's
+//!   verdicts, so every rank's report stays identical while a rank
+//!   receives only its own work. The lists double as the census: a
+//!   chunk's holders are the leaders whose held list carries it. Each
+//!   step plans its window against the *current* cluster state with the
+//!   pure `repair::build_plan`, so healing under live
 //!   `dump`/`restore` traffic never acts on stale inventory for longer
 //!   than one window. Since the batch bounds what each *node* sends, the
 //!   window count follows the largest per-node key count, not the world
@@ -33,7 +37,7 @@
 //!   under its node lock with one bounded query (one scan, or one ordered
 //!   range walk) that returns only the smallest `batch + 1` distinct keys
 //!   past the cursor, which `Cap::list` cuts exactly as it would cut the
-//!   whole list. Every rank then runs a planner linear in the window.
+//!   whole list. Rank 0 then runs a planner linear in the window, once.
 //! * Between steps the world is free: a foreground dump of a *newer*
 //!   generation can run its own collectives, and the healer's next step
 //!   simply sees (and skips) whatever the dump committed. In-flight
@@ -389,9 +393,9 @@ fn window_counts(
     Ok((sums[0], sums[1]))
 }
 
-/// Rebuild the shards of a window's `rebuilds` this rank leads, each from
+/// Rebuild `rebuilds`, the shards of a window this rank leads, each from
 /// any `k` survivors, onto this rank's node, under `heal.stripes` —
-/// entered only when the window has any. Throttled like a transfer, and
+/// entered only when there are any. Throttled like a transfer, and
 /// like one it counts a rebuilt shard its node cannot store as skipped:
 /// `stored` and `bytes` are the shards written back and their bytes.
 fn rebuild_shards(
@@ -407,7 +411,7 @@ fn rebuild_shards(
     let me = comm.rank();
     let node = cluster.node_of(me);
     comm.enter_phase("heal.stripes");
-    for (_, key, index) in rebuilds.iter().filter(|(leader, ..)| *leader == me) {
+    for (_, key, index) in rebuilds {
         let Some(shard) = cluster.rebuild_shard(*key, *index) else {
             continue;
         };
@@ -429,8 +433,8 @@ fn rebuild_shards(
 /// Advance `cursor` by one bounded collective step, folding what the
 /// step did into `report`. Collective: every rank of the world must call
 /// this with an identical cursor and identical options, and all ranks
-/// advance their cursors identically (every decision is a function of
-/// allgathered data). A no-op once the cursor [`HealCursor::is_done`].
+/// advance their cursors identically (every decision comes from rank 0's
+/// one plan of the window). A no-op once the cursor [`HealCursor::is_done`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn heal_step_impl(
     comm: &mut Comm,
@@ -538,30 +542,40 @@ pub(crate) fn heal_step_impl(
                     inv.held = cap.list(cluster.chunk_fps(node, after, len)?, |fp| Some(*fp));
                     inv.shards = chunk_shards(&mut cap, cluster, node)?;
                 }
-                gather_window(comm, inv, cap.bound)
+                plan_window(comm, inv, cap.bound, |mut world_inv, cut| {
+                    // Keys past the cut are the next window's business: the
+                    // plan of this one needs none of them.
+                    let in_window = |fp: &Fingerprint| cut.is_none_or(|c| *fp <= c);
+                    for inv in &mut world_inv {
+                        inv.referenced.retain(in_window);
+                        inv.held.retain(in_window);
+                        inv.shards.retain(
+                            |(key, _)| matches!(key, StripeKey::Chunk(fp) if in_window(fp)),
+                        );
+                    }
+                    let idle = world_inv
+                        .iter()
+                        .all(|inv| inv.referenced.is_empty() && inv.shards.is_empty());
+                    (!idle).then(|| {
+                        let plan = windowed_plan(ctx, strategy, k, n, world_inv);
+                        Window {
+                            moves: plan.chunk_moves,
+                            rebuilds: plan.shard_rebuilds,
+                            lost: plan.unrepairable_chunks,
+                            lost_stripes: plan.unrepairable_stripes,
+                        }
+                    })
+                })
             })();
             comm.exit_phase("heal.plan");
-            let (mut world_inv, cut) = step?;
-            // Keys past the cut are the next window's business: the plan
-            // of this one needs none of them, so none reach the planner.
-            let in_window = |fp: &Fingerprint| cut.is_none_or(|c| *fp <= c);
-            for inv in &mut world_inv {
-                inv.referenced.retain(in_window);
-                inv.held.retain(in_window);
-                inv.shards
-                    .retain(|(key, _)| matches!(key, StripeKey::Chunk(fp) if in_window(fp)));
-            }
-            if world_inv
-                .iter()
-                .any(|inv| !inv.referenced.is_empty() || !inv.shards.is_empty())
-            {
-                let plan = windowed_plan(ctx, strategy, k, n, world_inv);
-                let rebuilt = rebuild_shards(comm, cluster, bucket, &plan.shard_rebuilds);
+            let (cut, part) = step?;
+            if let Some(part) = part {
+                let rebuilt = rebuild_shards(comm, cluster, bucket, &part.rebuilds);
                 comm.enter_phase("heal.transfer");
                 let moved = transfer(
                     comm,
                     TAG_HEAL_CHUNKS,
-                    &plan.chunk_moves,
+                    &part.moves,
                     bucket,
                     |fp| cluster.get_chunk(node, fp),
                     |fp, data| cluster.put_chunk(node, fp, data.into_bytes()).ok(),
@@ -577,8 +591,8 @@ pub(crate) fn heal_step_impl(
                 // The window's unrepairables are final facts (zero copies
                 // and no viable stripe cluster-wide); its manifests are
                 // the next stage's.
-                merge_sorted(&mut report.unrepairable_chunks, plan.unrepairable_chunks);
-                merge_sorted(&mut report.unrepairable_stripes, plan.unrepairable_stripes);
+                merge_sorted(&mut report.unrepairable_chunks, part.lost);
+                merge_sorted(&mut report.unrepairable_stripes, part.lost_stripes);
             }
             match cut {
                 Some(c) => cursor.after_fp = Some(c),
@@ -609,29 +623,43 @@ pub(crate) fn heal_step_impl(
                         inv.manifest_owners = cap.list(held, owner);
                     }
                 }
-                gather_window(comm, inv, cap.bound)
+                plan_window(comm, inv, cap.bound, |mut world_inv, cut| {
+                    // The window is the owner range `(after, cut]`. Stripes
+                    // past the cut are the next window's; the plan flags
+                    // every owner outside the window as lost (their lists
+                    // were not sent), so only in-window verdicts are real.
+                    let in_window =
+                        |r: &u32| after.is_none_or(|a| *r > a) && cut.is_none_or(|c| *r <= c);
+                    for inv in &mut world_inv {
+                        inv.shards.retain(|(key, _)| {
+                            matches!(key, StripeKey::Blob { owner, .. } if in_window(owner))
+                        });
+                    }
+                    let plan = windowed_plan(ctx, strategy, k, n, world_inv);
+                    let (mut moves, mut lost) = if blobs {
+                        (plan.blob_moves, plan.unrepairable_blobs)
+                    } else {
+                        (plan.manifest_moves, plan.unrepairable_manifests)
+                    };
+                    moves.retain(|(_, _, owner)| in_window(owner));
+                    lost.retain(in_window);
+                    Some(Window {
+                        moves,
+                        rebuilds: plan.shard_rebuilds,
+                        lost,
+                        lost_stripes: plan.unrepairable_stripes,
+                    })
+                })
             })();
             comm.exit_phase("heal.plan");
-            let (mut world_inv, cut) = step?;
-            // The window is the owner range `(after, cut]`. Stripes past
-            // the cut are the next window's; the plan flags every owner
-            // outside the window as lost (their lists were not sent), so
-            // only in-window verdicts are real.
-            let in_window = |r: &u32| after.is_none_or(|a| *r > a) && cut.is_none_or(|c| *r <= c);
-            for inv in &mut world_inv {
-                inv.shards.retain(
-                    |(key, _)| matches!(key, StripeKey::Blob { owner, .. } if in_window(owner)),
-                );
-            }
-            let plan = windowed_plan(ctx, strategy, k, n, world_inv);
-            let (mut moves, mut lost) = if blobs {
-                (plan.blob_moves, plan.unrepairable_blobs)
-            } else {
-                (plan.manifest_moves, plan.unrepairable_manifests)
-            };
-            moves.retain(|(_, _, owner)| in_window(owner));
-            lost.retain(in_window);
-            let rebuilt = rebuild_shards(comm, cluster, bucket, &plan.shard_rebuilds);
+            let (cut, part) = step?;
+            let Window {
+                moves,
+                rebuilds,
+                lost,
+                lost_stripes,
+            } = part.unwrap_or_default();
+            let rebuilt = rebuild_shards(comm, cluster, bucket, &rebuilds);
 
             comm.enter_phase("heal.transfer");
             let moved = if blobs {
@@ -679,7 +707,7 @@ pub(crate) fn heal_step_impl(
                     .counter("heal_manifests_rematerialized", stored);
                 merge_sorted(&mut report.unrepairable_manifests, lost);
             }
-            merge_sorted(&mut report.unrepairable_stripes, plan.unrepairable_stripes);
+            merge_sorted(&mut report.unrepairable_stripes, lost_stripes);
             match cut {
                 Some(c) => cursor.after_owner = Some(c),
                 None => cursor.stage = HealStage::Done,
@@ -727,7 +755,7 @@ const FIRST_BLOB: StripeKey = StripeKey::Blob {
 
 /// One leader's side of a window: its sorted lists strictly past
 /// `after`, each cut after `batch` distinct keys. `bound` is the smallest
-/// last kept key of any cut list, so inside the window every rank plans —
+/// last kept key of any cut list, so inside the window rank 0 plans —
 /// `(after, smallest bound of all leaders]` — each list is complete.
 struct Cap<K> {
     after: Option<K>,
@@ -830,17 +858,81 @@ fn blob_shards(
     })
 }
 
-/// The window's one allgather: every leader's capped lists plus its
-/// bound. The cut is the smallest bound, or `None` when nobody truncated
-/// (the window then runs to the end of the stage's key space).
-fn gather_window<K: Wire + Ord + Copy>(
+/// A window's plan, or one rank's part of it: the `(src, dst, key)`
+/// moves, the shard rebuilds as `(leader, stripe, index)`, and the
+/// window's verdicts — its keys and stripes beyond repair.
+#[derive(Debug, Default)]
+struct Window<K> {
+    moves: Vec<(u32, u32, K)>,
+    rebuilds: Vec<(u32, StripeKey, u8)>,
+    lost: Vec<K>,
+    lost_stripes: Vec<StripeKey>,
+}
+
+impl<K: Copy> Window<K> {
+    /// Each of `n` ranks' parts: the moves naming it, the rebuilds it
+    /// leads, and every verdict, so every rank's report stays identical.
+    fn split(self, n: u32) -> Vec<Self> {
+        let mut parts: Vec<Self> = (0..n)
+            .map(|_| Window {
+                moves: Vec::new(),
+                rebuilds: Vec::new(),
+                lost: self.lost.clone(),
+                lost_stripes: self.lost_stripes.clone(),
+            })
+            .collect();
+        for m @ (src, dst, _) in self.moves {
+            parts[src as usize].moves.push(m);
+            if dst != src {
+                parts[dst as usize].moves.push(m);
+            }
+        }
+        for r in self.rebuilds {
+            parts[r.0 as usize].rebuilds.push(r);
+        }
+        parts
+    }
+}
+
+impl<K: Wire> Wire for Window<K> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.moves.encode(buf);
+        self.rebuilds.encode(buf);
+        self.lost.encode(buf);
+        self.lost_stripes.encode(buf);
+    }
+
+    fn decode(input: &mut &[u8]) -> WireResult<Self> {
+        Ok(Window {
+            moves: Vec::decode(input)?,
+            rebuilds: Vec::decode(input)?,
+            lost: Vec::decode(input)?,
+            lost_stripes: Vec::decode(input)?,
+        })
+    }
+}
+
+/// The window's one gather-scatter: every leader's capped lists and bound
+/// go to rank 0, which cuts the window at the smallest bound — `None` when
+/// nobody cut, so the window runs to the end of the stage — and calls
+/// `plan` once on the lists and the cut (`None`: the window has no work).
+/// Every rank gets back the cut and its part of the plan.
+fn plan_window<K: Wire + Ord + Copy>(
     comm: &mut Comm,
     inv: NodeInventory,
     bound: Option<K>,
-) -> Result<(Vec<NodeInventory>, Option<K>), RepairError> {
-    let all = comm.try_allgather((inv, bound))?;
-    let cut = all.iter().filter_map(|(_, b)| *b).min();
-    Ok((all.into_iter().map(|(inv, _)| inv).collect(), cut))
+    plan: impl FnOnce(Vec<NodeInventory>, Option<K>) -> Option<Window<K>>,
+) -> Result<(Option<K>, Option<Window<K>>), RepairError> {
+    let n = comm.size();
+    comm.try_gather_scatter(0, (inv, bound), |all| {
+        let cut = all.iter().filter_map(|(_, b)| *b).min();
+        let parts = match plan(all.into_iter().map(|(inv, _)| inv).collect(), cut) {
+            Some(window) => window.split(n).into_iter().map(Some).collect(),
+            None => (0..n).map(|_| None).collect::<Vec<_>>(),
+        };
+        parts.into_iter().map(|part| (cut, part)).collect()
+    })
+    .map_err(RepairError::from)
 }
 
 /// Run [`build_plan`] over a windowed inventory with the world's real
@@ -1140,11 +1232,12 @@ mod tests {
         }
     }
 
-    /// Every windowed step costs exactly one allgather (the window and its
-    /// census travel in one message, and its stripes are rebuilt without
-    /// another); only the scrub step gathers none.
+    /// Every windowed step costs exactly one gather-scatter (the window
+    /// and its census travel to rank 0 in one message, the plan comes back
+    /// in another, and its stripes are rebuilt without a third); only the
+    /// scrub step gathers none, and no step allgathers.
     #[test]
-    fn every_heal_window_is_one_allgather() {
+    fn every_heal_window_is_one_gather_scatter() {
         for policy in [
             RedundancyPolicy::Replicate(3),
             RedundancyPolicy::Rs { k: 4, m: 2 },
@@ -1175,22 +1268,26 @@ mod tests {
                     comm.barrier();
                     comm.take_trace_events();
                     let report = repl.heal(comm, 1).unwrap();
-                    let allgathers = comm
-                        .take_trace_events()
-                        .iter()
-                        .filter(|e| e.name == "coll_allgather" && e.kind == EventKind::Enter)
-                        .count() as u64;
-                    (report, allgathers)
+                    let events = comm.take_trace_events();
+                    let entered = |name: &str| {
+                        events
+                            .iter()
+                            .filter(|e| e.name == name && e.kind == EventKind::Enter)
+                            .count() as u64
+                    };
+                    let counts = ["coll_gather_scatter", "coll_allgather"].map(entered);
+                    (report, counts)
                 })
                 .expect_all();
-            for (report, allgathers) in out.results {
+            for (report, [gather_scatters, allgathers]) in out.results {
                 assert!(report.is_fully_healed(), "{policy:?}: {report:?}");
                 match policy {
                     RedundancyPolicy::Replicate(_) => assert!(report.chunks_healed > 0),
                     _ => assert!(report.shards_rebuilt > 0, "{report:?}"),
                 }
                 assert!(report.steps > 6, "several windows: {}", report.steps);
-                assert_eq!(allgathers, report.steps - 1, "{policy:?}");
+                assert_eq!(gather_scatters, report.steps - 1, "{policy:?}");
+                assert_eq!(allgathers, 0, "{policy:?}");
             }
         }
     }

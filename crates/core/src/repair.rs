@@ -11,13 +11,13 @@
 //! the pieces that engine, [`crate::restore`] and
 //! [`crate::Replicator::scrub`] need:
 //!
-//! * `NodeInventory` — what one node's leader contributes to a window's
-//!   one allgather (manifest owners, blob owners, referenced and held
+//! * `NodeInventory` — what one node's leader sends rank 0 in a window's
+//!   one gather-scatter (manifest owners, blob owners, referenced and held
 //!   fingerprints, tombstones, erasure-coded shards). The held lists are
 //!   the live-copy census: a chunk's holders are the live leaders whose
 //!   inventory lists it.
-//! * `build_plan` — the deterministic planner. Fed the allgathered
-//!   inventories, every rank derives the identical plan: under-replicated
+//! * `build_plan` — the deterministic planner. Fed the gathered
+//!   inventories, rank 0 derives the window's plan once: under-replicated
 //!   chunks go to the least-loaded live non-holders, lost manifests/blobs
 //!   are re-materialized from any surviving copy (the owner's own node
 //!   first), and every viable Reed-Solomon stripe is healed back to `k+m`
@@ -30,7 +30,8 @@
 //!   payload frames, executing a `(src, dst, key)` move list under one
 //!   completion rule (see its docs), with every storage read on the fixed
 //!   retry schedule of `retry_read`.
-//! * `scrub_impl` — the read-only collective integrity scrub.
+//! * `scrub_impl` — the read-only collective integrity scrub, resolved
+//!   once at rank 0.
 //! * [`RepairError`] — every way a scrub or heal step can fail.
 
 use std::collections::{BTreeMap, HashSet};
@@ -93,8 +94,8 @@ impl From<CommError> for RepairError {
     }
 }
 
-/// One node's allgathered healing inventory, contributed by its leader rank
-/// (every other rank, and leaders of dead nodes, contribute the default).
+/// One node's healing inventory, sent to the planning rank by the node's
+/// leader (every other rank, and leaders of dead nodes, send the default).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct NodeInventory {
     /// True only in the entry of a live node's leader rank.
@@ -139,8 +140,8 @@ impl Wire for NodeInventory {
     }
 }
 
-/// The deterministic transfer plan. Every rank computes the identical plan
-/// from the identical allgathered inputs; moves name leader ranks.
+/// The deterministic transfer plan, computed once from the gathered
+/// inventories; moves name leader ranks.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct RepairPlan {
     /// `(src_leader, dst_leader, fp)`: src serves the chunk, dst stores it.
@@ -230,8 +231,8 @@ fn sort_by_fingerprint(records: &[(Fingerprint, u32)]) -> Vec<(Fingerprint, u32)
     sorted
 }
 
-/// Derive the transfer plan. Pure: every rank calls this with the
-/// identical inventories and gets the identical plan.
+/// Derive the transfer plan. Pure: the same inventories always give the
+/// same plan, which is what lets one rank plan for the world.
 ///
 /// `home_leader[r]` is the leader rank of rank `r`'s own node — the
 /// preferred destination when re-materializing `r`'s manifest or blob, so
@@ -264,7 +265,7 @@ pub(crate) fn build_plan(
         .collect();
     let target = (k as usize).min(live.len());
 
-    // Cluster-wide stripe map from the allgathered shard inventories:
+    // Cluster-wide stripe map from the gathered shard inventories:
     // geometry (from any shard's self-describing meta) plus surviving
     // indices, and which leader holds which shard.
     let mut stripes: BTreeMap<StripeKey, (ShardMeta, Vec<u8>)> = BTreeMap::new();
@@ -426,8 +427,8 @@ pub(crate) fn lowest_live_leader(cluster: &Cluster, world: u32) -> Option<u32> {
 }
 
 /// Collective scrub: every live node is scrubbed by its leader rank and
-/// the per-node reports are merged, so all ranks return the identical
-/// cluster-wide [`ScrubReport`]. Read-only — corrupt chunks are reported,
+/// the per-node reports go to rank 0, which merges them once and sends
+/// every rank the identical cluster-wide [`ScrubReport`]. Read-only — corrupt chunks are reported,
 /// not quarantined (that is the heal's [`crate::HealStage::Scrub`] step).
 ///
 /// Node-local findings are resolved against cluster-wide knowledge before
@@ -461,21 +462,24 @@ pub(crate) fn scrub_impl(
         // folds the findings into its contribution.
         contribution.0.merge(&ctx.cluster.scrub_stripes(ctx.hasher));
     }
-    let all = comm.try_allgather(contribution);
+    // Rank 0 resolves once and sends every rank the same report.
+    let merged = comm.try_gather_scatter(0, contribution, |all| {
+        let mut merged = ScrubReport::default();
+        let mut present = FpHashSet::default();
+        let mut referenced = FpHashSet::default();
+        for (report, fps, refs) in &all {
+            merged.merge(report);
+            present.extend(fps.iter().copied());
+            referenced.extend(refs.iter().copied());
+        }
+        merged
+            .dangling
+            .retain(|(_, _, _, fp)| !present.contains(fp));
+        merged.orphans.retain(|(_, fp)| !referenced.contains(fp));
+        vec![merged; all.len()]
+    });
     comm.exit_phase("scrub.collect");
-    let all = all?;
-    let mut merged = ScrubReport::default();
-    let mut present = FpHashSet::default();
-    let mut referenced = FpHashSet::default();
-    for (report, fps, refs) in &all {
-        merged.merge(report);
-        present.extend(fps.iter().copied());
-        referenced.extend(refs.iter().copied());
-    }
-    merged
-        .dangling
-        .retain(|(_, _, _, fp)| !present.contains(fp));
-    merged.orphans.retain(|(_, fp)| !referenced.contains(fp));
+    let merged = merged?;
     comm.tracer()
         .counter("scrub_corrupt_chunks", merged.corrupt.len() as u64);
     Ok(merged)
@@ -544,9 +548,9 @@ pub(crate) struct Moved {
 /// Execute a `(src, dst, key)` move list — the one place restore and heal
 /// payloads cross the wire, whatever they are: heal moves chunks keyed by
 /// fingerprint and blobs or encoded manifests keyed by owner rank, and
-/// restore moves both in one list, keyed `Owner(rank)` or `Chunk(fp)`. Every
-/// rank derives the list from the same allgathered data; only the moves
-/// naming this rank matter, so a rank may pass just those. Sends first
+/// restore moves both in one list, keyed `Owner(rank)` or `Chunk(fp)`. The
+/// planning rank derives the world's list once; only the moves naming
+/// this rank matter, and each rank is sent just those. Sends first
 /// (buffered, one frame per destination), then one receive per source the
 /// list says owes me a frame: `fetch` reads a payload off my node,
 /// `store(key, payload)` lands one — `Some(counted)`, or `None` when it

@@ -3,11 +3,14 @@
 //! The half of checkpointing the paper leaves implicit: one round loop
 //! over `repair::transfer` serves every key a rank cannot read intact off
 //! its own node, `Owner(rank)` (its manifest, or its raw blob under
-//! `no-dedup`) or `Chunk(fp)`. Each round allgathers every rank's wanted
-//! keys, tried `(key, node)` pairs, advertised owners and, in round 1,
-//! tombstones. A round in which any rank wants an owner moves owners only;
-//! otherwise chunks move, their holders from one have-bitmap allgather. A
-//! key comes from its lowest-ranked holder on a node its requester has not
+//! `no-dedup`) or `Chunk(fp)`. Rank 0 plans each round once: every rank
+//! sends it, in one gather-scatter, its wanted keys, tried `(key, node)`
+//! pairs, advertised owners and, in round 1, tombstones. A round in which
+//! any rank wants an owner moves owners only and is planned right there;
+//! otherwise chunks move, and a second gather-scatter carries each rank's
+//! have-bits over the union of wanted chunks. Either way a rank gets back
+//! only its part: the moves naming it and its keys with no server. A key
+//! comes from its lowest-ranked holder on a node its requester has not
 //! tried (its own node always counts as tried); a copy that arrives
 //! corrupt, undecodable or not at all marks that node tried, and a key
 //! with no holder left gets the one stripe rescue or is lost. After its
@@ -225,62 +228,32 @@ pub(crate) fn restore_impl(
         } else {
             Vec::new()
         };
-        let requests =
-            comm.try_allgather((wanted.clone(), tried.clone(), advertised, tombstoned))?;
-        absent |= requests.iter().any(|r| r.3.binary_search(&me).is_ok());
-        // A round in which any rank requests an owner moves owner keys
-        // only; chunk requests wait for the next round.
-        let is_owner = |k: &Key| matches!(k, Key::Owner(_));
-        let owner_round = requests.iter().flat_map(|r| &r.0).any(is_owner);
-        let moves_now = |k: &&Key| is_owner(k) == owner_round;
-        // The keys moving this round, sorted for stable indexing, and their
-        // holders: an owner's advertisers, or what the have-bitmaps say.
-        let mut union: Vec<Key> = requests
-            .iter()
-            .flat_map(|r| &r.0)
-            .filter(moves_now)
-            .copied()
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        let have: Vec<Vec<bool>> = if owner_round {
-            let holds =
-                |adv: &[u32], k: &Key| matches!(k, Key::Owner(o) if adv.binary_search(o).is_ok());
-            requests
-                .iter()
-                .map(|r| union.iter().map(|k| holds(&r.2, k)).collect())
-                .collect()
-        } else if union.is_empty() {
-            Vec::new()
-        } else {
-            let holds = |k: &Key| matches!(k, Key::Chunk(fp) if cluster.has_chunk(node, fp));
-            comm.try_allgather(union.iter().map(holds).collect::<Vec<bool>>())?
-        };
-        // Each key's lowest-ranked holder, from one pass over the bitmaps.
-        let mut lowest: Vec<Option<u32>> = vec![None; union.len()];
-        for (s, bits) in (0u32..).zip(&have) {
-            for (slot, held) in lowest.iter_mut().zip(bits) {
-                if *held && slot.is_none() {
-                    *slot = Some(s);
-                }
+        // Rank 0 plans the round. It keeps the chunk requests for the
+        // have-bit gather-scatter of a chunk round.
+        let mut kept = Vec::new();
+        let request = (wanted.clone(), tried.clone(), advertised, tombstoned);
+        let (tombstoned_me, round) = comm.try_gather_scatter(0, request, |requests| {
+            plan_requests(requests, &mut kept, |s| cluster.node_of(s))
+        })?;
+        absent |= tombstoned_me;
+        let (owner_round, part) = match round {
+            Round::Owners(part) => (true, part),
+            // No rank wants a chunk: nothing moves, and no bits are sent.
+            Round::Chunks(union) if union.is_empty() => (false, Part::default()),
+            Round::Chunks(union) => {
+                let holds = |k: &Key| matches!(k, Key::Chunk(fp) if cluster.has_chunk(node, fp));
+                let bits: Vec<bool> = union.iter().map(holds).collect();
+                let part = comm.try_gather_scatter(0, bits, |have| {
+                    plan_moves(&kept, &union, &have, |s| cluster.node_of(s))
+                })?;
+                (false, part)
             }
-        }
-        let serve = |r: u32, key: &Key, tried: &[(Key, NodeId)]| {
-            let i = union.binary_search(key).ok()?;
-            // Usually the lowest holder; the scan is for the fault paths.
-            let first = lowest.get(i).copied().flatten()?;
-            let later = (first..).zip(have.iter().skip(first as usize));
-            let holders = later.filter_map(|(s, bits)| (bits.get(i) == Some(&true)).then_some(s));
-            server(*key, r, tried, holders, |s| cluster.node_of(s))
         };
         // A key with no untried holder gets the stripe rescue before the
         // transfer, so decode buffers and received frames never peak
         // together; one it cannot rebuild is lost, and reassemble says so.
-        wanted.retain(|k| {
-            if !moves_now(&k) || serve(me, k, &tried).is_some() {
-                return true;
-            }
-            match *k {
+        for key in &part.rescue {
+            match *key {
                 Key::Chunk(fp) => {
                     if let Some(data) = stripe_rescue(comm, ctx, StripeKey::Chunk(fp)) {
                         verified.insert(fp, data);
@@ -292,19 +265,11 @@ pub(crate) fn restore_impl(
                 }
                 Key::Owner(_) => {}
             }
-            false
-        });
-        // Only the moves naming this rank are kept: the world's list would
-        // be every rank's copy of every request.
-        let mut moves: Vec<(u32, u32, Key)> = Vec::new();
-        for (r, (keys, tried, ..)) in (0u32..).zip(&requests) {
-            for key in keys.iter().filter(moves_now) {
-                match serve(r, key, tried) {
-                    Some(s) if s == me || r == me => moves.push((s, r, *key)),
-                    _ => {}
-                }
-            }
         }
+        // The rescued keys are a subsequence of `wanted`, in its order.
+        let mut rescued = part.rescue.iter().peekable();
+        wanted.retain(|k| rescued.next_if_eq(&k).is_none());
+        let moves = part.moves;
         // Payloads ride as zero-copy slices of the store's allocations and
         // of the received frame; one that checks out re-seeds the node.
         let moved = transfer(
@@ -394,6 +359,163 @@ pub(crate) fn restore_impl(
     comm.tracer().exit(span);
     // The loop ends only once nothing is wanted, so `result` is set.
     result.unwrap_or(Err(RestoreError::ManifestLost { rank: me }))
+}
+
+/// One rank's round request: the keys it still wants, the `(key, node)`
+/// pairs it tried, the owners its node advertises, and (round 1 only)
+/// the ranks its node holds tombstoned absent.
+type Request = (Vec<Key>, Vec<(Key, NodeId)>, Vec<u32>, Vec<u32>);
+
+/// The part of a [`Request`] that [`plan_moves`] serves: wanted keys and
+/// tried pairs.
+type Ask = (Vec<Key>, Vec<(Key, NodeId)>);
+
+/// One rank's part of a round's plan: the moves naming it, and the keys
+/// it wants that no untried holder can serve, in its request's order.
+#[derive(Debug, Default, PartialEq)]
+struct Part {
+    moves: Vec<(u32, u32, Key)>,
+    rescue: Vec<Key>,
+}
+
+impl Wire for Part {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.moves.encode(buf);
+        self.rescue.encode(buf);
+    }
+
+    fn decode(input: &mut &[u8]) -> WireResult<Self> {
+        Ok(Part {
+            moves: Vec::decode(input)?,
+            rescue: Vec::decode(input)?,
+        })
+    }
+}
+
+/// Rank 0's answer to a round request. A round in which any rank wants
+/// an owner moves owners only, and is planned at once from the owners
+/// each node advertises; otherwise chunks move, and every rank gets the
+/// union of the wanted chunks to send back its have-bits over.
+#[derive(Debug, PartialEq)]
+enum Round {
+    Owners(Part),
+    Chunks(Vec<Key>),
+}
+
+impl Wire for Round {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Round::Owners(part) => {
+                0u8.encode(buf);
+                part.encode(buf);
+            }
+            Round::Chunks(union) => {
+                1u8.encode(buf);
+                union.encode(buf);
+            }
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> WireResult<Self> {
+        match u8::decode(input)? {
+            0 => Part::decode(input).map(Round::Owners),
+            1 => Vec::decode(input).map(Round::Chunks),
+            _ => Err(WireError::Malformed { what: "Round" }),
+        }
+    }
+}
+
+/// Rank 0's plan of a round from every rank's request: each rank's
+/// entry says whether a node holds it tombstoned absent, and carries its
+/// [`Round`]. A chunk round leaves every rank's wanted keys and tried
+/// pairs in `kept`, for [`plan_moves`] once the have-bits are in.
+fn plan_requests(
+    requests: Vec<Request>,
+    kept: &mut Vec<Ask>,
+    node_of: impl Fn(u32) -> NodeId,
+) -> Vec<(bool, Round)> {
+    let mut absent = vec![false; requests.len()];
+    for r in requests.iter().flat_map(|q| &q.3) {
+        if let Some(a) = absent.get_mut(*r as usize) {
+            *a = true;
+        }
+    }
+    let is_owner = |k: &Key| matches!(k, Key::Owner(_));
+    let owner_round = requests.iter().flat_map(|q| &q.0).any(is_owner);
+    // The keys moving this round, sorted for stable indexing: owners
+    // only in a round in which any rank wants one, else chunks.
+    let mut union: Vec<Key> = requests
+        .iter()
+        .flat_map(|q| &q.0)
+        .filter(|k| is_owner(k) == owner_round)
+        .copied()
+        .collect();
+    union.sort_unstable();
+    union.dedup();
+    let rounds: Vec<Round> = if owner_round {
+        // An owner's holders are the ranks whose node advertises it.
+        let holds =
+            |adv: &[u32], k: &Key| matches!(k, Key::Owner(o) if adv.binary_search(o).is_ok());
+        let have: Vec<Vec<bool>> = requests
+            .iter()
+            .map(|q| union.iter().map(|k| holds(&q.2, k)).collect())
+            .collect();
+        let asks: Vec<_> = requests.into_iter().map(|q| (q.0, q.1)).collect();
+        let parts = plan_moves(&asks, &union, &have, node_of);
+        parts.into_iter().map(Round::Owners).collect()
+    } else {
+        *kept = requests.into_iter().map(|q| (q.0, q.1)).collect();
+        kept.iter().map(|_| Round::Chunks(union.clone())).collect()
+    };
+    absent.into_iter().zip(rounds).collect()
+}
+
+/// Rank 0's moves for a round: every rank's wanted keys in `union`, the
+/// sorted keys moving this round, go to [`server`] over their holders
+/// (`have[s][i]`: rank `s` holds `union[i]`); the others wait for a later
+/// round. Each rank's part holds the moves naming it, in the order of the
+/// world's list, and its keys with no server.
+fn plan_moves(
+    asks: &[Ask],
+    union: &[Key],
+    have: &[Vec<bool>],
+    node_of: impl Fn(u32) -> NodeId,
+) -> Vec<Part> {
+    // Each key's lowest-ranked holder, from one pass over the bitmaps.
+    let mut lowest: Vec<Option<u32>> = vec![None; union.len()];
+    for (s, bits) in (0u32..).zip(have) {
+        for (slot, held) in lowest.iter_mut().zip(bits) {
+            if *held && slot.is_none() {
+                *slot = Some(s);
+            }
+        }
+    }
+    let serve = |r: u32, i: usize, key: &Key, tried: &[(Key, NodeId)]| {
+        // Usually the lowest holder; the scan is for the fault paths.
+        let first = lowest.get(i).copied().flatten()?;
+        let later = (first..).zip(have.iter().skip(first as usize));
+        let holders = later.filter_map(|(s, bits)| (bits.get(i) == Some(&true)).then_some(s));
+        server(*key, r, tried, holders, &node_of)
+    };
+    let mut parts: Vec<Part> = asks.iter().map(|_| Part::default()).collect();
+    for (r, (keys, tried)) in (0u32..).zip(asks) {
+        for key in keys {
+            let Ok(i) = union.binary_search(key) else {
+                continue;
+            };
+            match serve(r, i, key, tried) {
+                Some(s) => {
+                    for at in [s, r] {
+                        if let Some(part) = parts.get_mut(at as usize) {
+                            part.moves.push((s, r, *key));
+                        }
+                    }
+                }
+                None => parts[r as usize].rescue.push(*key),
+            }
+        }
+    }
+    parts
 }
 
 /// Mark `retries` storage-read retries in the trace: a zero-length
@@ -660,18 +782,18 @@ mod tests {
         assert_eq!(server(key, 0, &[], [], node_of), None);
     }
 
-    /// Collectives each rank enters in one restore, as `[allgather,
-    /// allreduce, barrier]`: an owner round is one allgather and one
-    /// allreduce, a round that moves chunks adds the have-bitmap
-    /// allgather, and nothing else joins.
+    /// Collectives each rank enters in one restore, as `[gather-scatter,
+    /// allgather, allreduce, barrier]`: an owner round is one
+    /// gather-scatter and one allreduce, a round that moves chunks adds
+    /// the have-bit gather-scatter, and nothing else joins.
     #[test]
     fn restore_rounds_cost_their_collectives() {
         let cases = [
-            (Strategy::CollDedup, false, [2, 1, 0]),
-            (Strategy::CollDedup, true, [3, 2, 0]),
-            (Strategy::LocalDedup, true, [3, 2, 0]),
-            (Strategy::NoDedup, false, [1, 1, 0]),
-            (Strategy::NoDedup, true, [1, 1, 0]),
+            (Strategy::CollDedup, false, [2, 0, 1, 0]),
+            (Strategy::CollDedup, true, [3, 0, 2, 0]),
+            (Strategy::LocalDedup, true, [3, 0, 2, 0]),
+            (Strategy::NoDedup, false, [1, 0, 1, 0]),
+            (Strategy::NoDedup, true, [1, 0, 1, 0]),
         ];
         for (strategy, wipe, want) in cases {
             let results = dump_then(
@@ -692,7 +814,13 @@ mod tests {
                         let hit = |e: &&Event| e.name == name && e.kind == EventKind::Enter;
                         events.iter().filter(hit).count()
                     };
-                    let counts = ["coll_allgather", "coll_allreduce", "coll_barrier"].map(entered);
+                    let counts = [
+                        "coll_gather_scatter",
+                        "coll_allgather",
+                        "coll_allreduce",
+                        "coll_barrier",
+                    ]
+                    .map(entered);
                     let fetched = events.iter().any(|e| {
                         e.name == "chunks_recovered"
                             && matches!(e.kind, EventKind::Counter(n) if n > 0)

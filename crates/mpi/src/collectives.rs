@@ -4,14 +4,22 @@
 //! merge operator (the fingerprint reduction, "efficient — logarithmic in
 //! the number of processes"), an `ALLGATHER` (load dissemination for the
 //! rank shuffle), and an implicit barrier/fence around the RMA exchange.
-//! These are exactly the collectives this module provides, implemented with
-//! the textbook algorithms an MPI library would pick at these message sizes:
+//! This module provides those three, implemented with the textbook
+//! algorithms an MPI library would pick at these message sizes, and one
+//! more for recovery:
 //!
 //! * barrier — dissemination (⌈log₂ N⌉ rounds),
 //! * allreduce — recursive doubling with pre/post folding for
 //!   non-power-of-two worlds,
 //! * allgather — Bruck (⌈log₂ N⌉ rounds of one frame each; every rank
-//!   still sends N - 1 blocks, the bytes a ring allgather sends).
+//!   still sends N - 1 blocks, the bytes a ring allgather sends),
+//! * gather-scatter — flat: every rank sends its value to a root, which
+//!   runs one plan over them all and sends each rank its own entry. The
+//!   recovery collectives plan with it, so a plan is computed once and a
+//!   rank receives only its part: bytes grow with N, not N² as when every
+//!   rank allgathers the world's inputs and plans alone. It is flat, not a
+//!   tree, because the root decodes every value anyway; a tree would add
+//!   copies without cutting the root's work.
 //!
 //! All internal messages are tagged under the reserved tag space and
 //! namespaced by the per-rank collective sequence number, so a collective
@@ -111,6 +119,32 @@ impl Comm {
             .coll_entry_guard()
             .and_then(|epoch| self.allgather_impl(value, op, epoch));
         self.exit_phase("coll_allgather");
+        out
+    }
+
+    /// Gather-scatter: every rank sends `value` to `root`, which calls
+    /// `plan` once on the rank-ordered values and sends each rank its own
+    /// entry of the result; every rank returns its entry. `plan` runs on
+    /// the root only, and must return one entry per rank.
+    ///
+    /// A value that does not decode at the root fails the root with
+    /// [`CommError::Undecodable`], and a plan of the wrong length fails it
+    /// with [`CommError::NoPlanEntry`]; either way the root tells every
+    /// other rank, which fails with [`CommError::NoPlanEntry`] at once
+    /// instead of waiting out the receive timeout. A death during the call
+    /// fails every rank still waiting with [`CommError::RankFailed`].
+    pub fn try_gather_scatter<T: Wire, U: Wire>(
+        &mut self,
+        root: Rank,
+        value: T,
+        plan: impl FnOnce(Vec<T>) -> Vec<U>,
+    ) -> Result<U, CommError> {
+        self.enter_phase("coll_gather_scatter");
+        let op = self.next_op();
+        let out = self
+            .coll_entry_guard()
+            .and_then(|epoch| self.gather_scatter_impl(root, value, plan, op, epoch));
+        self.exit_phase("coll_gather_scatter");
         out
     }
 }
@@ -258,6 +292,73 @@ impl Comm {
             .map(|origin| decode(&held[((origin + n - me) % n) as usize], me, origin))
             .collect()
     }
+
+    /// Flat gather-scatter. Round 0 carries every non-root's value to the
+    /// root, received in rank order; round 1 carries each non-root its
+    /// entry as a one-segment frame, or an empty frame when the root has
+    /// none to give (a value that did not decode, or a plan of the wrong
+    /// length). The root sends to every rank before it reports a failed
+    /// send, so a dead rank never costs a live one its entry.
+    fn gather_scatter_impl<T: Wire, U: Wire>(
+        &mut self,
+        root: Rank,
+        value: T,
+        plan: impl FnOnce(Vec<T>) -> Vec<U>,
+        seq: u64,
+        epoch: Option<u64>,
+    ) -> Result<U, CommError> {
+        let (n, me) = (self.size(), self.rank());
+        assert!(
+            root < n,
+            "gather-scatter root {root} outside a world of {n}"
+        );
+        let (gather, scatter) = (Self::coll_tag(seq, 0), Self::coll_tag(seq, 1));
+        if me != root {
+            self.try_send_raw(root, gather, value.to_bytes(), Transport::Collective)?;
+            let mut entry = self
+                .try_recv_frame_guarded(root, scatter, Transport::Collective, epoch)?
+                .into_segments();
+            return match (entry.pop(), entry.is_empty()) {
+                (Some(bytes), true) => decode(&bytes, me, root),
+                _ => Err(CommError::NoPlanEntry { rank: me, root }),
+            };
+        }
+        // Receive every value before deciding, so no peer's message is
+        // left behind; the first undecodable one is the failure reported.
+        let mut values = Vec::with_capacity(n as usize);
+        let mut failed = None;
+        for src in (0..n).filter(|&src| src != root) {
+            let bytes = self.try_recv_raw_guarded(src, gather, Transport::Collective, epoch)?;
+            match decode(&bytes, me, src) {
+                Ok(v) => values.push(v),
+                Err(e) => failed = failed.or(Some(e)),
+            }
+        }
+        let mut entries = match failed {
+            None => {
+                values.insert(root as usize, value);
+                Some(plan(values)).filter(|e| e.len() == n as usize)
+            }
+            Some(_) => None,
+        }
+        .map(Vec::into_iter);
+        let (mut mine, mut sent) = (None, Ok(()));
+        for dst in 0..n {
+            let entry = entries.as_mut().and_then(Iterator::next);
+            if dst == root {
+                mine = entry;
+                continue;
+            }
+            let frame = entry.map_or_else(Frame::new, |e| Frame::single(e.to_bytes()));
+            sent = sent.and(self.try_send_frame_raw(dst, scatter, frame, Transport::Collective));
+        }
+        sent?;
+        match (mine, failed) {
+            (Some(entry), _) => Ok(entry),
+            (None, Some(e)) => Err(e),
+            (None, None) => Err(CommError::NoPlanEntry { rank: me, root }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -268,7 +369,8 @@ mod tests {
     use crate::stats::Transport;
     use crate::wire::{Frame, Wire, WireError, WireResult};
     use std::collections::HashSet;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     /// Every (sequence, round) pair a run can produce, the unfold step
     /// included, maps to its own tag: no round can reach into the
@@ -529,6 +631,110 @@ mod tests {
                 None,
             ]
         );
+    }
+
+    #[test]
+    fn gather_scatter_plans_once_at_the_root_over_rank_ordered_values() {
+        for n in [1u32, 2, 3, 8, 128] {
+            let plans = AtomicUsize::new(0);
+            let out = WorldConfig::default()
+                .launch(n, |comm| {
+                    let before = comm.traffic();
+                    let entry = comm
+                        .try_gather_scatter(0, u64::from(comm.rank()) * 3, |values| {
+                            plans.fetch_add(1, Ordering::SeqCst);
+                            assert_eq!(
+                                values,
+                                (0..u64::from(n)).map(|r| r * 3).collect::<Vec<_>>()
+                            );
+                            values.iter().map(|v| vec![*v; 2]).collect()
+                        })
+                        .unwrap();
+                    let after = comm.traffic();
+                    (entry, after.msgs_sent - before.msgs_sent)
+                })
+                .expect_all();
+            assert_eq!(plans.load(Ordering::SeqCst), 1, "n={n}: the plan runs once");
+            for (rank, (entry, msgs)) in (0u64..).zip(out.results) {
+                assert_eq!(entry, vec![rank * 3; 2], "n={n}: rank {rank}'s own entry");
+                let expect = if rank == 0 { u64::from(n) - 1 } else { 1 };
+                assert_eq!(msgs, expect, "n={n} rank {rank}: flat, one message a side");
+            }
+        }
+    }
+
+    /// Every survivor of a gather-scatter whose root or a non-root dies
+    /// fails typed, long before a 10 s receive timeout.
+    #[test]
+    fn gather_scatter_fails_fast_when_its_root_or_a_peer_dies() {
+        let timeout = Duration::from_secs(10);
+        for victim in [0u32, 3] {
+            let plan = FaultPlan::new(14).crash(
+                victim,
+                FaultTrigger::PhaseStart("coll_gather_scatter".into()),
+            );
+            let out = WorldConfig::default()
+                .with_recv_timeout(timeout)
+                .with_faults(plan)
+                .launch(5, |comm| {
+                    let start = Instant::now();
+                    let got = comm.try_gather_scatter(0, comm.rank(), |v| v);
+                    (got, start.elapsed())
+                });
+            assert_eq!(out.crashed_ranks(), vec![victim]);
+            for (rank, o) in out.outcomes.iter().enumerate() {
+                if rank as u32 == victim {
+                    continue;
+                }
+                let (got, waited) = o.as_completed().unwrap();
+                assert_eq!(
+                    *got,
+                    Err(CommError::RankFailed { rank: victim }),
+                    "victim {victim} rank {rank}"
+                );
+                assert!(
+                    *waited < timeout / 10,
+                    "victim {victim} rank {rank}: {waited:?}"
+                );
+            }
+        }
+    }
+
+    /// An undecodable value, and a plan of the wrong length, fail every
+    /// rank typed and at once.
+    #[test]
+    fn gather_scatter_failures_at_the_root_reach_every_rank_at_once() {
+        let timeout = Duration::from_secs(10);
+        let error = WireError::Malformed {
+            what: "Undecodable",
+        };
+        let out = WorldConfig::default()
+            .with_recv_timeout(timeout)
+            .launch(4, |comm| {
+                let start = Instant::now();
+                let undecodable = comm
+                    .try_gather_scatter(0, Undecodable, |_| vec![0u8; 4])
+                    .err();
+                let short = comm.try_gather_scatter(0, 1u8, |v| v[1..].to_vec()).err();
+                let fine = comm.try_gather_scatter(0, comm.rank(), |v| v);
+                (undecodable, short, fine, start.elapsed())
+            })
+            .expect_all();
+        for (rank, (undecodable, short, fine, waited)) in (0u32..).zip(out.results) {
+            let expect = if rank == 0 {
+                CommError::Undecodable {
+                    rank: 0,
+                    peer: 1,
+                    error: error.clone(),
+                }
+            } else {
+                CommError::NoPlanEntry { rank, root: 0 }
+            };
+            assert_eq!(undecodable, Some(expect), "rank {rank}");
+            assert_eq!(short, Some(CommError::NoPlanEntry { rank, root: 0 }));
+            assert_eq!(fine, Ok(rank), "a failed call leaves the next one intact");
+            assert!(waited < timeout / 10, "rank {rank}: {waited:?}");
+        }
     }
 
     #[test]

@@ -359,6 +359,17 @@ pub enum CommError {
         /// What the decoder rejected.
         error: WireError,
     },
+    /// A gather-scatter's root sent this rank no entry: a value did not
+    /// decode at the root, or the root's plan returned a number of entries
+    /// other than the world size. The root returns the decode error
+    /// itself, or this variant naming itself for a plan of the wrong
+    /// length; every other rank returns this variant at once.
+    NoPlanEntry {
+        /// The rank left without an entry.
+        rank: Rank,
+        /// The gather-scatter's root.
+        root: Rank,
+    },
     /// A window creation passed its opening fence, but a peer deposited no
     /// window there: the ranks called collectives in different orders.
     MissingExposure {
@@ -392,6 +403,10 @@ impl fmt::Display for CommError {
                     "rank {rank} could not decode rank {peer}'s value: {error}"
                 )
             }
+            CommError::NoPlanEntry { rank, root } => write!(
+                f,
+                "rank {rank} got no entry from the gather-scatter plan at root {root}"
+            ),
             CommError::MissingExposure { rank, peer } => write!(
                 f,
                 "rank {rank} found no window from rank {peer} after the opening fence \

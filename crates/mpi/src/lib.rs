@@ -5,7 +5,9 @@
 //! messaging uses matched `(source, tag)` channels with an
 //! unexpected-message queue, and the three collectives the paper's
 //! Algorithm 1 needs (`barrier`, `allreduce` with a user operator,
-//! `allgather`) use the textbook algorithms a real MPI library would pick.
+//! `allgather`) use the textbook algorithms a real MPI library would pick;
+//! a flat gather-scatter lets the recovery collectives plan once at a
+//! root rank.
 //! One-sided communication is provided through [`Window`]s mirroring
 //! `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence`, which is what the
 //! paper's single-sided exchange phase uses. Each rank owns one mailbox;

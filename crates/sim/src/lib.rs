@@ -8,6 +8,17 @@
 //! checkpoint counts, baseline completion models) behind Table I and the
 //! time figures.
 
+// The panic-lint inventory of this crate: none is allowed outside tests.
+// The model is closed-form arithmetic over measured counts, with no input
+// to reject; `ClusterModel::dump_time`'s invariant `assert!` on a positive
+// scale is not linted. `clippy.toml` still lets test code unwrap/expect.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub mod model;
 pub mod scenario;
 

@@ -669,3 +669,57 @@ fn restore_serves_a_recipe_past_a_failing_advertiser() {
         }
     }
 }
+
+/// Collective bytes `(rank 0, last rank)` received over a healthy restore
+/// and over a whole heal after node 1 is wiped and revived, in a
+/// one-per-node world of `n` ranks with `Replicate(3)`.
+fn recovery_coll_recv(n: u32) -> ((u64, u64), (u64, u64)) {
+    let cluster = Cluster::new(Placement::one_per_node(n));
+    let repl = replicator(Strategy::CollDedup, &cluster, 3);
+    let bufs = buffers(n);
+    let out = WorldConfig::default()
+        .launch(n, |comm| {
+            let rank = comm.rank() as usize;
+            repl.dump(comm, DUMP, bufs[rank].clone()).expect("dump");
+            let before = comm.traffic().coll_recv;
+            let restored = repl.restore(comm, DUMP).expect("healthy restore");
+            let restore = comm.traffic().coll_recv - before;
+            comm.barrier();
+            if rank == 0 {
+                repl.cluster().fail_node(1);
+                repl.cluster().revive_node(1);
+            }
+            comm.barrier();
+            let before = comm.traffic().coll_recv;
+            let report = repl.heal(comm, DUMP).expect("heal");
+            let heal = comm.traffic().coll_recv - before;
+            assert_eq!(Vec::from(restored), bufs[rank]);
+            assert!(report.is_fully_healed() && report.chunks_healed > 0);
+            (restore, heal)
+        })
+        .expect_all();
+    let (first, last) = (out.results[0], out.results[n as usize - 1]);
+    ((first.0, last.0), (first.1, last.1))
+}
+
+/// Recovery plans at one rank, so a rank other than the planner receives
+/// only its own part: its collective bytes stay flat as the world grows
+/// while the planner's grow with it. Were every rank to allgather the
+/// world's lists, every rank would receive the planner's bytes.
+#[test]
+fn recovery_traffic_grows_with_the_world_only_at_the_planner() {
+    let (_, (heal0_16, heal_last_16)) = recovery_coll_recv(16);
+    let ((restore0, restore_last), (heal0_64, heal_last_64)) = recovery_coll_recv(64);
+    assert!(
+        heal_last_64 < 2 * heal_last_16,
+        "last rank's heal bytes grow with the world: {heal_last_16} -> {heal_last_64}"
+    );
+    assert!(
+        heal0_64 >= 3 * heal0_16,
+        "the planner gathers every node's lists: {heal0_16} -> {heal0_64}"
+    );
+    assert!(
+        restore_last * 4 < restore0,
+        "a restore's last rank receives {restore_last} of the planner's {restore0} bytes"
+    );
+}

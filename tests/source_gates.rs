@@ -180,3 +180,30 @@ fn the_ignored_worker_setter_has_no_workspace_caller() {
         found.join("\n")
     );
 }
+
+/// Recovery plans once: restore rounds, heal windows and the collective
+/// scrub gather to one planning rank, which sends each rank its part.
+/// An allgather in their non-test code means every rank again receives
+/// the whole world's lists (bytes growing as ranks²) and plans alone.
+#[test]
+fn recovery_planning_never_allgathers() {
+    let needle = concat!("try_", "allgather");
+    let sources = [
+        source!("crates/core/src/restore.rs"),
+        source!("crates/core/src/heal.rs"),
+        source!("crates/core/src/repair.rs"),
+    ];
+    let tests_start = concat!("#[cfg(", "test)]");
+    let found: Vec<String> = sources
+        .iter()
+        .flat_map(|(file, src)| {
+            let code = src.split(tests_start).next().unwrap_or(src);
+            hits(file, code, |line| line.contains(needle))
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "a recovery collective allgathers instead of planning at one rank:\n{}",
+        found.join("\n")
+    );
+}
