@@ -9,10 +9,11 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
 # Includes the thread-spawn gate: clippy.toml disallows raw std::thread
-# spawns, so every thread goes through crates/mpi/src/sched.rs, and raw
-# std::thread::sleep, so every rank sleeps through Comm::sleep (the one
-# sanctioned sleep), unless a site carries an
-# #[allow(clippy::disallowed_methods, reason = "...")].
+# spawns, so every thread goes through crates/mpi/src/sched.rs, and the
+# one-wait rule: raw std::thread::sleep and std::sync::Condvar are
+# disallowed, so a rank blocks only in its mailbox wait or Comm::sleep,
+# unless a site carries an #[allow(clippy::disallowed_methods, reason =
+# "...")] or #[allow(clippy::disallowed_types, reason = "...")].
 # Also the panic-free / unsafe gate: each crate states its lints once,
 # in the #![deny] of its src/lib.rs and the comment above it.
 cargo clippy --all-targets -- -D warnings

@@ -20,6 +20,18 @@
 //!   `alloc_bytes_copied` counter. If a refactor reintroduces a staging
 //!   copy, `tests/zerocopy.rs` fails on the exact count.
 
+// The panic-lint inventory of this crate: none is allowed outside tests.
+// Every rank's hot path runs through these types, so nothing here may
+// take a rank down; the pool recovers a poisoned shelf lock (the shelf
+// holds only cleared buffers). `clippy.toml` still lets test code
+// unwrap/expect.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 mod chunk;
 mod pool;
 

@@ -11,7 +11,7 @@
 //! owner.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Maximum number of buffers kept on the shelf; beyond that, returns are
 /// dropped to the allocator. Dump/restore uses a few buffers per rank, so
@@ -54,7 +54,7 @@ impl BufferPool {
     /// Best-fit over the shelf; allocates fresh on a miss.
     pub fn take(&self, capacity: usize) -> Vec<u8> {
         let reused = {
-            let mut shelf = self.shelf.lock().unwrap();
+            let mut shelf = self.shelf();
             // Best fit: the smallest shelved buffer that is big enough,
             // so one huge buffer is not burned on a tiny request.
             let best = shelf
@@ -89,10 +89,16 @@ impl BufferPool {
         }
         buf.clear();
         self.returned.fetch_add(1, Ordering::Relaxed);
-        let mut shelf = self.shelf.lock().unwrap();
+        let mut shelf = self.shelf();
         if shelf.len() < MAX_SHELVED {
             shelf.push(buf);
         }
+    }
+
+    /// Lock the shelf. It holds only cleared buffers, so a guard recovered
+    /// from a lock another thread poisoned is consistent.
+    fn shelf(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.shelf.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Snapshot of the pool counters.

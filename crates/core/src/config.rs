@@ -261,8 +261,6 @@ pub struct DumpConfig {
     /// Load-aware partner selection (Algorithm 2). `false` gives the
     /// `coll-no-shuffle` ablation / the naive ring of the baselines.
     pub shuffle: bool,
-    /// Hash chunks across all cores inside each rank.
-    pub parallel_hash: bool,
     /// Per-chunk redundancy scheme (replication, Reed-Solomon stripes, or
     /// the automatic per-chunk choice). Defaults to the paper's `K`×
     /// replication.
@@ -280,7 +278,6 @@ impl DumpConfig {
             chunker: ChunkerKind::Fixed,
             f_threshold: 1 << 17,
             shuffle: matches!(strategy, Strategy::CollDedup),
-            parallel_hash: false,
             policy: RedundancyPolicy::Replicate(3),
         }
     }
@@ -329,12 +326,6 @@ impl DumpConfig {
     /// Builder-style: enable or disable rank shuffling.
     pub fn with_shuffle(mut self, shuffle: bool) -> Self {
         self.shuffle = shuffle;
-        self
-    }
-
-    /// Builder-style: enable or disable intra-rank parallel hashing.
-    pub fn with_parallel_hash(mut self, parallel: bool) -> Self {
-        self.parallel_hash = parallel;
         self
     }
 

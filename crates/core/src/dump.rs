@@ -177,17 +177,9 @@ pub(crate) fn dump_impl(
             comm.tracer().close_open_spans();
             degraded_commit(comm, ctx, data, cfg, &mut stats, &mut failure);
         }
-        Err(CommError::DeadlockSuspected { .. }) if !comm.failed_ranks().is_empty() => {
-            // A point-to-point step timed out while some rank is known
-            // dead: a survivor on the other end observed the death first
-            // and already fell back to its degraded commit, so its sends
-            // will never come. Collateral of the failure, not a protocol
-            // bug — degrade like a direct RankFailed.
-            comm.tracer().close_open_spans();
-            degraded_commit(comm, ctx, data, cfg, &mut stats, &mut failure);
-        }
         Err(e) => {
-            // Deadlock suspicion with every rank alive / torn-down world:
+            // A suspected deadlock (a death or a split collective would
+            // have failed the receive instead) or a torn-down world:
             // nothing sane to degrade to — surface the runtime failure.
             comm.tracer().close_open_spans();
             comm.fence_arrive();
@@ -284,7 +276,7 @@ fn dump_pipeline(
         }
         Strategy::LocalDedup | Strategy::CollDedup => {
             let chunker = cfg.chunker.resolve(chunk_size);
-            let idx = LocalIndex::build(ctx.hasher, buf, &chunker, cfg.parallel_hash);
+            let idx = LocalIndex::new(ctx.hasher, buf, &chunker);
             transport_ranges = Vec::new();
             stats.chunks_total = idx.chunk_count() as u64;
             stats.bytes_hashed = buf.len() as u64;
@@ -754,7 +746,7 @@ fn degraded_commit(
             // this is correct whether the pipeline died before or after
             // building (or partially committing) it.
             let chunker = cfg.chunker.resolve(chunk_size);
-            let idx = LocalIndex::build(ctx.hasher, buf, &chunker, cfg.parallel_hash);
+            let idx = LocalIndex::new(ctx.hasher, buf, &chunker);
             stats.chunks_total = idx.chunk_count() as u64;
             stats.bytes_hashed = buf.len() as u64;
             stats.chunks_locally_unique = idx.unique_count() as u64;

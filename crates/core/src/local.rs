@@ -44,6 +44,15 @@ pub struct LocalChunk {
 impl LocalIndex {
     /// Chunk `buf` with `chunker`, fingerprint every chunk, and
     /// deduplicate locally.
+    pub fn new(hasher: &(dyn ChunkHasher + Sync), buf: &[u8], chunker: &dyn Chunker) -> Self {
+        Self::build(hasher, buf, chunker, false)
+    }
+
+    /// [`LocalIndex::new`], hashing across all cores when `parallel` is
+    /// set. Kept only because the benchmark's `benchmark/src/sut.rs` still
+    /// calls it; it is folded into [`LocalIndex::new`] once the
+    /// benchmark-only change of ROADMAP item 14(a) moves that call there.
+    /// Nothing outside this file may call it (`tests/source_gates.rs`).
     pub fn build(
         hasher: &(dyn ChunkHasher + Sync),
         buf: &[u8],
@@ -120,7 +129,7 @@ mod tests {
     use replidedup_hash::{FixedChunker, GearChunker, GearParams, Sha1ChunkHasher};
 
     fn build(buf: &[u8], cs: usize) -> LocalIndex {
-        LocalIndex::build(&Sha1ChunkHasher, buf, &FixedChunker::new(cs), false)
+        LocalIndex::new(&Sha1ChunkHasher, buf, &FixedChunker::new(cs))
     }
 
     #[test]
@@ -199,7 +208,7 @@ mod tests {
     fn parallel_build_matches_sequential() {
         let buf: Vec<u8> = (0..64 * 1024u32).map(|i| (i / 4096) as u8 % 4).collect();
         let fixed = FixedChunker::new(4096);
-        let seq = LocalIndex::build(&Sha1ChunkHasher, &buf, &fixed, false);
+        let seq = LocalIndex::new(&Sha1ChunkHasher, &buf, &fixed);
         let par = LocalIndex::build(&Sha1ChunkHasher, &buf, &fixed, true);
         assert_eq!(seq.in_order, par.in_order);
         assert_eq!(seq.unique_count(), par.unique_count());
@@ -220,7 +229,7 @@ mod tests {
             avg_size: 512,
             max_size: 4096,
         });
-        let idx = LocalIndex::build(&Sha1ChunkHasher, &buf, &chunker, false);
+        let idx = LocalIndex::new(&Sha1ChunkHasher, &buf, &chunker);
         assert_eq!(idx.ranges.len(), idx.in_order.len());
         assert_eq!(idx.chunk_lens().len(), idx.chunk_count());
         let summed: u64 = idx.chunk_lens().iter().map(|&l| l as u64).sum();

@@ -103,7 +103,7 @@ mod tests {
     use replidedup_hash::{FixedChunker, Sha1ChunkHasher};
 
     fn index_of(buf: &[u8], cs: usize) -> LocalIndex {
-        LocalIndex::build(&Sha1ChunkHasher, buf, &FixedChunker::new(cs), false)
+        LocalIndex::new(&Sha1ChunkHasher, buf, &FixedChunker::new(cs))
     }
 
     fn view(entries: &[GlobalEntry]) -> GlobalView {

@@ -179,12 +179,6 @@ impl<'a> ReplicatorBuilder<'a> {
         self
     }
 
-    /// Intra-rank parallel hashing on or off.
-    pub fn parallel_hash(mut self, parallel: bool) -> Self {
-        self.cfg = self.cfg.with_parallel_hash(parallel);
-        self
-    }
-
     /// Replace the whole configuration at once (including the strategy).
     /// Escape hatch for callers that already hold a [`DumpConfig`]; it is
     /// still validated by [`ReplicatorBuilder::build`].
@@ -575,7 +569,6 @@ mod tests {
             .chunk_size(128)
             .f_threshold(64)
             .shuffle(true)
-            .parallel_hash(true)
             .build()
             .unwrap();
         let cfg = repl.config();
@@ -583,7 +576,6 @@ mod tests {
         assert_eq!(cfg.chunk_size, 128);
         assert_eq!(cfg.f_threshold, 64);
         assert!(cfg.shuffle);
-        assert!(cfg.parallel_hash);
         assert_eq!(repl.strategy(), Strategy::LocalDedup);
     }
 

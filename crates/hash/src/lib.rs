@@ -87,7 +87,7 @@ pub fn fingerprint_ranges(
 /// shard. Bit-identical to [`fingerprint_ranges`].
 #[allow(
     clippy::disallowed_methods,
-    reason = "removed with the parallel-hash knob"
+    reason = "removed with `LocalIndex::build` (ROADMAP item 14(b))"
 )]
 pub fn fingerprint_ranges_parallel(
     hasher: &(dyn ChunkHasher + Sync),

@@ -27,12 +27,13 @@
 //!
 //! Every collective has a fallible `try_*` form that surfaces rank deaths
 //! as [`CommError`] instead of panicking. Failure semantics: at entry each
-//! rank snapshots the death epoch and refuses to start if any rank is
-//! already dead; a death *during* the collective fails every blocked
-//! receive. Survivors of an interrupted collective may diverge (some
-//! completed it, some got an error — exactly like real MPI), but all of
-//! them fail deterministically at the *next* collective's entry guard, so
-//! divergence never propagates further than one operation.
+//! rank refuses to start if any rank is already dead; a death *during* the
+//! collective fails every blocked receive. Survivors of an interrupted
+//! collective may diverge (some completed it, some got an error — exactly
+//! like real MPI), but the first rank whose receive failed revokes the
+//! world: every rank's next receive with no queued match fails, and every
+//! next collective fails at its entry guard, so divergence never
+//! propagates further than one operation.
 
 use bytes::Bytes;
 
@@ -65,9 +66,7 @@ impl Comm {
     pub fn try_barrier(&mut self) -> Result<(), CommError> {
         self.enter_phase("coll_barrier");
         let op = self.next_op();
-        let out = self
-            .coll_entry_guard()
-            .and_then(|epoch| self.barrier_impl(op, epoch));
+        let out = self.coll_entry_guard().and_then(|()| self.barrier_impl(op));
         self.exit_phase("coll_barrier");
         out
     }
@@ -97,7 +96,7 @@ impl Comm {
         let seq = self.next_op();
         let out = self
             .coll_entry_guard()
-            .and_then(|epoch| self.allreduce_impl(value, op, seq, epoch));
+            .and_then(|()| self.allreduce_impl(value, op, seq));
         self.exit_phase("coll_allreduce");
         out
     }
@@ -117,7 +116,7 @@ impl Comm {
         let op = self.next_op();
         let out = self
             .coll_entry_guard()
-            .and_then(|epoch| self.allgather_impl(value, op, epoch));
+            .and_then(|()| self.allgather_impl(value, op));
         self.exit_phase("coll_allgather");
         out
     }
@@ -143,7 +142,7 @@ impl Comm {
         let op = self.next_op();
         let out = self
             .coll_entry_guard()
-            .and_then(|epoch| self.gather_scatter_impl(root, value, plan, op, epoch));
+            .and_then(|()| self.gather_scatter_impl(root, value, plan, op));
         self.exit_phase("coll_gather_scatter");
         out
     }
@@ -151,7 +150,7 @@ impl Comm {
 
 impl Comm {
     /// Dissemination barrier, ⌈log₂ N⌉ rounds.
-    fn barrier_impl(&mut self, op: u64, epoch: Option<u64>) -> Result<(), CommError> {
+    fn barrier_impl(&mut self, op: u64) -> Result<(), CommError> {
         let n = self.size();
         if n == 1 {
             return Ok(());
@@ -164,7 +163,7 @@ impl Comm {
             let src = (me + n - dist) % n;
             let tag = Self::coll_tag(op, round);
             self.try_send_raw(dst, tag, Bytes::new(), Transport::Collective)?;
-            self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?;
+            self.try_recv_raw_guarded(src, tag, Transport::Collective)?;
             round += 1;
             dist <<= 1;
         }
@@ -177,13 +176,7 @@ impl Comm {
     /// lower-aggregate-side first), so even an order-sensitive operator
     /// yields bit-identical results on every rank and across runs; in
     /// power-of-two worlds the order is exactly rank order.
-    fn allreduce_impl<T, F>(
-        &mut self,
-        value: T,
-        op: F,
-        seq: u64,
-        epoch: Option<u64>,
-    ) -> Result<T, CommError>
+    fn allreduce_impl<T, F>(&mut self, value: T, op: F, seq: u64) -> Result<T, CommError>
     where
         T: Wire,
         F: Fn(T, T) -> T,
@@ -207,12 +200,12 @@ impl Comm {
             self.try_send_raw(me - p2, tag, acc.to_bytes(), Transport::Collective)?;
             // Wait for the final result in the unfold phase.
             let tag = Self::coll_tag(seq, UNFOLD_ROUND);
-            let payload = self.try_recv_raw_guarded(me - p2, tag, Transport::Collective, epoch)?;
+            let payload = self.try_recv_raw_guarded(me - p2, tag, Transport::Collective)?;
             return decode(&payload, me, me - p2);
         }
         if me < rem {
             let tag = Self::coll_tag(seq, 0);
-            let payload = self.try_recv_raw_guarded(me + p2, tag, Transport::Collective, epoch)?;
+            let payload = self.try_recv_raw_guarded(me + p2, tag, Transport::Collective)?;
             let other = decode(&payload, me, me + p2)?;
             // Lower-rank operand first: acc belongs to me < me + p2.
             acc = op(acc, other);
@@ -224,7 +217,7 @@ impl Comm {
             let partner = me ^ dist;
             let tag = Self::coll_tag(seq, round);
             self.try_send_raw(partner, tag, acc.to_bytes(), Transport::Collective)?;
-            let payload = self.try_recv_raw_guarded(partner, tag, Transport::Collective, epoch)?;
+            let payload = self.try_recv_raw_guarded(partner, tag, Transport::Collective)?;
             let other = decode(&payload, me, partner)?;
             acc = if me < partner {
                 op(acc, other)
@@ -249,12 +242,7 @@ impl Comm {
     /// `me + d` sends it. That is ⌈log₂ N⌉ rounds of one frame each, one
     /// zero-copy segment per block with no length headers, so the world
     /// sends (N - 1) · Σ|block| bytes, as a ring allgather does.
-    fn allgather_impl<T: Wire>(
-        &mut self,
-        value: T,
-        seq: u64,
-        epoch: Option<u64>,
-    ) -> Result<Vec<T>, CommError> {
+    fn allgather_impl<T: Wire>(&mut self, value: T, seq: u64) -> Result<Vec<T>, CommError> {
         let n = self.size();
         let me = self.rank();
         let mut held = Vec::with_capacity(n as usize);
@@ -271,7 +259,7 @@ impl Comm {
             }
             self.try_send_frame_raw(dst, tag, frame, Transport::Collective)?;
             let segments = self
-                .try_recv_frame_guarded(src, tag, Transport::Collective, epoch)?
+                .try_recv_frame_guarded(src, tag, Transport::Collective)?
                 .into_segments();
             if segments.len() != count {
                 return Err(CommError::Undecodable {
@@ -305,7 +293,6 @@ impl Comm {
         value: T,
         plan: impl FnOnce(Vec<T>) -> Vec<U>,
         seq: u64,
-        epoch: Option<u64>,
     ) -> Result<U, CommError> {
         let (n, me) = (self.size(), self.rank());
         assert!(
@@ -316,7 +303,7 @@ impl Comm {
         if me != root {
             self.try_send_raw(root, gather, value.to_bytes(), Transport::Collective)?;
             let mut entry = self
-                .try_recv_frame_guarded(root, scatter, Transport::Collective, epoch)?
+                .try_recv_frame_guarded(root, scatter, Transport::Collective)?
                 .into_segments();
             return match (entry.pop(), entry.is_empty()) {
                 (Some(bytes), true) => decode(&bytes, me, root),
@@ -328,7 +315,7 @@ impl Comm {
         let mut values = Vec::with_capacity(n as usize);
         let mut failed = None;
         for src in (0..n).filter(|&src| src != root) {
-            let bytes = self.try_recv_raw_guarded(src, gather, Transport::Collective, epoch)?;
+            let bytes = self.try_recv_raw_guarded(src, gather, Transport::Collective)?;
             match decode(&bytes, me, src) {
                 Ok(v) => values.push(v),
                 Err(e) => failed = failed.or(Some(e)),

@@ -39,10 +39,11 @@ pub type Tag = u64;
 /// Top bit marks runtime-internal tags.
 pub(crate) const INTERNAL_TAG: Tag = 1 << 63;
 
-/// Death-notice tag: a crashing rank posts one empty message with this tag
-/// to every peer so blocked receives wake up and re-check the dead flags.
+/// Wake-notice tag: a rank that dies, revokes the world or reaches a
+/// survivor fence posts one empty message with this tag to every peer, so
+/// ranks blocked in their mailbox wait re-check the shared fault state.
 /// Never stashed in the unexpected-message queue, never user-visible.
-pub(crate) const DEATH_TAG: Tag = INTERNAL_TAG | (1 << 62);
+pub(crate) const WAKE_TAG: Tag = INTERNAL_TAG | (1 << 62);
 
 /// A matched point-to-point message. The payload is a scatter-gather
 /// [`Frame`]: bulk segments stay zero-copy views of the sender's
@@ -527,26 +528,39 @@ impl Comm {
     // operation that may have degraded, survivors learn exactly which ranks
     // died before finishing it, independent of thread scheduling. Every
     // rank calls `fence_arrive` or `fence_wait` once per fenced operation,
-    // so the n-th call on each rank names the same fence. Without a fault
-    // plan nobody can die and both are no-ops.
+    // so the n-th call on each rank names the same fence. An arrival is one
+    // atomic counter bump followed by a wake notice to every peer, and a
+    // waiter blocks in the rank's mailbox wait like a receive. Without a
+    // fault plan nobody can die and both are no-ops.
 
     /// Reach this rank's next fence without waiting for anyone.
     pub fn fence_arrive(&mut self) {
         if let Some(rt) = &self.fault_rt {
             rt.arrive(self.rank);
+            self.wake_peers();
         }
     }
 
     /// Reach this rank's next fence, then wait until every rank has reached
     /// it or died, and return the ranks that died first, ascending. The wait
     /// is bounded by the receive timeout; on expiry the answer covers the
-    /// deaths seen so far.
+    /// deaths seen so far. Messages that arrive meanwhile are stashed for
+    /// later receives.
     pub fn fence_wait(&mut self) -> Vec<Rank> {
-        let Some(rt) = &self.fault_rt else {
+        let Some(rt) = self.fault_rt.clone() else {
             return Vec::new();
         };
         let generation = rt.arrive(self.rank);
-        rt.await_fence(generation, self.recv_timeout)
+        self.wake_peers();
+        let deadline = Instant::now() + self.recv_timeout;
+        while !rt.fence_done(generation) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.receiver.recv_timeout(left) {
+                Ok(msg) => self.stash(msg),
+                Err(_) => break,
+            }
+        }
+        rt.absent_from_fence(generation)
     }
 
     /// Open the phase span `name`, firing any `PhaseStart(name)` fault of
@@ -643,17 +657,7 @@ impl Comm {
                 hook(rank);
             }
         }
-        for dst in 0..self.size {
-            if dst == rank {
-                continue;
-            }
-            // A peer may already be gone; notices are best-effort wakeups.
-            let _ = self.data_senders[dst as usize].send(Message {
-                src: rank,
-                tag: DEATH_TAG,
-                payload: Frame::new(),
-            });
-        }
+        self.wake_peers();
         self.tracer.enter("fault.injected");
         self.tracer.exit("fault.injected");
         self.tracer.close_open_spans();
@@ -661,21 +665,27 @@ impl Comm {
         std::panic::panic_any(InjectedCrash { rank, events });
     }
 
-    /// Collective entry guard: snapshot the death epoch, then refuse to
-    /// start if any rank is already dead (ranks whose last collective
-    /// diverged — some completed it, some errored — all fail here on the
-    /// next one, keeping survivors in lockstep). Receives inside the
-    /// collective pass the snapshot so deaths *during* it surface too.
-    pub(crate) fn coll_entry_guard(&self) -> Result<Option<u64>, CommError> {
-        match &self.fault_rt {
-            Some(rt) => {
-                let snap = rt.epoch();
-                match rt.first_dead() {
-                    Some(rank) => Err(CommError::RankFailed { rank }),
-                    None => Ok(Some(snap)),
-                }
-            }
-            None => Ok(None),
+    /// Post a wake notice to every peer, after a change to the shared
+    /// fault state a blocked peer must see. A peer may already be gone;
+    /// notices are best-effort wakeups.
+    fn wake_peers(&self) {
+        for dst in (0..self.size).filter(|&dst| dst != self.rank) {
+            let _ = self.data_senders[dst as usize].send(Message {
+                src: self.rank,
+                tag: WAKE_TAG,
+                payload: Frame::new(),
+            });
+        }
+    }
+
+    /// Collective entry guard: refuse to start if any rank is already dead
+    /// (ranks whose last collective diverged — some completed it, some
+    /// errored — all fail here on the next one, keeping survivors in
+    /// lockstep). A death *during* the collective fails its receives.
+    pub(crate) fn coll_entry_guard(&self) -> Result<(), CommError> {
+        match self.fault_rt.as_ref().and_then(|rt| rt.first_dead()) {
+            Some(rank) => Err(CommError::RankFailed { rank }),
+            None => Ok(()),
         }
     }
 
@@ -770,7 +780,7 @@ impl Comm {
             "tag {tag:#x} uses the reserved internal bit"
         );
         let tag = self.ns_tag(tag);
-        self.try_recv_frame_guarded(src, tag, Transport::PointToPoint, None)
+        self.try_recv_frame_guarded(src, tag, Transport::PointToPoint)
     }
 
     /// Receive and decode a typed value; a payload that does not decode as
@@ -784,10 +794,13 @@ impl Comm {
         })
     }
 
-    /// Guarded matched receive. `coll_epoch` is the death-epoch snapshot a
-    /// collective took at entry: when set, *any* new death fails the
-    /// receive (the collective's communication pattern is broken even if
-    /// this particular source is alive).
+    /// Guarded matched receive. When no message matches yet, one rule
+    /// decides whether to wait: a dead source fails the receive; so does
+    /// any death for a collective's receive (its communication pattern is
+    /// broken even if this source is alive), or any death once the world
+    /// is revoked. A collective's receive that fails revokes the world:
+    /// the collective may have completed on some ranks, and those must not
+    /// wait on the ones it failed on.
     ///
     /// Ordering argument for the death guards: a crashing rank marks its
     /// dead flag only after every message it ever sent is already queued,
@@ -798,11 +811,8 @@ impl Comm {
         src: Rank,
         tag: Tag,
         transport: Transport,
-        coll_epoch: Option<u64>,
     ) -> Result<Bytes, CommError> {
-        Ok(self
-            .try_recv_frame_guarded(src, tag, transport, coll_epoch)?
-            .gather())
+        Ok(self.try_recv_frame_guarded(src, tag, transport)?.gather())
     }
 
     pub(crate) fn try_recv_frame_guarded(
@@ -810,7 +820,6 @@ impl Comm {
         src: Rank,
         tag: Tag,
         transport: Transport,
-        coll_epoch: Option<u64>,
     ) -> Result<Frame, CommError> {
         self.maybe_inject_msg();
         // Unexpected-message-queue fast path: an already-matched message
@@ -838,13 +847,8 @@ impl Comm {
                 Ok(msg) => msg,
                 Err(TryRecvError::Disconnected) => return Err(CommError::WorldTornDown { rank }),
                 Err(TryRecvError::Empty) => {
-                    if let Some(rt) = &self.fault_rt {
-                        if rt.is_dead(src) {
-                            return Err(CommError::RankFailed { rank: src });
-                        }
-                        if let Some(dead) = coll_epoch.and_then(|snap| rt.newly_dead(snap)) {
-                            return Err(CommError::RankFailed { rank: dead });
-                        }
+                    if let Some(failed) = self.recv_failure(src, transport) {
+                        return Err(failed);
                     }
                     // The one blocking channel wait.
                     let left = deadline.saturating_duration_since(Instant::now());
@@ -863,22 +867,45 @@ impl Comm {
         }
     }
 
-    /// Match, stash, or discard one incoming message. Death notices wake
-    /// the caller's guard loop and are never stashed.
-    fn absorb(&mut self, msg: Message, src: Rank, tag: Tag, transport: Transport) -> Option<Frame> {
-        if msg.tag == DEATH_TAG {
-            debug_assert!(self.fault_rt.as_ref().is_some_and(|rt| rt.is_dead(msg.src)));
+    /// How a receive from `src` that found no queued match fails instead
+    /// of waiting, if it must (the rule of [`Comm::try_recv_raw_guarded`]).
+    /// A collective's receive that fails revokes the world, and the rank
+    /// that revokes it first wakes every peer.
+    fn recv_failure(&self, src: Rank, transport: Transport) -> Option<CommError> {
+        let rt = self.fault_rt.as_ref()?;
+        let collective = transport == Transport::Collective;
+        let rank = if rt.is_dead(src) {
+            src
+        } else if collective || rt.is_revoked() {
+            rt.first_dead()?
+        } else {
             return None;
+        };
+        if collective && rt.revoke() {
+            self.wake_peers();
         }
+        Some(CommError::RankFailed { rank })
+    }
+
+    /// Match or stash one incoming message.
+    fn absorb(&mut self, msg: Message, src: Rank, tag: Tag, transport: Transport) -> Option<Frame> {
         if msg.src == src && msg.tag == tag {
             self.counters[self.rank as usize].count_recv(transport, msg.payload.len() as u64);
             return Some(msg.payload);
         }
-        self.pending
-            .entry((msg.src, msg.tag))
-            .or_default()
-            .push_back(msg.payload);
+        self.stash(msg);
         None
+    }
+
+    /// Queue a message no receive has matched yet. Wake notices only wake
+    /// the caller's wait loop and are never stashed.
+    fn stash(&mut self, msg: Message) {
+        if msg.tag != WAKE_TAG {
+            self.pending
+                .entry((msg.src, msg.tag))
+                .or_default()
+                .push_back(msg.payload);
+        }
     }
 
     /// Internal tag for round `round` of the collective numbered `op_seq`.
@@ -1056,6 +1083,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the test's point is a wait the runtime cannot see"
+    )]
     fn ranks_meeting_outside_comm_all_arrive() {
         // Every rank is its own OS thread, so a wait the runtime does not
         // see (here a plain condvar rendezvous) still lets every peer run.
@@ -1225,7 +1256,7 @@ mod tests {
             out.outcomes[0].as_completed(),
             Some(&Err(CommError::RankFailed { rank: 1 }))
         );
-        // The death notice wakes the receive long before the 2 s timeout.
+        // The wake notice wakes the receive long before the 2 s timeout.
         assert!(started.elapsed() < Duration::from_millis(1500));
     }
 
@@ -1345,6 +1376,45 @@ mod tests {
         assert_eq!(out.crashed_ranks(), vec![3]);
         for rank in [0, 1] {
             assert_eq!(out.outcomes[rank].as_completed().unwrap(), &vec![3]);
+        }
+    }
+
+    #[test]
+    fn a_split_barrier_fails_survivors_waiting_on_live_peers() {
+        // Four-rank dissemination barrier: rank 0 sends to 1 and then to 2,
+        // and dies 50 ms later at its last receive. Rank 1 stalls 200 ms
+        // before its first send, so ranks 2 and 3, blocked on it, see the
+        // death and fail, while rank 1 then finds every message it needs
+        // queued and completes. Afterwards each survivor waits on a live
+        // peer that never sends: the split revoked the world, so none of
+        // them may wait out the timeout.
+        const TIMEOUT: Duration = Duration::from_secs(10);
+        let last_recv = FaultTrigger::MessageCount(4);
+        let plan = FaultPlan::new(10)
+            .delay(0, last_recv.clone(), Duration::from_millis(50))
+            .crash(0, last_recv)
+            .delay(1, FaultTrigger::MessageCount(1), Duration::from_millis(200));
+        let config = WorldConfig::default()
+            .with_recv_timeout(TIMEOUT)
+            .with_faults(plan);
+        let out = config.launch(4, |comm| {
+            let barrier = comm.try_barrier();
+            let peer = comm.rank() % 3 + 1;
+            let t0 = Instant::now();
+            let recv = comm.try_recv_chunk(peer, 7).map(|_| ());
+            (barrier, recv, t0.elapsed())
+        });
+        assert_eq!(out.crashed_ranks(), vec![0]);
+        let dead = Err(CommError::RankFailed { rank: 0 });
+        for rank in 1..4 {
+            let (barrier, recv, took) = out.outcomes[rank].as_completed().unwrap();
+            let split = if rank == 1 { &Ok(()) } else { &dead };
+            assert_eq!(barrier, split, "rank {rank}'s barrier");
+            assert_eq!(recv, &dead, "rank {rank}'s receive");
+            assert!(
+                *took < Duration::from_millis(100),
+                "rank {rank} waited {took:?} on a live peer"
+            );
         }
     }
 

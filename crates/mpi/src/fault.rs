@@ -12,14 +12,16 @@
 //!
 //! A crashed rank stops participating: its thread unwinds with a private
 //! payload [`crate::WorldConfig::launch`] catches, a shared per-world
-//! `FaultRuntime` marks it dead, and every peer is woken with a death
+//! `FaultRuntime` marks it dead, and every peer is woken with a wake
 //! notice so blocked receives fail fast with a typed [`CommError`] instead
-//! of waiting out the deadlock timeout.
+//! of waiting out the deadlock timeout. A collective receive that fails on
+//! a death revokes the world, so ranks the split collective left behind
+//! in a receive from a live peer fail fast too.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::comm::{Rank, Tag};
 use crate::wire::WireError;
@@ -326,7 +328,8 @@ impl std::error::Error for FaultSpecError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CommError {
-    /// The operation involves a rank that has crashed (injected fault).
+    /// The operation involves a rank that has crashed (injected fault), or
+    /// a collective split on that rank's death and revoked the world.
     RankFailed {
         /// The dead rank.
         rank: Rank,
@@ -419,23 +422,21 @@ impl fmt::Display for CommError {
 impl std::error::Error for CommError {}
 
 /// Shared per-world fault state. The atomic dead flags are the ground
-/// truth; the death notices the dying rank posts on every channel are pure
-/// wakeups (the flag is set *before* any notice is sent, so a woken
-/// receiver always observes the flag).
+/// truth; the wake notices ranks post on every channel are pure wakeups
+/// (each flag or counter is set *before* any notice is sent, so a woken
+/// receiver always observes it).
 pub(crate) struct FaultRuntime {
     dead: Vec<AtomicBool>,
-    /// Number of deaths so far; collectives snapshot this at entry and
-    /// treat a later increase as a failure of the operation.
-    epoch: AtomicU64,
-    /// Ranks in death order; `death_log[e..]` are the deaths newer than
-    /// epoch snapshot `e`.
-    death_log: Mutex<Vec<Rank>>,
+    /// Set once some collective receive failed on a death: the world's
+    /// collectives have split, so from then on every receive with no
+    /// queued match fails (ULFM's revoke). The revoker read a dead flag
+    /// first, and `revoke`'s release pairs with `is_revoked`'s acquire,
+    /// so a rank that sees the world revoked also sees that death.
+    revoked: AtomicBool,
     /// Survivor fences each rank has reached (see [`FaultRuntime::arrive`]).
+    /// One atomic per rank, so an arrival is one event that every survivor
+    /// observes alike.
     arrivals: Vec<AtomicU64>,
-    /// Fence waiters sleep on `fence_cv` under `fence_lock`; every arrival
-    /// and every death wakes them.
-    fence_lock: Mutex<()>,
-    fence_cv: Condvar,
     pub(crate) on_crash: Option<CrashHook>,
     pub(crate) on_transient: Option<TransientHook>,
 }
@@ -448,11 +449,8 @@ impl FaultRuntime {
     ) -> Self {
         Self {
             dead: (0..world).map(|_| AtomicBool::new(false)).collect(),
-            epoch: AtomicU64::new(0),
-            death_log: Mutex::new(Vec::new()),
+            revoked: AtomicBool::new(false),
             arrivals: (0..world).map(|_| AtomicU64::new(0)).collect(),
-            fence_lock: Mutex::new(()),
-            fence_cv: Condvar::new(),
             on_crash,
             on_transient,
         }
@@ -461,80 +459,45 @@ impl FaultRuntime {
     /// `rank` reaches its next survivor fence; returns that fence's
     /// generation (1 for the first).
     pub(crate) fn arrive(&self, rank: Rank) -> u64 {
-        let generation = self.arrivals[rank as usize].fetch_add(1, Ordering::AcqRel) + 1;
-        self.wake_fence();
-        generation
+        self.arrivals[rank as usize].fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Block until every rank has reached fence `generation` or died, or
-    /// until `timeout` passes; return the ranks that died without reaching
-    /// it, ascending. On timeout the answer covers the deaths seen so far.
-    pub(crate) fn await_fence(&self, generation: u64, timeout: Duration) -> Vec<Rank> {
-        let ranks = 0..self.dead.len() as u32;
-        let reached = |r: Rank| self.arrivals[r as usize].load(Ordering::Acquire) >= generation;
-        let deadline = Instant::now() + timeout;
-        let mut guard = self
-            .fence_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while !ranks.clone().all(|r| reached(r) || self.is_dead(r)) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            guard = self
-                .fence_cv
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        drop(guard);
-        ranks.filter(|&r| self.is_dead(r) && !reached(r)).collect()
+    fn reached(&self, rank: Rank, generation: u64) -> bool {
+        self.arrivals[rank as usize].load(Ordering::Acquire) >= generation
     }
 
-    /// Wake fence waiters. Taking the lock orders this after any waiter's
-    /// check, so a state change made before the call is never missed.
-    fn wake_fence(&self) {
-        drop(
-            self.fence_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        self.fence_cv.notify_all();
+    /// Whether every rank has reached fence `generation` or died.
+    pub(crate) fn fence_done(&self, generation: u64) -> bool {
+        (0..self.dead.len() as u32).all(|r| self.reached(r, generation) || self.is_dead(r))
+    }
+
+    /// The ranks that died without reaching fence `generation`, ascending.
+    pub(crate) fn absent_from_fence(&self, generation: u64) -> Vec<Rank> {
+        (0..self.dead.len() as u32)
+            .filter(|&r| self.is_dead(r) && !self.reached(r, generation))
+            .collect()
     }
 
     pub(crate) fn is_dead(&self, rank: Rank) -> bool {
         self.dead[rank as usize].load(Ordering::Acquire)
     }
 
-    /// Record `rank`'s death: flag first (ground truth), then the log and
-    /// the epoch bump that collectives poll.
     pub(crate) fn mark_dead(&self, rank: Rank) {
         self.dead[rank as usize].store(true, Ordering::Release);
-        self.death_log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(rank);
-        self.epoch.fetch_add(1, Ordering::Release);
-        self.wake_fence();
     }
 
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    /// Revoke the world; true for the one call that revoked it.
+    pub(crate) fn revoke(&self) -> bool {
+        !self.revoked.swap(true, Ordering::AcqRel)
+    }
+
+    pub(crate) fn is_revoked(&self) -> bool {
+        self.revoked.load(Ordering::Acquire)
     }
 
     /// The lowest dead rank, if any.
     pub(crate) fn first_dead(&self) -> Option<Rank> {
         (0..self.dead.len() as u32).find(|&r| self.is_dead(r))
-    }
-
-    /// The first death recorded after epoch snapshot `since`.
-    pub(crate) fn newly_dead(&self, since: u64) -> Option<Rank> {
-        self.death_log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(since as usize)
-            .copied()
     }
 
     /// All dead ranks, ascending.
@@ -705,14 +668,9 @@ mod tests {
     fn fault_runtime_tracks_deaths_in_order() {
         let rt = FaultRuntime::new(4, None, None);
         assert_eq!(rt.first_dead(), None);
-        let snap = rt.epoch();
         rt.mark_dead(2);
         rt.mark_dead(0);
         assert!(rt.is_dead(2) && rt.is_dead(0) && !rt.is_dead(1));
-        assert_eq!(rt.epoch(), 2);
-        assert_eq!(rt.newly_dead(snap), Some(2));
-        assert_eq!(rt.newly_dead(snap + 1), Some(0));
-        assert_eq!(rt.newly_dead(snap + 2), None);
         assert_eq!(rt.dead_ranks(), vec![0, 2]);
         assert_eq!(rt.first_dead(), Some(0));
     }
@@ -724,10 +682,13 @@ mod tests {
         assert_eq!(rt.arrive(1), 1);
         rt.mark_dead(1); // arrived first: not absent from fence 1
         rt.mark_dead(3); // never arrived
+        assert!(!rt.fence_done(1), "rank 2 has neither arrived nor died");
         assert_eq!(rt.arrive(2), 1);
-        assert_eq!(rt.await_fence(1, Duration::from_secs(5)), vec![3]);
+        assert!(rt.fence_done(1));
+        assert_eq!(rt.absent_from_fence(1), vec![3]);
         // Fence 2: only rank 0 arrives; the dead never do.
         assert_eq!(rt.arrive(0), 2);
-        assert_eq!(rt.await_fence(2, Duration::from_millis(20)), vec![1, 3]);
+        assert!(!rt.fence_done(2), "rank 2 has not reached fence 2");
+        assert_eq!(rt.absent_from_fence(2), vec![1, 3]);
     }
 }

@@ -18,7 +18,7 @@ pub use replidedup_buf::Chunk;
 
 /// Bit position of the 16-bit session namespace inside a message tag.
 /// Layout of a tag, most significant bits first: bit 63 marks
-/// runtime-internal tags, bit 62 the death notice, bits 60..=45 the session
+/// runtime-internal tags, bit 62 the wake notice, bits 60..=45 the session
 /// namespace, and everything below is the caller's tag space. User tags
 /// must therefore stay below 2^45.
 pub const SESSION_TAG_SHIFT: u32 = 45;

@@ -80,17 +80,24 @@ fn run_chaos(
             panic!("surviving rank {rank} failed its dump instead of degrading: {e}");
         }
     }
+    (crashed, restart_and_restore(&cluster, &repl))
+}
 
-    // Restart: replacement hardware comes up empty.
+/// Restart after a faulted dump — dead nodes come back as empty
+/// replacement hardware — and restore dump 1 in a fresh world.
+fn restart_and_restore(
+    cluster: &Cluster,
+    repl: &Replicator<'_>,
+) -> Vec<Result<Vec<u8>, ReplError>> {
     for node in 0..N {
         if !cluster.is_alive(node) {
             cluster.revive_node(node);
         }
     }
-    let out = WorldConfig::default()
+    WorldConfig::default()
         .launch(N, |comm| repl.restore(comm, 1).map(Vec::from))
-        .expect_all();
-    (crashed, out.results)
+        .expect_all()
+        .results
 }
 
 proptest! {
@@ -227,10 +234,7 @@ fn losing_more_than_k_minus_1_ranks_is_typed_data_loss_not_a_hang() {
 /// stripe shards to node leaders at stripe assembly — must not cost the
 /// live peers after it in a sender's order their frames: every survivor
 /// degrades at once instead of waiting out its receive timeout for a
-/// sender that is alive. At the phase start the victim waits 100 ms, so
-/// every survivor has left the collective before it (a death inside one
-/// fails it on some ranks only), and then dies; the survivors wait
-/// 250 ms, so the death precedes every fan-out.
+/// sender that is alive.
 #[test]
 fn survivors_of_a_crash_before_a_fan_out_do_not_wait_out_the_timeout() {
     const TIMEOUT: Duration = Duration::from_secs(2);
@@ -241,15 +245,7 @@ fn survivors_of_a_crash_before_a_fan_out_do_not_wait_out_the_timeout() {
         ("stripe_assembly", RedundancyPolicy::Rs { k: 4, m: 2 }),
     ];
     for (phase, policy) in cases {
-        let at = || FaultTrigger::PhaseStart(phase.into());
-        let victim = FaultPlan::new(5)
-            .delay(VICTIM, at(), Duration::from_millis(100))
-            .crash(VICTIM, at());
-        let plan = (0..N)
-            .filter(|&rank| rank != VICTIM)
-            .fold(victim, |plan, rank| {
-                plan.delay(rank, at(), Duration::from_millis(250))
-            });
+        let plan = FaultPlan::new(5).crash(VICTIM, FaultTrigger::PhaseStart(phase.into()));
         let cluster = Cluster::new(Placement::one_per_node(N));
         let repl = Replicator::builder(Strategy::CollDedup)
             .cluster(&cluster)
@@ -337,4 +333,67 @@ fn nonparticipating_rank_surfaces_as_deadlock_suspected_with_context() {
         "deadlock detection took {:?} — injected timeout not honored",
         t0.elapsed()
     );
+}
+
+/// Wherever one rank dies in a dump — the start or end of any
+/// [`DUMP_PHASES`] phase, as the first, a middle or the last rank — every
+/// survivor returns `Ok` at once, not after its receive timeout, and
+/// restores its bytes exactly. Coll-dedup under Reed-Solomon 4+2 (with
+/// `K = 3` for manifests) runs every phase, the stripe assembly included.
+#[test]
+fn one_death_anywhere_in_a_dump_costs_no_survivor_its_timeout() {
+    const TIMEOUT: Duration = Duration::from_secs(10);
+    let bufs = buffers(N);
+    for phase in DUMP_PHASES {
+        for at_start in [true, false] {
+            for victim in [0, N / 2, N - 1] {
+                let trigger = if at_start {
+                    FaultTrigger::PhaseStart(phase.into())
+                } else {
+                    FaultTrigger::PhaseEnd(phase.into())
+                };
+                let cell = format!("rank {victim} at {trigger}");
+                let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
+                let hook = Arc::clone(&cluster);
+                let plan = FaultPlan::new(6)
+                    .crash(victim, trigger)
+                    .on_crash(move |rank| hook.fail_node(hook.node_of(rank)));
+                let repl = Replicator::builder(Strategy::CollDedup)
+                    .cluster(&cluster)
+                    .replication(3)
+                    .chunk_size(64)
+                    .with_policy(RedundancyPolicy::Rs { k: 4, m: 2 })
+                    .build()
+                    .expect("valid config");
+                let out = WorldConfig::default()
+                    .with_recv_timeout(TIMEOUT)
+                    .with_faults(plan)
+                    .launch(N, |comm| {
+                        let t0 = Instant::now();
+                        let dumped = repl.dump(comm, 1, &bufs[comm.rank() as usize]);
+                        (dumped.map(|_| ()), t0.elapsed())
+                    });
+                assert_eq!(out.crashed_ranks(), vec![victim], "{cell}");
+                for (rank, outcome) in out.outcomes.iter().enumerate() {
+                    if let RankOutcome::Completed((dumped, took)) = outcome {
+                        assert!(dumped.is_ok(), "{cell}: rank {rank} failed: {dumped:?}");
+                        assert!(
+                            *took < Duration::from_secs(1),
+                            "{cell}: survivor {rank} took {took:?}"
+                        );
+                    }
+                }
+                let restored = restart_and_restore(&cluster, &repl);
+                for (rank, r) in restored.iter().enumerate() {
+                    if rank as u32 != victim {
+                        assert_eq!(
+                            r.as_ref().ok(),
+                            Some(&bufs[rank]),
+                            "{cell}: survivor {rank} restored wrong bytes"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

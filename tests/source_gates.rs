@@ -143,14 +143,9 @@ fn no_deprecated_shims_in_the_workspace() {
     );
 }
 
-/// `WorldConfig`'s worker-count setter is ignored and survives only as
-/// the benchmark's seam (`benchmark/src/sut.rs`). Its name anywhere in the
-/// workspace besides its own definition means the seam-only method spread
-/// instead of being deleted.
-#[test]
-fn the_ignored_worker_setter_has_no_workspace_caller() {
-    let needle = concat!("with_", "workers");
-    let definition = concat!("fn ", "with_", "workers(");
+/// Every file of the workspace's own code (`crates`, `src`, `tests`,
+/// `examples`) as `(path from the repository root, text)`.
+fn workspace_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
@@ -160,16 +155,32 @@ fn the_ignored_worker_setter_has_no_workspace_caller() {
         files.iter().any(|f| f.ends_with("crates/mpi/src/comm.rs")),
         "the walk reaches the crate sources"
     );
-    let found: Vec<String> = files
+    files
         .iter()
-        .flat_map(|path| {
+        .map(|path| {
             let bytes = fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             let file = path
                 .strip_prefix(root)
                 .unwrap_or(path)
                 .display()
                 .to_string();
-            hits(&file, &String::from_utf8_lossy(&bytes), |line| {
+            (file, String::from_utf8_lossy(&bytes).into_owned())
+        })
+        .collect()
+}
+
+/// `WorldConfig`'s worker-count setter is ignored and survives only as
+/// the benchmark's seam (`benchmark/src/sut.rs`). Its name anywhere in the
+/// workspace besides its own definition means the seam-only method spread
+/// instead of being deleted.
+#[test]
+fn the_ignored_worker_setter_has_no_workspace_caller() {
+    let needle = concat!("with_", "workers");
+    let definition = concat!("fn ", "with_", "workers(");
+    let found: Vec<String> = workspace_sources()
+        .iter()
+        .flat_map(|(file, src)| {
+            hits(file, src, |line| {
                 line.contains(needle) && !line.contains(definition)
             })
         })
@@ -177,6 +188,26 @@ fn the_ignored_worker_setter_has_no_workspace_caller() {
     assert!(
         found.is_empty(),
         "the ignored seam-only method is called in the workspace:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The local index's parallel-hash constructor survives only as the
+/// benchmark's seam (`benchmark/src/sut.rs`); the workspace builds every
+/// index with `LocalIndex::new`. A call outside `local.rs`, where it is
+/// defined and tested, means the seam-only constructor spread instead of
+/// being deleted.
+#[test]
+fn the_parallel_hash_constructor_has_no_workspace_caller() {
+    let needle = concat!("LocalIndex::", "build(");
+    let found: Vec<String> = workspace_sources()
+        .iter()
+        .filter(|(file, _)| file != "crates/core/src/local.rs")
+        .flat_map(|(file, src)| hits(file, src, |line| line.contains(needle)))
+        .collect();
+    assert!(
+        found.is_empty(),
+        "the seam-only constructor is called in the workspace:\n{}",
         found.join("\n")
     );
 }
