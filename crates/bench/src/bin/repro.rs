@@ -24,7 +24,8 @@
 //!   --scrub     run the collective integrity scrub and print its report
 //!   --repair    run the collective heal, then verify that every chunk
 //!               referenced by the dump is back to K copies and the
-//!               restore is byte-exact
+//!               restore is byte-exact; the demo exits 1 when the heal
+//!               does not converge or a restore fails or is not exact
 //!   --ranks N   scale-out sweep: run every sweep point up
 //!               to N ranks (plus N itself) × the four paper strategies,
 //!               cross-check measured replication + parity traffic against
@@ -279,7 +280,9 @@ fn run_fault_demo(spec: &str) {
 /// The self-healing demo: a clean coll-dedup dump, node failures replaced
 /// by empty devices, optional scrub, collective heal, and a final
 /// verification that every chunk the dump references is back to `K`
-/// copies and every rank restores byte-exactly.
+/// copies and every rank restores byte-exactly. Exits 1 after its report
+/// when the heal did not converge or any rank's restore failed or came
+/// back with other bytes.
 fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
     use replidedup_core::{Replicator, Strategy};
     use replidedup_mpi::WorldConfig;
@@ -288,6 +291,7 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
     const N: u32 = 8;
     const K: u32 = 3;
     println!("== self-healing demo: coll-dedup dump, {N} ranks, K = {K} ==");
+    let mut failed = false;
     let cluster = Cluster::new(Placement::one_per_node(N));
     let repl = Replicator::builder(Strategy::CollDedup)
         .cluster(&cluster)
@@ -347,15 +351,16 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
             "repair: {} chunk copies healed ({} bytes), {} manifests re-materialized, {} corrupt quarantined, {} heal steps",
             stats.chunks_healed,
             stats.bytes_re_replicated,
-            stats.manifests_rematerialized,
+            stats.recipes_rematerialized,
             stats.corrupt_quarantined,
             stats.steps
         );
         if !stats.is_fully_healed() {
+            failed = true;
             println!(
                 "repair: NOT HEALED — {} chunks, {} manifests beyond repair (more than K-1 copies lost), {} payloads skipped (re-run the heal)",
                 stats.unrepairable_chunks.len(),
-                stats.unrepairable_manifests.len(),
+                stats.unrepairable_recipes.len(),
                 stats.payloads_skipped
             );
         }
@@ -363,10 +368,11 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
         // to K live copies.
         let (mut total, mut at_k) = (0u64, 0u64);
         for rank in 0..N {
-            let m = cluster
-                .get_manifest(cluster.node_of(rank), rank, 1)
+            let recipe = cluster
+                .get_recipe(cluster.node_of(rank), rank, 1)
                 .unwrap_or_else(|e| die(&format!("rank {rank}'s manifest after repair: {e}")));
-            for fp in &m.chunks {
+            let chunks = recipe.manifest().map_or(&[][..], |m| &m.chunks);
+            for fp in chunks {
                 total += 1;
                 if cluster.copies_of(fp) >= K {
                     at_k += 1;
@@ -380,11 +386,16 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
         .launch(N, |comm| (comm.rank(), repl.restore(comm, 1)))
         .expect_all();
     for (rank, r) in out.results {
+        let exact = matches!(&r, Ok(b) if *b == buf_of(rank));
         match r {
-            Ok(b) if b == buf_of(rank) => println!("rank {rank}: restored byte-exact"),
+            Ok(_) if exact => println!("rank {rank}: restored byte-exact"),
             Ok(_) => println!("rank {rank}: restored WRONG bytes"),
             Err(e) => println!("rank {rank}: restore failed: {e}"),
         }
+        failed |= !exact;
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 

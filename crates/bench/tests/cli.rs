@@ -1,5 +1,6 @@
 //! Exit codes of the `repro` command line: a usage error exits 2 before
-//! running anything, `--help` exits 0.
+//! running anything, `--help` exits 0, and the heal and fault demos exit 0
+//! on a cluster that heals and restores.
 
 use std::process::{Command, Output};
 
@@ -22,4 +23,35 @@ fn usage_errors_exit_2_and_help_exits_0() {
         "no --drill"
     );
     assert_eq!(repro(&["--help"]).status.code(), Some(0));
+}
+
+/// README's two heal-demo command lines: the heal converges and all
+/// eight ranks restore byte-exact, or the demo exits 1.
+#[test]
+fn heal_demos_restore_every_rank_byte_exact() {
+    for args in [
+        &["--fail-node", "2", "--scrub", "--repair"][..],
+        &["--fail-node", "2", "--fail-node", "5", "--repair"],
+    ] {
+        let out = repro(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}:\n{stdout}");
+        assert_eq!(
+            stdout.matches("restored byte-exact").count(),
+            8,
+            "{args:?}:\n{stdout}"
+        );
+    }
+}
+
+/// The seeded fault demo runs its dump and restart to the end.
+#[test]
+fn seeded_fault_demo_exits_0() {
+    let out = repro(&["--fault-plan", "42"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }

@@ -21,7 +21,7 @@ use replidedup_ec::{shard_nodes, RsCode};
 use replidedup_hash::{chunk_ranges, ChunkHasher, ChunkRange, Fingerprint, FpHashSet};
 use replidedup_mpi::wire::{Frame, FrameReader, FrameWriter, Wire};
 use replidedup_mpi::{Comm, CommError, Tag};
-use replidedup_storage::{Cluster, DumpId, Manifest, ShardMeta, StorageError, StripeKey};
+use replidedup_storage::{Cluster, DumpId, Manifest, Recipe, ShardMeta, StorageError, StripeKey};
 
 use crate::config::{DumpConfig, Strategy};
 use crate::exchange::{parse_records_zc, record_header, record_size, RECORD_HEADER};
@@ -432,14 +432,11 @@ fn dump_pipeline(
         None => {
             if !blob_coded {
                 // Refcount bump: the stored blob IS the app buffer.
-                let blob = data.as_bytes().clone();
-                let len = blob.len() as u64;
+                let blob = Recipe::Blob(data.as_bytes().clone());
                 tally(
                     failure,
                     &mut stats.bytes_written_local,
-                    ctx.cluster
-                        .put_blob(node, me, ctx.dump_id, blob)
-                        .map(|()| len),
+                    ctx.cluster.put_recipe(node, me, ctx.dump_id, blob),
                 );
             }
             // A coded blob stores no full copy anywhere: its data shards
@@ -479,17 +476,19 @@ fn dump_pipeline(
                 rs: rs.filter(|_| !coded.is_empty()),
                 coded,
             };
+            // Encoded before the store takes the manifest.
+            let encoded = manifest.to_bytes();
             tally(
                 failure,
                 &mut stats.bytes_written_local,
-                ctx.cluster.put_manifest(node, manifest.clone()).map(|()| 0),
+                ctx.cluster
+                    .put_recipe(node, me, ctx.dump_id, Recipe::Manifest(manifest)),
             );
             // Replicate the manifest to the same partners as the data so a
             // failed node's recipe survives (restore-path extension; the
             // paper leaves restart implicit). Encode the fingerprint list
             // once and fan the same frozen buffer out to every partner —
             // re-encoding per partner copied the whole list K-1 times.
-            let encoded = manifest.to_bytes();
             send_every(
                 wplan.partners[me as usize]
                     .iter()
@@ -534,13 +533,11 @@ fn dump_pipeline(
                     blob.extend_from_slice(data);
                 }
                 record_copy(blob.len());
-                let len = blob.len() as u64;
+                let blob = Recipe::Blob(Bytes::from(blob));
                 tally(
                     failure,
                     &mut stats.bytes_written_local,
-                    ctx.cluster
-                        .put_blob(node, sender, ctx.dump_id, Bytes::from(blob))
-                        .map(|()| len),
+                    ctx.cluster.put_recipe(node, sender, ctx.dump_id, blob),
                 );
             }
             Strategy::LocalDedup | Strategy::CollDedup => {
@@ -567,7 +564,8 @@ fn dump_pipeline(
                 Ok(m) => tally(
                     failure,
                     &mut stats.bytes_written_local,
-                    ctx.cluster.put_manifest(node, m).map(|()| 0),
+                    ctx.cluster
+                        .put_recipe(node, m.owner_rank, m.dump_id, Recipe::Manifest(m)),
                 ),
                 Err(e) => defer(failure, e),
             }
@@ -711,7 +709,7 @@ fn decode_manifest_frame(frame: Frame, from: u32) -> Result<Manifest, DumpError>
 /// as absent-at-dump-time, and mark the statistics degraded.
 ///
 /// The re-commit is idempotent — chunk stores are content-addressed and
-/// manifest/blob puts overwrite — so it is safe regardless of how far the
+/// recipe puts overwrite — so it is safe regardless of how far the
 /// pipeline got before failing.
 fn degraded_commit(
     comm: &mut Comm,
@@ -731,14 +729,11 @@ fn degraded_commit(
         Strategy::NoDedup => {
             // Refcount bump: the degraded blob is still the app buffer.
             stats.chunks_total = buf.len().div_ceil(chunk_size) as u64;
-            let blob = data.as_bytes().clone();
-            let len = blob.len() as u64;
+            let blob = Recipe::Blob(data.as_bytes().clone());
             tally(
                 failure,
                 &mut stats.bytes_written_local,
-                ctx.cluster
-                    .put_blob(node, me, ctx.dump_id, blob)
-                    .map(|()| len),
+                ctx.cluster.put_recipe(node, me, ctx.dump_id, blob),
             );
         }
         Strategy::LocalDedup | Strategy::CollDedup => {
@@ -777,7 +772,8 @@ fn degraded_commit(
             tally(
                 failure,
                 &mut stats.bytes_written_local,
-                ctx.cluster.put_manifest(node, manifest).map(|()| 0),
+                ctx.cluster
+                    .put_recipe(node, me, ctx.dump_id, Recipe::Manifest(manifest)),
             );
         }
     }
@@ -825,6 +821,12 @@ mod tests {
             })
             .expect_all();
         (out.results, cluster)
+    }
+
+    /// Rank `rank`'s generation-1 manifest on node 0.
+    fn manifest_of(cluster: &Cluster, rank: u32) -> Manifest {
+        let recipe = cluster.get_recipe(0, rank, 1).expect("recipe on node 0");
+        recipe.manifest().cloned().expect("a manifest")
     }
 
     /// Every rank the same 4-chunk buffer.
@@ -884,7 +886,9 @@ mod tests {
         }
         // Each node holds its own blob plus 2 partner blobs.
         for rank in 0..4u32 {
-            let holders = (0..4).filter(|&nd| cluster.has_blob(nd, rank, 1)).count();
+            let holders = (0..4)
+                .filter(|&nd| cluster.get_recipe(nd, rank, 1).is_ok())
+                .count();
             assert_eq!(holders, 3, "rank {rank} blob must exist on K=3 nodes");
         }
         assert_eq!(cluster.total_device_bytes(), 4 * 256 * 3);
@@ -942,7 +946,7 @@ mod tests {
         let (_, cluster) = run_dump(4, Strategy::CollDedup, 3, private_buffer);
         for rank in 0..4u32 {
             let holders = (0..4)
-                .filter(|&nd| cluster.get_manifest(nd, rank, 1).is_ok())
+                .filter(|&nd| cluster.get_recipe(nd, rank, 1).is_ok())
                 .count();
             assert_eq!(holders, 3, "manifest of rank {rank}");
         }
@@ -973,7 +977,7 @@ mod tests {
         }
         assert_eq!(cluster.total_unique_bytes(), 0);
         // Manifests still exist (empty recipes) for restart symmetry.
-        assert!(cluster.get_manifest(0, 0, 1).is_ok());
+        assert!(cluster.get_recipe(0, 0, 1).is_ok());
     }
 
     #[test]
@@ -985,7 +989,7 @@ mod tests {
             assert_eq!(s.chunks_total, 2);
         }
         // Both chunks of rank 0 must be on 2 nodes.
-        let m = cluster.get_manifest(0, 0, 1).unwrap();
+        let m = manifest_of(&cluster, 0);
         for fp in &m.chunks {
             assert_eq!(cluster.copies_of(fp), 2);
         }
@@ -1161,7 +1165,7 @@ mod tests {
             assert_eq!(cluster.copies_of(&fp), 0, "coded chunk lives as shards");
         }
         // Manifests record the stripe membership.
-        let m = cluster.get_manifest(0, 0, 1).unwrap();
+        let m = manifest_of(&cluster, 0);
         assert_eq!(m.rs, Some((4, 2)));
         assert!(!m.coded.is_empty());
     }
@@ -1254,7 +1258,9 @@ mod tests {
         }
         // No raw blob copies anywhere — the data lives as shards.
         for rank in 0..4u32 {
-            let holders = (0..4).filter(|&nd| cluster.has_blob(nd, rank, 1)).count();
+            let holders = (0..4)
+                .filter(|&nd| cluster.get_recipe(nd, rank, 1).is_ok())
+                .count();
             assert_eq!(holders, 0, "rank {rank} blob must be striped, not stored");
         }
         assert!(cluster.total_parity_bytes() > 0);

@@ -56,11 +56,14 @@
 //!   background healer competes with foreground collectives.
 //!
 //! Stage order: `Scrub → Chunks → Owners → Done`; `no-dedup` skips
-//! `Chunks`. The cursor is strictly monotonic — a step either advances
-//! the high-water mark to its window's cut or, when the window ran to
-//! the end, advances the stage — so a heal always terminates, and
-//! resuming from any persisted cursor position converges to the same
-//! healed state (re-running a window is idempotent: puts are
+//! `Chunks`. The Owners stage heals the one stored recipe of each rank —
+//! its manifest, or its raw blob under `no-dedup` — in one transfer;
+//! a blob is data, metered and counted in the heal's bytes, a manifest
+//! is metadata and rides unmetered. The cursor is strictly monotonic —
+//! a step either advances the high-water mark to its window's cut or,
+//! when the window ran to the end, advances the stage — so a heal always
+//! terminates, and resuming from any persisted cursor position converges
+//! to the same healed state (re-running a window is idempotent: puts are
 //! content-addressed). A crash mid-step surfaces as
 //! [`RepairError::Comm`]; unrecoverable data, and payloads a window had
 //! to skip, are reported in the [`HealReport`] instead of failing the
@@ -73,7 +76,7 @@ use replidedup_hash::Fingerprint;
 use replidedup_mpi::wire::{Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, Tag};
 use replidedup_storage::{
-    Cluster, DumpId, GcStats, Manifest, NodeId, SessionId, ShardMeta, StorageError, StripeKey,
+    Cluster, DumpId, GcStats, NodeId, Recipe, SessionId, ShardMeta, StorageError, StripeKey,
 };
 
 use crate::config::Strategy;
@@ -83,8 +86,7 @@ use crate::repair::{
 };
 
 const TAG_HEAL_CHUNKS: Tag = 0x5250_0009;
-const TAG_HEAL_MANIFEST: Tag = 0x5250_000A;
-const TAG_HEAL_BLOB: Tag = 0x5250_000B;
+const TAG_HEAL_OWNERS: Tag = 0x5250_000A;
 
 /// Phases a healing step may enter (trace span names). Unlike
 /// [`crate::DUMP_PHASES`] these repeat: every windowed step with work
@@ -120,7 +122,7 @@ pub struct HealOptions {
     /// the referenced, held and chunk-stripe lists.
     pub chunk_batch: usize,
     /// Owner ranks per node per [`HealStage::Owners`] step, in each of
-    /// the held-owner, absent and (`no-dedup`) blob-stripe lists.
+    /// the recipe-owner, absent and blob-stripe lists.
     pub owner_batch: usize,
     /// Throughput bound on healing payload bytes (`None`: unthrottled).
     pub rate: Option<RateLimit>,
@@ -293,10 +295,9 @@ pub struct HealReport {
     pub chunks_healed: u64,
     /// Payload bytes moved for those chunk copies.
     pub bytes_re_replicated: u64,
-    /// Manifest copies re-materialized.
-    pub manifests_rematerialized: u64,
-    /// Raw blob copies re-materialized (`no-dedup`).
-    pub blobs_rematerialized: u64,
+    /// Recipe copies re-materialized: manifests, or raw blobs under
+    /// `no-dedup`.
+    pub recipes_rematerialized: u64,
     /// Corrupt chunk copies quarantined by the scrub step.
     pub corrupt_quarantined: u64,
     /// Erasure-coded shards reconstructed and re-homed.
@@ -309,10 +310,9 @@ pub struct HealReport {
     pub gc: GcStats,
     /// Referenced fingerprints found beyond repair in a planned window.
     pub unrepairable_chunks: Vec<Fingerprint>,
-    /// Owner ranks whose manifest has no surviving copy.
-    pub unrepairable_manifests: Vec<u32>,
-    /// Owner ranks whose raw blob has no surviving copy or stripe.
-    pub unrepairable_blobs: Vec<u32>,
+    /// Owner ranks whose recipe has no surviving copy (nor, for a blob,
+    /// a viable stripe).
+    pub unrepairable_recipes: Vec<u32>,
     /// Stripes below `k` surviving shards: the generation's blob stripes,
     /// and the chunk stripes its committed manifests reference.
     pub unrepairable_stripes: Vec<StripeKey>,
@@ -330,8 +330,7 @@ impl HealReport {
     pub fn is_fully_healed(&self) -> bool {
         self.payloads_skipped == 0
             && self.unrepairable_chunks.is_empty()
-            && self.unrepairable_manifests.is_empty()
-            && self.unrepairable_blobs.is_empty()
+            && self.unrepairable_recipes.is_empty()
             && self.unrepairable_stripes.is_empty()
     }
 
@@ -495,8 +494,7 @@ pub(crate) fn heal_step_impl(
                         corrupt,
                         shards,
                         gc.generations_collected,
-                        gc.manifests_removed,
-                        gc.blobs_removed,
+                        gc.recipes_removed,
                         gc.chunks_removed,
                         gc.shards_removed,
                         gc.tombstones_removed,
@@ -511,12 +509,11 @@ pub(crate) fn heal_step_impl(
             if opts.gc_before.is_some() {
                 report.gc.merge(&GcStats {
                     generations_collected: sums[2],
-                    manifests_removed: sums[3],
-                    blobs_removed: sums[4],
-                    chunks_removed: sums[5],
-                    shards_removed: sums[6],
-                    tombstones_removed: sums[7],
-                    bytes_reclaimed: sums[8],
+                    recipes_removed: sums[3],
+                    chunks_removed: sums[4],
+                    shards_removed: sums[5],
+                    tombstones_removed: sums[6],
+                    bytes_reclaimed: sums[7],
                 });
                 comm.tracer().counter("heal_generations_collected", sums[2]);
             }
@@ -557,7 +554,7 @@ pub(crate) fn heal_step_impl(
                         .iter()
                         .all(|inv| inv.referenced.is_empty() && inv.shards.is_empty());
                     (!idle).then(|| {
-                        let plan = windowed_plan(ctx, strategy, k, n, world_inv);
+                        let plan = windowed_plan(ctx, k, n, world_inv);
                         Window {
                             moves: plan.chunk_moves,
                             rebuilds: plan.shard_rebuilds,
@@ -600,9 +597,6 @@ pub(crate) fn heal_step_impl(
             }
         }
         HealStage::Owners => {
-            // One owner-window body for both recipe formats: raw blobs
-            // under `no-dedup`, manifests otherwise.
-            let blobs = strategy == Strategy::NoDedup;
             let after = cursor.after_owner;
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
@@ -612,16 +606,11 @@ pub(crate) fn heal_step_impl(
                     let owner = |r: &u32| Some(*r);
                     inv.leads_live_node = true;
                     inv.absent = cap.list(cluster.absent_ranks(node, ctx.dump_id)?, owner);
-                    if blobs {
-                        inv.blob_owners = cap.list(cluster.blob_owners(node, ctx.dump_id)?, owner);
-                        // A blob with no replica is healthy if its stripe
-                        // survives — the plan needs this generation's Blob
-                        // stripes to judge that, and rebuilds them.
-                        inv.shards = blob_shards(&mut cap, cluster, node, ctx.dump_id)?;
-                    } else {
-                        let held = cluster.manifest_owners(node, ctx.dump_id)?;
-                        inv.manifest_owners = cap.list(held, owner);
-                    }
+                    inv.owners = cap.list(cluster.recipe_owners(node, ctx.dump_id)?, owner);
+                    // A blob with no replica is healthy if its stripe
+                    // survives — the plan needs this generation's Blob
+                    // stripes to judge that, and rebuilds them.
+                    inv.shards = blob_shards(&mut cap, cluster, node, ctx.dump_id)?;
                 }
                 plan_window(comm, inv, cap.bound, |mut world_inv, cut| {
                     // The window is the owner range `(after, cut]`. Stripes
@@ -635,18 +624,13 @@ pub(crate) fn heal_step_impl(
                             matches!(key, StripeKey::Blob { owner, .. } if in_window(owner))
                         });
                     }
-                    let plan = windowed_plan(ctx, strategy, k, n, world_inv);
-                    let (mut moves, mut lost) = if blobs {
-                        (plan.blob_moves, plan.unrepairable_blobs)
-                    } else {
-                        (plan.manifest_moves, plan.unrepairable_manifests)
-                    };
-                    moves.retain(|(_, _, owner)| in_window(owner));
-                    lost.retain(in_window);
+                    let mut plan = windowed_plan(ctx, k, n, world_inv);
+                    plan.recipe_moves.retain(|(_, _, owner)| in_window(owner));
+                    plan.unrepairable_recipes.retain(in_window);
                     Some(Window {
-                        moves,
+                        moves: plan.recipe_moves,
                         rebuilds: plan.shard_rebuilds,
-                        lost,
+                        lost: plan.unrepairable_recipes,
                         lost_stripes: plan.unrepairable_stripes,
                     })
                 })
@@ -661,52 +645,38 @@ pub(crate) fn heal_step_impl(
             } = part.unwrap_or_default();
             let rebuilt = rebuild_shards(comm, cluster, bucket, &rebuilds);
 
+            // Blobs are data: metered and counted in the heal's bytes.
+            // Manifests are metadata-sized, so they ride unmetered and
+            // uncounted, like their zero device bytes.
+            let blobs = strategy == Strategy::NoDedup;
+            let mut unmetered = None;
             comm.enter_phase("heal.transfer");
-            let moved = if blobs {
-                transfer(
-                    comm,
-                    TAG_HEAL_BLOB,
-                    &moves,
-                    bucket,
-                    |owner| cluster.get_blob(node, *owner, ctx.dump_id),
-                    |owner, data| {
-                        let put = cluster.put_blob(node, owner, ctx.dump_id, data.into_bytes());
-                        put.ok().map(|()| true)
-                    },
-                )
-            } else {
-                // Manifests are metadata-sized, so they ride unmetered.
-                transfer(
-                    comm,
-                    TAG_HEAL_MANIFEST,
-                    &moves,
-                    &mut None,
-                    |owner| {
-                        let m = cluster.get_manifest(node, *owner, ctx.dump_id)?;
-                        Ok(m.to_bytes())
-                    },
-                    |_, data| {
-                        let m = Manifest::from_bytes(&data).ok()?;
-                        cluster.put_manifest(node, m).ok().map(|()| true)
-                    },
-                )
-            }
+            let moved = transfer(
+                comm,
+                TAG_HEAL_OWNERS,
+                &moves,
+                if blobs { bucket } else { &mut unmetered },
+                |owner| {
+                    let recipe = cluster.get_recipe(node, *owner, ctx.dump_id)?;
+                    Ok(recipe.into_bytes())
+                },
+                |owner, data| {
+                    let recipe = Recipe::from_bytes(blobs, data.into_bytes()).ok()?;
+                    let put = cluster.put_recipe(node, owner, ctx.dump_id, recipe);
+                    put.ok().map(|_| true)
+                },
+            )
             .map_err(RepairError::from)
             .and_then(|moved| window_counts(comm, moved, rebuilt, report));
             comm.exit_phase("heal.transfer");
             let (stored, bytes) = moved?;
+            report.recipes_rematerialized += stored;
+            comm.tracer().counter("heal_recipes_rematerialized", stored);
             if blobs {
-                report.blobs_rematerialized += stored;
                 report.bytes_re_replicated += bytes;
-                comm.tracer().counter("heal_blobs_rematerialized", stored);
                 comm.tracer().counter("heal_bytes", bytes);
-                merge_sorted(&mut report.unrepairable_blobs, lost);
-            } else {
-                report.manifests_rematerialized += stored;
-                comm.tracer()
-                    .counter("heal_manifests_rematerialized", stored);
-                merge_sorted(&mut report.unrepairable_manifests, lost);
             }
+            merge_sorted(&mut report.unrepairable_recipes, lost);
             merge_sorted(&mut report.unrepairable_stripes, lost_stripes);
             match cut {
                 Some(c) => cursor.after_owner = Some(c),
@@ -940,7 +910,6 @@ fn plan_window<K: Wire + Ord + Copy>(
 /// lists before it waits in the window's transfer.
 fn windowed_plan(
     ctx: &DumpContext<'_>,
-    strategy: Strategy,
     k: u32,
     n: u32,
     world_inv: Vec<NodeInventory>,
@@ -952,14 +921,7 @@ fn windowed_plan(
     let leader_of_node: Vec<Option<u32>> = (0..cluster.node_count())
         .map(|nd| leader_of(cluster, nd, n).filter(|_| cluster.is_alive(nd)))
         .collect();
-    build_plan(
-        k,
-        strategy,
-        ctx.dump_id,
-        &world_inv,
-        &home_leader,
-        &leader_of_node,
-    )
+    build_plan(k, ctx.dump_id, &world_inv, &home_leader, &leader_of_node)
 }
 
 /// Fold a step's unrepairable verdicts into the report's sorted set.
@@ -978,7 +940,7 @@ mod tests {
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
     use replidedup_mpi::wire::FrameWriter;
     use replidedup_mpi::WorldConfig;
-    use replidedup_storage::{Cluster, Placement};
+    use replidedup_storage::{Cluster, Manifest, Placement};
     use replidedup_trace::EventKind;
 
     #[test]
@@ -1123,7 +1085,7 @@ mod tests {
             for (owner, (dump_id, refs)) in (0u32..).zip(&recipes) {
                 let chunks: Vec<Fingerprint> = refs.iter().map(|r| Fingerprint::synthetic(*r)).collect();
                 let m = Manifest::fixed_stride(owner, *dump_id, 1, chunks.len() as u64, chunks);
-                cluster.put_manifest(0, m).unwrap();
+                cluster.put_recipe(0, owner, *dump_id, Recipe::Manifest(m)).unwrap();
             }
             let stripe = |kind: u8, x: u64| match kind {
                 0 => StripeKey::Chunk(Fingerprint::synthetic(x)),
@@ -1329,7 +1291,7 @@ mod tests {
             assert!(report.chunks_healed > 0, "the lost node's copies return");
             assert!(after.is_fully_healed());
             assert_eq!(after.chunks_healed, 0, "the first heal left no work");
-            assert_eq!(after.manifests_rematerialized, 0);
+            assert_eq!(after.recipes_rematerialized, 0);
             assert_eq!(restored, buf);
         }
     }
@@ -1443,7 +1405,7 @@ mod tests {
             .expect_all();
         for (report, restored, buf) in out.results {
             assert!(report.is_fully_healed());
-            assert!(report.blobs_rematerialized > 0);
+            assert!(report.recipes_rematerialized > 0);
             assert_eq!(report.chunks_healed, 0, "no chunk stage under no-dedup");
             assert_eq!(restored, buf);
         }

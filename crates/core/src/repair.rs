@@ -12,16 +12,16 @@
 //! [`crate::Replicator::scrub`] need:
 //!
 //! * `NodeInventory` — what one node's leader sends rank 0 in a window's
-//!   one gather-scatter (manifest owners, blob owners, referenced and held
-//!   fingerprints, tombstones, erasure-coded shards). The held lists are
-//!   the live-copy census: a chunk's holders are the live leaders whose
-//!   inventory lists it.
+//!   one gather-scatter (recipe owners, referenced and held fingerprints,
+//!   tombstones, erasure-coded shards). The held lists are the live-copy
+//!   census: a chunk's holders are the live leaders whose inventory
+//!   lists it.
 //! * `build_plan` — the deterministic planner. Fed the gathered
 //!   inventories, rank 0 derives the window's plan once: under-replicated
-//!   chunks go to the least-loaded live non-holders, lost manifests/blobs
-//!   are re-materialized from any surviving copy (the owner's own node
-//!   first), and every viable Reed-Solomon stripe is healed back to `k+m`
-//!   shards on their home nodes. A coded payload with no replica counts
+//!   chunks go to the least-loaded live non-holders, lost recipes are
+//!   re-materialized from any surviving copy (the owner's own node
+//!   first), and every viable Reed-Solomon stripe is healed back to
+//!   `k+m` shards on their home nodes. A coded payload with no replica counts
 //!   as healthy while its stripe keeps at least `k` shards. Data with zero
 //!   surviving copies — or a stripe below `k` shards — is beyond repair by
 //!   construction; the plan reports it instead of failing, so one
@@ -33,6 +33,10 @@
 //! * `scrub_impl` — the read-only collective integrity scrub, resolved
 //!   once at rank 0.
 //! * [`RepairError`] — every way a scrub or heal step can fail.
+//!
+//! Storage keeps one recipe per `(owner, generation)` — a manifest, or a
+//! raw blob under `no-dedup` — so every recovery step handles both formats
+//! in one arm; only a receiver needs the strategy, to decode a payload.
 
 use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
@@ -47,7 +51,6 @@ use replidedup_storage::{
     Cluster, DumpId, NodeId, ScrubReport, ShardMeta, StorageError, StripeKey,
 };
 
-use crate::config::Strategy;
 use crate::dump::DumpContext;
 use crate::global::{fp_cmp, fp_head};
 use crate::heal::{throttle, TokenBucket};
@@ -100,10 +103,8 @@ impl From<CommError> for RepairError {
 pub(crate) struct NodeInventory {
     /// True only in the entry of a live node's leader rank.
     pub(crate) leads_live_node: bool,
-    /// Owner ranks whose manifests for the dump this node holds (sorted).
-    pub(crate) manifest_owners: Vec<u32>,
-    /// Owner ranks whose raw blobs for the dump this node holds (sorted).
-    pub(crate) blob_owners: Vec<u32>,
+    /// Owner ranks whose recipes for the dump this node holds (sorted).
+    pub(crate) owners: Vec<u32>,
     /// Fingerprints referenced by this node's manifests for the dump
     /// (sorted, deduplicated).
     pub(crate) referenced: Vec<Fingerprint>,
@@ -119,8 +120,7 @@ pub(crate) struct NodeInventory {
 impl Wire for NodeInventory {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.leads_live_node.encode(buf);
-        self.manifest_owners.encode(buf);
-        self.blob_owners.encode(buf);
+        self.owners.encode(buf);
         self.referenced.encode(buf);
         self.held.encode(buf);
         self.absent.encode(buf);
@@ -130,8 +130,7 @@ impl Wire for NodeInventory {
     fn decode(input: &mut &[u8]) -> WireResult<Self> {
         Ok(NodeInventory {
             leads_live_node: bool::decode(input)?,
-            manifest_owners: Vec::decode(input)?,
-            blob_owners: Vec::decode(input)?,
+            owners: Vec::decode(input)?,
             referenced: Vec::decode(input)?,
             held: Vec::decode(input)?,
             absent: Vec::decode(input)?,
@@ -146,16 +145,13 @@ impl Wire for NodeInventory {
 pub(crate) struct RepairPlan {
     /// `(src_leader, dst_leader, fp)`: src serves the chunk, dst stores it.
     pub(crate) chunk_moves: Vec<(u32, u32, Fingerprint)>,
-    /// `(src_leader, dst_leader, owner_rank)` manifest re-materializations.
-    pub(crate) manifest_moves: Vec<(u32, u32, u32)>,
-    /// `(src_leader, dst_leader, owner_rank)` blob re-materializations.
-    pub(crate) blob_moves: Vec<(u32, u32, u32)>,
+    /// `(src_leader, dst_leader, owner_rank)` recipe re-materializations.
+    pub(crate) recipe_moves: Vec<(u32, u32, u32)>,
     /// `(dst_leader, stripe, shard index)`: dst reconstructs the shard
     /// from any `k` survivors and re-homes it on its node.
     pub(crate) shard_rebuilds: Vec<(u32, StripeKey, u8)>,
     pub(crate) unrepairable_chunks: Vec<Fingerprint>,
-    pub(crate) unrepairable_manifests: Vec<u32>,
-    pub(crate) unrepairable_blobs: Vec<u32>,
+    pub(crate) unrepairable_recipes: Vec<u32>,
     pub(crate) unrepairable_stripes: Vec<StripeKey>,
 }
 
@@ -235,8 +231,8 @@ fn sort_by_fingerprint(records: &[(Fingerprint, u32)]) -> Vec<(Fingerprint, u32)
 /// same plan, which is what lets one rank plan for the world.
 ///
 /// `home_leader[r]` is the leader rank of rank `r`'s own node — the
-/// preferred destination when re-materializing `r`'s manifest or blob, so
-/// a healed cluster restores without network recovery.
+/// preferred destination when re-materializing `r`'s recipe, so a healed
+/// cluster restores without network recovery.
 ///
 /// A stripe below `k` survivors is unrepairable; a chunk stripe only if
 /// the window references its fingerprint, else it may be a concurrent
@@ -250,7 +246,6 @@ fn sort_by_fingerprint(records: &[(Fingerprint, u32)]) -> Vec<(Fingerprint, u32)
 /// derived (a property test holds it to that reference model).
 pub(crate) fn build_plan(
     k: u32,
-    strategy: Strategy,
     dump_id: DumpId,
     inv: &[NodeInventory],
     home_leader: &[u32],
@@ -295,89 +290,75 @@ pub(crate) fn build_plan(
             *t = true;
         }
     }
-    // Recipes (manifests or blobs) must survive K times each: which live
-    // leaders hold each owner's, in rank order, from one table per window.
-    // Returns the moves and the owners lost for good.
-    let plan_owners = |list: fn(&NodeInventory) -> &[u32], viable: &dyn Fn(u32) -> bool| {
-        let mut holders: Vec<Vec<u32>> = vec![Vec::new(); home_leader.len()];
-        for &l in &live {
-            for &r in list(&inv[l as usize]) {
-                match holders.get_mut(r as usize) {
-                    Some(h) if h.last() != Some(&l) => h.push(l),
-                    _ => {}
-                }
-            }
-        }
-        let (mut moves, mut lost) = (Vec::new(), Vec::new());
-        let mut load = vec![0u64; inv.len()];
-        for (r, have) in (0u32..).zip(&holders) {
-            if tombstoned[r as usize] {
-                continue;
-            }
-            if have.is_empty() {
-                if !viable(r) {
-                    lost.push(r);
-                }
-                continue;
-            }
-            let deficit = target.saturating_sub(have.len());
-            let home = Some(home_leader[r as usize]);
-            for (i, dst) in pick_destinations(&live, have, deficit, home, &mut load)
-                .into_iter()
-                .enumerate()
-            {
-                moves.push((have[i % have.len()], dst, r));
-            }
-        }
-        (moves, lost)
-    };
 
-    // The window's referenced fingerprints, in order.
+    // ---- chunks: every fingerprint a surviving manifest references (none
+    // under `no-dedup`, or in an owner window). One record per live copy,
+    // in rank order, then one per reference; sorted stably, each
+    // fingerprint is one run: its holders in rank order, then its
+    // references (if any). `referenced` keeps the window's, in order.
     let mut referenced: Vec<Fingerprint> = Vec::new();
-    if strategy != Strategy::NoDedup {
-        // ---- chunks: every fingerprint a surviving manifest references --
-        // One record per live copy, in rank order, then one per reference;
-        // sorted stably, each fingerprint is one run: its holders in rank
-        // order, then its references (if any).
-        let mut records: Vec<(Fingerprint, u32)> = Vec::new();
-        for &r in &live {
-            records.extend(inv[r as usize].held.iter().map(|fp| (*fp, r)));
-        }
-        for i in inv {
-            records.extend(i.referenced.iter().map(|fp| (*fp, REFERENCED)));
-        }
-        let mut load = vec![0u64; inv.len()];
-        let mut have: Vec<u32> = Vec::new();
-        for run in sort_by_fingerprint(&records).chunk_by(|a, b| a.0 == b.0) {
-            let Some(&(fp, REFERENCED)) = run.last() else {
-                continue; // held, but nothing in the window references it
-            };
-            referenced.push(fp);
-            have.clear();
-            have.extend(run.iter().map(|(_, who)| *who).filter(|w| *w != REFERENCED));
-            if have.is_empty() {
-                if !stripe_viable(&StripeKey::Chunk(fp)) {
-                    plan.unrepairable_chunks.push(fp);
-                }
-                continue;
+    let mut records: Vec<(Fingerprint, u32)> = Vec::new();
+    for &r in &live {
+        records.extend(inv[r as usize].held.iter().map(|fp| (*fp, r)));
+    }
+    for i in inv {
+        records.extend(i.referenced.iter().map(|fp| (*fp, REFERENCED)));
+    }
+    let mut load = vec![0u64; inv.len()];
+    let mut have: Vec<u32> = Vec::new();
+    for run in sort_by_fingerprint(&records).chunk_by(|a, b| a.0 == b.0) {
+        let Some(&(fp, REFERENCED)) = run.last() else {
+            continue; // held, but nothing in the window references it
+        };
+        referenced.push(fp);
+        have.clear();
+        have.extend(run.iter().map(|(_, who)| *who).filter(|w| *w != REFERENCED));
+        if have.is_empty() {
+            if !stripe_viable(&StripeKey::Chunk(fp)) {
+                plan.unrepairable_chunks.push(fp);
             }
-            let deficit = target.saturating_sub(have.len());
-            for (i, dst) in pick_destinations(&live, &have, deficit, None, &mut load)
-                .into_iter()
-                .enumerate()
-            {
-                plan.chunk_moves.push((have[i % have.len()], dst, fp));
-            }
+            continue;
         }
+        let deficit = target.saturating_sub(have.len());
+        for (i, dst) in pick_destinations(&live, &have, deficit, None, &mut load)
+            .into_iter()
+            .enumerate()
+        {
+            plan.chunk_moves.push((have[i % have.len()], dst, fp));
+        }
+    }
 
-        // ---- manifests: one recipe per rank must survive K times --------
-        (plan.manifest_moves, plan.unrepairable_manifests) =
-            plan_owners(|i| &i.manifest_owners, &|_| false);
-    } else {
-        // ---- blobs: the no-dedup storage format ------------------------
-        (plan.blob_moves, plan.unrepairable_blobs) = plan_owners(|i| &i.blob_owners, &|owner| {
-            stripe_viable(&StripeKey::Blob { owner, dump_id })
-        });
+    // ---- recipes: one per rank must survive K times, from one table of
+    // which live leaders hold each owner's, in rank order. A blob with no
+    // copy left is healthy while its stripe is viable. ----
+    let mut holders: Vec<Vec<u32>> = vec![Vec::new(); home_leader.len()];
+    for &l in &live {
+        for &r in &inv[l as usize].owners {
+            match holders.get_mut(r as usize) {
+                Some(h) if h.last() != Some(&l) => h.push(l),
+                _ => {}
+            }
+        }
+    }
+    let mut load = vec![0u64; inv.len()];
+    for (r, have) in (0u32..).zip(&holders) {
+        if tombstoned[r as usize] {
+            continue;
+        }
+        if have.is_empty() {
+            if !stripe_viable(&StripeKey::Blob { owner: r, dump_id }) {
+                plan.unrepairable_recipes.push(r);
+            }
+            continue;
+        }
+        let deficit = target.saturating_sub(have.len());
+        let home = Some(home_leader[r as usize]);
+        for (i, dst) in pick_destinations(&live, have, deficit, home, &mut load)
+            .into_iter()
+            .enumerate()
+        {
+            plan.recipe_moves.push((have[i % have.len()], dst, r));
+        }
     }
 
     // ---- stripes: every viable stripe healed back to full k+m shards on
@@ -547,8 +528,8 @@ pub(crate) struct Moved {
 
 /// Execute a `(src, dst, key)` move list — the one place restore and heal
 /// payloads cross the wire, whatever they are: heal moves chunks keyed by
-/// fingerprint and blobs or encoded manifests keyed by owner rank, and
-/// restore moves both in one list, keyed `Owner(rank)` or `Chunk(fp)`. The
+/// fingerprint and recipes (raw blobs or encoded manifests) keyed by owner
+/// rank, and restore moves both in one list, keyed `Owner(rank)` or `Chunk(fp)`. The
 /// planning rank derives the world's list once; only the moves naming
 /// this rank matter, and each rank is sent just those. Sends first
 /// (buffered, one frame per destination), then one receive per source the
@@ -670,11 +651,10 @@ mod tests {
     /// identical inventories and gets the identical plan.
     ///
     /// `home_leader[r]` is the leader rank of rank `r`'s own node — the
-    /// preferred destination when re-materializing `r`'s manifest or blob, so
-    /// a healed cluster restores without network recovery.
+    /// preferred destination when re-materializing `r`'s recipe, so a
+    /// healed cluster restores without network recovery.
     fn reference_plan(
         k: u32,
-        strategy: Strategy,
         dump_id: DumpId,
         inv: &[NodeInventory],
         home_leader: &[u32],
@@ -712,96 +692,66 @@ mod tests {
                 .is_some_and(|(meta, have)| have.len() >= meta.k as usize)
         };
 
-        let mut required: Vec<Fingerprint> = Vec::new();
-        if strategy != Strategy::NoDedup {
-            // ---- chunks: every fingerprint a surviving manifest references --
-            required = inv
-                .iter()
-                .flat_map(|i| i.referenced.iter().copied())
-                .collect();
-            required.sort_unstable();
-            required.dedup();
-            // A chunk's live holders, in rank order: the leaders whose held
-            // list carries it.
-            let mut holders: FpHashMap<Vec<u32>> = FpHashMap::default();
-            for &r in &live {
-                for fp in &inv[r as usize].held {
-                    holders.entry(*fp).or_default().push(r);
-                }
+        // ---- chunks: every fingerprint a surviving manifest references --
+        let mut required: Vec<Fingerprint> = inv
+            .iter()
+            .flat_map(|i| i.referenced.iter().copied())
+            .collect();
+        required.sort_unstable();
+        required.dedup();
+        // A chunk's live holders, in rank order: the leaders whose held
+        // list carries it.
+        let mut holders: FpHashMap<Vec<u32>> = FpHashMap::default();
+        for &r in &live {
+            for fp in &inv[r as usize].held {
+                holders.entry(*fp).or_default().push(r);
             }
-            let mut load: HashMap<u32, u64> = HashMap::new();
-            for &fp in &required {
-                match holders.get(&fp) {
-                    None => {
-                        if !stripe_viable(&StripeKey::Chunk(fp)) {
-                            plan.unrepairable_chunks.push(fp);
-                        }
+        }
+        let mut load: HashMap<u32, u64> = HashMap::new();
+        for &fp in &required {
+            match holders.get(&fp) {
+                None => {
+                    if !stripe_viable(&StripeKey::Chunk(fp)) {
+                        plan.unrepairable_chunks.push(fp);
                     }
-                    Some(have) if have.len() >= target => {}
-                    Some(have) => {
-                        let deficit = target - have.len();
-                        for (i, dst) in
-                            reference_destinations(&live, have, deficit, None, &mut load)
-                                .into_iter()
-                                .enumerate()
-                        {
-                            plan.chunk_moves.push((have[i % have.len()], dst, fp));
-                        }
+                }
+                Some(have) if have.len() >= target => {}
+                Some(have) => {
+                    let deficit = target - have.len();
+                    for (i, dst) in reference_destinations(&live, have, deficit, None, &mut load)
+                        .into_iter()
+                        .enumerate()
+                    {
+                        plan.chunk_moves.push((have[i % have.len()], dst, fp));
                     }
                 }
             }
+        }
 
-            // ---- manifests: one recipe per rank must survive K times --------
-            let mut mload: HashMap<u32, u64> = HashMap::new();
-            for r in 0..home_leader.len() as u32 {
-                if tombstoned(r) {
-                    continue; // legitimately absent from this (degraded) dump
-                }
-                let holders: Vec<u32> = live
-                    .iter()
-                    .copied()
-                    .filter(|l| inv[*l as usize].manifest_owners.binary_search(&r).is_ok())
-                    .collect();
-                if holders.is_empty() {
-                    plan.unrepairable_manifests.push(r);
-                    continue;
-                }
-                let deficit = target.saturating_sub(holders.len());
-                let home = Some(home_leader[r as usize]);
-                for (i, dst) in reference_destinations(&live, &holders, deficit, home, &mut mload)
-                    .into_iter()
-                    .enumerate()
-                {
-                    plan.manifest_moves
-                        .push((holders[i % holders.len()], dst, r));
-                }
+        // ---- recipes: one per rank must survive K times ----------------
+        let mut rload: HashMap<u32, u64> = HashMap::new();
+        for r in 0..home_leader.len() as u32 {
+            if tombstoned(r) {
+                continue; // legitimately absent from this (degraded) dump
             }
-        } else {
-            // ---- blobs: the no-dedup storage format ------------------------
-            let mut bload: HashMap<u32, u64> = HashMap::new();
-            for r in 0..home_leader.len() as u32 {
-                if tombstoned(r) {
-                    continue;
+            let holders: Vec<u32> = live
+                .iter()
+                .copied()
+                .filter(|l| inv[*l as usize].owners.binary_search(&r).is_ok())
+                .collect();
+            if holders.is_empty() {
+                if !stripe_viable(&StripeKey::Blob { owner: r, dump_id }) {
+                    plan.unrepairable_recipes.push(r);
                 }
-                let holders: Vec<u32> = live
-                    .iter()
-                    .copied()
-                    .filter(|l| inv[*l as usize].blob_owners.binary_search(&r).is_ok())
-                    .collect();
-                if holders.is_empty() {
-                    if !stripe_viable(&StripeKey::Blob { owner: r, dump_id }) {
-                        plan.unrepairable_blobs.push(r);
-                    }
-                    continue;
-                }
-                let deficit = target.saturating_sub(holders.len());
-                let home = Some(home_leader[r as usize]);
-                for (i, dst) in reference_destinations(&live, &holders, deficit, home, &mut bload)
-                    .into_iter()
-                    .enumerate()
-                {
-                    plan.blob_moves.push((holders[i % holders.len()], dst, r));
-                }
+                continue;
+            }
+            let deficit = target.saturating_sub(holders.len());
+            let home = Some(home_leader[r as usize]);
+            for (i, dst) in reference_destinations(&live, &holders, deficit, home, &mut rload)
+                .into_iter()
+                .enumerate()
+            {
+                plan.recipe_moves.push((holders[i % holders.len()], dst, r));
             }
         }
 
@@ -839,11 +789,10 @@ mod tests {
         }
     }
 
-    fn inv(live: bool, manifests: Vec<u32>, referenced: Vec<u64>) -> NodeInventory {
+    fn inv(live: bool, owners: Vec<u32>, referenced: Vec<u64>) -> NodeInventory {
         NodeInventory {
             leads_live_node: live,
-            manifest_owners: manifests,
-            blob_owners: Vec::new(),
+            owners,
             referenced: referenced.into_iter().map(fp).collect(),
             held: Vec::new(),
             absent: Vec::new(),
@@ -853,31 +802,22 @@ mod tests {
 
     /// `build_plan` over a one-rank-per-node world: home leaders are the
     /// ranks themselves and live leaders fall out of the inventory.
-    fn plan_for(k: u32, strategy: Strategy, inv: &[NodeInventory]) -> RepairPlan {
+    fn plan_for(k: u32, inv: &[NodeInventory]) -> RepairPlan {
         let home: Vec<u32> = (0..inv.len() as u32).collect();
         let leaders: Vec<Option<u32>> = inv
             .iter()
             .enumerate()
             .map(|(r, i)| i.leads_live_node.then_some(r as u32))
             .collect();
-        build_plan(k, strategy, 1, inv, &home, &leaders)
+        build_plan(k, 1, inv, &home, &leaders)
     }
 
     /// A random planner input from `seed`: 1–40 leaders, about a quarter
     /// dead, overlapping fingerprint and owner sets, tombstones, chunk and
     /// blob stripes of two generations, K from 1 to 4 (so K often exceeds
-    /// the live count) and either storage format. Every list is sorted
-    /// and distinct, as leaders send them.
-    #[allow(clippy::type_complexity)]
-    fn random_world(
-        seed: u64,
-    ) -> (
-        u32,
-        Strategy,
-        Vec<NodeInventory>,
-        Vec<u32>,
-        Vec<Option<u32>>,
-    ) {
+    /// the live count). Every list is sorted and distinct, as leaders
+    /// send them.
+    fn random_world(seed: u64) -> (u32, Vec<NodeInventory>, Vec<u32>, Vec<Option<u32>>) {
         let mut x = seed;
         let mut below = |n: u64| {
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -889,11 +829,6 @@ mod tests {
         let n = 1 + below(40) as u32;
         let fps = 1 + below(3 * u64::from(n) + 20);
         let k = 1 + below(4) as u32;
-        let strategy = if below(3) == 0 {
-            Strategy::NoDedup
-        } else {
-            Strategy::CollDedup
-        };
         let geometry = |key: &StripeKey| {
             let g = key.seed();
             (1 + (g % 3) as u8, 1 + (g / 3 % 2) as u8)
@@ -915,10 +850,7 @@ mod tests {
             }
             for r in 0..n {
                 if below(100) < density / 4 {
-                    i.manifest_owners.push(r);
-                }
-                if below(100) < density / 4 {
-                    i.blob_owners.push(r);
+                    i.owners.push(r);
                 }
                 if below(100) < 3 {
                     i.absent.push(r);
@@ -948,7 +880,7 @@ mod tests {
         let leaders = (0..1 + below(u64::from(n)))
             .map(|_| (below(4) != 0).then(|| below(u64::from(n)) as u32))
             .collect();
-        (k, strategy, world, home, leaders)
+        (k, world, home, leaders)
     }
 
     proptest::proptest! {
@@ -963,10 +895,10 @@ mod tests {
         fn linear_planner_matches_the_reference_model(
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let (k, strategy, world, home, leaders) = random_world(seed);
+            let (k, world, home, leaders) = random_world(seed);
             proptest::prop_assert_eq!(
-                build_plan(k, strategy, 1, &world, &home, &leaders),
-                reference_plan(k, strategy, 1, &world, &home, &leaders)
+                build_plan(k, 1, &world, &home, &leaders),
+                reference_plan(k, 1, &world, &home, &leaders)
             );
         }
     }
@@ -1003,8 +935,7 @@ mod tests {
     fn node_inventory_wire_roundtrip() {
         let i = NodeInventory {
             leads_live_node: true,
-            manifest_owners: vec![0, 2],
-            blob_owners: vec![1],
+            owners: vec![0, 2],
             referenced: vec![fp(9), fp(11)],
             held: vec![fp(4), fp(9)],
             absent: vec![3],
@@ -1025,7 +956,7 @@ mod tests {
         ];
         hold(&mut world_inv, 1, &[0]);
         hold(&mut world_inv, 2, &[0, 1, 2]);
-        let plan = plan_for(3, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(3, &world_inv);
         let for_one: Vec<_> = plan
             .chunk_moves
             .iter()
@@ -1038,7 +969,7 @@ mod tests {
             "healthy chunks are left alone"
         );
         assert_eq!(plan.unrepairable_chunks, vec![fp(3)]);
-        assert!(plan.unrepairable_manifests.is_empty());
+        assert!(plan.unrepairable_recipes.is_empty());
     }
 
     #[test]
@@ -1050,7 +981,7 @@ mod tests {
             inv(false, vec![], vec![]),
         ];
         hold(&mut world_inv, 1, &[0]);
-        let plan = plan_for(3, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(3, &world_inv);
         assert_eq!(plan.chunk_moves, vec![(0, 1, fp(1))]);
     }
 
@@ -1063,11 +994,11 @@ mod tests {
             inv(true, vec![0, 1], vec![]),
             inv(true, vec![], vec![]),
         ];
-        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(2, &world_inv);
         assert!(
-            plan.manifest_moves.contains(&(0, 2, 2)),
+            plan.recipe_moves.contains(&(0, 2, 2)),
             "rank 2's manifest must land on its own node: {:?}",
-            plan.manifest_moves
+            plan.recipe_moves
         );
     }
 
@@ -1076,22 +1007,19 @@ mod tests {
         let mut absent_inv = inv(true, vec![0], vec![]);
         absent_inv.absent = vec![1];
         let world_inv = vec![absent_inv, inv(true, vec![0], vec![])];
-        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(2, &world_inv);
         // Rank 1 is tombstoned (degraded dump): not unrepairable, just
         // absent. Rank 0's manifest already has 2 copies: nothing to do.
-        assert!(plan.unrepairable_manifests.is_empty());
-        assert!(plan.manifest_moves.is_empty());
+        assert!(plan.unrepairable_recipes.is_empty());
+        assert!(plan.recipe_moves.is_empty());
     }
 
     #[test]
     fn no_dedup_plan_repairs_blobs_not_manifests() {
-        let mut a = inv(true, vec![], vec![]);
-        a.blob_owners = vec![0, 1];
-        let b = inv(true, vec![], vec![]);
-        let world_inv = vec![a, b];
-        let plan = plan_for(2, Strategy::NoDedup, &world_inv);
-        assert_eq!(plan.blob_moves, vec![(0, 1, 0), (0, 1, 1)]);
-        assert!(plan.manifest_moves.is_empty() && plan.chunk_moves.is_empty());
+        let world_inv = vec![inv(true, vec![0, 1], vec![]), inv(true, vec![], vec![])];
+        let plan = plan_for(2, &world_inv);
+        assert_eq!(plan.recipe_moves, vec![(0, 1, 0), (0, 1, 1)]);
+        assert!(plan.chunk_moves.is_empty());
     }
 
     #[test]
@@ -1101,8 +1029,8 @@ mod tests {
             inv(true, vec![0, 1], vec![]),
         ];
         hold(&mut world_inv, 1, &[0, 1]);
-        let p1 = plan_for(2, Strategy::CollDedup, &world_inv);
-        let p2 = plan_for(2, Strategy::CollDedup, &world_inv);
+        let p1 = plan_for(2, &world_inv);
+        let p2 = plan_for(2, &world_inv);
         assert_eq!(p1, p2);
         assert!(p1.chunk_moves.is_empty(), "healthy state plans no work");
         assert!(p1.unrepairable_chunks.is_empty());
@@ -1120,7 +1048,7 @@ mod tests {
         ];
         hold(&mut world_inv, 1, &[0]);
         hold(&mut world_inv, 2, &[0]);
-        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(2, &world_inv);
         assert_eq!(plan.chunk_moves.len(), 2);
         assert_ne!(
             plan.chunk_moves[0].1, plan.chunk_moves[1].1,
@@ -1154,7 +1082,7 @@ mod tests {
                 .shards
                 .push((key, meta(2, 1, index)));
         }
-        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(2, &world_inv);
         assert_eq!(
             plan.shard_rebuilds,
             vec![(homes[2], key, 2)],
@@ -1172,7 +1100,7 @@ mod tests {
         let mut world_inv = vec![inv(true, vec![], vec![9]), inv(true, vec![], vec![])];
         world_inv[0].shards.push((in_flight, meta(2, 1, 0)));
         world_inv[0].shards.push((lost, meta(2, 1, 0)));
-        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(2, &world_inv);
         assert_eq!(plan.unrepairable_stripes, vec![lost]);
         assert!(
             plan.shard_rebuilds.is_empty(),
@@ -1192,7 +1120,7 @@ mod tests {
         ];
         world_inv[0].shards.push((key, meta(2, 1, 0)));
         world_inv[1].shards.push((key, meta(2, 1, 1)));
-        let plan = plan_for(2, Strategy::CollDedup, &world_inv);
+        let plan = plan_for(2, &world_inv);
         assert_eq!(plan.unrepairable_chunks, vec![fp(8)]);
         assert!(plan.unrepairable_stripes.is_empty());
     }
@@ -1208,8 +1136,8 @@ mod tests {
         };
         let mut world_inv = vec![inv(true, vec![], vec![]), inv(true, vec![], vec![])];
         world_inv[0].shards.push((key, meta(1, 1, 0)));
-        let plan = plan_for(2, Strategy::NoDedup, &world_inv);
-        assert_eq!(plan.unrepairable_blobs, vec![0]);
+        let plan = plan_for(2, &world_inv);
+        assert_eq!(plan.unrepairable_recipes, vec![0]);
     }
 
     fn transient() -> StorageError {

@@ -2,8 +2,11 @@
 //!
 //! The half of checkpointing the paper leaves implicit: one round loop
 //! over `repair::transfer` serves every key a rank cannot read intact off
-//! its own node, `Owner(rank)` (its manifest, or its raw blob under
-//! `no-dedup`) or `Chunk(fp)`. Rank 0 plans each round once: every rank
+//! its own node, `Owner(rank)` (its stored [`Recipe`]: its manifest, or
+//! its raw blob under `no-dedup`) or `Chunk(fp)`. Reads, advertisements
+//! and stores treat both recipe formats alike; the strategy only tells a
+//! receiver how to decode an owner payload, and a blob is the one recipe
+//! a stripe rescue can rebuild. Rank 0 plans each round once: every rank
 //! sends it, in one gather-scatter, its wanted keys, tried `(key, node)`
 //! pairs, advertised owners and, in round 1, tombstones. A round in which
 //! any rank wants an owner moves owners only and is planned right there;
@@ -31,7 +34,7 @@ use replidedup_buf::{global_pool, record_copy, Chunk};
 use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
 use replidedup_mpi::wire::{Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, CommError, Tag};
-use replidedup_storage::{Cluster, DumpId, Manifest, NodeId, StorageError, StripeKey};
+use replidedup_storage::{Cluster, DumpId, Manifest, NodeId, Recipe, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
@@ -45,22 +48,18 @@ const TAG_RESTORE: Tag = 0x5250_0003;
 pub enum RestoreError {
     /// Local node refused I/O.
     Storage(StorageError),
-    /// No live node holds this rank's manifest: more than `K-1` of its
-    /// replica holders failed.
-    ManifestLost {
-        /// The rank whose manifest is gone.
-        rank: u32,
-    },
-    /// No live node holds this rank's raw blob (`no-dedup`).
-    BlobLost {
-        /// The rank whose blob is gone.
+    /// No live node holds this rank's recipe (its manifest, or its raw
+    /// blob under `no-dedup`), nor can a blob stripe rebuild it: more than
+    /// `K-1` of its replica holders failed.
+    RecipeLost {
+        /// The rank whose recipe is gone.
         rank: u32,
     },
     /// A chunk referenced by the manifest has no live holder.
     ChunkLost(Fingerprint),
     /// The dump this restore targets committed in degraded mode while this
     /// rank was dead: its data was never written anywhere. Distinct from
-    /// [`RestoreError::ManifestLost`], where the data existed but every
+    /// [`RestoreError::RecipeLost`], where the data existed but every
     /// replica holder has since failed.
     AbsentAtDump {
         /// The rank whose data was absent.
@@ -77,8 +76,7 @@ impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RestoreError::Storage(e) => write!(f, "storage failure during restore: {e}"),
-            RestoreError::ManifestLost { rank } => write!(f, "manifest of rank {rank} lost"),
-            RestoreError::BlobLost { rank } => write!(f, "blob of rank {rank} lost"),
+            RestoreError::RecipeLost { rank } => write!(f, "recipe of rank {rank} lost"),
             RestoreError::ChunkLost(fp) => write!(f, "chunk {fp} lost on all nodes"),
             RestoreError::AbsentAtDump { rank, dump_id } => write!(
                 f,
@@ -156,12 +154,6 @@ impl PartialOrd for Key {
     }
 }
 
-/// A rank's recipe, read off its own node or received.
-enum Recipe {
-    Manifest(Manifest),
-    Blob(Bytes),
-}
-
 /// The one server rule, for owner and chunk keys alike: the first of
 /// `holders` (ranks, ascending) on a node `requester` has not tried for
 /// `key`. Its own node always counts as tried; ranks on one node share a
@@ -192,6 +184,7 @@ pub(crate) fn restore_impl(
     ctx: &DumpContext<'_>,
     strategy: Strategy,
 ) -> Result<Chunk, RestoreError> {
+    // `blobs`: how a received owner payload decodes.
     let (blobs, span) = match strategy {
         Strategy::NoDedup => (true, "blob_recovery"),
         Strategy::LocalDedup | Strategy::CollDedup => (false, "chunk_recovery"),
@@ -200,13 +193,7 @@ pub(crate) fn restore_impl(
     let (cluster, dump_id) = (ctx.cluster, ctx.dump_id);
     let node = cluster.node_of(me);
     comm.tracer().enter(span);
-    let mut recipe = fetch_with_retry(comm, || match strategy {
-        Strategy::NoDedup => cluster.get_blob(node, me, dump_id).map(Recipe::Blob),
-        Strategy::LocalDedup | Strategy::CollDedup => cluster
-            .get_manifest(node, me, dump_id)
-            .map(Recipe::Manifest),
-    })
-    .ok();
+    let mut recipe = fetch_with_retry(comm, || cluster.get_recipe(node, me, dump_id)).ok();
     let (mut wanted, mut local) = match &recipe {
         Some(Recipe::Manifest(m)) => list_chunks(cluster, node, m),
         Some(Recipe::Blob(_)) => Default::default(),
@@ -218,11 +205,7 @@ pub(crate) fn restore_impl(
         // This rank's request: the keys it still wants, the `(key, node)`
         // pairs it tried, the owners its node advertises, and (round 1
         // only) the ranks its node holds tombstoned absent.
-        let advertised = if blobs {
-            cluster.blob_owners(node, dump_id).unwrap_or_default()
-        } else {
-            cluster.manifest_owners(node, dump_id).unwrap_or_default()
-        };
+        let advertised = cluster.recipe_owners(node, dump_id).unwrap_or_default();
         let tombstoned = if std::mem::take(&mut round1) {
             cluster.absent_ranks(node, dump_id).unwrap_or_default()
         } else {
@@ -259,11 +242,10 @@ pub(crate) fn restore_impl(
                         verified.insert(fp, data);
                     }
                 }
-                Key::Owner(owner) if blobs => {
+                Key::Owner(owner) => {
                     let key = StripeKey::Blob { owner, dump_id };
                     recipe = stripe_rescue(comm, ctx, key).map(Recipe::Blob);
                 }
-                Key::Owner(_) => {}
             }
         }
         // The rescued keys are a subsequence of `wanted`, in its order.
@@ -279,8 +261,7 @@ pub(crate) fn restore_impl(
             &mut None,
             |key| match *key {
                 Key::Chunk(fp) => cluster.get_chunk(node, &fp),
-                Key::Owner(owner) if blobs => cluster.get_blob(node, owner, dump_id),
-                Key::Owner(owner) => Ok(cluster.get_manifest(node, owner, dump_id)?.to_bytes()),
+                Key::Owner(owner) => Ok(cluster.get_recipe(node, owner, dump_id)?.into_bytes()),
             },
             |key, data| {
                 let data = data.into_bytes();
@@ -294,15 +275,13 @@ pub(crate) fn restore_impl(
                         }
                         return Some(intact);
                     }
-                    Key::Owner(owner) if blobs => {
-                        cluster.put_blob(node, owner, dump_id, data.clone()).ok();
-                        recipe = Some(Recipe::Blob(data));
-                    }
-                    Key::Owner(_) => {
-                        let m = Manifest::from_bytes(&data).ok()?;
-                        (wanted, local) = list_chunks(cluster, node, &m);
-                        cluster.put_manifest(node, m.clone()).ok();
-                        recipe = Some(Recipe::Manifest(m));
+                    Key::Owner(owner) => {
+                        let got = Recipe::from_bytes(blobs, data).ok()?;
+                        if let Some(m) = got.manifest() {
+                            (wanted, local) = list_chunks(cluster, node, m);
+                        }
+                        cluster.put_recipe(node, owner, dump_id, got.clone()).ok();
+                        recipe = Some(got);
                     }
                 }
                 Some(true)
@@ -347,8 +326,7 @@ pub(crate) fn restore_impl(
                 Some(Recipe::Manifest(m)) => reassemble(comm, m, &verified),
                 Some(Recipe::Blob(blob)) => Ok(Chunk::from(blob.clone())),
                 None if absent => Err(RestoreError::AbsentAtDump { rank: me, dump_id }),
-                None if blobs => Err(RestoreError::BlobLost { rank: me }),
-                None => Err(RestoreError::ManifestLost { rank: me }),
+                None => Err(RestoreError::RecipeLost { rank: me }),
             });
         }
         if !comm.try_allreduce(busy, |a, b| a || b)? {
@@ -358,7 +336,7 @@ pub(crate) fn restore_impl(
     comm.tracer().counter("chunks_recovered", fetched);
     comm.tracer().exit(span);
     // The loop ends only once nothing is wanted, so `result` is set.
-    result.unwrap_or(Err(RestoreError::ManifestLost { rank: me }))
+    result.unwrap_or(Err(RestoreError::RecipeLost { rank: me }))
 }
 
 /// One rank's round request: the keys it still wants, the `(key, node)`
@@ -553,9 +531,8 @@ fn stripe_rescue(comm: &mut Comm, ctx: &DumpContext<'_>, key: StripeKey) -> Opti
             ctx.cluster.put_chunk(node, fp, data.clone()).ok();
         }
         StripeKey::Blob { owner, dump_id } => {
-            ctx.cluster
-                .put_blob(node, owner, dump_id, data.clone())
-                .ok();
+            let blob = Recipe::Blob(data.clone());
+            ctx.cluster.put_recipe(node, owner, dump_id, blob).ok();
         }
     }
     comm.tracer().counter("restore_rs_reconstructed", 1);
@@ -702,10 +679,8 @@ mod tests {
                 comm.barrier();
                 // After restore, node 2 must again hold rank 2's chunks.
                 if comm.rank() == 2 {
-                    let m = ctx
-                        .cluster
-                        .get_manifest(2, 2, 1)
-                        .expect("manifest re-seeded");
+                    let recipe = ctx.cluster.get_recipe(2, 2, 1).expect("manifest re-seeded");
+                    let m = recipe.manifest().expect("a manifest");
                     m.chunks.iter().all(|fp| ctx.cluster.has_chunk(2, fp))
                 } else {
                     true

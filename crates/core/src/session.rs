@@ -708,7 +708,7 @@ mod tests {
         assert!(dump_err.to_string().contains("chunk_size"));
         let config_err = dump_err.source().unwrap();
         assert!(config_err.downcast_ref::<ConfigError>().is_some());
-        let e = ReplError::Restore(RestoreError::ManifestLost { rank: 3 });
+        let e = ReplError::Restore(RestoreError::RecipeLost { rank: 3 });
         assert!(e.to_string().contains("rank 3"));
     }
 

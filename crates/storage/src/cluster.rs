@@ -2,7 +2,7 @@
 //!
 //! The paper's testbed is 34 nodes with one HDD each and 12 ranks per node.
 //! This module models that topology: a [`Cluster`] owns one
-//! [`NodeState`] per node (chunk store + manifest directory + liveness),
+//! [`NodeState`] per node (chunk store + recipe directory + liveness),
 //! and a [`Placement`] maps ranks to nodes. Node failures wipe the local
 //! device — exactly the fault the paper replicates against ("local storage
 //! devices are prone to failures and as such the data they hold is
@@ -20,7 +20,7 @@ use bytes::Bytes;
 use replidedup_hash::Fingerprint;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::manifest::{DumpId, Manifest, ManifestError};
+use crate::manifest::{DumpId, ManifestError, Recipe};
 use crate::shard::{ShardMeta, StoredShard, StripeKey};
 use crate::store::ChunkStore;
 
@@ -31,8 +31,8 @@ pub type NodeId = u32;
 /// partition the dump-generation space: a scoped [`DumpId`] carries its
 /// session in the high 16 bits ([`SessionId::scope`]), so two overlapping
 /// sessions — two concurrent dumps, a heal racing a dump — can use the
-/// same caller-visible generation numbers without colliding in manifests,
-/// blobs, stripes, or GC. Session 0 is the default (unlabeled) session;
+/// same caller-visible generation numbers without colliding in recipes,
+/// stripes, or GC. Session 0 is the default (unlabeled) session;
 /// unscoped generations are exactly the historical behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SessionId(u16);
@@ -116,9 +116,9 @@ pub enum StorageError {
     NodeDown(NodeId),
     /// A referenced chunk is not present on the node.
     MissingChunk(Fingerprint),
-    /// A requested manifest is not present on the node.
-    MissingManifest {
-        /// Rank whose manifest was requested.
+    /// A requested recipe (manifest or blob) is not present on the node.
+    MissingRecipe {
+        /// Rank whose recipe was requested.
         rank: u32,
         /// Dump generation requested.
         dump_id: DumpId,
@@ -164,8 +164,8 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::NodeDown(n) => write!(f, "node {n} is down"),
             StorageError::MissingChunk(fp) => write!(f, "chunk {fp} not on node"),
-            StorageError::MissingManifest { rank, dump_id } => {
-                write!(f, "manifest of rank {rank} dump {dump_id} not on node")
+            StorageError::MissingRecipe { rank, dump_id } => {
+                write!(f, "recipe of rank {rank} dump {dump_id} not on node")
             }
             StorageError::CorruptChunk { fp, node } => {
                 write!(
@@ -251,12 +251,11 @@ impl Placement {
 pub struct NodeState {
     /// The node-local content-addressed chunk store.
     pub store: ChunkStore,
-    pub(crate) manifests: HashMap<(u32, DumpId), Manifest>,
-    /// Raw dump blobs keyed by `(owner_rank, dump_id)`: the storage format
-    /// of the `no-dedup` baseline, which writes buffers verbatim without
-    /// content addressing (duplicates and all).
-    pub(crate) blobs: HashMap<(u32, DumpId), Bytes>,
-    blob_bytes: u64,
+    /// Restart recipes keyed by `(owner_rank, dump_id)`: manifests, or raw
+    /// `no-dedup` blobs (duplicates and all).
+    pub(crate) recipes: HashMap<(u32, DumpId), Recipe>,
+    /// [`Recipe::device_bytes`] summed over `recipes`.
+    recipe_bytes: u64,
     /// Erasure-coded shards keyed by `(stripe, shard index)`: each entry is
     /// self-describing (geometry + role in [`ShardMeta`]), so any `k`
     /// survivors of a stripe reconstruct the payload without a manifest.
@@ -264,7 +263,7 @@ pub struct NodeState {
     pub(crate) shards: BTreeMap<(StripeKey, u8), StoredShard>,
     shard_bytes: u64,
     /// Remaining injected transient read failures: while positive, each
-    /// read (chunk/manifest/blob fetch) consumes one and fails with
+    /// read (chunk/recipe fetch) consumes one and fails with
     /// [`StorageError::Transient`]. Test/fault-injection state.
     transient_reads: u32,
     /// Absent-at-dump-time tombstones: `(rank, dump_id)` pairs recorded by
@@ -278,7 +277,7 @@ pub struct NodeState {
 /// What one [`Cluster::gc_superseded`] sweep reclaimed.
 ///
 /// `generations_collected` counts the distinct superseded dump ids that
-/// still had any on-device footprint (manifests, blobs, blob stripes or
+/// still had any on-device footprint (recipes, blob stripes or
 /// tombstones) when the sweep ran — a steady-state health metric: a
 /// healthy cluster collects every generation it supersedes, so the
 /// count stays bounded by the dump rate instead of growing.
@@ -286,10 +285,8 @@ pub struct NodeState {
 pub struct GcStats {
     /// Distinct superseded dump generations that had surviving state.
     pub generations_collected: u64,
-    /// Manifests dropped across live nodes.
-    pub manifests_removed: u64,
-    /// Raw `no-dedup` blobs dropped across live nodes.
-    pub blobs_removed: u64,
+    /// Recipes (manifests or `no-dedup` blobs) dropped across live nodes.
+    pub recipes_removed: u64,
     /// Chunks no longer referenced by any surviving manifest, dropped.
     pub chunks_removed: u64,
     /// Erasure-coded shards dropped (superseded blob stripes plus stripes
@@ -306,8 +303,7 @@ impl GcStats {
     /// per-step sweeps it ran).
     pub fn merge(&mut self, other: &GcStats) {
         self.generations_collected += other.generations_collected;
-        self.manifests_removed += other.manifests_removed;
-        self.blobs_removed += other.blobs_removed;
+        self.recipes_removed += other.recipes_removed;
         self.chunks_removed += other.chunks_removed;
         self.shards_removed += other.shards_removed;
         self.tombstones_removed += other.tombstones_removed;
@@ -433,7 +429,7 @@ impl Cluster {
         Ok(())
     }
 
-    /// Arm `node` to fail its next `ops` reads (chunk/manifest/blob
+    /// Arm `node` to fail its next `ops` reads (chunk/recipe/shard
     /// fetches) with [`StorageError::Transient`]. Fault-injection hook:
     /// models a device hiccup that a bounded retry rides out. Liveness
     /// probes ([`Cluster::has_chunk`] and friends) are unaffected.
@@ -505,8 +501,9 @@ impl Cluster {
     pub fn referenced_fps(&self, node: NodeId) -> StorageResult<Vec<Fingerprint>> {
         self.with_node(node, |n| {
             let mut fps: Vec<Fingerprint> = n
-                .manifests
+                .recipes
                 .values()
+                .filter_map(Recipe::manifest)
                 .flat_map(|m| m.chunks.iter().copied())
                 .collect();
             fps.sort_unstable();
@@ -529,9 +526,10 @@ impl Cluster {
     ) -> StorageResult<Vec<Fingerprint>> {
         self.with_node(node, |n| {
             let refs = n
-                .manifests
-                .values()
-                .filter(|m| m.dump_id == dump_id)
+                .recipes
+                .iter()
+                .filter(|((_, d), _)| *d == dump_id)
+                .filter_map(|(_, r)| r.manifest())
                 .flat_map(|m| m.chunks.iter().copied());
             smallest_past(refs, after, len)
         })
@@ -568,100 +566,56 @@ impl Cluster {
         self.with_node(node, |n| n.store.remove(fp))
     }
 
-    /// Store a manifest on `node`. The manifest is validated on ingest:
-    /// an internally inconsistent recipe is rejected with
-    /// [`StorageError::InvalidManifest`] instead of silently breaking a
-    /// future restart.
-    pub fn put_manifest(&self, node: NodeId, manifest: Manifest) -> StorageResult<()> {
-        manifest.validate()?;
-        self.with_node(node, |n| {
-            n.manifests
-                .insert((manifest.owner_rank, manifest.dump_id), manifest);
-        })
-    }
-
-    /// Fetch the manifest of `rank`'s dump `dump_id` from `node`.
-    pub fn get_manifest(
-        &self,
-        node: NodeId,
-        rank: u32,
-        dump_id: DumpId,
-    ) -> StorageResult<Manifest> {
-        self.with_node(node, |n| {
-            Self::take_transient(n, node)?;
-            n.manifests
-                .get(&(rank, dump_id))
-                .cloned()
-                .ok_or(StorageError::MissingManifest { rank, dump_id })
-        })?
-    }
-
-    /// Owner ranks whose manifests for `dump_id` are held on `node`
-    /// (sorted). Used by the restore protocol to advertise recipes.
-    pub fn manifest_owners(&self, node: NodeId, dump_id: DumpId) -> StorageResult<Vec<u32>> {
-        self.with_node(node, |n| {
-            let mut owners: Vec<u32> = n
-                .manifests
-                .keys()
-                .filter(|(_, d)| *d == dump_id)
-                .map(|(r, _)| *r)
-                .collect();
-            owners.sort_unstable();
-            owners
-        })
-    }
-
-    /// Owner ranks whose raw blobs for `dump_id` are held on `node` (sorted).
-    pub fn blob_owners(&self, node: NodeId, dump_id: DumpId) -> StorageResult<Vec<u32>> {
-        self.with_node(node, |n| {
-            let mut owners: Vec<u32> = n
-                .blobs
-                .keys()
-                .filter(|(_, d)| *d == dump_id)
-                .map(|(r, _)| *r)
-                .collect();
-            owners.sort_unstable();
-            owners
-        })
-    }
-
-    /// Store a raw dump blob on `node` (the `no-dedup` storage format).
-    /// Overwriting the same `(owner, dump)` replaces the previous blob.
-    /// Accepts anything that freezes into [`Bytes`] without copying.
-    pub fn put_blob(
+    /// Store `owner`'s recipe for `dump_id` on `node`, replacing any
+    /// previous one. A manifest is validated on ingest: an internally
+    /// inconsistent recipe is rejected with [`StorageError::InvalidManifest`]
+    /// instead of silently breaking a future restart. Returns the device
+    /// bytes the recipe occupies ([`Recipe::device_bytes`]).
+    pub fn put_recipe(
         &self,
         node: NodeId,
         owner: u32,
         dump_id: DumpId,
-        data: impl Into<Bytes>,
-    ) -> StorageResult<()> {
-        let data = data.into();
+        recipe: Recipe,
+    ) -> StorageResult<u64> {
+        if let Recipe::Manifest(m) = &recipe {
+            m.validate()?;
+            debug_assert_eq!((m.owner_rank, m.dump_id), (owner, dump_id));
+        }
+        let len = recipe.device_bytes();
         self.with_node(node, |n| {
-            if let Some(old) = n.blobs.insert((owner, dump_id), data.clone()) {
-                n.blob_bytes -= old.len() as u64;
+            if let Some(old) = n.recipes.insert((owner, dump_id), recipe) {
+                n.recipe_bytes -= old.device_bytes();
             }
-            n.blob_bytes += data.len() as u64;
+            n.recipe_bytes += len;
+            len
         })
     }
 
-    /// Fetch a raw dump blob from `node`.
-    pub fn get_blob(&self, node: NodeId, owner: u32, dump_id: DumpId) -> StorageResult<Bytes> {
+    /// Fetch `rank`'s recipe for `dump_id` from `node`.
+    pub fn get_recipe(&self, node: NodeId, rank: u32, dump_id: DumpId) -> StorageResult<Recipe> {
         self.with_node(node, |n| {
             Self::take_transient(n, node)?;
-            n.blobs
-                .get(&(owner, dump_id))
+            n.recipes
+                .get(&(rank, dump_id))
                 .cloned()
-                .ok_or(StorageError::MissingManifest {
-                    rank: owner,
-                    dump_id,
-                })
+                .ok_or(StorageError::MissingRecipe { rank, dump_id })
         })?
     }
 
-    /// Does `node` hold the blob? (`false` also when the node is down.)
-    pub fn has_blob(&self, node: NodeId, owner: u32, dump_id: DumpId) -> bool {
-        self.with_node(node, |n| n.blobs.contains_key(&(owner, dump_id)))
-            .unwrap_or(false)
+    /// Owner ranks whose recipes for `dump_id` are held on `node`
+    /// (sorted). Used by restore and heal to advertise recipes.
+    pub fn recipe_owners(&self, node: NodeId, dump_id: DumpId) -> StorageResult<Vec<u32>> {
+        self.with_node(node, |n| {
+            let mut owners: Vec<u32> = n
+                .recipes
+                .keys()
+                .filter(|(_, d)| *d == dump_id)
+                .map(|(r, _)| *r)
+                .collect();
+            owners.sort_unstable();
+            owners
+        })
     }
 
     /// Store an erasure-coded shard on `node`. Content-addressed by
@@ -803,7 +757,7 @@ impl Cluster {
     /// Reconstruct a stripe's payload from any `k` surviving shards across
     /// live nodes. `None` when fewer than `k` shards survive, when the
     /// survivors disagree on geometry, or when decode fails — the caller
-    /// maps that to its own loss class (restore's `ChunkLost`/`BlobLost`).
+    /// maps that to its own loss class (restore's `ChunkLost`/`RecipeLost`).
     pub fn reconstruct_payload(&self, key: StripeKey) -> Option<Bytes> {
         self.decode_stripe(key, |code, _, len, shards| {
             code.decode(shards, len).ok().map(Bytes::from)
@@ -844,12 +798,12 @@ impl Cluster {
         })
     }
 
-    /// Raw device usage of a node in bytes: chunk store plus blobs plus
-    /// erasure-coded shards.
+    /// Raw device usage of a node in bytes: chunk store plus blob recipes
+    /// plus erasure-coded shards (manifests are metadata and count 0).
     pub fn device_bytes(&self, node: NodeId) -> u64 {
         let s = lock(self.check(node));
         if s.alive {
-            s.store.bytes_stored() + s.blob_bytes + s.shard_bytes
+            s.store.bytes_stored() + s.recipe_bytes + s.shard_bytes
         } else {
             0
         }
@@ -893,9 +847,8 @@ impl Cluster {
         let mut state = lock(self.check(node));
         state.alive = false;
         state.store.wipe();
-        state.manifests.clear();
-        state.blobs.clear();
-        state.blob_bytes = 0;
+        state.recipes.clear();
+        state.recipe_bytes = 0;
         state.shards.clear();
         state.shard_bytes = 0;
         state.absent.clear();
@@ -934,8 +887,8 @@ impl Cluster {
             .sum()
     }
 
-    /// Every dump generation with any footprint on a live node (manifests,
-    /// blobs, blob stripes or absence tombstones), sorted ascending. The
+    /// Every dump generation with any footprint on a live node (recipes,
+    /// blob stripes or absence tombstones), sorted ascending. The
     /// background healer schedules from this list: generations currently
     /// being written are skipped by the caller, superseded ones are handed
     /// to [`Cluster::gc_superseded`].
@@ -946,8 +899,7 @@ impl Cluster {
             if !s.alive {
                 continue;
             }
-            gens.extend(s.manifests.keys().map(|(_, d)| *d));
-            gens.extend(s.blobs.keys().map(|(_, d)| *d));
+            gens.extend(s.recipes.keys().map(|(_, d)| *d));
             gens.extend(s.shards.keys().filter_map(|(key, _)| match key {
                 StripeKey::Blob { dump_id, .. } => Some(*dump_id),
                 StripeKey::Chunk(_) => None,
@@ -960,7 +912,7 @@ impl Cluster {
     }
 
     /// Collect every dump generation older than `before`: drop its
-    /// manifests, raw blobs, blob stripes and absence tombstones, then drop
+    /// recipes, blob stripes and absence tombstones, then drop
     /// any chunk (and chunk stripe) no surviving manifest references. A
     /// chunk shared with a surviving generation keeps its copies — GC is
     /// reference-driven, never generation-tagged, because content
@@ -985,27 +937,16 @@ impl Cluster {
                 continue;
             }
             let victims: Vec<(u32, DumpId)> = s
-                .manifests
+                .recipes
                 .keys()
                 .filter(|(_, d)| superseded(*d))
                 .copied()
                 .collect();
             for key in victims {
-                s.manifests.remove(&key);
-                stats.manifests_removed += 1;
-                collected.push(key.1);
-            }
-            let victims: Vec<(u32, DumpId)> = s
-                .blobs
-                .keys()
-                .filter(|(_, d)| superseded(*d))
-                .copied()
-                .collect();
-            for key in victims {
-                if let Some(old) = s.blobs.remove(&key) {
-                    s.blob_bytes -= old.len() as u64;
-                    stats.blobs_removed += 1;
-                    stats.bytes_reclaimed += old.len() as u64;
+                if let Some(old) = s.recipes.remove(&key) {
+                    s.recipe_bytes -= old.device_bytes();
+                    stats.recipes_removed += 1;
+                    stats.bytes_reclaimed += old.device_bytes();
                     collected.push(key.1);
                 }
             }
@@ -1047,7 +988,8 @@ impl Cluster {
         for node in 0..self.node_count() {
             let s = lock(self.check(node));
             if s.alive {
-                referenced.extend(s.manifests.values().flat_map(|m| m.chunks.iter().copied()));
+                let manifests = s.recipes.values().filter_map(Recipe::manifest);
+                referenced.extend(manifests.flat_map(|m| m.chunks.iter().copied()));
             }
         }
         referenced.sort_unstable();
@@ -1129,9 +1071,19 @@ fn smallest_past<K: Ord + Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::Manifest;
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::synthetic(n)
+    }
+
+    fn blob(data: &'static [u8]) -> Recipe {
+        Recipe::Blob(Bytes::from_static(data))
+    }
+
+    fn put_manifest(c: &Cluster, node: NodeId, m: Manifest) {
+        c.put_recipe(node, m.owner_rank, m.dump_id, Recipe::Manifest(m))
+            .unwrap();
     }
 
     #[test]
@@ -1256,19 +1208,24 @@ mod tests {
     #[test]
     fn manifests_roundtrip_and_die_with_node() {
         let c = Cluster::new(Placement::one_per_node(2));
-        let m = Manifest::fixed_stride(1, 5, 4, 4, vec![fp(9)]);
-        c.put_manifest(0, m.clone()).unwrap();
-        assert_eq!(c.get_manifest(0, 1, 5).unwrap(), m);
+        let m = Recipe::Manifest(Manifest::fixed_stride(1, 5, 4, 4, vec![fp(9)]));
+        // A manifest is metadata: it occupies no device bytes.
+        assert_eq!(c.put_recipe(0, 1, 5, m.clone()).unwrap(), 0);
+        assert_eq!(c.device_bytes(0), 0);
+        assert_eq!(c.get_recipe(0, 1, 5).unwrap(), m);
+        assert_eq!(c.recipe_owners(0, 5).unwrap(), vec![1]);
+        assert_eq!(c.generations(), vec![5]);
         assert_eq!(
-            c.get_manifest(0, 1, 6),
-            Err(StorageError::MissingManifest {
+            c.get_recipe(0, 1, 6),
+            Err(StorageError::MissingRecipe {
                 rank: 1,
                 dump_id: 6
             })
         );
         c.fail_node(0);
         c.revive_node(0);
-        assert!(c.get_manifest(0, 1, 5).is_err());
+        assert!(c.get_recipe(0, 1, 5).is_err());
+        assert_eq!(c.generations(), Vec::<DumpId>::new());
     }
 
     #[test]
@@ -1296,24 +1253,28 @@ mod tests {
     #[test]
     fn blobs_roundtrip_and_account() {
         let c = Cluster::new(Placement::one_per_node(2));
-        c.put_blob(0, 1, 7, Bytes::from_static(b"hello")).unwrap();
-        assert_eq!(c.get_blob(0, 1, 7).unwrap(), Bytes::from_static(b"hello"));
-        assert!(c.has_blob(0, 1, 7));
-        assert!(!c.has_blob(1, 1, 7));
+        assert_eq!(c.put_recipe(0, 1, 7, blob(b"hello")).unwrap(), 5);
+        assert_eq!(c.get_recipe(0, 1, 7).unwrap(), blob(b"hello"));
+        assert!(c.get_recipe(1, 1, 7).is_err());
+        assert_eq!(c.generations(), vec![7]);
         assert_eq!(c.device_bytes(0), 5);
         // Overwrite replaces, not accumulates.
-        c.put_blob(0, 1, 7, Bytes::from_static(b"hi")).unwrap();
+        assert_eq!(c.put_recipe(0, 1, 7, blob(b"hi")).unwrap(), 2);
         assert_eq!(c.device_bytes(0), 2);
         assert_eq!(c.total_device_bytes(), 2);
+        // A manifest overwriting the blob gives its bytes back.
+        let m = Manifest::fixed_stride(1, 7, 4, 4, vec![fp(9)]);
+        assert_eq!(c.put_recipe(0, 1, 7, Recipe::Manifest(m)).unwrap(), 0);
+        assert_eq!(c.device_bytes(0), 0);
     }
 
     #[test]
     fn blobs_die_with_node() {
         let c = Cluster::new(Placement::one_per_node(1));
-        c.put_blob(0, 0, 1, Bytes::from_static(b"x")).unwrap();
+        c.put_recipe(0, 0, 1, blob(b"x")).unwrap();
         c.fail_node(0);
         c.revive_node(0);
-        assert!(!c.has_blob(0, 0, 1));
+        assert!(c.get_recipe(0, 0, 1).is_err());
         assert_eq!(c.device_bytes(0), 0);
     }
 
@@ -1321,7 +1282,9 @@ mod tests {
     fn device_bytes_combines_chunks_and_blobs() {
         let c = Cluster::new(Placement::one_per_node(1));
         c.put_chunk(0, fp(1), Bytes::from_static(b"abcd")).unwrap();
-        c.put_blob(0, 0, 1, Bytes::from_static(b"xyz")).unwrap();
+        c.put_recipe(0, 0, 1, blob(b"xyz")).unwrap();
+        let m = Manifest::fixed_stride(1, 1, 4, 4, vec![fp(1)]);
+        c.put_recipe(0, 1, 1, Recipe::Manifest(m)).unwrap();
         assert_eq!(c.device_bytes(0), 7);
     }
 
@@ -1352,7 +1315,7 @@ mod tests {
             rs: None,
             coded: vec![],
         };
-        let put = c.put_manifest(0, bad);
+        let put = c.put_recipe(0, 0, 0, Recipe::Manifest(bad));
         assert!(
             matches!(
                 put,
@@ -1367,7 +1330,7 @@ mod tests {
             "expected InvalidManifest, got {put:?}"
         );
         // Nothing was stored.
-        assert!(c.get_manifest(0, 0, 0).is_err());
+        assert!(c.get_recipe(0, 0, 0).is_err());
     }
 
     #[test]
@@ -1580,18 +1543,21 @@ mod tests {
             .unwrap();
         c.put_chunk(0, fp(2), Bytes::from_static(b"old")).unwrap();
         c.put_chunk(1, fp(3), Bytes::from_static(b"new")).unwrap();
-        c.put_manifest(0, Manifest::fixed_stride(0, 1, 6, 9, vec![fp(1), fp(2)]))
+        let manifest = |dump_id, total_len, fps| {
+            Recipe::Manifest(Manifest::fixed_stride(0, dump_id, 6, total_len, fps))
+        };
+        c.put_recipe(0, 0, 1, manifest(1, 9, vec![fp(1), fp(2)]))
             .unwrap();
-        c.put_manifest(0, Manifest::fixed_stride(0, 2, 6, 12, vec![fp(1), fp(3)]))
+        c.put_recipe(0, 0, 2, manifest(2, 12, vec![fp(1), fp(3)]))
             .unwrap();
-        c.put_blob(1, 1, 1, Bytes::from_static(b"blob1")).unwrap();
+        c.put_recipe(1, 1, 1, blob(b"blob1")).unwrap();
         c.mark_absent(1, 3, 1).unwrap();
         assert_eq!(c.generations(), vec![1, 2]);
+        assert_eq!((c.device_bytes(0), c.device_bytes(1)), (9, 8));
 
         let stats = c.gc_superseded(2);
         assert_eq!(stats.generations_collected, 1);
-        assert_eq!(stats.manifests_removed, 1);
-        assert_eq!(stats.blobs_removed, 1);
+        assert_eq!(stats.recipes_removed, 2, "one manifest and one blob");
         assert_eq!(stats.chunks_removed, 1, "only the gen-1-only chunk goes");
         assert_eq!(stats.tombstones_removed, 1);
         // "old" (3) + "blob1" (5) reclaimed.
@@ -1599,7 +1565,8 @@ mod tests {
         assert!(c.has_chunk(0, &fp(1)), "shared chunk survives");
         assert!(!c.has_chunk(0, &fp(2)));
         assert!(c.has_chunk(1, &fp(3)));
-        assert!(!c.has_blob(1, 1, 1));
+        assert!(c.get_recipe(1, 1, 1).is_err());
+        assert_eq!((c.device_bytes(0), c.device_bytes(1)), (6, 3));
         assert_eq!(c.generations(), vec![2]);
         assert_eq!(c.absent_ranks(1, 1).unwrap(), Vec::<u32>::new());
 
@@ -1636,11 +1603,11 @@ mod tests {
     #[test]
     fn gc_superseded_skips_dead_nodes() {
         let c = Cluster::new(Placement::one_per_node(2));
-        c.put_blob(0, 0, 1, Bytes::from_static(b"x")).unwrap();
-        c.put_blob(1, 1, 1, Bytes::from_static(b"y")).unwrap();
+        c.put_recipe(0, 0, 1, blob(b"x")).unwrap();
+        c.put_recipe(1, 1, 1, blob(b"y")).unwrap();
         c.fail_node(1);
         let stats = c.gc_superseded(5);
-        assert_eq!(stats.blobs_removed, 1, "only the live node is swept");
+        assert_eq!(stats.recipes_removed, 1, "only the live node is swept");
         assert_eq!(c.generations(), Vec::<DumpId>::new());
     }
 
@@ -1691,16 +1658,25 @@ mod tests {
         // scoped generation is numerically *between* A's two.
         c.put_chunk(0, fp(10), Bytes::from_static(b"a-old"))
             .unwrap();
-        c.put_manifest(0, Manifest::fixed_stride(0, a.scope(1), 5, 5, vec![fp(10)]))
-            .unwrap();
+        put_manifest(
+            &c,
+            0,
+            Manifest::fixed_stride(0, a.scope(1), 5, 5, vec![fp(10)]),
+        );
         c.put_chunk(0, fp(11), Bytes::from_static(b"a-new"))
             .unwrap();
-        c.put_manifest(0, Manifest::fixed_stride(0, a.scope(2), 5, 5, vec![fp(11)]))
-            .unwrap();
+        put_manifest(
+            &c,
+            0,
+            Manifest::fixed_stride(0, a.scope(2), 5, 5, vec![fp(11)]),
+        );
         c.put_chunk(1, fp(12), Bytes::from_static(b"b-one"))
             .unwrap();
-        c.put_manifest(1, Manifest::fixed_stride(1, b.scope(1), 5, 5, vec![fp(12)]))
-            .unwrap();
+        put_manifest(
+            &c,
+            1,
+            Manifest::fixed_stride(1, b.scope(1), 5, 5, vec![fp(12)]),
+        );
         assert!(b.scope(1) > a.scope(2));
 
         // GC session A up to generation 2: A's gen 1 goes, B untouched.
@@ -1716,7 +1692,7 @@ mod tests {
     fn gc_stats_merge_accumulates() {
         let mut a = GcStats {
             generations_collected: 1,
-            manifests_removed: 2,
+            recipes_removed: 2,
             bytes_reclaimed: 10,
             ..GcStats::default()
         };
@@ -1727,7 +1703,7 @@ mod tests {
             ..GcStats::default()
         });
         assert_eq!(a.generations_collected, 3);
-        assert_eq!(a.manifests_removed, 2);
+        assert_eq!(a.recipes_removed, 2);
         assert_eq!(a.chunks_removed, 3);
         assert_eq!(a.bytes_reclaimed, 15);
     }

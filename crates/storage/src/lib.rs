@@ -8,6 +8,8 @@
 //!
 //! * [`ChunkStore`] — content-addressed, refcounted chunk storage,
 //! * [`Manifest`] — the ordered fingerprint recipe of one rank's buffer,
+//!   and [`Recipe`] — what a rank restarts from: its manifest, or its raw
+//!   buffer under `no-dedup`,
 //! * [`Cluster`] / [`Placement`] — node topology, failure injection,
 //!   cluster-wide accounting (unique bytes, physical copy counts),
 //! * [`StripeKey`] / [`ShardMeta`] — erasure-coded shards at rest, with
@@ -37,7 +39,7 @@ pub use cluster::{
     Cluster, GcStats, NodeId, NodeState, Placement, SessionError, SessionId, StorageError,
     StorageResult,
 };
-pub use manifest::{DumpId, Manifest, ManifestError};
+pub use manifest::{DumpId, Manifest, ManifestError, Recipe};
 pub use scrub::ScrubReport;
 pub use shard::{ShardMeta, StoredShard, StripeKey};
 pub use store::ChunkStore;

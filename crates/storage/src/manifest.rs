@@ -16,6 +16,7 @@
 
 use std::fmt;
 
+use bytes::Bytes;
 use replidedup_hash::Fingerprint;
 use replidedup_mpi::wire::{Wire, WireError, WireResult};
 
@@ -262,6 +263,56 @@ impl Wire for Manifest {
             return Err(WireError::Malformed { what: "Manifest" });
         }
         Ok(m)
+    }
+}
+
+/// The one recipe a rank restarts from, stored once per `(owner, dump)`:
+/// its [`Manifest`] under the dedup strategies, or its raw buffer under
+/// `no-dedup`, which writes buffers verbatim without content addressing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Recipe {
+    /// The fingerprint recipe of a deduplicated buffer.
+    Manifest(Manifest),
+    /// The raw buffer itself.
+    Blob(Bytes),
+}
+
+impl Recipe {
+    /// Device bytes the recipe occupies: a blob's length. A manifest is
+    /// metadata and occupies none.
+    pub fn device_bytes(&self) -> u64 {
+        match self {
+            Recipe::Manifest(_) => 0,
+            Recipe::Blob(data) => data.len() as u64,
+        }
+    }
+
+    /// The manifest, if this recipe is one.
+    pub fn manifest(&self) -> Option<&Manifest> {
+        match self {
+            Recipe::Manifest(m) => Some(m),
+            Recipe::Blob(_) => None,
+        }
+    }
+
+    /// The recipe's wire payload: the encoded manifest, or the blob by
+    /// reference.
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            Recipe::Manifest(m) => m.to_bytes(),
+            Recipe::Blob(data) => data,
+        }
+    }
+
+    /// Read a payload of [`Recipe::into_bytes`] back: as a blob when
+    /// `blob`, else as an encoded manifest. The payload does not say which
+    /// it is; the storage format of the dump does.
+    pub fn from_bytes(blob: bool, data: Bytes) -> WireResult<Self> {
+        if blob {
+            Ok(Recipe::Blob(data))
+        } else {
+            Manifest::from_bytes(&data).map(Recipe::Manifest)
+        }
     }
 }
 

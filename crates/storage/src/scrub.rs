@@ -162,7 +162,8 @@ impl Cluster {
             // the stored byte count must match the recipe's, or restore
             // would reassemble a buffer of the wrong shape.
             let mut referenced = FpHashSet::default();
-            for ((owner, dump_id), m) in &state.manifests {
+            for ((owner, dump_id), recipe) in &state.recipes {
+                let Some(m) = recipe.manifest() else { continue };
                 for (i, fp) in m.chunks.iter().enumerate() {
                     referenced.insert(*fp);
                     // Coded chunks live as stripe shards, not replicas:
@@ -390,7 +391,7 @@ fn verify_stripe(
 mod tests {
     use super::*;
     use crate::cluster::{Placement, StorageError};
-    use crate::manifest::Manifest;
+    use crate::manifest::{Manifest, Recipe};
     use bytes::Bytes;
     use replidedup_hash::Sha1ChunkHasher;
 
@@ -399,6 +400,11 @@ mod tests {
         let fp = Sha1ChunkHasher.fingerprint(data);
         c.put_chunk(node, fp, Bytes::from_static(data)).unwrap();
         fp
+    }
+
+    fn put_manifest(c: &Cluster, node: NodeId, m: Manifest) {
+        c.put_recipe(node, m.owner_rank, m.dump_id, Recipe::Manifest(m))
+            .unwrap();
     }
 
     fn manifest_of(owner: u32, dump_id: DumpId, chunks: Vec<Fingerprint>) -> Manifest {
@@ -410,7 +416,7 @@ mod tests {
         let c = Cluster::new(Placement::one_per_node(1));
         let a = put(&c, 0, b"aaaa");
         let b = put(&c, 0, b"bbbb");
-        c.put_manifest(0, manifest_of(0, 1, vec![a, b])).unwrap();
+        put_manifest(&c, 0, manifest_of(0, 1, vec![a, b]));
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert!(r.is_clean(), "{r:?}");
         assert_eq!(r.chunks_checked, 2);
@@ -421,7 +427,7 @@ mod tests {
         let c = Cluster::new(Placement::one_per_node(1));
         let a = put(&c, 0, b"aaaa");
         let b = put(&c, 0, b"bbbb");
-        c.put_manifest(0, manifest_of(0, 1, vec![a, b])).unwrap();
+        put_manifest(&c, 0, manifest_of(0, 1, vec![a, b]));
         assert!(c.corrupt_chunk(0, &a).unwrap());
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert_eq!(r.corrupt, vec![(0, a)], "exactly the injected corruption");
@@ -433,8 +439,7 @@ mod tests {
         let c = Cluster::new(Placement::one_per_node(1));
         let a = put(&c, 0, b"aaaa");
         let ghost = Sha1ChunkHasher.fingerprint(b"neverstored");
-        c.put_manifest(0, manifest_of(3, 7, vec![a, ghost]))
-            .unwrap();
+        put_manifest(&c, 0, manifest_of(3, 7, vec![a, ghost]));
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert_eq!(r.dangling, vec![(0, 3, 7, ghost)]);
         assert!(r.corrupt.is_empty() && r.orphans.is_empty());
@@ -460,7 +465,7 @@ mod tests {
             rs: None,
             coded: vec![],
         };
-        c.put_manifest(0, m).unwrap();
+        put_manifest(&c, 0, m);
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert_eq!(r.length_mismatch, vec![(0, 2, 5, truncated)]);
         assert!(
@@ -495,7 +500,7 @@ mod tests {
         let c = Cluster::new(Placement::one_per_node(1));
         let a = put(&c, 0, b"aaaa");
         let stray = put(&c, 0, b"stray");
-        c.put_manifest(0, manifest_of(0, 1, vec![a])).unwrap();
+        put_manifest(&c, 0, manifest_of(0, 1, vec![a]));
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert_eq!(r.orphans, vec![(0, stray)]);
     }
@@ -504,9 +509,9 @@ mod tests {
     fn scrub_covers_all_dump_generations() {
         let c = Cluster::new(Placement::one_per_node(1));
         let a = put(&c, 0, b"aaaa");
-        c.put_manifest(0, manifest_of(0, 1, vec![a])).unwrap();
+        put_manifest(&c, 0, manifest_of(0, 1, vec![a]));
         let ghost = Sha1ChunkHasher.fingerprint(b"gen2only");
-        c.put_manifest(0, manifest_of(0, 2, vec![ghost])).unwrap();
+        put_manifest(&c, 0, manifest_of(0, 2, vec![ghost]));
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert_eq!(r.dangling, vec![(0, 0, 2, ghost)], "generation 2 checked");
     }

@@ -192,7 +192,7 @@ fn heal_rebuilds_wiped_shards_and_is_idempotent() {
     let second = &out.results[0];
     assert_eq!(second.shards_rebuilt, 0, "second heal must be a no-op");
     assert_eq!(second.chunks_healed, 0);
-    assert_eq!(second.blobs_rematerialized, 0);
+    assert_eq!(second.recipes_rematerialized, 0);
     assert!(second.is_fully_healed());
 
     let out = WorldConfig::default()

@@ -181,7 +181,8 @@ fn chunks_have_k_copies_on_distinct_nodes_for_private_data() {
                 .expect_all();
             drop(out);
             for node in 0..n {
-                let manifest = cluster.get_manifest(node, node, 1).expect("own manifest");
+                let recipe = cluster.get_recipe(node, node, 1).expect("own manifest");
+                let manifest = recipe.manifest().expect("a manifest");
                 for fp in &manifest.chunks {
                     assert_eq!(
                         cluster.copies_of(fp),

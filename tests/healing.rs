@@ -177,8 +177,7 @@ proptest! {
                     );
                     prop_assert!(after.is_fully_healed());
                     prop_assert_eq!(after.chunks_healed, 0, "the heal left a second heal no chunk work");
-                    prop_assert_eq!(after.manifests_rematerialized, 0);
-                    prop_assert_eq!(after.blobs_rematerialized, 0);
+                    prop_assert_eq!(after.recipes_rematerialized, 0);
                     prop_assert_eq!(after.shards_rebuilt, 0, "the heal left a second heal no shard work");
                 }
 
@@ -450,7 +449,7 @@ fn heal_scrub_quarantines_and_rebuilds_rotten_copies() {
                 + after.shards_quarantined
                 + after.chunks_healed
                 + after.shards_rebuilt
-                + after.blobs_rematerialized;
+                + after.recipes_rematerialized;
             assert_eq!(work, 0, "{cell}: a second heal finds nothing: {after:?}");
         }
         assert_restores(&repl, &bufs, DUMP, cell);
@@ -522,7 +521,13 @@ fn heal_ignores_chunk_stripes_its_generation_does_not_reference() {
     assert!(out.results.iter().all(Result::is_ok));
     let manifest = |owner, gen| {
         (0..N)
-            .find_map(|node| cluster.get_manifest(node, owner, gen).ok())
+            .find_map(|node| {
+                cluster
+                    .get_recipe(node, owner, gen)
+                    .ok()?
+                    .manifest()
+                    .cloned()
+            })
             .expect("every manifest is stored")
     };
     let fp = manifest(0, 2).chunks[0];
@@ -656,7 +661,13 @@ fn a_node_wiped_between_chunk_windows_is_healed_past_the_cursor() {
     let mut checked = 0;
     for owner in 0..N {
         let manifest = (0..N)
-            .find_map(|node| cluster.get_manifest(node, owner, DUMP).ok())
+            .find_map(|node| {
+                cluster
+                    .get_recipe(node, owner, DUMP)
+                    .ok()?
+                    .manifest()
+                    .cloned()
+            })
             .expect("every manifest survives the heal");
         for fp in manifest.chunks.iter().filter(|fp| past(fp)) {
             let copies = cluster.copies_of(fp);

@@ -5,8 +5,10 @@
 //! replication factor, and what the shuffle buys. Each test corresponds to
 //! one claim of Section V (mapped in EXPERIMENTS.md).
 
+use std::sync::OnceLock;
+
 use replidedup::bench::experiments::{
-    dump_world, fig2, fig_k_sweep, fig_shuffle, tab1, STRATEGIES,
+    dump_world, fig2, fig_k_sweep, fig_shuffle, tab1, FigKRow, STRATEGIES,
 };
 use replidedup::bench::workloads::{make_buffers, AppKind};
 use replidedup::core::{DumpConfig, RedundancyPolicy, Replicator, Strategy};
@@ -16,6 +18,18 @@ use replidedup::storage::{Cluster, Placement};
 
 /// Scale factor used throughout: paper's 408 procs → ~33, runs in seconds.
 const SCALE: f64 = 0.08;
+
+/// Each app's K sweep at [`SCALE`], run once for the two claims that read
+/// it (Figures 4(a)/5(a) and 4(b)/5(b) are two views of one sweep).
+fn k_sweeps() -> &'static [(AppKind, Vec<FigKRow>)] {
+    static SWEEPS: OnceLock<Vec<(AppKind, Vec<FigKRow>)>> = OnceLock::new();
+    SWEEPS.get_or_init(|| {
+        [AppKind::hpccg(), AppKind::cm1()]
+            .into_iter()
+            .map(|app| (app, fig_k_sweep(app, SCALE)))
+            .collect()
+    })
+}
 
 #[test]
 fn fig2_exact_numbers() {
@@ -112,8 +126,7 @@ fn fig4a_5a_claim_k_scaling() {
     // replication factor of six with coll-dedup is faster than a
     // minimalist replication scenario (factor two) with no-dedup and
     // local-dedup."
-    for app in [AppKind::hpccg(), AppKind::cm1()] {
-        let rows = fig_k_sweep(app, SCALE);
+    for (app, rows) in k_sweeps() {
         let at = |k: u32| rows.iter().find(|r| r.k == k).expect("k present");
         // no-dedup overhead grows severalfold from K=1 to K=6.
         let growth = at(6).overhead_seconds[0] / at(1).overhead_seconds[0].max(1e-9);
@@ -151,8 +164,7 @@ fn fig4a_5a_claim_k_scaling() {
 fn fig4b_5b_claim_traffic_reduction() {
     // "coll-dedup sends on the average [severalfold] less data to its
     // partners compared with local-dedup", with a growing avg/max gap.
-    for app in [AppKind::hpccg(), AppKind::cm1()] {
-        let rows = fig_k_sweep(app, SCALE);
+    for (app, rows) in k_sweeps() {
         let at = |k: u32| rows.iter().find(|r| r.k == k).expect("k present");
         for k in [3u32, 6] {
             let r = at(k);

@@ -85,21 +85,22 @@ fn assert_healed(cluster: &Cluster, strategy: Strategy, k: u32, label: &str) {
         let node = cluster.node_of(rank);
         if strategy == Strategy::NoDedup {
             let copies = (0..N)
-                .filter(|&nd| cluster.has_blob(nd, rank, DUMP))
+                .filter(|&nd| cluster.get_recipe(nd, rank, DUMP).is_ok())
                 .count() as u32;
             assert!(
                 copies >= target,
                 "{label}: rank {rank}'s blob has {copies} copies, need {target}"
             );
             assert!(
-                cluster.has_blob(node, rank, DUMP),
+                cluster.get_recipe(node, rank, DUMP).is_ok(),
                 "{label}: rank {rank}'s blob not re-materialized on its own node"
             );
             continue;
         }
-        let manifest = cluster
-            .get_manifest(node, rank, DUMP)
+        let recipe = cluster
+            .get_recipe(node, rank, DUMP)
             .unwrap_or_else(|e| panic!("{label}: rank {rank}'s manifest not on its node: {e}"));
+        let manifest = recipe.manifest().expect("a manifest");
         for fp in &manifest.chunks {
             let copies = cluster.copies_of(fp);
             assert!(
@@ -157,8 +158,7 @@ proptest! {
                 for r in &out.results {
                     let stats = r.as_ref().expect("idempotent heal");
                     prop_assert_eq!(stats.chunks_healed, 0, "re-heal must be a no-op");
-                    prop_assert_eq!(stats.manifests_rematerialized, 0);
-                    prop_assert_eq!(stats.blobs_rematerialized, 0);
+                    prop_assert_eq!(stats.recipes_rematerialized, 0);
                 }
 
                 let out = WorldConfig::default().launch(N, |comm| repl.restore(comm, DUMP)).expect_all();
@@ -513,10 +513,12 @@ fn dumped_k3(cluster: &Cluster) -> (Replicator<'_>, Vec<Vec<u8>>) {
 /// least three copies in the cluster.
 fn own_chunk(cluster: &Cluster, rank: u32) -> Fingerprint {
     let node = cluster.node_of(rank);
-    let manifest = cluster
-        .get_manifest(node, rank, DUMP)
+    let recipe = cluster
+        .get_recipe(node, rank, DUMP)
         .expect("manifest on its node");
-    *manifest
+    *recipe
+        .manifest()
+        .expect("a manifest")
         .chunks
         .iter()
         .find(|fp| cluster.has_chunk(node, fp) && cluster.copies_of(fp) >= 3)
@@ -582,9 +584,10 @@ fn restore_skips_a_corrupt_first_holder() {
 fn restore_of_a_wiped_node_survives_a_failing_first_holder() {
     let cluster = Cluster::new(Placement::one_per_node(N));
     let (repl, bufs) = dumped_k3(&cluster);
-    let manifest = cluster
-        .get_manifest(2, 2, DUMP)
+    let recipe = cluster
+        .get_recipe(2, 2, DUMP)
         .expect("manifest on its node");
+    let manifest = recipe.manifest().expect("a manifest");
     assert!(
         manifest.chunks.iter().any(|fp| cluster.has_chunk(0, fp)),
         "node 0 holds some of rank 2's chunks"
@@ -602,14 +605,12 @@ fn restore_of_a_wiped_node_survives_a_failing_first_holder() {
 
 /// Nodes advertising `rank`'s recipe for the dump: its manifest, or its
 /// raw blob under `no-dedup`.
-fn advertisers(cluster: &Cluster, strategy: Strategy, rank: u32) -> Vec<u32> {
+fn advertisers(cluster: &Cluster, rank: u32) -> Vec<u32> {
     (0..cluster.placement().nodes)
         .filter(|&nd| {
-            let owners = match strategy {
-                Strategy::NoDedup => cluster.blob_owners(nd, DUMP),
-                _ => cluster.manifest_owners(nd, DUMP),
-            };
-            owners.is_ok_and(|o| o.contains(&rank))
+            cluster
+                .recipe_owners(nd, DUMP)
+                .is_ok_and(|o| o.contains(&rank))
         })
         .collect()
 }
@@ -642,7 +643,7 @@ fn restore_serves_a_recipe_past_a_failing_advertiser() {
             let failing = if packed {
                 0
             } else {
-                let first = advertisers(&cluster, strategy, 2)
+                let first = advertisers(&cluster, 2)
                     .into_iter()
                     .find(|&nd| nd != 2)
                     .expect("another advertiser");
