@@ -348,7 +348,7 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
             .as_ref()
             .unwrap_or_else(|e| die(&format!("repair failed: {e}")));
         println!(
-            "repair: {} chunk copies healed ({} bytes), {} manifests re-materialized, {} corrupt quarantined, {} heal steps",
+            "repair: {} chunk copies healed ({} bytes), {} recipes re-materialized, {} corrupt quarantined, {} heal steps",
             stats.chunks_healed,
             stats.bytes_re_replicated,
             stats.recipes_rematerialized,
@@ -358,7 +358,7 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
         if !stats.is_fully_healed() {
             failed = true;
             println!(
-                "repair: NOT HEALED — {} chunks, {} manifests beyond repair (more than K-1 copies lost), {} payloads skipped (re-run the heal)",
+                "repair: NOT HEALED — {} chunks, {} recipes beyond repair (more than K-1 copies lost), {} payloads skipped (re-run the heal)",
                 stats.unrepairable_chunks.len(),
                 stats.unrepairable_recipes.len(),
                 stats.payloads_skipped
@@ -370,7 +370,7 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
         for rank in 0..N {
             let recipe = cluster
                 .get_recipe(cluster.node_of(rank), rank, 1)
-                .unwrap_or_else(|e| die(&format!("rank {rank}'s manifest after repair: {e}")));
+                .unwrap_or_else(|e| die(&format!("rank {rank}'s recipe after repair: {e}")));
             let chunks = recipe.manifest().map_or(&[][..], |m| &m.chunks);
             for fp in chunks {
                 total += 1;
@@ -390,7 +390,7 @@ fn run_heal_demo(fail_nodes: &[u32], do_scrub: bool, do_repair: bool) {
         match r {
             Ok(_) if exact => println!("rank {rank}: restored byte-exact"),
             Ok(_) => println!("rank {rank}: restored WRONG bytes"),
-            Err(e) => println!("rank {rank}: restore failed: {e}"),
+            Err(e) => println!("rank {rank}: {e}"),
         }
         failed |= !exact;
     }

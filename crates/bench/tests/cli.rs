@@ -1,6 +1,6 @@
 //! Exit codes of the `repro` command line: a usage error exits 2 before
 //! running anything, `--help` exits 0, and the heal and fault demos exit 0
-//! on a cluster that heals and restores.
+//! on a cluster that heals and restores, and 1 on one that cannot restore.
 
 use std::process::{Command, Output};
 
@@ -41,6 +41,25 @@ fn heal_demos_restore_every_rank_byte_exact() {
             8,
             "{args:?}:\n{stdout}"
         );
+    }
+}
+
+/// Three lost nodes are more than K − 1 = 2: without `--repair` a rank's
+/// recipe is gone, its restore fails and the demo exits 1, naming the
+/// failure once per line.
+#[test]
+fn heal_demo_past_tolerance_exits_1_naming_each_failure_once() {
+    let out = repro(&["--fail-node", "2", "--fail-node", "3", "--fail-node", "4"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let failed: Vec<&str> = stdout
+        .lines()
+        .filter(|line| line.contains("restore failed"))
+        .collect();
+    assert!(!failed.is_empty(), "{stdout}");
+    for line in failed {
+        assert_eq!(line.matches("restore failed").count(), 1, "{line}");
+        assert!(line.starts_with("rank "), "{line}");
     }
 }
 

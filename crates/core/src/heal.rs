@@ -47,10 +47,12 @@
 //!   judged lost only when such a manifest references it, blob stripes of
 //!   other generations are never sent, and an `Auto`/`Rs` chunk stripe is
 //!   content-addressed, so rebuilding it concurrently is idempotent.
-//! * The optional [`HealOptions::gc_before`] bound runs
-//!   [`replidedup_storage::Cluster::gc_superseded`] at the start of the
-//!   scrub step, so superseded generations are collected *before* the
-//!   heal wastes bandwidth re-replicating data nothing references anymore.
+//! * The Scrub step is the collective scrub (`repair::scrub_impl`): every
+//!   rank gets the same merged report and counts off it, and each leader
+//!   quarantines, and under [`HealOptions::gc_before`] collects, only its
+//!   own node: superseded recipes, blob stripes and tombstones before the
+//!   census, then the chunks and chunk stripes it found referenced by no
+//!   surviving manifest anywhere, before the heal spends bandwidth on them.
 //! * An optional [`RateLimit`] meters healing payload bytes through a
 //!   deterministic debt-based [`TokenBucket`], bounding how hard the
 //!   background healer competes with foreground collectives.
@@ -82,7 +84,7 @@ use replidedup_storage::{
 use crate::config::Strategy;
 use crate::dump::DumpContext;
 use crate::repair::{
-    build_plan, leader_of, lowest_live_leader, transfer, Moved, NodeInventory, RepairError,
+    build_plan, leader_of, scrub_impl, transfer, Moved, NodeInventory, RepairError,
 };
 
 const TAG_HEAL_CHUNKS: Tag = 0x5250_0009;
@@ -126,8 +128,8 @@ pub struct HealOptions {
     pub owner_batch: usize,
     /// Throughput bound on healing payload bytes (`None`: unthrottled).
     pub rate: Option<RateLimit>,
-    /// Collect superseded generations older than this id at the start of
-    /// the [`HealStage::Scrub`] step (`None`: skip collection).
+    /// Collect superseded generations older than this id in the
+    /// [`HealStage::Scrub`] step (`None`: skip collection).
     pub gc_before: Option<DumpId>,
 }
 
@@ -184,8 +186,8 @@ impl TokenBucket {
 /// [`HealStage::Chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HealStage {
-    /// Collect superseded generations (optional), then scrub and
-    /// quarantine corrupt chunk and shard copies (one step).
+    /// Scrub, quarantine corrupt chunk and shard copies and, optionally,
+    /// collect superseded generations (one step).
     Scrub,
     /// Re-replicate under-replicated chunks and rebuild missing
     /// chunk-stripe shards, one fingerprint window at a time.
@@ -277,9 +279,9 @@ impl Wire for HealCursor {
     }
 }
 
-/// What a heal (or a span of heal steps) did. Healing counts are
-/// allreduced per step, so the report is identical on every rank that
-/// drove the same steps. A report only covers the steps *this* run
+/// What a heal (or a span of heal steps) did. Every step's counts reach
+/// every rank (the Scrub step's census, a window's allreduce), so the
+/// report is identical on every rank that drove the same steps. A report only covers the steps *this* run
 /// drove — a resumed heal reports its own span; convergence is judged
 /// by [`HealReport::is_fully_healed`] on the run that reached
 /// [`HealStage::Done`].
@@ -306,7 +308,7 @@ pub struct HealReport {
     pub bytes_reconstructed: u64,
     /// Parity-inconsistent shard copies quarantined by the scrub step.
     pub shards_quarantined: u64,
-    /// What the superseded-generation sweep collected.
+    /// What the superseded-generation collection reclaimed, summed over nodes.
     pub gc: GcStats,
     /// Referenced fingerprints found beyond repair in a planned window.
     pub unrepairable_chunks: Vec<Fingerprint>,
@@ -350,12 +352,9 @@ pub(crate) fn throttle(comm: &Comm, bucket: &mut Option<TokenBucket>, bytes: u64
     }
 }
 
-/// Sum-reduce a counter vector so every rank agrees on the step's work.
-fn allreduce_counts(comm: &mut Comm, counts: Vec<u64>) -> Result<Vec<u64>, RepairError> {
-    comm.try_allreduce(counts, |a, b| {
-        a.iter().zip(&b).map(|(x, y)| x + y).collect()
-    })
-    .map_err(RepairError::from)
+/// Element-wise sum of two counter vectors.
+fn add(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+    a.iter().zip(&b).map(|(x, y)| x + y).collect()
 }
 
 /// A window's one counts allreduce: its transfer and its shard rebuilds,
@@ -372,16 +371,14 @@ fn window_counts(
     if moved.retries > 0 {
         comm.tracer().counter("heal_retries", moved.retries);
     }
-    let sums = allreduce_counts(
-        comm,
-        vec![
-            moved.stored,
-            moved.bytes,
-            moved.skipped + rebuilt.skipped,
-            rebuilt.stored,
-            rebuilt.bytes,
-        ],
-    )?;
+    let counts = vec![
+        moved.stored,
+        moved.bytes,
+        moved.skipped + rebuilt.skipped,
+        rebuilt.stored,
+        rebuilt.bytes,
+    ];
+    let sums = comm.try_allreduce(counts, add)?;
     report.payloads_skipped += sums[2];
     if sums[3] > 0 {
         report.shards_rebuilt += sums[3];
@@ -457,66 +454,79 @@ pub(crate) fn heal_step_impl(
     match cursor.stage {
         HealStage::Done => {}
         HealStage::Scrub => {
-            // The optional sweep first, so nothing scrubs or heals what it
-            // collects. One rank sweeps (the sweep is cluster-wide by
-            // itself); the scrub's allreduce publishes its counts.
-            let mut gc = GcStats::default();
+            // Each leader drops its node's superseded generations first, so
+            // the census's orphans are what no surviving manifest references.
+            let mut gc = (GcStats::default(), Vec::new());
             if let Some(before) = opts.gc_before {
                 comm.enter_phase("heal.gc");
-                if lowest_live_leader(cluster, n) == Some(me) {
-                    gc = cluster.gc_superseded(before);
+                if i_lead {
+                    // A node that died since has nothing left to collect.
+                    gc = cluster.collect_superseded(node, before).unwrap_or_default();
                 }
                 comm.exit_phase("heal.gc");
             }
             comm.enter_phase("heal.scrub");
-            let step = (|| -> Result<Vec<u64>, RepairError> {
-                let mut corrupt = 0u64;
-                let mut shards = 0u64;
+            let step = (|| -> Result<(), RepairError> {
+                let mut found = scrub_impl(comm, ctx)?;
+                // Under a GC an orphan is collected, not quarantined, even
+                // when it is corrupt too.
+                if opts.gc_before.is_some() {
+                    let orphan = |e: &(NodeId, Fingerprint)| found.orphans.binary_search(e).is_ok();
+                    found.corrupt.retain(|e| !orphan(e));
+                    found.stripe_mismatches.retain(
+                        |(nd, key, _)| !matches!(key, StripeKey::Chunk(fp) if orphan(&(*nd, *fp))),
+                    );
+                }
+                // Every rank counts off the same report; each leader mends
+                // only its own node.
+                report.corrupt_quarantined += found.corrupt.len() as u64;
+                report.shards_quarantined += found.stripe_mismatches.len() as u64;
                 if i_lead {
-                    let found = cluster.scrub(node, ctx.hasher)?;
-                    for (nd, fp) in &found.corrupt {
-                        if cluster.quarantine_chunk(*nd, fp)? {
-                            corrupt += 1;
-                        }
+                    let own = |nd: &NodeId| *nd == node;
+                    if opts.gc_before.is_some() {
+                        let orphans = found.orphans.iter().filter(|(nd, _)| own(nd));
+                        let fps: Vec<Fingerprint> = orphans.map(|(_, fp)| *fp).collect();
+                        gc.0.merge(&cluster.collect_orphans(node, &fps)?);
+                    }
+                    for (_, fp) in found.corrupt.iter().filter(|(nd, _)| own(nd)) {
+                        cluster.quarantine_chunk(node, fp)?;
+                    }
+                    for (_, key, index) in found.stripe_mismatches.iter().filter(|(nd, ..)| own(nd))
+                    {
+                        cluster.quarantine_shard(node, *key, *index)?;
                     }
                 }
-                if lowest_live_leader(cluster, n) == Some(me) {
-                    let found = cluster.scrub_stripes(ctx.hasher);
-                    for (nd, key, index) in &found.stripe_mismatches {
-                        if cluster.quarantine_shard(*nd, *key, *index)? {
-                            shards += 1;
-                        }
-                    }
+                if opts.gc_before.is_some() {
+                    // Counts sum; the generations unite, so one collected on
+                    // several nodes counts once.
+                    let (c, generations) = gc;
+                    let counts = vec![
+                        c.recipes_removed,
+                        c.chunks_removed,
+                        c.shards_removed,
+                        c.tombstones_removed,
+                        c.bytes_reclaimed,
+                    ];
+                    let (sums, generations) =
+                        comm.try_allreduce((counts, generations), |(a, mut ga), (b, gb)| {
+                            merge_sorted(&mut ga, gb);
+                            (add(a, b), ga)
+                        })?;
+                    report.gc.merge(&GcStats {
+                        generations_collected: generations.len() as u64,
+                        recipes_removed: sums[0],
+                        chunks_removed: sums[1],
+                        shards_removed: sums[2],
+                        tombstones_removed: sums[3],
+                        bytes_reclaimed: sums[4],
+                    });
+                    comm.tracer()
+                        .counter("heal_generations_collected", generations.len() as u64);
                 }
-                allreduce_counts(
-                    comm,
-                    vec![
-                        corrupt,
-                        shards,
-                        gc.generations_collected,
-                        gc.recipes_removed,
-                        gc.chunks_removed,
-                        gc.shards_removed,
-                        gc.tombstones_removed,
-                        gc.bytes_reclaimed,
-                    ],
-                )
+                Ok(())
             })();
             comm.exit_phase("heal.scrub");
-            let sums = step?;
-            report.corrupt_quarantined += sums[0];
-            report.shards_quarantined += sums[1];
-            if opts.gc_before.is_some() {
-                report.gc.merge(&GcStats {
-                    generations_collected: sums[2],
-                    recipes_removed: sums[3],
-                    chunks_removed: sums[4],
-                    shards_removed: sums[5],
-                    tombstones_removed: sums[6],
-                    bytes_reclaimed: sums[7],
-                });
-                comm.tracer().counter("heal_generations_collected", sums[2]);
-            }
+            step?;
             cursor.stage = if strategy == Strategy::NoDedup {
                 HealStage::Owners
             } else {
@@ -938,6 +948,7 @@ mod tests {
     use crate::session::Replicator;
     use bytes::Bytes;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
+    use replidedup_hash::{ChunkHasher, Sha1ChunkHasher};
     use replidedup_mpi::wire::FrameWriter;
     use replidedup_mpi::WorldConfig;
     use replidedup_storage::{Cluster, Manifest, Placement};
@@ -1194,10 +1205,11 @@ mod tests {
         }
     }
 
-    /// Every windowed step costs exactly one gather-scatter (the window
-    /// and its census travel to rank 0 in one message, the plan comes back
-    /// in another, and its stripes are rebuilt without a third); only the
-    /// scrub step gathers none, and no step allgathers.
+    /// Every step costs exactly one gather-scatter: the Scrub step's is
+    /// the collective scrub's census, each window's carries its lists to
+    /// rank 0 and the plan back (its stripes are rebuilt without a second).
+    /// The Scrub step reads its counts off the census and so enters no
+    /// allreduce, and no step allgathers.
     #[test]
     fn every_heal_window_is_one_gather_scatter() {
         for policy in [
@@ -1229,27 +1241,43 @@ mod tests {
                     }
                     comm.barrier();
                     comm.take_trace_events();
-                    let report = repl.heal(comm, 1).unwrap();
-                    let events = comm.take_trace_events();
-                    let entered = |name: &str| {
-                        events
-                            .iter()
-                            .filter(|e| e.name == name && e.kind == EventKind::Enter)
-                            .count() as u64
-                    };
-                    let counts = ["coll_gather_scatter", "coll_allgather"].map(entered);
-                    (report, counts)
+                    let mut cursor = HealCursor::new(1);
+                    let mut report = HealReport::default();
+                    let mut per_step = Vec::new();
+                    loop {
+                        let stage = cursor.stage;
+                        let more = repl.heal_step(comm, &mut cursor, &mut report).unwrap();
+                        let events = comm.take_trace_events();
+                        let entered = |name: &str| {
+                            events
+                                .iter()
+                                .filter(|e| e.name == name && e.kind == EventKind::Enter)
+                                .count()
+                        };
+                        let colls = ["coll_gather_scatter", "coll_allreduce", "coll_allgather"];
+                        per_step.push((stage, colls.map(entered)));
+                        if !more {
+                            break;
+                        }
+                    }
+                    (report, per_step)
                 })
                 .expect_all();
-            for (report, [gather_scatters, allgathers]) in out.results {
+            for (report, per_step) in out.results {
                 assert!(report.is_fully_healed(), "{policy:?}: {report:?}");
                 match policy {
                     RedundancyPolicy::Replicate(_) => assert!(report.chunks_healed > 0),
                     _ => assert!(report.shards_rebuilt > 0, "{report:?}"),
                 }
                 assert!(report.steps > 6, "several windows: {}", report.steps);
-                assert_eq!(gather_scatters, report.steps - 1, "{policy:?}");
-                assert_eq!(allgathers, 0, "{policy:?}");
+                assert_eq!(per_step.len() as u64, report.steps);
+                for (stage, [gather_scatters, allreduces, allgathers]) in per_step {
+                    assert_eq!(gather_scatters, 1, "{policy:?} {stage:?}");
+                    assert_eq!(allgathers, 0, "{policy:?} {stage:?}");
+                    if stage == HealStage::Scrub {
+                        assert_eq!(allreduces, 0, "{policy:?}: the scrub counts off its census");
+                    }
+                }
             }
         }
     }
@@ -1445,6 +1473,229 @@ mod tests {
             assert_eq!(restored, buf);
         }
         assert_eq!(cluster.generations(), vec![2], "only gen 2 survives");
+    }
+
+    /// The GC's reference check is cluster-wide although each leader
+    /// collects only its own node: a chunk that only another node's
+    /// surviving manifest references stays, a chunk only the superseded
+    /// generation referenced goes, and so does every shard of a chunk
+    /// stripe no manifest references.
+    #[test]
+    fn gc_keeps_a_chunk_only_another_nodes_manifest_references() {
+        let cluster = Cluster::new(Placement::one_per_node(3));
+        let chunk = |fill: u8| {
+            let data = Bytes::from(vec![fill; 8]);
+            (Sha1ChunkHasher.fingerprint(&data), data)
+        };
+        let (shared, old, new) = (chunk(1), chunk(2), [chunk(10), chunk(11), chunk(12)]);
+        for (node, (fp, data)) in [
+            (0, &shared),
+            (0, &old),
+            (0, &new[0]),
+            (1, &new[1]),
+            (2, &new[2]),
+        ] {
+            cluster.put_chunk(node, *fp, data.clone()).unwrap();
+        }
+        let recipe = |owner: u32, gen: DumpId, fps: Vec<Fingerprint>| {
+            let m = Manifest::fixed_stride(owner, gen, 8, 8 * fps.len() as u64, fps);
+            cluster
+                .put_recipe(owner, owner, gen, Recipe::Manifest(m))
+                .unwrap();
+        };
+        recipe(0, 1, vec![old.0]);
+        recipe(1, 1, vec![shared.0]);
+        cluster.mark_absent(1, 2, 1).unwrap();
+        recipe(0, 2, vec![new[0].0]);
+        recipe(1, 2, vec![shared.0, new[1].0]);
+        recipe(2, 2, vec![new[2].0]);
+        // A 2+1 chunk stripe over the three nodes that nothing references.
+        let payload = Bytes::from(vec![7u8; 24]);
+        let stray = StripeKey::Chunk(Sha1ChunkHasher.fingerprint(&payload));
+        let code = replidedup_ec::RsCode::new(2, 1).unwrap();
+        let homes = replidedup_ec::shard_nodes(stray.seed(), 3, 3);
+        for (index, shard) in (0u8..).zip(code.encode(&payload)) {
+            let meta = ShardMeta {
+                k: 2,
+                m: 1,
+                index,
+                total_len: 24,
+            };
+            cluster
+                .put_shard(homes[usize::from(index)], stray, meta, shard)
+                .unwrap();
+        }
+
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&cluster)
+            .replication(1)
+            .chunk_size(8)
+            .heal_options(HealOptions {
+                gc_before: Some(2),
+                ..HealOptions::default()
+            })
+            .build()
+            .unwrap();
+        let out = WorldConfig::default()
+            .launch(3, |comm| {
+                let report = repl.heal(comm, 2).unwrap();
+                (report, repl.restore(comm, 2).unwrap())
+            })
+            .expect_all();
+        let rank1 = [&shared.1[..], &new[1].1[..]].concat();
+        let wants: [&[u8]; 3] = [&new[0].1, &rank1, &new[2].1];
+        for ((report, restored), want) in out.results.into_iter().zip(wants) {
+            assert!(report.is_fully_healed(), "{report:?}");
+            let gc = GcStats {
+                generations_collected: 1,
+                recipes_removed: 2,
+                chunks_removed: 1,
+                shards_removed: 3,
+                tombstones_removed: 1,
+                bytes_reclaimed: 8 + 3 * 12,
+            };
+            assert_eq!(report.gc, gc);
+            assert_eq!(&restored[..], want);
+        }
+        assert!(
+            cluster.has_chunk(0, &shared.0),
+            "node 1's manifest needs it"
+        );
+        assert!(!cluster.has_chunk(0, &old.0));
+        assert_eq!(cluster.generations(), vec![2]);
+        assert!(cluster.reconstruct_payload(stray).is_none());
+    }
+
+    /// Buffers of `ranks` ranks in 32-byte chunks: `shared` chunks every
+    /// rank holds (fills `1..`), then four private ones per rank (fills
+    /// `private + 4 * rank ..`).
+    fn shared_and_private(rank: u32, shared: &[u8], private: u8) -> Vec<u8> {
+        let fills = shared
+            .iter()
+            .copied()
+            .chain((0..4).map(|j| private + 4 * rank as u8 + j));
+        fills.flat_map(|fill| [fill; 32]).collect()
+    }
+
+    /// Heal's scrub on a packed placement, where each node's second rank
+    /// is no leader: chunk copies rot on two nodes and a parity shard on
+    /// the highest, and each is quarantined once — by its node's leader —
+    /// then healed. Under a GC, a rotten chunk only the superseded
+    /// generation referenced is collected, not quarantined, and the GC's
+    /// counts are the Scrub step's one allreduce.
+    #[test]
+    fn packed_nodes_quarantine_their_own_rot_once() {
+        for gc_on in [false, true] {
+            let cluster = Cluster::new(Placement::pack(8, 2));
+            let repl = Replicator::builder(Strategy::CollDedup)
+                .cluster(&cluster)
+                .replication(2)
+                .chunk_size(32)
+                .with_policy(RedundancyPolicy::Rs { k: 2, m: 1 })
+                .tracing(true)
+                .heal_options(HealOptions {
+                    gc_before: gc_on.then_some(2),
+                    ..HealOptions::default()
+                })
+                .build()
+                .unwrap();
+            let gen1 = |r: u32| shared_and_private(r, &[1, 2, 3, 4, 40, 41], 60);
+            let gen2 = |r: u32| shared_and_private(r, &[1, 2, 3, 4], 100);
+            WorldConfig::default()
+                .launch(8, |comm| {
+                    let r = comm.rank();
+                    if gc_on {
+                        repl.dump(comm, 1, gen1(r)).unwrap();
+                    }
+                    repl.dump(comm, 2, gen2(r)).unwrap();
+                })
+                .expect_all();
+
+            let fp = |fill: u8| Sha1ChunkHasher.fingerprint(&[fill; 32]);
+            let cluster = &cluster;
+            let holders = |fill: u8| (0..4).filter(move |nd| cluster.has_chunk(*nd, &fp(fill)));
+            // One copy of each of two shared chunks, on two nodes, each
+            // chunk keeping a good copy elsewhere.
+            let mut rotten = Vec::new();
+            for fill in 1..=4 {
+                if cluster.copies_of(&fp(fill)) < 2 {
+                    continue;
+                }
+                if let Some(nd) = holders(fill).find(|nd| rotten.iter().all(|(n, _)| n != nd)) {
+                    rotten.push((nd, fill));
+                }
+            }
+            rotten.truncate(2);
+            assert_eq!(rotten.len(), 2, "two shared chunks on two nodes");
+            for (nd, fill) in &rotten {
+                assert!(cluster.corrupt_chunk(*nd, &fp(*fill)).unwrap());
+            }
+            // A parity shard of a stripe generation 2 references.
+            let gen2_private: Vec<StripeKey> = (0..8u8)
+                .flat_map(|r| (0..4).map(move |j| StripeKey::Chunk(fp(100 + 4 * r + j))))
+                .collect();
+            let shards = cluster
+                .shard_inventory(3, .., |_| true, usize::MAX)
+                .unwrap();
+            let (key, meta) = shards
+                .into_iter()
+                .find(|(key, meta)| meta.is_parity() && gen2_private.contains(key))
+                .expect("node 3 holds a parity shard");
+            assert!(cluster.corrupt_shard(3, key, meta.index).unwrap());
+            // Under the GC, a copy of a chunk only generation 1 holds.
+            if gc_on {
+                let nd = holders(40).next().expect("a gen-1-only copy");
+                assert!(cluster.corrupt_chunk(nd, &fp(40)).unwrap());
+            }
+
+            let out = WorldConfig::default()
+                .launch(8, |comm| {
+                    let mut cursor = HealCursor::new(2);
+                    let mut scrub = HealReport::default();
+                    comm.take_trace_events();
+                    repl.heal_step(comm, &mut cursor, &mut scrub).unwrap();
+                    let allreduces = comm
+                        .take_trace_events()
+                        .iter()
+                        .filter(|e| e.name == "coll_allreduce" && e.kind == EventKind::Enter)
+                        .count();
+                    let rest = repl.heal_from(comm, &mut cursor).unwrap();
+                    let again = repl.heal(comm, 2).unwrap();
+                    let restored = repl.restore(comm, 2).unwrap();
+                    (
+                        scrub,
+                        allreduces,
+                        rest,
+                        again,
+                        restored == gen2(comm.rank()),
+                    )
+                })
+                .expect_all();
+            for (scrub, allreduces, rest, again, exact) in out.results {
+                assert_eq!(scrub.corrupt_quarantined, 2, "gc {gc_on}: {scrub:?}");
+                assert_eq!(scrub.shards_quarantined, 1, "gc {gc_on}: {scrub:?}");
+                assert_eq!(allreduces, usize::from(gc_on), "gc {gc_on}");
+                if gc_on {
+                    assert_eq!(scrub.gc.generations_collected, 1);
+                    assert!(scrub.gc.chunks_removed >= 2, "{:?}", scrub.gc);
+                }
+                assert!(rest.is_fully_healed(), "gc {gc_on}: {rest:?}");
+                assert!(rest.shards_rebuilt >= 1, "{rest:?}");
+                assert!(again.is_fully_healed());
+                let work = again.corrupt_quarantined
+                    + again.shards_quarantined
+                    + again.chunks_healed
+                    + again.shards_rebuilt;
+                assert_eq!(work, 0, "gc {gc_on}: {again:?}");
+                assert!(exact, "gc {gc_on}: byte-exact restore");
+            }
+            for fill in 1..=4 {
+                assert!(
+                    cluster.copies_of(&fp(fill)) >= 2,
+                    "gc {gc_on}: chunk {fill}"
+                );
+            }
+        }
     }
 
     /// A rate-limited heal moves the same bytes as an unthrottled one —

@@ -31,7 +31,8 @@
 //!   completion rule (see its docs), with every storage read on the fixed
 //!   retry schedule of `retry_read`.
 //! * `scrub_impl` — the read-only collective integrity scrub, resolved
-//!   once at rank 0.
+//!   once at rank 0: [`crate::Replicator::scrub`], and the census of the
+//!   heal's Scrub step, after which each leader mends its own node.
 //! * [`RepairError`] — every way a scrub or heal step can fail.
 //!
 //! Storage keeps one recipe per `(owner, generation)` — a manifest, or a
@@ -398,8 +399,9 @@ pub(crate) fn leader_of(cluster: &Cluster, node: NodeId, world: u32) -> Option<u
 }
 
 /// The lowest rank leading a live node: the one rank that runs the
-/// cluster-wide stripe verification (a stripe's shards span nodes, so no
-/// single node's leader can check parity consistency alone).
+/// cluster-wide stripe verification of [`scrub_impl`] (a stripe's shards
+/// span nodes, so no single node's leader can check parity consistency
+/// alone; each leader quarantines the verdicts on its own node).
 pub(crate) fn lowest_live_leader(cluster: &Cluster, world: u32) -> Option<u32> {
     (0..world).find(|&r| {
         let nd = cluster.node_of(r);
@@ -409,16 +411,18 @@ pub(crate) fn lowest_live_leader(cluster: &Cluster, world: u32) -> Option<u32> {
 
 /// Collective scrub: every live node is scrubbed by its leader rank and
 /// the per-node reports go to rank 0, which merges them once and sends
-/// every rank the identical cluster-wide [`ScrubReport`]. Read-only — corrupt chunks are reported,
-/// not quarantined (that is the heal's [`crate::HealStage::Scrub`] step).
+/// every rank the identical cluster-wide [`ScrubReport`]. Read-only — the
+/// heal's [`crate::HealStage::Scrub`] step runs it as its census, then each
+/// leader quarantines its own node's corrupt copies and mismatched shards
+/// (and, under a GC, collects its orphans).
 ///
 /// Node-local findings are resolved against cluster-wide knowledge before
 /// the report is returned: a manifest on one node legitimately references
 /// chunks that live on *other* nodes (that is how coll-dedup distributes
 /// data), so a reference is only **dangling** if no live node holds the
-/// chunk, and a chunk is only an **orphan** if no manifest anywhere
-/// references it. Corruption is intrinsic to the bytes and passes through
-/// unfiltered.
+/// chunk, and a chunk — copy or chunk-stripe shard — is only an **orphan**
+/// if no manifest anywhere references it. Corruption is intrinsic to the
+/// bytes and passes through unfiltered.
 pub(crate) fn scrub_impl(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,

@@ -199,8 +199,8 @@ impl<'a> ReplicatorBuilder<'a> {
     /// ([`Replicator::heal`] and friends): the chunk and owner window
     /// sizes (a window also rebuilds the stripe shards it lists), the
     /// optional byte rate limit, and the optional superseded-generation
-    /// GC bound, swept at the start of the scrub step. Must be identical
-    /// on every rank driving the same heal.
+    /// GC bound, collected node by node in the scrub step. Must be
+    /// identical on every rank driving the same heal.
     pub fn heal_options(mut self, opts: HealOptions) -> Self {
         self.heal = opts;
         self

@@ -274,11 +274,12 @@ pub struct NodeState {
     alive: bool,
 }
 
-/// What one [`Cluster::gc_superseded`] sweep reclaimed.
+/// What a collection reclaimed ([`Cluster::collect_superseded`],
+/// [`Cluster::collect_orphans`], or a heal's GC summed over its nodes).
 ///
 /// `generations_collected` counts the distinct superseded dump ids that
 /// still had any on-device footprint (recipes, blob stripes or
-/// tombstones) when the sweep ran — a steady-state health metric: a
+/// tombstones) when the collection ran — a steady-state health metric: a
 /// healthy cluster collects every generation it supersedes, so the
 /// count stays bounded by the dump rate instead of growing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -294,13 +295,13 @@ pub struct GcStats {
     pub shards_removed: u64,
     /// Absent-at-dump-time tombstone entries dropped.
     pub tombstones_removed: u64,
-    /// Device bytes freed by the sweep.
+    /// Device bytes freed.
     pub bytes_reclaimed: u64,
 }
 
 impl GcStats {
-    /// Fold another sweep's counters into this one (heal aggregates the
-    /// per-step sweeps it ran).
+    /// Fold another collection's counters into this one (heal sums its
+    /// nodes' and its steps').
     pub fn merge(&mut self, other: &GcStats) {
         self.generations_collected += other.generations_collected;
         self.recipes_removed += other.recipes_removed;
@@ -888,10 +889,9 @@ impl Cluster {
     }
 
     /// Every dump generation with any footprint on a live node (recipes,
-    /// blob stripes or absence tombstones), sorted ascending. The
-    /// background healer schedules from this list: generations currently
-    /// being written are skipped by the caller, superseded ones are handed
-    /// to [`Cluster::gc_superseded`].
+    /// blob stripes or absence tombstones), sorted ascending. It reads
+    /// every node, so it is a test oracle: the heal learns what it
+    /// collected from each node's [`Cluster::collect_superseded`].
     pub fn generations(&self) -> Vec<DumpId> {
         let mut gens: Vec<DumpId> = Vec::new();
         for node in 0..self.node_count() {
@@ -911,126 +911,90 @@ impl Cluster {
         gens
     }
 
-    /// Collect every dump generation older than `before`: drop its
-    /// recipes, blob stripes and absence tombstones, then drop
-    /// any chunk (and chunk stripe) no surviving manifest references. A
-    /// chunk shared with a surviving generation keeps its copies — GC is
-    /// reference-driven, never generation-tagged, because content
-    /// addressing deliberately shares chunk bytes across generations.
-    ///
-    /// Must not run concurrently with an in-flight dump of a *surviving*
-    /// generation: dumps store chunks before committing the manifests that
-    /// reference them, so a concurrent sweep would see those chunks as
-    /// garbage. The healing engine runs the sweep as its own step between
-    /// collectives, which serializes it against dump traffic.
-    pub fn gc_superseded(&self, before: DumpId) -> GcStats {
-        // Generations are scoped per session: the sweep only ever collects
-        // within `before`'s own session, so a heal GC-ing session A can
-        // never reap a concurrent session B's generations.
+    /// Collect `node`'s share of every dump generation older than `before`
+    /// in `before`'s session: drop its recipes, blob stripes and absence
+    /// tombstones. Returns what it reclaimed and the generations it found
+    /// any of those for, sorted (`generations_collected` counts them).
+    /// Chunks stay: whether one is still referenced is a cluster-wide
+    /// fact, which the collective scrub resolves into the orphans that
+    /// [`Cluster::collect_orphans`] drops. Generations are scoped per
+    /// session, so collecting session A never reaps session B's.
+    pub fn collect_superseded(
+        &self,
+        node: NodeId,
+        before: DumpId,
+    ) -> StorageResult<(GcStats, Vec<DumpId>)> {
         let superseded = |d: DumpId| SessionId::of(d) == SessionId::of(before) && d < before;
-        let mut stats = GcStats::default();
-        let mut collected: Vec<DumpId> = Vec::new();
-        // Pass 1: drop everything tagged with a superseded generation.
-        for node in 0..self.node_count() {
-            let mut s = lock(self.check(node));
-            if !s.alive {
-                continue;
-            }
-            let victims: Vec<(u32, DumpId)> = s
-                .recipes
-                .keys()
-                .filter(|(_, d)| superseded(*d))
-                .copied()
-                .collect();
-            for key in victims {
-                if let Some(old) = s.recipes.remove(&key) {
-                    s.recipe_bytes -= old.device_bytes();
-                    stats.recipes_removed += 1;
-                    stats.bytes_reclaimed += old.device_bytes();
-                    collected.push(key.1);
+        self.with_node(node, |s| {
+            let mut stats = GcStats::default();
+            let mut collected = Vec::new();
+            s.recipes.retain(|&(_, d), recipe| {
+                if !superseded(d) {
+                    return true;
                 }
-            }
-            let victims: Vec<(StripeKey, u8)> = s
-                .shards
-                .keys()
-                .filter(
-                    |(key, _)| matches!(key, StripeKey::Blob { dump_id, .. } if superseded(*dump_id)),
-                )
-                .copied()
-                .collect();
-            for key in victims {
-                if let Some(old) = s.shards.remove(&key) {
-                    s.shard_bytes -= old.data.len() as u64;
+                s.recipe_bytes -= recipe.device_bytes();
+                stats.recipes_removed += 1;
+                stats.bytes_reclaimed += recipe.device_bytes();
+                collected.push(d);
+                false
+            });
+            s.shards.retain(|(key, _), shard| match key {
+                StripeKey::Blob { dump_id, .. } if superseded(*dump_id) => {
+                    s.shard_bytes -= shard.data.len() as u64;
                     stats.shards_removed += 1;
-                    stats.bytes_reclaimed += old.data.len() as u64;
-                    if let StripeKey::Blob { dump_id, .. } = key.0 {
-                        collected.push(dump_id);
-                    }
+                    stats.bytes_reclaimed += shard.data.len() as u64;
+                    collected.push(*dump_id);
+                    false
                 }
-            }
-            let victims: Vec<DumpId> = s
-                .absent
-                .keys()
-                .filter(|d| superseded(**d))
-                .copied()
-                .collect();
-            for d in victims {
-                if let Some(ranks) = s.absent.remove(&d) {
-                    stats.tombstones_removed += ranks.len() as u64;
-                    collected.push(d);
+                _ => true,
+            });
+            s.absent.retain(|d, ranks| {
+                if !superseded(*d) {
+                    return true;
                 }
-            }
-        }
-        // Pass 2: with the superseded recipes gone, compute the set of
-        // fingerprints any surviving manifest still references, cluster
-        // wide, and drop the rest (plus their chunk stripes).
-        let mut referenced: Vec<Fingerprint> = Vec::new();
-        for node in 0..self.node_count() {
-            let s = lock(self.check(node));
-            if s.alive {
-                let manifests = s.recipes.values().filter_map(Recipe::manifest);
-                referenced.extend(manifests.flat_map(|m| m.chunks.iter().copied()));
-            }
-        }
-        referenced.sort_unstable();
-        referenced.dedup();
-        for node in 0..self.node_count() {
-            let mut s = lock(self.check(node));
-            if !s.alive {
-                continue;
-            }
-            let victims: Vec<(Fingerprint, u64)> = s
-                .store
-                .entries()
-                .filter(|(fp, _)| referenced.binary_search(fp).is_err())
-                .map(|(fp, data)| (*fp, data.len() as u64))
-                .collect();
-            for (fp, len) in victims {
-                if s.store.remove(&fp) {
+                stats.tombstones_removed += ranks.len() as u64;
+                collected.push(*d);
+                false
+            });
+            collected.sort_unstable();
+            collected.dedup();
+            stats.generations_collected = collected.len() as u64;
+            (stats, collected)
+        })
+    }
+
+    /// Drop `fps` (sorted) from `node`: each chunk and every shard of its
+    /// chunk stripe. The caller vouches that no live manifest anywhere
+    /// references them (the heal passes its node's orphans from the
+    /// collective scrub): GC is reference-driven, never generation-tagged,
+    /// because content addressing shares chunk bytes across generations.
+    ///
+    /// Must not run concurrently with an in-flight dump: dumps store
+    /// chunks before committing the manifests that reference them, so those
+    /// chunks look unreferenced until the commit. The healing engine
+    /// collects inside its own collective step, which serializes it
+    /// against dump traffic.
+    pub fn collect_orphans(&self, node: NodeId, fps: &[Fingerprint]) -> StorageResult<GcStats> {
+        self.with_node(node, |s| {
+            let mut stats = GcStats::default();
+            for fp in fps {
+                if let Some(data) = s.store.get(fp) {
+                    s.store.remove(fp);
                     stats.chunks_removed += 1;
-                    stats.bytes_reclaimed += len;
+                    stats.bytes_reclaimed += data.len() as u64;
                 }
             }
-            let victims: Vec<(StripeKey, u8)> = s
-                .shards
-                .keys()
-                .filter(
-                    |(key, _)| matches!(key, StripeKey::Chunk(fp) if referenced.binary_search(fp).is_err()),
-                )
-                .copied()
-                .collect();
-            for key in victims {
-                if let Some(old) = s.shards.remove(&key) {
-                    s.shard_bytes -= old.data.len() as u64;
+            s.shards.retain(|(key, _), shard| match key {
+                StripeKey::Chunk(fp) if fps.binary_search(fp).is_ok() => {
+                    s.shard_bytes -= shard.data.len() as u64;
                     stats.shards_removed += 1;
-                    stats.bytes_reclaimed += old.data.len() as u64;
+                    stats.bytes_reclaimed += shard.data.len() as u64;
+                    false
                 }
-            }
-        }
-        collected.sort_unstable();
-        collected.dedup();
-        stats.generations_collected = collected.len() as u64;
-        stats
+                _ => true,
+            });
+            stats
+        })
     }
 }
 
@@ -1535,47 +1499,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_superseded_reclaims_old_generations_but_keeps_shared_chunks() {
-        let c = Cluster::new(Placement::one_per_node(2));
-        // Generation 1 and generation 2 share fp(1); fp(2) is gen-1-only
-        // and fp(3) is gen-2-only.
-        c.put_chunk(0, fp(1), Bytes::from_static(b"shared"))
-            .unwrap();
-        c.put_chunk(0, fp(2), Bytes::from_static(b"old")).unwrap();
-        c.put_chunk(1, fp(3), Bytes::from_static(b"new")).unwrap();
-        let manifest = |dump_id, total_len, fps| {
-            Recipe::Manifest(Manifest::fixed_stride(0, dump_id, 6, total_len, fps))
-        };
-        c.put_recipe(0, 0, 1, manifest(1, 9, vec![fp(1), fp(2)]))
-            .unwrap();
-        c.put_recipe(0, 0, 2, manifest(2, 12, vec![fp(1), fp(3)]))
-            .unwrap();
-        c.put_recipe(1, 1, 1, blob(b"blob1")).unwrap();
-        c.mark_absent(1, 3, 1).unwrap();
-        assert_eq!(c.generations(), vec![1, 2]);
-        assert_eq!((c.device_bytes(0), c.device_bytes(1)), (9, 8));
-
-        let stats = c.gc_superseded(2);
-        assert_eq!(stats.generations_collected, 1);
-        assert_eq!(stats.recipes_removed, 2, "one manifest and one blob");
-        assert_eq!(stats.chunks_removed, 1, "only the gen-1-only chunk goes");
-        assert_eq!(stats.tombstones_removed, 1);
-        // "old" (3) + "blob1" (5) reclaimed.
-        assert_eq!(stats.bytes_reclaimed, 8);
-        assert!(c.has_chunk(0, &fp(1)), "shared chunk survives");
-        assert!(!c.has_chunk(0, &fp(2)));
-        assert!(c.has_chunk(1, &fp(3)));
-        assert!(c.get_recipe(1, 1, 1).is_err());
-        assert_eq!((c.device_bytes(0), c.device_bytes(1)), (6, 3));
-        assert_eq!(c.generations(), vec![2]);
-        assert_eq!(c.absent_ranks(1, 1).unwrap(), Vec::<u32>::new());
-
-        // Idempotent: a second sweep finds nothing.
-        assert_eq!(c.gc_superseded(2), GcStats::default());
-    }
-
-    #[test]
-    fn gc_superseded_drops_blob_stripes_and_orphan_chunk_stripes() {
+    fn collection_drops_blob_stripes_and_orphan_chunk_stripes() {
         let c = Cluster::new(Placement::one_per_node(8));
         let old_blob = StripeKey::Blob {
             owner: 0,
@@ -1588,27 +1512,59 @@ mod tests {
         let payload = Bytes::from(vec![5u8; 400]);
         encode_stripe(&c, old_blob, 4, 2, &payload);
         encode_stripe(&c, live_blob, 4, 2, &payload);
-        // A chunk stripe whose fingerprint no manifest references.
+        // A chunk stripe whose fingerprint no manifest references, plus a
+        // plain copy of it on node 0.
         encode_stripe(&c, StripeKey::Chunk(fp(77)), 4, 2, &payload);
-        let stats = c.gc_superseded(2);
+        c.put_chunk(0, fp(77), Bytes::from_static(b"orphan"))
+            .unwrap();
+        let mut stats = GcStats::default();
+        let mut generations = Vec::new();
+        for node in 0..c.node_count() {
+            let (superseded, collected) = c.collect_superseded(node, 2).unwrap();
+            stats.merge(&superseded);
+            generations.extend(collected);
+            stats.merge(&c.collect_orphans(node, &[fp(77)]).unwrap());
+        }
         // 6 shards of the superseded blob stripe + 6 of the orphan chunk
         // stripe; the live blob stripe survives untouched.
         assert_eq!(stats.shards_removed, 12);
-        assert_eq!(stats.generations_collected, 1);
+        assert_eq!(stats.chunks_removed, 1);
+        generations.dedup();
+        assert_eq!(generations, vec![1], "each node that held it names gen 1");
         assert!(c.reconstruct_payload(live_blob).is_some());
         assert!(c.reconstruct_payload(old_blob).is_none());
+        assert_eq!(c.copies_of(&fp(77)), 0);
         assert_eq!(c.generations(), vec![2]);
+        assert_eq!(c.total_device_bytes(), 6 * 100, "the live stripe's shards");
+        // Idempotent: a second collection finds nothing.
+        for node in 0..c.node_count() {
+            assert_eq!(c.collect_superseded(node, 2).unwrap().0, GcStats::default());
+            assert_eq!(
+                c.collect_orphans(node, &[fp(77)]).unwrap(),
+                GcStats::default()
+            );
+        }
     }
 
     #[test]
-    fn gc_superseded_skips_dead_nodes() {
+    fn collect_superseded_skips_dead_nodes() {
         let c = Cluster::new(Placement::one_per_node(2));
         c.put_recipe(0, 0, 1, blob(b"x")).unwrap();
         c.put_recipe(1, 1, 1, blob(b"y")).unwrap();
+        c.mark_absent(0, 1, 1).unwrap();
         c.fail_node(1);
-        let stats = c.gc_superseded(5);
-        assert_eq!(stats.recipes_removed, 1, "only the live node is swept");
+        let (stats, generations) = c.collect_superseded(0, 5).unwrap();
+        assert_eq!(stats.recipes_removed, 1, "only its own node's recipe");
+        assert_eq!(stats.tombstones_removed, 1);
+        assert_eq!((stats.generations_collected, generations), (1, vec![1]));
+        assert_eq!(stats.bytes_reclaimed, 1);
+        assert_eq!(c.collect_superseded(1, 5), Err(StorageError::NodeDown(1)));
+        assert_eq!(
+            c.collect_orphans(1, &[fp(1)]),
+            Err(StorageError::NodeDown(1))
+        );
         assert_eq!(c.generations(), Vec::<DumpId>::new());
+        assert_eq!(c.device_bytes(0), 0);
     }
 
     #[test]
@@ -1650,8 +1606,8 @@ mod tests {
     }
 
     #[test]
-    fn gc_superseded_never_crosses_sessions() {
-        let c = Cluster::new(Placement::one_per_node(2));
+    fn collect_superseded_never_crosses_sessions() {
+        let c = Cluster::new(Placement::one_per_node(1));
         let a = c.begin_session("a").unwrap();
         let b = c.begin_session("b").unwrap();
         // Session A writes generations 1 and 2; session B writes 1. B's
@@ -1663,28 +1619,27 @@ mod tests {
             0,
             Manifest::fixed_stride(0, a.scope(1), 5, 5, vec![fp(10)]),
         );
-        c.put_chunk(0, fp(11), Bytes::from_static(b"a-new"))
-            .unwrap();
         put_manifest(
             &c,
             0,
             Manifest::fixed_stride(0, a.scope(2), 5, 5, vec![fp(11)]),
         );
-        c.put_chunk(1, fp(12), Bytes::from_static(b"b-one"))
-            .unwrap();
         put_manifest(
             &c,
-            1,
+            0,
             Manifest::fixed_stride(1, b.scope(1), 5, 5, vec![fp(12)]),
         );
+        c.mark_absent(0, 2, b.scope(1)).unwrap();
         assert!(b.scope(1) > a.scope(2));
 
-        // GC session A up to generation 2: A's gen 1 goes, B untouched.
-        let stats = c.gc_superseded(a.scope(2));
-        assert_eq!(stats.generations_collected, 1);
-        assert!(!c.has_chunk(0, &fp(10)));
-        assert!(c.has_chunk(0, &fp(11)));
-        assert!(c.has_chunk(1, &fp(12)), "session B must survive A's GC");
+        // Collect session A up to generation 2: A's gen 1 goes, B's
+        // recipe and tombstone stay, and no chunk is touched.
+        let (stats, generations) = c.collect_superseded(0, a.scope(2)).unwrap();
+        assert_eq!(generations, vec![a.scope(1)]);
+        assert_eq!((stats.recipes_removed, stats.tombstones_removed), (1, 0));
+        assert!(c.has_chunk(0, &fp(10)), "chunks wait for the census");
+        assert!(c.get_recipe(0, 1, b.scope(1)).is_ok());
+        assert_eq!(c.absent_ranks(0, b.scope(1)).unwrap(), vec![2]);
         assert_eq!(c.generations(), vec![a.scope(2), b.scope(1)]);
     }
 

@@ -15,8 +15,9 @@
 //!   with the manifest's per-chunk length (a truncated or padded write;
 //!   chunks are variable-length under CDC, so the check reads each
 //!   manifest's explicit length list, never a fixed chunk size),
-//! * **orphan** — a chunk no manifest on the node references (leaked space;
-//!   harmless to correctness, reclaimable).
+//! * **orphan** — a chunk, held as a copy or as chunk-stripe shards, that
+//!   no manifest on the node references (leaked space; harmless to
+//!   correctness, reclaimable).
 //!
 //! Raw `no-dedup` blobs carry no integrity key, so scrub can only confirm
 //! their presence, not their content — one more reason the paper's
@@ -56,8 +57,10 @@ pub struct ScrubReport {
     /// per-chunk length list: `(node, owner_rank, dump_id, fingerprint)`.
     /// Sorted, deduplicated.
     pub length_mismatch: Vec<(NodeId, u32, DumpId, Fingerprint)>,
-    /// Orphaned chunks: `(node, fingerprint)` held by `node` but referenced
-    /// by none of its manifests. Sorted, deduplicated.
+    /// Orphaned chunks: `(node, fingerprint)` held by `node`, as a copy or
+    /// as chunk-stripe shards, but referenced by none of its manifests
+    /// (the collective scrub keeps those no manifest anywhere references,
+    /// which a heal's GC drops). Sorted, deduplicated.
     pub orphans: Vec<(NodeId, Fingerprint)>,
     /// Erasure-coded shards examined by the cluster-wide stripe pass
     /// ([`Cluster::scrub_stripes`]).
@@ -140,8 +143,9 @@ impl Cluster {
     /// [`crate::StorageError::NodeDown`] when the node is dead: a wiped
     /// device has nothing to scrub.
     ///
-    /// Detection only — quarantining and re-replication are repair's job
-    /// (`replidedup-core`), which is also what clears a dirty report.
+    /// Detection only — quarantining, collection and re-replication are
+    /// the heal's job (`replidedup-core`), which is also what clears a
+    /// dirty report.
     pub fn scrub(&self, node: NodeId, hasher: &dyn ChunkHasher) -> StorageResult<ScrubReport> {
         self.with_node(node, |state| {
             let mut report = ScrubReport::default();
@@ -183,9 +187,14 @@ impl Cluster {
                 }
             }
 
-            // Pass 3: chunks no manifest references. (Blobs are opaque —
-            // no key to verify, no chunk references to cross-check.)
-            for (fp, _) in state.store.entries() {
+            // Pass 3: chunks — copies or chunk-stripe shards — no
+            // manifest references. (Blobs are opaque — no key to verify,
+            // no chunk references to cross-check.)
+            let stripes = state.shards.keys().filter_map(|(key, _)| match key {
+                StripeKey::Chunk(fp) => Some(fp),
+                StripeKey::Blob { .. } => None,
+            });
+            for fp in state.store.fingerprints().chain(stripes) {
                 if !referenced.contains(fp) {
                     report.orphans.push((node, *fp));
                 }
@@ -503,6 +512,19 @@ mod tests {
         put_manifest(&c, 0, manifest_of(0, 1, vec![a]));
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert_eq!(r.orphans, vec![(0, stray)]);
+    }
+
+    #[test]
+    fn chunk_stripe_shards_count_as_held_for_orphans() {
+        let c = Cluster::new(Placement::one_per_node(6));
+        let payload: &[u8] = b"stripe-payload-under-test!";
+        let fp = Sha1ChunkHasher.fingerprint(payload);
+        let homes = stripe_put(&c, StripeKey::Chunk(fp), 4, 2, payload);
+        let r = c.scrub(homes[0], &Sha1ChunkHasher).unwrap();
+        assert_eq!(r.orphans, vec![(homes[0], fp)], "a shard, not a copy");
+        put_manifest(&c, homes[0], manifest_of(0, 1, vec![fp]));
+        let r = c.scrub(homes[0], &Sha1ChunkHasher).unwrap();
+        assert!(r.orphans.is_empty(), "{r:?}");
     }
 
     #[test]

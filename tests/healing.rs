@@ -40,7 +40,7 @@ use replidedup::core::{
 };
 use replidedup::mpi::wire::Wire;
 use replidedup::mpi::{FaultPlan, FaultTrigger, WorldConfig};
-use replidedup::storage::{Cluster, Placement, StripeKey};
+use replidedup::storage::{Cluster, GcStats, Placement, StripeKey};
 
 const N: u32 = 6;
 const DUMP: u64 = 1;
@@ -391,12 +391,46 @@ fn heal_gc_step_reclaims_superseded_generations_safely() {
         let out = WorldConfig::default()
             .launch(N, |comm| repl.heal(comm, 2))
             .expect_all();
+        // Pinned for this workload with node 1 wiped: the live nodes' 15
+        // gen-1 recipes (18 = 6 ranks × K, less node 1's 3), the three
+        // copies of the one 64-byte chunk only gen 1 references, or under
+        // `no-dedup` the 15 surviving 896-byte blobs or 30 of the 36
+        // 224-byte shards of gen 1's blob stripes.
+        let want = match (strategy, policy) {
+            (Strategy::CollDedup, _) => GcStats {
+                recipes_removed: 15,
+                chunks_removed: 3,
+                bytes_reclaimed: 192,
+                ..GcStats::default()
+            },
+            (_, RedundancyPolicy::Replicate(_)) => GcStats {
+                recipes_removed: 15,
+                bytes_reclaimed: 15 * 896,
+                ..GcStats::default()
+            },
+            _ => GcStats {
+                shards_removed: 30,
+                bytes_reclaimed: 30 * 224,
+                ..GcStats::default()
+            },
+        };
         for r in &out.results {
             let report = r.as_ref().expect("heal with gc succeeds");
-            assert_eq!(report.gc.generations_collected, 1, "{cell}: gen 1 swept");
+            let want = GcStats {
+                generations_collected: 1,
+                ..want
+            };
+            assert_eq!(report.gc, want, "{cell}: gen 1 swept");
             assert!(report.is_fully_healed(), "{cell}: {report:?}");
         }
         assert_eq!(cluster.generations(), vec![2], "{cell}: only gen 2 remains");
+        let out = WorldConfig::default()
+            .launch(N, |comm| repl.scrub(comm))
+            .expect_all();
+        for r in &out.results {
+            let found = r.as_ref().expect("scrub runs");
+            assert_eq!(found.orphans, vec![], "{cell}: copies and chunk stripes");
+        }
         assert_restores(&repl, &gen2, 2, cell);
     });
 }

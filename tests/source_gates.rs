@@ -238,3 +238,45 @@ fn recovery_planning_never_allgathers() {
         found.join("\n")
     );
 }
+
+/// Each node's leader collects and quarantines only its own node: the
+/// cluster-wide one-rank sweep is gone, so its name anywhere in the
+/// workspace means it came back.
+#[test]
+fn no_cluster_wide_gc_sweep() {
+    let needle = concat!("gc_", "superseded");
+    let found: Vec<String> = workspace_sources()
+        .iter()
+        .flat_map(|(file, src)| hits(file, src, |line| line.contains(needle)))
+        .collect();
+    assert!(
+        found.is_empty(),
+        "the cluster-wide GC sweep is back:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The lowest live leader reads every node's shards for the census's
+/// stripe verification in `repair.rs`, and does nothing else: any other
+/// non-test caller hands one rank work on other nodes' stores.
+#[test]
+fn the_lowest_live_leader_only_reads_stripes_for_the_census() {
+    let call = concat!("lowest_live_", "leader(");
+    let definition = concat!("fn ", "lowest_live_", "leader(");
+    let tests_start = concat!("#[cfg(", "test)]");
+    let found: Vec<String> = workspace_sources()
+        .iter()
+        .flat_map(|(file, src)| {
+            let code = src.split(tests_start).next().unwrap_or(src);
+            hits(file, code, |line| {
+                line.contains(call) && !line.contains(definition)
+            })
+        })
+        .collect();
+    assert_eq!(found.len(), 1, "{}", found.join("\n"));
+    assert!(
+        found[0].starts_with("crates/core/src/repair.rs:"),
+        "{}",
+        found[0]
+    );
+}
