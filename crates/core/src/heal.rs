@@ -16,11 +16,11 @@
 //!   window that costs **one gather-scatter**, the window's shard
 //!   rebuilds, the transfer and a counts allreduce. In that gather-scatter
 //!   each live node's leader sends rank 0 its sorted lists past the
-//!   cursor's high-water mark, each capped at the stage's batch
-//!   ([`HealOptions::chunk_batch`] / [`HealOptions::owner_batch`]) of
-//!   distinct keys, plus a *bound*: the smallest last kept key among the
-//!   lists it cut. The window is `(high-water, smallest bound]` — to the
-//!   end of the stage when nobody cut — so every leader's lists are
+//!   cursor's high-water mark, each capped at the batch of distinct keys
+//!   — the world-wide budget [`HealOptions::window_keys`] split over the
+//!   placement's nodes — plus a *bound*: the smallest last kept key among
+//!   the lists it cut. The window is `(high-water, smallest bound]` — to
+//!   the end of the stage when nobody cut — so every leader's lists are
 //!   complete inside it. Rank 0 plans the window once, with no offer
 //!   round, and sends each rank the cut and its part of the plan: the
 //!   moves naming it, the shard rebuilds it leads and the window's
@@ -30,9 +30,9 @@
 //!   step plans its window against the *current* cluster state with the
 //!   pure `repair::build_plan`, so healing under live
 //!   `dump`/`restore` traffic never acts on stale inventory for longer
-//!   than one window. Since the batch bounds what each *node* sends, the
-//!   window count follows the largest per-node key count, not the world
-//!   size.
+//!   than one window. Since the budget bounds what rank 0 gathers per
+//!   list, a window costs rank 0 about the same at 8 nodes as at 128,
+//!   and a small world takes few, wide windows.
 //! * A window costs what the window holds. A leader builds each list
 //!   under its node lock with one bounded query (one scan, or one ordered
 //!   range walk) that returns only the smallest `batch + 1` distinct keys
@@ -53,6 +53,9 @@
 //!   own node: superseded recipes, blob stripes and tombstones before the
 //!   census, then the chunks and chunk stripes it found referenced by no
 //!   surviving manifest anywhere, before the heal spends bandwidth on them.
+//!   Only that collection reads the census's cluster-wide orphans, so only
+//!   under a GC do the leaders ship rank 0 their whole held and
+//!   referenced lists to resolve them.
 //! * An optional [`RateLimit`] meters healing payload bytes through a
 //!   deterministic debt-based [`TokenBucket`], bounding how hard the
 //!   background healer competes with foreground collectives.
@@ -115,17 +118,18 @@ pub struct RateLimit {
 }
 
 /// Tuning knobs for the incremental healer. Must be identical on every
-/// rank driving the same heal (they shape the step's collectives). The
-/// batches bound what each node sends per step, so a stage takes about
-/// (largest per-node key count ÷ batch) steps whatever the world size.
+/// rank driving the same heal (they shape the step's collectives).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealOptions {
-    /// Fingerprints per node per [`HealStage::Chunks`] step, in each of
-    /// the referenced, held and chunk-stripe lists.
-    pub chunk_batch: usize,
-    /// Owner ranks per node per [`HealStage::Owners`] step, in each of
-    /// the recipe-owner, absent and blob-stripe lists.
-    pub owner_batch: usize,
+    /// World-wide budget of distinct keys rank 0 gathers per list in one
+    /// [`HealStage::Chunks`] or [`HealStage::Owners`] window. Each node's
+    /// leader sends at most `window_keys / placement nodes` keys (at
+    /// least 1) in each of its lists — fingerprints in the referenced,
+    /// held and chunk-stripe lists, owner ranks in the recipe-owner,
+    /// absent and blob-stripe lists. The node count is the placement's,
+    /// not the live one, so every leader cuts alike even if a node dies
+    /// between steps.
+    pub window_keys: usize,
     /// Throughput bound on healing payload bytes (`None`: unthrottled).
     pub rate: Option<RateLimit>,
     /// Collect superseded generations older than this id in the
@@ -136,8 +140,7 @@ pub struct HealOptions {
 impl Default for HealOptions {
     fn default() -> Self {
         Self {
-            chunk_batch: 64,
-            owner_batch: 16,
+            window_keys: 8_192,
             rate: None,
             gc_before: None,
         }
@@ -342,6 +345,14 @@ impl HealReport {
     }
 }
 
+impl HealOptions {
+    /// Distinct keys each leader sends per list in a window: the budget
+    /// split over the placement's nodes, at least 1.
+    fn batch(&self, cluster: &Cluster) -> usize {
+        (self.window_keys / cluster.placement().nodes.max(1) as usize).max(1)
+    }
+}
+
 /// Pause for a debit if a limiter is active, through [`Comm::sleep`].
 pub(crate) fn throttle(comm: &Comm, bucket: &mut Option<TokenBucket>, bytes: u64) {
     if let Some(b) = bucket.as_mut() {
@@ -467,7 +478,7 @@ pub(crate) fn heal_step_impl(
             }
             comm.enter_phase("heal.scrub");
             let step = (|| -> Result<(), RepairError> {
-                let mut found = scrub_impl(comm, ctx)?;
+                let mut found = scrub_impl(comm, ctx, opts.gc_before.is_some())?;
                 // Under a GC an orphan is collected, not quarantined, even
                 // when it is corrupt too.
                 if opts.gc_before.is_some() {
@@ -540,7 +551,7 @@ pub(crate) fn heal_step_impl(
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
                 let mut inv = NodeInventory::default();
-                let mut cap = Cap::new(after, opts.chunk_batch);
+                let mut cap = Cap::new(after, opts.batch(cluster));
                 if i_lead {
                     let len = cap.window_len();
                     inv.leads_live_node = true;
@@ -611,7 +622,7 @@ pub(crate) fn heal_step_impl(
             comm.enter_phase("heal.plan");
             let step = (|| -> Result<_, RepairError> {
                 let mut inv = NodeInventory::default();
-                let mut cap = Cap::new(after, opts.owner_batch);
+                let mut cap = Cap::new(after, opts.batch(cluster));
                 if i_lead {
                     let owner = |r: &u32| Some(*r);
                     inv.leads_live_node = true;
@@ -1224,8 +1235,7 @@ mod tests {
                 .with_policy(policy)
                 .tracing(true)
                 .heal_options(HealOptions {
-                    chunk_batch: 2,
-                    owner_batch: 1,
+                    window_keys: 6,
                     ..HealOptions::default()
                 })
                 .build()
@@ -1269,8 +1279,12 @@ mod tests {
                     RedundancyPolicy::Replicate(_) => assert!(report.chunks_healed > 0),
                     _ => assert!(report.shards_rebuilt > 0, "{report:?}"),
                 }
-                assert!(report.steps > 6, "several windows: {}", report.steps);
                 assert_eq!(per_step.len() as u64, report.steps);
+                let windows = |of| per_step.iter().filter(|(stage, _)| *stage == of).count();
+                assert!(
+                    windows(HealStage::Chunks) >= 2 && windows(HealStage::Owners) >= 2,
+                    "{policy:?}: several windows per stage: {per_step:?}"
+                );
                 for (stage, [gather_scatters, allreduces, allgathers]) in per_step {
                     assert_eq!(gather_scatters, 1, "{policy:?} {stage:?}");
                     assert_eq!(allgathers, 0, "{policy:?} {stage:?}");
@@ -1280,6 +1294,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A budget of zero, or below the node count, still gives each leader
+    /// one key per list, and the heal walks to Done in the same windows
+    /// as at a budget of exactly one key per node. The batch comes from
+    /// the placement: a node failed between two steps changes no
+    /// leader's batch.
+    #[test]
+    fn budgets_below_the_node_count_heal_with_a_batch_of_one() {
+        let heal = |window_keys: usize, fail_mid_heal: bool| {
+            let cluster = Cluster::new(Placement::one_per_node(4));
+            let opts = HealOptions {
+                window_keys,
+                ..HealOptions::default()
+            };
+            let repl = Replicator::builder(Strategy::CollDedup)
+                .cluster(&cluster)
+                .replication(3)
+                .chunk_size(32)
+                .heal_options(opts)
+                .build()
+                .unwrap();
+            let batch = opts.batch(&cluster);
+            let out = WorldConfig::default()
+                .launch(4, |comm| {
+                    let buf: Vec<u8> = (0..320u32).map(|i| (i / 32 + comm.rank()) as u8).collect();
+                    repl.dump(comm, 1, buf).unwrap();
+                    comm.barrier();
+                    if comm.rank() == 0 {
+                        repl.cluster().fail_node(2);
+                        repl.cluster().revive_node(2);
+                    }
+                    comm.barrier();
+                    let mut cursor = HealCursor::new(1);
+                    let mut report = HealReport::default();
+                    let mut batches = Vec::new();
+                    while repl.heal_step(comm, &mut cursor, &mut report).unwrap() {
+                        comm.barrier();
+                        if fail_mid_heal && comm.rank() == 0 && cursor.stage == HealStage::Chunks {
+                            repl.cluster().fail_node(3);
+                        }
+                        comm.barrier();
+                        batches.push(opts.batch(repl.cluster()));
+                    }
+                    (cursor, report, batches)
+                })
+                .expect_all();
+            let (cursor, report, batches) = out.results.into_iter().next().unwrap();
+            assert!(cursor.is_done(), "budget {window_keys}");
+            assert!(
+                batches.iter().all(|b| *b == batch),
+                "budget {window_keys}: {batches:?}"
+            );
+            (batch, report)
+        };
+        let (one, at_one) = heal(4, false);
+        assert_eq!(one, 1);
+        assert!(
+            at_one.is_fully_healed() && at_one.chunks_healed > 0,
+            "{at_one:?}"
+        );
+        for window_keys in [0, 3] {
+            assert_eq!(
+                heal(window_keys, false),
+                (1, at_one.clone()),
+                "budget {window_keys}"
+            );
+        }
+        // Twenty keys over the placement's four nodes, whether or not node
+        // 3 is still alive: five per leader.
+        let (five, report) = heal(20, true);
+        assert_eq!(five, 5);
+        assert!(report.steps > 2, "{report:?}");
     }
 
     /// Losing a node and healing step-by-step re-replicates everything;

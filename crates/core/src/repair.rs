@@ -416,51 +416,64 @@ pub(crate) fn lowest_live_leader(cluster: &Cluster, world: u32) -> Option<u32> {
 /// leader quarantines its own node's corrupt copies and mismatched shards
 /// (and, under a GC, collects its orphans).
 ///
-/// Node-local findings are resolved against cluster-wide knowledge before
-/// the report is returned: a manifest on one node legitimately references
-/// chunks that live on *other* nodes (that is how coll-dedup distributes
-/// data), so a reference is only **dangling** if no live node holds the
-/// chunk, and a chunk — copy or chunk-stripe shard — is only an **orphan**
-/// if no manifest anywhere references it. Corruption is intrinsic to the
-/// bytes and passes through unfiltered.
+/// With `resolve`, node-local findings are resolved against cluster-wide
+/// knowledge before the report is returned: a manifest on one node
+/// legitimately references chunks that live on *other* nodes (that is
+/// how coll-dedup distributes data), so a reference is only **dangling**
+/// if no live node holds the chunk, and a chunk — copy or chunk-stripe
+/// shard — is only an **orphan** if no manifest anywhere references it.
+/// That takes every leader's held and referenced lists, so without
+/// `resolve` they stay home and the report's `dangling` and `orphans` are
+/// empty. Corruption is intrinsic to the bytes and passes through
+/// unfiltered either way.
 pub(crate) fn scrub_impl(
     comm: &mut Comm,
     ctx: &DumpContext<'_>,
+    resolve: bool,
 ) -> Result<ScrubReport, RepairError> {
     let me = comm.rank();
     let n = comm.size();
     let node = ctx.cluster.node_of(me);
+    let leads = leader_of(ctx.cluster, node, n) == Some(me) && ctx.cluster.is_alive(node);
     comm.enter_phase("scrub.collect");
-    let mut contribution =
-        if leader_of(ctx.cluster, node, n) == Some(me) && ctx.cluster.is_alive(node) {
-            (
-                ctx.cluster.scrub(node, ctx.hasher)?,
-                ctx.cluster.chunk_fps(node, None, usize::MAX)?,
-                ctx.cluster.referenced_fps(node)?,
-            )
-        } else {
-            (ScrubReport::default(), Vec::new(), Vec::new())
-        };
+    let mut report = if leads {
+        ctx.cluster.scrub(node, ctx.hasher)?
+    } else {
+        ScrubReport::default()
+    };
     if lowest_live_leader(ctx.cluster, n) == Some(me) {
         // Parity consistency is a property of whole stripes, not single
         // nodes: exactly one rank verifies every stripe cluster-wide and
         // folds the findings into its contribution.
-        contribution.0.merge(&ctx.cluster.scrub_stripes(ctx.hasher));
+        report.merge(&ctx.cluster.scrub_stripes(ctx.hasher));
     }
+    let lists = if resolve && leads {
+        Some((
+            ctx.cluster.chunk_fps(node, None, usize::MAX)?,
+            ctx.cluster.referenced_fps(node)?,
+        ))
+    } else {
+        None
+    };
     // Rank 0 resolves once and sends every rank the same report.
-    let merged = comm.try_gather_scatter(0, contribution, |all| {
+    let merged = comm.try_gather_scatter(0, (report, lists), |all| {
         let mut merged = ScrubReport::default();
         let mut present = FpHashSet::default();
         let mut referenced = FpHashSet::default();
-        for (report, fps, refs) in &all {
+        for (report, lists) in &all {
             merged.merge(report);
-            present.extend(fps.iter().copied());
-            referenced.extend(refs.iter().copied());
+            if let Some((fps, refs)) = lists {
+                present.extend(fps.iter().copied());
+                referenced.extend(refs.iter().copied());
+            }
         }
+        // Unresolved, a node-local verdict is no verdict: both lists go.
         merged
             .dangling
-            .retain(|(_, _, _, fp)| !present.contains(fp));
-        merged.orphans.retain(|(_, fp)| !referenced.contains(fp));
+            .retain(|(_, _, _, fp)| resolve && !present.contains(fp));
+        merged
+            .orphans
+            .retain(|(_, fp)| resolve && !referenced.contains(fp));
         vec![merged; all.len()]
     });
     comm.exit_phase("scrub.collect");
@@ -1265,5 +1278,97 @@ mod tests {
         assert_eq!(out, Err(StorageError::NodeDown(3)));
         assert_eq!((calls, retries), (1, 0));
         assert!(slept.is_empty(), "a permanent error never sleeps");
+    }
+
+    /// The census resolves `dangling` and `orphans` against the whole
+    /// cluster only when asked to: resolved, it is `Replicator::scrub`'s
+    /// report; unresolved, the per-node lists stay home and those two
+    /// classes come back empty, while every finding intrinsic to a node's
+    /// bytes is reported alike.
+    #[test]
+    fn an_unresolved_scrub_keeps_every_intrinsic_finding() {
+        use crate::session::Replicator;
+        use crate::Strategy;
+        use replidedup_hash::{ChunkHasher, Sha1ChunkHasher};
+        use replidedup_mpi::WorldConfig;
+        use replidedup_storage::{Manifest, Placement, Recipe};
+
+        let cluster = Cluster::new(Placement::one_per_node(3));
+        let chunk = |fill: u8, len: usize| {
+            let data = Bytes::from(vec![fill; len]);
+            (Sha1ChunkHasher.fingerprint(&data), data)
+        };
+        // Node 0's manifest references `local`, `remote` (held only on node
+        // 1: dangling on node 0 alone), `lost` (held nowhere) and `long`
+        // (nine bytes where the recipe says eight). `stray` on node 2 is
+        // referenced by nothing; `rotten` is referenced and corrupt.
+        let (local, remote, lost) = (chunk(1, 8), chunk(2, 8), chunk(3, 8));
+        let (long, stray, rotten) = (chunk(4, 9), chunk(5, 8), chunk(6, 8));
+        for (node, (fp, data)) in [
+            (0, &local),
+            (1, &remote),
+            (0, &long),
+            (2, &stray),
+            (1, &rotten),
+        ] {
+            cluster.put_chunk(node, *fp, data.clone()).unwrap();
+        }
+        assert!(cluster.corrupt_chunk(1, &rotten.0).unwrap());
+        let fps = vec![local.0, remote.0, lost.0, long.0];
+        let m = Manifest::fixed_stride(0, 1, 8, 32, fps);
+        cluster.put_recipe(0, 0, 1, Recipe::Manifest(m)).unwrap();
+        let m = Manifest::fixed_stride(1, 1, 8, 8, vec![rotten.0]);
+        cluster.put_recipe(1, 1, 1, Recipe::Manifest(m)).unwrap();
+        // A 2+1 stripe of a referenced chunk with a rotten parity shard.
+        let (coded, payload) = chunk(7, 24);
+        let mut m = Manifest::fixed_stride(2, 1, 24, 24, vec![coded]);
+        (m.rs, m.coded) = (Some((2, 1)), vec![0]);
+        cluster.put_recipe(2, 2, 1, Recipe::Manifest(m)).unwrap();
+        let code = replidedup_ec::RsCode::new(2, 1).unwrap();
+        let key = StripeKey::Chunk(coded);
+        let homes = shard_nodes(key.seed(), 3, 3);
+        for (index, shard) in (0u8..).zip(code.encode(&payload)) {
+            let meta = ShardMeta {
+                k: 2,
+                m: 1,
+                index,
+                total_len: 24,
+            };
+            cluster
+                .put_shard(homes[usize::from(index)], key, meta, shard)
+                .unwrap();
+        }
+        assert!(cluster.corrupt_shard(homes[2], key, 2).unwrap());
+
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&cluster)
+            .replication(1)
+            .chunk_size(8)
+            .build()
+            .unwrap();
+        let out = WorldConfig::default()
+            .launch(3, |comm| {
+                let ctx = DumpContext {
+                    cluster: &cluster,
+                    hasher: &Sha1ChunkHasher,
+                    dump_id: 0,
+                };
+                let resolved = scrub_impl(comm, &ctx, true).unwrap();
+                let unresolved = scrub_impl(comm, &ctx, false).unwrap();
+                (resolved, unresolved, repl.scrub(comm).unwrap())
+            })
+            .expect_all();
+        for (resolved, unresolved, scrub) in out.results {
+            assert_eq!(resolved, scrub);
+            assert_eq!(resolved.dangling, vec![(0, 0, 1, lost.0)]);
+            assert_eq!(resolved.orphans, vec![(2, stray.0)]);
+            assert_eq!(resolved.corrupt, vec![(1, rotten.0)]);
+            assert_eq!(resolved.length_mismatch, vec![(0, 0, 1, long.0)]);
+            assert_eq!(resolved.stripe_mismatches, vec![(homes[2], key, 2)]);
+            assert!(unresolved.dangling.is_empty() && unresolved.orphans.is_empty());
+            assert_eq!(unresolved.corrupt, resolved.corrupt);
+            assert_eq!(unresolved.length_mismatch, resolved.length_mismatch);
+            assert_eq!(unresolved.stripe_mismatches, resolved.stripe_mismatches);
+        }
     }
 }

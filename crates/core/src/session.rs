@@ -465,7 +465,7 @@ impl<'a> Replicator<'a> {
     /// [`Replicator::heal`] to act on what it finds.
     pub fn scrub(&self, comm: &mut Comm) -> Result<ScrubReport, ReplError> {
         let ctx = self.enter(comm, 0);
-        scrub_impl(comm, &ctx).map_err(ReplError::from)
+        scrub_impl(comm, &ctx, true).map_err(ReplError::from)
     }
 }
 

@@ -18,8 +18,9 @@
 //!    generation.
 //! 4. The superseded-generation GC step reclaims old dumps without
 //!    touching chunks the surviving generation still references.
-//! 5. Heal windows are bounded per node, so the step count does not grow
-//!    with the world size.
+//! 5. One world-wide key budget bounds what rank 0 gathers in a heal
+//!    window, so a window costs it no more at 32 ranks than at 8, and a
+//!    small world heals in few, wide windows.
 //! 6. Each window plans against the cluster as it is when the window
 //!    runs: a node wiped between two chunk windows is healed by the rest
 //!    of the same heal.
@@ -45,28 +46,60 @@ use replidedup::storage::{Cluster, GcStats, Placement, StripeKey};
 const N: u32 = 6;
 const DUMP: u64 = 1;
 
-/// Small windows so even the test-sized workloads take several steps per
-/// stage — resumability is only meaningful with multiple windows.
+/// Small windows — two keys per list at `N` nodes — so even the
+/// test-sized workloads take several steps per stage: resumability is
+/// only meaningful with multiple windows
+/// (`small_windows_cross_several_windows_per_stage` holds them to it).
 fn small_windows() -> HealOptions {
     HealOptions {
-        chunk_batch: 8,
-        owner_batch: 2,
+        window_keys: 12,
         ..HealOptions::default()
     }
 }
 
 fn buffers(n: u32) -> Vec<Vec<u8>> {
+    buffers_with(n, 3)
+}
+
+/// `n` ranks' buffers with `private_chunks` chunks unique to each rank.
+fn buffers_with(n: u32, private_chunks: usize) -> Vec<Vec<u8>> {
     let workload = SyntheticWorkload {
         chunk_size: 64,
         global_chunks: 4,
         grouped_chunks: 3,
         group_size: 2,
-        private_chunks: 3,
+        private_chunks,
         local_dup_chunks: 2,
         local_repeat: 2,
         seed: 7,
     };
     (0..n).map(|r| workload.generate(r)).collect()
+}
+
+/// Heal `DUMP` step by step from a fresh cursor, after `dump_all`-style
+/// setup by the caller: per step, the stage it ran and the collective
+/// bytes rank 0 received during it, as rank 0 saw them.
+fn heal_steps(repl: &Replicator<'_>, n: u32) -> (HealReport, Vec<(HealStage, u64)>) {
+    let out = WorldConfig::default()
+        .launch(n, |comm| {
+            let mut cursor = HealCursor::new(DUMP);
+            let mut report = HealReport::default();
+            let mut steps = Vec::new();
+            while !cursor.is_done() {
+                let (stage, before) = (cursor.stage, comm.traffic().coll_recv);
+                repl.heal_step(comm, &mut cursor, &mut report)?;
+                steps.push((stage, comm.traffic().coll_recv - before));
+            }
+            Ok::<_, replidedup::core::ReplError>((report, steps))
+        })
+        .expect_all();
+    let mut results = out.results.into_iter();
+    results.next().expect("rank 0").expect("the heal succeeds")
+}
+
+/// Windows of `stage` among `steps`.
+fn windows(steps: &[(HealStage, u64)], stage: HealStage) -> usize {
+    steps.iter().filter(|(s, _)| *s == stage).count()
 }
 
 fn replicator<'a>(
@@ -224,6 +257,29 @@ fn assert_restores(repl: &Replicator<'_>, bufs: &[Vec<u8>], gen: u64, cell: &str
             .unwrap_or_else(|e| panic!("{cell}: gen {gen} rank {rank} restore: {e}"));
         assert_eq!(bytes, &bufs[rank], "{cell}: gen {gen} rank {rank} bytes");
     }
+}
+
+/// `small_windows` really cuts the test workloads: after one node loss,
+/// every cell heals in at least two windows of each stage it walks
+/// (`no-dedup` has no Chunks stage).
+#[test]
+fn small_windows_cross_several_windows_per_stage() {
+    each_cell(|strategy, policy, cell| {
+        let bufs = buffers(N);
+        let cluster = Cluster::new(Placement::one_per_node(N));
+        let repl = replicator(strategy, &cluster, policy, small_windows());
+        dump_all(&repl, &bufs, DUMP);
+        cluster.fail_node(1);
+        cluster.revive_node(1); // replacement disk, empty
+        let (report, steps) = heal_steps(&repl, N);
+        assert!(report.is_fully_healed(), "{cell}: {report:?}");
+        let chunk_windows = windows(&steps, HealStage::Chunks);
+        if strategy == Strategy::CollDedup {
+            assert!(chunk_windows >= 2, "{cell}: {chunk_windows} Chunks windows");
+        }
+        let owner_windows = windows(&steps, HealStage::Owners);
+        assert!(owner_windows >= 2, "{cell}: {owner_windows} Owners windows");
+    });
 }
 
 /// Promise 2, on every strategy × policy: gen 2's dump crashes rank 3
@@ -594,28 +650,31 @@ fn heal_ignores_chunk_stripes_its_generation_does_not_reference() {
     }
 }
 
-/// Promise 5: each node sends at most a batch of keys per window, so the
-/// step count follows the largest per-node key count, not the world: the
-/// same per-rank workload heals in (nearly) as many steps at 32 ranks as
-/// at 8. The batches still cut every stage into several windows; they
-/// are not the tiniest ones, where the densest of many nodes sets each
-/// cut and the count creeps up with the world.
+/// Promise 5: the budget bounds rank 0's gather per window, not each
+/// node's. With the same budget and the same per-rank workload, the
+/// most collective bytes rank 0 receives in one Chunks window is no more
+/// at 32 ranks than at 8, give or take a fixed frame per rank. And an
+/// 8-rank world at the default budget heals in fewer steps than at the
+/// 64 keys per node a budget of 8 × 64 gives it.
 #[test]
-fn heal_steps_do_not_grow_with_the_world() {
-    let opts = HealOptions {
-        chunk_batch: 16,
-        owner_batch: 4,
-        ..HealOptions::default()
-    };
-    let steps = |n: u32| {
-        let bufs = buffers(n);
+fn heal_window_gathers_do_not_grow_with_the_world() {
+    /// What rank 0 receives per window whatever the window holds, per
+    /// rank of the world: an idle leader's frame (its empty lists and no
+    /// bound), and its share of the window's counts allreduce.
+    const SLACK_PER_RANK: u64 = 96;
+    let heal = |n: u32, private_chunks: usize, replication: u32, window_keys: usize| {
+        let bufs = buffers_with(n, private_chunks);
         let cluster = Cluster::new(Placement::one_per_node(n));
-        let repl = replicator(
-            Strategy::CollDedup,
-            &cluster,
-            RedundancyPolicy::Replicate(3),
-            opts,
-        );
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&cluster)
+            .replication(replication)
+            .chunk_size(64)
+            .heal_options(HealOptions {
+                window_keys,
+                ..HealOptions::default()
+            })
+            .build()
+            .expect("valid config");
         let out = WorldConfig::default()
             .launch(n, |comm| {
                 repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
@@ -625,17 +684,42 @@ fn heal_steps_do_not_grow_with_the_world() {
         assert!(out.results.iter().all(Result::is_ok), "{n}-rank dump");
         cluster.fail_node(1);
         cluster.revive_node(1); // replacement disk, empty
-        let out = WorldConfig::default()
-            .launch(n, |comm| repl.heal(comm, DUMP))
-            .expect_all();
-        let report = out.results[0].as_ref().expect("heal succeeds");
-        assert!(report.is_fully_healed() && report.chunks_healed > 0);
-        report.steps
+        let (report, steps) = heal_steps(&repl, n);
+        assert!(
+            report.is_fully_healed() && report.chunks_healed > 0,
+            "{report:?}"
+        );
+        steps
     };
-    let (narrow, wide) = (steps(8), steps(32));
+
+    // Forty keys per list: five per leader at 8 nodes, one at 32. Six
+    // copies put six owners' manifests on every node, so five per leader
+    // still cuts the Owners stage.
+    let gather = |n: u32| {
+        let steps = heal(n, 3, 6, 40);
+        for stage in [HealStage::Chunks, HealStage::Owners] {
+            let w = windows(&steps, stage);
+            assert!(w >= 2, "{n} ranks: {w} {stage:?} windows");
+        }
+        let chunk_windows = steps.iter().filter(|(s, _)| *s == HealStage::Chunks);
+        chunk_windows.map(|(_, bytes)| *bytes).max().unwrap_or(0)
+    };
+    let (narrow, wide) = (gather(8), gather(32));
     assert!(
-        wide <= narrow + 1,
-        "8 ranks heal in {narrow} steps, 32 ranks in {wide}"
+        wide <= narrow + SLACK_PER_RANK * (32 - 8),
+        "rank 0 gathers at most {narrow} B per chunk window at 8 ranks, {wide} B at 32"
+    );
+
+    // A wide window is the point of a world-wide budget: at the default,
+    // a small world heals in far fewer steps than at 64 keys per node.
+    let steps_at = |window_keys: usize| heal(8, 64, 3, window_keys).len();
+    let (default, per_node_64) = (
+        steps_at(HealOptions::default().window_keys),
+        steps_at(8 * 64),
+    );
+    assert!(
+        default < per_node_64,
+        "8 ranks heal in {default} steps at the default budget, {per_node_64} at 8 × 64"
     );
 }
 

@@ -280,3 +280,57 @@ fn the_lowest_live_leader_only_reads_stripes_for_the_census() {
         found[0]
     );
 }
+
+/// Heal windows are sized by one world-wide key budget
+/// (`HealOptions::window_keys`). The two per-node batch counts it
+/// replaced, anywhere in the workspace, mean a second knob came back.
+#[test]
+fn heal_windows_have_one_budget() {
+    let needles = [concat!("chunk_", "batch"), concat!("owner_", "batch")];
+    let found: Vec<String> = workspace_sources()
+        .iter()
+        .flat_map(|(file, src)| {
+            hits(file, src, |line| {
+                needles.iter().any(|needle| line.contains(needle))
+            })
+        })
+        .collect();
+    assert!(
+        found.is_empty(),
+        "a per-node heal batch is back:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The collective scrub ships a leader's whole held list to rank 0 only
+/// when its caller reads the cluster-wide `dangling` and `orphans`: the
+/// one unbounded listing in core's non-test code is `scrub_impl`'s, and
+/// the branch it sits on tests `resolve`.
+#[test]
+fn the_census_lists_every_held_chunk_only_to_resolve() {
+    let call = concat!("chunk_fps(node, None, ", "usize::MAX)");
+    let tests_start = concat!("#[cfg(", "test)]");
+    let mut found = Vec::new();
+    let sources = workspace_sources();
+    for (file, src) in &sources {
+        if !file.starts_with("crates/core/src/") {
+            continue;
+        }
+        let code = src.split(tests_start).next().unwrap_or(src);
+        let lines: Vec<&str> = code.lines().collect();
+        for (at, line) in lines.iter().enumerate() {
+            if line.contains(call) {
+                let arm = lines[..at].iter().rev().find(|l| l.contains("if "));
+                let arm = arm.map_or("", |l| l.trim());
+                found.push((format!("{file}:{}", at + 1), arm.to_string()));
+            }
+        }
+    }
+    assert_eq!(found.len(), 1, "{found:?}");
+    let (at, arm) = &found[0];
+    assert!(at.starts_with("crates/core/src/repair.rs:"), "{at}");
+    assert!(
+        arm.contains("resolve"),
+        "{at}: the unbounded listing sits on `{arm}`, not on the resolve arm"
+    );
+}
