@@ -37,9 +37,11 @@ echo "== cargo test (tier-1: umbrella suites + every crate) =="
 # tests/source_gates.rs fails on a dead-code allowance in the self-healing
 # and zero-copy modules, on a deprecated shim anywhere in crates/*/src or
 # tests/, on fixed-stride chunk math (`i * chunk_size`, `* 4096`) in
-# the variable-length chunk paths, and on any use of the ignored
+# the variable-length chunk paths, on any use of the ignored
 # WorldConfig worker setter outside its definition (the benchmark seam
-# is its one caller).
+# is its one caller), and on a one-chunk fingerprint call in the dump's
+# local index, restore's two verification sites or a node scrub's
+# re-hash (chunk_checks_hash_in_batches: all go through fingerprint_all).
 cargo test -q
 
 echo "== ranks-smoke (128-rank dump/restore, one thread per rank) =="

@@ -437,7 +437,7 @@ pub(crate) fn scrub_impl(
     let leads = leader_of(ctx.cluster, node, n) == Some(me) && ctx.cluster.is_alive(node);
     comm.enter_phase("scrub.collect");
     let mut report = if leads {
-        ctx.cluster.scrub(node, ctx.hasher)?
+        ctx.cluster.scrub_node(node, ctx.hasher, resolve)?
     } else {
         ScrubReport::default()
     };
@@ -467,13 +467,11 @@ pub(crate) fn scrub_impl(
                 referenced.extend(refs.iter().copied());
             }
         }
-        // Unresolved, a node-local verdict is no verdict: both lists go.
+        // Unresolved, the leaders found neither list (`scrub_node`).
         merged
             .dangling
-            .retain(|(_, _, _, fp)| resolve && !present.contains(fp));
-        merged
-            .orphans
-            .retain(|(_, fp)| resolve && !referenced.contains(fp));
+            .retain(|(_, _, _, fp)| !present.contains(fp));
+        merged.orphans.retain(|(_, fp)| !referenced.contains(fp));
         vec![merged; all.len()]
     });
     comm.exit_phase("scrub.collect");

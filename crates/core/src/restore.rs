@@ -31,7 +31,7 @@ use std::cmp::Ordering;
 
 use bytes::Bytes;
 use replidedup_buf::{global_pool, record_copy, Chunk};
-use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
+use replidedup_hash::{ChunkHasher, Fingerprint, FpHashMap, FpHashSet};
 use replidedup_mpi::wire::{Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, CommError, Tag};
 use replidedup_storage::{Cluster, DumpId, Manifest, NodeId, Recipe, StorageError, StripeKey};
@@ -253,7 +253,9 @@ pub(crate) fn restore_impl(
         wanted.retain(|k| rescued.next_if_eq(&k).is_none());
         let moves = part.moves;
         // Payloads ride as zero-copy slices of the store's allocations and
-        // of the received frame; one that checks out re-seeds the node.
+        // of the received frame; once all are in, they are checked in one
+        // batch, and each that checks out re-seeds the node.
+        let mut arrived = Vec::new();
         let moved = transfer(
             comm,
             TAG_RESTORE,
@@ -266,15 +268,7 @@ pub(crate) fn restore_impl(
             |key, data| {
                 let data = data.into_bytes();
                 match key {
-                    Key::Chunk(fp) => {
-                        let intact = ctx.hasher.fingerprint(&data) == fp;
-                        if intact {
-                            cluster.put_chunk(node, fp, data.clone()).ok();
-                            verified.insert(fp, data);
-                            fetched += 1;
-                        }
-                        return Some(intact);
-                    }
+                    Key::Chunk(fp) => arrived.push((fp, Some(data))),
                     Key::Owner(owner) => {
                         let got = Recipe::from_bytes(blobs, data).ok()?;
                         if let Some(m) = got.manifest() {
@@ -288,6 +282,14 @@ pub(crate) fn restore_impl(
             },
         )?;
         note_retries(comm, moved.retries);
+        let checked = intact(ctx.hasher, &arrived);
+        for ((fp, data), ok) in arrived.into_iter().zip(checked) {
+            if let (Some(data), true) = (data, ok) {
+                cluster.put_chunk(node, fp, data.clone()).ok();
+                verified.insert(fp, data);
+                fetched += 1;
+            }
+        }
         // A key that arrived corrupt or undecodable, or not at all, marks
         // its server's node tried.
         let pending = |k: &Key| match k {
@@ -303,16 +305,26 @@ pub(crate) fn restore_impl(
         // corrupt or unreadable copy counts a replica fallback and is
         // requested next round; a corrupt one is quarantined for good.
         if !owner_round {
-            for fp in std::mem::take(&mut local) {
-                match fetch_with_retry(comm, || cluster.get_chunk(node, &fp)) {
-                    Ok(data) if ctx.hasher.fingerprint(&data) == fp => {
+            let read: Vec<(Fingerprint, Option<Bytes>)> = std::mem::take(&mut local)
+                .into_iter()
+                .map(|fp| {
+                    (
+                        fp,
+                        fetch_with_retry(comm, || cluster.get_chunk(node, &fp)).ok(),
+                    )
+                })
+                .collect();
+            let checked = intact(ctx.hasher, &read);
+            for ((fp, data), ok) in read.into_iter().zip(checked) {
+                match data {
+                    Some(data) if ok => {
                         verified.insert(fp, data);
                         continue;
                     }
-                    Ok(_) => {
+                    Some(_) => {
                         cluster.quarantine_chunk(node, &fp).ok();
                     }
-                    Err(_) => {}
+                    None => {}
                 }
                 comm.tracer().counter("restore_replica_fallback", 1);
                 wanted.push(Key::Chunk(fp));
@@ -515,6 +527,18 @@ fn fetch_with_retry<T>(
     let (out, retries) = retry_read(|d| comm.sleep(d), op);
     note_retries(comm, u64::from(retries));
     out
+}
+
+/// Whether each chunk's bytes hash to its fingerprint under `hasher`,
+/// checked in one [`ChunkHasher::fingerprint_all`] batch; a chunk with no
+/// bytes is not intact.
+fn intact(hasher: &dyn ChunkHasher, chunks: &[(Fingerprint, Option<Bytes>)]) -> Vec<bool> {
+    let held: Vec<&[u8]> = chunks.iter().filter_map(|(_, d)| d.as_deref()).collect();
+    let mut sums = hasher.fingerprint_all(&held).into_iter();
+    chunks
+        .iter()
+        .map(|(fp, d)| d.is_some() && sums.next() == Some(*fp))
+        .collect()
 }
 
 /// The one stripe rescue: rebuild `key`'s payload from any `k` surviving

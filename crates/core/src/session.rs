@@ -679,6 +679,49 @@ mod tests {
         assert_eq!(hasher.0.load(Ordering::Relaxed), 3 * 3, "3 ranks × D");
     }
 
+    /// A hasher with no batch kernel keeps the trait's default
+    /// `fingerprint_all`: a dump hashes each chunk once, and a heal's
+    /// scrub each stored chunk once.
+    #[test]
+    fn a_hasher_without_a_batch_kernel_hashes_each_chunk_once() {
+        let c = cluster(3);
+        let hasher = CountingSha1::default();
+        let repl = Replicator::builder(Strategy::CollDedup)
+            .cluster(&c)
+            .hasher(&hasher)
+            .replication(2)
+            .chunk_size(64)
+            .build()
+            .unwrap();
+        // Per rank: 4 + 2 + 1 = 7 chunks.
+        let buffer = |rank: u32| {
+            let mut buf = [0x5Au8; 64].repeat(4);
+            buf.extend([rank as u8 + 1; 128]);
+            buf.extend([0xC3; 20]);
+            buf
+        };
+        WorldConfig::default()
+            .launch(3, |comm| repl.dump(comm, 1, buffer(comm.rank())).unwrap())
+            .expect_all();
+        assert_eq!(
+            hasher.0.swap(0, Ordering::Relaxed),
+            3 * 7,
+            "3 ranks × 7 chunks"
+        );
+        let stored: usize = (0..3)
+            .map(|node| c.chunk_fps(node, None, usize::MAX).unwrap().len())
+            .sum();
+        WorldConfig::default()
+            .launch(3, |comm| repl.heal(comm, 1).unwrap())
+            .expect_all();
+        assert!(stored > 0);
+        assert_eq!(
+            hasher.0.load(Ordering::Relaxed),
+            stored,
+            "one per stored chunk"
+        );
+    }
+
     #[test]
     fn one_session_many_dumps() {
         let c = cluster(2);

@@ -1,22 +1,28 @@
-//! SHA-1 (RFC 3174) with two compression kernels.
+//! SHA-1 (RFC 3174) with three compression kernels.
 //!
 //! The paper fingerprints 4 KiB memory pages with OpenSSL's SHA-1, which
 //! uses the CPU's SHA extensions where they exist. We keep the same
 //! algorithm for fidelity (collision behaviour, digest width) without a
-//! crypto dependency, and the same hardware path:
+//! crypto dependency, and the same hardware paths:
 //!
-//! * on x86-64 CPUs that report `sha`, `sse2`, `ssse3` and `sse4.1` at run
-//!   time, a kernel built on the SHA-NI intrinsics from `std::arch`
+//! * on x86-64 CPUs that report `avx512f` and `avx512bw` at run time,
+//!   [`Sha1::digest_many`] hashes sixteen messages at once, one per 32-bit
+//!   lane of each 512-bit register, with a lane scheduler that keeps the
+//!   lanes full when message lengths differ;
+//! * on x86-64 CPUs that report `sha`, `sse2`, `ssse3` and `sse4.1`, a
+//!   single-stream kernel built on the SHA-NI intrinsics from `std::arch`
 //!   (`sha1rnds4`, `sha1nexte`, `sha1msg1`, `sha1msg2`) compresses every
-//!   run of blocks with the state held in registers;
+//!   run of blocks of one message with the state held in registers;
 //! * everywhere else, a portable scalar kernel runs the 80 rounds. It is
-//!   also the oracle the SHA-NI kernel is tested against.
+//!   also the oracle the other two are tested against.
 //!
-//! Both produce identical digests; fingerprints are on-disk format. On a
-//! 2-vCPU Intel Xeon with SHA extensions, the benchmark's 4 KiB-page
+//! All three produce identical digests; fingerprints are on-disk format.
+//! On a 2-vCPU Intel Xeon with both extensions, the benchmark's 4 KiB-page
 //! fingerprint probe (`hash.fingerprint_mibps`, `ckpt-shared`) read
-//! 1,180–1,470 MiB/s with the SHA-NI kernel and 280–300 MiB/s with the
-//! scalar one.
+//! 2,720–3,270 MiB/s through the 16-lane kernel, 1,180–1,470 MiB/s
+//! through the SHA-NI one and 280–300 MiB/s through the scalar one. The
+//! SHA unit there is throughput-bound: interleaving two to eight SHA-NI
+//! streams gained nothing, so the batch path is the vector kernel.
 //!
 //! SHA-1 is not collision-resistant against adversaries anymore, but the
 //! paper's threat model is accidental collisions between checkpoint pages,
@@ -111,22 +117,54 @@ impl Sha1 {
 
     /// [`Sha1::finalize`] with the compression kernel as a parameter.
     fn finish(mut self, compress: impl Fn(&mut [u32; 5], &[u8])) -> [u8; 20] {
-        // Padding: the buffered tail, 0x80, zeros, then the 64-bit
-        // big-endian bit length in the last 8 bytes. That fits in one block
-        // when at most 55 bytes are buffered, else it takes two.
-        let n = self.block_len;
-        let mut tail = [0u8; 128];
-        tail[..n].copy_from_slice(&self.block[..n]);
-        tail[n] = 0x80;
-        let end = if n < 56 { 64 } else { 128 };
-        tail[end - 8..end].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        let (tail, end) = pad(&self.block[..self.block_len], self.len);
         compress(&mut self.state, &tail[..end]);
-        let mut out = [0u8; 20];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        to_digest(self.state)
     }
+
+    /// One-shot digests of every message in `msgs`, in order; each equals
+    /// [`Sha1::digest`] of its message.
+    ///
+    /// On x86-64 CPUs that report `avx512f` and `avx512bw` at run time,
+    /// the messages run sixteen at a time through the multi-buffer
+    /// kernel; everywhere else each goes through [`Sha1::digest`].
+    ///
+    /// ```
+    /// use replidedup_hash::Sha1;
+    /// let msgs: [&[u8]; 2] = [b"abc", b""];
+    /// assert_eq!(Sha1::digest_many(&msgs), vec![Sha1::digest(b"abc"), Sha1::digest(b"")]);
+    /// ```
+    pub fn digest_many(msgs: &[&[u8]]) -> Vec<[u8; 20]> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(out) = avx512::try_digest_many(msgs, avx512::BREAK_EVEN) {
+            return out;
+        }
+        msgs.iter().map(|m| Self::digest(m)).collect()
+    }
+}
+
+/// The padded tail of a message of `len` bytes whose last partial block
+/// is `rem` (at most 63 bytes): `rem`, 0x80, zeros, then the 64-bit
+/// big-endian bit length in the last 8 bytes. That fits in one block when
+/// `rem` is at most 55 bytes, else it takes two; returns the buffer and
+/// how many of its bytes (64 or 128) to compress.
+fn pad(rem: &[u8], len: u64) -> ([u8; 128], usize) {
+    let n = rem.len();
+    let mut tail = [0u8; 128];
+    tail[..n].copy_from_slice(rem);
+    tail[n] = 0x80;
+    let end = if n < 56 { 64 } else { 128 };
+    tail[end - 8..end].copy_from_slice(&len.wrapping_mul(8).to_be_bytes());
+    (tail, end)
+}
+
+/// The big-endian digest bytes of a final `state`.
+fn to_digest(state: [u32; 5]) -> [u8; 20] {
+    let mut out = [0u8; 20];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// Compress `blocks` (a whole number of 64-byte blocks) into `state` with
@@ -326,6 +364,312 @@ mod shani {
     }
 }
 
+/// The multi-buffer kernel: sixteen messages at once, one per 32-bit lane
+/// of each AVX-512 register, so every register holds one state or
+/// schedule word for sixteen messages. The round functions are single
+/// `vpternlogd`s (choose 0xCA, parity 0x96, majority 0xE8), the rotates
+/// `vprold`, and the big-endian load one `vpshufb` per block.
+///
+/// A lane scheduler keeps the lanes full when lengths differ: each lane
+/// walks its own message, whole blocks read in place and then its padded
+/// tail, and a lane that finishes hands its digest out and takes the next
+/// message with its state reset to the IV under a mask. Once fewer than
+/// [`BREAK_EVEN`] lanes have work and no message is left to load, the
+/// messages in flight finish on the single-stream kernel.
+///
+/// Every `#[target_feature]` function here is reached only through
+/// `digest_many`, which [`avx512::try_digest_many`] calls only after
+/// detection.
+#[cfg(target_arch = "x86_64")]
+#[allow(
+    unsafe_code,
+    reason = "AVX-512 intrinsics behind runtime feature detection"
+)]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_mask_mov_epi32, _mm512_rol_epi32,
+        _mm512_set1_epi32, _mm512_set_epi64, _mm512_setzero_si512, _mm512_shuffle_epi8,
+        _mm512_shuffle_i32x4, _mm512_storeu_si512, _mm512_ternarylogic_epi32,
+        _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
+        _mm512_xor_si512,
+    };
+
+    use super::{compress_blocks, pad, to_digest, Sha1};
+
+    /// Messages per compression: one per 32-bit lane of a 512-bit register.
+    const LANES: usize = 16;
+
+    /// Fewest lanes with work worth a 16-lane compression. One runs about
+    /// as long as eight single-stream SHA-NI blocks on the host the
+    /// module doc names, so below eight busy lanes the single-stream
+    /// kernel finishes the stragglers sooner.
+    pub(super) const BREAK_EVEN: usize = 8;
+
+    /// Whether the CPU has every feature [`digest_many`] enables.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+    }
+
+    /// Digest every message of `msgs` with this kernel if the CPU has
+    /// AVX-512, handing the stragglers to the single-stream kernel once
+    /// fewer than `break_even` lanes are busy. Returns `None` if it does not.
+    pub(super) fn try_digest_many(msgs: &[&[u8]], break_even: usize) -> Option<Vec<[u8; 20]>> {
+        if !detected() {
+            return None;
+        }
+        // SAFETY: `detected()` just confirmed that the CPU supports every
+        // target feature `digest_many` is compiled with.
+        Some(unsafe { digest_many(msgs, break_even) })
+    }
+
+    /// One message in flight in a lane: its slot in the output, the whole
+    /// blocks it has left (read in place), and its padded tail (the only
+    /// bytes copied: at most 63, plus padding).
+    struct Lane<'a> {
+        slot: usize,
+        blocks: &'a [u8],
+        tail: [u8; 128],
+        /// Tail bytes compressed so far, and the tail's length (64 or 128).
+        tail_at: usize,
+        tail_end: usize,
+    }
+
+    impl<'a> Lane<'a> {
+        fn new(slot: usize, msg: &'a [u8]) -> Self {
+            let (blocks, rem) = msg.split_at(msg.len() - msg.len() % 64);
+            let (tail, tail_end) = pad(rem, msg.len() as u64);
+            Self {
+                slot,
+                blocks,
+                tail,
+                tail_at: 0,
+                tail_end,
+            }
+        }
+
+        /// The next block to compress.
+        fn block(&self) -> Option<&[u8; 64]> {
+            match self.blocks.first_chunk() {
+                Some(block) => Some(block),
+                None => self.tail[self.tail_at..].first_chunk(),
+            }
+        }
+
+        /// Step past the block just compressed; `true` once none is left.
+        fn advance(&mut self) -> bool {
+            match self.blocks.get(64..) {
+                Some(rest) => self.blocks = rest,
+                None => self.tail_at += 64,
+            }
+            self.done()
+        }
+
+        /// Whether every block of the message has been compressed.
+        fn done(&self) -> bool {
+            self.blocks.is_empty() && self.tail_at == self.tail_end
+        }
+
+        /// Finish this message on the single-stream kernel from `state`.
+        fn finish_alone(&self, mut state: [u32; 5]) -> [u8; 20] {
+            compress_blocks(&mut state, self.blocks);
+            compress_blocks(&mut state, &self.tail[self.tail_at..self.tail_end]);
+            to_digest(state)
+        }
+    }
+
+    /// Lane `lane`'s five state words out of `words`.
+    fn lane_state(words: &[[u32; LANES]; 5], lane: usize) -> [u32; 5] {
+        [0, 1, 2, 3, 4].map(|w| words[w][lane])
+    }
+
+    /// The lane scheduler around [`compress`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support every enabled feature; [`try_digest_many`],
+    /// the one caller, checks [`detected`] first.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn digest_many(msgs: &[&[u8]], break_even: usize) -> Vec<[u8; 20]> {
+        // What an idle lane compresses; its result is never read.
+        const IDLE: [u8; 64] = [0; 64];
+        let mut out = vec![[0u8; 20]; msgs.len()];
+        let mut queue = msgs.iter().enumerate();
+        let mut lanes: [Option<Lane<'_>>; LANES] = std::array::from_fn(|_| None);
+        let mut state = [_mm512_setzero_si512(); 5];
+        loop {
+            // Every free lane takes the next message, from the IV.
+            let mut fresh = 0u16;
+            for (bit, lane) in (0..).zip(&mut lanes) {
+                if lane.is_none() {
+                    if let Some((slot, msg)) = queue.next() {
+                        *lane = Some(Lane::new(slot, msg));
+                        fresh |= 1 << bit;
+                    }
+                }
+            }
+            for (s, iv) in state.iter_mut().zip(Sha1::IV) {
+                *s = _mm512_mask_mov_epi32(*s, fresh, _mm512_set1_epi32(iv as i32));
+            }
+            if lanes.iter().flatten().count() < break_even.max(1) {
+                let words = spill(&state);
+                for (i, lane) in lanes.iter().enumerate() {
+                    if let Some(lane) = lane {
+                        out[lane.slot] = lane.finish_alone(lane_state(&words, i));
+                    }
+                }
+                return out;
+            }
+            let blocks = lanes
+                .each_ref()
+                .map(|lane| lane.as_ref().and_then(Lane::block).unwrap_or(&IDLE));
+            compress(&mut state, &blocks);
+            let mut any_done = false;
+            for lane in lanes.iter_mut().flatten() {
+                any_done |= lane.advance();
+            }
+            if any_done {
+                let words = spill(&state);
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    if let Some(done) = lane.take_if(|lane| lane.done()) {
+                        out[done.slot] = to_digest(lane_state(&words, i));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The state words, lane by lane.
+    #[target_feature(enable = "avx512f")]
+    fn spill(state: &[__m512i; 5]) -> [[u32; LANES]; 5] {
+        let mut words = [[0u32; LANES]; 5];
+        for (word, v) in words.iter_mut().zip(state) {
+            // SAFETY: `word` is 64 writable bytes and `_mm512_storeu_si512`
+            // has no alignment requirement.
+            unsafe { _mm512_storeu_si512(word.as_mut_ptr().cast(), *v) };
+        }
+        words
+    }
+
+    /// Sixteen rows of sixteen words into sixteen columns: row `i` is lane
+    /// `i`'s block, column `j` is word `j` of every lane's block. Unpacks
+    /// pair words, then quads, within each 128-bit quarter; two 128-bit
+    /// shuffles then gather each word's four quarters.
+    #[target_feature(enable = "avx512f")]
+    fn transpose(r: [__m512i; LANES]) -> [__m512i; LANES] {
+        let mut t = [_mm512_setzero_si512(); LANES];
+        for i in (0..LANES).step_by(2) {
+            t[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
+            t[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);
+        }
+        // Quarter `q` of `u[4k + m]` is word `4q + m` of rows `4k..4k + 4`.
+        let mut u = [_mm512_setzero_si512(); LANES];
+        for k in (0..LANES).step_by(4) {
+            u[k] = _mm512_unpacklo_epi64(t[k], t[k + 2]);
+            u[k + 1] = _mm512_unpackhi_epi64(t[k], t[k + 2]);
+            u[k + 2] = _mm512_unpacklo_epi64(t[k + 1], t[k + 3]);
+            u[k + 3] = _mm512_unpackhi_epi64(t[k + 1], t[k + 3]);
+        }
+        let mut w = [_mm512_setzero_si512(); LANES];
+        for m in 0..4 {
+            let (a, b, c, d) = (u[m], u[4 + m], u[8 + m], u[12 + m]);
+            let ab_lo = _mm512_shuffle_i32x4::<0x44>(a, b);
+            let ab_hi = _mm512_shuffle_i32x4::<0xEE>(a, b);
+            let cd_lo = _mm512_shuffle_i32x4::<0x44>(c, d);
+            let cd_hi = _mm512_shuffle_i32x4::<0xEE>(c, d);
+            w[m] = _mm512_shuffle_i32x4::<0x88>(ab_lo, cd_lo);
+            w[4 + m] = _mm512_shuffle_i32x4::<0xDD>(ab_lo, cd_lo);
+            w[8 + m] = _mm512_shuffle_i32x4::<0x88>(ab_hi, cd_hi);
+            w[12 + m] = _mm512_shuffle_i32x4::<0xDD>(ab_hi, cd_hi);
+        }
+        w
+    }
+
+    /// Round `$i` with round function `$f` (a `vpternlogd` immediate) and
+    /// constant `$k`: `E += rotl5(A) + f(B, C, D) + K + W[i]`, then
+    /// `B = rotl30(B)`; the caller renames the registers instead of moving
+    /// them. From round 16 on, `W[i]` is expanded in place in the 16-word
+    /// ring `$w` first.
+    macro_rules! round {
+        ($w:ident, $i:expr, $f:literal, $k:ident, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+            let i: usize = $i;
+            if i >= 16 {
+                let x = _mm512_ternarylogic_epi32::<0x96>(
+                    $w[(i + 13) & 15],
+                    $w[(i + 8) & 15],
+                    $w[(i + 2) & 15],
+                );
+                $w[i & 15] = _mm512_rol_epi32::<1>(_mm512_xor_si512(x, $w[i & 15]));
+            }
+            let f = _mm512_ternarylogic_epi32::<$f>($b, $c, $d);
+            let kw = _mm512_add_epi32($w[i & 15], $k);
+            $e = _mm512_add_epi32(
+                _mm512_add_epi32($e, _mm512_rol_epi32::<5>($a)),
+                _mm512_add_epi32(f, kw),
+            );
+            $b = _mm512_rol_epi32::<30>($b);
+        };
+    }
+
+    /// Rounds `$i..$i + 5`, after which the registers are back in order.
+    macro_rules! five {
+        ($w:ident, $i:expr, $f:literal, $k:ident, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+            round!($w, $i, $f, $k, $a, $b, $c, $d, $e);
+            round!($w, $i + 1, $f, $k, $e, $a, $b, $c, $d);
+            round!($w, $i + 2, $f, $k, $d, $e, $a, $b, $c);
+            round!($w, $i + 3, $f, $k, $c, $d, $e, $a, $b);
+            round!($w, $i + 4, $f, $k, $b, $c, $d, $e, $a);
+        };
+    }
+
+    /// Compress one 64-byte block per lane into `state`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn compress(state: &mut [__m512i; 5], blocks: &[&[u8; 64]; LANES]) {
+        // Reverses the bytes of every 32-bit word: big-endian words.
+        let be_words = _mm512_set_epi64(
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+        );
+        let mut rows = [_mm512_setzero_si512(); LANES];
+        for (row, block) in rows.iter_mut().zip(blocks) {
+            // SAFETY: `block` is 64 readable bytes and `_mm512_loadu_si512`
+            // has no alignment requirement.
+            let v = unsafe { _mm512_loadu_si512(block.as_ptr().cast()) };
+            *row = _mm512_shuffle_epi8(v, be_words);
+        }
+        let mut w = transpose(rows);
+        let k0 = _mm512_set1_epi32(0x5a82_7999);
+        let k1 = _mm512_set1_epi32(0x6ed9_eba1);
+        let k2 = _mm512_set1_epi32(0x8f1b_bcdc_u32 as i32);
+        let k3 = _mm512_set1_epi32(0xca62_c1d6_u32 as i32);
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+        five!(w, 0, 0xCA, k0, a, b, c, d, e);
+        five!(w, 5, 0xCA, k0, a, b, c, d, e);
+        five!(w, 10, 0xCA, k0, a, b, c, d, e);
+        five!(w, 15, 0xCA, k0, a, b, c, d, e);
+        five!(w, 20, 0x96, k1, a, b, c, d, e);
+        five!(w, 25, 0x96, k1, a, b, c, d, e);
+        five!(w, 30, 0x96, k1, a, b, c, d, e);
+        five!(w, 35, 0x96, k1, a, b, c, d, e);
+        five!(w, 40, 0xE8, k2, a, b, c, d, e);
+        five!(w, 45, 0xE8, k2, a, b, c, d, e);
+        five!(w, 50, 0xE8, k2, a, b, c, d, e);
+        five!(w, 55, 0xE8, k2, a, b, c, d, e);
+        five!(w, 60, 0x96, k3, a, b, c, d, e);
+        five!(w, 65, 0x96, k3, a, b, c, d, e);
+        five!(w, 70, 0x96, k3, a, b, c, d, e);
+        five!(w, 75, 0x96, k3, a, b, c, d, e);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = _mm512_add_epi32(*s, v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +680,18 @@ mod tests {
     #[cfg(not(target_arch = "x86_64"))]
     fn sha_ni_detected() -> bool {
         false
+    }
+    #[cfg(target_arch = "x86_64")]
+    use super::avx512::{detected as avx512_detected, try_digest_many, BREAK_EVEN};
+    #[cfg(not(target_arch = "x86_64"))]
+    fn avx512_detected() -> bool {
+        false
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    const BREAK_EVEN: usize = 8;
+    #[cfg(not(target_arch = "x86_64"))]
+    fn try_digest_many(_: &[&[u8]], _: usize) -> Option<Vec<[u8; 20]>> {
+        None
     }
 
     fn hex(d: [u8; 20]) -> String {
@@ -494,6 +850,170 @@ mod tests {
         } else {
             eprintln!("no SHA-NI on this CPU: checked the scalar kernel only");
         }
+    }
+
+    /// A batch kernel: the per-message fallback (`None`), or the 16-lane
+    /// kernel handing its stragglers to the single-stream one below
+    /// `Some(break_even)` busy lanes.
+    type BatchKernel = Option<usize>;
+
+    /// Every batch kernel this CPU runs, by name: the per-message
+    /// fallback everywhere; with AVX-512, the 16-lane kernel with its
+    /// drain, and alone (a break-even of one lane: every block of every
+    /// message runs through the 16-lane compression).
+    fn batch_kernels() -> Vec<(&'static str, BatchKernel)> {
+        if avx512_detected() {
+            vec![
+                ("per-message", None),
+                ("avx512+drain", Some(BREAK_EVEN)),
+                ("avx512", Some(1)),
+            ]
+        } else {
+            eprintln!("no AVX-512 on this CPU: checked the per-message kernel only");
+            vec![("per-message", None)]
+        }
+    }
+
+    fn run_batch(kernel: BatchKernel, msgs: &[&[u8]]) -> Vec<[u8; 20]> {
+        match kernel {
+            None => msgs.iter().map(|m| Sha1::digest(m)).collect(),
+            Some(break_even) => try_digest_many(msgs, break_even).unwrap_or_default(),
+        }
+    }
+
+    /// The scalar kernel's digest: the oracle every batch is held to.
+    fn scalar_digest(msg: &[u8]) -> [u8; 20] {
+        let mut h = Sha1::new();
+        h.absorb(msg, scalar_blocks);
+        h.finish(scalar_blocks)
+    }
+
+    /// Each batch kernel against the scalar oracle, message by message.
+    fn check_batch(msgs: &[&[u8]], what: &str) {
+        let want: Vec<[u8; 20]> = msgs.iter().map(|m| scalar_digest(m)).collect();
+        for (name, kernel) in batch_kernels() {
+            let got = run_batch(kernel, msgs);
+            assert_eq!(got.len(), msgs.len(), "{name}, {what}: digest count");
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got,
+                    want,
+                    "{name}, {what}: message {i}, {} bytes",
+                    msgs[i].len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fips_vectors_through_digest_many() {
+        let million_a = vec![b'a'; 1_000_000];
+        let msgs: [&[u8]; 5] = [
+            b"",
+            b"abc",
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            b"The quick brown fox jumps over the lazy dog",
+            &million_a,
+        ];
+        let want = [
+            "da39a3ee5e6b4b0d3255bfef95601890afd80709",
+            "a9993e364706816aba3e25717850c26c9cd0d89d",
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12",
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f",
+        ];
+        for (name, kernel) in batch_kernels() {
+            let got: Vec<String> = run_batch(kernel, &msgs).into_iter().map(hex).collect();
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn digest_many_batch_sizes_around_the_lane_count() {
+        let buf = seeded_bytes(3, 40 * 4096);
+        for count in [0usize, 1, 15, 16, 17, 40] {
+            let msgs: Vec<&[u8]> = buf.chunks(4096).take(count).collect();
+            check_batch(&msgs, &format!("{count} pages"));
+        }
+    }
+
+    #[test]
+    fn digest_many_every_length_up_to_300_and_around_a_page() {
+        let buf = seeded_bytes(4, 4097 + 15);
+        let lens: Vec<usize> = (0..=300).chain([4095, 4096, 4097]).collect();
+        // All lengths in one batch, then each length filling every lane.
+        let mixed: Vec<&[u8]> = lens.iter().map(|&n| &buf[..n]).collect();
+        check_batch(&mixed, "every length");
+        for n in lens {
+            let same: Vec<&[u8]> = (0..16).map(|i| &buf[i..i + n]).collect();
+            check_batch(&same, &format!("16 lanes near {n} bytes"));
+        }
+    }
+
+    #[test]
+    fn digest_many_mixed_lengths_in_one_batch() {
+        let buf = seeded_bytes(5, 32 * 1024);
+        let lens = [
+            0usize,
+            55,
+            56,
+            63,
+            64,
+            32 * 1024,
+            0,
+            4096,
+            1,
+            65,
+            119,
+            120,
+            128,
+        ];
+        let msgs: Vec<&[u8]> = lens
+            .iter()
+            .cycle()
+            .take(3 * lens.len())
+            .map(|&n| &buf[..n])
+            .collect();
+        check_batch(&msgs, "mixed lengths");
+    }
+
+    #[test]
+    fn digest_many_at_every_start_offset() {
+        let buf = seeded_bytes(6, 64 + 4096);
+        for len in [1usize, 63, 64, 100, 4096] {
+            let msgs: Vec<&[u8]> = (0..64).map(|off| &buf[off..off + len]).collect();
+            check_batch(&msgs, &format!("{len} bytes at offsets 0..64"));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn digest_many_matches_digest_on_random_lengths(
+            lens in proptest::collection::vec(0usize..9000, 0..48),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let buf = seeded_bytes(seed, 9000);
+            let msgs: Vec<&[u8]> = lens.iter().map(|&n| &buf[..n]).collect();
+            let want: Vec<[u8; 20]> = msgs.iter().map(|m| Sha1::digest(m)).collect();
+            proptest::prop_assert_eq!(Sha1::digest_many(&msgs), want);
+        }
+    }
+
+    /// Pins variable-length fingerprints as the page test below pins fixed
+    /// ones: the SHA-1 of the concatenated gear-chunk fingerprints of a
+    /// seeded 1 MiB buffer, recorded from the per-message path.
+    #[test]
+    fn gear_chunk_fingerprints_of_a_seeded_mib_are_pinned() {
+        use crate::{Chunker, GearChunker, GearParams};
+        let buf = seeded_bytes(7, 1 << 20);
+        let ranges = GearChunker::new(GearParams::default()).chunks(&buf);
+        let fps = fingerprint_ranges(&Sha1ChunkHasher, &buf, &ranges);
+        let concat: Vec<u8> = fps.iter().flat_map(|fp| *fp.as_bytes()).collect();
+        assert_eq!(fps.len(), 220);
+        assert_eq!(
+            hex(Sha1::digest(&concat)),
+            "e88babb8894a1eb9e5268b7e2c0a1ded8070e926"
+        );
     }
 
     /// Pins on-disk fingerprint identity: the SHA-1 of the 256 concatenated

@@ -147,13 +147,34 @@ impl Cluster {
     /// the heal's job (`replidedup-core`), which is also what clears a
     /// dirty report.
     pub fn scrub(&self, node: NodeId, hasher: &dyn ChunkHasher) -> StorageResult<ScrubReport> {
+        self.scrub_node(node, hasher, true)
+    }
+
+    /// [`Cluster::scrub`], with the node-local `dangling` and `orphans`
+    /// findings only when `resolve` is set. They say what this node
+    /// lacks or holds unreferenced, which means something only once the
+    /// collective scrub resolves them against every other node; unresolved,
+    /// the passes that find them are skipped and both lists stay empty.
+    /// `corrupt` and `length_mismatch` are intrinsic to the node's bytes
+    /// and are found either way.
+    pub fn scrub_node(
+        &self,
+        node: NodeId,
+        hasher: &dyn ChunkHasher,
+        resolve: bool,
+    ) -> StorageResult<ScrubReport> {
         self.with_node(node, |state| {
             let mut report = ScrubReport::default();
 
-            // Pass 1: re-hash every chunk against its key.
-            for (fp, data) in state.store.entries() {
-                report.chunks_checked += 1;
-                if hasher.fingerprint(data) != *fp {
+            // Pass 1: re-hash every chunk against its key, in one batch.
+            let (keys, chunks): (Vec<&Fingerprint>, Vec<&[u8]>) = state
+                .store
+                .entries()
+                .map(|(fp, data)| (fp, &data[..]))
+                .unzip();
+            report.chunks_checked = keys.len() as u64;
+            for (fp, sum) in keys.into_iter().zip(hasher.fingerprint_all(&chunks)) {
+                if sum != *fp {
                     report.corrupt.push((node, *fp));
                 }
             }
@@ -169,7 +190,9 @@ impl Cluster {
             for ((owner, dump_id), recipe) in &state.recipes {
                 let Some(m) = recipe.manifest() else { continue };
                 for (i, fp) in m.chunks.iter().enumerate() {
-                    referenced.insert(*fp);
+                    if resolve {
+                        referenced.insert(*fp);
+                    }
                     // Coded chunks live as stripe shards, not replicas:
                     // absence here is by design, and their integrity is
                     // [`Cluster::scrub_stripes`]' job. (Still `referenced`,
@@ -178,11 +201,11 @@ impl Cluster {
                         continue;
                     }
                     match state.store.get(fp) {
-                        None => report.dangling.push((node, *owner, *dump_id, *fp)),
+                        None if resolve => report.dangling.push((node, *owner, *dump_id, *fp)),
                         Some(data) if data.len() != m.chunk_len(i) => {
                             report.length_mismatch.push((node, *owner, *dump_id, *fp));
                         }
-                        Some(_) => {}
+                        _ => {}
                     }
                 }
             }
@@ -190,13 +213,15 @@ impl Cluster {
             // Pass 3: chunks — copies or chunk-stripe shards — no
             // manifest references. (Blobs are opaque — no key to verify,
             // no chunk references to cross-check.)
-            let stripes = state.shards.keys().filter_map(|(key, _)| match key {
-                StripeKey::Chunk(fp) => Some(fp),
-                StripeKey::Blob { .. } => None,
-            });
-            for fp in state.store.fingerprints().chain(stripes) {
-                if !referenced.contains(fp) {
-                    report.orphans.push((node, *fp));
+            if resolve {
+                let stripes = state.shards.keys().filter_map(|(key, _)| match key {
+                    StripeKey::Chunk(fp) => Some(fp),
+                    StripeKey::Blob { .. } => None,
+                });
+                for fp in state.store.fingerprints().chain(stripes) {
+                    if !referenced.contains(fp) {
+                        report.orphans.push((node, *fp));
+                    }
                 }
             }
 
@@ -536,6 +561,44 @@ mod tests {
         put_manifest(&c, 0, manifest_of(0, 2, vec![ghost]));
         let r = c.scrub(0, &Sha1ChunkHasher).unwrap();
         assert_eq!(r.dangling, vec![(0, 0, 2, ghost)], "generation 2 checked");
+    }
+
+    /// Unresolved, a node's scrub skips the passes that find `dangling`
+    /// and `orphans` and keeps every other finding.
+    #[test]
+    fn an_unresolved_scrub_is_the_resolved_one_without_dangling_and_orphans() {
+        let c = Cluster::new(Placement::one_per_node(1));
+        let a = put(&c, 0, b"aaaa");
+        let rotten = put(&c, 0, b"rott");
+        let short = put(&c, 0, b"shrt");
+        let stray = put(&c, 0, b"stray");
+        let ghost = Sha1ChunkHasher.fingerprint(b"neverstored");
+        c.corrupt_chunk(0, &rotten).unwrap();
+        put_manifest(&c, 0, manifest_of(0, 1, vec![a, rotten, ghost]));
+        put_manifest(
+            &c,
+            0,
+            Manifest {
+                total_len: 9,
+                chunk_lens: vec![9],
+                ..manifest_of(1, 1, vec![short])
+            },
+        );
+        let resolved = c.scrub_node(0, &Sha1ChunkHasher, true).unwrap();
+        assert_eq!(resolved, c.scrub(0, &Sha1ChunkHasher).unwrap());
+        assert_eq!(resolved.corrupt, vec![(0, rotten)]);
+        assert_eq!(resolved.dangling, vec![(0, 0, 1, ghost)]);
+        assert_eq!(resolved.length_mismatch, vec![(0, 1, 1, short)]);
+        assert_eq!(resolved.orphans, vec![(0, stray)]);
+        let unresolved = c.scrub_node(0, &Sha1ChunkHasher, false).unwrap();
+        assert_eq!(
+            unresolved,
+            ScrubReport {
+                dangling: Vec::new(),
+                orphans: Vec::new(),
+                ..resolved
+            }
+        );
     }
 
     #[test]

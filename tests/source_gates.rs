@@ -334,3 +334,92 @@ fn the_census_lists_every_held_chunk_only_to_resolve() {
         "{at}: the unbounded listing sits on `{arm}`, not on the resolve arm"
     );
 }
+
+/// The byte span of the function declared by `signature` in `src`: from
+/// its line through the closing brace at that line's indentation.
+fn fn_span(file: &str, src: &str, signature: &str) -> std::ops::Range<usize> {
+    let at = src
+        .find(signature)
+        .unwrap_or_else(|| panic!("{file}: no `{signature}`"));
+    let start = src[..at].rfind('\n').map_or(0, |i| i + 1);
+    let indent = &src[start..at];
+    let close = format!(
+        "\n{}}}\n",
+        &indent[..indent.len() - indent.trim_start().len()]
+    );
+    let len = src[at..]
+        .find(&close)
+        .unwrap_or_else(|| panic!("{file}: `{signature}` never closes"));
+    start..at + len + close.len()
+}
+
+/// `src` with the lines of `span` (`keep == false`) or all other lines
+/// (`keep == true`) emptied, so `hits` still reports the file's line
+/// numbers.
+fn blank(src: &str, span: std::ops::Range<usize>, keep: bool) -> String {
+    let empty = |s: &str| "\n".repeat(s.matches('\n').count());
+    let (head, body, tail) = (&src[..span.start], &src[span.clone()], &src[span.end..]);
+    if keep {
+        empty(head) + body
+    } else {
+        format!("{head}{}{tail}", empty(body))
+    }
+}
+
+/// The dump's local index, restore's two verification sites and a node
+/// scrub's re-hash check chunks in batches, through
+/// `ChunkHasher::fingerprint_all` (the dump via `fingerprint_ranges`), so
+/// a batch kernel sees every chunk at once. A one-chunk `fingerprint`
+/// call there means a site went back to hashing one chunk at a time; the
+/// only one left is restore's stripe rescue, which rebuilds one payload.
+#[test]
+fn chunk_checks_hash_in_batches() {
+    let single = concat!(".finger", "print(");
+    let batch = concat!(".fingerprint", "_all(");
+    let tests_start = concat!("#[cfg(", "test)]");
+    let code = |(file, src): (&'static str, &'static str)| {
+        (file, src.split(tests_start).next().unwrap_or(src))
+    };
+    let body = |(file, src): (&str, &str), signature: &str| {
+        let span = fn_span(file, src, signature);
+        src[span].to_string()
+    };
+    let hash = code(source!("crates/hash/src/lib.rs"));
+    let local = code(source!("crates/core/src/local.rs"));
+    let restore = code(source!("crates/core/src/restore.rs"));
+    let scrub = code(source!("crates/storage/src/scrub.rs"));
+
+    assert!(
+        body(hash, "pub fn fingerprint_ranges(").contains(batch),
+        "fingerprint_ranges is not one batch"
+    );
+    assert!(local.1.contains("fingerprint_ranges("), "the local index");
+    let mut found = hits(local.0, local.1, |line| line.contains(single));
+
+    let rescue = fn_span(restore.0, restore.1, "fn stripe_rescue(");
+    let outside_rescue = blank(restore.1, rescue, false);
+    found.extend(hits(restore.0, &outside_rescue, |line| {
+        line.contains(single)
+    }));
+    assert!(
+        body(restore, "fn intact(").contains(batch),
+        "restore's `intact` is not one batch"
+    );
+    assert_eq!(
+        body(restore, "fn restore_impl(")
+            .matches("intact(ctx.hasher")
+            .count(),
+        2,
+        "both of restore's verification sites go through `intact`"
+    );
+
+    let node = fn_span(scrub.0, scrub.1, "pub fn scrub_node(");
+    let node = blank(scrub.1, node, true);
+    assert!(node.contains(batch), "scrub_node's pass 1 is not one batch");
+    found.extend(hits(scrub.0, &node, |line| line.contains(single)));
+    assert!(
+        found.is_empty(),
+        "a chunk check hashes one chunk at a time:\n{}",
+        found.join("\n")
+    );
+}
