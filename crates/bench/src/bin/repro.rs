@@ -196,14 +196,16 @@ fn write_trace(path: &PathBuf) {
     );
 }
 
-/// Run the deterministic fault-injection demo: one coll-dedup dump under
-/// `spec`, reporting which ranks crashed and which survivors degraded, then
-/// a restart (fresh world, failed nodes revived empty) restoring whatever
-/// data survived.
+/// Run the deterministic fault-injection demo: a clean coll-dedup dump
+/// of generation 1, then generation 2 under `spec`, reporting each rank's
+/// outcome; then a restart (fresh world, failed nodes revived empty) that
+/// asks storage for the newest complete generation and restores it. Exits
+/// 1 when no generation is complete or any rank's restore fails or comes
+/// back with other bytes.
 fn run_fault_demo(spec: &str) {
     use replidedup_core::{Replicator, Strategy, DUMP_PHASES};
     use replidedup_mpi::{FaultPlan, RankOutcome, WorldConfig};
-    use replidedup_storage::{Cluster, Placement};
+    use replidedup_storage::{Cluster, DumpId, Placement};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -215,7 +217,7 @@ fn run_fault_demo(spec: &str) {
     } else {
         parsed
     };
-    println!("== fault demo: coll-dedup dump, {N} ranks, K = 3 ==");
+    println!("== fault demo: coll-dedup dumps, {N} ranks, K = 3; generation 2 under the plan ==");
     for f in &plan.faults {
         println!("   fault: {f:?}");
     }
@@ -240,25 +242,27 @@ fn run_fault_demo(spec: &str) {
         .chunk_size(4096)
         .build()
         .expect("valid config");
-    let out = config.launch(N, |comm| {
-        let buf = vec![comm.rank() as u8 + 1; 64 * 1024];
-        repl.dump(comm, 1, &buf)
-    });
+    let buf_of = |gen: DumpId, rank: u32| vec![(gen as u8) * 100 + rank as u8; 64 * 1024];
+    let clean = WorldConfig::default()
+        .launch(N, |comm| {
+            repl.dump(comm, 1, buf_of(1, comm.rank())).map(|_| ())
+        })
+        .expect_all();
+    if let Some(Err(e)) = clean.results.into_iter().find(Result::is_err) {
+        die(&format!("clean dump of generation 1: {e}"));
+    }
+    let out = config.launch(N, |comm| repl.dump(comm, 2, buf_of(2, comm.rank())));
     for (rank, o) in out.outcomes.iter().enumerate() {
         match o {
             RankOutcome::Crashed { .. } => println!("rank {rank}: crashed (injected)"),
-            RankOutcome::Completed(Ok(s)) if s.degraded => {
-                println!(
-                    "rank {rank}: dump degraded, dead ranks {:?}",
-                    s.failed_ranks
-                )
+            RankOutcome::Completed(Ok(_)) => println!("rank {rank}: dump of generation 2 done"),
+            RankOutcome::Completed(Err(e)) => {
+                println!("rank {rank}: dump of generation 2 failed: {e}")
             }
-            RankOutcome::Completed(Ok(_)) => println!("rank {rank}: dump clean"),
-            RankOutcome::Completed(Err(e)) => println!("rank {rank}: dump failed: {e}"),
         }
     }
-    // Restart: replacement hardware comes up empty, then a full-world
-    // restore pulls surviving replicas back together.
+    // Restart: replacement hardware comes up empty, storage names the
+    // newest complete generation, and a full-world restore reads it back.
     for node in 0..N {
         if !cluster.is_alive(node) {
             cluster.revive_node(node);
@@ -266,14 +270,41 @@ fn run_fault_demo(spec: &str) {
     }
     let out = WorldConfig::default()
         .launch(N, |comm| {
-            (comm.rank(), repl.restore(comm, 1).map(|b| b.len()))
+            let found = repl.generations(comm)?;
+            let restored = match found.complete {
+                Some(gen) => Some((gen, repl.restore(comm, gen)?)),
+                None => None,
+            };
+            Ok::<_, replidedup_core::ReplError>((found, restored))
         })
         .expect_all();
-    for (rank, r) in out.results {
+    let mut failed = false;
+    for (rank, r) in (0u32..).zip(out.results) {
         match r {
-            Ok(len) => println!("rank {rank}: restored {len} bytes"),
-            Err(e) => println!("rank {rank}: {e}"),
+            Ok((found, Some((gen, bytes)))) => {
+                if rank == 0 {
+                    let newest = found.newest.unwrap_or(gen);
+                    println!("restart: generation {gen} is the newest complete one (newest stored: {newest})");
+                }
+                if bytes == buf_of(gen, rank) {
+                    println!("rank {rank}: restored byte-exact");
+                } else {
+                    println!("rank {rank}: restored WRONG bytes");
+                    failed = true;
+                }
+            }
+            Ok((_, None)) => {
+                println!("rank {rank}: no complete generation in storage");
+                failed = true;
+            }
+            Err(e) => {
+                println!("rank {rank}: restore failed: {e}");
+                failed = true;
+            }
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 

@@ -63,14 +63,12 @@ fn heal_demo_past_tolerance_exits_1_naming_each_failure_once() {
     }
 }
 
-/// The seeded fault demo runs its dump and restart to the end.
+/// The seeded fault demo runs both dumps and the restart to the end, and
+/// the generation storage names restores byte-exact on all eight ranks.
 #[test]
 fn seeded_fault_demo_exits_0() {
     let out = repro(&["--fault-plan", "42"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(stdout.matches("restored byte-exact").count(), 8, "{stdout}");
 }

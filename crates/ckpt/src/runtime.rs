@@ -41,7 +41,11 @@ pub struct CheckpointRuntime<'a> {
     cluster: &'a Cluster,
     hasher: &'a (dyn ChunkHasher + Sync),
     config: DumpConfig,
+    /// Id of the next checkpoint: past every generation this runtime
+    /// dumped or found in storage, so a failed id is never reused.
     next_dump: DumpId,
+    /// The most recent checkpoint taken or restarted from.
+    latest: Option<DumpId>,
     /// Statistics of every checkpoint taken through this runtime.
     pub history: Vec<DumpStats>,
 }
@@ -58,6 +62,7 @@ impl<'a> CheckpointRuntime<'a> {
             hasher,
             config,
             next_dump: 1,
+            latest: None,
             history: Vec::new(),
         }
     }
@@ -67,9 +72,10 @@ impl<'a> CheckpointRuntime<'a> {
         &self.config
     }
 
-    /// Dump id of the most recent checkpoint (None before the first).
+    /// Dump id of the most recent checkpoint this runtime took or
+    /// restarted from (None before either).
     pub fn latest_dump_id(&self) -> Option<DumpId> {
-        (self.next_dump > 1).then(|| self.next_dump - 1)
+        self.latest
     }
 
     /// The replication session this runtime drives (config is validated
@@ -84,8 +90,9 @@ impl<'a> CheckpointRuntime<'a> {
 
     /// Collective: capture the heap and dump it with the configured
     /// strategy. All ranks must call together. A rank that dies (or never
-    /// joins) mid-dump surfaces as [`ReplError::RankFailure`] when the
-    /// dump cannot degrade around it.
+    /// joins) mid-dump surfaces as [`ReplError::RankFailure`]: the
+    /// generation stays incomplete, the runtime does not advance to it,
+    /// and its id is not reused.
     pub fn checkpoint(
         &mut self,
         comm: &mut Comm,
@@ -94,10 +101,12 @@ impl<'a> CheckpointRuntime<'a> {
         let repl = self.replicator()?;
         let snapshot = heap.snapshot_bytes();
         comm.tracer().enter("ckpt_checkpoint");
-        let result = repl.dump(comm, self.next_dump, &snapshot);
+        let id = self.next_dump;
+        let result = repl.dump(comm, id, &snapshot);
         comm.tracer().exit("ckpt_checkpoint");
-        let stats = result?;
         self.next_dump += 1;
+        let stats = result?;
+        self.latest = Some(id);
         heap.clear_dirty();
         self.history.push(stats.clone());
         Ok(stats)
@@ -120,10 +129,19 @@ impl<'a> CheckpointRuntime<'a> {
         TrackedHeap::restore_bytes(&bytes).map_err(RestartError::Corrupt)
     }
 
-    /// Collective: restore the heap from the most recent checkpoint.
-    pub fn restart(&self, comm: &mut Comm) -> Result<TrackedHeap, RestartError> {
-        let id = self.latest_dump_id().ok_or(RestartError::NoCheckpoint)?;
-        self.restart_from(comm, id)
+    /// Collective: restore the heap from the newest complete checkpoint
+    /// in storage, whatever this runtime remembers, so a fresh process
+    /// after a crash finds the last generation every rank committed. The
+    /// next checkpoint then takes an id past the newest generation storage
+    /// holds any of.
+    pub fn restart(&mut self, comm: &mut Comm) -> Result<TrackedHeap, RestartError> {
+        let repl = self.replicator().map_err(RestartError::Config)?;
+        let found = repl.generations(comm).map_err(RestartError::Session)?;
+        let id = found.complete.ok_or(RestartError::NoCheckpoint)?;
+        self.next_dump = self.next_dump.max(found.newest.unwrap_or(id) + 1);
+        let heap = self.restart_from(comm, id)?;
+        self.latest = Some(id);
+        Ok(heap)
     }
 }
 
@@ -131,7 +149,8 @@ impl<'a> CheckpointRuntime<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RestartError {
-    /// No checkpoint has been taken yet.
+    /// Storage holds no complete generation: no checkpoint was taken, or
+    /// none that every rank committed survives.
     NoCheckpoint,
     /// The runtime's dump configuration is invalid.
     Config(replidedup_core::ConfigError),
@@ -147,7 +166,7 @@ pub enum RestartError {
 impl std::fmt::Display for RestartError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RestartError::NoCheckpoint => write!(f, "no checkpoint taken yet"),
+            RestartError::NoCheckpoint => write!(f, "no complete checkpoint in storage"),
             RestartError::Config(e) => write!(f, "invalid checkpoint config: {e}"),
             RestartError::Restore(e) => write!(f, "restore failed: {e}"),
             RestartError::Session(e) => write!(f, "{e}"),
@@ -235,7 +254,7 @@ mod tests {
         let cfg = DumpConfig::paper_defaults(Strategy::LocalDedup).with_chunk_size(64);
         let out = WorldConfig::default()
             .launch(2, |comm| {
-                let rt = CheckpointRuntime::new(&cluster, &Sha1ChunkHasher, cfg);
+                let mut rt = CheckpointRuntime::new(&cluster, &Sha1ChunkHasher, cfg);
                 rt.restart(comm).err()
             })
             .expect_all();
@@ -295,6 +314,105 @@ mod tests {
             .expect_all();
         for (rank, data) in out.results {
             assert_eq!(data, vec![rank as u8 + 10; 128]);
+        }
+    }
+
+    /// A checkpoint that loses a rank commits nothing, and a fresh
+    /// process restarts from the newest complete checkpoint in storage.
+    /// Each cell takes checkpoint 1 cleanly, then crashes one rank in
+    /// checkpoint 2 (its process dies; its disk survives):
+    /// - rank 3 of 4 entering the exchange (coll-dedup, K = 2), the
+    ///   first collective a rank death ends;
+    /// - the last rank entering the stripe assembly of a coded
+    ///   coll-dedup dump: every rank has committed its replicas, but the
+    ///   manifests must wait for the stripes;
+    /// - the same rank 200 ms into a coded no-dedup stripe assembly, after
+    ///   its peers sent their shards: the leaders store the blob shards
+    ///   of the live owners, so storage holds an incomplete generation 2.
+    ///
+    /// Survivors get a typed rank failure, a fresh runtime in a fresh
+    /// world restores checkpoint 1 on every rank, and its next checkpoint
+    /// takes an id past every generation storage holds any of.
+    #[test]
+    fn a_failed_checkpoint_leaves_restart_the_last_complete_one() {
+        use replidedup_core::RedundancyPolicy;
+        use replidedup_mpi::{FaultPlan, FaultTrigger, RankOutcome};
+
+        let at = |phase: &str| FaultTrigger::PhaseStartNth(phase.into(), 2);
+        let rs = RedundancyPolicy::Rs { k: 4, m: 2 };
+        let cells = [
+            (
+                4,
+                Strategy::CollDedup,
+                2,
+                RedundancyPolicy::Replicate(2),
+                "exchange",
+                0,
+            ),
+            (6, Strategy::CollDedup, 3, rs, "stripe_assembly", 0),
+            (6, Strategy::NoDedup, 3, rs, "stripe_assembly", 200),
+        ];
+        for (n, strategy, k, policy, phase, stall_ms) in cells {
+            let cell = format!("{strategy:?} {policy:?} at start:{phase}");
+            let victim = n - 1;
+            let cluster = Cluster::new(Placement::one_per_node(n));
+            let cfg = DumpConfig::paper_defaults(strategy)
+                .with_replication(k)
+                .with_chunk_size(64)
+                .with_policy(policy);
+            let fill = |gen: u8, rank: u32| vec![gen * 50 + rank as u8 + 1; 200];
+            let plan = FaultPlan::new(4)
+                .delay(victim, at(phase), Duration::from_millis(stall_ms))
+                .crash(victim, at(phase));
+            let out = WorldConfig::default()
+                .with_recv_timeout(Duration::from_secs(5))
+                .with_faults(plan)
+                .launch(n, |comm| {
+                    let mut heap = TrackedHeap::new(64);
+                    let r = heap.alloc(200);
+                    let mut rt = CheckpointRuntime::new(&cluster, &Sha1ChunkHasher, cfg);
+                    heap.write(r, 0, &fill(1, comm.rank()));
+                    rt.checkpoint(comm, &mut heap).expect("checkpoint 1");
+                    heap.write(r, 0, &fill(2, comm.rank()));
+                    let second = rt.checkpoint(comm, &mut heap).map(|_| ());
+                    (second, rt.latest_dump_id())
+                });
+            assert_eq!(out.crashed_ranks(), vec![victim], "{cell}");
+            for (rank, o) in out.outcomes.iter().enumerate() {
+                if let RankOutcome::Completed((second, latest)) = o {
+                    assert!(
+                        matches!(second, Err(ReplError::RankFailure(_))),
+                        "{cell}: survivor {rank} got {second:?}"
+                    );
+                    assert_eq!(*latest, Some(1), "{cell}: survivor {rank}");
+                }
+            }
+            let stored = cluster.generations();
+            let out = WorldConfig::default()
+                .launch(n, |comm| {
+                    let mut heap = TrackedHeap::new(64);
+                    let r = heap.alloc(200);
+                    let mut rt = CheckpointRuntime::new(&cluster, &Sha1ChunkHasher, cfg);
+                    let restored = rt.restart(comm).map(|h| h.read(r).to_vec());
+                    let restarted = rt.latest_dump_id();
+                    heap.write(r, 0, &fill(3, comm.rank()));
+                    rt.checkpoint(comm, &mut heap).expect("next checkpoint");
+                    (restored, restarted, rt.latest_dump_id())
+                })
+                .expect_all();
+            for (rank, (restored, restarted, next)) in (0u32..).zip(out.results) {
+                assert_eq!(restored, Ok(fill(1, rank)), "{cell}: rank {rank}");
+                assert_eq!(restarted, Some(1), "{cell}: rank {rank}");
+                let next = next.unwrap_or_default();
+                assert!(
+                    stored.iter().all(|&g| g < next),
+                    "{cell}: next id {next} reuses one of {stored:?}"
+                );
+                if stall_ms > 0 {
+                    assert!(stored.contains(&2), "{cell}: {stored:?}");
+                    assert_eq!(next, 3, "{cell}: rank {rank}");
+                }
+            }
         }
     }
 

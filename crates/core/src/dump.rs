@@ -14,6 +14,13 @@
 //! Every strategy shares the same exchange machinery (windows, records,
 //! offsets), exactly as in the paper where the baselines also "make use of
 //! the single sided communication planning strategy".
+//!
+//! A generation is atomic: every rank stores its recipes (its manifest or
+//! blob and the partner copies it received) only after the dump's last
+//! collective, when every rank has stored its chunks and shards. A rank
+//! death before that point fails the dump and leaves the generation
+//! incomplete, and a restart reads the newest complete generation from
+//! storage ([`crate::Replicator::generations`]).
 
 use bytes::Bytes;
 use replidedup_buf::{record_copy, thread_bytes_copied, Chunk};
@@ -66,9 +73,9 @@ pub struct DumpContext<'a> {
     pub dump_id: DumpId,
 }
 
-/// Failures of a collective dump. The collective itself always runs to
-/// completion on every rank (so no rank deadlocks); the error reports what
-/// went wrong locally.
+/// Failures of a collective dump. A storage or decode failure is deferred,
+/// so the collective still completes on every rank and the error reports
+/// what went wrong locally; a rank death fails it ([`DumpError::Comm`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DumpError {
@@ -76,9 +83,10 @@ pub enum DumpError {
     Config(crate::ConfigError),
     /// The local node's storage failed during commit.
     Storage(StorageError),
-    /// The communication runtime failed in a way graceful degradation
-    /// cannot absorb (a suspected deadlock or a torn-down world — *not* a
-    /// plain rank death, which degrades the dump instead of failing it).
+    /// A rank died (or a deadlock was suspected) before the dump's last
+    /// collective completed on this rank, so it stored no recipe: the
+    /// generation is incomplete, and a restart falls back to the newest
+    /// complete one.
     Comm(CommError),
     /// Replicas or stripe shards sent by `from` failed to decode — they
     /// were truncated or malformed in flight — so this rank committed none
@@ -156,10 +164,12 @@ pub(crate) fn dump_impl(
     comm.tracer()
         .gauge_bytes("dump_buffer_bytes", buf.len() as u64);
 
-    // Every path reaches the dump's survivor fence exactly once: degraded
-    // ranks wait there (inside `degraded_commit`) to learn which ranks died
-    // before finishing, the rest just arrive.
-    match dump_pipeline(
+    // A rank death (or a suspected deadlock) fails the dump on this rank,
+    // possibly from inside a traced phase: rebalance the span stack. The
+    // pipeline stores recipes only after its last collective, so a failed
+    // dump leaves this rank's share of the generation unpublished and a
+    // restart falls back to the newest complete generation.
+    if let Err(e) = dump_pipeline(
         comm,
         ctx,
         data,
@@ -168,23 +178,8 @@ pub(crate) fn dump_impl(
         &mut stats,
         &mut failure,
     ) {
-        Ok(()) => comm.fence_arrive(),
-        Err(CommError::RankFailed { .. }) => {
-            // A peer died mid-collective. The error may have unwound from
-            // inside a traced phase; rebalance the span stack, then finish
-            // through the communication-free degraded commit so this
-            // rank's data still reaches stable storage.
-            comm.tracer().close_open_spans();
-            degraded_commit(comm, ctx, data, cfg, &mut stats, &mut failure);
-        }
-        Err(e) => {
-            // A suspected deadlock (a death or a split collective would
-            // have failed the receive instead) or a torn-down world:
-            // nothing sane to degrade to — surface the runtime failure.
-            comm.tracer().close_open_spans();
-            comm.fence_arrive();
-            return Err(DumpError::Comm(e));
-        }
+        comm.tracer().close_open_spans();
+        return Err(DumpError::Comm(e));
     }
     stats.bytes_copied = thread_bytes_copied() - copied_before;
     comm.tracer()
@@ -427,17 +422,15 @@ fn dump_pipeline(
 
     // ---- Commit: own data -----------------------------------------------
     comm.enter_phase("commit");
+    // Recipes this rank stores once the dump's last collective is done:
+    // `(owner, recipe)`, its own first.
+    let mut recipes: Vec<(u32, Recipe)> = Vec::new();
     // The dedup strategies built a local index; `no-dedup` never hashes.
     match &local {
         None => {
             if !blob_coded {
                 // Refcount bump: the stored blob IS the app buffer.
-                let blob = Recipe::Blob(data.as_bytes().clone());
-                tally(
-                    failure,
-                    &mut stats.bytes_written_local,
-                    ctx.cluster.put_recipe(node, me, ctx.dump_id, blob),
-                );
+                recipes.push((me, Recipe::Blob(data.as_bytes().clone())));
             }
             // A coded blob stores no full copy anywhere: its data shards
             // (payload slices) and parity land in the stripe phase below.
@@ -476,14 +469,8 @@ fn dump_pipeline(
                 rs: rs.filter(|_| !coded.is_empty()),
                 coded,
             };
-            // Encoded before the store takes the manifest.
             let encoded = manifest.to_bytes();
-            tally(
-                failure,
-                &mut stats.bytes_written_local,
-                ctx.cluster
-                    .put_recipe(node, me, ctx.dump_id, Recipe::Manifest(manifest)),
-            );
+            recipes.push((me, Recipe::Manifest(manifest)));
             // Replicate the manifest to the same partners as the data so a
             // failed node's recipe survives (restore-path extension; the
             // paper leaves restart implicit). Encode the fingerprint list
@@ -533,12 +520,7 @@ fn dump_pipeline(
                     blob.extend_from_slice(data);
                 }
                 record_copy(blob.len());
-                let blob = Recipe::Blob(Bytes::from(blob));
-                tally(
-                    failure,
-                    &mut stats.bytes_written_local,
-                    ctx.cluster.put_recipe(node, sender, ctx.dump_id, blob),
-                );
+                recipes.push((sender, Recipe::Blob(Bytes::from(blob))));
             }
             Strategy::LocalDedup | Strategy::CollDedup => {
                 for (fp, data) in records {
@@ -561,12 +543,7 @@ fn dump_pipeline(
         for d in 1..k as usize {
             let sender = shuffle[(p + n as usize - d) % n as usize];
             match decode_manifest_frame(comm.try_recv_frame(sender, TAG_MANIFEST)?, sender) {
-                Ok(m) => tally(
-                    failure,
-                    &mut stats.bytes_written_local,
-                    ctx.cluster
-                        .put_recipe(node, m.owner_rank, m.dump_id, Recipe::Manifest(m)),
-                ),
+                Ok(m) => recipes.push((m.owner_rank, Recipe::Manifest(m))),
                 Err(e) => defer(failure, e),
             }
         }
@@ -672,6 +649,18 @@ fn dump_pipeline(
         comm.try_barrier()?;
         comm.exit_phase("stripe_assembly");
     }
+
+    // ---- Publish: recipes, after the last collective --------------------
+    // Every rank has stored its chunks and shards by now, so a recipe never
+    // names data below its redundancy target. A rank that failed before
+    // this point stores none, which leaves the generation incomplete.
+    for (owner, recipe) in recipes {
+        tally(
+            failure,
+            &mut stats.bytes_written_local,
+            ctx.cluster.put_recipe(node, owner, ctx.dump_id, recipe),
+        );
+    }
     comm.tracer()
         .gauge_bytes("bytes_written_local", stats.bytes_written_local);
     drop(view);
@@ -701,94 +690,6 @@ fn decode_stripe_frame(
 /// decode is [`DumpError::CorruptFrame`], never a panic.
 fn decode_manifest_frame(frame: Frame, from: u32) -> Result<Manifest, DumpError> {
     Manifest::from_bytes(&frame.gather()).map_err(|_| DumpError::CorruptFrame { from })
-}
-
-/// Communication-free fallback after a mid-dump rank death: re-commit
-/// *everything* this rank holds to its own node (an effective `K = 1` for
-/// this generation), record the ranks that died before finishing the dump
-/// as absent-at-dump-time, and mark the statistics degraded.
-///
-/// The re-commit is idempotent — chunk stores are content-addressed and
-/// recipe puts overwrite — so it is safe regardless of how far the
-/// pipeline got before failing.
-fn degraded_commit(
-    comm: &mut Comm,
-    ctx: &DumpContext<'_>,
-    data: &Chunk,
-    cfg: &DumpConfig,
-    stats: &mut DumpStats,
-    failure: &mut Option<DumpError>,
-) {
-    let buf: &[u8] = data;
-    let me = comm.rank();
-    let node = ctx.cluster.node_of(me);
-    let chunk_size = cfg.chunk_size;
-    stats.degraded = true;
-    comm.enter_phase("degraded_commit");
-    match cfg.strategy {
-        Strategy::NoDedup => {
-            // Refcount bump: the degraded blob is still the app buffer.
-            stats.chunks_total = buf.len().div_ceil(chunk_size) as u64;
-            let blob = Recipe::Blob(data.as_bytes().clone());
-            tally(
-                failure,
-                &mut stats.bytes_written_local,
-                ctx.cluster.put_recipe(node, me, ctx.dump_id, blob),
-            );
-        }
-        Strategy::LocalDedup | Strategy::CollDedup => {
-            // Re-derive the local index: hashing and chunking are pure, so
-            // this is correct whether the pipeline died before or after
-            // building (or partially committing) it.
-            let chunker = cfg.chunker.resolve(chunk_size);
-            let idx = LocalIndex::new(ctx.hasher, buf, &chunker);
-            stats.chunks_total = idx.chunk_count() as u64;
-            stats.bytes_hashed = buf.len() as u64;
-            stats.chunks_locally_unique = idx.unique_count() as u64;
-            stats.bytes_locally_unique = idx.unique_bytes(buf.len());
-            stats.chunks_kept = idx.unique_count() as u64;
-            for (fp, c) in &idx.unique {
-                let payload = data.slice(idx.chunk_range(c.first_index)).into_bytes();
-                let len = payload.len() as u64;
-                tally(
-                    failure,
-                    &mut stats.bytes_written_local,
-                    ctx.cluster
-                        .put_chunk(node, *fp, payload)
-                        .map(|new| if new { len } else { 0 }),
-                );
-            }
-            // Degraded dumps skip striping: the manifest claims full local
-            // chunks (an effective `K = 1`), never stripe membership.
-            let manifest = Manifest {
-                owner_rank: me,
-                dump_id: ctx.dump_id,
-                total_len: buf.len() as u64,
-                chunks: idx.in_order.clone(),
-                chunk_lens: idx.chunk_lens(),
-                rs: None,
-                coded: vec![],
-            };
-            tally(
-                failure,
-                &mut stats.bytes_written_local,
-                ctx.cluster
-                    .put_recipe(node, me, ctx.dump_id, Recipe::Manifest(manifest)),
-            );
-        }
-    }
-    // Tombstone the ranks that died before finishing this dump so restore
-    // can tell "absent at dump time" from "replica holders later failed".
-    // The fence waits out lagging ranks: one that dies after this rank
-    // committed is still named here. Best effort: a down local node
-    // already surfaced through the commit above.
-    for r in comm.fence_wait() {
-        ctx.cluster.mark_absent(node, r, ctx.dump_id).ok();
-    }
-    stats.failed_ranks = comm.failed_ranks();
-    comm.exit_phase("degraded_commit");
-    comm.tracer()
-        .gauge_bytes("bytes_written_local", stats.bytes_written_local);
 }
 
 #[cfg(test)]

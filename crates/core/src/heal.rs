@@ -50,9 +50,11 @@
 //! * The Scrub step is the collective scrub (`repair::scrub_impl`): every
 //!   rank gets the same merged report and counts off it, and each leader
 //!   quarantines, and under [`HealOptions::gc_before`] collects, only its
-//!   own node: superseded recipes, blob stripes and tombstones before the
-//!   census, then the chunks and chunk stripes it found referenced by no
-//!   surviving manifest anywhere, before the heal spends bandwidth on them.
+//!   own node: superseded recipes and blob stripes before the census, then
+//!   the chunks and chunk stripes it found referenced by no surviving
+//!   manifest anywhere, before the heal spends bandwidth on them. A failed
+//!   dump's generation is collected the same way: whatever recipes it left
+//!   are superseded, and the chunks and shards it stored are orphans.
 //!   Only that collection reads the census's cluster-wide orphans, so only
 //!   under a GC do the leaders ship rank 0 their whole held and
 //!   referenced lists to resolve them.
@@ -125,8 +127,8 @@ pub struct HealOptions {
     /// [`HealStage::Chunks`] or [`HealStage::Owners`] window. Each node's
     /// leader sends at most `window_keys / placement nodes` keys (at
     /// least 1) in each of its lists — fingerprints in the referenced,
-    /// held and chunk-stripe lists, owner ranks in the recipe-owner,
-    /// absent and blob-stripe lists. The node count is the placement's,
+    /// held and chunk-stripe lists, owner ranks in the recipe-owner and
+    /// blob-stripe lists. The node count is the placement's,
     /// not the live one, so every leader cuts alike even if a node dies
     /// between steps.
     pub window_keys: usize,
@@ -515,7 +517,6 @@ pub(crate) fn heal_step_impl(
                         c.recipes_removed,
                         c.chunks_removed,
                         c.shards_removed,
-                        c.tombstones_removed,
                         c.bytes_reclaimed,
                     ];
                     let (sums, generations) =
@@ -528,8 +529,7 @@ pub(crate) fn heal_step_impl(
                         recipes_removed: sums[0],
                         chunks_removed: sums[1],
                         shards_removed: sums[2],
-                        tombstones_removed: sums[3],
-                        bytes_reclaimed: sums[4],
+                        bytes_reclaimed: sums[3],
                     });
                     comm.tracer()
                         .counter("heal_generations_collected", generations.len() as u64);
@@ -624,10 +624,9 @@ pub(crate) fn heal_step_impl(
                 let mut inv = NodeInventory::default();
                 let mut cap = Cap::new(after, opts.batch(cluster));
                 if i_lead {
-                    let owner = |r: &u32| Some(*r);
                     inv.leads_live_node = true;
-                    inv.absent = cap.list(cluster.absent_ranks(node, ctx.dump_id)?, owner);
-                    inv.owners = cap.list(cluster.recipe_owners(node, ctx.dump_id)?, owner);
+                    let owners = cluster.recipe_owners(node, ctx.dump_id)?;
+                    inv.owners = cap.list(owners, |r| Some(*r));
                     // A blob with no replica is healthy if its stripe
                     // survives — the plan needs this generation's Blob
                     // stripes to judge that, and rebuilds them.
@@ -739,7 +738,7 @@ pub(crate) fn heal_impl(
 }
 
 /// The least blob stripe key: every chunk stripe sorts below it.
-const FIRST_BLOB: StripeKey = StripeKey::Blob {
+pub(crate) const FIRST_BLOB: StripeKey = StripeKey::Blob {
     owner: 0,
     dump_id: 0,
 };
@@ -1592,7 +1591,6 @@ mod tests {
         };
         recipe(0, 1, vec![old.0]);
         recipe(1, 1, vec![shared.0]);
-        cluster.mark_absent(1, 2, 1).unwrap();
         recipe(0, 2, vec![new[0].0]);
         recipe(1, 2, vec![shared.0, new[1].0]);
         recipe(2, 2, vec![new[2].0]);
@@ -1638,7 +1636,6 @@ mod tests {
                 recipes_removed: 2,
                 chunks_removed: 1,
                 shards_removed: 3,
-                tombstones_removed: 1,
                 bytes_reclaimed: 8 + 3 * 12,
             };
             assert_eq!(report.gc, gc);

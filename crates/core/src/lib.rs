@@ -82,7 +82,7 @@ pub use plan::{plan_chunks, ChunkPlan};
 pub use repair::RepairError;
 pub use replidedup_hash::{ChunkerKind, GearParams};
 pub use replidedup_storage::SessionId;
-pub use restore::RestoreError;
+pub use restore::{Generations, RestoreError};
 pub use session::{ReplError, Replicator, ReplicatorBuilder};
 pub use shuffle::{identity_shuffle, rank_shuffle};
 pub use stats::{DumpStats, ReductionStats, WorldDumpStats};

@@ -13,7 +13,7 @@
 //!
 //! * `NodeInventory` — what one node's leader sends rank 0 in a window's
 //!   one gather-scatter (recipe owners, referenced and held fingerprints,
-//!   tombstones, erasure-coded shards). The held lists are the live-copy
+//!   erasure-coded shards). The held lists are the live-copy
 //!   census: a chunk's holders are the live leaders whose inventory
 //!   lists it.
 //! * `build_plan` — the deterministic planner. Fed the gathered
@@ -111,8 +111,6 @@ pub(crate) struct NodeInventory {
     pub(crate) referenced: Vec<Fingerprint>,
     /// Fingerprints of the chunks this node holds (sorted).
     pub(crate) held: Vec<Fingerprint>,
-    /// Ranks tombstoned as absent when the dump committed (sorted).
-    pub(crate) absent: Vec<u32>,
     /// Erasure-coded shards this node holds, as `(stripe, meta)` pairs
     /// sorted by stripe then shard index.
     pub(crate) shards: Vec<(StripeKey, ShardMeta)>,
@@ -124,7 +122,6 @@ impl Wire for NodeInventory {
         self.owners.encode(buf);
         self.referenced.encode(buf);
         self.held.encode(buf);
-        self.absent.encode(buf);
         self.shards.encode(buf);
     }
 
@@ -134,7 +131,6 @@ impl Wire for NodeInventory {
             owners: Vec::decode(input)?,
             referenced: Vec::decode(input)?,
             held: Vec::decode(input)?,
-            absent: Vec::decode(input)?,
             shards: Vec::decode(input)?,
         })
     }
@@ -283,15 +279,6 @@ pub(crate) fn build_plan(
             .is_some_and(|(meta, have)| have.len() >= meta.k as usize)
     };
 
-    // Owner ranks tombstoned as absent: legitimately missing from this
-    // (degraded) dump, so neither healed nor lost.
-    let mut tombstoned = vec![false; home_leader.len()];
-    for r in inv.iter().flat_map(|i| &i.absent) {
-        if let Some(t) = tombstoned.get_mut(*r as usize) {
-            *t = true;
-        }
-    }
-
     // ---- chunks: every fingerprint a surviving manifest references (none
     // under `no-dedup`, or in an owner window). One record per live copy,
     // in rank order, then one per reference; sorted stably, each
@@ -343,9 +330,6 @@ pub(crate) fn build_plan(
     }
     let mut load = vec![0u64; inv.len()];
     for (r, have) in (0u32..).zip(&holders) {
-        if tombstoned[r as usize] {
-            continue;
-        }
         if have.is_empty() {
             if !stripe_viable(&StripeKey::Blob { owner: r, dump_id }) {
                 plan.unrepairable_recipes.push(r);
@@ -683,7 +667,6 @@ mod tests {
             .map(|(r, _)| r as u32)
             .collect();
         let target = (k as usize).min(live.len());
-        let tombstoned = |r: u32| inv.iter().any(|i| i.absent.binary_search(&r).is_ok());
 
         // Cluster-wide stripe map from the allgathered shard inventories:
         // geometry (from any shard's self-describing meta) plus surviving
@@ -746,9 +729,6 @@ mod tests {
         // ---- recipes: one per rank must survive K times ----------------
         let mut rload: HashMap<u32, u64> = HashMap::new();
         for r in 0..home_leader.len() as u32 {
-            if tombstoned(r) {
-                continue; // legitimately absent from this (degraded) dump
-            }
             let holders: Vec<u32> = live
                 .iter()
                 .copied()
@@ -810,7 +790,6 @@ mod tests {
             owners,
             referenced: referenced.into_iter().map(fp).collect(),
             held: Vec::new(),
-            absent: Vec::new(),
             shards: Vec::new(),
         }
     }
@@ -828,7 +807,7 @@ mod tests {
     }
 
     /// A random planner input from `seed`: 1–40 leaders, about a quarter
-    /// dead, overlapping fingerprint and owner sets, tombstones, chunk and
+    /// dead, overlapping fingerprint and owner sets, chunk and
     /// blob stripes of two generations, K from 1 to 4 (so K often exceeds
     /// the live count). Every list is sorted and distinct, as leaders
     /// send them.
@@ -866,9 +845,6 @@ mod tests {
             for r in 0..n {
                 if below(100) < density / 4 {
                     i.owners.push(r);
-                }
-                if below(100) < 3 {
-                    i.absent.push(r);
                 }
             }
             for _ in 0..below(6) {
@@ -953,7 +929,6 @@ mod tests {
             owners: vec![0, 2],
             referenced: vec![fp(9), fp(11)],
             held: vec![fp(4), fp(9)],
-            absent: vec![3],
             shards: vec![(StripeKey::Chunk(fp(9)), meta(4, 2, 5))],
         };
         assert_eq!(NodeInventory::from_bytes(&i.to_bytes()).unwrap(), i);
@@ -1018,14 +993,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_skips_tombstoned_ranks_and_flags_truly_lost_manifests() {
-        let mut absent_inv = inv(true, vec![0], vec![]);
-        absent_inv.absent = vec![1];
-        let world_inv = vec![absent_inv, inv(true, vec![0], vec![])];
+    fn plan_flags_truly_lost_manifests() {
+        let world_inv = vec![inv(true, vec![0], vec![]), inv(true, vec![0], vec![])];
         let plan = plan_for(2, &world_inv);
-        // Rank 1 is tombstoned (degraded dump): not unrepairable, just
-        // absent. Rank 0's manifest already has 2 copies: nothing to do.
-        assert!(plan.unrepairable_recipes.is_empty());
+        // Rank 1's recipe is on no live node and has no stripe: lost.
+        // Rank 0's manifest already has 2 copies: nothing to do.
+        assert_eq!(plan.unrepairable_recipes, vec![1]);
         assert!(plan.recipe_moves.is_empty());
     }
 

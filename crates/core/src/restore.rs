@@ -8,7 +8,7 @@
 //! receiver how to decode an owner payload, and a blob is the one recipe
 //! a stripe rescue can rebuild. Rank 0 plans each round once: every rank
 //! sends it, in one gather-scatter, its wanted keys, tried `(key, node)`
-//! pairs, advertised owners and, in round 1, tombstones. A round in which
+//! pairs and advertised owners. A round in which
 //! any rank wants an owner moves owners only and is planned right there;
 //! otherwise chunks move, and a second gather-scatter carries each rank's
 //! have-bits over the union of wanted chunks. Either way a rank gets back
@@ -28,17 +28,21 @@
 //! rank can never deadlock the others.
 
 use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use replidedup_buf::{global_pool, record_copy, Chunk};
 use replidedup_hash::{ChunkHasher, Fingerprint, FpHashMap, FpHashSet};
 use replidedup_mpi::wire::{Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, CommError, Tag};
-use replidedup_storage::{Cluster, DumpId, Manifest, NodeId, Recipe, StorageError, StripeKey};
+use replidedup_storage::{
+    Cluster, DumpId, Manifest, NodeId, Recipe, SessionId, ShardMeta, StorageError, StripeKey,
+};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::repair::{retry_read, transfer};
+use crate::heal::FIRST_BLOB;
+use crate::repair::{leader_of, retry_read, transfer};
 
 const TAG_RESTORE: Tag = 0x5250_0003;
 
@@ -57,16 +61,6 @@ pub enum RestoreError {
     },
     /// A chunk referenced by the manifest has no live holder.
     ChunkLost(Fingerprint),
-    /// The dump this restore targets committed in degraded mode while this
-    /// rank was dead: its data was never written anywhere. Distinct from
-    /// [`RestoreError::RecipeLost`], where the data existed but every
-    /// replica holder has since failed.
-    AbsentAtDump {
-        /// The rank whose data was absent.
-        rank: u32,
-        /// The degraded dump generation.
-        dump_id: DumpId,
-    },
     /// A rank died (or a deadlock was suspected) during one of the restore
     /// protocol's collective steps.
     Comm(CommError),
@@ -78,10 +72,6 @@ impl std::fmt::Display for RestoreError {
             RestoreError::Storage(e) => write!(f, "storage failure during restore: {e}"),
             RestoreError::RecipeLost { rank } => write!(f, "recipe of rank {rank} lost"),
             RestoreError::ChunkLost(fp) => write!(f, "chunk {fp} lost on all nodes"),
-            RestoreError::AbsentAtDump { rank, dump_id } => write!(
-                f,
-                "rank {rank}'s data was absent when dump {dump_id} committed (degraded dump)"
-            ),
             RestoreError::Comm(e) => write!(f, "communication failure during restore: {e}"),
         }
     }
@@ -200,25 +190,18 @@ pub(crate) fn restore_impl(
         None => (vec![Key::Owner(me)], Vec::new()),
     };
     let (mut tried, mut verified) = (Vec::new(), FpHashMap::default());
-    let (mut round1, mut absent, mut fetched, mut result) = (true, false, 0, None);
+    let (mut fetched, mut result) = (0, None);
     loop {
         // This rank's request: the keys it still wants, the `(key, node)`
-        // pairs it tried, the owners its node advertises, and (round 1
-        // only) the ranks its node holds tombstoned absent.
+        // pairs it tried and the owners its node advertises.
         let advertised = cluster.recipe_owners(node, dump_id).unwrap_or_default();
-        let tombstoned = if std::mem::take(&mut round1) {
-            cluster.absent_ranks(node, dump_id).unwrap_or_default()
-        } else {
-            Vec::new()
-        };
         // Rank 0 plans the round. It keeps the chunk requests for the
         // have-bit gather-scatter of a chunk round.
         let mut kept = Vec::new();
-        let request = (wanted.clone(), tried.clone(), advertised, tombstoned);
-        let (tombstoned_me, round) = comm.try_gather_scatter(0, request, |requests| {
+        let request = (wanted.clone(), tried.clone(), advertised);
+        let round = comm.try_gather_scatter(0, request, |requests| {
             plan_requests(requests, &mut kept, |s| cluster.node_of(s))
         })?;
-        absent |= tombstoned_me;
         let (owner_round, part) = match round {
             Round::Owners(part) => (true, part),
             // No rank wants a chunk: nothing moves, and no bits are sent.
@@ -337,7 +320,6 @@ pub(crate) fn restore_impl(
             result = Some(match &recipe {
                 Some(Recipe::Manifest(m)) => reassemble(comm, m, &verified),
                 Some(Recipe::Blob(blob)) => Ok(Chunk::from(blob.clone())),
-                None if absent => Err(RestoreError::AbsentAtDump { rank: me, dump_id }),
                 None => Err(RestoreError::RecipeLost { rank: me }),
             });
         }
@@ -351,10 +333,92 @@ pub(crate) fn restore_impl(
     result.unwrap_or(Err(RestoreError::RecipeLost { rank: me }))
 }
 
+/// What a restart finds in one session's storage
+/// ([`crate::Replicator::generations`]), as caller-visible generation ids.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Generations {
+    /// The newest complete generation: every owner of the world has a
+    /// recipe on a live node, or a blob stripe with at least `k` shards.
+    /// A generation whose dump failed is never complete, so this is what
+    /// a restart restores.
+    pub complete: Option<DumpId>,
+    /// The newest generation with any recipe or blob stripe left, complete
+    /// or not. A later dump takes an id past it, so a failed attempt's
+    /// leftovers never mix with a new generation.
+    pub newest: Option<DumpId>,
+}
+
+/// One node's share of a session's generations: its recipes as
+/// `(generation, owner)` pairs and its blob-stripe shards.
+type Held = (Vec<(DumpId, u32)>, Vec<(StripeKey, ShardMeta)>);
+
+/// The collective behind [`crate::Replicator::generations`]: each live
+/// node's leader lists what its own node holds of `session`, and rank 0
+/// judges every generation once, in one gather-scatter.
+pub(crate) fn generations_impl(
+    comm: &mut Comm,
+    cluster: &Cluster,
+    session: SessionId,
+) -> Result<Generations, CommError> {
+    let (me, n) = (comm.rank(), comm.size());
+    let node = cluster.node_of(me);
+    let mut held = Held::default();
+    if leader_of(cluster, node, n) == Some(me) {
+        let blob = |k: &StripeKey| matches!(k, StripeKey::Blob { dump_id, .. } if SessionId::of(*dump_id) == session);
+        // A dead node lists nothing.
+        held.0 = cluster.session_recipes(node, session).unwrap_or_default();
+        held.1 = cluster
+            .shard_inventory(node, FIRST_BLOB.., blob, usize::MAX)
+            .unwrap_or_default();
+    }
+    let (complete, newest) = comm.try_gather_scatter(0, held, |world| {
+        let found = judge_generations(n, world);
+        vec![found; n as usize]
+    })?;
+    let local = |d: Option<DumpId>| d.map(SessionId::local_generation);
+    Ok(Generations {
+        complete: local(complete),
+        newest: local(newest),
+    })
+}
+
+/// Rank 0's verdict over every node's [`Held`]: the newest generation in
+/// which each owner `0..n` has a recipe or a viable blob stripe (the rule
+/// of the recovery planner's recipe pass), and the newest generation seen.
+fn judge_generations(n: u32, world: Vec<Held>) -> (Option<DumpId>, Option<DumpId>) {
+    let mut owners: BTreeMap<DumpId, BTreeSet<u32>> = BTreeMap::new();
+    let mut stripes: BTreeMap<(DumpId, u32), (u8, BTreeSet<u8>)> = BTreeMap::new();
+    for (recipes, shards) in world {
+        for (d, owner) in recipes {
+            owners.entry(d).or_default().insert(owner);
+        }
+        for (key, meta) in shards {
+            if let StripeKey::Blob { owner, dump_id } = key {
+                let entry = stripes
+                    .entry((dump_id, owner))
+                    .or_insert((meta.k, BTreeSet::new()));
+                entry.1.insert(meta.index);
+            }
+        }
+    }
+    for ((d, owner), (k, have)) in stripes {
+        let covered = owners.entry(d).or_default();
+        if have.len() >= usize::from(k) {
+            covered.insert(owner);
+        }
+    }
+    let newest = owners.keys().next_back().copied();
+    let complete = owners
+        .iter()
+        .rev()
+        .find(|(_, covered)| (0..n).all(|r| covered.contains(&r)))
+        .map(|(d, _)| *d);
+    (complete, newest)
+}
+
 /// One rank's round request: the keys it still wants, the `(key, node)`
-/// pairs it tried, the owners its node advertises, and (round 1 only)
-/// the ranks its node holds tombstoned absent.
-type Request = (Vec<Key>, Vec<(Key, NodeId)>, Vec<u32>, Vec<u32>);
+/// pairs it tried and the owners its node advertises.
+type Request = (Vec<Key>, Vec<(Key, NodeId)>, Vec<u32>);
 
 /// The part of a [`Request`] that [`plan_moves`] serves: wanted keys and
 /// tried pairs.
@@ -416,20 +480,13 @@ impl Wire for Round {
 }
 
 /// Rank 0's plan of a round from every rank's request: each rank's
-/// entry says whether a node holds it tombstoned absent, and carries its
 /// [`Round`]. A chunk round leaves every rank's wanted keys and tried
 /// pairs in `kept`, for [`plan_moves`] once the have-bits are in.
 fn plan_requests(
     requests: Vec<Request>,
     kept: &mut Vec<Ask>,
     node_of: impl Fn(u32) -> NodeId,
-) -> Vec<(bool, Round)> {
-    let mut absent = vec![false; requests.len()];
-    for r in requests.iter().flat_map(|q| &q.3) {
-        if let Some(a) = absent.get_mut(*r as usize) {
-            *a = true;
-        }
-    }
+) -> Vec<Round> {
     let is_owner = |k: &Key| matches!(k, Key::Owner(_));
     let owner_round = requests.iter().flat_map(|q| &q.0).any(is_owner);
     // The keys moving this round, sorted for stable indexing: owners
@@ -442,7 +499,7 @@ fn plan_requests(
         .collect();
     union.sort_unstable();
     union.dedup();
-    let rounds: Vec<Round> = if owner_round {
+    if owner_round {
         // An owner's holders are the ranks whose node advertises it.
         let holds =
             |adv: &[u32], k: &Key| matches!(k, Key::Owner(o) if adv.binary_search(o).is_ok());
@@ -456,8 +513,7 @@ fn plan_requests(
     } else {
         *kept = requests.into_iter().map(|q| (q.0, q.1)).collect();
         kept.iter().map(|_| Round::Chunks(union.clone())).collect()
-    };
-    absent.into_iter().zip(rounds).collect()
+    }
 }
 
 /// Rank 0's moves for a round: every rank's wanted keys in `union`, the

@@ -19,7 +19,7 @@ use crate::config::{ConfigError, DumpConfig, RedundancyPolicy, Strategy};
 use crate::dump::{dump_impl, DumpContext, DumpError};
 use crate::heal::{heal_impl, heal_step_impl, HealCursor, HealOptions, HealReport, TokenBucket};
 use crate::repair::{scrub_impl, RepairError};
-use crate::restore::{restore_impl, RestoreError};
+use crate::restore::{generations_impl, restore_impl, Generations, RestoreError};
 use crate::stats::DumpStats;
 
 /// Top-level error of the session API: every failure class of the
@@ -38,8 +38,8 @@ pub enum ReplError {
     /// A collective heal or scrub failed.
     Repair(RepairError),
     /// A rank died (or a deadlock was suspected) inside a collective this
-    /// session drove. Dump-side rank deaths normally degrade instead of
-    /// erroring; this arm carries the cases that cannot be absorbed.
+    /// session drove. A dump that ends here stored no recipe on this rank,
+    /// so its generation is incomplete ([`Replicator::generations`]).
     RankFailure(CommError),
 }
 
@@ -389,6 +389,17 @@ impl<'a> Replicator<'a> {
     pub fn restore(&self, comm: &mut Comm, dump_id: DumpId) -> Result<Chunk, ReplError> {
         let ctx = self.enter(comm, self.scoped_id(dump_id));
         restore_impl(comm, &ctx, self.cfg.strategy).map_err(ReplError::from)
+    }
+
+    /// Collective: which of this session's generations storage can restore.
+    /// Each live node's leader reads only its own node, and rank 0 judges
+    /// every generation once, so every rank gets the same answer: the
+    /// newest complete generation, the one a restart restores, and the
+    /// newest generation with anything stored, past which the next dump's
+    /// id must lie. Must be called by every rank of the world.
+    pub fn generations(&self, comm: &mut Comm) -> Result<Generations, ReplError> {
+        self.enter(comm, 0);
+        generations_impl(comm, self.cluster, self.session_id()).map_err(ReplError::RankFailure)
     }
 
     /// Collective heal of generation `dump_id`, from the beginning: scrub

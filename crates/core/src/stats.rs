@@ -86,13 +86,6 @@ pub struct DumpStats {
     pub bytes_sent_stripes: u64,
     /// Reduction statistics (`Some` only for coll-dedup).
     pub reduction: Option<ReductionStats>,
-    /// The dump completed in degraded mode: one or more ranks died
-    /// mid-collective, so this rank fell back to a communication-free
-    /// local commit (its data is safe but only on its own node).
-    pub degraded: bool,
-    /// Ranks known dead when this rank's degraded dump closed (empty for a
-    /// clean dump).
-    pub failed_ranks: Vec<u32>,
 }
 
 impl DumpStats {

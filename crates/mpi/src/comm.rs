@@ -39,9 +39,9 @@ pub type Tag = u64;
 /// Top bit marks runtime-internal tags.
 pub(crate) const INTERNAL_TAG: Tag = 1 << 63;
 
-/// Wake-notice tag: a rank that dies, revokes the world or reaches a
-/// survivor fence posts one empty message with this tag to every peer, so
-/// ranks blocked in their mailbox wait re-check the shared fault state.
+/// Wake-notice tag: a rank that dies or revokes the world posts one empty
+/// message with this tag to every peer, so ranks blocked in their mailbox
+/// wait re-check the shared fault state.
 /// Never stashed in the unexpected-message queue, never user-visible.
 pub(crate) const WAKE_TAG: Tag = INTERNAL_TAG | (1 << 62);
 
@@ -520,47 +520,6 @@ impl Comm {
     )]
     pub fn sleep(&self, dur: Duration) {
         std::thread::sleep(dur);
-    }
-
-    // ---- survivor fence ----
-    //
-    // The runtime's analogue of ULFM's failure agreement: closing an
-    // operation that may have degraded, survivors learn exactly which ranks
-    // died before finishing it, independent of thread scheduling. Every
-    // rank calls `fence_arrive` or `fence_wait` once per fenced operation,
-    // so the n-th call on each rank names the same fence. An arrival is one
-    // atomic counter bump followed by a wake notice to every peer, and a
-    // waiter blocks in the rank's mailbox wait like a receive. Without a
-    // fault plan nobody can die and both are no-ops.
-
-    /// Reach this rank's next fence without waiting for anyone.
-    pub fn fence_arrive(&mut self) {
-        if let Some(rt) = &self.fault_rt {
-            rt.arrive(self.rank);
-            self.wake_peers();
-        }
-    }
-
-    /// Reach this rank's next fence, then wait until every rank has reached
-    /// it or died, and return the ranks that died first, ascending. The wait
-    /// is bounded by the receive timeout; on expiry the answer covers the
-    /// deaths seen so far. Messages that arrive meanwhile are stashed for
-    /// later receives.
-    pub fn fence_wait(&mut self) -> Vec<Rank> {
-        let Some(rt) = self.fault_rt.clone() else {
-            return Vec::new();
-        };
-        let generation = rt.arrive(self.rank);
-        self.wake_peers();
-        let deadline = Instant::now() + self.recv_timeout;
-        while !rt.fence_done(generation) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.receiver.recv_timeout(left) {
-                Ok(msg) => self.stash(msg),
-                Err(_) => break,
-            }
-        }
-        rt.absent_from_fence(generation)
     }
 
     /// Open the phase span `name`, firing any `PhaseStart(name)` fault of
@@ -1352,30 +1311,6 @@ mod tests {
         });
         for rank in [1, 2] {
             assert_eq!(out.outcomes[rank].as_completed().unwrap(), &vec![0]);
-        }
-    }
-
-    #[test]
-    fn fence_waits_for_a_lagging_rank_to_arrive_or_die() {
-        // Rank 3 lags, then dies before its fence; rank 2 lags and arrives.
-        // Survivors that reach the fence first must still name rank 3 —
-        // and only rank 3 — however the threads are scheduled.
-        let plan = FaultPlan::new(9).crash(3, FaultTrigger::PhaseStart("late".into()));
-        let out = fault_config(plan).launch(4, |comm| {
-            if comm.rank() >= 2 {
-                comm.sleep(Duration::from_millis(100));
-            }
-            comm.enter_phase("late");
-            comm.exit_phase("late");
-            if comm.rank() == 2 {
-                comm.fence_arrive();
-                return Vec::new();
-            }
-            comm.fence_wait()
-        });
-        assert_eq!(out.crashed_ranks(), vec![3]);
-        for rank in [0, 1] {
-            assert_eq!(out.outcomes[rank].as_completed().unwrap(), &vec![3]);
         }
     }
 

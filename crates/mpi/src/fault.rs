@@ -19,7 +19,7 @@
 //! in a receive from a live peer fail fast too.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -423,7 +423,7 @@ impl std::error::Error for CommError {}
 
 /// Shared per-world fault state. The atomic dead flags are the ground
 /// truth; the wake notices ranks post on every channel are pure wakeups
-/// (each flag or counter is set *before* any notice is sent, so a woken
+/// (each flag is set *before* any notice is sent, so a woken
 /// receiver always observes it).
 pub(crate) struct FaultRuntime {
     dead: Vec<AtomicBool>,
@@ -433,10 +433,6 @@ pub(crate) struct FaultRuntime {
     /// first, and `revoke`'s release pairs with `is_revoked`'s acquire,
     /// so a rank that sees the world revoked also sees that death.
     revoked: AtomicBool,
-    /// Survivor fences each rank has reached (see [`FaultRuntime::arrive`]).
-    /// One atomic per rank, so an arrival is one event that every survivor
-    /// observes alike.
-    arrivals: Vec<AtomicU64>,
     pub(crate) on_crash: Option<CrashHook>,
     pub(crate) on_transient: Option<TransientHook>,
 }
@@ -450,32 +446,9 @@ impl FaultRuntime {
         Self {
             dead: (0..world).map(|_| AtomicBool::new(false)).collect(),
             revoked: AtomicBool::new(false),
-            arrivals: (0..world).map(|_| AtomicU64::new(0)).collect(),
             on_crash,
             on_transient,
         }
-    }
-
-    /// `rank` reaches its next survivor fence; returns that fence's
-    /// generation (1 for the first).
-    pub(crate) fn arrive(&self, rank: Rank) -> u64 {
-        self.arrivals[rank as usize].fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    fn reached(&self, rank: Rank, generation: u64) -> bool {
-        self.arrivals[rank as usize].load(Ordering::Acquire) >= generation
-    }
-
-    /// Whether every rank has reached fence `generation` or died.
-    pub(crate) fn fence_done(&self, generation: u64) -> bool {
-        (0..self.dead.len() as u32).all(|r| self.reached(r, generation) || self.is_dead(r))
-    }
-
-    /// The ranks that died without reaching fence `generation`, ascending.
-    pub(crate) fn absent_from_fence(&self, generation: u64) -> Vec<Rank> {
-        (0..self.dead.len() as u32)
-            .filter(|&r| self.is_dead(r) && !self.reached(r, generation))
-            .collect()
     }
 
     pub(crate) fn is_dead(&self, rank: Rank) -> bool {
@@ -673,22 +646,5 @@ mod tests {
         assert!(rt.is_dead(2) && rt.is_dead(0) && !rt.is_dead(1));
         assert_eq!(rt.dead_ranks(), vec![0, 2]);
         assert_eq!(rt.first_dead(), Some(0));
-    }
-
-    #[test]
-    fn fence_reports_only_ranks_that_died_before_arriving() {
-        let rt = FaultRuntime::new(4, None, None);
-        assert_eq!(rt.arrive(0), 1);
-        assert_eq!(rt.arrive(1), 1);
-        rt.mark_dead(1); // arrived first: not absent from fence 1
-        rt.mark_dead(3); // never arrived
-        assert!(!rt.fence_done(1), "rank 2 has neither arrived nor died");
-        assert_eq!(rt.arrive(2), 1);
-        assert!(rt.fence_done(1));
-        assert_eq!(rt.absent_from_fence(1), vec![3]);
-        // Fence 2: only rank 0 arrives; the dead never do.
-        assert_eq!(rt.arrive(0), 2);
-        assert!(!rt.fence_done(2), "rank 2 has not reached fence 2");
-        assert_eq!(rt.absent_from_fence(2), vec![1, 3]);
     }
 }

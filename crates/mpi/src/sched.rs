@@ -2,9 +2,9 @@
 //!
 //! [`WorldConfig::launch`](crate::WorldConfig::launch) runs one OS thread
 //! per rank, as an MPI job runs one process per core, and the OS
-//! schedules them all. A rank that blocks (a matched receive, a survivor
-//! fence, [`Comm::sleep`](crate::Comm::sleep)) sleeps once, in that wait,
-//! and wakes when its message, fence or deadline arrives. Nothing else
+//! schedules them all. A rank that blocks (a matched receive,
+//! [`Comm::sleep`](crate::Comm::sleep)) sleeps once, in that wait, and
+//! wakes when its message or deadline arrives. Nothing else
 //! bounds how many ranks run at once: a runnable-set bound costs a second
 //! wake-up on every blocking receive and idles a CPU whenever the rank
 //! holding a slot is not the one on the critical path.

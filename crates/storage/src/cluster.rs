@@ -266,11 +266,6 @@ pub struct NodeState {
     /// read (chunk/recipe fetch) consumes one and fails with
     /// [`StorageError::Transient`]. Test/fault-injection state.
     transient_reads: u32,
-    /// Absent-at-dump-time tombstones: `(rank, dump_id)` pairs recorded by
-    /// a degraded dump when `rank` died before contributing its data to
-    /// generation `dump_id`. Restore reports these as a distinct loss class
-    /// (the data never existed) instead of a replica-holder failure.
-    absent: HashMap<DumpId, Vec<u32>>,
     alive: bool,
 }
 
@@ -278,8 +273,8 @@ pub struct NodeState {
 /// [`Cluster::collect_orphans`], or a heal's GC summed over its nodes).
 ///
 /// `generations_collected` counts the distinct superseded dump ids that
-/// still had any on-device footprint (recipes, blob stripes or
-/// tombstones) when the collection ran — a steady-state health metric: a
+/// still had any on-device footprint (recipes or blob stripes) when the
+/// collection ran — a steady-state health metric: a
 /// healthy cluster collects every generation it supersedes, so the
 /// count stays bounded by the dump rate instead of growing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -293,8 +288,6 @@ pub struct GcStats {
     /// Erasure-coded shards dropped (superseded blob stripes plus stripes
     /// of unreferenced chunks).
     pub shards_removed: u64,
-    /// Absent-at-dump-time tombstone entries dropped.
-    pub tombstones_removed: u64,
     /// Device bytes freed.
     pub bytes_reclaimed: u64,
 }
@@ -307,7 +300,6 @@ impl GcStats {
         self.recipes_removed += other.recipes_removed;
         self.chunks_removed += other.chunks_removed;
         self.shards_removed += other.shards_removed;
-        self.tombstones_removed += other.tombstones_removed;
         self.bytes_reclaimed += other.bytes_reclaimed;
     }
 }
@@ -619,6 +611,26 @@ impl Cluster {
         })
     }
 
+    /// `node`'s recipes in `session`'s generations, as `(generation,
+    /// owner)` pairs sorted ascending.
+    pub fn session_recipes(
+        &self,
+        node: NodeId,
+        session: SessionId,
+    ) -> StorageResult<Vec<(DumpId, u32)>> {
+        self.with_node(node, |n| {
+            let in_session = |d: &DumpId| SessionId::of(*d) == session;
+            let mut keys: Vec<(DumpId, u32)> = n
+                .recipes
+                .keys()
+                .filter(|(_, d)| in_session(d))
+                .map(|&(owner, d)| (d, owner))
+                .collect();
+            keys.sort_unstable();
+            keys
+        })
+    }
+
     /// Store an erasure-coded shard on `node`. Content-addressed by
     /// `(key, meta.index)`: re-putting the same shard is idempotent (the
     /// bytes are replaced and the accounting adjusted), which lets every
@@ -779,26 +791,6 @@ impl Cluster {
         })
     }
 
-    /// Record that `rank`'s contribution to dump `dump_id` was absent when
-    /// the (degraded) dump committed on `node` — the rank died before its
-    /// data reached any device. Idempotent.
-    pub fn mark_absent(&self, node: NodeId, rank: u32, dump_id: DumpId) -> StorageResult<()> {
-        self.with_node(node, |n| {
-            let ranks = n.absent.entry(dump_id).or_default();
-            if let Err(i) = ranks.binary_search(&rank) {
-                ranks.insert(i, rank);
-            }
-        })
-    }
-
-    /// Ranks tombstoned as absent at dump time for `dump_id` on `node`
-    /// (sorted). Like the device contents, tombstones die with the node.
-    pub fn absent_ranks(&self, node: NodeId, dump_id: DumpId) -> StorageResult<Vec<u32>> {
-        self.with_node(node, |n| {
-            n.absent.get(&dump_id).cloned().unwrap_or_default()
-        })
-    }
-
     /// Raw device usage of a node in bytes: chunk store plus blob recipes
     /// plus erasure-coded shards (manifests are metadata and count 0).
     pub fn device_bytes(&self, node: NodeId) -> u64 {
@@ -852,7 +844,6 @@ impl Cluster {
         state.recipe_bytes = 0;
         state.shards.clear();
         state.shard_bytes = 0;
-        state.absent.clear();
         state.transient_reads = 0;
     }
 
@@ -888,10 +879,13 @@ impl Cluster {
             .sum()
     }
 
-    /// Every dump generation with any footprint on a live node (recipes,
-    /// blob stripes or absence tombstones), sorted ascending. It reads
-    /// every node, so it is a test oracle: the heal learns what it
-    /// collected from each node's [`Cluster::collect_superseded`].
+    /// Every dump generation with any footprint on a live node (recipes or
+    /// blob stripes), sorted ascending, complete or not. It reads every
+    /// node, so it is a test oracle: a restart learns which generations
+    /// exist from the collective that has each node's leader read only its
+    /// own node (`Replicator::generations` in `replidedup-core`), and the
+    /// heal learns what it collected from each node's
+    /// [`Cluster::collect_superseded`].
     pub fn generations(&self) -> Vec<DumpId> {
         let mut gens: Vec<DumpId> = Vec::new();
         for node in 0..self.node_count() {
@@ -904,7 +898,6 @@ impl Cluster {
                 StripeKey::Blob { dump_id, .. } => Some(*dump_id),
                 StripeKey::Chunk(_) => None,
             }));
-            gens.extend(s.absent.keys().copied());
         }
         gens.sort_unstable();
         gens.dedup();
@@ -912,8 +905,7 @@ impl Cluster {
     }
 
     /// Collect `node`'s share of every dump generation older than `before`
-    /// in `before`'s session: drop its recipes, blob stripes and absence
-    /// tombstones. Returns what it reclaimed and the generations it found
+    /// in `before`'s session: drop its recipes and blob stripes. Returns what it reclaimed and the generations it found
     /// any of those for, sorted (`generations_collected` counts them).
     /// Chunks stay: whether one is still referenced is a cluster-wide
     /// fact, which the collective scrub resolves into the orphans that
@@ -947,14 +939,6 @@ impl Cluster {
                     false
                 }
                 _ => true,
-            });
-            s.absent.retain(|d, ranks| {
-                if !superseded(*d) {
-                    return true;
-                }
-                stats.tombstones_removed += ranks.len() as u64;
-                collected.push(*d);
-                false
             });
             collected.sort_unstable();
             collected.dedup();
@@ -1253,21 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn absent_tombstones_roundtrip_and_die_with_node() {
-        let c = Cluster::new(Placement::one_per_node(2));
-        c.mark_absent(0, 3, 7).unwrap();
-        c.mark_absent(0, 1, 7).unwrap();
-        c.mark_absent(0, 3, 7).unwrap(); // idempotent
-        assert_eq!(c.absent_ranks(0, 7).unwrap(), vec![1, 3]);
-        assert_eq!(c.absent_ranks(0, 8).unwrap(), Vec::<u32>::new());
-        assert_eq!(c.absent_ranks(1, 7).unwrap(), Vec::<u32>::new());
-        c.fail_node(0);
-        assert_eq!(c.absent_ranks(0, 7), Err(StorageError::NodeDown(0)));
-        c.revive_node(0);
-        assert_eq!(c.absent_ranks(0, 7).unwrap(), Vec::<u32>::new());
-    }
-
-    #[test]
     fn inconsistent_manifest_rejected_with_typed_error() {
         let c = Cluster::new(Placement::one_per_node(1));
         let bad = Manifest {
@@ -1551,11 +1520,9 @@ mod tests {
         let c = Cluster::new(Placement::one_per_node(2));
         c.put_recipe(0, 0, 1, blob(b"x")).unwrap();
         c.put_recipe(1, 1, 1, blob(b"y")).unwrap();
-        c.mark_absent(0, 1, 1).unwrap();
         c.fail_node(1);
         let (stats, generations) = c.collect_superseded(0, 5).unwrap();
         assert_eq!(stats.recipes_removed, 1, "only its own node's recipe");
-        assert_eq!(stats.tombstones_removed, 1);
         assert_eq!((stats.generations_collected, generations), (1, vec![1]));
         assert_eq!(stats.bytes_reclaimed, 1);
         assert_eq!(c.collect_superseded(1, 5), Err(StorageError::NodeDown(1)));
@@ -1629,17 +1596,15 @@ mod tests {
             0,
             Manifest::fixed_stride(1, b.scope(1), 5, 5, vec![fp(12)]),
         );
-        c.mark_absent(0, 2, b.scope(1)).unwrap();
         assert!(b.scope(1) > a.scope(2));
 
         // Collect session A up to generation 2: A's gen 1 goes, B's
-        // recipe and tombstone stay, and no chunk is touched.
+        // recipe stays, and no chunk is touched.
         let (stats, generations) = c.collect_superseded(0, a.scope(2)).unwrap();
         assert_eq!(generations, vec![a.scope(1)]);
-        assert_eq!((stats.recipes_removed, stats.tombstones_removed), (1, 0));
+        assert_eq!(stats.recipes_removed, 1);
         assert!(c.has_chunk(0, &fp(10)), "chunks wait for the census");
         assert!(c.get_recipe(0, 1, b.scope(1)).is_ok());
-        assert_eq!(c.absent_ranks(0, b.scope(1)).unwrap(), vec![2]);
         assert_eq!(c.generations(), vec![a.scope(2), b.scope(1)]);
     }
 

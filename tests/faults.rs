@@ -1,16 +1,24 @@
 //! Seeded chaos suite for the deterministic fault-injection harness
 //! (DESIGN.md §10, "Fault model").
 //!
-//! Four promises under test:
-//! 1. Crashing at most K−1 ranks mid-dump never loses a survivor's data:
-//!    after a restart (fresh world, dead nodes revived empty), every
-//!    surviving rank restores its buffer byte-exactly — for every strategy
-//!    and K ∈ {2, 3}, with crash points drawn from a seeded schedule over
-//!    the dump's phase boundaries.
-//! 2. The same seed replays the same schedule: the crashed-rank set and
-//!    every restored byte are identical across runs.
-//! 3. Losing more than K−1 ranks degrades to a *typed* data-loss error
-//!    (`RestoreError::AbsentAtDump`) — never a panic, never a hang.
+//! A generation is atomic: a dump stores its recipes only after its last
+//! collective, so a dump that loses a rank before then leaves its
+//! generation incomplete, and a restart restores the newest generation
+//! storage finds complete (`Replicator::generations`). Every test dumps
+//! generation 1 cleanly, then generation 2 under a fault plan. Four
+//! promises under test:
+//! 1. At most K−1 crashes in generation 2's dump, each taking its node's
+//!    storage with it, leave the restart a complete generation, 1 or 2,
+//!    that restores byte-exactly on every rank, the crashed ones included
+//!    — for every strategy and K ∈ {2, 3}, with crash points drawn from a
+//!    seeded schedule over the dump's phase boundaries.
+//! 2. The same seed replays the same schedule: the crashed-rank set, the
+//!    generation the restart names and every restored byte are identical
+//!    across runs.
+//! 3. Losing more than K−1 ranks before generation 2 stores anything is
+//!    typed data loss for that generation (`RestoreError::RecipeLost` on
+//!    every rank), while generation 1 still restores — never a panic,
+//!    never a hang.
 //! 4. A rank that stops participating surfaces as
 //!    `CommError::DeadlockSuspected` with rank/tag context through
 //!    `ReplError::source()`, bounded by the injected receive timeout.
@@ -22,16 +30,17 @@ use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
 use replidedup::core::{
-    RedundancyPolicy, ReplError, Replicator, RestoreError, Strategy, DUMP_PHASES,
+    Generations, RedundancyPolicy, ReplError, Replicator, RestoreError, Strategy, DUMP_PHASES,
 };
 use replidedup::mpi::{CommError, FaultPlan, FaultTrigger, RankOutcome, WorldConfig};
-use replidedup::storage::{Cluster, Placement};
+use replidedup::storage::{Cluster, DumpId, Placement};
 
 const N: u32 = 6;
 
-/// Per-rank buffers with cross-rank redundancy so every strategy has real
-/// dedup work to do (same workload shape as tests/trace.rs).
-fn buffers(n: u32) -> Vec<Vec<u8>> {
+/// Per-rank buffers of generation `gen`, with cross-rank redundancy so
+/// every strategy has real dedup work to do (same workload shape as
+/// tests/trace.rs).
+fn buffers(gen: DumpId) -> Vec<Vec<u8>> {
     let workload = SyntheticWorkload {
         chunk_size: 64,
         global_chunks: 4,
@@ -40,103 +49,152 @@ fn buffers(n: u32) -> Vec<Vec<u8>> {
         private_chunks: 3,
         local_dup_chunks: 2,
         local_repeat: 2,
-        seed: 7,
+        seed: 6 + gen,
     };
-    (0..n).map(|r| workload.generate(r)).collect()
+    (0..N).map(|r| workload.generate(r)).collect()
 }
 
-fn replicator(strategy: Strategy, cluster: &Cluster, k: u32) -> Replicator<'_> {
+fn replicator(
+    strategy: Strategy,
+    cluster: &Cluster,
+    k: u32,
+    policy: RedundancyPolicy,
+) -> Replicator<'_> {
     Replicator::builder(strategy)
         .cluster(cluster)
         .replication(k)
         .chunk_size(64)
+        .with_policy(policy)
         .build()
         .expect("valid config")
 }
 
-/// One full chaos round: a faulted dump (crashing ranks take their node's
-/// storage down with them), then a restart — dead nodes revived empty — and
-/// a fresh-world restore. Returns the crashed-rank set and each rank's
-/// restore outcome. Panics if a *surviving* rank's dump errors: survivors
-/// must always degrade to a local commit, not fail.
-fn run_chaos(
-    strategy: Strategy,
-    k: u32,
-    plan: FaultPlan,
-) -> (Vec<u32>, Vec<Result<Vec<u8>, ReplError>>) {
-    let bufs = buffers(N);
-    let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
-    let hook = Arc::clone(&cluster);
-    let plan = plan.on_crash(move |rank| hook.fail_node(hook.node_of(rank)));
-    let config = WorldConfig::default()
-        .with_recv_timeout(Duration::from_secs(2))
-        .with_faults(plan);
-    let repl = replicator(strategy, &cluster, k);
+/// Each rank's outcome of generation 2's dump and how long it took;
+/// `None` for a crashed rank.
+type Outcomes = Vec<Option<(Result<(), ReplError>, Duration)>>;
 
-    let out = config.launch(N, |comm| repl.dump(comm, 1, &bufs[comm.rank() as usize]));
+/// Dump generation 1 cleanly, then generation 2 in a fresh world under
+/// `plan` with receive timeout `timeout`. Returns the crashed ranks and
+/// every rank's outcome of generation 2.
+fn dump_two_generations(
+    repl: &Replicator<'_>,
+    plan: FaultPlan,
+    timeout: Duration,
+) -> (Vec<u32>, Outcomes) {
+    let (gen1, gen2) = (buffers(1), buffers(2));
+    WorldConfig::default()
+        .launch(N, |comm| repl.dump(comm, 1, &gen1[comm.rank() as usize]))
+        .expect_all()
+        .results
+        .into_iter()
+        .for_each(|r| assert!(r.is_ok(), "generation 1 dumps cleanly: {r:?}"));
+    let out = WorldConfig::default()
+        .with_recv_timeout(timeout)
+        .with_faults(plan)
+        .launch(N, |comm| {
+            let t0 = Instant::now();
+            let dumped = repl.dump(comm, 2, &gen2[comm.rank() as usize]);
+            (dumped.map(|_| ()), t0.elapsed())
+        });
     let crashed = out.crashed_ranks();
-    for (rank, o) in out.outcomes.iter().enumerate() {
-        if let RankOutcome::Completed(Err(e)) = o {
-            panic!("surviving rank {rank} failed its dump instead of degrading: {e}");
-        }
-    }
-    (crashed, restart_and_restore(&cluster, &repl))
+    let outcomes = out
+        .outcomes
+        .into_iter()
+        .map(|o| match o {
+            RankOutcome::Completed(done) => Some(done),
+            RankOutcome::Crashed { .. } => None,
+        })
+        .collect();
+    (crashed, outcomes)
 }
 
-/// Restart after a faulted dump — dead nodes come back as empty
-/// replacement hardware — and restore dump 1 in a fresh world.
-fn restart_and_restore(
+/// A survivor of generation 2's dump either finished it or failed with a
+/// typed rank failure — never another error.
+fn assert_committed_or_rank_failure(outcomes: &Outcomes, cell: &str) {
+    for (rank, o) in outcomes.iter().enumerate() {
+        if let Some((Err(e), _)) = o {
+            assert!(
+                matches!(e, ReplError::RankFailure(_)),
+                "{cell}: survivor {rank} failed with {e:?}"
+            );
+        }
+    }
+}
+
+/// Restart in a fresh world, dead nodes revived empty: every rank asks
+/// storage for the newest complete generation and restores it. The
+/// answer must be the same on every rank and name generation 1 or 2, and
+/// that generation must restore byte-exactly on every rank, crashed ones
+/// included. Returns the named generation.
+fn assert_restart_restores_everywhere(
     cluster: &Cluster,
     repl: &Replicator<'_>,
-) -> Vec<Result<Vec<u8>, ReplError>> {
+    cell: &str,
+) -> DumpId {
     for node in 0..N {
         if !cluster.is_alive(node) {
             cluster.revive_node(node);
         }
     }
-    WorldConfig::default()
-        .launch(N, |comm| repl.restore(comm, 1).map(Vec::from))
-        .expect_all()
-        .results
+    let out = WorldConfig::default()
+        .launch(N, |comm| {
+            let found = repl.generations(comm).expect("generations");
+            let gen = found.complete.expect("a complete generation");
+            (found, repl.restore(comm, gen).map(Vec::from))
+        })
+        .expect_all();
+    let found: Generations = out.results[0].0;
+    let gen = found.complete.unwrap_or_default();
+    assert!(gen == 1 || gen == 2, "{cell}: restart named {found:?}");
+    assert!(found.newest >= Some(gen), "{cell}: {found:?}");
+    let want = buffers(gen);
+    for (rank, (f, r)) in out.results.iter().enumerate() {
+        assert_eq!(*f, found, "{cell}: rank {rank} heard another answer");
+        assert_eq!(
+            r.as_ref().ok(),
+            Some(&want[rank]),
+            "{cell}: rank {rank} of generation {gen}"
+        );
+    }
+    gen
+}
+
+/// Generation 2 under `plan`, each crashing rank taking its node's
+/// storage with it, then the restart. Returns the crashed ranks and the
+/// generation the restart named (and every rank restored).
+fn run_chaos(strategy: Strategy, k: u32, plan: FaultPlan) -> (Vec<u32>, DumpId) {
+    let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
+    let hook = Arc::clone(&cluster);
+    let plan = plan.on_crash(move |rank| hook.fail_node(hook.node_of(rank)));
+    let repl = replicator(strategy, &cluster, k, RedundancyPolicy::Replicate(k));
+    let (crashed, outcomes) = dump_two_generations(&repl, plan, Duration::from_secs(2));
+    let cell = format!("{strategy:?} K={k} crashed {crashed:?}");
+    assert_committed_or_rank_failure(&outcomes, &cell);
+    (
+        crashed,
+        assert_restart_restores_everywhere(&cluster, &repl, &cell),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Promise 1: for every strategy × K ∈ {2, 3}, a seeded schedule of at
-    /// most K−1 mid-dump crashes leaves every survivor restorable
-    /// byte-exactly. (A planned crash whose phase is never reached — e.g.
-    /// preempted by an earlier victim's death — simply does not fire;
-    /// `crashed` is the set that actually died.)
+    /// most K−1 crashes in generation 2's dump leaves a complete
+    /// generation that every rank restores byte-exactly. (A planned crash
+    /// whose phase is never reached — e.g. preempted by an earlier
+    /// victim's death — simply does not fire; `crashed` is the set that
+    /// actually died.)
     #[test]
     fn seeded_crashes_of_at_most_k_minus_1_never_lose_survivor_data(seed in any::<u64>()) {
         for strategy in [Strategy::NoDedup, Strategy::LocalDedup, Strategy::CollDedup] {
             for k in [2u32, 3] {
                 let plan = FaultPlan::seeded(seed, N, k - 1, &DUMP_PHASES);
-                let bufs = buffers(N);
-                let (crashed, restored) = run_chaos(strategy, k, plan);
+                let (crashed, _) = run_chaos(strategy, k, plan);
                 prop_assert!(
                     crashed.len() <= (k - 1) as usize,
                     "{crashed:?} crashed under a {}-crash plan", k - 1
                 );
-                for (rank, r) in restored.iter().enumerate() {
-                    if crashed.contains(&(rank as u32)) {
-                        // A dead rank's restore may succeed (it crashed
-                        // after committing) or report typed loss; either
-                        // way it returned instead of hanging.
-                        continue;
-                    }
-                    match r {
-                        Ok(bytes) => prop_assert!(
-                            bytes == &bufs[rank],
-                            "{strategy:?} K={k} seed={seed}: rank {rank} restored wrong bytes"
-                        ),
-                        Err(e) => prop_assert!(
-                            false,
-                            "{strategy:?} K={k} seed={seed}: surviving rank {rank} lost data: {e}"
-                        ),
-                    }
-                }
             }
         }
     }
@@ -144,11 +202,10 @@ proptest! {
 
 /// Promise 2: the schedule is deterministic. The same seed always derives
 /// the same fault plan, and for a single-crash plan the victim's trigger
-/// phase is always reached, so two runs crash the same rank and restore
-/// the same bytes. (With several planned crashes only the *plan* is exactly
-/// replayable: an earlier victim's death can preempt a later victim before
-/// its trigger phase, downgrading it to a degraded survivor — and per-rank
-/// `DumpStats` race on which collective first observes a death.)
+/// phase is always reached, so two runs crash the same rank and name the
+/// same generation, which restores the same bytes. (With several planned
+/// crashes only the *plan* is exactly replayable: an earlier victim's
+/// death can preempt a later victim before its trigger phase.)
 #[test]
 fn same_seed_replays_the_same_crash_schedule_and_bytes() {
     let seed = 0xD15EA5E;
@@ -160,35 +217,25 @@ fn same_seed_replays_the_same_crash_schedule_and_bytes() {
         "seeded plan derivation must be deterministic"
     );
 
-    let (crashed_a, restored_a) = run_chaos(
-        Strategy::CollDedup,
-        3,
-        FaultPlan::seeded(seed, N, 1, &DUMP_PHASES),
-    );
-    let (crashed_b, restored_b) = run_chaos(
-        Strategy::CollDedup,
-        3,
-        FaultPlan::seeded(seed, N, 1, &DUMP_PHASES),
-    );
+    let run = || {
+        run_chaos(
+            Strategy::CollDedup,
+            3,
+            FaultPlan::seeded(seed, N, 1, &DUMP_PHASES),
+        )
+    };
+    let (crashed_a, gen_a) = run();
+    let (crashed_b, gen_b) = run();
     assert_eq!(crashed_a, crashed_b, "same seed must crash the same rank");
     assert!(!crashed_a.is_empty(), "seeded plan must fire at least once");
-    for rank in 0..N as usize {
-        let (a, b) = (&restored_a[rank], &restored_b[rank]);
-        assert_eq!(
-            a.is_ok(),
-            b.is_ok(),
-            "rank {rank}: restore outcome diverged between replays"
-        );
-        if let (Ok(a), Ok(b)) = (a, b) {
-            assert_eq!(a, b, "rank {rank}: restored bytes diverged between replays");
-        }
-    }
+    assert_eq!(gen_a, gen_b, "same seed must name the same generation");
 }
 
-/// Promise 3: more than K−1 failures is typed data loss, not a panic or a
-/// hang. Both victims die before writing anything, so after the restart
-/// their restores report `AbsentAtDump` while every survivor still gets
-/// its bytes back — and the whole round resolves in seconds.
+/// Promise 3: more than K−1 rank deaths are typed data loss, not a panic
+/// or a hang. Both victims die before generation 2 stores anything (their
+/// processes die; the disks survive), so every rank's restore of
+/// generation 2 reports `RecipeLost`, the restart names generation 1, and
+/// every rank restores it — the whole round resolves in seconds.
 #[test]
 fn losing_more_than_k_minus_1_ranks_is_typed_data_loss_not_a_hang() {
     for strategy in [Strategy::NoDedup, Strategy::LocalDedup, Strategy::CollDedup] {
@@ -197,31 +244,22 @@ fn losing_more_than_k_minus_1_ranks_is_typed_data_loss_not_a_hang() {
         let plan = FaultPlan::new(11)
             .crash(1, FaultTrigger::PhaseStart("local_dedup".into()))
             .crash(4, FaultTrigger::PhaseStart("local_dedup".into()));
-        let bufs = buffers(N);
-        let (crashed, restored) = run_chaos(strategy, k, plan);
+        let cluster = Cluster::new(Placement::one_per_node(N));
+        let repl = replicator(strategy, &cluster, k, RedundancyPolicy::Replicate(k));
+        let (crashed, outcomes) = dump_two_generations(&repl, plan, Duration::from_secs(2));
         assert_eq!(crashed, vec![1, 4]);
-        for (rank, r) in restored.iter().enumerate() {
-            if crashed.contains(&(rank as u32)) {
-                match r {
-                    Err(ReplError::Restore(RestoreError::AbsentAtDump {
-                        rank: lost,
-                        dump_id,
-                    })) => {
-                        assert_eq!(*lost, rank as u32);
-                        assert_eq!(*dump_id, 1);
-                    }
-                    other => panic!(
-                        "{strategy:?}: dead rank {rank} expected typed AbsentAtDump, got {other:?}"
-                    ),
-                }
-            } else {
-                assert_eq!(
-                    r.as_ref().expect("survivor restores"),
-                    &bufs[rank],
-                    "{strategy:?}: surviving rank {rank} restored wrong bytes"
-                );
-            }
+        assert_committed_or_rank_failure(&outcomes, &format!("{strategy:?}"));
+        let lost = WorldConfig::default()
+            .launch(N, |comm| repl.restore(comm, 2).map(|_| ()))
+            .expect_all();
+        for (rank, r) in lost.results.iter().enumerate() {
+            assert!(
+                matches!(r, Err(ReplError::Restore(RestoreError::RecipeLost { rank: lost })) if *lost == rank as u32),
+                "{strategy:?}: rank {rank}'s generation 2 must be typed RecipeLost, got {r:?}"
+            );
         }
+        let gen = assert_restart_restores_everywhere(&cluster, &repl, &format!("{strategy:?}"));
+        assert_eq!(gen, 1, "{strategy:?}");
         assert!(
             t0.elapsed() < Duration::from_secs(30),
             "{strategy:?}: fault round took {:?} — failure path is hanging",
@@ -233,13 +271,13 @@ fn losing_more_than_k_minus_1_ranks_is_typed_data_loss_not_a_hang() {
 /// A rank dead before its peers fan out — partner manifests at commit,
 /// stripe shards to node leaders at stripe assembly — must not cost the
 /// live peers after it in a sender's order their frames: every survivor
-/// degrades at once instead of waiting out its receive timeout for a
-/// sender that is alive.
+/// returns at once, finished or with a rank failure, instead of waiting
+/// out its receive timeout for a sender that is alive. The restart's
+/// generation restores everywhere.
 #[test]
 fn survivors_of_a_crash_before_a_fan_out_do_not_wait_out_the_timeout() {
     const TIMEOUT: Duration = Duration::from_secs(2);
     const VICTIM: u32 = 1;
-    let bufs = buffers(N);
     let cases = [
         ("commit", RedundancyPolicy::Replicate(3)),
         ("stripe_assembly", RedundancyPolicy::Rs { k: 4, m: 2 }),
@@ -247,31 +285,21 @@ fn survivors_of_a_crash_before_a_fan_out_do_not_wait_out_the_timeout() {
     for (phase, policy) in cases {
         let plan = FaultPlan::new(5).crash(VICTIM, FaultTrigger::PhaseStart(phase.into()));
         let cluster = Cluster::new(Placement::one_per_node(N));
-        let repl = Replicator::builder(Strategy::CollDedup)
-            .cluster(&cluster)
-            .replication(3)
-            .chunk_size(64)
-            .with_policy(policy)
-            .build()
-            .expect("valid config");
-        let out = WorldConfig::default()
-            .with_recv_timeout(TIMEOUT)
-            .with_faults(plan)
-            .launch(N, |comm| {
-                let t0 = Instant::now();
-                let dumped = repl.dump(comm, 1, &bufs[comm.rank() as usize]);
-                (dumped.map(|_| ()), t0.elapsed())
-            });
-        assert_eq!(out.crashed_ranks(), vec![VICTIM], "{phase}");
-        for (rank, outcome) in out.outcomes.iter().enumerate() {
-            if let RankOutcome::Completed((dumped, took)) = outcome {
-                assert!(dumped.is_ok(), "{phase}: rank {rank} failed: {dumped:?}");
-                assert!(
-                    *took < TIMEOUT / 4,
-                    "{phase}: survivor {rank} took {took:?}, waiting on a live sender"
-                );
-            }
+        let repl = replicator(Strategy::CollDedup, &cluster, 3, policy);
+        let (crashed, outcomes) = dump_two_generations(&repl, plan, TIMEOUT);
+        assert_eq!(crashed, vec![VICTIM], "{phase}");
+        assert_committed_or_rank_failure(&outcomes, phase);
+        for (rank, (_, took)) in outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(r, o)| Some((r, o.as_ref()?)))
+        {
+            assert!(
+                *took < TIMEOUT / 4,
+                "{phase}: survivor {rank} took {took:?}, waiting on a live sender"
+            );
         }
+        assert_restart_restores_everywhere(&cluster, &repl, phase);
     }
 }
 
@@ -286,7 +314,12 @@ fn nonparticipating_rank_surfaces_as_deadlock_suspected_with_context() {
     let n = 2;
     let t0 = Instant::now();
     let cluster = Cluster::new(Placement::one_per_node(n));
-    let repl = replicator(Strategy::NoDedup, &cluster, 2);
+    let repl = replicator(
+        Strategy::NoDedup,
+        &cluster,
+        2,
+        RedundancyPolicy::Replicate(2),
+    );
     let config = WorldConfig::default().with_recv_timeout(Duration::from_millis(300));
     let out = config
         .launch(n, |comm| {
@@ -335,15 +368,15 @@ fn nonparticipating_rank_surfaces_as_deadlock_suspected_with_context() {
     );
 }
 
-/// Wherever one rank dies in a dump — the start or end of any
+/// Wherever one rank dies in generation 2's dump — the start or end of any
 /// [`DUMP_PHASES`] phase, as the first, a middle or the last rank — every
-/// survivor returns `Ok` at once, not after its receive timeout, and
-/// restores its bytes exactly. Coll-dedup under Reed-Solomon 4+2 (with
+/// survivor returns at once, finished or with a rank failure, not after
+/// its receive timeout, and the generation the restart names restores
+/// byte-exactly on every rank. Coll-dedup under Reed-Solomon 4+2 (with
 /// `K = 3` for manifests) runs every phase, the stripe assembly included.
 #[test]
 fn one_death_anywhere_in_a_dump_costs_no_survivor_its_timeout() {
     const TIMEOUT: Duration = Duration::from_secs(10);
-    let bufs = buffers(N);
     for phase in DUMP_PHASES {
         for at_start in [true, false] {
             for victim in [0, N / 2, N - 1] {
@@ -358,41 +391,20 @@ fn one_death_anywhere_in_a_dump_costs_no_survivor_its_timeout() {
                 let plan = FaultPlan::new(6)
                     .crash(victim, trigger)
                     .on_crash(move |rank| hook.fail_node(hook.node_of(rank)));
-                let repl = Replicator::builder(Strategy::CollDedup)
-                    .cluster(&cluster)
-                    .replication(3)
-                    .chunk_size(64)
-                    .with_policy(RedundancyPolicy::Rs { k: 4, m: 2 })
-                    .build()
-                    .expect("valid config");
-                let out = WorldConfig::default()
-                    .with_recv_timeout(TIMEOUT)
-                    .with_faults(plan)
-                    .launch(N, |comm| {
-                        let t0 = Instant::now();
-                        let dumped = repl.dump(comm, 1, &bufs[comm.rank() as usize]);
-                        (dumped.map(|_| ()), t0.elapsed())
-                    });
-                assert_eq!(out.crashed_ranks(), vec![victim], "{cell}");
-                for (rank, outcome) in out.outcomes.iter().enumerate() {
-                    if let RankOutcome::Completed((dumped, took)) = outcome {
-                        assert!(dumped.is_ok(), "{cell}: rank {rank} failed: {dumped:?}");
+                let policy = RedundancyPolicy::Rs { k: 4, m: 2 };
+                let repl = replicator(Strategy::CollDedup, &cluster, 3, policy);
+                let (crashed, outcomes) = dump_two_generations(&repl, plan, TIMEOUT);
+                assert_eq!(crashed, vec![victim], "{cell}");
+                assert_committed_or_rank_failure(&outcomes, &cell);
+                for (rank, o) in outcomes.iter().enumerate() {
+                    if let Some((_, took)) = o {
                         assert!(
                             *took < Duration::from_secs(1),
                             "{cell}: survivor {rank} took {took:?}"
                         );
                     }
                 }
-                let restored = restart_and_restore(&cluster, &repl);
-                for (rank, r) in restored.iter().enumerate() {
-                    if rank as u32 != victim {
-                        assert_eq!(
-                            r.as_ref().ok(),
-                            Some(&bufs[rank]),
-                            "{cell}: survivor {rank} restored wrong bytes"
-                        );
-                    }
-                }
+                assert_restart_restores_everywhere(&cluster, &repl, &cell);
             }
         }
     }

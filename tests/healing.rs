@@ -16,8 +16,9 @@
 //!    generation and a rate-limited background heal of an older one
 //!    interleave on the same cluster without corrupting either
 //!    generation.
-//! 4. The superseded-generation GC step reclaims old dumps without
-//!    touching chunks the surviving generation still references.
+//! 4. The superseded-generation GC step reclaims old dumps, a failed
+//!    dump's leftovers included, without touching chunks the surviving
+//!    generation still references.
 //! 5. One world-wide key budget bounds what rank 0 gathers in a heal
 //!    window, so a window costs it no more at 32 ranks than at 8, and a
 //!    small world heals in few, wide windows.
@@ -489,6 +490,71 @@ fn heal_gc_step_reclaims_superseded_generations_safely() {
         }
         assert_restores(&repl, &gen2, 2, cell);
     });
+}
+
+/// A failed dump's leftovers are garbage. Gen 1 dumps cleanly; gen 2
+/// loses its last rank 200 ms into the stripe assembly, after every peer
+/// stored its chunks and sent its shards, so the node leaders store the
+/// live owners' shards but no rank stores a recipe; gen 3 dumps cleanly.
+/// A heal of gen 3 with `gc_before = 3` collects gen 2 with gen 1: a
+/// scrub finds no orphan, storage holds gen 3 only, and gen 3 restores
+/// byte-exactly. Coll-dedup leaves chunk copies and chunk stripes,
+/// `no-dedup` blob stripes (Reed-Solomon 4+2 both).
+#[test]
+fn heal_gc_collects_a_failed_generation() {
+    for strategy in [Strategy::CollDedup, Strategy::NoDedup] {
+        let cell = strategy.label();
+        let cluster = Cluster::new(Placement::one_per_node(N));
+        let gc = HealOptions {
+            gc_before: Some(3),
+            ..small_windows()
+        };
+        let repl = replicator(strategy, &cluster, RedundancyPolicy::Rs { k: 4, m: 2 }, gc);
+        // Each generation's own bytes: no chunk is shared across them.
+        let gen = |g: u8| -> Vec<Vec<u8>> {
+            let flip = |b: &Vec<u8>| b.iter().map(|x| x ^ g).collect();
+            buffers(N).iter().map(flip).collect()
+        };
+        let scrub = || {
+            let out = WorldConfig::default()
+                .launch(N, |comm| repl.scrub(comm))
+                .expect_all();
+            out.results
+                .into_iter()
+                .next()
+                .expect("rank 0")
+                .expect("scrub runs")
+        };
+        dump_all(&repl, &gen(1), 1);
+        let victim = N - 1;
+        let start = FaultTrigger::PhaseStart("stripe_assembly".into());
+        let plan = FaultPlan::new(13)
+            .delay(victim, start.clone(), Duration::from_millis(200))
+            .crash(victim, start);
+        let bufs = gen(2);
+        let out = WorldConfig::default()
+            .with_recv_timeout(Duration::from_secs(5))
+            .with_faults(plan)
+            .launch(N, |comm| {
+                repl.dump(comm, 2, &bufs[comm.rank() as usize]).map(|_| ())
+            });
+        assert_eq!(out.crashed_ranks(), vec![victim], "{cell}");
+        let leftovers = !scrub().orphans.is_empty() || cluster.generations().contains(&2);
+        assert!(leftovers, "{cell}: the failed dump stored chunks or shards");
+
+        let bufs = gen(3);
+        dump_all(&repl, &bufs, 3);
+        let out = WorldConfig::default()
+            .launch(N, |comm| repl.heal(comm, 3))
+            .expect_all();
+        for r in &out.results {
+            let report = r.as_ref().expect("heal with gc succeeds");
+            assert!(report.is_fully_healed(), "{cell}: {report:?}");
+        }
+        assert_eq!(scrub().orphans, vec![], "{cell}: copies and chunk stripes");
+        assert_eq!(cluster.generations(), vec![3], "{cell}: only gen 3 remains");
+        assert_restores(&repl, &bufs, 3, cell);
+    }
 }
 
 /// Bit-rot in place, on every strategy × policy: node 0 loses up to four

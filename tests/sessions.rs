@@ -19,7 +19,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
-use replidedup::core::{ConfigError, Replicator, Strategy, DUMP_PHASES};
+use replidedup::core::{ConfigError, ReplError, Replicator, Strategy, DUMP_PHASES};
 use replidedup::mpi::{FaultPlan, RankOutcome, WorldConfig};
 use replidedup::storage::{Cluster, Placement, SessionId};
 
@@ -96,7 +96,7 @@ proptest! {
 /// concurrently on background threads, with session A's world under a
 /// seeded crash plan. Session B's dump — same dump id, different bytes —
 /// must commit and restore byte-exactly, and A's surviving ranks must
-/// degrade, not wedge B.
+/// fail with a typed rank failure, not wedge B.
 #[test]
 fn crash_in_one_session_does_not_poison_a_concurrent_one() {
     const N: u32 = 8;
@@ -123,10 +123,13 @@ fn crash_in_one_session_does_not_poison_a_concurrent_one() {
                 .with_recv_timeout(Duration::from_secs(5))
                 .with_faults(plan)
                 .launch(N, |comm| repl.dump(comm, 1, &bufs[comm.rank() as usize]));
-            // Survivors must degrade to a local commit, never error out.
+            // A survivor finishes or fails with a typed rank failure.
             for (rank, o) in out.outcomes.iter().enumerate() {
                 if let RankOutcome::Completed(Err(e)) = o {
-                    panic!("session A rank {rank} failed instead of degrading: {e}");
+                    assert!(
+                        matches!(e, ReplError::RankFailure(_)),
+                        "session A rank {rank} failed with {e:?}"
+                    );
                 }
             }
             out.crashed_ranks()
@@ -227,7 +230,10 @@ fn faulty_dump_session_does_not_poison_a_concurrent_heal_session() {
                 .launch(N, |comm| repl.dump(comm, 1, &bufs[comm.rank() as usize]));
             for (rank, o) in out.outcomes.iter().enumerate() {
                 if let RankOutcome::Completed(Err(e)) = o {
-                    panic!("writer rank {rank} failed instead of degrading: {e}");
+                    assert!(
+                        matches!(e, ReplError::RankFailure(_)),
+                        "writer rank {rank} failed with {e:?}"
+                    );
                 }
             }
             out.crashed_ranks()
