@@ -39,9 +39,12 @@ echo "== cargo test (tier-1: umbrella suites + every crate) =="
 # tests/, on fixed-stride chunk math (`i * chunk_size`, `* 4096`) in
 # the variable-length chunk paths, on any use of the ignored
 # WorldConfig worker setter outside its definition (the benchmark seam
-# is its one caller), and on a one-chunk fingerprint call in the dump's
-# local index, restore's two verification sites or a node scrub's
-# re-hash (chunk_checks_hash_in_batches: all go through fingerprint_all).
+# is its one caller), on a one-chunk fingerprint call in the dump's
+# local index, restore's two verification sites, a node scrub's re-hash
+# or the stripe pass's clean path (chunk_checks_hash_in_batches: all go
+# through fingerprint_all), and on a decode or encode call in the stripe
+# pass's clean path (the_stripe_clean_path_never_decodes: only a stripe
+# that fails the in-cache parity check is decoded).
 cargo test -q
 
 echo "== ranks-smoke (128-rank dump/restore, one thread per rank) =="

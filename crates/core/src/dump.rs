@@ -17,10 +17,13 @@
 //!
 //! A generation is atomic: every rank stores its recipes (its manifest or
 //! blob and the partner copies it received) only after the dump's last
-//! collective, when every rank has stored its chunks and shards. A rank
-//! death before that point fails the dump and leaves the generation
-//! incomplete, and a restart reads the newest complete generation from
-//! storage ([`crate::Replicator::generations`]).
+//! collective, when every rank has stored its chunks and shards. That
+//! collective also carries the lowest rank that deferred a local failure
+//! (a storage error or a corrupt frame), and if there is one no rank
+//! publishes. A rank death before that point, or a deferred failure
+//! anywhere, fails the dump and leaves the generation incomplete, and a
+//! restart reads the newest complete generation from storage
+//! ([`crate::Replicator::generations`]).
 
 use bytes::Bytes;
 use replidedup_buf::{record_copy, thread_bytes_copied, Chunk};
@@ -74,8 +77,9 @@ pub struct DumpContext<'a> {
 }
 
 /// Failures of a collective dump. A storage or decode failure is deferred,
-/// so the collective still completes on every rank and the error reports
-/// what went wrong locally; a rank death fails it ([`DumpError::Comm`]).
+/// so the collective still completes on every rank: the rank that hit it
+/// reports it, every other rank reports [`DumpError::PeerFailed`], and no
+/// rank publishes. A rank death fails it ([`DumpError::Comm`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DumpError {
@@ -96,6 +100,13 @@ pub enum DumpError {
         /// Rank whose exchange region or stripe frame failed to decode.
         from: u32,
     },
+    /// This rank's part succeeded, but rank `rank` (the lowest that
+    /// failed locally: a storage error or a corrupt frame) did not, so no
+    /// rank published its recipes and the generation is incomplete.
+    PeerFailed {
+        /// The lowest rank that deferred a local failure.
+        rank: u32,
+    },
 }
 
 impl std::fmt::Display for DumpError {
@@ -107,6 +118,12 @@ impl std::fmt::Display for DumpError {
             DumpError::CorruptFrame { from } => {
                 write!(f, "corrupt dump frame from rank {from}")
             }
+            DumpError::PeerFailed { rank } => {
+                write!(
+                    f,
+                    "rank {rank} failed its part of the dump; nothing was published"
+                )
+            }
         }
     }
 }
@@ -117,7 +134,7 @@ impl std::error::Error for DumpError {
             DumpError::Config(e) => Some(e),
             DumpError::Storage(e) => Some(e),
             DumpError::Comm(e) => Some(e),
-            DumpError::CorruptFrame { .. } => None,
+            DumpError::CorruptFrame { .. } | DumpError::PeerFailed { .. } => None,
         }
     }
 }
@@ -202,6 +219,21 @@ fn tally(failure: &mut Option<DumpError>, written: &mut u64, r: Result<u64, Stor
 /// runs the rest of the collective, so no peer waits on it.
 fn defer(failure: &mut Option<DumpError>, e: impl Into<DumpError>) {
     failure.get_or_insert(e.into());
+}
+
+/// What [`lowest_failed_rank`] returns when no rank failed.
+const NONE_FAILED: u32 = u32::MAX;
+
+/// The dump's last collective: the lowest rank that deferred a local
+/// failure, or [`NONE_FAILED`], on every rank alike — so either every rank
+/// publishes its recipes or none does.
+fn lowest_failed_rank(comm: &mut Comm, failure: &Option<DumpError>) -> Result<u32, CommError> {
+    let mine = if failure.is_some() {
+        comm.rank()
+    } else {
+        NONE_FAILED
+    };
+    comm.try_allreduce(mine, u32::min)
 }
 
 /// The fault-aware body of Algorithm 1: every phase boundary is a
@@ -549,7 +581,14 @@ fn dump_pipeline(
         }
     }
 
-    comm.try_barrier()?;
+    // The last collective tells every rank whether any rank failed; under
+    // a coded policy that is the stripe assembly's, below.
+    let mut lowest_failed = NONE_FAILED;
+    if code.is_some() {
+        comm.try_barrier()?;
+    } else {
+        lowest_failed = lowest_failed_rank(comm, failure)?;
+    }
     comm.exit_phase("commit");
 
     // ---- Stripe assembly (coded policies) -------------------------------
@@ -646,14 +685,21 @@ fn dump_pipeline(
             }
         }
         // The dump completes only when every shard reached its device.
-        comm.try_barrier()?;
+        lowest_failed = lowest_failed_rank(comm, failure)?;
         comm.exit_phase("stripe_assembly");
     }
 
     // ---- Publish: recipes, after the last collective --------------------
     // Every rank has stored its chunks and shards by now, so a recipe never
     // names data below its redundancy target. A rank that failed before
-    // this point stores none, which leaves the generation incomplete.
+    // this point stores none, and if any rank deferred a local failure no
+    // rank stores any: either way the generation is incomplete.
+    if lowest_failed != NONE_FAILED {
+        failure.get_or_insert(DumpError::PeerFailed {
+            rank: lowest_failed,
+        });
+        return Ok(());
+    }
     for (owner, recipe) in recipes {
         tally(
             failure,
@@ -914,14 +960,17 @@ mod tests {
                 dump_impl(comm, &ctx, &Chunk::from(&buf[..]), &cfg)
             })
             .expect_all();
-        // Rank 1's node is down: it errors; the others still complete
-        // (no deadlock, no panic).
-        assert!(out.results[0].is_ok());
+        // Rank 1's node is down: it errors; the others still complete the
+        // collective (no deadlock, no panic), learn that rank 1 failed and
+        // publish nothing.
         assert!(matches!(
             out.results[1],
             Err(DumpError::Storage(StorageError::NodeDown(1)))
         ));
-        assert!(out.results[2].is_ok());
+        for rank in [0, 2] {
+            assert_eq!(out.results[rank], Err(DumpError::PeerFailed { rank: 1 }));
+        }
+        assert_eq!(cluster.generations(), Vec::<DumpId>::new());
     }
 
     /// A stripe frame decodes into its entries; one cut short is a typed

@@ -361,10 +361,90 @@ impl RsCode {
         dot_acc(&mut buf, data.zip(row.iter().copied()));
         Ok(buf)
     }
+
+    /// Check stored parity against the data it should encode, without
+    /// decoding or allocating: each parity row is recomputed from the `k`
+    /// data shards one 4 KiB column block at a time into a scratch block
+    /// and compared with the stored parity while both are in cache.
+    ///
+    /// `data[j]` is data shard `j` at its true length; `parity` holds
+    /// `(index, bytes)` parity copies, any number per index. Returns the
+    /// parity indices, ascending, with at least one copy that disagrees
+    /// (a copy of the wrong length disagrees); empty — and unallocated —
+    /// when every copy agrees. Fewer than `k` data shards, one of the
+    /// wrong length, more than `k`, or a parity index outside `k..k+m` is
+    /// a typed error.
+    pub fn parity_mismatches(
+        &self,
+        data: &[&[u8]],
+        parity: &[(u8, &[u8])],
+        total_len: usize,
+    ) -> Result<Vec<u8>, EcError> {
+        let kk = self.k as usize;
+        if data.len() < kk {
+            return Err(EcError::NotEnoughShards {
+                have: data.len(),
+                need: self.k,
+            });
+        }
+        if data.len() > kk {
+            // The first extra slot would be shard `k`, which is parity.
+            return Err(EcError::ShardIndexOutOfRange {
+                index: self.k,
+                shards: self.shards(),
+            });
+        }
+        for (j, shard) in (0..self.k).zip(data) {
+            let expected = self.true_len(j, total_len);
+            if shard.len() != expected {
+                return Err(EcError::ShardLengthMismatch {
+                    index: j,
+                    len: shard.len(),
+                    expected,
+                });
+            }
+        }
+        let l = self.shard_len(total_len);
+        // `bad[i]`: some copy of parity shard `i` disagrees; `held[i]`: it
+        // has a copy at all. A row is recomputed only while both say so.
+        let (mut bad, mut held) = ([false; 256], [false; 256]);
+        for &(index, bytes) in parity {
+            if index < self.k || index >= self.shards() {
+                return Err(EcError::ShardIndexOutOfRange {
+                    index,
+                    shards: self.shards(),
+                });
+            }
+            held[index as usize] = true;
+            bad[index as usize] |= bytes.len() != l;
+        }
+        let mut scratch = [0u8; BLOCK];
+        for start in (0..l).step_by(BLOCK) {
+            let block = &mut scratch[..BLOCK.min(l - start)];
+            for (index, row) in (self.k..self.shards()).zip(self.parity.chunks_exact(kk)) {
+                let i = index as usize;
+                if !held[i] || bad[i] {
+                    continue;
+                }
+                block.fill(0);
+                let terms = data.iter().map(|d| d.get(start..).unwrap_or_default());
+                dot_acc(block, terms.zip(row.iter().copied()));
+                let want: &[u8] = block;
+                bad[i] = parity
+                    .iter()
+                    .filter(|(copy, _)| *copy == index)
+                    .any(|(_, bytes)| bytes.get(start..start + want.len()) != Some(want));
+            }
+        }
+        Ok((self.k..self.shards())
+            .filter(|&i| bad[i as usize])
+            .collect())
+    }
 }
 
-/// Column width of [`dot_acc`]: one destination block plus its `k` source
-/// blocks stay in L1 while they accumulate.
+/// Column width of [`dot_acc`] and of [`RsCode::parity_mismatches`]: one
+/// destination block plus its `k` source blocks stay in L1 while they
+/// accumulate.
 const BLOCK: usize = 4096;
 
 /// `dst[i] ^= Σ coef * src[i]` over the `(src, coef)` terms, one column

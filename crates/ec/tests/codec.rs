@@ -260,3 +260,116 @@ proptest! {
         prop_assert_eq!(code.decode(&have, len).unwrap(), &data[..]);
     }
 }
+
+/// Payload lengths for the parity check: empty, one byte, below `k`, and
+/// either side of multiples of `k` and of the 4 KiB column block (a shard
+/// of `len / k` bytes crosses a block boundary at `len = 4096 k`).
+fn check_lengths(k: usize) -> Vec<usize> {
+    let block = 4096 * k;
+    let mut lens = vec![0, 1, k - 1, k, k + 1, 3 * k - 1, 3 * k + 1];
+    lens.extend([
+        4095,
+        4096,
+        4097,
+        block - 1,
+        block,
+        block + 1,
+        2 * block + k - 1,
+    ]);
+    lens
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// `parity_mismatches` names exactly the parity indices whose copies
+    /// differ from what `encode` computes: nothing for an intact stripe,
+    /// and, after bytes of 1..=m parity shards are flipped, truncated or
+    /// extended, exactly those shards — with an intact duplicate copy of
+    /// every parity shard alongside, which cannot hide a bad one.
+    #[test]
+    fn parity_check_agrees_with_encode(
+        seed in any::<u64>(),
+        kx in 1u8..7,
+        mx in 1u8..4,
+        at in 0usize..14,
+        hit in 1u32..8,
+        damage in 0u8..3,
+    ) {
+        let code = RsCode::new(kx, mx).unwrap();
+        let len = check_lengths(usize::from(kx))[at];
+        let shards = code.encode(&payload(len, seed));
+        let (data, parity) = shards.split_at(usize::from(kx));
+        let data: Vec<&[u8]> = data.iter().map(Bytes::as_ref).collect();
+        let intact: Vec<(u8, &[u8])> = (kx..).zip(parity.iter().map(Bytes::as_ref)).collect();
+        prop_assert_eq!(code.parity_mismatches(&data, &intact, len), Ok(vec![]));
+
+        // Damage the parity shards named by the low `m` bits of `hit`
+        // (at least one: bit 0 stands in when they are all clear).
+        let hit = match hit & ((1 << mx) - 1) {
+            0 => 1,
+            h => h,
+        };
+        let mut stored: Vec<Vec<u8>> = parity.iter().map(|p| p.to_vec()).collect();
+        for (p, bytes) in stored.iter_mut().enumerate() {
+            if hit & (1 << p) == 0 {
+                continue;
+            }
+            let pos = (seed as usize).wrapping_add(p) % bytes.len().max(1);
+            match (damage, bytes.get_mut(pos)) {
+                (0, Some(b)) => *b ^= 1 + (seed >> 8) as u8 % 255,
+                (1, Some(_)) => {
+                    bytes.pop();
+                }
+                _ => bytes.push(0),
+            }
+        }
+        let mut copies: Vec<(u8, &[u8])> = (kx..).zip(stored.iter().map(Vec::as_slice)).collect();
+        copies.extend(&intact);
+        let want: Vec<u8> = (kx..)
+            .zip(parity.iter().zip(&stored))
+            .filter(|(_, (enc, got))| enc.as_ref() != got.as_slice())
+            .map(|(i, _)| i)
+            .collect();
+        let named: Vec<u8> = (kx..).take(usize::from(mx)).filter(|i| hit & (1 << (i - kx)) != 0).collect();
+        prop_assert_eq!(&want, &named);
+        prop_assert_eq!(code.parity_mismatches(&data, &copies, len), Ok(want));
+    }
+}
+
+/// The parity check's malformed inputs are typed errors, like decode's.
+#[test]
+fn parity_check_rejects_malformed_inputs() {
+    let code = RsCode::new(3, 2).unwrap();
+    let shards = code.encode(&payload(100, 7));
+    let data: Vec<&[u8]> = shards[..3].iter().map(Bytes::as_ref).collect();
+    let parity = [(3u8, shards[3].as_ref())];
+    assert_eq!(
+        code.parity_mismatches(&data[..2], &parity, 100),
+        Err(EcError::NotEnoughShards { have: 2, need: 3 })
+    );
+    let extra = [data[0], data[1], data[2], data[2]];
+    assert_eq!(
+        code.parity_mismatches(&extra, &parity, 100),
+        Err(EcError::ShardIndexOutOfRange {
+            index: 3,
+            shards: 5
+        })
+    );
+    let short = [data[0], &data[1][1..], data[2]];
+    assert_eq!(
+        code.parity_mismatches(&short, &parity, 100),
+        Err(EcError::ShardLengthMismatch {
+            index: 1,
+            len: 33,
+            expected: 34
+        })
+    );
+    for index in [2u8, 5] {
+        assert_eq!(
+            code.parity_mismatches(&data, &[(index, shards[3].as_ref())], 100),
+            Err(EcError::ShardIndexOutOfRange { index, shards: 5 })
+        );
+    }
+    assert_eq!(code.parity_mismatches(&data, &[], 100), Ok(vec![]));
+}

@@ -413,6 +413,22 @@ impl Cluster {
         Ok(f(&mut state))
     }
 
+    /// Run `f` against every live node's state at once, in node order, all
+    /// their locks held. Locks are taken in ascending node order, and no
+    /// other code holds one node's lock while it takes another's, so this
+    /// cannot deadlock; it blocks every node while `f` runs.
+    pub(crate) fn with_live_nodes<R>(&self, f: impl FnOnce(&[(NodeId, &NodeState)]) -> R) -> R {
+        let guards: Vec<(NodeId, MutexGuard<'_, NodeState>)> = (0..self.node_count())
+            .map(|node| (node, lock(self.check(node))))
+            .filter(|(_, state)| state.alive)
+            .collect();
+        let states: Vec<(NodeId, &NodeState)> = guards
+            .iter()
+            .map(|(node, state)| (*node, &**state))
+            .collect();
+        f(&states)
+    }
+
     /// Consume one injected transient read failure, if any are pending.
     fn take_transient(n: &mut NodeState, node: NodeId) -> StorageResult<()> {
         if n.transient_reads > 0 {

@@ -66,11 +66,16 @@ pub struct ScrubReport {
     /// ([`Cluster::scrub_stripes`]).
     pub shards_checked: u64,
     /// Shards inconsistent with their stripe: `(node, stripe, shard
-    /// index)` whose bytes disagree with the parity re-encoded from the
-    /// data shards. A single corrupt data shard is located exactly when
-    /// the stripe's redundancy allows it (a chunk stripe's payload hash,
-    /// or a second parity shard); otherwise the disagreeing parity copies
-    /// are flagged. Sorted, deduplicated.
+    /// index)` of a copy whose geometry differs from the stripe's, or
+    /// whose bytes disagree with the stripe its data shards encode (a
+    /// parity copy unequal to the parity recomputed from them, a
+    /// duplicate unequal to the lowest node's copy). A single corrupt
+    /// data shard is located exactly when the stripe's redundancy allows
+    /// it (a chunk stripe's payload hash, or a second parity shard);
+    /// otherwise the disagreeing parity copies are flagged, and a chunk
+    /// stripe that agrees with itself but not with its key flags its data
+    /// shards. Stripes missing a data shard are not checked. Sorted,
+    /// deduplicated.
     pub stripe_mismatches: Vec<(NodeId, StripeKey, u8)>,
 }
 
@@ -243,38 +248,186 @@ impl Cluster {
     /// cluster-wide; the repair collective runs it once on the lowest live
     /// rank and folds the findings into the merged report.
     ///
-    /// For each stripe whose `k` data shards all survive, the parity is
-    /// re-encoded and compared against the stored parity shards. A lone
-    /// corrupt *data* shard is located exactly when the redundancy allows
-    /// it (chunk stripes re-hash the decoded payload against the
-    /// fingerprint key; any stripe with a second parity shard uses parity
-    /// consensus); otherwise the disagreeing parity copies are flagged.
-    /// Stripes with missing shards are repair's reconstruction problem,
-    /// not scrub's. Like blob replicas, blob stripes with `m == 1` carry
-    /// too little redundancy to attribute a data-shard error.
+    /// Each live node's sorted shard map is walked once, under every live
+    /// node's lock (one consistent snapshot, no shard copied), and each
+    /// stripe whose `k` data shards all survive is checked without
+    /// decoding: its
+    /// parity is recomputed from the data shards block by block and
+    /// compared in cache ([`RsCode::parity_mismatches`], one code per
+    /// geometry), every duplicate copy is compared with the copy the
+    /// lowest node holds, and chunk stripes' payloads are hashed against
+    /// their keys in batches ([`ChunkHasher::fingerprint_all`]). A stripe
+    /// that fails any of these — or holds shards of another geometry —
+    /// is re-checked by decoding it, which locates a lone corrupt *data*
+    /// shard exactly when the redundancy allows it (chunk stripes re-hash
+    /// each candidate payload against the fingerprint key; any stripe
+    /// with a second parity shard uses parity consensus); otherwise the
+    /// disagreeing parity copies are flagged. Stripes with missing data
+    /// shards are repair's reconstruction problem, not scrub's. Like blob
+    /// replicas, blob stripes with `m == 1` carry too little redundancy to
+    /// attribute a data-shard error.
     pub fn scrub_stripes(&self, hasher: &dyn ChunkHasher) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        let mut stripes: BTreeMap<StripeKey, Vec<(NodeId, StoredShard)>> = BTreeMap::new();
-        for node in 0..self.node_count() {
-            let held = self
-                .with_node(node, |n| {
-                    n.shards
-                        .iter()
-                        .map(|((key, _), s)| (*key, s.clone()))
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-            for (key, s) in held {
-                stripes.entry(key).or_default().push((node, s));
+        self.with_live_nodes(|nodes| {
+            let mut report = ScrubReport::default();
+            let mut walks: Vec<_> = nodes
+                .iter()
+                .map(|(node, state)| (*node, state.shards.iter().peekable()))
+                .collect();
+            let mut pass = CleanPath::default();
+            let mut copies: Vec<(NodeId, &StoredShard)> = Vec::new();
+            let mut suspects: Vec<StripeKey> = Vec::new();
+            // Each node's map is sorted by stripe, so the lowest stripe any
+            // walk stands at is the next one, and its copies are the runs
+            // the walks hold of it, taken in node order.
+            while let Some(key) = walks
+                .iter_mut()
+                .filter_map(|(_, walk)| walk.peek().map(|((key, _), _)| *key))
+                .min()
+            {
+                copies.clear();
+                for (node, walk) in &mut walks {
+                    while let Some((_, s)) = walk.next_if(|((held, _), _)| *held == key) {
+                        copies.push((*node, s));
+                    }
+                }
+                report.shards_checked += copies.len() as u64;
+                if !pass.agrees(key, &copies) {
+                    suspects.push(key);
+                }
+                if pass.arena.len() >= HASH_BATCH_BYTES {
+                    pass.hash_pending(hasher, &mut suspects);
+                }
+            }
+            pass.hash_pending(hasher, &mut suspects);
+            // The rare stripe the clean path could not clear is decoded.
+            for key in suspects {
+                let copies: Vec<(NodeId, StoredShard)> = nodes
+                    .iter()
+                    .flat_map(|(node, state)| {
+                        let shards = state.shards.range((key, 0)..=(key, u8::MAX));
+                        shards.map(|(_, s)| (*node, s.clone()))
+                    })
+                    .collect();
+                verify_stripe(hasher, &mut report, key, &copies);
+            }
+            report.stripe_mismatches.sort_unstable();
+            report.stripe_mismatches.dedup();
+            report
+        })
+    }
+}
+
+/// Chunk-stripe payload bytes the clean path gathers before it hashes them
+/// in one batch: enough for a batch kernel to run full, little enough that
+/// the arena stays small.
+const HASH_BATCH_BYTES: usize = 1 << 20;
+
+/// The stripe pass's clean path. It clears a stripe whose copies agree
+/// with one another — parity with data, duplicates with the lowest node's
+/// copy, a chunk payload with its key — with no decode, no encode and no
+/// allocation of its own per stripe: its buffers are reused from stripe
+/// to stripe. A stripe it cannot clear goes to [`verify_stripe`].
+#[derive(Default)]
+struct CleanPath<'a> {
+    /// One code per `(k, m)` geometry seen.
+    codes: Vec<RsCode>,
+    /// The stripe's copy of each shard index held by the lowest node.
+    first: Vec<Option<&'a [u8]>>,
+    /// The `k` data shards, in index order.
+    data: Vec<&'a [u8]>,
+    /// Every parity copy, duplicates included.
+    parity: Vec<(u8, &'a [u8])>,
+    /// Concatenated payloads of the chunk stripes awaiting their hash.
+    arena: Vec<u8>,
+    /// Those stripes' keys, with the end of each payload in `arena`.
+    pending: Vec<(Fingerprint, usize)>,
+}
+
+impl<'a> CleanPath<'a> {
+    /// Whether the stripe `key`, whose copies (in node order) are
+    /// `copies`, may be clean: `false` when they disagree on geometry or
+    /// bytes; `true` when they agree or a data shard is missing
+    /// (reconstruction's job, as in [`verify_stripe`]). An agreeing chunk
+    /// stripe's payload joins the arena, and [`CleanPath::hash_pending`]
+    /// settles it.
+    fn agrees(&mut self, key: StripeKey, copies: &[(NodeId, &'a StoredShard)]) -> bool {
+        let Some((_, head)) = copies.first() else {
+            return true;
+        };
+        let (k, m, len64) = (head.meta.k, head.meta.m, head.meta.total_len);
+        let Ok(total_len) = usize::try_from(len64) else {
+            return false;
+        };
+        let code = match self.codes.iter().position(|c| (c.k(), c.m()) == (k, m)) {
+            Some(at) => &self.codes[at],
+            None => match RsCode::new(k, m) {
+                Ok(code) => {
+                    self.codes.push(code);
+                    &self.codes[self.codes.len() - 1]
+                }
+                Err(_) => return false,
+            },
+        };
+        self.first.clear();
+        self.first.resize(usize::from(code.shards()), None);
+        self.parity.clear();
+        for (_, s) in copies {
+            let meta = s.meta;
+            if (meta.k, meta.m, meta.total_len) != (k, m, len64) {
+                return false;
+            }
+            let Some(slot) = self.first.get_mut(usize::from(meta.index)) else {
+                return false;
+            };
+            match slot {
+                None => *slot = Some(&s.data[..]),
+                Some(first) if meta.is_parity() || *first == &s.data[..] => {}
+                Some(_) => return false,
+            }
+            if meta.is_parity() {
+                self.parity.push((meta.index, &s.data[..]));
             }
         }
-        for (key, copies) in stripes {
-            report.shards_checked += copies.len() as u64;
-            verify_stripe(hasher, &mut report, key, &copies);
+        self.data.clear();
+        for slot in &self.first[..usize::from(k)] {
+            match slot {
+                Some(shard) => self.data.push(shard),
+                None => return true, // missing shards are reconstruction's job
+            }
         }
-        report.stripe_mismatches.sort_unstable();
-        report.stripe_mismatches.dedup();
-        report
+        if !matches!(code.parity_mismatches(&self.data, &self.parity, total_len), Ok(bad) if bad.is_empty())
+        {
+            return false;
+        }
+        if let StripeKey::Chunk(fp) = key {
+            for shard in &self.data {
+                self.arena.extend_from_slice(shard);
+            }
+            self.pending.push((fp, self.arena.len()));
+        }
+        true
+    }
+
+    /// Hash every pending chunk payload in one batch and add each stripe
+    /// whose payload no longer hashes to its key to `suspects`.
+    fn hash_pending(&mut self, hasher: &dyn ChunkHasher, suspects: &mut Vec<StripeKey>) {
+        let mut start = 0;
+        let payloads: Vec<&[u8]> = self
+            .pending
+            .iter()
+            .map(|&(_, end)| {
+                let payload = &self.arena[start..end];
+                start = end;
+                payload
+            })
+            .collect();
+        for (&(fp, _), sum) in self.pending.iter().zip(hasher.fingerprint_all(&payloads)) {
+            if sum != fp {
+                suspects.push(StripeKey::Chunk(fp));
+            }
+        }
+        self.pending.clear();
+        self.arena.clear();
     }
 }
 
@@ -730,5 +883,155 @@ mod tests {
         let r = c.scrub_stripes(&Sha1ChunkHasher);
         assert_eq!(r.stripe_mismatches, vec![(homes[2], key, 2)]);
         assert!(!r.is_clean());
+    }
+
+    /// The stripe pass as it was before its clean path: every stripe is
+    /// decoded and re-encoded by [`verify_stripe`]. The reference model the
+    /// clean path must match finding for finding.
+    fn scrub_stripes_by_decoding(c: &Cluster, hasher: &dyn ChunkHasher) -> ScrubReport {
+        let mut report = ScrubReport::default();
+        let mut stripes: BTreeMap<StripeKey, Vec<(NodeId, StoredShard)>> = BTreeMap::new();
+        for node in 0..c.node_count() {
+            let held = c
+                .with_node(node, |n| {
+                    n.shards
+                        .iter()
+                        .map(|((key, _), s)| (*key, s.clone()))
+                        .collect::<Vec<_>>()
+                })
+                .unwrap_or_default();
+            for (key, s) in held {
+                stripes.entry(key).or_default().push((node, s));
+            }
+        }
+        for (key, copies) in stripes {
+            report.shards_checked += copies.len() as u64;
+            verify_stripe(hasher, &mut report, key, &copies);
+        }
+        report.stripe_mismatches.sort_unstable();
+        report.stripe_mismatches.dedup();
+        report
+    }
+
+    /// SplitMix64 step: the proptest below derives its whole cluster from
+    /// one seed.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A cluster of 3–8 nodes holding 1–4 stripes (chunk or blob keys,
+    /// `k` 1–4, `m` 1–3, so `m = 1` blob stripes occur; lengths from empty
+    /// to past a 4 KiB column block per shard; some chunk keys that no
+    /// longer match their payload), then 0–5 of: rot, an intact or rotten
+    /// duplicate on another node, a shard of another geometry or past
+    /// `k + m`, a truncated or padded shard, a missing shard, a dead node.
+    fn damaged_cluster(seed: u64) -> Cluster {
+        let mut rng = seed;
+        let mut pick = |n: u64| next(&mut rng) % n;
+        let nodes = 3 + pick(6) as u32;
+        let c = Cluster::new(Placement::one_per_node(nodes));
+        let mut stripes = Vec::new();
+        for s in 0..1 + pick(4) {
+            let (k, m) = (1 + pick(4) as u8, 1 + pick(3) as u8);
+            let kk = usize::from(k);
+            let len = match pick(5) {
+                0 => pick(2) as usize,
+                1 => kk - 1 + pick(3) as usize,
+                2 => pick(300) as usize,
+                // Shards of one 4 KiB column block, give or take a byte.
+                3 => (kk << 12) - 1 + pick(3) as usize,
+                _ => (kk << 13) + pick(100) as usize,
+            };
+            let payload: Vec<u8> = (0..len).map(|_| pick(256) as u8).collect();
+            let key = match pick(5) {
+                0 => StripeKey::Blob {
+                    owner: s as u32,
+                    dump_id: 1,
+                },
+                1 => StripeKey::Chunk(Fingerprint::synthetic(s)),
+                _ => StripeKey::Chunk(Sha1ChunkHasher.fingerprint(&payload)),
+            };
+            let code = RsCode::new(k, m).unwrap();
+            let homes = replidedup_ec::shard_nodes(key.seed(), k + m, nodes);
+            for (i, shard) in code.encode(&Bytes::from(payload)).into_iter().enumerate() {
+                let meta = crate::shard::ShardMeta {
+                    k,
+                    m,
+                    index: i as u8,
+                    total_len: len as u64,
+                };
+                c.put_shard(homes[i], key, meta, shard).unwrap();
+            }
+            stripes.push((key, k + m, homes));
+        }
+        for _ in 0..pick(6) {
+            let (key, n, homes) = &stripes[pick(stripes.len() as u64) as usize];
+            let index = pick(u64::from(*n)) as u8;
+            let home = homes[usize::from(index)];
+            let other = pick(u64::from(nodes)) as u32;
+            let Ok(shard) = c.get_shard(home, *key, index) else {
+                continue;
+            };
+            let meta = shard.meta;
+            // Damage aimed at a dead node is lost with it.
+            match pick(6) {
+                0 => {
+                    c.corrupt_shard(home, *key, index).ok();
+                }
+                1 => {
+                    c.put_shard(other, *key, meta, shard.data).ok();
+                    if pick(2) == 0 {
+                        c.corrupt_shard(other, *key, index).ok();
+                    }
+                }
+                2 => {
+                    let odd = match pick(4) {
+                        0 => crate::shard::ShardMeta {
+                            k: meta.k + 1,
+                            ..meta
+                        },
+                        1 => crate::shard::ShardMeta {
+                            m: meta.m + 1,
+                            ..meta
+                        },
+                        2 => crate::shard::ShardMeta {
+                            total_len: meta.total_len + 1,
+                            ..meta
+                        },
+                        _ => crate::shard::ShardMeta { index: *n, ..meta },
+                    };
+                    c.put_shard(other, *key, odd, shard.data).ok();
+                }
+                3 => {
+                    let mut bytes = shard.data.to_vec();
+                    if bytes.pop().is_none() || pick(2) == 0 {
+                        bytes.push(0);
+                    }
+                    c.put_shard(home, *key, meta, bytes).ok();
+                }
+                4 => {
+                    c.quarantine_shard(home, *key, index).ok();
+                }
+                _ => c.fail_node(other),
+            }
+        }
+        c
+    }
+
+    proptest::proptest! {
+        /// The clean path plus the decode-and-locate fallback report
+        /// exactly what decoding every stripe reports.
+        #[test]
+        fn the_clean_path_matches_the_decoding_model(seed in proptest::prelude::any::<u64>()) {
+            let c = damaged_cluster(seed);
+            proptest::prop_assert_eq!(
+                c.scrub_stripes(&Sha1ChunkHasher),
+                scrub_stripes_by_decoding(&c, &Sha1ChunkHasher)
+            );
+        }
     }
 }

@@ -30,10 +30,11 @@ use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
 use replidedup::core::{
-    Generations, RedundancyPolicy, ReplError, Replicator, RestoreError, Strategy, DUMP_PHASES,
+    DumpError, Generations, RedundancyPolicy, ReplError, Replicator, RestoreError, Strategy,
+    DUMP_PHASES,
 };
 use replidedup::mpi::{CommError, FaultPlan, FaultTrigger, RankOutcome, WorldConfig};
-use replidedup::storage::{Cluster, DumpId, Placement};
+use replidedup::storage::{Cluster, DumpId, Placement, StorageError};
 
 const N: u32 = 6;
 
@@ -206,6 +207,45 @@ proptest! {
 /// same generation, which restores the same bytes. (With several planned
 /// crashes only the *plan* is exactly replayable: an earlier victim's
 /// death can preempt a later victim before its trigger phase.)
+/// A disk that fails at `commit` while its rank lives is a deferred
+/// storage error on that rank, before the dump's last collective: that
+/// collective tells every rank, so no rank publishes, and storage names
+/// generation 1 — not a generation 2 whose data sits below its redundancy
+/// target. The rank reports its storage error, every other rank the
+/// failed rank.
+#[test]
+fn a_disk_failing_at_commit_publishes_nothing() {
+    let rs = RedundancyPolicy::Rs { k: 4, m: 2 };
+    let cells = [
+        (Strategy::CollDedup, RedundancyPolicy::Replicate(2)),
+        (Strategy::LocalDedup, RedundancyPolicy::Replicate(2)),
+        (Strategy::CollDedup, rs),
+    ];
+    let victim = 3;
+    for (strategy, policy) in cells {
+        let cell = format!("{strategy:?} {policy:?}");
+        let cluster = Arc::new(Cluster::new(Placement::one_per_node(N)));
+        let hook = Arc::clone(&cluster);
+        let plan = FaultPlan::new(43)
+            .transient(victim, FaultTrigger::PhaseStart("commit".into()), 1)
+            .on_transient(move |rank, _| hook.fail_node(hook.node_of(rank)));
+        let repl = replicator(strategy, &cluster, 2, policy);
+        let (crashed, outcomes) = dump_two_generations(&repl, plan, Duration::from_secs(5));
+        assert!(crashed.is_empty(), "{cell}: {crashed:?}");
+        for (rank, o) in outcomes.iter().enumerate() {
+            let want = if rank as u32 == victim {
+                DumpError::Storage(StorageError::NodeDown(victim))
+            } else {
+                DumpError::PeerFailed { rank: victim }
+            };
+            let got = o.as_ref().map(|(r, _)| r.clone());
+            assert_eq!(got, Some(Err(ReplError::Dump(want))), "{cell}: rank {rank}");
+        }
+        let gen = assert_restart_restores_everywhere(&cluster, &repl, &cell);
+        assert_eq!(gen, 1, "{cell}");
+    }
+}
+
 #[test]
 fn same_seed_replays_the_same_crash_schedule_and_bytes() {
     let seed = 0xD15EA5E;

@@ -366,8 +366,9 @@ fn blank(src: &str, span: std::ops::Range<usize>, keep: bool) -> String {
     }
 }
 
-/// The dump's local index, restore's two verification sites and a node
-/// scrub's re-hash check chunks in batches, through
+/// The dump's local index, restore's two verification sites, a node
+/// scrub's re-hash and the stripe pass's clean path check chunks in
+/// batches, through
 /// `ChunkHasher::fingerprint_all` (the dump via `fingerprint_ranges`), so
 /// a batch kernel sees every chunk at once. A one-chunk `fingerprint`
 /// call there means a site went back to hashing one chunk at a time; the
@@ -417,9 +418,61 @@ fn chunk_checks_hash_in_batches() {
     let node = blank(scrub.1, node, true);
     assert!(node.contains(batch), "scrub_node's pass 1 is not one batch");
     found.extend(hits(scrub.0, &node, |line| line.contains(single)));
+
+    let stripes = stripe_clean_path(scrub);
+    assert!(
+        stripes.contains(batch),
+        "the stripe pass's chunk hashes are not one batch"
+    );
+    found.extend(hits(scrub.0, &stripes, |line| line.contains(single)));
     assert!(
         found.is_empty(),
         "a chunk check hashes one chunk at a time:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The stripe pass's clean path in `scrub.rs` (`scrub_stripes` and the
+/// `CleanPath` methods, tests cut off), every other line blanked.
+fn stripe_clean_path((file, src): (&'static str, &'static str)) -> String {
+    let code = src.split(concat!("#[cfg(", "test)]")).next().unwrap_or(src);
+    let spans = [
+        fn_span(file, code, "pub fn scrub_stripes("),
+        fn_span(file, code, "impl<'a> CleanPath<'a> {"),
+    ];
+    let mut at = 0;
+    code.split_inclusive('\n')
+        .map(|line| {
+            let start = at;
+            at += line.len();
+            if spans.iter().any(|span| span.contains(&start)) {
+                line
+            } else {
+                "\n"
+            }
+        })
+        .collect()
+}
+
+/// The stripe pass clears a clean stripe without decoding it: its clean
+/// path recomputes parity in cache (`RsCode::parity_mismatches`) and never
+/// calls `RsCode::decode` or `RsCode::encode`, which only the fallback for
+/// a stripe that fails (`verify_stripe`) may do.
+#[test]
+fn the_stripe_clean_path_never_decodes() {
+    let scrub = source!("crates/storage/src/scrub.rs");
+    let clean = stripe_clean_path(scrub);
+    assert!(
+        clean.contains(".parity_mismatches("),
+        "the clean path no longer checks parity in cache"
+    );
+    let needles = [concat!(".dec", "ode("), concat!(".enc", "ode(")];
+    let found = hits(scrub.0, &clean, |line| {
+        needles.iter().any(|needle| line.contains(needle))
+    });
+    assert!(
+        found.is_empty(),
+        "the stripe pass's clean path decodes or encodes:\n{}",
         found.join("\n")
     );
 }
